@@ -9,6 +9,12 @@ basis coordinates of the ambient space directly (TwoLevelGate).
 Wires are numbered 1..n with wire 1 the leftmost Kronecker factor. A
 circuit applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
+
+Simulation never forms that matrix. Every gate mixes pairs of basis
+coordinates (p0, p1) by its 2x2 block (gate_pairs), and mix_pairs applies
+the block to those pairs in place, on a vector or on the rows of a matrix.
+realize and realize_gate build the dense matrices only as the reference
+that tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ from typing import Union
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import as_matrix, identity, is_unitary
-from .qpu import evolve
+from .linalg import identity, is_unitary
 
 GATE_UNITARY_TOL = 1e-10
 REDUCED_TOL = 1e-10
@@ -248,6 +253,43 @@ def realize_gate(g: GateSpec) -> np.ndarray:
     raise TypeError(f"not a gate spec: {g!r}")
 
 
+def gate_pairs(g: GateSpec):
+    """The coordinates (p0, p1) whose pairs the gate's block mixes.
+
+    Row 0 of the block makes the new x[p0], row 1 the new x[p1]; every
+    other coordinate is left alone. Wire and suffix-controlled gates mix
+    many pairs, given as index arrays; a controlled or two-level gate mixes
+    one pair, given as two ints.
+    """
+    # Two-level gates come first: decomposition mixes one per factor.
+    if isinstance(g, TwoLevelGate):
+        return g.i - 1, g.j - 1
+    if isinstance(g, ControlledGate):
+        p0 = _pattern_base_index(g.n, g.target, g.pattern)
+        return p0, p0 + (1 << (g.n - g.target))
+    if isinstance(g, WireGate):
+        step = 1 << (g.n - g.j)
+        blocks = np.arange(0, 1 << g.n, 2 * step)
+        p0 = (blocks[:, None] + np.arange(step)).ravel()
+        return p0, p0 + step
+    if isinstance(g, SuffixControlledGate):
+        base = _pattern_base_index(g.stage, 1, g.suffix)
+        p0 = np.arange(base, 1 << g.n, 1 << g.stage)
+        return p0, p0 + (1 << (g.stage - 1))
+    raise TypeError(f"not a gate spec: {g!r}")
+
+
+def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
+    """In place: (x[p0], x[p1]) <- v @ (x[p0], x[p1]).
+
+    x is a vector, or a matrix whose rows are mixed; pass x.T to mix
+    columns. Both new values are computed before either is written,
+    because with int indices x[p0] is a view into a matrix.
+    """
+    a, b = x[p0], x[p1]
+    x[p0], x[p1] = v[0, 0] * a + v[0, 1] * b, v[1, 0] * a + v[1, 1] * b
+
+
 def _gate_dim(g: GateSpec) -> int:
     return g.dim if isinstance(g, TwoLevelGate) else 2**g.n
 
@@ -274,9 +316,12 @@ class Circuit:
                     f"gate {g!r} acts on dim {_gate_dim(g)}, circuit needs {dim}"
                 )
         if self.strict:
+            eye = identity(dim)
             for a, b in zip(self.gates, self.gates[1:]):
-                prod = realize_gate(b) @ realize_gate(a)
-                if float(np.linalg.norm(prod - identity(dim))) <= REDUCED_TOL:
+                prod = eye.copy()
+                mix_pairs(a.v, prod, *gate_pairs(a))
+                mix_pairs(b.v, prod, *gate_pairs(b))
+                if float(np.linalg.norm(prod - eye)) <= REDUCED_TOL:
                     raise ValueError(
                         "adjacent gates cancel to the identity (not reduced)"
                     )
@@ -296,17 +341,28 @@ def realize(c: Circuit) -> np.ndarray:
 
 
 def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
-    """Evolve a state through the circuit gate by gate."""
+    """Evolve a state through the circuit gate by gate: rho -> G rho G*.
+
+    Each gate mixes its pairs on the rows by v and on the columns by
+    conj(v); rho itself is left unchanged.
+    """
+    if rho.dim != 2**c.n:
+        raise ValueError(f"dimension mismatch: {2**c.n} vs {rho.dim}")
+    mat = np.array(rho.mat, dtype=np.complex128)
     for g in c.gates:
-        rho = evolve(realize_gate(g), rho)
-    return rho
+        p0, p1 = gate_pairs(g)
+        mix_pairs(g.v, mat, p0, p1)
+        mix_pairs(g.v.conj(), mat.T, p0, p1)
+    return DensityMatrix(mat)
 
 
 def apply_vector(c: Circuit, psi) -> np.ndarray:
-    """Apply the circuit to a state vector gate by gate."""
-    psi = np.asarray(psi, dtype=np.complex128)
+    """Apply the circuit to a state vector gate by gate; psi is left unchanged."""
+    psi = np.array(psi, dtype=np.complex128)
+    if psi.shape[:1] != (2**c.n,):
+        raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
     for g in c.gates:
-        psi = realize_gate(g) @ psi
+        mix_pairs(g.v, psi, *gate_pairs(g))
     return psi
 
 

@@ -67,13 +67,17 @@ class DensitySegment:
             acc = acc * x + self.coeffs[m] / (m + 1)
         return acc * x
 
+    def minimum(self) -> float:
+        """Smallest value on [lo, hi]: at an endpoint or a root of the derivative.
 
-def _chebyshev_points(lo: float, hi: float, count: int) -> list[float]:
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return [
-        mid + half * math.cos((2 * k + 1) * math.pi / (2 * count))
-        for k in range(count)
-    ]
+        Every root's real part, clipped into the segment, is a candidate, so
+        a root computed with a tiny imaginary part is still examined.
+        """
+        roots = np.polynomial.polynomial.polyroots(
+            np.polynomial.polynomial.polyder(self.coeffs)
+        )
+        xs = np.clip(roots.real, self.lo, self.hi)
+        return min(self.value(float(x)) for x in (self.lo, self.hi, *xs))
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,9 @@ class PiecewisePolyDensity:
     """A normalized piecewise-polynomial density on [0, 1].
 
     Validated at construction: segments must partition [0, 1] in order, be
-    nonnegative at Chebyshev sample points (within rounding), and integrate
-    to 1 within 1e-10. Integrals are exact antiderivative evaluations, so
-    dyadic masses carry no quadrature error.
+    nonnegative everywhere (each segment's exact minimum, within rounding),
+    and integrate to 1 within 1e-10. Integrals are exact antiderivative
+    evaluations, so dyadic masses carry no quadrature error.
     """
 
     segments: tuple[DensitySegment, ...]
@@ -106,12 +110,13 @@ class PiecewisePolyDensity:
                 raise DensityError(f"empty segment [{s.lo}, {s.hi}]")
             if not s.coeffs:
                 raise DensityError("segment without coefficients")
-            count = max(8, 2 * len(s.coeffs) + 1)
-            for x in _chebyshev_points(s.lo, s.hi, count):
-                if s.value(x) < -DENSITY_NEGATIVE_TOL:
-                    raise DensityError(
-                        f"density negative ({s.value(x):.3e}) at x={x}"
-                    )
+            if not all(math.isfinite(c) for c in (s.lo, s.hi, *s.coeffs)):
+                raise DensityError(f"non-finite number in segment {s}")
+            low = s.minimum()
+            if low < -DENSITY_NEGATIVE_TOL:
+                raise DensityError(
+                    f"density negative ({low:.3e}) on [{s.lo}, {s.hi}]"
+                )
         total = self.integrate(0.0, 1.0)
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")

@@ -71,8 +71,18 @@ def tensor_index(bits: BitString) -> int:
 
 
 def label_permutation(n: int) -> np.ndarray:
-    """Array whose k-th entry is the flat tensor position of label k."""
-    return np.array([tensor_index(encode(k, n)) for k in range(2**n)])
+    """Array whose k-th entry is the flat tensor position of label k.
+
+    The position is k with its n bits reversed: bit i-1 of the label is
+    wire i, which is position bit n-i.
+    """
+    if n < 1:
+        raise ValueError("qubit count must be at least 1")
+    labels = np.arange(2**n)
+    positions = np.zeros_like(labels)
+    for i in range(n):
+        positions |= ((labels >> i) & 1) << (n - 1 - i)
+    return positions
 
 
 def basis_vector(k: int, n: int) -> np.ndarray:

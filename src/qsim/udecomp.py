@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import TwoLevelGate, realize_gate
+from .gates import TwoLevelGate, gate_pairs, mix_pairs, realize_gate
 from .linalg import as_matrix, as_vector, identity, is_unitary
 
 # A component counts as zero for branch selection below this fraction of
@@ -57,21 +57,6 @@ def down_embed(u) -> np.ndarray:
     return out
 
 
-def _apply_factor_to_vector(f: TwoLevelGate, psi: np.ndarray) -> None:
-    i, j = f.i - 1, f.j - 1
-    a, b = psi[i], psi[j]
-    psi[i] = f.v[0, 0] * a + f.v[0, 1] * b
-    psi[j] = f.v[1, 0] * a + f.v[1, 1] * b
-
-
-def _apply_factor_to_rows(f: TwoLevelGate, m: np.ndarray) -> None:
-    i, j = f.i - 1, f.j - 1
-    rows = np.array([m[i, :], m[j, :]])
-    mixed = f.v @ rows
-    m[i, :] = mixed[0]
-    m[j, :] = mixed[1]
-
-
 def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     """Factors sending psi to (||psi||, 0, ..., 0), plus the norm.
 
@@ -79,7 +64,7 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     order zeroes coordinates 2..N and leaves the real nonnegative norm in
     coordinate 1. Components already negligible produce identity factors.
     """
-    psi = as_vector(psi).copy()
+    psi = as_vector(psi)
     n = psi.shape[0]
     if n < 2:
         raise ValueError("vector dimension must be at least 2")
@@ -88,8 +73,10 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
         raise ValueError("cannot reduce the zero vector")
     zero_tol = ZERO_COMPONENT_REL_TOL * norm
     factors: list[TwoLevelGate] = []
+    # Factor j mixes coordinates 1 and j. Coordinate j is never read again,
+    # so only coordinate 1 of the partly reduced vector is tracked, as a.
+    a = complex(psi[0])
     for j in range(2, n + 1):
-        a = complex(psi[0])
         b = complex(psi[j - 1])
         if abs(b) <= zero_tol:
             if j == 2 and abs(a - abs(a)) > zero_tol:
@@ -101,11 +88,9 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
                     [[phase.conjugate(), 0.0], [0.0, phase]],
                     dtype=np.complex128,
                 )
-                f = TwoLevelGate(dim=n, i=1, j=j, v=v)
-                _apply_factor_to_vector(f, psi)
-                psi[0] = abs(a)
+                a = complex(abs(a))
             else:
-                f = TwoLevelGate(dim=n, i=1, j=j, v=_IDENTITY_BLOCK)
+                v = _IDENTITY_BLOCK
         else:
             r = float(np.hypot(abs(a), abs(b)))
             v = np.array(
@@ -115,11 +100,8 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
                 ],
                 dtype=np.complex128,
             )
-            f = TwoLevelGate(dim=n, i=1, j=j, v=v)
-            _apply_factor_to_vector(f, psi)
-            psi[0] = r
-            psi[j - 1] = 0.0
-        factors.append(f)
+            a = complex(r)
+        factors.append(TwoLevelGate(dim=n, i=1, j=j, v=v))
     return factors, norm
 
 
@@ -142,7 +124,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
                 f"factor dimension {f.dim} does not match ambient {d.dim}"
             )
         # Left multiplication touches only rows i and j.
-        _apply_factor_to_rows(f, out)
+        mix_pairs(f.v, out, *gate_pairs(f))
     return out
 
 
@@ -176,7 +158,7 @@ def _decompose(u: np.ndarray, ambient: int, tol: float) -> list[TwoLevelGate]:
         return [TwoLevelGate(dim=ambient, i=offset + 1, j=offset + 2, v=v)]
     column_factors, _ = reduce_vector(u[:, 0])
     for f in column_factors:
-        _apply_factor_to_rows(f, u)
+        mix_pairs(f.v, u, *gate_pairs(f))
     corner = complex(u[0, 0])
     if abs(corner - 1.0) > max(RESIDUAL_PHASE_TOL, 10.0 * tol):
         raise ArithmeticError(

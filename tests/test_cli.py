@@ -290,6 +290,17 @@ def test_verify_rejects_invalid_density(tmp_path):
     assert main(["verify", "--density", str(bad)]) == 3
 
 
+def test_verify_rejects_density_negative_between_sample_points(tmp_path):
+    # (x - 1/2)^2 - 1e-4, normalized: negative only near x = 1/2.
+    k = 1.0 / 12.0 - 1e-4
+    coeffs = [(0.25 - 1e-4) / k, -1.0 / k, 1.0 / k]
+    bad = tmp_path / "dip.json"
+    bad.write_text(
+        json.dumps({"segments": [{"lo": 0.0, "hi": 1.0, "coeffs": coeffs}]})
+    )
+    assert main(["verify", "--n", "6", "--density", str(bad)]) == 3
+
+
 def test_malformed_density_json_is_a_parse_error(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{segments: oops")

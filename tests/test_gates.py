@@ -6,6 +6,7 @@ vector chasing. Serialization round trips must be bit-exact because floats
 print with 17 significant digits.
 """
 
+import dataclasses
 import math
 from itertools import product
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.algprob import pure_state
+from qsim.algprob import DensityMatrix, pure_state
 from qsim.gates import (
     Circuit,
     CircuitParseError,
@@ -38,6 +39,7 @@ from qsim.gates import (
 )
 from qsim.linalg import is_unitary
 from qsim.qpu import basis_vector, tensor_index
+from qsim.udecomp import Decomposition, k_embed, reconstruct
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -380,6 +382,94 @@ def test_apply_agrees_with_realize_then_evolve():
     u = realize(c)
     assert np.max(np.abs(step_by_step.mat - u @ rho.mat @ u.conj().T)) < 1e-12
     assert np.max(np.abs(apply_vector(c, psi) - u @ psi)) < 1e-12
+
+
+# --- the pair kernel against the dense oracle ----------------------------------------
+
+KINDS = ("wire", "controlled", "suffix", "two-level")
+KERNEL_CASES = [
+    (kind, n) for kind in KINDS for n in range(1, 5) if (kind, n) != ("suffix", 1)
+]
+
+
+def random_gate(kind, n, rng):
+    v = random_unitary2(rng)
+    if kind == "wire":
+        return WireGate(n=n, j=int(rng.integers(1, n + 1)), v=v)
+    if kind == "controlled":
+        target = int(rng.integers(1, n + 1))
+        pattern = tuple(int(b) for b in rng.integers(0, 2, n - 1))
+        return ControlledGate(n=n, target=target, pattern=pattern, v=v)
+    if kind == "suffix":
+        stage = int(rng.integers(2, n + 1))
+        suffix = tuple(int(b) for b in rng.integers(0, 2, stage - 1))
+        return SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v)
+    i, j = sorted(int(k) + 1 for k in rng.choice(2**n, size=2, replace=False))
+    return TwoLevelGate(dim=2**n, i=i, j=j, v=v)
+
+
+def random_mixed_state(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("kind,n", KERNEL_CASES)
+def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
+    """Vectors and full complex density matrices, one gate at a time; the
+    matrix case pins that both rows of a pair are read before either is
+    written."""
+    rng = np.random.default_rng([19, KINDS.index(kind), n])
+    dim = 2**n
+    for _ in range(8):
+        g = random_gate(kind, n, rng)
+        c = Circuit(n=n, gates=(g,))
+        u = realize_gate(g)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi_before = psi.copy()
+        assert np.max(np.abs(apply_vector(c, psi) - u @ psi)) < 1e-12
+        assert np.array_equal(psi, psi_before)
+        rho = random_mixed_state(rng, dim)
+        rho_before = rho.mat.copy()
+        got = apply(c, rho).mat
+        assert np.max(np.abs(got - u @ rho.mat @ u.conj().T)) < 1e-12
+        assert np.array_equal(rho.mat, rho_before)
+    c = Circuit(n=n, gates=tuple(random_gate(kind, n, rng) for _ in range(6)))
+    u = realize(c)
+    rho = random_mixed_state(rng, dim)
+    assert np.max(np.abs(apply(c, rho).mat - u @ rho.mat @ u.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,n", KERNEL_CASES)
+def test_strict_circuit_rejects_cancelling_neighbors_of_every_kind(kind, n):
+    rng = np.random.default_rng([20, KINDS.index(kind), n])
+    g = random_gate(kind, n, rng)
+    inverse = dataclasses.replace(g, v=g.v.conj().T)
+    with pytest.raises(ValueError):
+        Circuit(n=n, gates=(g, inverse), strict=True)
+    Circuit(n=n, gates=(g, g), strict=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+def test_reconstruct_matches_product_of_k_embed_factors(dim):
+    rng = np.random.default_rng([21, dim])
+    factors = []
+    for _ in range(3 * dim):
+        i, j = sorted(int(k) + 1 for k in rng.choice(dim, size=2, replace=False))
+        factors.append(TwoLevelGate(dim=dim, i=i, j=j, v=random_unitary2(rng)))
+    want = np.eye(dim, dtype=complex)
+    for f in factors:
+        want = k_embed(dim, f.i, f.j, f.v) @ want
+    got = reconstruct(Decomposition(dim=dim, factors=tuple(factors)))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_apply_rejects_state_of_the_wrong_dimension():
+    c = Circuit(n=2, gates=(WireGate(n=2, j=1, v=FLIP),))
+    with pytest.raises(ValueError):
+        apply(c, pure_state(basis_vector(0, 3)))
+    with pytest.raises(ValueError):
+        apply_vector(c, np.zeros(8))
 
 
 def test_circuit_rejects_mismatched_gate_dims():

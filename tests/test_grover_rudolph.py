@@ -112,6 +112,26 @@ def test_density_rejects_negative_values():
     assert "negative" in str(err.value)
 
 
+def test_density_rejects_negativity_between_sample_points():
+    # (x - 1/2)^2 - 1e-4, normalized, reaches -1.2e-3 at x = 1/2 only.
+    k = 1.0 / 12.0 - 1e-4
+    coeffs = ((0.25 - 1e-4) / k, -1.0 / k, 1.0 / k)
+    with pytest.raises(DensityError) as err:
+        PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, coeffs),))
+    assert "-1.201e-03" in str(err.value)
+    # The same shape without the dip touches zero and is accepted.
+    k = 1.0 / 12.0
+    PiecewisePolyDensity(
+        segments=(DensitySegment(0.0, 1.0, (0.25 / k, -1.0 / k, 1.0 / k)),)
+    )
+
+
+def test_density_rejects_non_finite_numbers():
+    for coeffs in ((float("nan"),), (1.0, float("inf"))):
+        with pytest.raises(DensityError):
+            PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, coeffs),))
+
+
 def test_density_rejects_wrong_normalization():
     with pytest.raises(DensityError):
         PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, (2.0,)),))

@@ -89,6 +89,14 @@ def test_label_permutation_is_bit_reversal():
     assert sorted(perm) == list(range(8))
 
 
+def test_label_permutation_matches_per_label_positions():
+    for n in range(1, 13):
+        want = [tensor_index(encode(k, n)) for k in range(2**n)]
+        assert np.array_equal(label_permutation(n), want)
+    with pytest.raises(ValueError):
+        label_permutation(0)
+
+
 def test_basis_vector_matches_kron_of_unit_vectors():
     """Brute-force oracle: build |z_1> (x) |z_2> (x) |z_3> by hand."""
     e = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -35,8 +35,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-# Dense simulation memory grows as 4^n; ten wires keeps every gate matrix
-# comfortably in memory.
+# Memory is not the limit: a state vector takes 16 * 2^n bytes. Time is:
+# synthesize builds and apply_vector applies each of the 2^n - 1 gates in
+# Python, and every table printed has 2^n rows.
 MAX_QUBITS = 10
 
 
@@ -71,11 +72,10 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _load_density(cfg: RunConfig) -> gr.PiecewisePolyDensity:
+def _density_path(cfg: RunConfig) -> str:
     if not cfg.density_path:
         raise InputFormatError("this command needs --density PATH")
-    with open(cfg.density_path, "r", encoding="utf-8") as fh:
-        return gr.parse_density_json(fh.read())
+    return cfg.density_path
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -87,7 +87,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _density_circuit_law(cfg: RunConfig) -> np.ndarray:
-    density = _load_density(cfg)
+    density = gr.load_density(_density_path(cfg))
     tree = gr.angle_tree(density, cfg.n)
     return gr.circuit_law(gr.synthesize(tree))
 
@@ -97,7 +97,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     _check_n(cfg.n)
     if not cfg.output_path:
         raise InputFormatError("synth needs --out PATH for the circuit file")
-    density = _load_density(cfg)
+    density = gr.load_density(_density_path(cfg))
     tree = gr.angle_tree(density, cfg.n)
     circuit = gr.synthesize(tree, prune=cfg.prune_identities)
     _emit(cfg, format_circuit(circuit))
@@ -215,7 +215,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
     _check_n(cfg.n)
-    density = _load_density(cfg)
+    density = gr.load_density(_density_path(cfg))
     tol = cfg.tol if cfg.tol is not None else 1e-10
     report = gr.verify(density, cfg.n, tol)
     rows = [

@@ -71,11 +71,15 @@ class DensitySegment:
         """Smallest value on [lo, hi]: at an endpoint or a root of the derivative.
 
         Every root's real part, clipped into the segment, is a candidate, so
-        a root computed with a tiny imaginary part is still examined.
+        a root computed with a tiny imaginary part is still examined. Leading
+        derivative coefficients below rounding of the largest one are dropped
+        first: they only add roots far outside [0, 1], and dividing by a
+        subnormal one overflows the companion matrix.
         """
-        roots = np.polynomial.polynomial.polyroots(
-            np.polynomial.polynomial.polyder(self.coeffs)
-        )
+        poly = np.polynomial.polynomial
+        der = poly.polyder(self.coeffs)
+        der = poly.polytrim(der, np.finfo(float).eps * np.max(np.abs(der)))
+        roots = poly.polyroots(der)
         xs = np.clip(roots.real, self.lo, self.hi)
         return min(self.value(float(x)) for x in (self.lo, self.hi, *xs))
 
@@ -121,17 +125,25 @@ class PiecewisePolyDensity:
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
+    def masses(self, edges) -> np.ndarray:
+        """Exact integral over each [edges[i], edges[i+1]], edges within [0, 1].
+
+        Each segment adds its antiderivative difference to the intervals it
+        overlaps, in segment order.
+        """
+        edges = _check_edges(edges)
+        a, b = edges[:-1], edges[1:]
+        out = np.zeros(len(a))
+        for s in self.segments:
+            lo = np.maximum(a, s.lo)
+            hi = np.minimum(b, s.hi)
+            live = lo < hi
+            out[live] += s.mass(lo[live], hi[live])
+        return out
+
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] within [0, 1]."""
-        if not 0.0 <= a <= b <= 1.0:
-            raise ValueError(f"bad integration range [{a}, {b}]")
-        total = 0.0
-        for s in self.segments:
-            lo = max(a, s.lo)
-            hi = min(b, s.hi)
-            if lo < hi:
-                total += s.mass(lo, hi)
-        return total
+        return float(self.masses([a, b])[0])
 
 
 class CallableDensity:
@@ -139,7 +151,9 @@ class CallableDensity:
 
     Approximate: masses carry quadrature error up to roughly `tol` per
     integral, unlike the exact piecewise-polynomial path. Normalization is
-    only checked loosely for the same reason.
+    only checked loosely for the same reason. Every value the quadrature
+    takes must be finite and nonnegative within DENSITY_NEGATIVE_TOL, or
+    DensityError is raised; points between those samples are not checked.
     """
 
     def __init__(self, fn, tol: float = 1e-12):
@@ -149,12 +163,32 @@ class CallableDensity:
         if abs(total - 1.0) > max(1e-8, 100.0 * tol):
             raise DensityError(f"density integrates to {total}, not 1")
 
+    def _value(self, x: float) -> float:
+        y = float(self.fn(x))
+        if not math.isfinite(y) or y < -DENSITY_NEGATIVE_TOL:
+            raise DensityError(f"density value {y!r} at x = {x!r} is negative or not finite")
+        return y
+
+    def masses(self, edges) -> np.ndarray:
+        """Quadrature integrals over consecutive edges, one per interval."""
+        edges = _check_edges(edges).tolist()
+        return np.array(
+            [
+                _adaptive_simpson(self._value, a, b, self.tol) if a < b else 0.0
+                for a, b in zip(edges, edges[1:])
+            ]
+        )
+
     def integrate(self, a: float, b: float) -> float:
-        if not 0.0 <= a <= b <= 1.0:
-            raise ValueError(f"bad integration range [{a}, {b}]")
-        if a == b:
-            return 0.0
-        return _adaptive_simpson(self.fn, a, b, self.tol)
+        return float(self.masses([a, b])[0])
+
+
+def _check_edges(edges) -> np.ndarray:
+    """Edges as a float array, nondecreasing within [0, 1], or ValueError."""
+    edges = np.asarray(edges, dtype=float)
+    if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
+        raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
+    return edges
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -180,20 +214,6 @@ def _simpson_recurse(fn, a, b, fa, fm, fb, whole, tol, depth) -> float:
     return _simpson_recurse(
         fn, a, m, fa, flm, fm, left, half, depth - 1
     ) + _simpson_recurse(fn, m, b, fm, frm, fb, right, half, depth - 1)
-
-
-def integrate(d, a: float, b: float) -> float:
-    """Integral of the density over [a, b]."""
-    return d.integrate(a, b)
-
-
-def dyadic_mass(d, level: int, idx: int) -> float:
-    """Mass of the level-`level` dyadic interval [idx/2^level, (idx+1)/2^level]."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if not 0 <= idx < 2**level:
-        raise ValueError(f"interval index {idx} out of range at level {level}")
-    return d.integrate(idx / 2.0**level, (idx + 1) / 2.0**level)
 
 
 @dataclass(frozen=True)
@@ -228,48 +248,31 @@ class AngleTree:
         return self.levels[len(bits) - 1][s]
 
 
-def angle_tree(d, n: int, zero_mass_tol: float = ZERO_MASS_TOL) -> AngleTree:
+def angle_tree(d, n: int) -> AngleTree:
     """Compute all 2^n - 1 angles for an n-qubit synthesis of density d.
 
-    Leaf masses come from one exact integral per dyadic interval; interior
-    masses are sums of their two children, so a node whose children are
-    both exactly zero is exactly zero and the left/parent ratio never
-    exceeds 1. Nodes with mass at most zero_mass_tol get ZERO_MASS_ANGLE.
+    Leaf masses come from target_law; interior masses are sums of their two
+    children, so a node whose children are both exactly zero is exactly
+    zero and the left/parent ratio never exceeds 1. Nodes with mass at most
+    ZERO_MASS_TOL get ZERO_MASS_ANGLE.
     """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
-    leaf = [dyadic_mass(d, n, idx) for idx in range(2**n)]
-    masses = [leaf]
+    masses = [target_law(d, n)]
     while len(masses[-1]) > 1:
-        prev = masses[-1]
-        masses.append([prev[2 * s] + prev[2 * s + 1] for s in range(len(prev) // 2)])
+        m = masses[-1]
+        masses.append(m[0::2] + m[1::2])
     masses.reverse()  # masses[m][s]: level-m interval s, masses[0] = [total]
-
-    def node_angle(parent: float, child0: float) -> float:
-        if parent <= zero_mass_tol:
-            return ZERO_MASS_ANGLE
-        ratio = min(max(child0 / parent, 0.0), 1.0)
-        return math.acos(math.sqrt(ratio))
-
-    theta = node_angle(masses[0][0], masses[1][0])
-    levels = []
-    for m in range(1, n):
-        levels.append(
-            tuple(
-                node_angle(masses[m][s], masses[m + 1][2 * s])
-                for s in range(2**m)
-            )
-        )
-    return AngleTree(n=n, theta=theta, levels=tuple(levels))
+    angles = [_split_angles(masses[m], masses[m + 1][0::2]) for m in range(n)]
+    return AngleTree(n=n, theta=angles[0][0], levels=tuple(map(tuple, angles[1:])))
 
 
-def trig_factor(z: int, x: float) -> float:
-    """cos(x) for bit 0, sin(x) for bit 1."""
-    if z == 0:
-        return math.cos(x)
-    if z == 1:
-        return math.sin(x)
-    raise ValueError(f"bit {z!r} is not 0 or 1")
+def _split_angles(parent: np.ndarray, child0: np.ndarray) -> list[float]:
+    """arccos sqrt(child0 / parent) per node, the ratio clamped into [0, 1];
+    ZERO_MASS_ANGLE where the parent mass is at most ZERO_MASS_TOL."""
+    live = parent > ZERO_MASS_TOL
+    ratio = np.clip(child0 / np.where(live, parent, 1.0), 0.0, 1.0)
+    return np.where(live, np.arccos(np.sqrt(ratio)), ZERO_MASS_ANGLE).tolist()
 
 
 def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
@@ -307,7 +310,7 @@ def target_law(d, n: int) -> np.ndarray:
     The little-endian outcome label k equals the dyadic position of its
     interval, so no index reshuffling is needed here.
     """
-    return np.array([dyadic_mass(d, n, k) for k in range(2**n)])
+    return d.masses(np.arange(2**n + 1) / 2.0**n)
 
 
 def formula_law(tree: AngleTree) -> np.ndarray:
@@ -317,15 +320,13 @@ def formula_law(tree: AngleTree) -> np.ndarray:
     (by bit j of k) of the angle at the node fixed by k's bits above j.
     """
     n = tree.n
-    out = np.empty(2**n)
-    for k in range(2**n):
-        p = 1.0
-        for j in range(1, n + 1):
-            z = (k >> (j - 1)) & 1
-            m = n - j  # suffix length of the node controlling wire j
-            ang = tree.theta if m == 0 else tree.levels[m - 1][k >> j]
-            p *= trig_factor(z, ang) ** 2
-        out[k] = p
+    angles = ((tree.theta,), *tree.levels)  # angles[m]: nodes with m bits fixed
+    k = np.arange(2**n)
+    out = np.ones(2**n)
+    for j in range(1, n + 1):
+        a = np.asarray(angles[n - j])
+        trig = np.stack([np.cos(a), np.sin(a)]) ** 2
+        out *= trig[(k >> (j - 1)) & 1, k >> j]
     return out
 
 

@@ -44,31 +44,9 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product AB."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose: (A*)_ij = conj(A_ji)."""
     return as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product A (x) B with A's entries scaling blocks of B."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace of a non-square matrix {a.shape}")
-    return complex(np.trace(a))
 
 
 def hs_inner(a, b) -> complex:
@@ -184,8 +162,3 @@ def unitary_from_hamiltonian(h, t: float, tol: float = UNITARY_TOL) -> np.ndarra
     if not is_unitary(u, max(tol, 1e-10)):
         raise ArithmeticError("exponential drifted off the unitary group")
     return u
-
-
-def frobenius_distance(a, b) -> float:
-    """||A - B|| in the Hilbert-Schmidt norm."""
-    return float(np.linalg.norm(as_matrix(a) - as_matrix(b)))

@@ -22,10 +22,6 @@ from .linalg import as_matrix, as_vector, identity, is_unitary
 ZERO_COMPONENT_REL_TOL = 1e-13
 RESIDUAL_PHASE_TOL = 1e-9
 
-# The factor record is structurally the circuit gate, shared so both sides
-# read and write the same TWO-LEVEL serialization.
-TwoLevelFactor = TwoLevelGate
-
 _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
 
@@ -33,28 +29,6 @@ def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
     """Identity of size nn with v as the 2x2 block on coordinates i < j."""
     g = TwoLevelGate(dim=nn, i=i, j=j, v=v)
     return realize_gate(g)
-
-
-def up_embed(u) -> np.ndarray:
-    """Block-extend a unitary with a trailing fixed coordinate: [[U, 0], [0, 1]]."""
-    u = as_matrix(u)
-    if not is_unitary(u):
-        raise ValueError("up_embed input is not unitary within tolerance")
-    n = u.shape[0]
-    out = identity(n + 1)
-    out[:n, :n] = u
-    return out
-
-
-def down_embed(u) -> np.ndarray:
-    """Block-extend a unitary with a leading fixed coordinate: [[1, 0], [0, U]]."""
-    u = as_matrix(u)
-    if not is_unitary(u):
-        raise ValueError("down_embed input is not unitary within tolerance")
-    n = u.shape[0]
-    out = identity(n + 1)
-    out[1:, 1:] = u
-    return out
 
 
 def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:

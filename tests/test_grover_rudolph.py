@@ -11,6 +11,7 @@ and pinned numerically here.
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsim.gates import SuffixControlledGate, WireGate, circuit_length
 from qsim.grover_rudolph import (
+    ZERO_MASS_ANGLE,
+    ZERO_MASS_TOL,
     AngleTree,
     CallableDensity,
     DensityError,
@@ -30,14 +33,11 @@ from qsim.grover_rudolph import (
     angle_tree_to_json,
     circuit_law,
     density_to_json,
-    dyadic_mass,
     formula_law,
-    integrate,
     load_density,
     parse_density_json,
     synthesize,
     target_law,
-    trig_factor,
     verify,
 )
 
@@ -84,8 +84,8 @@ def random_poly_density(rng):
 
 
 def test_shipped_densities_validate():
-    assert integrate(triangular(), 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert integrate(powers_of_two(), 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert triangular().integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert powers_of_two().integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_rejects_gap_between_segments():
@@ -132,6 +132,14 @@ def test_density_rejects_non_finite_numbers():
             PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, coeffs),))
 
 
+def test_density_accepts_subnormal_leading_coefficient():
+    # Dividing by the 1e-310 cubic term once overflowed the root finder.
+    k = 1.0 + 0.25 - 1.0 / 6.0
+    coeffs = (1.0 / k, 0.5 / k, -0.5 / k, 1e-310)
+    d = PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, coeffs),))
+    assert d.integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_density_rejects_wrong_normalization():
     with pytest.raises(DensityError):
         PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, (2.0,)),))
@@ -158,26 +166,26 @@ def test_triangular_mass_pins():
     """Exact antiderivative values of the rising branch 4x."""
     d = triangular()
     # integral of 4x over [3/8, 1/2] = 2x^2 -> 2(1/4 - 9/64) = 7/32
-    assert integrate(d, 0.375, 0.5) == pytest.approx(7.0 / 32.0, abs=1e-15)
-    assert integrate(d, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert d.integrate(0.375, 0.5) == pytest.approx(7.0 / 32.0, abs=1e-15)
+    assert d.integrate(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
     # Falling branch, by symmetry.
-    assert integrate(d, 0.5, 0.625) == pytest.approx(7.0 / 32.0, abs=1e-15)
-    assert integrate(d, 0.0, 0.25) == pytest.approx(0.125, abs=1e-15)
+    assert d.integrate(0.5, 0.625) == pytest.approx(7.0 / 32.0, abs=1e-15)
+    assert d.integrate(0.0, 0.25) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_uniform_density_masses_are_lengths():
     d = PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, (1.0,)),))
-    assert integrate(d, 0.2, 0.7) == pytest.approx(0.5, abs=1e-15)
+    assert d.integrate(0.2, 0.7) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_integration_range_validation():
     d = triangular()
     with pytest.raises(ValueError):
-        integrate(d, 0.5, 0.2)
+        d.integrate(0.5, 0.2)
     with pytest.raises(ValueError):
-        integrate(d, -0.1, 0.5)
+        d.integrate(-0.1, 0.5)
     with pytest.raises(ValueError):
-        integrate(d, 0.5, 1.1)
+        d.integrate(0.5, 1.1)
 
 
 def test_quadrature_density_matches_exact_integrals():
@@ -197,34 +205,60 @@ def test_quadrature_density_rejects_unnormalized():
         CallableDensity(lambda x: 2.0)
 
 
+def test_quadrature_density_rejects_negative_values():
+    # 4x - 1 integrates to 1 but is negative on [0, 1/4).
+    with pytest.raises(DensityError) as err:
+        CallableDensity(lambda x: 4.0 * x - 1.0)
+    assert "negative" in str(err.value)
+
+
+def test_quadrature_density_rejects_non_finite_values():
+    calls = 0
+
+    def nan_above_half(x):
+        # A NaN once kept every Simpson branch refining to depth 50; stop a
+        # regression after 10^4 evaluations instead of hanging.
+        nonlocal calls
+        calls += 1
+        if calls > 10**4:
+            raise RuntimeError("quadrature kept evaluating a NaN density")
+        return math.nan if x > 0.5 else 2.0
+
+    with pytest.raises(DensityError):
+        CallableDensity(nan_above_half)
+    with pytest.raises(DensityError):
+        CallableDensity(lambda x: math.inf)
+
+
+def test_masses_match_integrate_on_every_interval():
+    edges = [0.0, 0.1, 0.1, 0.375, 0.73, 1.0]
+    quadrature = CallableDensity(lambda x: 4.0 * x if x <= 0.5 else 4.0 - 4.0 * x)
+    for d in (triangular(), quadrature):
+        got = d.masses(edges)
+        assert got.shape == (5,)
+        assert got[1] == 0.0
+        assert got.tolist() == [d.integrate(a, b) for a, b in zip(edges, edges[1:])]
+        for bad in ([0.0, 0.6, 0.5], [-0.1, 0.5], [0.5, 1.1], [0.0, math.nan]):
+            with pytest.raises(ValueError):
+                d.masses(bad)
+
+
 def test_dyadic_mass_pins():
     d = triangular()
-    assert dyadic_mass(d, 0, 0) == pytest.approx(1.0, abs=1e-15)
-    assert dyadic_mass(d, 1, 0) == pytest.approx(0.5, abs=1e-15)
-    assert dyadic_mass(d, 3, 3) == pytest.approx(7.0 / 32.0, abs=1e-15)
-    assert dyadic_mass(d, 3, 4) == pytest.approx(7.0 / 32.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        dyadic_mass(d, -1, 0)
-    with pytest.raises(ValueError):
-        dyadic_mass(d, 2, 4)
+    assert target_law(d, 0)[0] == pytest.approx(1.0, abs=1e-15)
+    assert target_law(d, 1)[0] == pytest.approx(0.5, abs=1e-15)
+    assert target_law(d, 3)[3] == pytest.approx(7.0 / 32.0, abs=1e-15)
+    assert target_law(d, 3)[4] == pytest.approx(7.0 / 32.0, abs=1e-15)
 
 
 def test_dyadic_masses_partition_unity():
     rng = np.random.default_rng(20)
     d = random_poly_density(rng)
     for level in range(5):
-        total = sum(dyadic_mass(d, level, idx) for idx in range(2**level))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(target_law(d, level))) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- angles ------------------------------------------------------------------------
-
-
-def test_trig_factor_pins():
-    assert trig_factor(0, 0.3) == math.cos(0.3)
-    assert trig_factor(1, 0.3) == math.sin(0.3)
-    with pytest.raises(ValueError):
-        trig_factor(2, 0.3)
 
 
 def test_triangular_angles_closed_form():
@@ -466,6 +500,141 @@ def test_verify_fails_at_impossible_tolerance():
     assert not report.passed
 
 
+# --- equivalence with scalar references ------------------------------------------
+
+
+def scalar_target_law(d, n):
+    """Leaf masses on Python floats, one segment overlap at a time."""
+    law = []
+    for k in range(2**n):
+        a, b = k / 2.0**n, (k + 1) / 2.0**n
+        total = 0.0
+        for s in d.segments:
+            lo, hi = max(a, s.lo), min(b, s.hi)
+            if lo < hi:
+                total += s.mass(lo, hi)
+        law.append(total)
+    return law
+
+
+def scalar_formula_law(tree):
+    """Entry k multiplies cos^2 or sin^2 of one angle per wire, in wire order."""
+    n = tree.n
+    law = []
+    for k in range(2**n):
+        p = 1.0
+        for j in range(1, n + 1):
+            m = n - j
+            ang = tree.theta if m == 0 else tree.levels[m - 1][k >> j]
+            p *= (math.sin(ang) if (k >> (j - 1)) & 1 else math.cos(ang)) ** 2
+        law.append(p)
+    return law
+
+
+def equivalence_cases():
+    rng = np.random.default_rng(26)
+    for n in range(1, 13):
+        for d in (triangular(), powers_of_two(), random_poly_density(rng)):
+            yield d, n
+
+
+def test_target_law_equals_scalar_reference():
+    for d, n in equivalence_cases():
+        assert target_law(d, n).tolist() == scalar_target_law(d, n), n
+
+
+def test_angles_within_one_ulp_of_scalar_reference():
+    zero_nodes = 0
+    for d, n in equivalence_cases():
+        masses = [scalar_target_law(d, n)]
+        while len(masses[-1]) > 1:
+            m = masses[-1]
+            masses.append([m[2 * s] + m[2 * s + 1] for s in range(len(m) // 2)])
+        masses.reverse()
+        tree = angle_tree(d, n)
+        got = ((tree.theta,), *tree.levels)
+        for m in range(n):
+            assert len(got[m]) == 2**m
+            for s, ang in enumerate(got[m]):
+                assert type(ang) is float
+                parent, child0 = masses[m][s], masses[m + 1][2 * s]
+                if parent <= ZERO_MASS_TOL:
+                    zero_nodes += 1
+                    assert ang == ZERO_MASS_ANGLE
+                else:
+                    want = math.acos(math.sqrt(min(max(child0 / parent, 0.0), 1.0)))
+                    assert abs(ang - want) <= math.ulp(want), (n, m, s)
+    assert zero_nodes > 0
+
+
+def test_formula_law_matches_scalar_product():
+    for d, n in equivalence_cases():
+        tree = angle_tree(d, n)
+        got = formula_law(tree)
+        assert np.max(np.abs(got - scalar_formula_law(tree))) <= 1e-15, n
+
+
+@st.composite
+def poly_densities(draw):
+    """1-8 segments of degree <= 4, coefficients in [-1, 1] before normalizing.
+
+    Each constant term lifts its segment to at least a drawn floor in
+    [0.1, 1] on [0, 1], so the density is nonnegative and its normalized
+    coefficients stay O(1).
+    """
+    k = draw(st.integers(1, 8))
+    cuts = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=k - 1,
+            max_size=k - 1,
+            unique=True,
+        )
+    )
+    edges = [0.0, *sorted(cuts), 1.0]
+    segs = []
+    for lo, hi in zip(edges, edges[1:]):
+        deg = draw(st.integers(0, 4))
+        rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=deg, max_size=deg))
+        floor = draw(st.floats(0.1, 1.0))
+        segs.append(DensitySegment(lo, hi, (floor - sum(min(c, 0.0) for c in rest), *rest)))
+    total = sum(s.mass(s.lo, s.hi) for s in segs)
+    return PiecewisePolyDensity(
+        segments=tuple(
+            DensitySegment(s.lo, s.hi, tuple(c / total for c in s.coeffs)) for s in segs
+        )
+    )
+
+
+def exact_target_law(d, n):
+    """Dyadic masses of the density's float coefficients, in exact rationals."""
+    law = [Fraction(0)] * 2**n
+    for s in d.segments:
+        scaled = [Fraction(c) / (m + 1) for m, c in enumerate(s.coeffs)]
+
+        def antiderivative(x):
+            acc = Fraction(0)
+            for c in reversed(scaled):
+                acc = acc * x + c
+            return acc * x
+
+        lo, hi = Fraction(s.lo), Fraction(s.hi)
+        for k in range(int(lo * 2**n), min(int(hi * 2**n), 2**n - 1) + 1):
+            a, b = max(Fraction(k, 2**n), lo), min(Fraction(k + 1, 2**n), hi)
+            if a < b:
+                law[k] += antiderivative(b) - antiderivative(a)
+    return law
+
+
+@settings(deadline=None, max_examples=30)
+@given(poly_densities(), st.integers(min_value=1, max_value=10))
+def test_target_law_within_1e14_of_exact_masses(d, n):
+    """Absolute bound: near-zero leaf masses reach 1e-11 relative error."""
+    got = target_law(d, n).tolist()
+    errors = [abs(Fraction(g) - e) for g, e in zip(got, exact_target_law(d, n))]
+    assert max(errors) <= Fraction(1, 10**14)
+
+
 # --- file formats -----------------------------------------------------------------------
 
 
@@ -499,7 +668,7 @@ def test_load_density_from_file(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(density_to_json(triangular()))
     d = load_density(path)
-    assert integrate(d, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert d.integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angle_tree_json_round_trip():

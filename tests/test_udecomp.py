@@ -10,20 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import CircuitParseError
+from qsim.gates import Circuit, CircuitParseError, TwoLevelGate, format_circuit
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
     Decomposition,
-    TwoLevelFactor,
     decompose_unitary,
-    down_embed,
     format_decomposition,
     k_embed,
     parse_decomposition,
     reconstruct,
     reconstruction_residual,
     reduce_vector,
-    up_embed,
 )
 
 
@@ -64,37 +61,13 @@ def test_k_embed_is_multiplicative_in_the_block():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-def test_up_embed_block_structure():
-    rng = np.random.default_rng(2)
-    u = random_unitary(rng, 3)
-    big = up_embed(u)
-    assert big.shape == (4, 4)
-    assert np.array_equal(big[:3, :3], u)
-    assert np.array_equal(big[3], [0, 0, 0, 1])
-    assert np.array_equal(big[:, 3], [0, 0, 0, 1])
-    assert is_unitary(big, 1e-10)
-    with pytest.raises(ValueError):
-        up_embed(np.ones((2, 2)))
-
-
-def test_down_embed_block_structure():
-    rng = np.random.default_rng(3)
-    u = random_unitary(rng, 3)
-    big = down_embed(u)
-    assert big.shape == (4, 4)
-    assert np.array_equal(big[1:, 1:], u)
-    assert np.array_equal(big[0], [1, 0, 0, 0])
-    assert is_unitary(big, 1e-10)
-    with pytest.raises(ValueError):
-        down_embed(np.ones((2, 2)))
-
-
 def test_down_embed_shifts_two_level_coordinates():
     """Embedding under one leading coordinate moves block (i,j) to (i+1,j+1)."""
     rng = np.random.default_rng(4)
     v = random_unitary(rng, 2)
-    small = k_embed(3, 1, 2, v)
-    assert np.max(np.abs(down_embed(small) - k_embed(4, 2, 3, v))) < 1e-14
+    big = np.eye(4, dtype=complex)
+    big[1:, 1:] = k_embed(3, 1, 2, v)
+    assert np.max(np.abs(big - k_embed(4, 2, 3, v))) < 1e-14
 
 
 # --- vector reduction ------------------------------------------------------------
@@ -312,13 +285,15 @@ def test_factor_file_parse_errors():
 
 def test_factor_record_is_shared_with_the_gate_type():
     """Factors and circuit two-level gates are one type, one line format."""
-    from qsim.gates import TwoLevelGate
-
-    assert TwoLevelFactor is TwoLevelGate
+    dec = decompose_unitary(random_unitary(np.random.default_rng(5), 4))
+    assert all(type(f) is TwoLevelGate for f in dec.factors)
+    factor_lines = format_decomposition(dec).splitlines()[1:]
+    gate_lines = format_circuit(Circuit(n=2, gates=dec.factors)).splitlines()[1:]
+    assert factor_lines == gate_lines
 
 
 def test_reconstruct_validates_dimensions():
-    f = TwoLevelFactor(dim=3, i=1, j=2, v=np.eye(2))
+    f = TwoLevelGate(dim=3, i=1, j=2, v=np.eye(2))
     with pytest.raises(ValueError):
         reconstruct(Decomposition(dim=4, factors=(f,)))
     with pytest.raises(ValueError):

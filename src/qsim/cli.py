@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +44,6 @@ class InputFormatError(ValueError):
     """Malformed input file (structure, not semantics)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved command-line options for one invocation."""
-
-    command: str
-    n: int = 3
-    density_path: str | None = None
-    shots: int = 2048
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
-    prune_identities: bool = False
-    tol: float | None = None
-    unitary_path: str | None = None
-    identity: bool = False
-
-
 def _bitstring(k: int, n: int) -> str:
     return "".join(str(b) for b in encode(k, n))
 
@@ -72,105 +54,97 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _density_path(cfg: RunConfig) -> str:
-    if not cfg.density_path:
+def _density_path(args: argparse.Namespace) -> str:
+    if not args.density:
         raise InputFormatError("this command needs --density PATH")
-    return cfg.density_path
+    return args.density
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _density_circuit_law(cfg: RunConfig) -> np.ndarray:
-    density = gr.load_density(_density_path(cfg))
-    tree = gr.angle_tree(density, cfg.n)
+def _table(args: argparse.Namespace, doc: dict, rows: list[dict]) -> None:
+    """Write doc as JSON, or rows as CSV with their keys as the header.
+
+    str of a Python float is its repr, so CSV cells round-trip exactly.
+    """
+    if args.format == "json":
+        _emit(args, json.dumps(doc, indent=2) + "\n")
+    else:
+        lines = [",".join(rows[0])]
+        lines += [",".join(map(str, row.values())) for row in rows]
+        _emit(args, "\n".join(lines) + "\n")
+
+
+def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:
+    density = gr.load_density(_density_path(args))
+    tree = gr.angle_tree(density, args.n)
     return gr.circuit_law(gr.synthesize(tree))
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     """Write the synthesized circuit and its angle-tree JSON sidecar."""
-    _check_n(cfg.n)
-    if not cfg.output_path:
+    _check_n(args.n)
+    if not args.out:
         raise InputFormatError("synth needs --out PATH for the circuit file")
-    density = gr.load_density(_density_path(cfg))
-    tree = gr.angle_tree(density, cfg.n)
-    circuit = gr.synthesize(tree, prune=cfg.prune_identities)
-    _emit(cfg, format_circuit(circuit))
-    sidecar = cfg.output_path + ".angles.json"
+    density = gr.load_density(_density_path(args))
+    tree = gr.angle_tree(density, args.n)
+    circuit = gr.synthesize(tree, prune=args.prune)
+    _emit(args, format_circuit(circuit))
+    sidecar = args.out + ".angles.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
         fh.write(gr.angle_tree_to_json(tree) + "\n")
-    print(
-        f"wrote {circuit_length(circuit)} gates to {cfg.output_path} "
-        f"(angles: {sidecar})"
-    )
+    print(f"wrote {circuit_length(circuit)} gates to {args.out} (angles: {sidecar})")
     return EXIT_OK
 
 
-def _law_rows(probs: np.ndarray, n: int) -> list[dict]:
-    return [
-        {"k": k, "bitstring": _bitstring(k, n), "probability": float(probs[k])}
-        for k in range(len(probs))
-    ]
-
-
-def cmd_law(cfg: RunConfig) -> int:
+def cmd_law(args: argparse.Namespace) -> int:
     """Exact per-outcome probabilities of the synthesized state."""
-    _check_n(cfg.n)
-    if cfg.identity and cfg.density_path:
+    _check_n(args.n)
+    if args.identity and args.density:
         raise InputFormatError("--identity and --density are mutually exclusive")
-    if cfg.identity:
-        probs = np.zeros(2**cfg.n)
+    if args.identity:
+        probs = np.zeros(2**args.n)
         probs[0] = 1.0
     else:
-        probs = _density_circuit_law(cfg)
-    rows = _law_rows(probs, cfg.n)
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({"n": cfg.n, "law": rows}, indent=2) + "\n")
-    else:
-        lines = ["k,bitstring,probability"]
-        lines += [f"{r['k']},{r['bitstring']},{r['probability']!r}" for r in rows]
-        _emit(cfg, "\n".join(lines) + "\n")
+        probs = _density_circuit_law(args)
+    rows = [
+        {"k": k, "bitstring": _bitstring(k, args.n), "probability": float(p)}
+        for k, p in enumerate(probs)
+    ]
+    _table(args, {"n": args.n, "law": rows}, rows)
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(args: argparse.Namespace) -> int:
     """Seeded shot counts with empirical frequencies and exact deviations."""
-    _check_n(cfg.n)
-    if cfg.shots < 1:
-        raise ValueError(f"--shots must be at least 1, got {cfg.shots}")
-    probs = _density_circuit_law(cfg)
-    result = draw_shots(law_over_labels(probs), cfg.shots, cfg.seed)
+    _check_n(args.n)
+    if args.shots < 1:
+        raise ValueError(f"--shots must be at least 1, got {args.shots}")
+    probs = _density_circuit_law(args)
+    result = draw_shots(law_over_labels(probs), args.shots, args.seed)
     rows = []
-    for k in range(len(probs)):
+    for k, p in enumerate(probs):
         count = result.counts[k]
-        freq = count / cfg.shots
-        exact = float(probs[k])
+        freq = count / args.shots
+        exact = float(p)
         rows.append(
             {
                 "k": k,
-                "bitstring": _bitstring(k, cfg.n),
+                "bitstring": _bitstring(k, args.n),
                 "count": count,
                 "frequency": freq,
                 "exact": exact,
                 "deviation": abs(freq - exact),
             }
         )
-    if cfg.format == "json":
-        doc = {"n": cfg.n, "shots": cfg.shots, "seed": cfg.seed, "counts": rows}
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = ["k,bitstring,count,frequency,exact,deviation"]
-        lines += [
-            f"{r['k']},{r['bitstring']},{r['count']},{r['frequency']!r},"
-            f"{r['exact']!r},{r['deviation']!r}"
-            for r in rows
-        ]
-        _emit(cfg, "\n".join(lines) + "\n")
+    doc = {"n": args.n, "shots": args.shots, "seed": args.seed, "counts": rows}
+    _table(args, doc, rows)
     return EXIT_OK
 
 
@@ -193,77 +167,63 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128).reshape(dim, dim)
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
+def cmd_decompose(args: argparse.Namespace) -> int:
     """Factor a unitary into two-level gates and report the residual."""
-    if not cfg.unitary_path:
+    if not args.unitary:
         raise InputFormatError("decompose needs --unitary PATH")
-    with open(cfg.unitary_path, "r", encoding="utf-8") as fh:
+    with open(args.unitary, "r", encoding="utf-8") as fh:
         u = _parse_unitary_json(fh.read())
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    dec = decompose_unitary(u, tol=tol)
+    dec = decompose_unitary(u, tol=args.tol)
     residual = reconstruction_residual(dec, u)
-    text = format_decomposition(dec) + f"# residual {residual!r}\n"
-    _emit(cfg, text)
-    if cfg.output_path:
+    _emit(args, format_decomposition(dec) + f"# residual {residual!r}\n")
+    if args.out:
         print(
-            f"wrote {len(dec.factors)} factors to {cfg.output_path} "
+            f"wrote {len(dec.factors)} factors to {args.out} "
             f"(residual {residual!r})"
         )
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
-    _check_n(cfg.n)
-    density = gr.load_density(_density_path(cfg))
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    report = gr.verify(density, cfg.n, tol)
+    _check_n(args.n)
+    density = gr.load_density(_density_path(args))
+    report = gr.verify(density, args.n, args.tol)
     rows = [
         {
             "k": k,
-            "bitstring": _bitstring(k, cfg.n),
+            "bitstring": _bitstring(k, args.n),
             "exact": float(report.target[k]),
             "formula": float(report.formula[k]),
             "circuit": float(report.circuit[k]),
         }
-        for k in range(2**cfg.n)
+        for k in range(2**args.n)
     ]
-    summary = {
+    doc = {
+        "n": args.n,
+        "rows": rows,
         "max_dev_formula_target": report.max_dev_formula_target,
         "max_dev_circuit_target": report.max_dev_circuit_target,
         "max_dev_circuit_formula": report.max_dev_circuit_formula,
-        "tol": tol,
+        "tol": args.tol,
         "passed": report.passed,
     }
-    if cfg.format == "json":
-        _emit(
-            cfg,
-            json.dumps({"n": cfg.n, "rows": rows, **summary}, indent=2) + "\n",
-        )
-    else:
-        lines = ["k,bitstring,exact,formula,circuit"]
-        lines += [
-            f"{r['k']},{r['bitstring']},{r['exact']!r},{r['formula']!r},"
-            f"{r['circuit']!r}"
-            for r in rows
-        ]
-        _emit(cfg, "\n".join(lines) + "\n")
+    _table(args, doc, rows)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max deviations formula-target "
         f"{report.max_dev_formula_target:.3e}, circuit-target "
         f"{report.max_dev_circuit_target:.3e}, circuit-formula "
-        f"{report.max_dev_circuit_formula:.3e} (tol {tol:g})"
+        f"{report.max_dev_circuit_formula:.3e} (tol {args.tol:g})"
     )
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "law": cmd_law,
-    "sample": cmd_sample,
-    "decompose": cmd_decompose,
-    "verify": cmd_verify,
+# Options that several commands share; --out is on every command.
+_SHARED = {
+    "--n": dict(type=int, default=3, help=f"qubit count (1-{MAX_QUBITS})"),
+    "--density": dict(metavar="PATH", help="density JSON file"),
+    "--format": dict(choices=("json", "csv"), default="csv", help="table format"),
 }
 
 
@@ -275,64 +235,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_density: bool) -> None:
-        p.add_argument("--n", type=int, default=3, help="qubit count (1-10)")
-        if with_density:
-            p.add_argument("--density", dest="density_path", help="density JSON file")
-        p.add_argument("--out", dest="output_path", help="output file (default stdout)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="csv", help="table format"
-        )
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    def command(func, help, *shared) -> argparse.ArgumentParser:
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        p.set_defaults(func=func)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        return p
 
-    p_synth = sub.add_parser("synth", help="synthesize a circuit from a density")
-    common(p_synth, with_density=True)
-    p_synth.add_argument(
-        "--prune",
-        dest="prune_identities",
-        action="store_true",
-        help="drop exact identity rotations",
-    )
+    p = command(cmd_synth, "synthesize a circuit from a density", "--n", "--density")
+    p.add_argument("--prune", action="store_true", help="drop exact identity rotations")
 
-    p_law = sub.add_parser("law", help="exact outcome probabilities")
-    common(p_law, with_density=True)
-    p_law.add_argument(
+    p = command(cmd_law, "exact outcome probabilities", "--n", "--density", "--format")
+    p.add_argument(
         "--identity",
         action="store_true",
         help="law of the untouched all-zeros state instead of a density",
     )
 
-    p_sample = sub.add_parser("sample", help="seeded shot experiment")
-    common(p_sample, with_density=True)
-    p_sample.add_argument("--shots", type=int, default=2048, help="number of draws")
-    p_sample.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    p = command(cmd_sample, "seeded shot experiment", "--n", "--density", "--format")
+    p.add_argument("--shots", type=int, default=2048, help="number of draws")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
-    p_dec = sub.add_parser("decompose", help="two-level factors of a unitary")
-    common(p_dec, with_density=False)
-    p_dec.add_argument("--unitary", dest="unitary_path", help="unitary JSON file")
+    p = command(cmd_decompose, "two-level factors of a unitary")
+    p.add_argument("--unitary", metavar="PATH", help="unitary JSON file")
+    p.add_argument("--tol", type=float, default=1e-8, help="unitarity tolerance")
 
-    p_verify = sub.add_parser("verify", help="check circuit against the density")
-    common(p_verify, with_density=True)
+    p = command(
+        cmd_verify, "check circuit against the density", "--n", "--density", "--format"
+    )
+    p.add_argument("--tol", type=float, default=1e-10, help="largest passing deviation")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 3),
-        density_path=getattr(args, "density_path", None),
-        shots=getattr(args, "shots", 2048),
-        seed=getattr(args, "seed", 0),
-        output_path=getattr(args, "output_path", None),
-        format=getattr(args, "format", "csv"),
-        prune_identities=getattr(args, "prune_identities", False),
-        tol=getattr(args, "tol", None),
-        unitary_path=getattr(args, "unitary_path", None),
-        identity=getattr(args, "identity", False),
-    )
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.func(args)
     except (CircuitParseError, gr.DensityJsonError, InputFormatError) as exc:
         print(f"qsim: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

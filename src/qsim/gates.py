@@ -65,7 +65,8 @@ class WireGate:
     """v acting on wire j, identity elsewhere.
 
     angle records that v is rotation(angle), when built that way, so the
-    serializer can emit the compact ROT form.
+    serializer can emit the compact ROT form; an angle that does not give
+    exactly v is rejected, since its ROT line would parse to another gate.
     """
 
     n: int
@@ -77,6 +78,8 @@ class WireGate:
         if not 1 <= self.j <= self.n:
             raise ValueError(f"wire {self.j} out of range for n={self.n}")
         object.__setattr__(self, "v", _check_block(self.v))
+        if self.angle is not None and not np.array_equal(self.v, rotation(self.angle)):
+            raise ValueError(f"block is not rotation({self.angle!r})")
 
 
 @dataclass(frozen=True, eq=False)

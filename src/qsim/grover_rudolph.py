@@ -256,9 +256,15 @@ def angle_tree(d, n: int) -> AngleTree:
     zero and the left/parent ratio never exceeds 1. Nodes with mass at most
     ZERO_MASS_TOL get ZERO_MASS_ANGLE.
     """
+    return _angle_tree(target_law(d, n))
+
+
+def _angle_tree(leaves: np.ndarray) -> AngleTree:
+    """angle_tree from the 2^n leaf masses that target_law gives."""
+    n = len(leaves).bit_length() - 1
     if n < 1:
         raise ValueError("qubit count must be at least 1")
-    masses = [target_law(d, n)]
+    masses = [leaves]
     while len(masses[-1]) > 1:
         m = masses[-1]
         masses.append(m[0::2] + m[1::2])
@@ -354,8 +360,8 @@ class VerifyReport:
 
 def verify(d, n: int, tol: float = 1e-10) -> VerifyReport:
     """Check that formula and circuit reproduce the density's dyadic masses."""
-    tree = angle_tree(d, n)
     target = target_law(d, n)
+    tree = _angle_tree(target)
     formula = formula_law(tree)
     circuit = circuit_law(synthesize(tree))
     dev_ft = float(np.max(np.abs(formula - target)))

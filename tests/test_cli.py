@@ -7,6 +7,9 @@ output files are checked directly. The exit-code contract: 0 success,
 
 import json
 import math
+import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,11 @@ TRIANGULAR = {
         {"lo": 0.5, "hi": 1.0, "coeffs": [4.0, -4.0]},
     ]
 }
+
+# Outputs captured from the command at n = 3 on the bundled densities, and a
+# fixed 4x4 unitary; every run must reproduce them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+BUNDLED = ("triangular", "powers_of_two")
 
 POWERS_OF_TWO = {
     "segments": [
@@ -53,6 +61,10 @@ def write_unitary(tmp_path, u, name="u.json"):
     p = tmp_path / name
     p.write_text(json.dumps({"dim": u.shape[0], "entries": entries}))
     return str(p)
+
+
+def bundled(name):
+    return str(resources.files("qsim.data") / f"{name}.json")
 
 
 def read_csv(path):
@@ -347,3 +359,108 @@ def test_density_round_trips_through_the_cli_parser(triangular_path):
     with open(triangular_path, "r", encoding="utf-8") as fh:
         d = parse_density_json(fh.read())
     assert d.integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- golden outputs -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("density", BUNDLED)
+@pytest.mark.parametrize(
+    "command,extra",
+    [("law", []), ("sample", ["--shots", "2048", "--seed", "0"]), ("verify", [])],
+)
+def test_tables_match_golden_files(tmp_path, capsys, command, extra, density, fmt):
+    out = tmp_path / "table"
+    argv = [command, "--n", "3", "--density", bundled(density), "--format", fmt]
+    assert main(argv + extra + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}_{density}.{fmt}").read_bytes()
+    stdout = GOLDEN / f"{command}_{density}.stdout"
+    assert capsys.readouterr().out == (stdout.read_text() if stdout.exists() else "")
+
+
+def test_identity_law_matches_golden_file(tmp_path):
+    out = tmp_path / "law.csv"
+    assert main(["law", "--n", "3", "--identity", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "law_identity.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,density,extra",
+    [
+        ("synth_triangular", "triangular", []),
+        ("synth_powers_of_two", "powers_of_two", []),
+        ("synth_powers_of_two_pruned", "powers_of_two", ["--prune"]),
+    ],
+)
+def test_synth_matches_golden_files(tmp_path, capsys, name, density, extra):
+    out = tmp_path / "c.circuit"
+    argv = ["synth", "--n", "3", "--density", bundled(density), "--out", str(out)]
+    assert main(argv + extra) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.circuit").read_bytes()
+    sidecar = tmp_path / "c.circuit.angles.json"
+    assert sidecar.read_bytes() == (GOLDEN / f"{name}.circuit.angles.json").read_bytes()
+    gates = len(parse_circuit(out.read_text()).gates)
+    assert capsys.readouterr().out == f"wrote {gates} gates to {out} (angles: {sidecar})\n"
+
+
+def test_decompose_matches_golden_file(tmp_path, capsys):
+    unitary = str(GOLDEN / "unitary4.json")
+    want = (GOLDEN / "decompose_unitary4.txt").read_text()
+    assert main(["decompose", "--unitary", unitary]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "factors.txt"
+    assert main(["decompose", "--unitary", unitary, "--out", str(out)]) == 0
+    assert out.read_text() == want
+    residual = want.splitlines()[-1].removeprefix("# residual ")
+    assert capsys.readouterr().out == f"wrote 6 factors to {out} (residual {residual})\n"
+
+
+MESSAGES = json.loads((GOLDEN / "messages.json").read_text())
+
+
+@pytest.mark.parametrize("case", MESSAGES, ids=[" ".join(c["argv"]) for c in MESSAGES])
+def test_messages_and_exit_codes_match_golden(capsys, case):
+    argv = [bundled("triangular") if a == "DENSITY" else a for a in case["argv"]]
+    assert main(argv) == case["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
+
+
+# --- options per command ----------------------------------------------------------
+
+
+OPTIONS = {
+    "synth": {"--n", "--density", "--out", "--prune"},
+    "law": {"--n", "--density", "--format", "--out", "--identity"},
+    "sample": {"--n", "--density", "--format", "--out", "--shots", "--seed"},
+    "decompose": {"--unitary", "--tol", "--out"},
+    "verify": {"--n", "--density", "--format", "--out", "--tol"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_command_lists_exactly_the_options_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "synth --format json",
+        "synth --tol 0",
+        "law --tol 0",
+        "sample --tol 0",
+        "decompose --n 3",
+        "decompose --format json",
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2

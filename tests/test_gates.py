@@ -494,6 +494,16 @@ def test_strict_circuit_rejects_cancelling_neighbors():
 # --- serialization -----------------------------------------------------------------------
 
 
+def test_wire_gate_rejects_an_angle_its_block_does_not_match():
+    # Its ROT line would parse back to rotation(angle), a different gate.
+    with pytest.raises(ValueError):
+        WireGate(n=1, j=1, v=np.eye(2), angle=0.5)
+    with pytest.raises(ValueError):
+        WireGate(n=2, j=2, v=rotation(0.5), angle=-0.5)
+    g = WireGate(n=1, j=1, v=np.eye(2), angle=0.0)
+    assert parse_gate(format_gate(g), 1).angle == 0.0
+
+
 def test_format_gate_pins():
     assert format_gate(WireGate(n=2, j=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
     line = format_gate(WireGate(n=2, j=2, v=np.eye(2)))

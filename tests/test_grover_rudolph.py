@@ -500,6 +500,22 @@ def test_verify_fails_at_impossible_tolerance():
     assert not report.passed
 
 
+def test_verify_computes_the_leaf_masses_once(monkeypatch):
+    for d in (triangular(), CallableDensity(lambda x: 2.0 * x)):
+        calls = []
+        masses = type(d).masses
+
+        def counted(self, edges, masses=masses):
+            calls.append(len(edges))
+            return masses(self, edges)
+
+        monkeypatch.setattr(type(d), "masses", counted)
+        report = verify(d, 5)
+        assert calls == [33]
+        assert report.passed
+        assert np.array_equal(report.formula, formula_law(angle_tree(d, 5)))
+
+
 # --- equivalence with scalar references ------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 Layers, lowest first:
 
-* linalg: complex matrices, Hilbert-Schmidt geometry, Hermitian spectra.
+* linalg: complex matrices, unitarity checks, Hermitian spectra, exp(-itH).
 * algprob: density matrices, observables, events, measurement laws.
 * qpu: n-qubit encodings, register observables, evolution, seeded sampling.
 * gates: wire/controlled/two-level gates, circuits, text serialization.

@@ -20,10 +20,8 @@ from .linalg import (
     as_vector,
     cluster_indices,
     hermitian_eig,
-    hs_norm,
     is_hermitian,
     is_unitary,
-    outer,
 )
 
 STATE_TOL = 1e-10
@@ -31,6 +29,8 @@ STATE_TOL = 1e-10
 # zero; anything more negative indicates an invalid state and is an error.
 NEGATIVE_PROB_TOL = 1e-12
 LAW_SUM_TOL = 1e-9
+# A value selects the eigenvalue cluster within this distance of it.
+EVENT_MATCH_TOL = 1e-9
 
 
 class StateValidationError(ValueError):
@@ -63,12 +63,12 @@ class Observable:
     safe to share across threads.
     """
 
-    def __init__(self, mat, tol: float = STATE_TOL):
+    def __init__(self, mat):
         mat = as_matrix(mat)
-        if not is_hermitian(mat, tol):
+        if not is_hermitian(mat, STATE_TOL):
             raise ValueError("observable is not Hermitian within tolerance")
         self.mat = mat
-        self.spectral: SpectralDecomp = hermitian_eig(mat, tol)
+        self.spectral: SpectralDecomp = hermitian_eig(mat)
 
     @property
     def dim(self) -> int:
@@ -81,7 +81,7 @@ class Observable:
         count as one degenerate eigenvalue; the reported value is the cluster
         mean. Returned in ascending order.
         """
-        scale = max(hs_norm(self.mat), 1.0)
+        scale = max(float(np.linalg.norm(self.mat)), 1.0)
         groups = cluster_indices(
             self.spectral.eigenvalues, EIG_CLUSTER_REL_TOL * scale
         )
@@ -105,8 +105,8 @@ class EventProjector:
 class Law:
     """Discrete distribution over an observable's eigenvalues.
 
-    outcomes is a tuple of (value, probability) pairs with strictly
-    increasing values and probabilities summing to one.
+    outcomes is a tuple of (value, probability) pairs with ascending,
+    distinct values and probabilities summing to one.
     """
 
     outcomes: tuple[tuple[float, float], ...]
@@ -118,26 +118,26 @@ class Law:
         return [p for _, p in self.outcomes]
 
 
-def pure_state(psi, tol: float = STATE_TOL) -> DensityMatrix:
+def pure_state(psi) -> DensityMatrix:
     """The rank-one state |psi><psi| of a unit vector."""
     psi = as_vector(psi)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state vector norm {norm} is not 1 within {tol}")
-    return DensityMatrix(outer(psi, psi))
+    if abs(norm - 1.0) > STATE_TOL:
+        raise ValueError(f"state vector norm {norm} is not 1 within {STATE_TOL}")
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-def validate_state(rho: DensityMatrix, tol: float = STATE_TOL) -> int:
+def validate_state(rho: DensityMatrix) -> int:
     """Check the three density-matrix conditions and return the rank.
 
     Raises StateValidationError naming the violated condition: "hermitian"
-    (A = A*), "eigenvalues" (all >= -tol), or "trace" (tr = 1). The rank is
-    the number of eigenvalues exceeding tol.
+    (A = A*), "eigenvalues" (all >= -STATE_TOL), or "trace" (tr = 1). The
+    rank is the number of eigenvalues exceeding STATE_TOL.
     """
     mat = as_matrix(rho.mat)
     if mat.shape[0] != mat.shape[1]:
         raise StateValidationError("hermitian", "state matrix is not square")
-    if not is_hermitian(mat, tol):
+    if not is_hermitian(mat, STATE_TOL):
         raise StateValidationError(
             "hermitian", "state is not Hermitian within tolerance"
         )
@@ -145,36 +145,36 @@ def validate_state(rho: DensityMatrix, tol: float = STATE_TOL) -> int:
     # imaginary parts into the eigenvalues.
     sym = (mat + mat.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    if float(eigs[0]) < -tol:
+    if float(eigs[0]) < -STATE_TOL:
         raise StateValidationError(
             "eigenvalues", f"negative eigenvalue {float(eigs[0]):.3e}"
         )
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError("trace", f"trace {tr} is not 1")
-    return int(np.count_nonzero(eigs > tol))
+    return int(np.count_nonzero(eigs > STATE_TOL))
 
 
-def event_projector(a: Observable, x: float, tol: float = 1e-9) -> EventProjector:
+def event_projector(a: Observable, x: float) -> EventProjector:
     """Projector onto the eigenspace of the eigenvalue matching x.
 
-    x matches a clustered eigenvalue when it lies within tol of the cluster
-    value; with no match the projector is the zero matrix.
+    x matches a clustered eigenvalue when it lies within EVENT_MATCH_TOL of
+    the cluster value; with no match the projector is the zero matrix.
     """
     for value, idx in a.eigenvalue_clusters():
-        if abs(x - value) <= tol:
+        if abs(x - value) <= EVENT_MATCH_TOL:
             cols = a.spectral.eigenvectors[:, idx]
             return EventProjector(value=value, proj=cols @ cols.conj().T)
     n = a.dim
     return EventProjector(value=float(x), proj=np.zeros((n, n), dtype=np.complex128))
 
 
-def law(a: Observable, rho: DensityMatrix, tol: float = LAW_SUM_TOL) -> Law:
+def law(a: Observable, rho: DensityMatrix) -> Law:
     """Measurement distribution of observable a in state rho.
 
     One outcome per clustered eigenvalue, with probability Re tr(rho P).
-    Probabilities are clamped to [0, 1]; values below -1e-12 raise, and the
-    total must equal 1 within tol.
+    Probabilities are clamped to [0, 1]; values below -NEGATIVE_PROB_TOL
+    raise, and the total must equal 1 within LAW_SUM_TOL.
     """
     validate_state(rho)
     if a.dim != rho.dim:
@@ -191,15 +191,15 @@ def law(a: Observable, rho: DensityMatrix, tol: float = LAW_SUM_TOL) -> Law:
             )
         outcomes.append((value, min(max(p, 0.0), 1.0)))
     total = sum(p for _, p in outcomes)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > LAW_SUM_TOL:
         raise ArithmeticError(f"law probabilities sum to {total}, not 1")
     return Law(outcomes=tuple(outcomes))
 
 
-def conjugate(m, v, tol: float = STATE_TOL) -> np.ndarray:
+def conjugate(m, v) -> np.ndarray:
     """V M V* for a unitary V; preserves laws of states and observables."""
     m = as_matrix(m)
     v = as_matrix(v)
-    if not is_unitary(v, tol):
+    if not is_unitary(v, STATE_TOL):
         raise ValueError("conjugating matrix is not unitary within tolerance")
     return v @ m @ v.conj().T

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
 from .qpu import encode, law_over_labels, sample as draw_shots
 from .udecomp import (
+    RECONSTRUCTION_TOL,
     decompose_unitary,
     format_decomposition,
     reconstruction_residual,
@@ -52,6 +54,11 @@ def _check_n(n: int) -> int:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"--n must be between 1 and {MAX_QUBITS}, got {n}")
     return n
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
 
 
 def _density_path(args: argparse.Namespace) -> str:
@@ -155,8 +162,10 @@ def _parse_unitary_json(text: str) -> np.ndarray:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise InputFormatError('unitary JSON needs "dim" and "entries"')
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputFormatError(f'"dim" must be an integer, got {dim!r}')
     try:
-        dim = int(doc["dim"])
         entries = [complex(float(re), float(im)) for re, im in doc["entries"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"bad unitary entries: {exc}") from exc
@@ -171,10 +180,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     """Factor a unitary into two-level gates and report the residual."""
     if not args.unitary:
         raise InputFormatError("decompose needs --unitary PATH")
+    _check_tol(args.tol)
     with open(args.unitary, "r", encoding="utf-8") as fh:
         u = _parse_unitary_json(fh.read())
     dec = decompose_unitary(u, tol=args.tol)
     residual = reconstruction_residual(dec, u)
+    if not residual <= RECONSTRUCTION_TOL:
+        raise ArithmeticError(
+            f"reconstruction residual {residual!r} exceeds {RECONSTRUCTION_TOL:g}"
+        )
     _emit(args, format_decomposition(dec) + f"# residual {residual!r}\n")
     if args.out:
         print(
@@ -187,6 +201,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
     _check_n(args.n)
+    _check_tol(args.tol)
     density = gr.load_density(_density_path(args))
     report = gr.verify(density, args.n, args.tol)
     rows = [

@@ -27,10 +27,9 @@ from typing import Union
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import identity, is_unitary
+from .linalg import is_unitary
 
 GATE_UNITARY_TOL = 1e-10
-REDUCED_TOL = 1e-10
 
 
 class CircuitParseError(ValueError):
@@ -120,7 +119,6 @@ class SuffixControlledGate:
     stage: int
     suffix: tuple[int, ...]
     v: np.ndarray
-    angle: float | None = None
 
     def __post_init__(self):
         if not 2 <= self.stage <= self.n:
@@ -216,7 +214,7 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     if len(z) != n - 1:
         raise ValueError(f"pattern length {len(z)} != n-1 = {n - 1}")
     v = _check_block(v)
-    out = identity(2**n)
+    out = np.eye(2**n, dtype=np.complex128)
     base = _pattern_base_index(n, ell, z)
     step = 1 << (n - ell)
     t0, t1 = base, base + step
@@ -237,16 +235,16 @@ def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
 def realize_gate(g: GateSpec) -> np.ndarray:
     """Dense matrix of a single gate."""
     if isinstance(g, WireGate):
-        left = identity(2 ** (g.j - 1))
-        right = identity(2 ** (g.n - g.j))
+        left = np.eye(2 ** (g.j - 1), dtype=np.complex128)
+        right = np.eye(2 ** (g.n - g.j), dtype=np.complex128)
         return np.kron(np.kron(left, g.v), right)
     if isinstance(g, ControlledGate):
         return controlled_gate(g.n, g.target, g.pattern, g.v)
     if isinstance(g, SuffixControlledGate):
         block = controlled_gate(g.stage, 1, g.suffix, g.v)
-        return np.kron(identity(2 ** (g.n - g.stage)), block)
+        return np.kron(np.eye(2 ** (g.n - g.stage), dtype=np.complex128), block)
     if isinstance(g, TwoLevelGate):
-        out = identity(g.dim)
+        out = np.eye(g.dim, dtype=np.complex128)
         i, j = g.i - 1, g.j - 1
         out[i, i] = g.v[0, 0]
         out[i, j] = g.v[0, 1]
@@ -299,16 +297,10 @@ def _gate_dim(g: GateSpec) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered gate sequence on n wires; gates[0] acts first.
-
-    With strict=True, adjacent gates whose product is the identity (within
-    REDUCED_TOL) are rejected, enforcing that the written-out sequence has
-    no trivially cancelling neighbors.
-    """
+    """Ordered gate sequence on n wires; gates[0] acts first."""
 
     n: int
     gates: tuple[GateSpec, ...] = field(default_factory=tuple)
-    strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -318,16 +310,6 @@ class Circuit:
                 raise ValueError(
                     f"gate {g!r} acts on dim {_gate_dim(g)}, circuit needs {dim}"
                 )
-        if self.strict:
-            eye = identity(dim)
-            for a, b in zip(self.gates, self.gates[1:]):
-                prod = eye.copy()
-                mix_pairs(a.v, prod, *gate_pairs(a))
-                mix_pairs(b.v, prod, *gate_pairs(b))
-                if float(np.linalg.norm(prod - eye)) <= REDUCED_TOL:
-                    raise ValueError(
-                        "adjacent gates cancel to the identity (not reduced)"
-                    )
 
 
 def circuit_length(c: Circuit) -> int:
@@ -337,7 +319,7 @@ def circuit_length(c: Circuit) -> int:
 
 def realize(c: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit: last gate leftmost."""
-    out = identity(2**c.n)
+    out = np.eye(2**c.n, dtype=np.complex128)
     for g in c.gates:
         out = realize_gate(g) @ out
     return out

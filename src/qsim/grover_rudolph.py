@@ -32,6 +32,10 @@ DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
 SEGMENT_JOIN_TOL = 1e-12
 ZERO_MASS_TOL = 1e-14
+# Adaptive Simpson error target per CallableDensity integral, and the
+# looser normalization check that quadrature error allows.
+QUADRATURE_TOL = 1e-12
+QUADRATURE_NORM_TOL = 1e-8
 # Angle assigned when a node has (numerically) no mass. Any value gives the
 # same outcome probabilities, since the parent angle already routes zero
 # amplitude into such a node; this one keeps deliberately-kept gates
@@ -121,7 +125,7 @@ class PiecewisePolyDensity:
                 raise DensityError(
                     f"density negative ({low:.3e}) on [{s.lo}, {s.hi}]"
                 )
-        total = self.integrate(0.0, 1.0)
+        total = float(self.masses([0.0, 1.0])[0])
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
@@ -141,26 +145,22 @@ class PiecewisePolyDensity:
             out[live] += s.mass(lo[live], hi[live])
         return out
 
-    def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] within [0, 1]."""
-        return float(self.masses([a, b])[0])
-
 
 class CallableDensity:
     """Black-box density integrated by adaptive Simpson quadrature.
 
-    Approximate: masses carry quadrature error up to roughly `tol` per
-    integral, unlike the exact piecewise-polynomial path. Normalization is
-    only checked loosely for the same reason. Every value the quadrature
-    takes must be finite and nonnegative within DENSITY_NEGATIVE_TOL, or
-    DensityError is raised; points between those samples are not checked.
+    Approximate: masses carry quadrature error up to roughly QUADRATURE_TOL
+    per integral, unlike the exact piecewise-polynomial path. Normalization
+    is only checked to QUADRATURE_NORM_TOL for the same reason. Every value
+    the quadrature takes must be finite and nonnegative within
+    DENSITY_NEGATIVE_TOL, or DensityError is raised; points between those
+    samples are not checked.
     """
 
-    def __init__(self, fn, tol: float = 1e-12):
+    def __init__(self, fn):
         self.fn = fn
-        self.tol = tol
-        total = self.integrate(0.0, 1.0)
-        if abs(total - 1.0) > max(1e-8, 100.0 * tol):
+        total = float(self.masses([0.0, 1.0])[0])
+        if abs(total - 1.0) > QUADRATURE_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
     def _value(self, x: float) -> float:
@@ -174,13 +174,10 @@ class CallableDensity:
         edges = _check_edges(edges).tolist()
         return np.array(
             [
-                _adaptive_simpson(self._value, a, b, self.tol) if a < b else 0.0
+                _adaptive_simpson(self._value, a, b, QUADRATURE_TOL) if a < b else 0.0
                 for a, b in zip(edges, edges[1:])
             ]
         )
-
-    def integrate(self, a: float, b: float) -> float:
-        return float(self.masses([a, b])[0])
 
 
 def _check_edges(edges) -> np.ndarray:
@@ -301,7 +298,6 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
                     stage=stage,
                     suffix=tuple(encode(s, m)),
                     v=rotation(ang),
-                    angle=ang,
                 )
             )
     if prune:

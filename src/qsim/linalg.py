@@ -4,19 +4,18 @@ Matrices are numpy arrays with dtype complex128 in row-major layout;
 vectors are one-dimensional arrays of the same dtype. All functions are
 pure and never mutate their inputs.
 
-Default tolerances: 1e-10 for unitarity/hermiticity checks, 1e-9 relative
-for eigenvalue clustering, 1e-12 for entrywise comparisons. Every check
-takes an explicit tolerance argument so results are reproducible.
+Tolerances are named module constants: UNITARY_TOL (1e-10) for
+unitarity and hermiticity, EIG_CLUSTER_REL_TOL (1e-9, relative) for
+eigenvalue clustering. Only the predicates and cluster_indices take a
+tolerance argument, because their callers need different thresholds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-ENTRYWISE_TOL = 1e-12
 UNITARY_TOL = 1e-10
 # Eigenvalues closer than this (relative to the Hilbert-Schmidt norm of the
 # matrix) are treated as one degenerate eigenvalue when building projectors.
@@ -37,41 +36,6 @@ def as_vector(psi) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got a {v.ndim}-D input")
     return v
-
-
-def identity(n: int) -> np.ndarray:
-    """The n-by-n identity matrix."""
-    return np.eye(n, dtype=np.complex128)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose: (A*)_ij = conj(A_ji)."""
-    return as_matrix(a).conj().T
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A* B)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # tr(A* B) = sum_ij conj(A_ij) B_ij, which is exactly vdot on the
-    # flattened arrays.
-    return complex(np.vdot(a, b))
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr(A* A))."""
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def outer(psi, phi) -> np.ndarray:
-    """Rank-one matrix with entry (i, j) = psi_i * conj(phi_j)."""
-    psi = as_vector(psi)
-    phi = as_vector(phi)
-    if psi.shape != phi.shape:
-        raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
-    return np.outer(psi, phi.conj())
 
 
 def is_hermitian(a, tol: float = UNITARY_TOL) -> bool:
@@ -112,18 +76,18 @@ class SpectralDecomp:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(a, tol: float = UNITARY_TOL) -> SpectralDecomp:
+def hermitian_eig(a) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix.
 
-    Requires the input to be Hermitian within tol and guarantees the
-    reconstruction residual ||A - V diag(w) V*|| <= tol * max(||A||, 1).
+    Requires the input to be Hermitian within UNITARY_TOL and guarantees the
+    reconstruction residual ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
     """
     a = as_matrix(a)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
-    if residual > tol * max(float(np.linalg.norm(a)), 1.0):
+    if residual > UNITARY_TOL * max(float(np.linalg.norm(a)), 1.0):
         raise ArithmeticError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
@@ -147,18 +111,18 @@ def cluster_indices(values, tol: float) -> list[list[int]]:
     return groups
 
 
-def unitary_from_hamiltonian(h, t: float, tol: float = UNITARY_TOL) -> np.ndarray:
+def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H.
 
     Computed through the eigendecomposition of H; the result is checked to
-    be unitary within tol.
+    be unitary within UNITARY_TOL.
     """
     h = as_matrix(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within tolerance")
-    dec = hermitian_eig(h, tol)
+    dec = hermitian_eig(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
     u = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
-    if not is_unitary(u, max(tol, 1e-10)):
+    if not is_unitary(u):
         raise ArithmeticError("exponential drifted off the unitary group")
     return u

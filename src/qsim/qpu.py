@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algprob import DensityMatrix, Law, Observable, pure_state
-from .linalg import as_matrix, as_vector, unitary_from_hamiltonian, is_unitary
+from .algprob import DensityMatrix, Law, Observable, conjugate, pure_state
+from .linalg import as_matrix, as_vector, unitary_from_hamiltonian
 from .rng import inverse_cdf_sample
 
 BitString = Sequence[int]
@@ -106,12 +106,12 @@ class QpuObservable:
     eigen_labels: np.ndarray
 
 
-def qpu_observable(factors, tol: float = 1e-10) -> QpuObservable:
+def qpu_observable(factors) -> QpuObservable:
     """Build the register observable from per-wire 2x2 Hermitian factors."""
     obs_factors = []
     for f in factors:
         if not isinstance(f, Observable):
-            f = Observable(as_matrix(f), tol)
+            f = Observable(f)
         if f.dim != 2:
             raise ValueError(f"factor dimension {f.dim} is not 2")
         obs_factors.append(f)
@@ -132,7 +132,7 @@ def qpu_observable(factors, tol: float = 1e-10) -> QpuObservable:
     return QpuObservable(
         n=n,
         factors=tuple(obs_factors),
-        realized=Observable(realized_mat, tol),
+        realized=Observable(realized_mat),
         eigen_labels=labels,
     )
 
@@ -167,24 +167,21 @@ def udqc(n: int, factors=None) -> Udqc:
     return Udqc(n=n, observable=obs, rho0=pure_state(basis_vector(0, n)))
 
 
-def evolve(u, rho: DensityMatrix, tol: float = 1e-10) -> DensityMatrix:
+def evolve(u, rho: DensityMatrix) -> DensityMatrix:
     """Conjugate the state by a unitary: rho -> U rho U*."""
     u = as_matrix(u)
-    if not is_unitary(u, tol):
-        raise ValueError("evolution matrix is not unitary within tolerance")
     if u.shape[0] != rho.dim:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {rho.dim}")
-    return DensityMatrix(u @ rho.mat @ u.conj().T)
+    return DensityMatrix(conjugate(rho.mat, u))
 
 
-def liouville_solve(h, rho0: DensityMatrix, t: float, tol: float = 1e-10) -> DensityMatrix:
+def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """State at time t of d rho/dt = -i[H, rho] from rho0.
 
     The solution conjugates rho0 by exp(-itH); rank, trace, and hermiticity
     are preserved for every t.
     """
-    u = unitary_from_hamiltonian(as_matrix(h), t, tol)
-    return evolve(u, rho0, max(tol, 1e-10))
+    return evolve(unitary_from_hamiltonian(h, t), rho0)
 
 
 def basis_distribution(rho: DensityMatrix, n: int | None = None) -> np.ndarray:

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import TwoLevelGate, gate_pairs, mix_pairs, realize_gate
-from .linalg import as_matrix, as_vector, identity, is_unitary
+from .linalg import as_matrix, as_vector, is_unitary
 
 # A component counts as zero for branch selection below this fraction of
 # the vector norm; identity factors are emitted instead of dividing by it.
 ZERO_COMPONENT_REL_TOL = 1e-13
 RESIDUAL_PHASE_TOL = 1e-9
+# Largest relative Frobenius residual of a correct factorization.
+RECONSTRUCTION_TOL = 1e-9
 
 _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
@@ -91,7 +93,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     """Multiply the factors back together in application order."""
     if d.dim < 2:
         raise ValueError("ambient dimension must be at least 2")
-    out = identity(d.dim)
+    out = np.eye(d.dim, dtype=np.complex128)
     for f in d.factors:
         if f.dim != d.dim:
             raise ValueError(
@@ -105,8 +107,9 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 def decompose_unitary(u, tol: float = 1e-10) -> Decomposition:
     """Split a unitary into exactly N(N-1)/2 ordered two-level factors.
 
-    Reconstructing the factors reproduces the input within 1e-9 relative
-    Frobenius error for well-conditioned unitary input.
+    Reconstructing the factors reproduces the input within
+    RECONSTRUCTION_TOL relative Frobenius error for well-conditioned unitary
+    input.
     """
     u = as_matrix(u)
     n = u.shape[0]

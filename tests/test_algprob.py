@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim.algprob import (
+    EVENT_MATCH_TOL,
+    STATE_TOL,
     DensityMatrix,
     EventProjector,
     Law,
@@ -58,6 +60,9 @@ def test_pure_state_projector_pin():
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         pure_state(np.array([1.0, 1.0]))
+    pure_state(np.array([1.0 + 0.5 * STATE_TOL, 0.0]))
+    with pytest.raises(ValueError):
+        pure_state(np.array([1.0 + 2.0 * STATE_TOL, 0.0]))
 
 
 def test_validate_state_ranks():
@@ -86,10 +91,14 @@ def test_validate_state_three_distinguished_failures():
 
 
 def test_validate_state_tolerance_is_respected():
-    near = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
-    assert validate_state(near, tol=1e-10) == 1
-    with pytest.raises(StateValidationError):
-        validate_state(near, tol=1e-12)
+    """A negative eigenvalue above -STATE_TOL passes; one below it raises."""
+    def state(eps):
+        return DensityMatrix(np.diag([1.0 + eps, -eps]).astype(complex))
+
+    assert validate_state(state(0.5 * STATE_TOL)) == 1
+    with pytest.raises(StateValidationError) as err:
+        validate_state(state(2.0 * STATE_TOL))
+    assert err.value.condition == "eigenvalues"
 
 
 # --- observables -------------------------------------------------------------
@@ -138,6 +147,15 @@ def test_event_projector_unmatched_value_is_zero_matrix():
     p = event_projector(a, 0.37)
     assert isinstance(p, EventProjector)
     assert np.array_equal(p.proj, np.zeros((3, 3)))
+
+
+def test_event_projector_matches_within_event_match_tol():
+    a = Observable(np.diag([2.0, 2.0, 5.0]))
+    near = event_projector(a, 5.0 + 0.5 * EVENT_MATCH_TOL)
+    assert near.value == pytest.approx(5.0)
+    assert np.max(np.abs(near.proj - np.diag([0.0, 0.0, 1.0]))) < 1e-12
+    far = event_projector(a, 5.0 + 2.0 * EVENT_MATCH_TOL)
+    assert np.array_equal(far.proj, np.zeros((3, 3)))
 
 
 def test_event_projectors_are_orthogonal_and_complete():

@@ -257,6 +257,30 @@ def test_decompose_input_errors(tmp_path):
     assert main(["decompose", "--unitary", not_unitary]) == 3
 
 
+@pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
+def test_decompose_requires_an_integer_dim(tmp_path, dim):
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"dim": dim, "entries": entries}))
+    assert main(["decompose", "--unitary", str(path)]) == 2
+
+
+def test_decompose_writes_no_factors_when_the_residual_is_too_large(tmp_path):
+    # diag(2, 1) passes a unitarity tolerance of 10 but has no factorization.
+    path = write_unitary(tmp_path, np.diag([2.0, 1.0]).astype(complex))
+    out = tmp_path / "factors.txt"
+    argv = ["decompose", "--unitary", path, "--tol", "10", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-300"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, triangular_path, tol):
+    unitary = write_unitary(tmp_path, np.eye(2, dtype=complex))
+    assert main(["decompose", "--unitary", unitary, f"--tol={tol}"]) == 3
+    assert main(["verify", "--density", triangular_path, f"--tol={tol}"]) == 3
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -358,7 +382,7 @@ def test_density_round_trips_through_the_cli_parser(triangular_path):
     """The shipped file format and the CLI loader agree."""
     with open(triangular_path, "r", encoding="utf-8") as fh:
         d = parse_density_json(fh.read())
-    assert d.integrate(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert d.masses([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # --- golden outputs -------------------------------------------------------------
@@ -419,9 +443,18 @@ def test_decompose_matches_golden_file(tmp_path, capsys):
 MESSAGES = json.loads((GOLDEN / "messages.json").read_text())
 
 
+def golden_arg(arg):
+    """DENSITY is the bundled triangular density; GOLDEN/<name> a golden file."""
+    if arg == "DENSITY":
+        return bundled("triangular")
+    if arg.startswith("GOLDEN/"):
+        return str(GOLDEN / arg.removeprefix("GOLDEN/"))
+    return arg
+
+
 @pytest.mark.parametrize("case", MESSAGES, ids=[" ".join(c["argv"]) for c in MESSAGES])
 def test_messages_and_exit_codes_match_golden(capsys, case):
-    argv = [bundled("triangular") if a == "DENSITY" else a for a in case["argv"]]
+    argv = [golden_arg(a) for a in case["argv"]]
     assert main(argv) == case["exit"]
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]

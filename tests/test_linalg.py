@@ -1,9 +1,8 @@
 """Tests for the dense linear algebra kernel.
 
-Oracle style: inner products, spectra, and exponentials are checked
-against independent reference computations (entrywise sums, eigenpair
-pins, Taylor series), not against the same numpy call the implementation
-uses.
+Oracle style: spectra and exponentials are checked against independent
+reference computations (eigenpair pins, Taylor series), not against the
+same numpy call the implementation uses.
 """
 
 import math
@@ -13,19 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim.linalg import (
-    ENTRYWISE_TOL,
+    UNITARY_TOL,
     SpectralDecomp,
-    adjoint,
     as_matrix,
     as_vector,
     cluster_indices,
     hermitian_eig,
-    hs_inner,
-    hs_norm,
-    identity,
     is_hermitian,
     is_unitary,
-    outer,
     unitary_from_hamiltonian,
 )
 
@@ -66,24 +60,6 @@ def test_as_vector_accepts_lists_and_rejects_matrices():
         as_vector([[1, 2]])
 
 
-# --- adjoint -------------------------------------------------------------
-
-
-def test_adjoint_entries_and_involution():
-    a = np.array([[1 + 2j, 3], [4j, 5 - 1j]])
-    star = adjoint(a)
-    assert star[0, 1] == np.conj(a[1, 0])
-    assert star[1, 0] == np.conj(a[0, 1])
-    assert np.array_equal(adjoint(star), a)
-
-
-def test_adjoint_reverses_products():
-    rng = np.random.default_rng(7)
-    a = random_complex(rng, 3, 3)
-    b = random_complex(rng, 3, 3)
-    assert np.allclose(adjoint(a @ b), adjoint(b) @ adjoint(a))
-
-
 # --- Kronecker product ---------------------------------------------------
 
 
@@ -94,44 +70,6 @@ def test_kron_of_unitaries_is_unitary(seed):
     u = random_unitary(rng, 2)
     v = random_unitary(rng, 3)
     assert is_unitary(np.kron(u, v), 1e-10)
-
-
-# --- inner product --------------------------------------------------------
-
-
-def test_hs_inner_matches_entrywise_sum():
-    rng = np.random.default_rng(22)
-    a = random_complex(rng, 3, 3)
-    b = random_complex(rng, 3, 3)
-    want = sum(
-        np.conj(a[i, j]) * b[i, j] for i in range(3) for j in range(3)
-    )
-    assert abs(hs_inner(a, b) - want) < 1e-13
-    # Same thing as tr(A* B).
-    assert abs(hs_inner(a, b) - np.trace(adjoint(a) @ b)) < 1e-12
-
-
-def test_hs_inner_positivity_and_norm():
-    rng = np.random.default_rng(23)
-    a = random_complex(rng, 3, 3)
-    self_inner = hs_inner(a, a)
-    assert abs(self_inner.imag) < 1e-13
-    assert self_inner.real > 0
-    assert abs(hs_norm(a) - math.sqrt(self_inner.real)) < 1e-12
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(2), np.eye(3))
-
-
-def test_outer_action():
-    """outer(psi, phi) applied to x gives <phi, x> psi."""
-    psi = np.array([1.0, 2j])
-    phi = np.array([3.0, 1 - 1j])
-    x = np.array([0.5, -2.0j])
-    m = outer(psi, phi)
-    want = np.vdot(phi, x) * psi
-    assert np.max(np.abs(m @ x - want)) < 1e-13
-    with pytest.raises(ValueError):
-        outer(psi, np.array([1.0, 2.0, 3.0]))
 
 
 # --- predicates ------------------------------------------------------------
@@ -187,13 +125,29 @@ def test_hermitian_eig_reconstruction_and_orthonormality():
         v = dec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
         assert np.linalg.norm(dec.reconstruct() - a) < 1e-10 * max(
-            hs_norm(a), 1.0
+            np.linalg.norm(a), 1.0
         )
 
 
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermiticity_threshold_is_unitary_tol():
+    """hermitian_eig and unitary_from_hamiltonian accept an A - A* residual
+    below UNITARY_TOL and reject one above it."""
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2)  # ||A - A*|| = 2|eps|
+    for scale, ok in ((0.4, True), (2.0, False)):
+        h = np.diag([1.0, 2.0]) + scale * UNITARY_TOL * skew
+        if ok:
+            hermitian_eig(h)
+            unitary_from_hamiltonian(h, 0.5)
+        else:
+            with pytest.raises(ValueError):
+                hermitian_eig(h)
+            with pytest.raises(ValueError):
+                unitary_from_hamiltonian(h, 0.5)
 
 
 def test_spectral_decomp_reconstruct_is_v_diag_vstar():
@@ -273,14 +227,3 @@ def test_generator_always_unitary(seed, t):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, 4)
     assert is_unitary(unitary_from_hamiltonian(h, t), 1e-10)
-
-
-# --- misc -------------------------------------------------------------------
-
-
-def test_identity_and_distance():
-    assert np.array_equal(identity(3), np.eye(3))
-    assert identity(3).dtype == np.complex128
-    assert hs_norm(np.eye(2) - np.eye(2)) == 0.0
-    assert abs(hs_norm(np.zeros((2, 2)) - np.eye(2)) - math.sqrt(2)) < 1e-15
-    assert ENTRYWISE_TOL == 1e-12

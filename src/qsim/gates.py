@@ -29,8 +29,6 @@ import numpy as np
 from .algprob import DensityMatrix
 from .linalg import is_unitary
 
-GATE_UNITARY_TOL = 1e-10
-
 
 class CircuitParseError(ValueError):
     """Raised when circuit or factor text cannot be parsed."""
@@ -46,7 +44,7 @@ def _check_block(v) -> np.ndarray:
     v = np.array(v, dtype=np.complex128)
     if v.shape != (2, 2):
         raise ValueError(f"gate block must be 2x2, got {v.shape}")
-    if not is_unitary(v, GATE_UNITARY_TOL):
+    if not is_unitary(v):
         raise ValueError("gate block is not unitary within tolerance")
     v.setflags(write=False)
     return v
@@ -160,8 +158,7 @@ GateSpec = Union[WireGate, ControlledGate, SuffixControlledGate, TwoLevelGate]
 
 def wire_gate(n: int, j: int, v) -> np.ndarray:
     """Realize v on wire j of an n-wire register."""
-    g = WireGate(n=n, j=j, v=v)
-    return realize_gate(g)
+    return realize_gate(WireGate(n=n, j=j, v=v))
 
 
 def control_projector(n: int, ell: int, z, v) -> np.ndarray:
@@ -205,31 +202,16 @@ def _pattern_base_index(n: int, ell: int, z: tuple[int, ...]) -> int:
 def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     """Unitary applying v on wire ell iff the other n-1 wires match z.
 
-    Built directly as a two-level modification of the identity: only the
-    two basis indices whose non-target bits match z are mixed by v.
+    A two-level modification of the identity: only the two basis indices
+    whose non-target bits match z are mixed by v.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"target {ell} out of range for n={n}")
-    z = _check_bits(z)
-    if len(z) != n - 1:
-        raise ValueError(f"pattern length {len(z)} != n-1 = {n - 1}")
-    v = _check_block(v)
-    out = np.eye(2**n, dtype=np.complex128)
-    base = _pattern_base_index(n, ell, z)
-    step = 1 << (n - ell)
-    t0, t1 = base, base + step
-    out[t0, t0] = v[0, 0]
-    out[t0, t1] = v[0, 1]
-    out[t1, t0] = v[1, 0]
-    out[t1, t1] = v[1, 1]
-    return out
+    return realize_gate(ControlledGate(n=n, target=ell, pattern=z, v=v))
 
 
 def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
     """Realize a SuffixControlledGate: identity on the first n-stage wires,
     then v on the next wire controlled by the trailing stage-1 wires."""
-    g = SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v)
-    return realize_gate(g)
+    return realize_gate(SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v))
 
 
 def realize_gate(g: GateSpec) -> np.ndarray:
@@ -238,20 +220,14 @@ def realize_gate(g: GateSpec) -> np.ndarray:
         left = np.eye(2 ** (g.j - 1), dtype=np.complex128)
         right = np.eye(2 ** (g.n - g.j), dtype=np.complex128)
         return np.kron(np.kron(left, g.v), right)
-    if isinstance(g, ControlledGate):
-        return controlled_gate(g.n, g.target, g.pattern, g.v)
     if isinstance(g, SuffixControlledGate):
-        block = controlled_gate(g.stage, 1, g.suffix, g.v)
+        block = realize_gate(ControlledGate(g.stage, 1, g.suffix, g.v))
         return np.kron(np.eye(2 ** (g.n - g.stage), dtype=np.complex128), block)
-    if isinstance(g, TwoLevelGate):
-        out = np.eye(g.dim, dtype=np.complex128)
-        i, j = g.i - 1, g.j - 1
-        out[i, i] = g.v[0, 0]
-        out[i, j] = g.v[0, 1]
-        out[j, i] = g.v[1, 0]
-        out[j, j] = g.v[1, 1]
-        return out
-    raise TypeError(f"not a gate spec: {g!r}")
+    # A controlled or two-level gate: the identity with v on its one pair.
+    t = list(gate_pairs(g))
+    out = np.eye(_gate_dim(g), dtype=np.complex128)
+    out[np.ix_(t, t)] = g.v
+    return out
 
 
 def gate_pairs(g: GateSpec):
@@ -425,12 +401,34 @@ def format_gate(g: GateSpec) -> str:
     raise TypeError(f"not a gate spec: {g!r}")
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank lines and '#' comments."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
+def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
+    """Parse one TWO-LEVEL line for a dim-dimensional space."""
+    parts = line.split()
+    if parts[:1] != ["TWO-LEVEL"]:
+        raise CircuitParseError(f"expected a TWO-LEVEL line, got {line!r}")
+    try:
+        i, j = int(parts[1]), int(parts[2])
+        return TwoLevelGate(dim=dim, i=i, j=j, v=_parse_block(parts[3:]))
+    except CircuitParseError:
+        raise
+    except (ValueError, IndexError) as exc:
+        raise CircuitParseError(f"bad gate line {line!r}: {exc}") from exc
+
+
 def parse_gate(line: str, n: int) -> GateSpec:
     """Parse one gate line for an n-wire circuit."""
     parts = line.split()
     if not parts:
         raise CircuitParseError("empty gate line")
     kind = parts[0]
+    if kind == "TWO-LEVEL":
+        return _parse_two_level(line, 2**n)
     try:
         if kind == "ROT":
             if len(parts) != 3:
@@ -454,13 +452,6 @@ def parse_gate(line: str, n: int) -> GateSpec:
                 suffix=_parse_bits(parts[2]),
                 v=_parse_block(parts[3:]),
             )
-        if kind == "TWO-LEVEL":
-            return TwoLevelGate(
-                dim=2**n,
-                i=int(parts[1]),
-                j=int(parts[2]),
-                v=_parse_block(parts[3:]),
-            )
     except CircuitParseError:
         raise
     except (ValueError, IndexError) as exc:
@@ -477,11 +468,7 @@ def format_circuit(c: Circuit) -> str:
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of format_circuit; '#' comments and blank lines are skipped."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise CircuitParseError("missing circuit header")
     m = _HEADER_RE.match(lines[0])

@@ -445,16 +445,18 @@ def angle_tree_to_json(tree: AngleTree) -> str:
 
 
 def angle_tree_from_json(text: str) -> AngleTree:
+    """Inverse of angle_tree_to_json: "n" is a JSON integer >= 1, and
+    "suffix_angles" holds exactly one entry for each of the 2^n - 2 nodes."""
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
+        n = doc["n"]
         theta = float(doc["theta"])
-        raw = {
-            entry["suffix"]: float(entry["angle"])
-            for entry in doc["suffix_angles"]
-        }
+        entries = [(e["suffix"], float(e["angle"])) for e in doc["suffix_angles"]]
+        raw = dict(entries)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DensityJsonError(f"bad angle-tree JSON: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DensityJsonError(f'"n" must be an integer >= 1, got {n!r}')
     levels = []
     for m in range(1, n):
         level = []
@@ -464,4 +466,10 @@ def angle_tree_from_json(text: str) -> AngleTree:
                 raise DensityJsonError(f"angle for suffix {key!r} missing")
             level.append(raw[key])
         levels.append(tuple(level))
+    # Every node's suffix is present, so any further entry is a duplicate
+    # or a suffix that no node has.
+    if len(entries) != 2**n - 2:
+        raise DensityJsonError(
+            f"expected one angle per node, {2**n - 2} entries, got {len(entries)}"
+        )
     return AngleTree(n=n, theta=theta, levels=tuple(levels))

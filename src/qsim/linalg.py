@@ -86,12 +86,13 @@ def hermitian_eig(a) -> SpectralDecomp:
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
+    dec = SpectralDecomp(eigenvalues=w, eigenvectors=v)
+    residual = float(np.linalg.norm(dec.reconstruct() - a))
     if residual > UNITARY_TOL * max(float(np.linalg.norm(a)), 1.0):
         raise ArithmeticError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
-    return SpectralDecomp(eigenvalues=w, eigenvectors=v)
+    return dec
 
 
 def cluster_indices(values, tol: float) -> list[list[int]]:
@@ -114,12 +115,9 @@ def cluster_indices(values, tol: float) -> list[list[int]]:
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H.
 
-    Computed through the eigendecomposition of H; the result is checked to
-    be unitary within UNITARY_TOL.
+    Computed through the eigendecomposition of H, which checks that H is
+    Hermitian; the result is checked to be unitary within UNITARY_TOL.
     """
-    h = as_matrix(h)
-    if not is_hermitian(h):
-        raise ValueError("generator is not Hermitian within tolerance")
     dec = hermitian_eig(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
     u = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T

@@ -16,6 +16,7 @@ array positions, and label_permutation tabulates the composite map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -59,15 +60,7 @@ def tensor_index(bits: BitString) -> int:
     Wire 1 is the leftmost Kronecker factor, hence the most significant
     position bit: index = sum z_j 2^(n-j).
     """
-    n = len(bits)
-    if n < 1:
-        raise ValueError("empty bit string")
-    idx = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit {b!r} is not 0 or 1")
-        idx += b << (n - 1 - j)
-    return idx
+    return decode(bits[::-1])
 
 
 def label_permutation(n: int) -> np.ndarray:
@@ -117,20 +110,16 @@ def qpu_observable(factors) -> QpuObservable:
         obs_factors.append(f)
     if not obs_factors:
         raise ValueError("at least one factor is required")
-    n = len(obs_factors)
-    realized_mat = obs_factors[0].mat
-    for f in obs_factors[1:]:
-        realized_mat = np.kron(realized_mat, f.mat)
-    factor_eigs = [f.spectral.eigenvalues for f in obs_factors]
-    labels = np.empty(2**n, dtype=np.float64)
-    for k in range(2**n):
-        bits = encode(k, n)
-        value = 1.0
-        for j in range(n):
-            value *= float(factor_eigs[j][bits[j]])
-        labels[k] = value
+    realized_mat = reduce(np.kron, [f.mat for f in obs_factors])
+    # Wire j's eigenvalue bit is label bit j - 1, so each later wire's
+    # factor goes on the left, above the bits of earlier wires.
+    labels = reduce(
+        lambda acc, e: np.kron(e, acc),
+        [f.spectral.eigenvalues for f in obs_factors],
+        np.ones(1),
+    )
     return QpuObservable(
-        n=n,
+        n=len(obs_factors),
         factors=tuple(obs_factors),
         realized=Observable(realized_mat),
         eigen_labels=labels,

@@ -3,9 +3,10 @@
 Any N x N unitary splits into exactly N(N-1)/2 factors, each the identity
 except for a 2x2 unitary block on one coordinate pair. The construction
 reduces the first column to (1, 0, ..., 0) with N-1 factors mixing
-coordinate 1 against coordinates 2..N in turn, then recurses on the
-remaining (N-1)-block. Identity factors are kept so the count is always
-exactly N(N-1)/2.
+coordinate 1 against coordinates 2..N in turn, then does the same to
+each later column of the remaining block, in one loop over columns with
+no size limit from recursion. Identity factors are kept so the count is
+always exactly N(N-1)/2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import TwoLevelGate, gate_pairs, mix_pairs, realize_gate
+from .gates import (
+    CircuitParseError,
+    TwoLevelGate,
+    _content_lines,
+    _parse_two_level,
+    format_gate,
+    gate_pairs,
+    mix_pairs,
+    realize_gate,
+)
 from .linalg import as_matrix, as_vector, is_unitary
 
 # A component counts as zero for branch selection below this fraction of
@@ -29,8 +39,7 @@ _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
     """Identity of size nn with v as the 2x2 block on coordinates i < j."""
-    g = TwoLevelGate(dim=nn, i=i, j=j, v=v)
-    return realize_gate(g)
+    return realize_gate(TwoLevelGate(dim=nn, i=i, j=j, v=v))
 
 
 def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
@@ -117,46 +126,39 @@ def decompose_unitary(u, tol: float = 1e-10) -> Decomposition:
         raise ValueError(f"expected a square matrix of dim >= 2, got {u.shape}")
     if not is_unitary(u, tol):
         raise ValueError("input is not unitary within tolerance")
-    return Decomposition(dim=n, factors=tuple(_decompose(u.copy(), n, tol)))
-
-
-def _decompose(u: np.ndarray, ambient: int, tol: float) -> list[TwoLevelGate]:
-    """Recursive core; u is consumed. Factors come back in application order
-    with indices already lifted to the ambient dimension."""
-    n = u.shape[0]
-    offset = ambient - n  # nesting depth: sub-coordinate 1 is ambient 1+offset
-    if n == 2:
-        v = np.array(u)
-        if not is_unitary(v, 1e-12):
-            # Input unitarity slack concentrates in the last block; snap it
-            # to the nearest unitary so every emitted factor is one.
-            w, _, vh = np.linalg.svd(v)
-            v = w @ vh
-        return [TwoLevelGate(dim=ambient, i=offset + 1, j=offset + 2, v=v)]
-    column_factors, _ = reduce_vector(u[:, 0])
-    for f in column_factors:
-        mix_pairs(f.v, u, *gate_pairs(f))
-    corner = complex(u[0, 0])
-    if abs(corner - 1.0) > max(RESIDUAL_PHASE_TOL, 10.0 * tol):
-        raise ArithmeticError(
-            f"column reduction left corner {corner}, expected 1"
-        )
-    # The reduced corner can carry a tiny residual phase; fold it into the
-    # first factor applied after the recursion block so the reconstruction
-    # stays exact instead of drifting by the phase per level.
-    phase = corner / abs(corner)
-    inner = _decompose(u[1:, 1:], ambient, tol)
-    lifted: list[TwoLevelGate] = inner
-    for idx, f in enumerate(reversed(column_factors)):
-        v = f.v.conj().T
-        if idx == 0:
-            v = v @ np.array(
-                [[phase, 0.0], [0.0, 1.0]], dtype=np.complex128
+    u = u.copy()
+    # Collected in reverse application order and reversed once at the end:
+    # the adjoints of column c's reduction factors act after the factors
+    # of every later column.
+    factors: list[TwoLevelGate] = []
+    for c in range(n - 2):
+        block = u[c:, c:]
+        column_factors, _ = reduce_vector(block[:, 0])
+        for f in column_factors:
+            mix_pairs(f.v, block, *gate_pairs(f))
+        corner = complex(block[0, 0])
+        if abs(corner - 1.0) > max(RESIDUAL_PHASE_TOL, 10.0 * tol):
+            raise ArithmeticError(
+                f"column reduction left corner {corner}, expected 1"
             )
-        lifted.append(
-            TwoLevelGate(dim=ambient, i=offset + f.i, j=offset + f.j, v=v)
-        )
-    return lifted
+        # The reduced corner can carry a tiny residual phase; fold it into
+        # the first adjoint applied, so the reconstruction stays exact
+        # instead of drifting by the phase per column.
+        phase = corner / abs(corner)
+        for f in column_factors:
+            v = f.v.conj().T
+            if f is column_factors[-1]:
+                v = v @ np.array([[phase, 0.0], [0.0, 1.0]], dtype=np.complex128)
+            factors.append(TwoLevelGate(dim=n, i=c + f.i, j=c + f.j, v=v))
+    v = np.array(u[n - 2 :, n - 2 :])
+    if not is_unitary(v, 1e-12):
+        # Input unitarity slack concentrates in the last block; snap it to
+        # the nearest unitary so every emitted factor is one.
+        w, _, vh = np.linalg.svd(v)
+        v = w @ vh
+    factors.append(TwoLevelGate(dim=n, i=n - 1, j=n, v=v))
+    factors.reverse()
+    return Decomposition(dim=n, factors=tuple(factors))
 
 
 def reconstruction_residual(d: Decomposition, u) -> float:
@@ -167,39 +169,24 @@ def reconstruction_residual(d: Decomposition, u) -> float:
 
 # --- serialization ---------------------------------------------------------
 #
-#   QSIM-FACTORS v1 dim=<int>
+#   QSIM-FACTORS v1 dim=<int, at least 2>
 #   TWO-LEVEL <i> <j> <8 floats>        (same line format as circuits)
 
 def format_decomposition(d: Decomposition) -> str:
-    from .gates import format_gate
-
     lines = [f"QSIM-FACTORS v1 dim={d.dim}"]
     lines.extend(format_gate(f) for f in d.factors)
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    from .gates import CircuitParseError, _parse_block
-
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("QSIM-FACTORS v1 dim="):
         raise CircuitParseError("missing factor-file header")
     try:
         dim = int(lines[0].split("dim=", 1)[1])
     except ValueError as exc:
         raise CircuitParseError(f"bad factor header {lines[0]!r}") from exc
-    factors = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "TWO-LEVEL" or len(parts) != 11:
-            raise CircuitParseError(f"bad factor line {ln!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise CircuitParseError(f"bad factor line {ln!r}") from exc
-        factors.append(TwoLevelGate(dim=dim, i=i, j=j, v=_parse_block(parts[3:])))
-    return Decomposition(dim=dim, factors=tuple(factors))
+    if dim < 2:
+        raise CircuitParseError(f"factor-file dim must be at least 2, got {dim}")
+    factors = tuple(_parse_two_level(ln, dim) for ln in lines[1:])
+    return Decomposition(dim=dim, factors=factors)

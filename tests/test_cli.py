@@ -16,7 +16,11 @@ import pytest
 
 from qsim.cli import main
 from qsim.gates import parse_circuit, realize
-from qsim.grover_rudolph import angle_tree_from_json, parse_density_json
+from qsim.grover_rudolph import (
+    angle_tree_from_json,
+    angle_tree_to_json,
+    parse_density_json,
+)
 from qsim.udecomp import parse_decomposition, reconstruction_residual
 
 TRIANGULAR = {
@@ -424,6 +428,9 @@ def test_synth_matches_golden_files(tmp_path, capsys, name, density, extra):
     assert out.read_bytes() == (GOLDEN / f"{name}.circuit").read_bytes()
     sidecar = tmp_path / "c.circuit.angles.json"
     assert sidecar.read_bytes() == (GOLDEN / f"{name}.circuit.angles.json").read_bytes()
+    # The reader accepts exactly what synth writes.
+    text = sidecar.read_text()
+    assert angle_tree_to_json(angle_tree_from_json(text)) + "\n" == text
     gates = len(parse_circuit(out.read_text()).gates)
     assert capsys.readouterr().out == f"wrote {gates} gates to {out} (angles: {sidecar})\n"
 

@@ -272,6 +272,20 @@ def test_controlled_gate_acts_only_on_matching_pair():
             assert got[r, c] == want
 
 
+def test_controlled_gate_rejects_what_the_gate_class_rejects():
+    u = np.eye(2)
+    for args, message in (
+        ((3, 4, (0, 0), u), "target 4 out of range for n=3"),
+        ((3, 1, (0, 2), u), "control pattern (0, 2) contains non-bits"),
+        ((3, 1, (0,), u), "pattern length 1 != n-1 = 2"),
+        ((3, 1, (0, 0), 2 * u), "gate block is not unitary within tolerance"),
+        ((3, 1, (0, 0), np.eye(3)), "gate block must be 2x2, got (3, 3)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            controlled_gate(*args)
+        assert str(info.value) == message
+
+
 # --- suffix-controlled gates -------------------------------------------------------
 
 

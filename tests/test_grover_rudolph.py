@@ -713,3 +713,23 @@ def test_angle_tree_json_error_reporting():
         angle_tree_from_json("{broken")
     with pytest.raises(DensityJsonError):
         angle_tree_from_json('{"n": 2, "theta": 0.5, "suffix_angles": []}')
+    # "n" is a JSON integer >= 1, and each node has exactly one entry.
+    doc = json.loads(angle_tree_to_json(angle_tree(triangular(), 3)))
+    first = doc["suffix_angles"][0]
+    no_node = {"suffix": "111", "angle": 0.0}
+    bad = (
+        {**doc, "n": 1.9},
+        {**doc, "n": 3.0},
+        {**doc, "n": True},
+        {**doc, "n": "3"},
+        {**doc, "n": 0, "suffix_angles": []},
+        {**doc, "n": -2, "suffix_angles": []},
+        {**doc, "suffix_angles": doc["suffix_angles"] + [first]},
+        {**doc, "suffix_angles": doc["suffix_angles"] + [no_node]},
+        {**doc, "n": 1},
+    )
+    for case in bad:
+        with pytest.raises(DensityJsonError):
+            angle_tree_from_json(json.dumps(case))
+    tree = angle_tree_from_json(json.dumps({**doc, "n": 1, "suffix_angles": []}))
+    assert (tree.n, tree.levels) == (1, ())

@@ -80,6 +80,8 @@ def test_tensor_index_pins():
     assert tensor_index([0, 1]) == 1
     with pytest.raises(ValueError):
         tensor_index([])
+    with pytest.raises(ValueError):
+        tensor_index([0, 2])
 
 
 def test_label_permutation_is_bit_reversal():
@@ -134,6 +136,22 @@ def test_qpu_observable_realizes_kron_product():
     want = np.kron(np.kron(factors[0], factors[1]), factors[2])
     assert np.max(np.abs(obs.realized.mat - want)) < 1e-12
     assert obs.n == 3
+
+
+def test_qpu_observable_labels_are_per_label_products():
+    """eigen_labels[k] multiplies wire j's eigenvalue selected by bit j of k,
+    in wire order, exactly."""
+    rng = np.random.default_rng(81)
+    for n in range(1, 6):
+        obs = qpu_observable([random_hermitian(rng, 2) for _ in range(n)])
+        eigs = [f.spectral.eigenvalues for f in obs.factors]
+        want = []
+        for k in range(2**n):
+            value = 1.0
+            for j, b in enumerate(encode(k, n)):
+                value *= float(eigs[j][b])
+            want.append(value)
+        assert np.array_equal(obs.eigen_labels, want)
 
 
 def test_qpu_observable_rejects_bad_factors():

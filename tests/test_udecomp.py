@@ -6,11 +6,20 @@ tail of the vector, reconstruction multiplies back to the input within
 dim(dim-1)/2 with every factor a genuine two-level unitary.
 """
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import Circuit, CircuitParseError, TwoLevelGate, format_circuit
+from qsim.gates import (
+    Circuit,
+    CircuitParseError,
+    TwoLevelGate,
+    format_circuit,
+    parse_circuit,
+)
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
     Decomposition,
@@ -243,6 +252,19 @@ def test_decompose_accepts_slightly_perturbed_unitary_with_loose_tol():
         assert is_unitary(f.v, 1e-10)
 
 
+def test_decomposition_depth_does_not_grow_with_dimension():
+    """120 columns under a call-stack allowance of 60 frames: one loop over
+    columns needs no frame per column."""
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        d = decompose_unitary(np.eye(120))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert len(d.factors) == 120 * 119 // 2
+    assert reconstruction_residual(d, np.eye(120)) == 0.0
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_decomposition_round_trip_property(seed):
@@ -281,6 +303,20 @@ def test_factor_file_parse_errors():
         parse_decomposition("QSIM-FACTORS v1 dim=4\nWIRE 1 1 0 0 0 0 0 1 0\n")
     with pytest.raises(CircuitParseError):
         parse_decomposition("QSIM-FACTORS v1 dim=4\nTWO-LEVEL 1 2 1 0\n")
+    # Every line parse_circuit rejects with CircuitParseError, and a
+    # dimension with no two-level gates.
+    for line in (
+        "TWO-LEVEL 1 2 1 0 1 0 1 0 1 0",  # not unitary
+        "TWO-LEVEL 2 1 1 0 0 0 0 0 1 0",  # i > j
+        "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0",  # j > dim
+    ):
+        with pytest.raises(CircuitParseError):
+            parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
+        with pytest.raises(CircuitParseError):
+            parse_circuit(f"QSIM-CIRCUIT v1 n=1\n{line}\n")
+    for dim in (0, 1, -4):
+        with pytest.raises(CircuitParseError):
+            parse_decomposition(f"QSIM-FACTORS v1 dim={dim}\n")
 
 
 def test_factor_record_is_shared_with_the_gate_type():

@@ -410,7 +410,7 @@ def _content_lines(text: str) -> list[str]:
 def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
     """Parse one TWO-LEVEL line for a dim-dimensional space."""
     parts = line.split()
-    if parts[:1] != ["TWO-LEVEL"]:
+    if parts[0] != "TWO-LEVEL":
         raise CircuitParseError(f"expected a TWO-LEVEL line, got {line!r}")
     try:
         i, j = int(parts[1]), int(parts[2])

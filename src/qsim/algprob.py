@@ -60,15 +60,13 @@ class Observable:
     """A Hermitian matrix with its spectral decomposition cached.
 
     The decomposition is computed once at construction, so instances are
-    safe to share across threads.
+    safe to share across threads; hermitian_eig rejects a matrix that is not
+    Hermitian within UNITARY_TOL with ValueError.
     """
 
     def __init__(self, mat):
-        mat = as_matrix(mat)
-        if not is_hermitian(mat, STATE_TOL):
-            raise ValueError("observable is not Hermitian within tolerance")
-        self.mat = mat
-        self.spectral: SpectralDecomp = hermitian_eig(mat)
+        self.mat = as_matrix(mat)
+        self.spectral: SpectralDecomp = hermitian_eig(self.mat)
 
     @property
     def dim(self) -> int:

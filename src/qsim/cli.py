@@ -22,7 +22,7 @@ import numpy as np
 from . import grover_rudolph as gr
 from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
-from .qpu import encode, law_over_labels, sample as draw_shots
+from .qpu import bitstring, law_over_labels, sample as draw_shots
 from .udecomp import (
     RECONSTRUCTION_TOL,
     decompose_unitary,
@@ -44,10 +44,6 @@ MAX_QUBITS = 10
 
 class InputFormatError(ValueError):
     """Malformed input file (structure, not semantics)."""
-
-
-def _bitstring(k: int, n: int) -> str:
-    return "".join(str(b) for b in encode(k, n))
 
 
 def _check_n(n: int) -> int:
@@ -121,7 +117,7 @@ def cmd_law(args: argparse.Namespace) -> int:
     else:
         probs = _density_circuit_law(args)
     rows = [
-        {"k": k, "bitstring": _bitstring(k, args.n), "probability": float(p)}
+        {"k": k, "bitstring": bitstring(k, args.n), "probability": float(p)}
         for k, p in enumerate(probs)
     ]
     _table(args, {"n": args.n, "law": rows}, rows)
@@ -143,7 +139,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "k": k,
-                "bitstring": _bitstring(k, args.n),
+                "bitstring": bitstring(k, args.n),
                 "count": count,
                 "frequency": freq,
                 "exact": exact,
@@ -207,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = [
         {
             "k": k,
-            "bitstring": _bitstring(k, args.n),
+            "bitstring": bitstring(k, args.n),
             "exact": float(report.target[k]),
             "formula": float(report.formula[k]),
             "circuit": float(report.circuit[k]),

@@ -28,6 +28,7 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import is_unitary
+from .qpu import tensor_index
 
 
 class CircuitParseError(ValueError):
@@ -188,17 +189,6 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
     return out
 
 
-def _pattern_base_index(n: int, ell: int, z: tuple[int, ...]) -> int:
-    """Flat index contribution of the control bits (target bit zero)."""
-    base = 0
-    bit_iter = iter(z)
-    for wire in range(1, n + 1):
-        if wire == ell:
-            continue
-        base += next(bit_iter) << (n - wire)
-    return base
-
-
 def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     """Unitary applying v on wire ell iff the other n-1 wires match z.
 
@@ -242,7 +232,8 @@ def gate_pairs(g: GateSpec):
     if isinstance(g, TwoLevelGate):
         return g.i - 1, g.j - 1
     if isinstance(g, ControlledGate):
-        p0 = _pattern_base_index(g.n, g.target, g.pattern)
+        t = g.target - 1
+        p0 = tensor_index(g.pattern[:t] + (0,) + g.pattern[t:])
         return p0, p0 + (1 << (g.n - g.target))
     if isinstance(g, WireGate):
         step = 1 << (g.n - g.j)
@@ -250,8 +241,7 @@ def gate_pairs(g: GateSpec):
         p0 = (blocks[:, None] + np.arange(step)).ravel()
         return p0, p0 + step
     if isinstance(g, SuffixControlledGate):
-        base = _pattern_base_index(g.stage, 1, g.suffix)
-        p0 = np.arange(base, 1 << g.n, 1 << g.stage)
+        p0 = np.arange(tensor_index(g.suffix), 1 << g.n, 1 << g.stage)
         return p0, p0 + (1 << (g.stage - 1))
     raise TypeError(f"not a gate spec: {g!r}")
 
@@ -334,15 +324,12 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 # every bit. Grammar (bit patterns are contiguous 0/1 strings, '-' when
 # empty):
 #
-#   QSIM-CIRCUIT v1 n=<int>
+#   QSIM-CIRCUIT v1 n=<ASCII digits, at least 1>
 #   ROT <wire> <alpha>
 #   WIRE <wire> <8 floats: re im re im re im re im, row-major 2x2>
 #   CTRL <target> <pattern over the other n-1 wires> <8 floats>
 #   SUFFIX-CTRL <stage> <suffix over the last stage-1 wires> <8 floats>
 #   TWO-LEVEL <i> <j> <8 floats>
-
-_HEADER_RE = re.compile(r"^QSIM-CIRCUIT v1 n=(\d+)$")
-
 
 def _format_float(x: float) -> str:
     return f"{x:.17g}"
@@ -401,10 +388,21 @@ def format_gate(g: GateSpec) -> str:
     raise TypeError(f"not a gate spec: {g!r}")
 
 
-def _content_lines(text: str) -> list[str]:
-    """The stripped lines of text, without blank lines and '#' comments."""
+def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list[str]]:
+    """The ASCII-digit count, at least `least`, of text's header line
+    "QSIM-<kind> v1 <key>=<count>", and the stripped lines after it that
+    are neither blank nor '#' comments."""
     lines = (ln.strip() for ln in text.splitlines())
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise CircuitParseError(f"missing QSIM-{kind} header")
+    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]+)", lines[0])
+    if not m:
+        raise CircuitParseError(f"bad QSIM-{kind} header {lines[0]!r}")
+    count = int(m.group(1))
+    if count < least:
+        raise CircuitParseError(f"{key} must be at least {least}, got {count}")
+    return count, lines[1:]
 
 
 def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
@@ -468,14 +466,5 @@ def format_circuit(c: Circuit) -> str:
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of format_circuit; '#' comments and blank lines are skipped."""
-    lines = _content_lines(text)
-    if not lines:
-        raise CircuitParseError("missing circuit header")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise CircuitParseError(f"bad circuit header {lines[0]!r}")
-    n = int(m.group(1))
-    if n < 1:
-        raise CircuitParseError(f"bad qubit count {n}")
-    gates = [parse_gate(ln, n) for ln in lines[1:]]
-    return Circuit(n=n, gates=tuple(gates))
+    n, lines = _parse_header(text, "CIRCUIT", "n", 1)
+    return Circuit(n=n, gates=tuple(parse_gate(ln, n) for ln in lines))

@@ -12,7 +12,7 @@ to the density's integral over the k-th dyadic subinterval.
 Outcome labels are little-endian over the wire bits, and the wires are
 consumed from wire n down to wire 1, so the bits fixed after stage l are
 the trailing wires: the control suffixes. A suffix of length m is indexed
-here by its integer value with the first suffix bit least significant;
+here by its label under qpu.decode, first suffix bit least significant;
 that integer is also the position of the node's dyadic interval at level
 m, which keeps masses, angles, and gate controls aligned.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, SuffixControlledGate, WireGate, rotation, apply_vector
-from .qpu import encode, vector_distribution
+from .qpu import bitstring, decode, encode, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
@@ -234,15 +234,13 @@ class AngleTree:
         """Angle of the node whose fixed trailing bits are `suffix`.
 
         The suffix lists wire bits in wire order (first element belongs to
-        the earliest controlled wire); an empty suffix gives the root.
+        the earliest controlled wire), as ints or as a string such as "01";
+        an empty suffix gives the root. A non-bit raises ValueError.
         """
         bits = tuple(int(b) for b in suffix)
         if not bits:
             return self.theta
-        s = 0
-        for i, b in enumerate(bits):
-            s += b << i
-        return self.levels[len(bits) - 1][s]
+        return self.levels[len(bits) - 1][decode(bits)]
 
 
 def angle_tree(d, n: int) -> AngleTree:
@@ -431,12 +429,8 @@ def angle_tree_to_json(tree: AngleTree) -> str:
     suffix_angles = []
     for m in range(1, tree.n):
         for s in range(2**m):
-            bits = encode(s, m)
             suffix_angles.append(
-                {
-                    "suffix": "".join(str(b) for b in bits),
-                    "angle": tree.levels[m - 1][s],
-                }
+                {"suffix": bitstring(s, m), "angle": tree.levels[m - 1][s]}
             )
     return json.dumps(
         {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles},
@@ -461,7 +455,7 @@ def angle_tree_from_json(text: str) -> AngleTree:
     for m in range(1, n):
         level = []
         for s in range(2**m):
-            key = "".join(str(b) for b in encode(s, m))
+            key = bitstring(s, m)
             if key not in raw:
                 raise DensityJsonError(f"angle for suffix {key!r} missing")
             level.append(raw[key])

@@ -9,8 +9,10 @@ conflating them is the classic bug in this construction:
   big-endian: position = sum z_j 2^(n-j), because factor 1 is the leftmost
   Kronecker factor and therefore the most significant block of the array.
 
-Both maps are exposed: encode/decode handle labels, tensor_index handles
-array positions, and label_permutation tabulates the composite map.
+This module owns both maps, and every other module goes through them:
+encode/decode handle labels, bitstring writes a label's bits as text in
+wire order, tensor_index handles array positions, and label_permutation
+tabulates the composite map.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ def decode(bits: BitString) -> int:
             raise ValueError(f"bit {b!r} is not 0 or 1")
         k += b << i
     return k
+
+
+def bitstring(k: int, n: int) -> str:
+    """The bits z_1 ... z_n of label k as a string in wire order: "100" is k=1."""
+    return "".join(map(str, encode(k, n)))
 
 
 def tensor_index(bits: BitString) -> int:
@@ -144,16 +151,19 @@ class Udqc:
     """A register fixed to the all-zeros initial state plus an observable."""
 
     n: int
-    observable: QpuObservable
     rho0: DensityMatrix
 
+    @property
+    def observable(self) -> QpuObservable:
+        """standard_observable(n), a dense 2^n x 2^n matrix built on each read."""
+        return standard_observable(self.n)
 
-def udqc(n: int, factors=None) -> Udqc:
-    """Digital quantum computer model: |0...0> state and a separating observable."""
-    obs = standard_observable(n) if factors is None else qpu_observable(factors)
-    if obs.n != n:
-        raise ValueError(f"observable acts on {obs.n} qubits, expected {n}")
-    return Udqc(n=n, observable=obs, rho0=pure_state(basis_vector(0, n)))
+
+def udqc(n: int) -> Udqc:
+    """Digital quantum computer model on 1 to 16 qubits; builds rho0 only."""
+    if not 1 <= n <= len(_PRIMES):
+        raise ValueError(f"qubit count must be between 1 and {len(_PRIMES)}")
+    return Udqc(n=n, rho0=pure_state(basis_vector(0, n)))
 
 
 def evolve(u, rho: DensityMatrix) -> DensityMatrix:
@@ -173,18 +183,17 @@ def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     return evolve(unitary_from_hamiltonian(h, t), rho0)
 
 
-def basis_distribution(rho: DensityMatrix, n: int | None = None) -> np.ndarray:
+def basis_distribution(rho: DensityMatrix) -> np.ndarray:
     """Probability of each basis outcome k under the state rho.
 
     Entry k is <b(k)| rho |b(k)>, i.e. the diagonal entry at k's tensor
     position. This resolves individual basis states even when observable
-    eigenvalues collide.
+    eigenvalues collide. n is read from rho's dimension, a power of 2.
     """
     dim = rho.dim
-    if n is None:
-        n = dim.bit_length() - 1
+    n = dim.bit_length() - 1
     if 2**n != dim:
-        raise ValueError(f"state dimension {dim} is not 2^{n}")
+        raise ValueError(f"state dimension {dim} is not a power of 2")
     diag = np.real(np.diagonal(rho.mat))
     return np.clip(diag[label_permutation(n)], 0.0, 1.0)
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (
-    CircuitParseError,
     TwoLevelGate,
-    _content_lines,
+    _parse_header,
     _parse_two_level,
     format_gate,
     gate_pairs,
@@ -169,7 +168,7 @@ def reconstruction_residual(d: Decomposition, u) -> float:
 
 # --- serialization ---------------------------------------------------------
 #
-#   QSIM-FACTORS v1 dim=<int, at least 2>
+#   QSIM-FACTORS v1 dim=<ASCII digits, at least 2>
 #   TWO-LEVEL <i> <j> <8 floats>        (same line format as circuits)
 
 def format_decomposition(d: Decomposition) -> str:
@@ -179,14 +178,6 @@ def format_decomposition(d: Decomposition) -> str:
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    lines = _content_lines(text)
-    if not lines or not lines[0].startswith("QSIM-FACTORS v1 dim="):
-        raise CircuitParseError("missing factor-file header")
-    try:
-        dim = int(lines[0].split("dim=", 1)[1])
-    except ValueError as exc:
-        raise CircuitParseError(f"bad factor header {lines[0]!r}") from exc
-    if dim < 2:
-        raise CircuitParseError(f"factor-file dim must be at least 2, got {dim}")
-    factors = tuple(_parse_two_level(ln, dim) for ln in lines[1:])
+    dim, lines = _parse_header(text, "FACTORS", "dim", 2)
+    factors = tuple(_parse_two_level(ln, dim) for ln in lines)
     return Decomposition(dim=dim, factors=factors)

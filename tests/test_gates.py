@@ -569,8 +569,11 @@ def test_parse_errors():
         parse_circuit("")
     with pytest.raises(CircuitParseError):
         parse_circuit("WRONG-HEADER n=2\nROT 1 0.5\n")
-    with pytest.raises(CircuitParseError):
-        parse_circuit("QSIM-CIRCUIT v1 n=0\n")
+    # The count is ASCII digits only: no separators, spaces, signs or
+    # other Unicode digits (U+0663 is ARABIC-INDIC DIGIT THREE).
+    for count in ("0", "1_0", " 4", "+4", "\u0663"):
+        with pytest.raises(CircuitParseError):
+            parse_circuit(f"QSIM-CIRCUIT v1 n={count}\n")
     with pytest.raises(CircuitParseError):
         parse_gate("SPIN 1 0.5", 2)
     with pytest.raises(CircuitParseError):

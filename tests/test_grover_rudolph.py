@@ -332,6 +332,14 @@ def test_suffix_angle_indexing():
     assert tree.suffix_angle("01") == 0.6
 
 
+def test_suffix_angle_rejects_non_bits():
+    """A non-bit never indexes a level: (1, -1) would read node "11"."""
+    tree = angle_tree(triangular(), 3)
+    for suffix in ((1, -1), (0, -1), (0, 2), "12"):
+        with pytest.raises(ValueError):
+            tree.suffix_angle(suffix)
+
+
 # --- synthesis ----------------------------------------------------------------------
 
 

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsim import qpu
 from qsim.algprob import DensityMatrix, Observable, pure_state, validate_state
 from qsim.linalg import is_hermitian, unitary_from_hamiltonian
 from qsim.qpu import (
     ShotResult,
     basis_distribution,
     basis_vector,
+    bitstring,
     decode,
     encode,
     evolve,
@@ -69,6 +71,13 @@ def test_decode_round_trip():
         decode([])
     with pytest.raises(ValueError):
         decode([0, 2])
+
+
+def test_bitstring_is_wire_order_and_decodes_back():
+    assert bitstring(1, 3) == "100"
+    assert bitstring(6, 3) == "011"
+    for k in range(2**5):
+        assert decode([int(ch) for ch in bitstring(k, 5)]) == k
 
 
 def test_tensor_index_pins():
@@ -202,9 +211,30 @@ def test_udqc_initial_state_is_all_zeros():
     assert np.max(dist[1:]) < 1e-14
 
 
-def test_udqc_rejects_mismatched_factor_count():
-    with pytest.raises(ValueError):
-        udqc(3, factors=[np.diag([1.0, 2.0])] * 2)
+def test_udqc_builds_its_observable_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return standard_observable(n)
+
+    monkeypatch.setattr(qpu, "standard_observable", counting)
+    machine = udqc(3)
+    assert calls == []
+    assert np.array_equal(
+        machine.observable.eigen_labels, standard_observable(3).eigen_labels
+    )
+    assert calls == [3]
+
+
+def test_udqc_checks_the_qubit_count_before_building_a_state(monkeypatch):
+    def no_state(psi):
+        raise AssertionError("udqc built a state for an invalid qubit count")
+
+    monkeypatch.setattr(qpu, "pure_state", no_state)
+    for n in (0, 17):
+        with pytest.raises(ValueError):
+            udqc(n)
 
 
 # --- distributions over outcomes ---------------------------------------------

@@ -314,7 +314,8 @@ def test_factor_file_parse_errors():
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
         with pytest.raises(CircuitParseError):
             parse_circuit(f"QSIM-CIRCUIT v1 n=1\n{line}\n")
-    for dim in (0, 1, -4):
+    # dim is ASCII digits only, at least 2 (U+0663 is ARABIC-INDIC DIGIT THREE).
+    for dim in ("0", "1", "-4", "1_0", " 4", "+4", "\u0663"):
         with pytest.raises(CircuitParseError):
             parse_decomposition(f"QSIM-FACTORS v1 dim={dim}\n")
 

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import is_unitary
+from .linalg import UNITARY_TOL
 from .qpu import tensor_index
 
 
@@ -42,10 +42,16 @@ def rotation(alpha: float) -> np.ndarray:
 
 
 def _check_block(v) -> np.ndarray:
-    v = np.array(v, dtype=np.complex128)
+    v = np.array(v, dtype=np.complex128, order="C")
     if v.shape != (2, 2):
         raise ValueError(f"gate block must be 2x2, got {v.shape}")
-    if not is_unitary(v):
+    # The Frobenius norm of g = v*v - I that linalg.is_unitary measures,
+    # from the three distinct entries of g in closed form.
+    (a, b), (c, d) = v.tolist()
+    g00 = abs(a) ** 2 + abs(c) ** 2 - 1.0
+    g11 = abs(b) ** 2 + abs(d) ** 2 - 1.0
+    g01 = a.conjugate() * b + c.conjugate() * d
+    if not math.sqrt(g00 * g00 + g11 * g11 + 2.0 * abs(g01) ** 2) <= UNITARY_TOL:
         raise ValueError("gate block is not unitary within tolerance")
     v.setflags(write=False)
     return v
@@ -331,17 +337,12 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 #   SUFFIX-CTRL <stage> <suffix over the last stage-1 wires> <8 floats>
 #   TWO-LEVEL <i> <j> <8 floats>
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+# A block's eight floats: re and im of each entry, in row-major order.
+_BLOCK_FORMAT = " ".join(["%.17g"] * 8)
 
 
 def _format_block(v: np.ndarray) -> str:
-    parts = []
-    for row in range(2):
-        for col in range(2):
-            parts.append(_format_float(float(v[row, col].real)))
-            parts.append(_format_float(float(v[row, col].imag)))
-    return " ".join(parts)
+    return _BLOCK_FORMAT % tuple(v.view(np.float64).ravel().tolist())
 
 
 def _parse_block(parts: list[str]) -> np.ndarray:
@@ -375,7 +376,7 @@ def format_gate(g: GateSpec) -> str:
     """One serialized line for a gate."""
     if isinstance(g, WireGate):
         if g.angle is not None:
-            return f"ROT {g.j} {_format_float(g.angle)}"
+            return f"ROT {g.j} {g.angle:.17g}"
         return f"WIRE {g.j} {_format_block(g.v)}"
     if isinstance(g, ControlledGate):
         return f"CTRL {g.target} {_format_bits(g.pattern)} {_format_block(g.v)}"

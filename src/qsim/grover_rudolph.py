@@ -235,11 +235,17 @@ class AngleTree:
 
         The suffix lists wire bits in wire order (first element belongs to
         the earliest controlled wire), as ints or as a string such as "01";
-        an empty suffix gives the root. A non-bit raises ValueError.
+        an empty suffix gives the root. A non-bit, or a suffix of n or more
+        bits, raises ValueError.
         """
         bits = tuple(int(b) for b in suffix)
         if not bits:
             return self.theta
+        if len(bits) >= self.n:
+            raise ValueError(
+                f"suffix of length {len(bits)} names no node; at most "
+                f"{self.n - 1} bits for n={self.n}"
+            )
         return self.levels[len(bits) - 1][decode(bits)]
 
 

@@ -21,6 +21,8 @@ from qsim.gates import (
     SuffixControlledGate,
     TwoLevelGate,
     WireGate,
+    _check_block,
+    _format_block,
     apply,
     apply_vector,
     circuit_length,
@@ -357,6 +359,69 @@ def test_two_level_gate_validation():
         TwoLevelGate(dim=4, i=0, j=2, v=np.eye(2))
     with pytest.raises(ValueError):
         TwoLevelGate(dim=4, i=1, j=5, v=np.eye(2))
+
+
+def _perturbed(rng, v, size):
+    """v plus a random complex perturbation of Frobenius norm `size`."""
+    e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return v + size * e / np.linalg.norm(e)
+
+
+def test_block_check_decides_as_the_dense_unitarity_test():
+    """The closed-form 2x2 Gram test accepts exactly what is_unitary(v, 1e-10)
+    accepts: unitary blocks, blocks moved by 0.5e-10 or 2e-10, and blocks
+    that are not unitary at all."""
+    rng = np.random.default_rng(16)
+    blocks = [np.eye(2), FLIP, rotation(0.3), np.diag([1j, -1.0])]
+    for _ in range(200):
+        v = random_unitary2(rng)
+        blocks += [v, _perturbed(rng, v, 0.5e-10), _perturbed(rng, v, 2e-10)]
+    blocks += [
+        np.zeros((2, 2)),
+        2.0 * np.eye(2),
+        np.ones((2, 2)),
+        np.array([[1.0, 1e-9], [0.0, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        *(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(50)),
+    ]
+    accepted = 0
+    for v in blocks:
+        with np.errstate(invalid="ignore"):  # the dense test on inf and NaN
+            dense = is_unitary(v, 1e-10)
+        if dense:
+            accepted += 1
+            assert np.array_equal(_check_block(v), np.asarray(v, dtype=complex))
+        else:
+            with pytest.raises(ValueError, match="^gate block is not unitary within tolerance$"):
+                _check_block(v)
+    # Both sides of the boundary are exercised.
+    assert 400 < accepted < len(blocks) - 100
+
+
+def test_block_check_keeps_a_c_ordered_read_only_copy():
+    v = np.ascontiguousarray(random_unitary2(np.random.default_rng(17)).T)
+    got = _check_block(v.T)
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert np.array_equal(got, v.T)
+    v[0, 0] = 0.0
+    assert got[0, 0] != 0.0
+
+
+def test_block_format_is_byte_identical_to_per_float_formatting():
+    rng = np.random.default_rng(18)
+    pins = [-0.0, 5e-324, 1e-17, 1 / 3, -1.0, 0.0, 1.0, -5e-324, 1.7976931348623157e308]
+    randoms = list(rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64))
+    # Arbitrary bit patterns, NaNs and infinities included.
+    randoms += list(rng.integers(0, 2**63, size=64, dtype=np.uint64).view(np.float64))
+    floats = pins + randoms
+    floats += [0.0] * (-len(floats) % 8)
+    for k in range(0, len(floats), 8):
+        chunk = np.array(floats[k : k + 8])
+        # A view, not chunk[0::2] + 1j * chunk[1::2], which can flip the
+        # sign of a zero and turn an infinity into NaN.
+        v = chunk.view(np.complex128).reshape(2, 2)
+        assert _format_block(v) == " ".join(f"{x:.17g}" for x in chunk.tolist())
 
 
 # --- circuits -------------------------------------------------------------------------

@@ -340,6 +340,15 @@ def test_suffix_angle_rejects_non_bits():
             tree.suffix_angle(suffix)
 
 
+def test_suffix_angle_rejects_long_suffixes():
+    """A tree on n wires has nodes with at most n-1 fixed bits."""
+    tree = angle_tree(triangular(), 3)
+    assert tree.suffix_angle("11") == tree.levels[1][3]
+    for suffix in ("000", (1, 0, 1), "0101"):
+        with pytest.raises(ValueError, match=f"suffix of length {len(suffix)} "):
+            tree.suffix_angle(suffix)
+
+
 # --- synthesis ----------------------------------------------------------------------
 
 

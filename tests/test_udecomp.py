@@ -7,6 +7,7 @@ dim(dim-1)/2 with every factor a genuine two-level unitary.
 """
 
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from qsim.gates import (
 )
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
+    ZERO_COMPONENT_REL_TOL,
     Decomposition,
     decompose_unitary,
     format_decomposition,
@@ -274,6 +276,150 @@ def test_decomposition_round_trip_property(seed):
     d = decompose_unitary(u)
     assert len(d.factors) == n * (n - 1) // 2
     assert reconstruction_residual(d, u) <= 1e-9
+
+
+# --- the array column against the sequential reference -------------------------------
+#
+# The reference takes one factor at a time: the scalar recurrence for the
+# blocks of a column, then one two-row mix per factor.
+
+
+def reference_blocks(psi):
+    """The blocks reducing psi, one component at a time."""
+    psi = np.asarray(psi, dtype=complex)
+    zero_tol = ZERO_COMPONENT_REL_TOL * float(np.linalg.norm(psi))
+    a = complex(psi[0])
+    blocks = []
+    for j in range(1, len(psi)):
+        b = complex(psi[j])
+        if abs(b) <= zero_tol:
+            v = np.eye(2, dtype=complex)
+            if j == 1 and abs(a - abs(a)) > zero_tol:
+                phase = a / abs(a)
+                v = np.diag([phase.conjugate(), phase])
+                a = complex(abs(a))
+        else:
+            r = math.hypot(abs(a), abs(b))
+            v = np.array([[a.conjugate() / r, b.conjugate() / r], [-b / r, a / r]])
+            a = complex(r)
+        blocks.append(v)
+    return blocks
+
+
+def reference_decompose(u):
+    """(i, j, block) of each factor in application order, one mix per factor."""
+    u = np.array(u, dtype=complex)
+    n = u.shape[0]
+    factors = []
+    for c in range(n - 2):
+        x = u[c:, c:]
+        blocks = reference_blocks(x[:, 0])
+        for k, v in enumerate(blocks):
+            top, row = x[0].copy(), x[k + 1].copy()
+            x[0] = v[0, 0] * top + v[0, 1] * row
+            x[k + 1] = v[1, 0] * top + v[1, 1] * row
+        phase = x[0, 0] / abs(x[0, 0])
+        adjoints = [v.conj().T for v in blocks]
+        adjoints[-1] = adjoints[-1] @ np.diag([phase, 1.0])
+        factors += [(c + 1, c + k + 2, v) for k, v in enumerate(adjoints)]
+    factors.append((n - 1, n, u[n - 2 :, n - 2 :]))
+    return factors[::-1]
+
+
+def assert_matches_reference(u, tol):
+    got = decompose_unitary(u).factors
+    want = reference_decompose(u)
+    assert [(f.i, f.j) for f in got] == [(i, j) for i, j, _ in want]
+    for f, (_, _, v) in zip(got, want):
+        assert np.max(np.abs(f.v - v)) <= tol, (f.i, f.j)
+        if np.max(np.abs(v - np.eye(2))) <= 1e-15:
+            assert np.array_equal(f.v, np.eye(2)), (f.i, f.j)
+
+
+def test_column_blocks_match_the_scalar_recurrence():
+    rng = np.random.default_rng(12)
+    for n in range(2, 65):
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        factors, _ = reduce_vector(psi)
+        for f, v in zip(factors, reference_blocks(psi), strict=True):
+            assert np.max(np.abs(f.v - v)) <= 1e-13, n
+
+
+def test_decomposition_matches_the_sequential_reference():
+    rng = np.random.default_rng(13)
+    for n in range(2, 65):
+        assert_matches_reference(random_unitary(rng, n), 1e-13)
+
+
+def test_zero_component_branch_matches_the_reference():
+    """Components just below and just above the negligible threshold,
+    leading zeros, and a vector already on the last axis."""
+    norm = math.sqrt(1.25)
+    edge = ZERO_COMPONENT_REL_TOL * norm
+    cases = [
+        ([1.0, 0.999 * edge, 0.5j], "identity"),
+        ([1.0, 1.001 * edge, 0.5j], "givens"),
+        ([0.5j, 1.0, 0.999 * edge], "identity"),
+        ([0.5j, 1.0, 1.001 * edge], "givens"),
+    ]
+    for psi, branch in cases:
+        assert float(np.linalg.norm(psi)) == norm
+        factors, _ = reduce_vector(psi)
+        want = reference_blocks(psi)
+        small = factors[1] if psi[1] == 1.0 else factors[0]
+        assert np.array_equal(small.v, np.eye(2)) == (branch == "identity")
+        for f, v in zip(factors, want, strict=True):
+            assert np.max(np.abs(f.v - v)) <= 1e-13
+    # A negligible component ahead of the first one eliminated must not
+    # enter its norm.
+    tiny = ZERO_COMPONENT_REL_TOL
+    leading = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.6, 0.8j], [0.0, 1e-300, 1j]]
+    for psi in leading + [[0.0, 0.5 * tiny, 3.0 * tiny, 1.0]]:
+        factors, _ = reduce_vector(psi)
+        for f, v in zip(factors, reference_blocks(psi), strict=True):
+            assert np.max(np.abs(f.v - v)) <= 1e-13
+    factors, _ = reduce_vector([0.0, 0.0, 1.0])
+    assert np.array_equal(factors[0].v, np.eye(2))
+    assert np.array_equal(factors[1].v, [[0, 1], [-1, 0]])
+    # Columns with negligible components inside a whole decomposition.
+    u = np.eye(4, dtype=complex)
+    u[:2, :2] = [[1.0, 0.5 * edge], [-0.5 * edge, 1.0]]
+    u[:2, :2] /= math.hypot(1.0, 0.5 * edge)
+    assert_matches_reference(u, 1e-13)
+
+
+def test_phase_branch_matches_the_reference():
+    """diag(i, 1, 1): nothing to eliminate in column 1 but its phase."""
+    u = np.diag([1j, 1.0, 1.0])
+    factors, _ = reduce_vector(u[:, 0])
+    assert np.array_equal(factors[0].v, np.diag([-1j, 1j]))
+    assert np.array_equal(factors[1].v, np.eye(2))
+    assert_matches_reference(u, 0.0)
+    assert reconstruction_residual(decompose_unitary(u), u) == 0.0
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.eye(7),
+        np.eye(6)[[3, 0, 5, 1, 2, 4]],
+        np.eye(5)[[4, 2, 0, 1, 3]] * np.exp(1j * np.arange(5)),
+        np.diag(np.exp(1j * np.array([0.3, -1.2, 2.7, 0.0, 1.0]))),
+    ],
+    ids=["identity", "permutation", "phased-permutation", "diagonal-phase"],
+)
+def test_structured_inputs_keep_exact_identity_factors(u):
+    n = u.shape[0]
+    d = decompose_unitary(u)
+    assert len(d.factors) == n * (n - 1) // 2
+    assert_matches_reference(u, 1e-13)
+    assert reconstruction_residual(d, u) < 1e-15
+
+
+def test_reduce_vector_rejects_non_finite_components():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_vector([1.0, bad, 0.0])
 
 
 # --- serialization --------------------------------------------------------------------

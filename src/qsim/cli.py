@@ -52,11 +52,6 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
-
-
 def _density_path(args: argparse.Namespace) -> str:
     if not args.density:
         raise InputFormatError("this command needs --density PATH")
@@ -131,21 +126,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
     probs = _density_circuit_law(args)
     result = draw_shots(law_over_labels(probs), args.shots, args.seed)
-    rows = []
-    for k, p in enumerate(probs):
-        count = result.counts[k]
-        freq = count / args.shots
-        exact = float(p)
-        rows.append(
-            {
-                "k": k,
-                "bitstring": bitstring(k, args.n),
-                "count": count,
-                "frequency": freq,
-                "exact": exact,
-                "deviation": abs(freq - exact),
-            }
-        )
+    rows = [
+        {
+            "k": k,
+            "bitstring": bitstring(k, args.n),
+            "count": result.counts[k],
+            "frequency": result.counts[k] / args.shots,
+            "exact": float(p),
+            "deviation": abs(result.counts[k] / args.shots - float(p)),
+        }
+        for k, p in enumerate(probs)
+    ]
     doc = {"n": args.n, "shots": args.shots, "seed": args.seed, "counts": rows}
     _table(args, doc, rows)
     return EXIT_OK
@@ -176,10 +167,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     """Factor a unitary into two-level gates and report the residual."""
     if not args.unitary:
         raise InputFormatError("decompose needs --unitary PATH")
-    _check_tol(args.tol)
     with open(args.unitary, "r", encoding="utf-8") as fh:
         u = _parse_unitary_json(fh.read())
-    dec = decompose_unitary(u, tol=args.tol)
+    dec = decompose_unitary(u)
     residual = reconstruction_residual(dec, u)
     if not residual <= RECONSTRUCTION_TOL:
         raise ArithmeticError(
@@ -197,7 +187,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
     _check_n(args.n)
-    _check_tol(args.tol)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     density = gr.load_density(_density_path(args))
     report = gr.verify(density, args.n, args.tol)
     rows = [
@@ -270,12 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_decompose, "two-level factors of a unitary")
     p.add_argument("--unitary", metavar="PATH", help="unitary JSON file")
-    p.add_argument("--tol", type=float, default=1e-8, help="unitarity tolerance")
 
     p = command(
         cmd_verify, "check circuit against the density", "--n", "--density", "--format"
     )
-    p.add_argument("--tol", type=float, default=1e-10, help="largest passing deviation")
+    p.add_argument(
+        "--tol", type=float, default=gr.VERIFY_TOL, help="largest passing deviation"
+    )
     return parser
 
 

@@ -32,6 +32,8 @@ DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
 SEGMENT_JOIN_TOL = 1e-12
 ZERO_MASS_TOL = 1e-14
+# Largest deviation between any two of verify's three laws that passes.
+VERIFY_TOL = 1e-10
 # Adaptive Simpson error target per CallableDensity integral, and the
 # looser normalization check that quadrature error allows.
 QUADRATURE_TOL = 1e-12
@@ -358,7 +360,7 @@ class VerifyReport:
     passed: bool
 
 
-def verify(d, n: int, tol: float = 1e-10) -> VerifyReport:
+def verify(d, n: int, tol: float = VERIFY_TOL) -> VerifyReport:
     """Check that formula and circuit reproduce the density's dyadic masses."""
     target = target_law(d, n)
     tree = _angle_tree(target)

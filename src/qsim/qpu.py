@@ -33,6 +33,8 @@ BitString = Sequence[int]
 # outcome label a distinct product, so the register observable separates
 # all 2^n basis states.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# Sampling peaks at 24 bytes per shot (tracemalloc), so this is 2.4 GB.
+MAX_SHOTS = 10**8
 
 
 def encode(k: int, n: int) -> list[int]:
@@ -229,15 +231,11 @@ def sample(law: Law, shots: int, seed: int) -> ShotResult:
     """Draw i.i.d. outcomes from a law; identical seeds give identical counts."""
     if len(law.outcomes) == 0:
         raise ValueError("cannot sample from an empty law")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     idx = inverse_cdf_sample(law.probabilities(), shots, seed)
-    counts = np.bincount(idx, minlength=len(law.outcomes))
-    return ShotResult(
-        counts={i: int(c) for i, c in enumerate(counts)},
-        shots=shots,
-        seed=seed,
-    )
+    counts = np.bincount(idx, minlength=len(law.outcomes)).tolist()
+    return ShotResult(counts=dict(enumerate(counts)), shots=shots, seed=seed)
 
 
 def law_over_labels(probabilities) -> Law:

@@ -8,6 +8,11 @@ each later column of the remaining block, in one loop over columns with
 no size limit from recursion. Identity factors are kept so the count is
 always exactly N(N-1)/2.
 
+One tolerance, RECONSTRUCTION_TOL, bounds the relative Frobenius residual
+and, measured the same way, the input: u is accepted only when
+is_unitary(u, sqrt(N) * RECONSTRUCTION_TOL), and each column's corner must
+lie within that bound of 1.
+
 Each column is one array pass: its N-1 Givens blocks come from the
 running norms of the column at once (the form of Reck et al., PRL 73, 58
 (1994)), and the rows of the remaining block are mixed in one step from
@@ -34,9 +39,11 @@ from .linalg import as_matrix, as_vector, is_unitary
 # A component counts as zero for branch selection below this fraction of
 # the vector norm; identity factors are emitted instead of dividing by it.
 ZERO_COMPONENT_REL_TOL = 1e-13
-RESIDUAL_PHASE_TOL = 1e-9
-# Largest relative Frobenius residual of a correct factorization.
+# Largest relative Frobenius residual of a correct factorization, and of
+# the input's unitarity defect (module docstring).
 RECONSTRUCTION_TOL = 1e-9
+# Unitarity defect above which the last 2x2 block is snapped to a unitary.
+SNAP_TOL = 1e-12
 
 _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
@@ -134,19 +141,20 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return out
 
 
-def decompose_unitary(u, tol: float = 1e-10) -> Decomposition:
+def decompose_unitary(u) -> Decomposition:
     """Split a unitary into exactly N(N-1)/2 ordered two-level factors.
 
-    Reconstructing the factors reproduces the input within
-    RECONSTRUCTION_TOL relative Frobenius error for well-conditioned unitary
-    input.
+    u must satisfy ||U*U - I|| / ||I|| <= RECONSTRUCTION_TOL, or ValueError
+    is raised before any factoring; the factors then reproduce u within
+    RECONSTRUCTION_TOL relative Frobenius error.
     """
     u = as_matrix(u)
     n = u.shape[0]
     if u.shape[0] != u.shape[1] or n < 2:
         raise ValueError(f"expected a square matrix of dim >= 2, got {u.shape}")
-    if not is_unitary(u, tol):
-        raise ValueError("input is not unitary within tolerance")
+    bound = np.sqrt(n) * RECONSTRUCTION_TOL
+    if not is_unitary(u, bound):
+        raise ValueError(f"input is not unitary: ||U*U - I|| exceeds {bound:.3g}")
     u = u.copy()
     # Collected in reverse application order and reversed once at the end:
     # the adjoints of column c's reduction factors act after the factors
@@ -170,7 +178,7 @@ def decompose_unitary(u, tol: float = 1e-10) -> Decomposition:
             x[steps + 1] = g[:, 1, 0, None] * y + g[:, 1, 1, None] * rows
             # Row 0 itself is never read again; only its corner is checked.
             corner = complex(g[-1, 0, 0] * y[-1, 0] + g[-1, 0, 1] * rows[-1, 0])
-        if abs(corner - 1.0) > max(RESIDUAL_PHASE_TOL, 10.0 * tol):
+        if abs(corner - 1.0) > bound:
             raise ArithmeticError(
                 f"column reduction left corner {corner}, expected 1"
             )
@@ -187,7 +195,7 @@ def decompose_unitary(u, tol: float = 1e-10) -> Decomposition:
             for k, v in enumerate(adjoints)
         )
     v = np.array(u[n - 2 :, n - 2 :])
-    if not is_unitary(v, 1e-12):
+    if not is_unitary(v, SNAP_TOL):
         # Input unitarity slack concentrates in the last block; snap it to
         # the nearest unitary so every emitted factor is one.
         w, _, vh = np.linalg.svd(v)

@@ -5,8 +5,11 @@ output files are checked directly. The exit-code contract: 0 success,
 1 verification failure, 2 parse error, 3 validation error, 4 I/O error.
 """
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
 from importlib import resources
 from pathlib import Path
@@ -14,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsim
+from qsim import cli
 from qsim.cli import main
 from qsim.gates import parse_circuit, realize
 from qsim.grover_rudolph import (
@@ -211,6 +216,13 @@ def test_sample_rejects_zero_shots(triangular_path):
     assert main(["sample", "--density", triangular_path, "--shots", "0"]) == 3
 
 
+def test_sample_rejects_more_shots_than_memory_allows(capsys, triangular_path):
+    # Rejected before anything is allocated, so this runs instantly.
+    assert main(["sample", "--density", triangular_path, "--shots", "1000000000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == "qsim: validation error: shots must be between 1 and 100000000, got 1000000000000000\n"
+
+
 # --- decompose --------------------------------------------------------------
 
 
@@ -269,19 +281,21 @@ def test_decompose_requires_an_integer_dim(tmp_path, dim):
     assert main(["decompose", "--unitary", str(path)]) == 2
 
 
-def test_decompose_writes_no_factors_when_the_residual_is_too_large(tmp_path):
-    # diag(2, 1) passes a unitarity tolerance of 10 but has no factorization.
-    path = write_unitary(tmp_path, np.diag([2.0, 1.0]).astype(complex))
+def test_decompose_writes_no_factors_when_the_residual_is_too_large(
+    tmp_path, monkeypatch, capsys
+):
+    # The residual gate is a fault detector: no accepted input reaches it,
+    # so a faulty residual is injected.
+    monkeypatch.setattr(cli, "reconstruction_residual", lambda d, u: 2e-9)
+    path = write_unitary(tmp_path, np.eye(2, dtype=complex))
     out = tmp_path / "factors.txt"
-    argv = ["decompose", "--unitary", path, "--tol", "10", "--out", str(out)]
-    assert main(argv) == 3
+    assert main(["decompose", "--unitary", path, "--out", str(out)]) == 3
+    assert "reconstruction residual 2e-09 exceeds 1e-09" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-300"])
-def test_tol_must_be_finite_and_nonnegative(tmp_path, triangular_path, tol):
-    unitary = write_unitary(tmp_path, np.eye(2, dtype=complex))
-    assert main(["decompose", "--unitary", unitary, f"--tol={tol}"]) == 3
+def test_tol_must_be_finite_and_nonnegative(triangular_path, tol):
     assert main(["verify", "--density", triangular_path, f"--tol={tol}"]) == 3
 
 
@@ -475,7 +489,7 @@ OPTIONS = {
     "synth": {"--n", "--density", "--out", "--prune"},
     "law": {"--n", "--density", "--format", "--out", "--identity"},
     "sample": {"--n", "--density", "--format", "--out", "--shots", "--seed"},
-    "decompose": {"--unitary", "--tol", "--out"},
+    "decompose": {"--unitary", "--out"},
     "verify": {"--n", "--density", "--format", "--out", "--tol"},
 }
 
@@ -498,9 +512,39 @@ def test_each_command_lists_exactly_the_options_it_reads(capsys, command):
         "sample --tol 0",
         "decompose --n 3",
         "decompose --format json",
+        "decompose --tol 1e-8",
     ],
 )
 def test_options_a_command_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
+
+
+def test_only_four_public_callables_take_a_tol():
+    """Every public function and method of every qsim module, walked, so a
+    new tolerance option cannot creep in unnoticed. A record's tol field
+    (VerifyReport.tol) stores a value and sets nothing, so constructors are
+    not walked."""
+
+    def public_functions(owner, prefix, home):
+        for name, obj in vars(owner).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != home:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{prefix}{name}", obj
+            elif inspect.isclass(obj):
+                yield from public_functions(obj, f"{prefix}{name}.", home)
+
+    with_tol = set()
+    for info in pkgutil.iter_modules(qsim.__path__):
+        module = importlib.import_module(f"qsim.{info.name}")
+        for name, func in public_functions(module, f"{info.name}.", module.__name__):
+            if "tol" in inspect.signature(func).parameters:
+                with_tol.add(name)
+    assert with_tol == {
+        "linalg.is_hermitian",
+        "linalg.is_unitary",
+        "linalg.cluster_indices",
+        "grover_rudolph.verify",
+    }

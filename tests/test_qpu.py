@@ -438,6 +438,8 @@ def test_sample_rejects_empty_and_no_shots():
         sample(Law(outcomes=()), 5, 0)
     with pytest.raises(ValueError):
         sample(law_over_labels([1.0]), 0, 0)
+    with pytest.raises(ValueError, match="between 1 and 100000000"):
+        sample(law_over_labels([1.0]), qpu.MAX_SHOTS + 1, 0)
 
 
 def test_sample_frequencies_within_binomial_noise():

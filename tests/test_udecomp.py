@@ -23,6 +23,7 @@ from qsim.gates import (
 )
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
+    RECONSTRUCTION_TOL,
     ZERO_COMPONENT_REL_TOL,
     Decomposition,
     decompose_unitary,
@@ -240,18 +241,42 @@ def test_decompose_rejects_bad_inputs():
         decompose_unitary(np.eye(1))
     with pytest.raises(ValueError):
         decompose_unitary(np.zeros((2, 3)))
+    # Not unitary, so rejected before any factoring: there is no
+    # factorization to return.
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose_unitary(np.diag([2.0, 1.0]))
 
 
-def test_decompose_accepts_slightly_perturbed_unitary_with_loose_tol():
-    rng = np.random.default_rng(10)
-    u = random_unitary(rng, 4)
-    noisy = u + 1e-9 * rng.normal(size=(4, 4))
-    with pytest.raises(ValueError):
-        decompose_unitary(noisy, tol=1e-12)
-    d = decompose_unitary(noisy, tol=1e-6)
-    assert reconstruction_residual(d, noisy) < 1e-6
+def perturbed_unitary(rng, n, scale):
+    """A Haar unitary plus a random perturbation whose unitarity defect
+    ||U*U - I|| is scale times the input bound sqrt(N) * RECONSTRUCTION_TOL."""
+    u = random_unitary(rng, n)
+    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    e *= 1e-9 / np.linalg.norm(e)
+
+    def defect(m):
+        return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
+
+    # The defect is linear in e to first order; one rescale lands on target.
+    bound = math.sqrt(n) * RECONSTRUCTION_TOL
+    noisy = u + e * (scale * bound / defect(u + e))
+    assert abs(defect(noisy) / bound - scale) < 0.002
+    return noisy
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64, 128])
+def test_decomposition_contract_at_the_input_bound(n):
+    """One tolerance: input within 0.99x the bound factors into N(N-1)/2
+    unitary factors within RECONSTRUCTION_TOL; at 1.01x it is rejected."""
+    rng = np.random.default_rng(1000 + n)
+    noisy = perturbed_unitary(rng, n, 0.99)
+    d = decompose_unitary(noisy)
+    assert len(d.factors) == n * (n - 1) // 2
+    assert reconstruction_residual(d, noisy) <= RECONSTRUCTION_TOL
     for f in d.factors:
         assert is_unitary(f.v, 1e-10)
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose_unitary(perturbed_unitary(rng, n, 1.01))
 
 
 def test_decomposition_depth_does_not_grow_with_dimension():

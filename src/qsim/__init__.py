@@ -5,7 +5,8 @@ Layers, lowest first:
 * linalg: complex matrices, unitarity checks, Hermitian spectra, exp(-itH).
 * algprob: density matrices, observables, events, measurement laws.
 * qpu: n-qubit encodings, register observables, evolution, seeded sampling.
-* gates: wire/controlled/two-level gates, circuits, text serialization.
+* gates: wire gates (a block on a target wire under a control mask) and
+  two-level gates, circuits, text serialization.
 * udecomp: factoring any unitary into N(N-1)/2 two-level gates.
 * grover_rudolph: circuits loading a probability density into n qubits.
 * cli: the qsim command-line tool wrapping all of the above.

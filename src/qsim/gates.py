@@ -1,25 +1,28 @@
 """Elementary gates, circuits, and their text serialization.
 
 A gate is a 2x2 unitary together with an embedding that places it in the
-register unitary group: on one wire (WireGate), on a target wire controlled
-by a bit pattern on all other wires (ControlledGate), on a target wire
-controlled only by the trailing wires (SuffixControlledGate), or mixing two
-basis coordinates of the ambient space directly (TwoLevelGate).
+register unitary group. A WireGate applies its block to a target wire
+wherever a set of control wires, possibly empty, carries a bit pattern;
+the other wires are free. A TwoLevelGate mixes two basis coordinates of
+the ambient space directly.
 
-Wires are numbered 1..n with wire 1 the leftmost Kronecker factor. A
-circuit applies its gates in sequence order, so the realized matrix is the
+Wires are numbered 1..n with wire 1 the leftmost Kronecker factor, which
+is array-position bit n - w for wire w (qpu.tensor_index); a WireGate's
+control mask and value are ints over those position bits. A circuit
+applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
 
 Simulation never forms that matrix. Every gate mixes pairs of basis
 coordinates (p0, p1) by its 2x2 block (gate_pairs), and mix_pairs applies
 the block to those pairs in place, on a vector or on the rows of a matrix.
 realize and realize_gate build the dense matrices only as the reference
-that tests compare the kernel against.
+that tests compare the kernel against; they do not read gate_pairs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -28,7 +31,7 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL
-from .qpu import tensor_index
+from .qpu import position_bitstring, tensor_index
 
 
 class CircuitParseError(ValueError):
@@ -57,87 +60,42 @@ def _check_block(v) -> np.ndarray:
     return v
 
 
-def _check_bits(bits) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"control pattern {bits} contains non-bits")
-    return bits
-
-
 @dataclass(frozen=True, eq=False)
 class WireGate:
-    """v acting on wire j, identity elsewhere.
+    """v on wire target wherever every control wire carries its bit.
 
-    angle records that v is rotation(angle), when built that way, so the
-    serializer can emit the compact ROT form; an angle that does not give
-    exactly v is rejected, since its ROT line would parse to another gate.
-    """
-
-    n: int
-    j: int
-    v: np.ndarray
-    angle: float | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.j <= self.n:
-            raise ValueError(f"wire {self.j} out of range for n={self.n}")
-        object.__setattr__(self, "v", _check_block(self.v))
-        if self.angle is not None and not np.array_equal(self.v, rotation(self.angle)):
-            raise ValueError(f"block is not rotation({self.angle!r})")
-
-
-@dataclass(frozen=True, eq=False)
-class ControlledGate:
-    """v on wire target iff every other wire matches the control pattern.
-
-    pattern lists the control bits of wires 1..n skipping the target, in
-    wire order (length n-1).
+    mask and value are ints over array-position bits, bit n - w for wire w:
+    wire w is a control iff its mask bit is set, and must then carry its
+    value bit; mask = 0 is a gate without controls. angle records that v is
+    exactly rotation(angle), for the ROT line, so only a gate without
+    controls carries one.
     """
 
     n: int
     target: int
-    pattern: tuple[int, ...]
     v: np.ndarray
+    mask: int = 0
+    value: int = 0
+    angle: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.target <= self.n:
             raise ValueError(f"target {self.target} out of range for n={self.n}")
-        object.__setattr__(self, "pattern", _check_bits(self.pattern))
-        if len(self.pattern) != self.n - 1:
-            raise ValueError(
-                f"pattern length {len(self.pattern)} != n-1 = {self.n - 1}"
-            )
+        mask, value = operator.index(self.mask), operator.index(self.value)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value", value)
+        if not 0 <= mask < 1 << self.n:
+            raise ValueError(f"mask {mask} out of range for n={self.n}")
+        if mask >> (self.n - self.target) & 1:
+            raise ValueError(f"target wire {self.target} is in mask {mask}")
+        if value & ~mask:
+            raise ValueError(f"value {value} has bits outside mask {mask}")
         object.__setattr__(self, "v", _check_block(self.v))
-
-
-@dataclass(frozen=True, eq=False)
-class SuffixControlledGate:
-    """v on wire n-stage+1, controlled by the last stage-1 wires.
-
-    Wires 1..n-stage are untouched (identity factor); suffix lists the
-    control bits of wires n-stage+2..n in wire order. stage ranges over
-    2..n; at stage = n this degenerates to a fully controlled gate with
-    target wire 1.
-    """
-
-    n: int
-    stage: int
-    suffix: tuple[int, ...]
-    v: np.ndarray
-
-    def __post_init__(self):
-        if not 2 <= self.stage <= self.n:
-            raise ValueError(f"stage {self.stage} out of range for n={self.n}")
-        object.__setattr__(self, "suffix", _check_bits(self.suffix))
-        if len(self.suffix) != self.stage - 1:
-            raise ValueError(
-                f"suffix length {len(self.suffix)} != stage-1 = {self.stage - 1}"
-            )
-        object.__setattr__(self, "v", _check_block(self.v))
-
-    @property
-    def target(self) -> int:
-        return self.n - self.stage + 1
+        if self.angle is not None:
+            if mask:
+                raise ValueError("only a gate without controls carries an angle")
+            if not np.array_equal(self.v, rotation(self.angle)):
+                raise ValueError(f"block is not rotation({self.angle!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +118,55 @@ class TwoLevelGate:
         object.__setattr__(self, "v", _check_block(self.v))
 
 
-GateSpec = Union[WireGate, ControlledGate, SuffixControlledGate, TwoLevelGate]
+GateSpec = Union[WireGate, TwoLevelGate]
+
+
+def _controls(n: int, target: int, pattern) -> tuple[int, int]:
+    """(mask, value) of a control pattern over the n - 1 wires other than
+    target, in wire order: a bit for each control wire, None for a free one."""
+    if not 1 <= target <= n:
+        raise ValueError(f"target {target} out of range for n={n}")
+    pattern = tuple(pattern)
+    if any(b not in (0, 1, None) for b in pattern):
+        raise ValueError(f"control pattern {pattern} contains non-bits")
+    if len(pattern) != n - 1:
+        raise ValueError(f"pattern length {len(pattern)} != n-1 = {n - 1}")
+    wires = pattern[: target - 1] + (None,) + pattern[target - 1 :]
+    mask = tensor_index([int(b is not None) for b in wires])
+    return mask, tensor_index([int(b or 0) for b in wires])
+
+
+def _suffix_controls(n: int, stage: int, suffix) -> tuple[int, int, int]:
+    """(target, mask, value) of synthesis stage `stage`: target wire
+    n - stage + 1, controlled by the trailing stage - 1 wires, which are the
+    low position bits, carrying the bits of suffix in wire order."""
+    if not 2 <= stage <= n:
+        raise ValueError(f"stage {stage} out of range for n={n}")
+    suffix = tuple(suffix)
+    if len(suffix) != stage - 1:
+        raise ValueError(f"suffix length {len(suffix)} != stage-1 = {stage - 1}")
+    return n - stage + 1, (1 << (stage - 1)) - 1, tensor_index(suffix)
+
+
+_EYE = np.eye(2, dtype=np.complex128)
+_PROJECTORS = {"0": np.diag([1.0, 0.0]).astype(np.complex128),
+               "1": np.diag([0.0, 1.0]).astype(np.complex128)}
+
+
+def _chain(n: int, target: int, mask: int, value: int, block) -> np.ndarray:
+    """Kronecker product over wires 1..n: block on the target, |b><b| on a
+    control wire that must carry b, and I on a free wire."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    bits = zip(position_bitstring(mask, n), position_bitstring(value, n))
+    for wire, (control, b) in enumerate(bits, start=1):
+        factor = block if wire == target else _PROJECTORS[b] if control == "1" else _EYE
+        out = np.kron(out, factor)
+    return out
 
 
 def wire_gate(n: int, j: int, v) -> np.ndarray:
     """Realize v on wire j of an n-wire register."""
-    return realize_gate(WireGate(n=n, j=j, v=v))
+    return realize_gate(WireGate(n, j, v))
 
 
 def control_projector(n: int, ell: int, z, v) -> np.ndarray:
@@ -175,24 +176,11 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
     z lists the bits of wires 1..n skipping ell, in wire order. v may be an
     arbitrary 2x2 block here; no unitarity is required.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"target {ell} out of range for n={n}")
-    z = _check_bits(z)
-    if len(z) != n - 1:
-        raise ValueError(f"pattern length {len(z)} != n-1 = {n - 1}")
+    mask, value = _controls(n, ell, z)
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (2, 2):
         raise ValueError(f"block must be 2x2, got {v.shape}")
-    basis = (
-        np.array([[1, 0], [0, 0]], dtype=np.complex128),
-        np.array([[0, 0], [0, 1]], dtype=np.complex128),
-    )
-    out = np.ones((1, 1), dtype=np.complex128)
-    bit_iter = iter(z)
-    for wire in range(1, n + 1):
-        factor = v if wire == ell else basis[next(bit_iter)]
-        out = np.kron(out, factor)
-    return out
+    return _chain(n, ell, mask, value, v)
 
 
 def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
@@ -201,55 +189,53 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     A two-level modification of the identity: only the two basis indices
     whose non-target bits match z are mixed by v.
     """
-    return realize_gate(ControlledGate(n=n, target=ell, pattern=z, v=v))
+    mask, value = _controls(n, ell, z)
+    return realize_gate(WireGate(n, ell, v, mask, value))
 
 
 def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
-    """Realize a SuffixControlledGate: identity on the first n-stage wires,
-    then v on the next wire controlled by the trailing stage-1 wires."""
-    return realize_gate(SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v))
+    """Identity on the first n-stage wires, then v on the next wire
+    controlled by the trailing stage-1 wires matching suffix."""
+    target, mask, value = _suffix_controls(n, stage, suffix)
+    return realize_gate(WireGate(n, target, v, mask, value))
 
 
 def realize_gate(g: GateSpec) -> np.ndarray:
-    """Dense matrix of a single gate."""
-    if isinstance(g, WireGate):
-        left = np.eye(2 ** (g.j - 1), dtype=np.complex128)
-        right = np.eye(2 ** (g.n - g.j), dtype=np.complex128)
-        return np.kron(np.kron(left, g.v), right)
-    if isinstance(g, SuffixControlledGate):
-        block = realize_gate(ControlledGate(g.stage, 1, g.suffix, g.v))
-        return np.kron(np.eye(2 ** (g.n - g.stage), dtype=np.complex128), block)
-    # A controlled or two-level gate: the identity with v on its one pair.
-    t = list(gate_pairs(g))
-    out = np.eye(_gate_dim(g), dtype=np.complex128)
-    out[np.ix_(t, t)] = g.v
-    return out
+    """Dense matrix of a single gate, built without gate_pairs."""
+    if isinstance(g, TwoLevelGate):
+        t = [g.i - 1, g.j - 1]
+        out = np.eye(g.dim, dtype=np.complex128)
+        out[np.ix_(t, t)] = g.v
+        return out
+    # v where the controls match and the identity elsewhere. The two chains
+    # share their support, so every entry is exactly one entry of v or of I.
+    rest = np.eye(2**g.n, dtype=np.complex128) - _chain(g.n, g.target, g.mask, g.value, _EYE)
+    return _chain(g.n, g.target, g.mask, g.value, g.v) + rest
 
 
 def gate_pairs(g: GateSpec):
     """The coordinates (p0, p1) whose pairs the gate's block mixes.
 
     Row 0 of the block makes the new x[p0], row 1 the new x[p1]; every
-    other coordinate is left alone. Wire and suffix-controlled gates mix
-    many pairs, given as index arrays; a controlled or two-level gate mixes
-    one pair, given as two ints.
+    other coordinate is left alone. A two-level gate mixes one pair. A wire
+    gate's p0 is its value plus every combination of its free bits, those
+    that are neither the target nor a control: an outer sum of one arange
+    per run of free bits, ascending, and p1 = p0 + 2^(n - target). With no
+    free bit, p0 and p1 are two ints.
     """
     # Two-level gates come first: decomposition mixes one per factor.
     if isinstance(g, TwoLevelGate):
         return g.i - 1, g.j - 1
-    if isinstance(g, ControlledGate):
-        t = g.target - 1
-        p0 = tensor_index(g.pattern[:t] + (0,) + g.pattern[t:])
-        return p0, p0 + (1 << (g.n - g.target))
-    if isinstance(g, WireGate):
-        step = 1 << (g.n - g.j)
-        blocks = np.arange(0, 1 << g.n, 2 * step)
-        p0 = (blocks[:, None] + np.arange(step)).ravel()
-        return p0, p0 + step
-    if isinstance(g, SuffixControlledGate):
-        p0 = np.arange(tensor_index(g.suffix), 1 << g.n, 1 << g.stage)
-        return p0, p0 + (1 << (g.stage - 1))
-    raise TypeError(f"not a gate spec: {g!r}")
+    stride = 1 << (g.n - g.target)
+    free = (1 << g.n) - 1 - g.mask - stride
+    p0 = g.value
+    while free:
+        # The highest run of free bits, [lo, hi).
+        hi = free.bit_length()
+        lo = (~free & ((1 << hi) - 1)).bit_length()
+        p0 = np.add.outer(p0, np.arange(0, 1 << hi, 1 << lo)).ravel()
+        free &= (1 << lo) - 1
+    return p0, p0 + stride
 
 
 def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
@@ -325,20 +311,27 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 
 # --- serialization ---------------------------------------------------------
 #
-# Line-oriented text, one gate per line, '#' comments and blank lines
-# ignored. Floats print with 17 significant digits so parsing reproduces
-# every bit. Grammar (bit patterns are contiguous 0/1 strings, '-' when
-# empty):
+# Line-oriented text, one gate per line, fields separated by single
+# spaces, '#' comments and blank lines ignored. Floats print with 17
+# significant digits so parsing reproduces every bit; integer fields are
+# ASCII digits only. Grammar (patterns are in wire order, '0'/'1' for a
+# control wire and '.' for a free one, '-' when empty):
 #
 #   QSIM-CIRCUIT v1 n=<ASCII digits, at least 1>
 #   ROT <wire> <alpha>
 #   WIRE <wire> <8 floats: re im re im re im re im, row-major 2x2>
 #   CTRL <target> <pattern over the other n-1 wires> <8 floats>
-#   SUFFIX-CTRL <stage> <suffix over the last stage-1 wires> <8 floats>
+#   SUFFIX-CTRL <stage> <bits of the last stage-1 wires> <8 floats>
 #   TWO-LEVEL <i> <j> <8 floats>
+#
+# A wire gate is written ROT or WIRE without controls, SUFFIX-CTRL when its
+# controls are exactly the wires after the target, and CTRL otherwise.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
+_PATTERN_BITS = {"0": 0, "1": 1, ".": None}
+# Integer fields and header counts: no sign, separator, space or non-ASCII digit.
+_DIGITS = "[0-9]+"
 
 
 def _format_block(v: np.ndarray) -> str:
@@ -360,33 +353,37 @@ def _parse_block(parts: list[str]) -> np.ndarray:
     )
 
 
-def _format_bits(bits: tuple[int, ...]) -> str:
-    return "".join(str(b) for b in bits) if bits else "-"
+def _parse_digits(token: str) -> int:
+    """An integer field: ASCII digits only, like the header's count."""
+    if not re.fullmatch(_DIGITS, token):
+        raise CircuitParseError(f"bad integer field {token!r}")
+    return int(token)
 
 
-def _parse_bits(token: str) -> tuple[int, ...]:
+def _parse_pattern(token: str) -> tuple[int | None, ...]:
     if token == "-":
         return ()
-    if not all(ch in "01" for ch in token):
+    if not token or not set(token) <= _PATTERN_BITS.keys():
         raise CircuitParseError(f"bad bit pattern {token!r}")
-    return tuple(int(ch) for ch in token)
+    return tuple(_PATTERN_BITS[ch] for ch in token)
 
 
 def format_gate(g: GateSpec) -> str:
-    """One serialized line for a gate."""
-    if isinstance(g, WireGate):
-        if g.angle is not None:
-            return f"ROT {g.j} {g.angle:.17g}"
-        return f"WIRE {g.j} {_format_block(g.v)}"
-    if isinstance(g, ControlledGate):
-        return f"CTRL {g.target} {_format_bits(g.pattern)} {_format_block(g.v)}"
-    if isinstance(g, SuffixControlledGate):
-        return (
-            f"SUFFIX-CTRL {g.stage} {_format_bits(g.suffix)} {_format_block(g.v)}"
-        )
+    """One serialized line for a gate, in its one spelling."""
     if isinstance(g, TwoLevelGate):
         return f"TWO-LEVEL {g.i} {g.j} {_format_block(g.v)}"
-    raise TypeError(f"not a gate spec: {g!r}")
+    if g.angle is not None:
+        return f"ROT {g.target} {g.angle:.17g}"
+    if not g.mask:
+        return f"WIRE {g.target} {_format_block(g.v)}"
+    value = position_bitstring(g.value, g.n)
+    if g.mask == (1 << (g.n - g.target)) - 1:
+        stage = g.n - g.target + 1
+        return f"SUFFIX-CTRL {stage} {value[g.target:]} {_format_block(g.v)}"
+    mask = position_bitstring(g.mask, g.n)
+    pattern = "".join(b if m == "1" else "." for m, b in zip(mask, value))
+    pattern = pattern[: g.target - 1] + pattern[g.target :]
+    return f"CTRL {g.target} {pattern} {_format_block(g.v)}"
 
 
 def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list[str]]:
@@ -397,7 +394,7 @@ def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
-    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]+)", lines[0])
+    m = re.fullmatch(f"QSIM-{kind} v1 {key}=({_DIGITS})", lines[0])
     if not m:
         raise CircuitParseError(f"bad QSIM-{kind} header {lines[0]!r}")
     count = int(m.group(1))
@@ -408,11 +405,11 @@ def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list
 
 def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
     """Parse one TWO-LEVEL line for a dim-dimensional space."""
-    parts = line.split()
+    parts = line.split(" ")
     if parts[0] != "TWO-LEVEL":
         raise CircuitParseError(f"expected a TWO-LEVEL line, got {line!r}")
     try:
-        i, j = int(parts[1]), int(parts[2])
+        i, j = _parse_digits(parts[1]), _parse_digits(parts[2])
         return TwoLevelGate(dim=dim, i=i, j=j, v=_parse_block(parts[3:]))
     except CircuitParseError:
         raise
@@ -421,10 +418,8 @@ def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
 
 
 def parse_gate(line: str, n: int) -> GateSpec:
-    """Parse one gate line for an n-wire circuit."""
-    parts = line.split()
-    if not parts:
-        raise CircuitParseError("empty gate line")
+    """Parse one gate line, in any of its spellings, for an n-wire circuit."""
+    parts = line.split(" ")
     kind = parts[0]
     if kind == "TWO-LEVEL":
         return _parse_two_level(line, 2**n)
@@ -432,30 +427,26 @@ def parse_gate(line: str, n: int) -> GateSpec:
         if kind == "ROT":
             if len(parts) != 3:
                 raise CircuitParseError(f"ROT needs wire and angle: {line!r}")
-            wire = int(parts[1])
             alpha = float(parts[2])
-            return WireGate(n=n, j=wire, v=rotation(alpha), angle=alpha)
+            return WireGate(n, _parse_digits(parts[1]), rotation(alpha), angle=alpha)
         if kind == "WIRE":
-            return WireGate(n=n, j=int(parts[1]), v=_parse_block(parts[2:]))
-        if kind == "CTRL":
-            return ControlledGate(
-                n=n,
-                target=int(parts[1]),
-                pattern=_parse_bits(parts[2]),
-                v=_parse_block(parts[3:]),
-            )
-        if kind == "SUFFIX-CTRL":
-            return SuffixControlledGate(
-                n=n,
-                stage=int(parts[1]),
-                suffix=_parse_bits(parts[2]),
-                v=_parse_block(parts[3:]),
-            )
+            target, mask, value = _parse_digits(parts[1]), 0, 0
+            block = parts[2:]
+        elif kind == "CTRL":
+            target = _parse_digits(parts[1])
+            mask, value = _controls(n, target, _parse_pattern(parts[2]))
+            block = parts[3:]
+        elif kind == "SUFFIX-CTRL":
+            stage = _parse_digits(parts[1])
+            target, mask, value = _suffix_controls(n, stage, _parse_pattern(parts[2]))
+            block = parts[3:]
+        else:
+            raise CircuitParseError(f"unknown gate kind {kind!r}")
+        return WireGate(n, target, _parse_block(block), mask, value)
     except CircuitParseError:
         raise
     except (ValueError, IndexError) as exc:
         raise CircuitParseError(f"bad gate line {line!r}: {exc}") from exc
-    raise CircuitParseError(f"unknown gate kind {kind!r}")
 
 
 def format_circuit(c: Circuit) -> str:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, SuffixControlledGate, WireGate, rotation, apply_vector
-from .qpu import bitstring, decode, encode, vector_distribution
+from .gates import Circuit, WireGate, rotation, apply_vector
+from .qpu import bitstring, decode, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
@@ -288,24 +288,22 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     """Build the rotation circuit realizing the angle tree.
 
     Gate order: the free rotation on wire n first, then stages l = 2..n,
-    each contributing 2^(l-1) suffix-controlled rotations (one per control
-    suffix, in suffix-integer order), for 2^n - 1 gates total. With prune
-    set, exact identity rotations R(0) are dropped.
+    each contributing 2^(l-1) rotations on wire n - l + 1 controlled by the
+    trailing l - 1 wires (one per control suffix, in suffix-integer order),
+    for 2^n - 1 gates total. With prune set, exact identity rotations R(0)
+    are dropped.
     """
     n = tree.n
-    gates = [WireGate(n=n, j=n, v=rotation(tree.theta), angle=tree.theta)]
+    gates = [WireGate(n, n, rotation(tree.theta), angle=tree.theta)]
     for stage in range(2, n + 1):
-        m = stage - 1
-        for s in range(2**m):
-            ang = tree.levels[m - 1][s]
-            gates.append(
-                SuffixControlledGate(
-                    n=n,
-                    stage=stage,
-                    suffix=tuple(encode(s, m)),
-                    v=rotation(ang),
-                )
-            )
+        # The suffix with label s sits at array position values[s] of the
+        # trailing wires, the low stage - 1 position bits.
+        values = label_permutation(stage - 1).tolist()
+        mask = (1 << (stage - 1)) - 1
+        gates.extend(
+            WireGate(n, n - stage + 1, rotation(angle), mask, value)
+            for angle, value in zip(tree.levels[stage - 2], values)
+        )
     if prune:
         eye = np.eye(2)
         gates = [g for g in gates if not np.array_equal(g.v, eye)]
@@ -386,7 +384,8 @@ def verify(d, n: int, tol: float = VERIFY_TOL) -> VerifyReport:
 
 
 def parse_density_json(text: str) -> PiecewisePolyDensity:
-    """Parse {"segments": [{"lo": r, "hi": r, "coeffs": [c0, c1, ...]}, ...]}."""
+    """Parse {"segments": [{"lo": r, "hi": r, "coeffs": [c0, c1, ...]}, ...]},
+    every r and c a JSON number."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -398,15 +397,15 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
         raise DensityJsonError('"segments" must be an array')
     segs = []
     for entry in raw:
-        if not isinstance(entry, dict):
-            raise DensityJsonError("each segment must be an object")
-        try:
-            lo = float(entry["lo"])
-            hi = float(entry["hi"])
-            coeffs = tuple(float(c) for c in entry["coeffs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DensityJsonError(f"bad segment {entry!r}: {exc}") from exc
-        segs.append(DensitySegment(lo=lo, hi=hi, coeffs=coeffs))
+        if not isinstance(entry, dict) or not entry.keys() >= {"lo", "hi", "coeffs"}:
+            raise DensityJsonError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
+        lo, hi, coeffs = entry["lo"], entry["hi"], entry["coeffs"]
+        # float() would also take "0.5" and true, and iterate a string of
+        # digits as coefficients.
+        numbers = [lo, hi, *coeffs] if isinstance(coeffs, list) else [coeffs]
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers):
+            raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
+        segs.append(DensitySegment(lo, hi, tuple(coeffs)))
     return PiecewisePolyDensity(segments=tuple(segs))
 
 

@@ -11,8 +11,8 @@ conflating them is the classic bug in this construction:
 
 This module owns both maps, and every other module goes through them:
 encode/decode handle labels, bitstring writes a label's bits as text in
-wire order, tensor_index handles array positions, and label_permutation
-tabulates the composite map.
+wire order, tensor_index and position_bitstring handle array positions,
+and label_permutation tabulates the composite map.
 """
 
 from __future__ import annotations
@@ -70,6 +70,14 @@ def tensor_index(bits: BitString) -> int:
     position bit: index = sum z_j 2^(n-j).
     """
     return decode(bits[::-1])
+
+
+def position_bitstring(p: int, n: int) -> str:
+    """The bits z_1 ... z_n of flat array position p as a string in wire
+    order: the inverse of tensor_index, so "011" is position 3."""
+    if not 0 <= p < 2**n:
+        raise ValueError(f"position {p} out of range for {n} qubits")
+    return format(p, f"0{n}b")
 
 
 def label_permutation(n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import pytest
 import qsim
 from qsim import cli
 from qsim.cli import main
-from qsim.gates import parse_circuit, realize
+from qsim.gates import format_circuit, parse_circuit, realize
 from qsim.grover_rudolph import (
     angle_tree_from_json,
     angle_tree_to_json,
@@ -359,6 +359,9 @@ def test_malformed_density_json_is_a_parse_error(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{segments: oops")
     assert main(["verify", "--density", str(bad)]) == 2
+    # Coefficients as a string of digits, not a JSON array of numbers.
+    bad.write_text('{"segments": [{"lo": 0, "hi": 1, "coeffs": "02"}]}')
+    assert main(["law", "--n", "2", "--density", str(bad)]) == 2
 
 
 def test_missing_density_file_is_an_io_error(tmp_path):
@@ -445,7 +448,9 @@ def test_synth_matches_golden_files(tmp_path, capsys, name, density, extra):
     # The reader accepts exactly what synth writes.
     text = sidecar.read_text()
     assert angle_tree_to_json(angle_tree_from_json(text)) + "\n" == text
-    gates = len(parse_circuit(out.read_text()).gates)
+    circuit = out.read_text()
+    assert format_circuit(parse_circuit(circuit)) == circuit
+    gates = len(parse_circuit(circuit).gates)
     assert capsys.readouterr().out == f"wrote {gates} gates to {out} (angles: {sidecar})\n"
 
 

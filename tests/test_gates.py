@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsim import gates
 from qsim.algprob import DensityMatrix, pure_state
 from qsim.gates import (
     Circuit,
     CircuitParseError,
-    ControlledGate,
-    SuffixControlledGate,
     TwoLevelGate,
     WireGate,
     _check_block,
@@ -107,14 +106,24 @@ def test_wire_gate_moves_probability_on_its_wire_only():
 
 
 def test_wire_gate_validation():
-    with pytest.raises(ValueError):
-        WireGate(n=2, j=3, v=np.eye(2))
-    with pytest.raises(ValueError):
-        WireGate(n=2, j=0, v=np.eye(2))
-    with pytest.raises(ValueError):
-        WireGate(n=2, j=1, v=np.eye(2) * 2.0)
-    with pytest.raises(ValueError):
-        WireGate(n=2, j=1, v=np.eye(3))
+    eye = np.eye(2)
+    for kwargs, message in (
+        (dict(n=2, target=3, v=eye), "target 3 out of range for n=2"),
+        (dict(n=2, target=0, v=eye), "target 0 out of range for n=2"),
+        (dict(n=2, target=1, v=eye * 2.0), "gate block is not unitary within tolerance"),
+        (dict(n=2, target=1, v=np.eye(3)), "gate block must be 2x2, got (3, 3)"),
+        (dict(n=2, target=1, v=eye, mask=4), "mask 4 out of range for n=2"),
+        (dict(n=2, target=1, v=eye, mask=-1), "mask -1 out of range for n=2"),
+        # Wire 1 is position bit n - 1 = 1.
+        (dict(n=2, target=1, v=eye, mask=2), "target wire 1 is in mask 2"),
+        (dict(n=3, target=2, v=eye, mask=1, value=2), "value 2 has bits outside mask 1"),
+        (dict(n=3, target=2, v=eye, mask=1, value=-1), "value -1 has bits outside mask 1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            WireGate(**kwargs)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):
+        WireGate(n=3, target=2, v=eye, mask=1.0)
 
 
 # --- control projectors -----------------------------------------------------------
@@ -327,16 +336,19 @@ def test_suffix_gate_basis_action():
     vec = np.zeros(8, dtype=complex)
     vec[tensor_index([0, 1, 0])] = 1.0
     assert np.max(np.abs(g @ vec - vec)) < 1e-14
-    assert SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v).target == 2
 
 
 def test_suffix_gate_validation():
-    with pytest.raises(ValueError):
-        SuffixControlledGate(n=3, stage=1, suffix=(), v=np.eye(2))
-    with pytest.raises(ValueError):
-        SuffixControlledGate(n=3, stage=4, suffix=(1, 1, 1), v=np.eye(2))
-    with pytest.raises(ValueError):
-        SuffixControlledGate(n=3, stage=2, suffix=(1, 0), v=np.eye(2))
+    for args, message in (
+        ((3, 1, ()), "stage 1 out of range for n=3"),
+        ((3, 4, (1, 1, 1)), "stage 4 out of range for n=3"),
+        ((3, 2, (1, 0)), "suffix length 2 != stage-1 = 1"),
+        ((3, 3, (1, None)), "bit None is not 0 or 1"),
+        ((3, 3, (1, 2)), "bit 2 is not 0 or 1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            suffix_controlled_gate(*args, np.eye(2))
+        assert str(info.value) == message
 
 
 # --- two-level gates -----------------------------------------------------------------
@@ -431,9 +443,9 @@ def test_realize_multiplies_in_reverse_order():
     """gates[0] acts first, so the matrix is gates[-1] @ ... @ gates[0]."""
     rng = np.random.default_rng(16)
     gs = [
-        WireGate(n=2, j=1, v=random_unitary2(rng)),
-        WireGate(n=2, j=2, v=random_unitary2(rng)),
-        ControlledGate(n=2, target=1, pattern=(1,), v=random_unitary2(rng)),
+        WireGate(n=2, target=1, v=random_unitary2(rng)),
+        WireGate(n=2, target=2, v=random_unitary2(rng)),
+        WireGate(n=2, target=1, v=random_unitary2(rng), mask=1, value=1),
     ]
     c = Circuit(n=2, gates=tuple(gs))
     mats = [realize_gate(g) for g in gs]
@@ -450,7 +462,7 @@ def test_empty_circuit_is_identity():
 def test_apply_agrees_with_realize_then_evolve():
     rng = np.random.default_rng(17)
     gs = tuple(
-        WireGate(n=2, j=(i % 2) + 1, v=random_unitary2(rng)) for i in range(4)
+        WireGate(n=2, target=(i % 2) + 1, v=random_unitary2(rng)) for i in range(4)
     )
     c = Circuit(n=2, gates=gs)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -466,24 +478,46 @@ def test_apply_agrees_with_realize_then_evolve():
 
 KINDS = ("wire", "controlled", "suffix", "two-level")
 KERNEL_CASES = [
-    (kind, n) for kind in KINDS for n in range(1, 5) if (kind, n) != ("suffix", 1)
+    (kind, n) for kind in KINDS for n in range(1, 6) if (kind, n) != ("suffix", 1)
 ]
 
 
 def random_gate(kind, n, rng):
+    """A wire gate on a random target under a random set of the other wires
+    as controls, each with a random bit; one controlled by all other wires
+    ("controlled") or by the wires after its target ("suffix", the
+    Grover-Rudolph stage gate); or a random two-level gate."""
     v = random_unitary2(rng)
-    if kind == "wire":
-        return WireGate(n=n, j=int(rng.integers(1, n + 1)), v=v)
-    if kind == "controlled":
-        target = int(rng.integers(1, n + 1))
-        pattern = tuple(int(b) for b in rng.integers(0, 2, n - 1))
-        return ControlledGate(n=n, target=target, pattern=pattern, v=v)
-    if kind == "suffix":
-        stage = int(rng.integers(2, n + 1))
-        suffix = tuple(int(b) for b in rng.integers(0, 2, stage - 1))
-        return SuffixControlledGate(n=n, stage=stage, suffix=suffix, v=v)
+    if kind in ("wire", "controlled", "suffix"):
+        last = n - 1 if kind == "suffix" else n
+        target = int(rng.integers(1, last + 1))
+        others = (1 << n) - 1 - (1 << (n - target))
+        trailing = (1 << (n - target)) - 1
+        if kind == "controlled":
+            mask = others
+        elif kind == "suffix":
+            mask = trailing
+        else:
+            # No controls, the wires after the target and all other wires,
+            # as often as a random subset of the other wires.
+            subset = int(rng.integers(0, 1 << n)) & others
+            mask = (0, trailing, others, subset)[int(rng.integers(4))]
+        value = int(rng.integers(0, 1 << n)) & mask
+        return WireGate(n=n, target=target, v=v, mask=mask, value=value)
     i, j = sorted(int(k) + 1 for k in rng.choice(2**n, size=2, replace=False))
     return TwoLevelGate(dim=2**n, i=i, j=j, v=v)
+
+
+def _mask_kind(g):
+    """Which of the old gate kinds a wire gate's controls were: none, the
+    wires after the target, all other wires, or another set."""
+    if g.mask == 0:
+        return "none"
+    if g.mask == (1 << (g.n - g.target)) - 1:
+        return "trailing"
+    if g.mask == (1 << g.n) - 1 - (1 << (g.n - g.target)):
+        return "full"
+    return "other"
 
 
 def random_mixed_state(rng, dim):
@@ -499,8 +533,10 @@ def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
     written."""
     rng = np.random.default_rng([19, KINDS.index(kind), n])
     dim = 2**n
+    drawn = []
     for _ in range(8):
         g = random_gate(kind, n, rng)
+        drawn.append(g)
         c = Circuit(n=n, gates=(g,))
         u = realize_gate(g)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -516,6 +552,44 @@ def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
     u = realize(c)
     rho = random_mixed_state(rng, dim)
     assert np.max(np.abs(apply(c, rho).mat - u @ rho.mat @ u.conj().T)) < 1e-12
+    if kind == "wire" and n >= 3:
+        # Trailing and full control sets are drawn, and sets that are
+        # neither.
+        kinds = {_mask_kind(g) for g in drawn + list(c.gates)}
+        assert kinds >= {"trailing", "full", "other"}, kinds
+
+
+def test_dense_oracle_does_not_read_the_kernel(monkeypatch):
+    """realize_gate builds a wire gate from Kronecker chains, so a broken
+    gate_pairs leaves it unchanged while the kernel itself fails."""
+    rng = np.random.default_rng(20)
+    gs = [random_gate("wire", 4, rng) for _ in range(20)]
+    want = [realize_gate(g) for g in gs]
+
+    def broken(g):
+        raise AssertionError("gate_pairs called")
+
+    monkeypatch.setattr(gates, "gate_pairs", broken)
+    for g, m in zip(gs, want):
+        assert np.array_equal(realize_gate(g), m)
+    with pytest.raises(AssertionError, match="gate_pairs called"):
+        apply_vector(Circuit(n=4, gates=(gs[0],)), np.ones(16))
+
+
+def test_wire_gate_realization_matches_projector_sum():
+    """A gate with free wires is the sum over every pattern its controls
+    allow of P(z, v) for the matching patterns and P(z, I) for the others,
+    entry for entry."""
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            g = random_gate("wire", n, rng)
+            want = np.zeros((2**n, 2**n), dtype=complex)
+            for z in product((0, 1), repeat=n - 1):
+                wires = z[: g.target - 1] + (0,) + z[g.target - 1 :]
+                match = tensor_index(wires) & g.mask == g.value
+                want += control_projector(n, g.target, z, g.v if match else np.eye(2))
+            assert np.array_equal(realize_gate(g), want), (n, g.target, g.mask, g.value)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
@@ -533,7 +607,7 @@ def test_reconstruct_matches_product_of_k_embed_factors(dim):
 
 
 def test_apply_rejects_state_of_the_wrong_dimension():
-    c = Circuit(n=2, gates=(WireGate(n=2, j=1, v=FLIP),))
+    c = Circuit(n=2, gates=(WireGate(n=2, target=1, v=FLIP),))
     with pytest.raises(ValueError):
         apply(c, pure_state(basis_vector(0, 3)))
     with pytest.raises(ValueError):
@@ -542,7 +616,7 @@ def test_apply_rejects_state_of_the_wrong_dimension():
 
 def test_circuit_rejects_mismatched_gate_dims():
     with pytest.raises(ValueError):
-        Circuit(n=2, gates=(WireGate(n=3, j=1, v=np.eye(2)),))
+        Circuit(n=2, gates=(WireGate(n=3, target=1, v=np.eye(2)),))
     with pytest.raises(ValueError):
         Circuit(n=2, gates=(TwoLevelGate(dim=3, i=1, j=2, v=np.eye(2)),))
 
@@ -553,62 +627,85 @@ def test_circuit_rejects_mismatched_gate_dims():
 def test_wire_gate_rejects_an_angle_its_block_does_not_match():
     # Its ROT line would parse back to rotation(angle), a different gate.
     with pytest.raises(ValueError):
-        WireGate(n=1, j=1, v=np.eye(2), angle=0.5)
+        WireGate(n=1, target=1, v=np.eye(2), angle=0.5)
     with pytest.raises(ValueError):
-        WireGate(n=2, j=2, v=rotation(0.5), angle=-0.5)
-    g = WireGate(n=1, j=1, v=np.eye(2), angle=0.0)
+        WireGate(n=2, target=2, v=rotation(0.5), angle=-0.5)
+    g = WireGate(n=1, target=1, v=np.eye(2), angle=0.0)
     assert parse_gate(format_gate(g), 1).angle == 0.0
 
 
 def test_suffix_controlled_gate_takes_no_angle():
-    # Its block is all that is simulated and written; an angle beside it
-    # could disagree with the block.
-    with pytest.raises(TypeError):
-        SuffixControlledGate(n=2, stage=2, suffix=(0,), v=np.eye(2), angle=0.5)
-    g = SuffixControlledGate(n=2, stage=2, suffix=(0,), v=rotation(0.5))
-    assert not hasattr(g, "angle")
+    # Only a ROT line carries an angle, and only a gate without controls is
+    # written as one; the block is all that is simulated and written.
+    for mask in (1, 2):
+        with pytest.raises(ValueError, match="^only a gate without controls carries an angle$"):
+            WireGate(n=2, target=mask, v=rotation(0.5), mask=mask, angle=0.5)
+    g = WireGate(n=2, target=1, v=rotation(0.5), mask=1)
+    assert g.angle is None
     assert format_gate(g).startswith("SUFFIX-CTRL 2 0 ")
 
 
 def test_format_gate_pins():
-    assert format_gate(WireGate(n=2, j=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
-    line = format_gate(WireGate(n=2, j=2, v=np.eye(2)))
-    assert line == "WIRE 2 1 0 0 0 0 0 1 0"
-    line = format_gate(ControlledGate(n=2, target=1, pattern=(1,), v=np.eye(2)))
-    assert line == "CTRL 1 1 1 0 0 0 0 0 1 0"
-    line = format_gate(
-        SuffixControlledGate(n=3, stage=2, suffix=(0,), v=np.eye(2))
-    )
-    assert line == "SUFFIX-CTRL 2 0 1 0 0 0 0 0 1 0"
-    line = format_gate(TwoLevelGate(dim=4, i=1, j=3, v=np.eye(2)))
-    assert line == "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0"
+    eye = np.eye(2)
+    assert format_gate(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
+    for g, line in (
+        (WireGate(n=2, target=2, v=eye), "WIRE 2 1 0 0 0 0 0 1 0"),
+        # Controlled by wire 1, the one wire before the target.
+        (WireGate(n=2, target=2, v=eye, mask=2, value=2), "CTRL 2 1 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=2, v=eye, mask=1), "SUFFIX-CTRL 2 0 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=1, v=eye, mask=3, value=2), "SUFFIX-CTRL 3 10 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=3, v=eye, mask=4, value=4), "CTRL 3 1. 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=1, v=eye, mask=1), "CTRL 1 .0 1 0 0 0 0 0 1 0"),
+        (WireGate(n=4, target=2, v=eye, mask=9, value=1), "CTRL 2 0.1 1 0 0 0 0 0 1 0"),
+        (TwoLevelGate(dim=4, i=1, j=3, v=eye), "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0"),
+    ):
+        assert format_gate(g) == line
+        back = parse_gate(line, g.n if isinstance(g, WireGate) else 2)
+        assert format_gate(back) == line
 
 
-def test_empty_pattern_serializes_as_dash():
-    g = ControlledGate(n=1, target=1, pattern=(), v=np.eye(2))
-    line = format_gate(g)
-    assert line.startswith("CTRL 1 - ")
-    back = parse_gate(line, 1)
-    assert back.pattern == ()
+def test_each_gate_has_one_spelling():
+    """Two spellings of one gate parse to equal gates, written in the one
+    canonical form: no controls is WIRE, controls on exactly the wires
+    after the target is SUFFIX-CTRL."""
+    block = " 0 0 1 0 1 0 0 0"
+    for n, old, canonical in (
+        (1, "CTRL 1 -", "WIRE 1"),
+        (3, "CTRL 1 01", "SUFFIX-CTRL 3 01"),
+        (3, "CTRL 2 ..", "WIRE 2"),
+    ):
+        a, b = parse_gate(old + block, n), parse_gate(canonical + block, n)
+        assert (a.target, a.mask, a.value) == (b.target, b.mask, b.value)
+        assert np.array_equal(a.v, b.v)
+        assert format_gate(a) == format_gate(b) == canonical + block
 
 
 def test_round_trip_is_bit_exact():
     """17 significant digits reproduce every float64 on the way back."""
     rng = np.random.default_rng(19)
     gs = [
-        WireGate(n=3, j=2, v=random_unitary2(rng)),
-        WireGate(n=3, j=3, v=rotation(0.12345678901234567), angle=0.12345678901234567),
-        ControlledGate(n=3, target=2, pattern=(1, 0), v=random_unitary2(rng)),
-        SuffixControlledGate(n=3, stage=3, suffix=(0, 1), v=random_unitary2(rng)),
+        WireGate(n=3, target=2, v=random_unitary2(rng)),
+        WireGate(n=3, target=3, v=rotation(0.12345678901234567), angle=0.12345678901234567),
+        WireGate(n=3, target=2, v=random_unitary2(rng), mask=5, value=4),
+        WireGate(n=3, target=1, v=random_unitary2(rng), mask=3, value=1),
+        WireGate(n=3, target=3, v=random_unitary2(rng), mask=2, value=0),
+        WireGate(n=3, target=1, v=random_unitary2(rng), mask=2, value=2),
         TwoLevelGate(dim=8, i=3, j=7, v=random_unitary2(rng)),
     ]
     c = Circuit(n=3, gates=tuple(gs))
-    back = parse_circuit(format_circuit(c))
+    text = format_circuit(c)
+    # Both CTRL lines with a free wire are in the text.
+    assert "\nCTRL 3 .0 " in text and "\nCTRL 1 1. " in text
+    back = parse_circuit(text)
     assert back.n == 3
     assert circuit_length(back) == len(gs)
     for orig, parsed in zip(gs, back.gates):
         assert type(orig) is type(parsed)
         assert np.array_equal(orig.v, parsed.v), type(orig).__name__
+        if isinstance(orig, WireGate):
+            fields = ("target", "mask", "value", "angle")
+            assert [getattr(parsed, f) for f in fields] == [getattr(orig, f) for f in fields]
+    assert format_circuit(back) == text
 
 
 def test_parse_circuit_skips_comments_and_blanks():
@@ -651,6 +748,29 @@ def test_parse_errors():
         parse_gate("WIRE 1 a b c d e f g h", 2)  # bad floats
     with pytest.raises(CircuitParseError):
         parse_gate("", 2)
+    # Integer fields follow the header's rule: ASCII digits only, single
+    # spaces between fields.
+    block = "1 0 0 0 0 0 1 0"
+    for field in ("\u0663", "+1", "0_2", " 1", "-1", ""):
+        for line in (
+            f"ROT {field} 0.5",
+            f"WIRE {field} {block}",
+            f"CTRL {field} 01 {block}",
+            f"SUFFIX-CTRL {field} 01 {block}",
+            f"TWO-LEVEL {field} 2 {block}",
+            f"TWO-LEVEL 1 {field} {block}",
+        ):
+            with pytest.raises(CircuitParseError):
+                parse_gate(line, 3)
+    for line in (
+        f"SUFFIX-CTRL 3 .1 {block}",  # a suffix has no free wire
+        f"CTRL 2 1 {block}",  # pattern too short
+        f"CTRL 2 1.1 {block}",  # pattern too long
+        f"CTRL 2  01 {block}",  # two spaces
+        f"ROT 1 0.5 ",  # trailing space
+    ):
+        with pytest.raises(CircuitParseError):
+            parse_gate(line, 3)
 
 
 def test_rot_line_round_trips_through_the_angle():
@@ -666,9 +786,9 @@ def test_rot_line_round_trips_through_the_angle():
     st.integers(min_value=1, max_value=3),
 )
 def test_rotation_gates_round_trip_property(alpha, j):
-    g = WireGate(n=3, j=j, v=rotation(alpha), angle=alpha)
+    g = WireGate(n=3, target=j, v=rotation(alpha), angle=alpha)
     line = format_gate(g)
     back = parse_gate(line, 3)
-    assert back.j == j
+    assert back.target == j
     assert back.angle == alpha
     assert np.array_equal(back.v, g.v)

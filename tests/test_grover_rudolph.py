@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import SuffixControlledGate, WireGate, circuit_length, rotation
+from qsim import qpu
+from qsim.gates import circuit_length, rotation
 from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
@@ -358,8 +359,7 @@ def test_single_qubit_circuit_is_one_rotation():
     c = synthesize(tree)
     assert circuit_length(c) == 1
     g = c.gates[0]
-    assert isinstance(g, WireGate)
-    assert g.j == 1
+    assert (g.target, g.mask, g.value) == (1, 0, 0)
     assert g.angle == tree.theta
 
 
@@ -370,25 +370,33 @@ def test_unpruned_circuit_length_is_full():
         assert circuit_length(synthesize(tree)) == 2**n - 1, n
 
 
+def _suffix(g):
+    """The control bits of a synthesized gate, the wires after its target,
+    in wire order."""
+    return qpu.position_bitstring(g.value, g.n)[g.target :]
+
+
 def test_circuit_gate_layout():
-    """First a free rotation on wire n, then suffix-controlled stages."""
+    """First a free rotation on wire n, then stage l on wire n - l + 1,
+    controlled by the trailing l - 1 wires, one gate per suffix."""
     tree = angle_tree(triangular(), 3)
     c = synthesize(tree)
-    assert isinstance(c.gates[0], WireGate)
-    assert c.gates[0].j == 3
-    stages = [(g.stage, g.suffix) for g in c.gates[1:]]
-    assert stages == [
-        (2, (0,)),
-        (2, (1,)),
-        (3, (0, 0)),
-        (3, (1, 0)),
-        (3, (0, 1)),
-        (3, (1, 1)),
+    g = c.gates[0]
+    assert (g.target, g.mask, g.angle) == (3, 0, tree.theta)
+    # Stage 2 is controlled by wire 3 (position bit 0), stage 3 by wires 2
+    # and 3 (position bits 1 and 0); suffix (1, 0) is wire 2 = 1, position 2.
+    layout = [(g.target, g.mask, g.value, _suffix(g)) for g in c.gates[1:]]
+    assert layout == [
+        (2, 1, 0, "0"),
+        (2, 1, 1, "1"),
+        (1, 3, 0, "00"),
+        (1, 3, 2, "10"),
+        (1, 3, 1, "01"),
+        (1, 3, 3, "11"),
     ]
     for g in c.gates[1:]:
-        assert isinstance(g, SuffixControlledGate)
-        assert g.target == 3 - g.stage + 1
-        assert np.array_equal(g.v, rotation(tree.suffix_angle(g.suffix)))
+        assert g.angle is None
+        assert np.array_equal(g.v, rotation(tree.suffix_angle(_suffix(g))))
 
 
 def test_pruning_drops_exact_identity_rotations_only():
@@ -398,7 +406,7 @@ def test_pruning_drops_exact_identity_rotations_only():
     assert circuit_length(full) == 7
     assert circuit_length(pruned) == 4
     kept_angles = [
-        g.angle if isinstance(g, WireGate) else tree.suffix_angle(g.suffix)
+        g.angle if g.mask == 0 else tree.suffix_angle(_suffix(g))
         for g in pruned.gates
     ]
     for g, angle in zip(pruned.gates, kept_angles):
@@ -695,6 +703,21 @@ def test_density_json_error_reporting():
         parse_density_json('{"segments": [42]}')
     with pytest.raises(DensityJsonError):
         parse_density_json('{"segments": [{"lo": 0.0, "hi": 1.0}]}')
+    # JSON numbers only, and "coeffs" an array: a string of digits would
+    # load as the coefficients 0 and 2, that is the density 2x.
+    for segment in (
+        '{"lo": 0, "hi": 1, "coeffs": "02"}',
+        '{"lo": 0, "hi": true, "coeffs": [2.0]}',
+        '{"lo": "0.5", "hi": 1, "coeffs": [2.0]}',
+        '{"lo": 0, "hi": 1, "coeffs": [0, false]}',
+        '{"lo": 0, "hi": 1, "coeffs": [null]}',
+        '{"lo": 0, "hi": 1, "coeffs": {"1": 2.0}}',
+    ):
+        with pytest.raises(DensityJsonError):
+            parse_density_json(f'{{"segments": [{segment}]}}')
+    # JSON integers are numbers.
+    d = parse_density_json('{"segments": [{"lo": 0, "hi": 1, "coeffs": [0, 2]}]}')
+    assert d.segments[0].coeffs == (0.0, 2.0)
     # Well-formed JSON but an invalid density: a different error type.
     with pytest.raises(DensityError):
         parse_density_json(

@@ -480,6 +480,10 @@ def test_factor_file_parse_errors():
         "TWO-LEVEL 1 2 1 0 1 0 1 0 1 0",  # not unitary
         "TWO-LEVEL 2 1 1 0 0 0 0 0 1 0",  # i > j
         "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0",  # j > dim
+        # i and j are ASCII digits only, as in the header.
+        "TWO-LEVEL +1 2 1 0 0 0 0 0 1 0",
+        "TWO-LEVEL 1 0_2 1 0 0 0 0 0 1 0",
+        "TWO-LEVEL \u0661 2 1 0 0 0 0 0 1 0",
     ):
         with pytest.raises(CircuitParseError):
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")

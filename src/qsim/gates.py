@@ -314,7 +314,8 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 # Line-oriented text, one gate per line, fields separated by single
 # spaces, '#' comments and blank lines ignored. Floats print with 17
 # significant digits so parsing reproduces every bit; integer fields are
-# ASCII digits only. Grammar (patterns are in wire order, '0'/'1' for a
+# ASCII digits only, and a gate line holding non-ASCII text or '_' is
+# rejected. Grammar (patterns are in wire order, '0'/'1' for a
 # control wire and '.' for a free one, '-' when empty):
 #
 #   QSIM-CIRCUIT v1 n=<ASCII digits, at least 1>
@@ -336,6 +337,15 @@ _DIGITS = "[0-9]+"
 
 def _format_block(v: np.ndarray) -> str:
     return _BLOCK_FORMAT % tuple(v.view(np.float64).ravel().tolist())
+
+
+def _fields(line: str) -> list[str]:
+    """A gate line's space-separated fields. float() also reads non-ASCII
+    digits and '_' separators, which no writer produces, so a line holding
+    either is rejected whole."""
+    if not line.isascii() or "_" in line:
+        raise CircuitParseError(f"bad gate line {line!r}: non-ASCII text or '_'")
+    return line.split(" ")
 
 
 def _parse_block(parts: list[str]) -> np.ndarray:
@@ -405,7 +415,7 @@ def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list
 
 def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
     """Parse one TWO-LEVEL line for a dim-dimensional space."""
-    parts = line.split(" ")
+    parts = _fields(line)
     if parts[0] != "TWO-LEVEL":
         raise CircuitParseError(f"expected a TWO-LEVEL line, got {line!r}")
     try:
@@ -419,7 +429,7 @@ def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
 
 def parse_gate(line: str, n: int) -> GateSpec:
     """Parse one gate line, in any of its spellings, for an n-wire circuit."""
-    parts = line.split(" ")
+    parts = _fields(line)
     kind = parts[0]
     if kind == "TWO-LEVEL":
         return _parse_two_level(line, 2**n)

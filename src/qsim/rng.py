@@ -15,6 +15,14 @@ Uniform doubles take the top 53 bits: u = (x >> 11) * 2^-53, giving values
 in [0, 1). Inverse-CDF sampling maps u to the first outcome index i with
 u < cdf[i]; any u at or beyond the final cumulative value (possible when
 the probabilities sum to slightly less than 1) yields the last index.
+
+Counting draws: outcomes 0..i, for i below the last, receive exactly the
+draws with u < cdf[i], so outcome i gets #{u < cdf[i]} - #{u < cdf[i-1]}
+draws and the last outcome gets the rest. inverse_cdf_counts counts sorted
+uniforms this way, SHOT_CHUNK draws at a time. The chunk starting at draw j
+is the stream seeded with (s + j * 0x9E3779B97F4A7C15) mod 2^64, whose
+outputs are outputs j, j+1, ... of seed s, so chunking never changes which
+output a draw uses.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+# Draws generated and counted at once: 8 MB per array of them.
+SHOT_CHUNK = 2**20
 
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
@@ -32,17 +42,37 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK64) + idx * np.uint64(GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_MULT_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_MULT_2)
-        return z ^ (z >> np.uint64(31))
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN_GAMMA)
+        z += np.uint64(seed & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(MIX_MULT_1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(MIX_MULT_2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """`count` doubles in [0, 1) from the splitmix64 stream."""
-    bits = splitmix64_stream(seed, count) >> np.uint64(11)
-    return bits.astype(np.float64) * 2.0**-53
+    bits = splitmix64_stream(seed, count)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def cdf(probabilities) -> np.ndarray:
+    """Cumulative sums of a nonempty 1-D array of finite, nonnegative
+    probabilities: nondecreasing, as both draw readings need."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("probabilities must be a nonempty 1-D array")
+    bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"probability {float(p[i])!r} at index {i} is negative or not finite")
+    return np.cumsum(p)
 
 
 def inverse_cdf_sample(probabilities, shots: int, seed: int) -> np.ndarray:
@@ -51,10 +81,26 @@ def inverse_cdf_sample(probabilities, shots: int, seed: int) -> np.ndarray:
     The draw for uniform u is the first index i with u < cdf[i]; indices are
     clipped to the last outcome to absorb cumulative rounding shortfall.
     """
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("probabilities must be a nonempty 1-D array")
-    cdf = np.cumsum(p)
-    u = uniforms(seed, shots)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(p) - 1)
+    c = cdf(probabilities)
+    idx = np.searchsorted(c, uniforms(seed, shots), side="right")
+    return np.minimum(idx, len(c) - 1)
+
+
+def inverse_cdf_counts(probabilities, shots: int, seed: int) -> np.ndarray:
+    """How many of inverse_cdf_sample's `shots` draws land on each outcome.
+
+    Counts the same draws without placing each one: per chunk of SHOT_CHUNK
+    sorted uniforms, #{u < cdf[i]} draws land at or below outcome i.
+    Memory is O(SHOT_CHUNK + len(probabilities)) whatever `shots` is.
+    """
+    c = cdf(probabilities)
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
+    below = np.zeros(len(c), dtype=np.int64)
+    for start in range(0, shots, SHOT_CHUNK):
+        u = uniforms(seed + start * GOLDEN_GAMMA, min(SHOT_CHUNK, shots - start))
+        u.sort()
+        below += np.searchsorted(u, c, side="left")
+    counts = np.diff(below, prepend=0)
+    counts[-1] += shots - below[-1]
+    return counts

@@ -773,6 +773,26 @@ def test_parse_errors():
             parse_gate(line, 3)
 
 
+def test_float_fields_reject_non_ascii_digits_and_separators():
+    # float() reads these as 3.0, 10.0 and 1.0; no writer produces them.
+    for angle in ("\u0663", "1_0", "1_0e-1"):
+        with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
+            parse_gate(f"ROT 1 {angle}", 1)
+    block = ["1", "0", "0", "0", "0", "0", "1", "0"]
+    for i in range(8):
+        for entry in ("\u0661", "1_0e-1"):
+            bad = " ".join(block[:i] + [entry] + block[i + 1 :])
+            for kind in ("WIRE 1", "CTRL 1 1", "SUFFIX-CTRL 2 1", "TWO-LEVEL 1 2"):
+                line = f"{kind} {bad}"
+                with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
+                    parse_gate(line, 2)
+                with pytest.raises(CircuitParseError):
+                    parse_circuit(f"QSIM-CIRCUIT v1 n=2\n{line}\n")
+    # Comments are skipped before any line is read, so they may hold either.
+    c = parse_circuit("QSIM-CIRCUIT v1 n=1\n# \u0663 1_0\nROT 1 3\n")
+    assert c.gates[0].angle == 3.0
+
+
 def test_rot_line_round_trips_through_the_angle():
     g = parse_gate("ROT 2 1.0471975511965979", 3)
     assert isinstance(g, WireGate)

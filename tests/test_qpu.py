@@ -6,6 +6,8 @@ while flat tensor positions are big-endian (wire 1 is the leftmost, hence
 most significant, Kronecker factor).
 """
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +35,15 @@ from qsim.qpu import (
     udqc,
     vector_distribution,
 )
-from qsim.rng import splitmix64_stream, uniforms
+from qsim import rng as qrng
+from qsim.rng import (
+    GOLDEN_GAMMA,
+    SHOT_CHUNK,
+    inverse_cdf_counts,
+    inverse_cdf_sample,
+    splitmix64_stream,
+    uniforms,
+)
 
 
 def random_hermitian(rng, n):
@@ -78,6 +88,11 @@ def test_bitstring_is_wire_order_and_decodes_back():
     assert bitstring(6, 3) == "011"
     for k in range(2**5):
         assert decode([int(ch) for ch in bitstring(k, 5)]) == k
+    for k, n in ((8, 3), (-1, 3), (0, 0)):
+        with pytest.raises(ValueError) as want:
+            encode(k, n)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            bitstring(k, n)
 
 
 def test_tensor_index_pins():
@@ -398,6 +413,14 @@ def test_generator_rejects_negative_count():
         splitmix64_stream(0, -1)
 
 
+def test_chunk_streams_continue_the_unchunked_stream():
+    """The stream seeded with s + j * GOLDEN_GAMMA is seed s's stream from output j."""
+    for seed in (0, 5, -17, 2**64 - 1):
+        whole = splitmix64_stream(seed, 96)
+        for j in (0, 1, 31, 64):
+            assert np.array_equal(splitmix64_stream(seed + j * GOLDEN_GAMMA, 96 - j), whole[j:])
+
+
 def test_uniforms_range_and_top_bits_rule():
     u = uniforms(12345, 10000)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -407,6 +430,95 @@ def test_uniforms_range_and_top_bits_rule():
 
 
 # --- sampling -------------------------------------------------------------------
+
+
+def _draws_reference(probabilities, seed, count):
+    """docs/PRNG.md in pure Python: first i with u < cdf[i], else the last i."""
+    cdf = list(itertools.accumulate(float(p) for p in probabilities))
+    draws = []
+    for i in range(count):
+        u = (_mix64_reference(seed + (i + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+        draws.append(min(bisect.bisect_right(cdf, u), len(cdf) - 1))
+    return draws
+
+
+def _random_law(g, n, zero_fraction=0.0):
+    p = g.random(2**n)
+    p[g.random(2**n) < zero_fraction] = 0.0
+    p[g.integers(2**n)] += 0.5
+    return p / p.sum()
+
+
+def _per_draw_counts(probabilities, shots, seed):
+    return np.bincount(inverse_cdf_sample(probabilities, shots, seed), minlength=len(probabilities))
+
+
+def test_counts_equal_the_per_draw_rule_and_the_reference():
+    g = np.random.default_rng(12)
+    for n in range(1, 13):
+        p = _random_law(g, n, zero_fraction=0.25)
+        for seed in (0, 7, -3, 2**63 + 1):
+            for shots in (1, 64, 5000):
+                got = inverse_cdf_counts(p, shots, seed)
+                assert np.array_equal(got, _per_draw_counts(p, shots, seed)), (n, seed, shots)
+                if shots == 64:
+                    ref = np.bincount(_draws_reference(p, seed, shots), minlength=len(p))
+                    assert np.array_equal(got, ref), (n, seed)
+                shots_result = sample(law_over_labels(p), shots, seed)
+                assert shots_result.counts == dict(enumerate(got.tolist()))
+
+
+@pytest.mark.parametrize("shots", [SHOT_CHUNK - 1, SHOT_CHUNK, SHOT_CHUNK + 1, 3 * SHOT_CHUNK + 5])
+def test_counts_across_chunk_boundaries(shots):
+    p = _random_law(np.random.default_rng(shots), 6, zero_fraction=0.25)
+    got = inverse_cdf_counts(p, shots, 2026)
+    assert got.sum() == shots
+    assert np.array_equal(got, _per_draw_counts(p, shots, 2026))
+
+
+def test_counts_with_small_chunks_equal_one_pass(monkeypatch):
+    p = _random_law(np.random.default_rng(3), 4, zero_fraction=0.25)
+    whole = {shots: inverse_cdf_counts(p, shots, 11) for shots in range(1, 40)}
+    monkeypatch.setattr(qrng, "SHOT_CHUNK", 7)
+    for shots, want in whole.items():
+        assert np.array_equal(inverse_cdf_counts(p, shots, 11), want), shots
+
+
+def test_counts_with_zero_outcomes_up_to_16_qubits():
+    g = np.random.default_rng(16)
+    for n in (13, 14, 16):
+        p = _random_law(g, n, zero_fraction=0.9)
+        got = inverse_cdf_counts(p, 30000, n)
+        assert np.array_equal(got, _per_draw_counts(p, 30000, n))
+        assert not got[p == 0.0].any()
+    point = np.zeros(2**16)
+    point[12345] = 1.0
+    assert sample(law_over_labels(point), 1000, 1).counts[12345] == 1000
+
+
+def test_counts_on_ties_and_past_the_last_cdf_value(monkeypatch):
+    """Uniforms on a dyadic law's cdf go to the next outcome with mass; those
+    at or past cdf[-1] go to the last outcome."""
+    p = [0.25, 0.0, 0.25, 0.25]  # cdf 0.25, 0.25, 0.5, 0.75: a 0.25 shortfall
+    u = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.9, 0.1, 0.74, 0.5 - 2.0**-53])
+    monkeypatch.setattr(qrng, "uniforms", lambda seed, count: u[:count].copy())
+    want = [2, 0, 3, 4]  # draws 0 0 | 2 2 2 | 3 3 3 3
+    assert inverse_cdf_counts(p, len(u), 0).tolist() == want
+    assert np.bincount(inverse_cdf_sample(p, len(u), 0), minlength=4).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "probabilities,match",
+    [
+        ([0.5, -0.2, 0.7], "negative or not finite"),
+        ([math.nan, 0.5, 0.5], "negative or not finite"),
+        ([0.5, math.inf, 0.5], "negative or not finite"),
+        ([0.2, 0.2, 0.2], "sum to 0.6"),
+    ],
+)
+def test_sample_rejects_laws_that_are_not_distributions(probabilities, match):
+    with pytest.raises(ValueError, match=match):
+        sample(law_over_labels(probabilities), 1000, 0)
 
 
 def test_sample_is_deterministic_per_seed():

@@ -495,6 +495,14 @@ def test_factor_file_parse_errors():
             parse_decomposition(f"QSIM-FACTORS v1 dim={dim}\n")
 
 
+def test_factor_file_block_rejects_non_ascii_digits_and_separators():
+    # float() reads "1_0e-1" as 1.0 and U+0661 as 1; neither is written.
+    for entry in ("1_0e-1", "\u0661"):
+        line = f"TWO-LEVEL 0 1 {entry} 0 0 0 0 0 1 0"
+        with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
+            parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
+
+
 def test_factor_record_is_shared_with_the_gate_type():
     """Factors and circuit two-level gates are one type, one line format."""
     dec = decompose_unitary(random_unitary(np.random.default_rng(5), 4))

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    EIG_CLUSTER_REL_TOL,
-    SpectralDecomp,
-    as_matrix,
-    as_vector,
-    cluster_indices,
-    hermitian_eig,
-    is_hermitian,
-    is_unitary,
-)
+from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector, cluster_indices
+from .linalg import hermitian_eig, is_hermitian, is_unitary
 
 STATE_TOL = 1e-10
 # Probabilities in [-NEGATIVE_PROB_TOL, 0) are rounding noise and clamp to
@@ -57,16 +49,16 @@ class DensityMatrix:
 
 
 class Observable:
-    """A Hermitian matrix with its spectral decomposition cached.
+    """A Hermitian matrix with its ascending eigenvalues and eigenvectors.
 
-    The decomposition is computed once at construction, so instances are
-    safe to share across threads; hermitian_eig rejects a matrix that is not
-    Hermitian within UNITARY_TOL with ValueError.
+    The eigendecomposition is computed once at construction, so instances
+    are safe to share across threads; hermitian_eig rejects a matrix that is
+    not Hermitian within UNITARY_TOL with ValueError.
     """
 
     def __init__(self, mat):
         self.mat = as_matrix(mat)
-        self.spectral: SpectralDecomp = hermitian_eig(self.mat)
+        self.eigenvalues, self.eigenvectors = hermitian_eig(self.mat)
 
     @property
     def dim(self) -> int:
@@ -80,12 +72,10 @@ class Observable:
         mean. Returned in ascending order.
         """
         scale = max(float(np.linalg.norm(self.mat)), 1.0)
-        groups = cluster_indices(
-            self.spectral.eigenvalues, EIG_CLUSTER_REL_TOL * scale
-        )
-        return [
-            (float(np.mean(self.spectral.eigenvalues[g])), g) for g in groups
-        ]
+        groups = cluster_indices(self.eigenvalues, EIG_CLUSTER_REL_TOL * scale)
+        # Clusters of ascending values are contiguous runs of indices.
+        sums = np.add.reduceat(self.eigenvalues, [g[0] for g in groups])
+        return list(zip((sums / [len(g) for g in groups]).tolist(), groups))
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ def pure_state(psi) -> DensityMatrix:
     """The rank-one state |psi><psi| of a unit vector."""
     psi = as_vector(psi)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > STATE_TOL:
+    if not abs(norm - 1.0) <= STATE_TOL:
         raise ValueError(f"state vector norm {norm} is not 1 within {STATE_TOL}")
     return DensityMatrix(np.outer(psi, psi.conj()))
 
@@ -161,37 +151,48 @@ def event_projector(a: Observable, x: float) -> EventProjector:
     """
     for value, idx in a.eigenvalue_clusters():
         if abs(x - value) <= EVENT_MATCH_TOL:
-            cols = a.spectral.eigenvectors[:, idx]
+            cols = a.eigenvectors[:, idx]
             return EventProjector(value=value, proj=cols @ cols.conj().T)
     n = a.dim
     return EventProjector(value=float(x), proj=np.zeros((n, n), dtype=np.complex128))
 
 
+def law_probabilities(raw) -> np.ndarray:
+    """Raw outcome probabilities, checked and clamped into a law's.
+
+    An entry that is not finite or lies below -NEGATIVE_PROB_TOL raises
+    StateValidationError("eigenvalues"); a total off 1 by more than
+    LAW_SUM_TOL raises StateValidationError("trace"). The entries are then
+    clamped into [0, 1]. Every law and basis distribution returns through
+    this check.
+    """
+    p = np.asarray(raw, dtype=np.float64)
+    ok = np.isfinite(p) & (p >= -NEGATIVE_PROB_TOL)
+    if not ok.all():
+        raise StateValidationError(
+            "eigenvalues", f"probability {float(p[~ok][0])!r} is negative or not finite"
+        )
+    total = float(p.sum())
+    if not abs(total - 1.0) <= LAW_SUM_TOL:
+        raise StateValidationError("trace", f"probabilities sum to {total!r}, not 1")
+    return np.clip(p, 0.0, 1.0)
+
+
 def law(a: Observable, rho: DensityMatrix) -> Law:
     """Measurement distribution of observable a in state rho.
 
-    One outcome per clustered eigenvalue, with probability Re tr(rho P).
-    Probabilities are clamped to [0, 1]; values below -NEGATIVE_PROB_TOL
-    raise, and the total must equal 1 within LAW_SUM_TOL.
+    One outcome per clustered eigenvalue, with probability Re tr(rho P) for
+    the projector P onto its eigenspace, checked by law_probabilities.
     """
     validate_state(rho)
     if a.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rho.dim}")
-    outcomes = []
-    vectors = a.spectral.eigenvectors
-    for value, idx in a.eigenvalue_clusters():
-        cols = vectors[:, idx]
-        # tr(rho P) with P = C C* equals sum of <c| rho |c> over columns.
-        p = float(np.real(np.einsum("ij,ik,kj->", cols.conj(), rho.mat, cols)))
-        if p < -NEGATIVE_PROB_TOL:
-            raise StateValidationError(
-                "eigenvalues", f"probability {p:.3e} below the rounding floor"
-            )
-        outcomes.append((value, min(max(p, 0.0), 1.0)))
-    total = sum(p for _, p in outcomes)
-    if abs(total - 1.0) > LAW_SUM_TOL:
-        raise ArithmeticError(f"law probabilities sum to {total}, not 1")
-    return Law(outcomes=tuple(outcomes))
+    v = a.eigenvectors
+    # <v_j| rho |v_j> for every eigenvector column j, from one product.
+    expectations = np.einsum("ij,ij->j", v.conj(), as_matrix(rho.mat) @ v).real
+    values, groups = zip(*a.eigenvalue_clusters())
+    probs = law_probabilities(np.add.reduceat(expectations, [g[0] for g in groups]))
+    return Law(outcomes=tuple(zip(values, probs.tolist())))
 
 
 def conjugate(m, v) -> np.ndarray:

@@ -13,6 +13,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,6 +143,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _number(x) -> float:
+    """x when it is a JSON number; float() would also take "0.5", "1_0" and true."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a JSON number")
+    return x
+
+
 def _parse_unitary_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
@@ -153,7 +161,7 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputFormatError(f'"dim" must be an integer, got {dim!r}')
     try:
-        entries = [complex(float(re), float(im)) for re, im in doc["entries"]]
+        entries = [complex(_number(re), _number(im)) for re, im in doc["entries"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"bad unitary entries: {exc}") from exc
     if dim < 2 or len(entries) != dim * dim:
@@ -229,6 +237,7 @@ _SHARED = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsim",

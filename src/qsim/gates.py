@@ -341,10 +341,13 @@ def _format_block(v: np.ndarray) -> str:
 
 def _fields(line: str) -> list[str]:
     """A gate line's space-separated fields. float() also reads non-ASCII
-    digits and '_' separators, which no writer produces, so a line holding
-    either is rejected whole."""
-    if not line.isascii() or "_" in line:
-        raise CircuitParseError(f"bad gate line {line!r}: non-ASCII text or '_'")
+    digits, '_' separators and the tabs or other control characters it
+    strips as whitespace, none of which a writer produces, so a line holding
+    any of them is rejected whole."""
+    if not (line.isascii() and line.isprintable()) or "_" in line:
+        raise CircuitParseError(
+            f"bad gate line {line!r}: control character, non-ASCII text or '_'"
+        )
     return line.split(" ")
 
 

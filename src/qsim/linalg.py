@@ -12,8 +12,6 @@ tolerance argument, because their callers need different thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 UNITARY_TOL = 1e-10
@@ -55,44 +53,24 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n))) <= tol
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendecomposition A = V diag(w) V* of a Hermitian matrix.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = V diag(w) V* of a Hermitian matrix, as (w, V).
 
-    eigenvalues are real and ascending; column i of eigenvectors is a unit
-    eigenvector for eigenvalues[i], and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V*."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Requires the input to be Hermitian within UNITARY_TOL and guarantees the
-    reconstruction residual ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
+    w is real and ascending; column i of V is a unit eigenvector for w[i],
+    and the columns are orthonormal. Requires the input to be Hermitian
+    within UNITARY_TOL and guarantees the reconstruction residual
+    ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
     """
     a = as_matrix(a)
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    dec = SpectralDecomp(eigenvalues=w, eigenvectors=v)
-    residual = float(np.linalg.norm(dec.reconstruct() - a))
+    residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
     if residual > UNITARY_TOL * max(float(np.linalg.norm(a)), 1.0):
         raise ArithmeticError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
-    return dec
+    return w, v
 
 
 def cluster_indices(values, tol: float) -> list[list[int]]:
@@ -118,9 +96,8 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     Computed through the eigendecomposition of H, which checks that H is
     Hermitian; the result is checked to be unitary within UNITARY_TOL.
     """
-    dec = hermitian_eig(h)
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    u = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    w, v = hermitian_eig(h)
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
     if not is_unitary(u):
         raise ArithmeticError("exponential drifted off the unitary group")
     return u

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algprob import LAW_SUM_TOL, DensityMatrix, Law, Observable, conjugate, pure_state
+from .algprob import LAW_SUM_TOL, DensityMatrix, Law, Observable, conjugate
+from .algprob import law_probabilities, pure_state
 from .linalg import as_matrix, as_vector, unitary_from_hamiltonian
 from .rng import cdf, inverse_cdf_counts
 
@@ -139,7 +140,7 @@ def qpu_observable(factors) -> QpuObservable:
     # factor goes on the left, above the bits of earlier wires.
     labels = reduce(
         lambda acc, e: np.kron(e, acc),
-        [f.spectral.eigenvalues for f in obs_factors],
+        [f.eigenvalues for f in obs_factors],
         np.ones(1),
     )
     return QpuObservable(
@@ -205,24 +206,26 @@ def basis_distribution(rho: DensityMatrix) -> np.ndarray:
 
     Entry k is <b(k)| rho |b(k)>, i.e. the diagonal entry at k's tensor
     position. This resolves individual basis states even when observable
-    eigenvalues collide. n is read from rho's dimension, a power of 2.
+    eigenvalues collide. n is read from rho's dimension, a power of 2, and
+    the diagonal is checked by law_probabilities.
     """
     dim = rho.dim
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"state dimension {dim} is not a power of 2")
     diag = np.real(np.diagonal(rho.mat))
-    return np.clip(diag[label_permutation(n)], 0.0, 1.0)
+    return law_probabilities(diag[label_permutation(n)])
 
 
 def vector_distribution(psi) -> np.ndarray:
-    """Probability of each basis outcome k for a pure state vector."""
+    """Probability of each basis outcome k for a pure state vector, with the
+    squared magnitudes checked by law_probabilities."""
     psi = as_vector(psi)
     n = psi.shape[0].bit_length() - 1
     if 2**n != psi.shape[0]:
         raise ValueError(f"vector dimension {psi.shape[0]} is not a power of 2")
     weights = np.abs(psi) ** 2
-    return weights[label_permutation(n)]
+    return law_probabilities(weights[label_permutation(n)])
 
 
 @dataclass(frozen=True)

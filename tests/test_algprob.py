@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsim.algprob import (
     EVENT_MATCH_TOL,
+    LAW_SUM_TOL,
+    NEGATIVE_PROB_TOL,
     STATE_TOL,
     DensityMatrix,
     EventProjector,
@@ -22,10 +24,11 @@ from qsim.algprob import (
     conjugate,
     event_projector,
     law,
+    law_probabilities,
     pure_state,
     validate_state,
 )
-from qsim.linalg import is_hermitian
+from qsim.linalg import EIG_CLUSTER_REL_TOL, cluster_indices, is_hermitian
 
 
 def random_unitary(rng, n):
@@ -63,6 +66,11 @@ def test_pure_state_rejects_unnormalized():
     pure_state(np.array([1.0 + 0.5 * STATE_TOL, 0.0]))
     with pytest.raises(ValueError):
         pure_state(np.array([1.0 + 2.0 * STATE_TOL, 0.0]))
+    # A NaN norm compares false with everything, so it must fail the check.
+    for bad in (np.nan, np.inf, -np.inf):
+        for psi in ([bad, 0.0], [1.0, bad], [complex(0.0, bad), 0.0]):
+            with pytest.raises(ValueError):
+                pure_state(np.array(psi))
 
 
 def test_validate_state_ranks():
@@ -198,13 +206,68 @@ def test_law_against_double_loop_oracle():
         assert value == pytest.approx(lv)
         want = 0.0
         for col in idx:
-            c = a.spectral.eigenvectors[:, col]
+            c = a.eigenvectors[:, col]
             acc = 0.0 + 0.0j
             for i in range(4):
                 for k in range(4):
                     acc += np.conj(c[i]) * rho.mat[i, k] * c[k]
             want += acc.real
         assert lp == pytest.approx(want, abs=1e-12)
+
+
+def per_cluster_law(a, rho):
+    """The law with one einsum per eigenvalue cluster, clamped into [0, 1]."""
+    tol = EIG_CLUSTER_REL_TOL * max(float(np.linalg.norm(a.mat)), 1.0)
+    outcomes = []
+    for g in cluster_indices(a.eigenvalues, tol):
+        cols = a.eigenvectors[:, g]
+        p = float(np.real(np.einsum("ij,ik,kj->", cols.conj(), rho.mat, cols)))
+        outcomes.append((float(np.mean(a.eigenvalues[g])), min(max(p, 0.0), 1.0)))
+    return outcomes
+
+
+def test_law_matches_the_per_cluster_reference():
+    """Random and colliding spectra of non-diagonal observables, N <= 128."""
+    rng = np.random.default_rng(62)
+    for n in (2, 3, 8, 17, 64, 128):
+        for colliding in (False, True):
+            if colliding:
+                # A few exact repeats, and pairs 1e-13 apart that still merge.
+                w = rng.integers(-2, 3, size=n).astype(float)
+                w += 1e-13 * rng.integers(0, 2, size=n)
+            else:
+                w = rng.normal(size=n)
+            u = random_unitary(rng, n)
+            a = Observable((u * w) @ u.conj().T)
+            g = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            rho = DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+            want = per_cluster_law(a, rho)
+            got = law(a, rho).outcomes
+            assert len(got) == len(want)
+            if colliding:
+                assert len(got) <= 5
+            for (v, p), (wv, wp) in zip(got, want):
+                assert abs(v - wv) <= 1e-12 and abs(p - wp) <= 1e-12
+
+
+def test_law_probabilities_is_the_one_readout_check():
+    """Noise within the floor clamps; anything else that is not a law raises."""
+    tiny = 0.5 * NEGATIVE_PROB_TOL
+    assert law_probabilities([1.0 + tiny, -tiny]).tolist() == [1.0, 0.0]
+    assert law_probabilities([0.5, 0.5 + 0.5 * LAW_SUM_TOL]).tolist() == [
+        0.5,
+        0.5 + 0.5 * LAW_SUM_TOL,
+    ]
+    for raw, condition in (
+        ([1.0 + 2 * NEGATIVE_PROB_TOL, -2 * NEGATIVE_PROB_TOL], "eigenvalues"),
+        ([np.nan, 1.0], "eigenvalues"),
+        ([np.inf, 0.0], "eigenvalues"),
+        ([0.5, 0.5 + 2 * LAW_SUM_TOL], "trace"),
+        ([0.3, 0.3], "trace"),
+    ):
+        with pytest.raises(StateValidationError) as err:
+            law_probabilities(raw)
+        assert err.value.condition == condition
 
 
 def test_law_of_maximally_mixed_state_is_dimension_counting():

@@ -281,6 +281,21 @@ def test_decompose_requires_an_integer_dim(tmp_path, dim):
     assert main(["decompose", "--unitary", str(path)]) == 2
 
 
+@pytest.mark.parametrize("bad", ["0", "1_0e-1", True, False, None, [1.0]])
+@pytest.mark.parametrize("part", [0, 1])
+def test_decompose_requires_json_number_entries(tmp_path, bad, part):
+    # float() reads "0", "1_0e-1", true and false as numbers.
+    entries = [[1, 0], [0.0, 0.0], [0.0, 0.0], [1.0, 0]]
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    assert main(["decompose", "--unitary", str(path)]) == 0
+    entries[3][part] = bad
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    out = tmp_path / "factors.txt"
+    assert main(["decompose", "--unitary", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_decompose_writes_no_factors_when_the_residual_is_too_large(
     tmp_path, monkeypatch, capsys
 ):

@@ -774,13 +774,17 @@ def test_parse_errors():
 
 
 def test_float_fields_reject_non_ascii_digits_and_separators():
-    # float() reads these as 3.0, 10.0 and 1.0; no writer produces them.
-    for angle in ("\u0663", "1_0", "1_0e-1"):
+    # float() reads each of these as a number, stripping the tab, vertical
+    # tab, form feed and carriage return; no writer produces them.
+    for angle in ("\u0663", "1_0", "1_0e-1", "\t3", "3\x0b", "\x0c3", "3\r"):
         with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
             parse_gate(f"ROT 1 {angle}", 1)
+    # A tab inside a line survives the per-line strip of a circuit file.
+    with pytest.raises(CircuitParseError, match="control character"):
+        parse_circuit("QSIM-CIRCUIT v1 n=1\nROT 1 \t3\n")
     block = ["1", "0", "0", "0", "0", "0", "1", "0"]
     for i in range(8):
-        for entry in ("\u0661", "1_0e-1"):
+        for entry in ("\u0661", "1_0e-1", "1\x0c", "\t1"):
             bad = " ".join(block[:i] + [entry] + block[i + 1 :])
             for kind in ("WIRE 1", "CTRL 1 1", "SUFFIX-CTRL 2 1", "TWO-LEVEL 1 2"):
                 line = f"{kind} {bad}"

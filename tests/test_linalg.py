@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from qsim.linalg import (
     UNITARY_TOL,
-    SpectralDecomp,
     as_matrix,
     as_vector,
     cluster_indices,
@@ -98,20 +97,30 @@ def test_is_unitary_pins():
 
 
 def test_hermitian_eig_diagonal_pin():
-    dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0])
-    assert dec.dim == 3
+    w, v = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(w, [1.0, 2.0, 3.0])
+    assert v.shape == (3, 3)
     # Ascending order means the first eigenvector belongs to eigenvalue 1,
     # which sits at diagonal position 1.
-    assert abs(abs(dec.eigenvectors[1, 0]) - 1.0) < 1e-12
+    assert abs(abs(v[1, 0]) - 1.0) < 1e-12
+
+
+def test_hermitian_eig_returns_the_eigh_pair():
+    """The result is a plain (eigenvalues, eigenvectors) pair of arrays,
+    equal to what np.linalg.eigh gives for the same matrix."""
+    a = random_hermitian(np.random.default_rng(30), 4)
+    pair = hermitian_eig(a)
+    assert type(pair) is tuple and len(pair) == 2
+    w, v = np.linalg.eigh(a)
+    assert np.array_equal(pair[0], w) and np.array_equal(pair[1], v)
 
 
 def test_hermitian_eig_bit_flip_pin():
     """Eigen-pairs of [[0,1],[1,0]]: -1 with (1,-1)/sqrt(2), +1 with (1,1)/sqrt(2)."""
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dec = hermitian_eig(flip)
-    assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
-    minus, plus = dec.eigenvectors[:, 0], dec.eigenvectors[:, 1]
+    w, v = hermitian_eig(flip)
+    assert np.allclose(w, [-1.0, 1.0])
+    minus, plus = v[:, 0], v[:, 1]
     assert abs(abs(np.vdot(minus, [1, -1]) / math.sqrt(2)) - 1.0) < 1e-12
     assert abs(abs(np.vdot(plus, [1, 1]) / math.sqrt(2)) - 1.0) < 1e-12
 
@@ -120,11 +129,10 @@ def test_hermitian_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(31)
     for n in (2, 5, 8, 16):
         a = random_hermitian(rng, n)
-        dec = hermitian_eig(a)
-        assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
-        v = dec.eigenvectors
+        w, v = hermitian_eig(a)
+        assert np.all(np.diff(w) >= -1e-12)
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
-        assert np.linalg.norm(dec.reconstruct() - a) < 1e-10 * max(
+        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - a) < 1e-10 * max(
             np.linalg.norm(a), 1.0
         )
 
@@ -148,14 +156,6 @@ def test_hermiticity_threshold_is_unitary_tol():
                 hermitian_eig(h)
             with pytest.raises(ValueError):
                 unitary_from_hamiltonian(h, 0.5)
-
-
-def test_spectral_decomp_reconstruct_is_v_diag_vstar():
-    vals = np.array([1.0, 4.0])
-    vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    dec = SpectralDecomp(eigenvalues=vals, eigenvectors=vecs)
-    want = vecs @ np.diag(vals) @ vecs.conj().T
-    assert np.max(np.abs(dec.reconstruct() - want)) < 1e-14
 
 
 # --- clustering --------------------------------------------------------------

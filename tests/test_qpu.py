@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import qpu
-from qsim.algprob import DensityMatrix, Observable, pure_state, validate_state
+from qsim.algprob import (
+    DensityMatrix,
+    Observable,
+    StateValidationError,
+    pure_state,
+    validate_state,
+)
 from qsim.linalg import is_hermitian, unitary_from_hamiltonian
 from qsim.qpu import (
     ShotResult,
@@ -168,7 +174,7 @@ def test_qpu_observable_labels_are_per_label_products():
     rng = np.random.default_rng(81)
     for n in range(1, 6):
         obs = qpu_observable([random_hermitian(rng, 2) for _ in range(n)])
-        eigs = [f.spectral.eigenvalues for f in obs.factors]
+        eigs = [f.eigenvalues for f in obs.factors]
         want = []
         for k in range(2**n):
             value = 1.0
@@ -270,6 +276,33 @@ def test_vector_distribution_pins():
     assert dist[1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         vector_distribution(np.ones(3) / math.sqrt(3))
+
+
+def test_distributions_reject_what_is_not_a_law():
+    """A negative, NaN or unnormalized diagonal, and a vector off the unit
+    sphere, raise instead of being clipped into something law-shaped."""
+
+    def state(*diag):
+        return DensityMatrix(np.diag(diag).astype(complex))
+
+    for rho, condition in (
+        (state(1.5, -0.5), "eigenvalues"),
+        (state(np.nan, 1.0), "eigenvalues"),
+        (state(0.3, 0.3), "trace"),
+    ):
+        with pytest.raises(StateValidationError) as err:
+            basis_distribution(rho)
+        assert err.value.condition == condition
+    for psi, condition in (
+        ([3.0, 4.0], "trace"),
+        ([np.nan, 0.0], "eigenvalues"),
+        ([np.inf, 0.0], "eigenvalues"),
+    ):
+        with pytest.raises(StateValidationError) as err:
+            vector_distribution(psi)
+        assert err.value.condition == condition
+    # Rounding noise within the floor clamps to zero, as in a law.
+    assert np.array_equal(basis_distribution(state(1.0, -1e-13)), [1.0, 0.0])
 
 
 def test_distributions_agree_on_pure_states():

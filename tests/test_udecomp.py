@@ -496,9 +496,10 @@ def test_factor_file_parse_errors():
 
 
 def test_factor_file_block_rejects_non_ascii_digits_and_separators():
-    # float() reads "1_0e-1" as 1.0 and U+0661 as 1; neither is written.
-    for entry in ("1_0e-1", "\u0661"):
-        line = f"TWO-LEVEL 0 1 {entry} 0 0 0 0 0 1 0"
+    # float() reads "1_0e-1" as 1.0, U+0661 as 1 and strips the tab from
+    # "1\t"; none of them is written.
+    for entry in ("1_0e-1", "\u0661", "1\t", "\t1"):
+        line = f"TWO-LEVEL 1 2 {entry} 0 0 0 0 0 1 0"
         with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
 

@@ -38,8 +38,8 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 
 # Memory is not the limit: a state vector takes 16 * 2^n bytes. Time is:
-# synthesize builds and apply_vector applies each of the 2^n - 1 gates in
-# Python, and every table printed has 2^n rows.
+# apply_vector applies each of the 2^n - 1 gates in a Python loop, and
+# every table printed has 2^n rows.
 MAX_QUBITS = 10
 
 
@@ -186,7 +186,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     _emit(args, format_decomposition(dec) + f"# residual {residual!r}\n")
     if args.out:
         print(
-            f"wrote {len(dec.factors)} factors to {args.out} "
+            f"wrote {len(dec.i)} factors to {args.out} "
             f"(residual {residual!r})"
         )
     return EXIT_OK

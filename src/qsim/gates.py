@@ -12,26 +12,29 @@ control mask and value are ints over those position bits. A circuit
 applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
 
-Simulation never forms that matrix. Every gate mixes pairs of basis
-coordinates (p0, p1) by its 2x2 block (gate_pairs), and mix_pairs applies
-the block to those pairs in place, on a vector or on the rows of a matrix.
-realize and realize_gate build the dense matrices only as the reference
-that tests compare the kernel against; they do not read gate_pairs.
+A Circuit stores its gates as columns, one array per field, as does a
+udecomp.Decomposition its factors; one column check validates a container
+and, on columns of length one, a single gate object.
+
+Simulation never forms the realized matrix: mix_pairs applies each block
+to the coordinate pairs (p0, p1) that gate_pairs lists, in place. realize
+and realize_gate build dense matrices only as the tests' reference, and do
+not read gate_pairs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL
 from .qpu import position_bitstring, tensor_index
+
+MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 
 
 class CircuitParseError(ValueError):
@@ -44,20 +47,91 @@ def rotation(alpha: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _check_block(v) -> np.ndarray:
-    v = np.array(v, dtype=np.complex128, order="C")
-    if v.shape != (2, 2):
-        raise ValueError(f"gate block must be 2x2, got {v.shape}")
+def rotations(angles) -> np.ndarray:
+    """rotation(a) for every a in angles, shape (k, 2, 2), from one cos and one sin."""
+    with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN block
+        c, s = np.cos(angles), np.sin(angles)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(np.complex128)
+
+
+def _check_blocks(blocks) -> np.ndarray:
+    """blocks as a read-only C-ordered complex array of shape (k, 2, 2),
+    each block unitary by the closed-form 2x2 Gram test."""
+    v = np.array(blocks, dtype=np.complex128, order="C")
+    if v.shape[1:] != (2, 2):
+        raise ValueError(f"gate block must be 2x2, got {v.shape[1:]}")
     # The Frobenius norm of g = v*v - I that linalg.is_unitary measures,
     # from the three distinct entries of g in closed form.
-    (a, b), (c, d) = v.tolist()
-    g00 = abs(a) ** 2 + abs(c) ** 2 - 1.0
-    g11 = abs(b) ** 2 + abs(d) ** 2 - 1.0
-    g01 = a.conjugate() * b + c.conjugate() * d
-    if not math.sqrt(g00 * g00 + g11 * g11 + 2.0 * abs(g01) ** 2) <= UNITARY_TOL:
+    a, b, c, d = v[:, 0, 0], v[:, 0, 1], v[:, 1, 0], v[:, 1, 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        g00 = abs(a) ** 2 + abs(c) ** 2 - 1.0
+        g11 = abs(b) ** 2 + abs(d) ** 2 - 1.0
+        g01 = a.conj() * b + c.conj() * d
+        unitary = np.sqrt(g00 * g00 + g11 * g11 + 2.0 * abs(g01) ** 2) <= UNITARY_TOL
+    if not unitary.all():
         raise ValueError("gate block is not unitary within tolerance")
     v.setflags(write=False)
     return v
+
+
+def _columns(blocks, *ints) -> list[np.ndarray]:
+    """The checked blocks, then each of ints as an int64 array (a float is
+    a TypeError), all of one length and read-only."""
+    ints = [np.asarray(x).astype(np.int64, casting="safe") for x in ints]
+    columns = [_check_blocks(blocks), *ints]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("gate columns differ in length")
+    for c in columns:
+        c.setflags(write=False)
+    return columns
+
+
+def _reject(bad: np.ndarray, message: str, *columns) -> None:
+    """ValueError for the first gate flagged bad: message formatted with
+    that gate's entry of each column."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(message.format(*(c[k].item() for c in columns)))
+
+
+def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
+    """The checked columns of wire gates on n wires, as WireGate documents
+    one gate; angle is NaN for a gate without one."""
+    blocks, target, mask, value = _columns(blocks, target, mask, value)
+    angle = np.array(angle, dtype=np.float64)
+    angle.setflags(write=False)
+    if len(angle) != len(blocks):
+        raise ValueError("gate columns differ in length")
+    if n > MAX_WIRES:
+        raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
+    _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
+    _reject((mask < 0) | (mask >= 1 << n), f"mask {{}} out of range for n={n}", mask)
+    stride = np.left_shift(1, n - target)
+    _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
+    _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
+    has = ~np.isnan(angle)
+    _reject(has & (mask != 0), "only a gate without controls carries an angle")
+    wrong = np.zeros_like(has)
+    wrong[has] = (blocks[has] != rotations(angle[has])).any(axis=(1, 2))
+    _reject(wrong, "block is not rotation({!r})", angle)
+    return dict(target=target, mask=mask, value=value, blocks=blocks, angle=angle)
+
+
+def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
+    """The checked columns of two-level gates on dim coordinates."""
+    if dim < 2:
+        raise ValueError("ambient dimension must be at least 2")
+    blocks, i, j = _columns(blocks, i, j)
+    bad = (i < 1) | (i >= j) | (j > dim)
+    _reject(bad, f"coordinates ({{}}, {{}}) invalid for dim {dim}", i, j)
+    return dict(i=i, j=j, blocks=blocks)
+
+
+def _unchecked(cls, **fields):
+    """A gate object from entries of columns that were checked already."""
+    g = object.__new__(cls)
+    g.__dict__.update(fields)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,31 +153,17 @@ class WireGate:
     angle: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.target <= self.n:
-            raise ValueError(f"target {self.target} out of range for n={self.n}")
-        mask, value = operator.index(self.mask), operator.index(self.value)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "value", value)
-        if not 0 <= mask < 1 << self.n:
-            raise ValueError(f"mask {mask} out of range for n={self.n}")
-        if mask >> (self.n - self.target) & 1:
-            raise ValueError(f"target wire {self.target} is in mask {mask}")
-        if value & ~mask:
-            raise ValueError(f"value {value} has bits outside mask {mask}")
-        object.__setattr__(self, "v", _check_block(self.v))
-        if self.angle is not None:
-            if mask:
-                raise ValueError("only a gate without controls carries an angle")
-            if not np.array_equal(self.v, rotation(self.angle)):
-                raise ValueError(f"block is not rotation({self.angle!r})")
+        angle = math.nan if self.angle is None else self.angle
+        c = _wire_columns(self.n, [self.target], [self.mask], [self.value], [self.v], [angle])
+        for name in ("target", "mask", "value"):
+            self.__dict__[name] = c[name][0].item()
+        self.__dict__["v"] = c["blocks"][0]
 
 
 @dataclass(frozen=True, eq=False)
 class TwoLevelGate:
-    """Identity except a 2x2 block mixing basis coordinates i < j (1-based).
-
-    dim is the ambient dimension; inside a circuit it must equal 2^n.
-    """
+    """Identity except a 2x2 block mixing basis coordinates i < j (1-based)
+    of a dim-dimensional space."""
 
     dim: int
     i: int
@@ -111,19 +171,13 @@ class TwoLevelGate:
     v: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.i < self.j <= self.dim:
-            raise ValueError(
-                f"coordinates ({self.i}, {self.j}) invalid for dim {self.dim}"
-            )
-        object.__setattr__(self, "v", _check_block(self.v))
+        self.__dict__["v"] = _pair_columns(self.dim, [self.i], [self.j], [self.v])["blocks"][0]
 
 
-GateSpec = Union[WireGate, TwoLevelGate]
-
-
-def _controls(n: int, target: int, pattern) -> tuple[int, int]:
-    """(mask, value) of a control pattern over the n - 1 wires other than
-    target, in wire order: a bit for each control wire, None for a free one."""
+def _controls(n: int, target: int, pattern) -> tuple[int, int, int]:
+    """(target, mask, value) of a control pattern over the n - 1 wires other
+    than target, in wire order: a bit for each control wire, None for a
+    free one."""
     if not 1 <= target <= n:
         raise ValueError(f"target {target} out of range for n={n}")
     pattern = tuple(pattern)
@@ -133,7 +187,7 @@ def _controls(n: int, target: int, pattern) -> tuple[int, int]:
         raise ValueError(f"pattern length {len(pattern)} != n-1 = {n - 1}")
     wires = pattern[: target - 1] + (None,) + pattern[target - 1 :]
     mask = tensor_index([int(b is not None) for b in wires])
-    return mask, tensor_index([int(b or 0) for b in wires])
+    return target, mask, tensor_index([int(b or 0) for b in wires])
 
 
 def _suffix_controls(n: int, stage: int, suffix) -> tuple[int, int, int]:
@@ -176,7 +230,7 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
     z lists the bits of wires 1..n skipping ell, in wire order. v may be an
     arbitrary 2x2 block here; no unitarity is required.
     """
-    mask, value = _controls(n, ell, z)
+    _, mask, value = _controls(n, ell, z)
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (2, 2):
         raise ValueError(f"block must be 2x2, got {v.shape}")
@@ -189,7 +243,7 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     A two-level modification of the identity: only the two basis indices
     whose non-target bits match z are mixed by v.
     """
-    mask, value = _controls(n, ell, z)
+    _, mask, value = _controls(n, ell, z)
     return realize_gate(WireGate(n, ell, v, mask, value))
 
 
@@ -200,42 +254,37 @@ def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
     return realize_gate(WireGate(n, target, v, mask, value))
 
 
-def realize_gate(g: GateSpec) -> np.ndarray:
-    """Dense matrix of a single gate, built without gate_pairs."""
-    if isinstance(g, TwoLevelGate):
-        t = [g.i - 1, g.j - 1]
-        out = np.eye(g.dim, dtype=np.complex128)
-        out[np.ix_(t, t)] = g.v
-        return out
-    # v where the controls match and the identity elsewhere. The two chains
-    # share their support, so every entry is exactly one entry of v or of I.
+def realize_gate(g: WireGate) -> np.ndarray:
+    """Dense matrix of a single wire gate, built without gate_pairs: v where
+    the controls match and the identity elsewhere. The two chains share
+    their support, so every entry is exactly one entry of v or of I."""
     rest = np.eye(2**g.n, dtype=np.complex128) - _chain(g.n, g.target, g.mask, g.value, _EYE)
     return _chain(g.n, g.target, g.mask, g.value, g.v) + rest
 
 
-def gate_pairs(g: GateSpec):
-    """The coordinates (p0, p1) whose pairs the gate's block mixes.
+def gate_pairs(c: Circuit):
+    """(v, p0, p1) of each gate of c in sequence order: its block v and the
+    coordinates whose pairs v mixes.
 
     Row 0 of the block makes the new x[p0], row 1 the new x[p1]; every
-    other coordinate is left alone. A two-level gate mixes one pair. A wire
-    gate's p0 is its value plus every combination of its free bits, those
-    that are neither the target nor a control: an outer sum of one arange
-    per run of free bits, ascending, and p1 = p0 + 2^(n - target). With no
-    free bit, p0 and p1 are two ints.
+    other coordinate is left alone. p0 is value plus every combination of
+    the free bits, those that are neither the target nor a control: an
+    outer sum of one arange per run of free bits, ascending, and p1 = p0 +
+    2^(n - target). With no free bit, p0 and p1 are two ints.
     """
-    # Two-level gates come first: decomposition mixes one per factor.
-    if isinstance(g, TwoLevelGate):
-        return g.i - 1, g.j - 1
-    stride = 1 << (g.n - g.target)
-    free = (1 << g.n) - 1 - g.mask - stride
-    p0 = g.value
-    while free:
-        # The highest run of free bits, [lo, hi).
-        hi = free.bit_length()
-        lo = (~free & ((1 << hi) - 1)).bit_length()
-        p0 = np.add.outer(p0, np.arange(0, 1 << hi, 1 << lo)).ravel()
-        free &= (1 << lo) - 1
-    return p0, p0 + stride
+    n = c.n
+    columns = c.target.tolist(), c.mask.tolist(), c.value.tolist()
+    for v, target, mask, value in zip(c.blocks, *columns):
+        stride = 1 << (n - target)
+        free = (1 << n) - 1 - mask - stride
+        p0 = value
+        while free:
+            # The highest run of free bits, [lo, hi).
+            hi = free.bit_length()
+            lo = (~free & ((1 << hi) - 1)).bit_length()
+            p0 = np.add.outer(p0, np.arange(0, 1 << hi, 1 << lo)).ravel()
+            free &= (1 << lo) - 1
+        yield v, p0, p0 + stride
 
 
 def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
@@ -249,30 +298,41 @@ def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
     x[p0], x[p1] = v[0, 0] * a + v[0, 1] * b, v[1, 0] * a + v[1, 1] * b
 
 
-def _gate_dim(g: GateSpec) -> int:
-    return g.dim if isinstance(g, TwoLevelGate) else 2**g.n
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered gate sequence on n wires; gates[0] acts first."""
+    """Wire gates on n wires as columns, gate 0 acting first.
+
+    Gate k is WireGate(n, target[k], blocks[k], mask[k], value[k],
+    angle[k]), with angle[k] NaN for a gate without a ROT angle. The
+    columns are checked as WireGate checks one gate and stored read-only.
+    """
 
     n: int
-    gates: tuple[GateSpec, ...] = field(default_factory=tuple)
+    target: np.ndarray
+    mask: np.ndarray
+    value: np.ndarray
+    blocks: np.ndarray
+    angle: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        dim = 2**self.n
-        for g in self.gates:
-            if _gate_dim(g) != dim:
-                raise ValueError(
-                    f"gate {g!r} acts on dim {_gate_dim(g)}, circuit needs {dim}"
-                )
+        columns = self.target, self.mask, self.value, self.blocks, self.angle
+        self.__dict__.update(_wire_columns(self.n, *columns))
+
+    @property
+    def gates(self) -> tuple[WireGate, ...]:
+        """The gates as WireGate objects, built on each read."""
+        columns = (self.target.tolist(), self.mask.tolist(), self.value.tolist(),
+                   self.blocks, self.angle.tolist())
+        return tuple(
+            _unchecked(WireGate, n=self.n, target=t, v=v, mask=m, value=b,
+                       angle=None if math.isnan(a) else a)
+            for t, m, b, v, a in zip(*columns)
+        )
 
 
 def circuit_length(c: Circuit) -> int:
     """Number of elementary gates; the identity (empty) circuit has 0."""
-    return len(c.gates)
+    return len(c.target)
 
 
 def realize(c: Circuit) -> np.ndarray:
@@ -292,10 +352,9 @@ def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != 2**c.n:
         raise ValueError(f"dimension mismatch: {2**c.n} vs {rho.dim}")
     mat = np.array(rho.mat, dtype=np.complex128)
-    for g in c.gates:
-        p0, p1 = gate_pairs(g)
-        mix_pairs(g.v, mat, p0, p1)
-        mix_pairs(g.v.conj(), mat.T, p0, p1)
+    for v, p0, p1 in gate_pairs(c):
+        mix_pairs(v, mat, p0, p1)
+        mix_pairs(v.conj(), mat.T, p0, p1)
     return DensityMatrix(mat)
 
 
@@ -304,99 +363,40 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
     psi = np.array(psi, dtype=np.complex128)
     if psi.shape[:1] != (2**c.n,):
         raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
-    for g in c.gates:
-        mix_pairs(g.v, psi, *gate_pairs(g))
+    for v, p0, p1 in gate_pairs(c):
+        mix_pairs(v, psi, p0, p1)
     return psi
 
 
 # --- serialization ---------------------------------------------------------
 #
-# Line-oriented text, one gate per line, fields separated by single
-# spaces, '#' comments and blank lines ignored. Floats print with 17
-# significant digits so parsing reproduces every bit; integer fields are
-# ASCII digits only, and a gate line holding non-ASCII text or '_' is
-# rejected. Grammar (patterns are in wire order, '0'/'1' for a
-# control wire and '.' for a free one, '-' when empty):
+# One gate per line, fields separated by single spaces, '#' comments and
+# blank lines ignored; floats print with 17 significant digits, so parsing
+# reproduces every bit. Patterns are in wire order, '0'/'1' for a control
+# wire and '.' for a free one, '-' when empty:
 #
 #   QSIM-CIRCUIT v1 n=<ASCII digits, at least 1>
 #   ROT <wire> <alpha>
 #   WIRE <wire> <8 floats: re im re im re im re im, row-major 2x2>
 #   CTRL <target> <pattern over the other n-1 wires> <8 floats>
 #   SUFFIX-CTRL <stage> <bits of the last stage-1 wires> <8 floats>
-#   TWO-LEVEL <i> <j> <8 floats>
 #
 # A wire gate is written ROT or WIRE without controls, SUFFIX-CTRL when its
 # controls are exactly the wires after the target, and CTRL otherwise.
+# Factor files (udecomp) hold TWO-LEVEL lines. One reader reads the fields
+# of each line kind into arrays; the column check then validates them.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
+_CIRCUIT_ARITY = {"ROT": 3, "WIRE": 10, "CTRL": 11, "SUFFIX-CTRL": 11}
 _PATTERN_BITS = {"0": 0, "1": 1, ".": None}
-# Integer fields and header counts: no sign, separator, space or non-ASCII digit.
-_DIGITS = "[0-9]+"
 
 
-def _format_block(v: np.ndarray) -> str:
-    return _BLOCK_FORMAT % tuple(v.view(np.float64).ravel().tolist())
-
-
-def _fields(line: str) -> list[str]:
-    """A gate line's space-separated fields. float() also reads non-ASCII
-    digits, '_' separators and the tabs or other control characters it
-    strips as whitespace, none of which a writer produces, so a line holding
-    any of them is rejected whole."""
-    if not (line.isascii() and line.isprintable()) or "_" in line:
-        raise CircuitParseError(
-            f"bad gate line {line!r}: control character, non-ASCII text or '_'"
-        )
-    return line.split(" ")
-
-
-def _parse_block(parts: list[str]) -> np.ndarray:
-    if len(parts) != 8:
-        raise CircuitParseError(f"expected 8 block numbers, got {len(parts)}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise CircuitParseError(f"bad float in gate block: {exc}") from exc
-    return np.array(
-        [
-            [complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-            [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
-        ]
-    )
-
-
-def _parse_digits(token: str) -> int:
-    """An integer field: ASCII digits only, like the header's count."""
-    if not re.fullmatch(_DIGITS, token):
-        raise CircuitParseError(f"bad integer field {token!r}")
-    return int(token)
-
-
-def _parse_pattern(token: str) -> tuple[int | None, ...]:
-    if token == "-":
-        return ()
-    if not token or not set(token) <= _PATTERN_BITS.keys():
-        raise CircuitParseError(f"bad bit pattern {token!r}")
-    return tuple(_PATTERN_BITS[ch] for ch in token)
-
-
-def format_gate(g: GateSpec) -> str:
-    """One serialized line for a gate, in its one spelling."""
-    if isinstance(g, TwoLevelGate):
-        return f"TWO-LEVEL {g.i} {g.j} {_format_block(g.v)}"
-    if g.angle is not None:
-        return f"ROT {g.target} {g.angle:.17g}"
-    if not g.mask:
-        return f"WIRE {g.target} {_format_block(g.v)}"
-    value = position_bitstring(g.value, g.n)
-    if g.mask == (1 << (g.n - g.target)) - 1:
-        stage = g.n - g.target + 1
-        return f"SUFFIX-CTRL {stage} {value[g.target:]} {_format_block(g.v)}"
-    mask = position_bitstring(g.mask, g.n)
-    pattern = "".join(b if m == "1" else "." for m, b in zip(mask, value))
-    pattern = pattern[: g.target - 1] + pattern[g.target :]
-    return f"CTRL {g.target} {pattern} {_format_block(g.v)}"
+def _format_blocks(blocks: np.ndarray) -> list[str]:
+    """The eight floats of each block of a C-ordered (k, 2, 2) array, one
+    string per block, from one format over the flat array."""
+    text = (_BLOCK_FORMAT + "\n") * len(blocks)
+    return (text % tuple(blocks.view(np.float64).ravel().tolist())).split("\n")[:-1]
 
 
 def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list[str]]:
@@ -407,7 +407,7 @@ def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
-    m = re.fullmatch(f"QSIM-{kind} v1 {key}=({_DIGITS})", lines[0])
+    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]+)", lines[0])
     if not m:
         raise CircuitParseError(f"bad QSIM-{kind} header {lines[0]!r}")
     count = int(m.group(1))
@@ -416,60 +416,113 @@ def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list
     return count, lines[1:]
 
 
-def _parse_two_level(line: str, dim: int) -> TwoLevelGate:
-    """Parse one TWO-LEVEL line for a dim-dimensional space."""
-    parts = _fields(line)
-    if parts[0] != "TWO-LEVEL":
-        raise CircuitParseError(f"expected a TWO-LEVEL line, got {line!r}")
-    try:
-        i, j = _parse_digits(parts[1]), _parse_digits(parts[2])
-        return TwoLevelGate(dim=dim, i=i, j=j, v=_parse_block(parts[3:]))
-    except CircuitParseError:
-        raise
-    except (ValueError, IndexError) as exc:
-        raise CircuitParseError(f"bad gate line {line!r}: {exc}") from exc
+def _written(line: str) -> bool:
+    """Whether line holds only what a writer produces: no empty field, and
+    none of what float() would also read, non-ASCII digits, '_' or a
+    control character."""
+    return line.isascii() and line.isprintable() and "_" not in line and "  " not in line
 
 
-def parse_gate(line: str, n: int) -> GateSpec:
-    """Parse one gate line, in any of its spellings, for an n-wire circuit."""
-    parts = _fields(line)
-    kind = parts[0]
-    if kind == "TWO-LEVEL":
-        return _parse_two_level(line, 2**n)
+def _gate_rows(lines: list[str], arity: dict[str, int]) -> dict:
+    """The space-separated fields of each gate line grouped by line kind,
+    kind -> (line indices, field lists). A line of an unknown kind or field
+    count is rejected, and so is one that no writer produces."""
+    if not _written("".join(lines)):  # the lines are stripped
+        bad = next(ln for ln in lines if not _written(ln))
+        raise CircuitParseError(
+            f"bad gate line {bad!r}: empty field, control character, non-ASCII text or '_'"
+        )
+    groups: dict[str, tuple[list[int], list[list[str]]]] = {}
+    for k, line in enumerate(lines):
+        fields = line.split(" ")
+        if arity.get(fields[0]) != len(fields):
+            raise CircuitParseError(f"bad gate line {line!r}: unknown kind or field count")
+        index, rows = groups.setdefault(fields[0], ([], []))
+        index.append(k)
+        rows.append(fields)
+    return groups
+
+
+def _numbers(rows: list[list[str]], start: int, stop: int, dtype=np.float64) -> np.ndarray:
+    """Fields start..stop-1 of every row as one flat array; an integer
+    field is ASCII digits only, like the header's count."""
+    tokens = [t for r in rows for t in r[start:stop]]
     try:
-        if kind == "ROT":
-            if len(parts) != 3:
-                raise CircuitParseError(f"ROT needs wire and angle: {line!r}")
-            alpha = float(parts[2])
-            return WireGate(n, _parse_digits(parts[1]), rotation(alpha), angle=alpha)
-        if kind == "WIRE":
-            target, mask, value = _parse_digits(parts[1]), 0, 0
-            block = parts[2:]
-        elif kind == "CTRL":
-            target = _parse_digits(parts[1])
-            mask, value = _controls(n, target, _parse_pattern(parts[2]))
-            block = parts[3:]
-        elif kind == "SUFFIX-CTRL":
-            stage = _parse_digits(parts[1])
-            target, mask, value = _suffix_controls(n, stage, _parse_pattern(parts[2]))
-            block = parts[3:]
-        else:
-            raise CircuitParseError(f"unknown gate kind {kind!r}")
-        return WireGate(n, target, _parse_block(block), mask, value)
-    except CircuitParseError:
-        raise
-    except (ValueError, IndexError) as exc:
-        raise CircuitParseError(f"bad gate line {line!r}: {exc}") from exc
+        if dtype is np.int64 and not all(map(str.isdigit, tokens)):  # the lines are ASCII
+            raise ValueError("an integer field is not ASCII digits")
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise CircuitParseError(f"bad number in a gate line: {exc}") from exc
+
+
+def _blocks(rows: list[list[str]], start: int) -> np.ndarray:
+    """The (k, 2, 2) blocks of the 8 float fields from start on."""
+    return _numbers(rows, start, start + 8).view(np.complex128).reshape(-1, 2, 2)
+
+
+def _read_controlled(n: int, rows, controls):
+    """CTRL or SUFFIX-CTRL rows: controls(n, field 1, the bits of field 2)
+    is a line's (target, mask, value), as _controls or _suffix_controls."""
+    first = _numbers(rows, 1, 2, np.int64).tolist()
+    try:
+        bits = [[] if r[2] == "-" else [_PATTERN_BITS[b] for b in r[2]] for r in rows]
+        target, mask, value = zip(*map(controls, [n] * len(rows), first, bits))
+    except (KeyError, ValueError) as exc:
+        raise CircuitParseError(f"bad {rows[0][0]} line for n={n}: {exc}") from exc
+    return target, mask, value, _blocks(rows, 3), math.nan
+
+
+def _read_rot(n: int, rows):
+    angle = _numbers(rows, 2, 3)
+    return _numbers(rows, 1, 2, np.int64), 0, 0, rotations(angle), angle
+
+
+# Each kind's (target, mask, value, blocks, angle) columns or shared scalars.
+_READERS = {
+    "ROT": _read_rot,
+    "WIRE": lambda n, rows: (_numbers(rows, 1, 2, np.int64), 0, 0, _blocks(rows, 2), math.nan),
+    "CTRL": lambda n, rows: _read_controlled(n, rows, _controls),
+    "SUFFIX-CTRL": lambda n, rows: _read_controlled(n, rows, _suffix_controls),
+}
 
 
 def format_circuit(c: Circuit) -> str:
-    """Full text form: header line then one line per gate."""
-    lines = [f"QSIM-CIRCUIT v1 n={c.n}"]
-    lines.extend(format_gate(g) for g in c.gates)
+    """Full text form: header line then one line per gate, in its one spelling."""
+    n = c.n
+    lines = [f"QSIM-CIRCUIT v1 n={n}"]
+    columns = (c.target.tolist(), c.mask.tolist(), c.value.tolist(), c.angle.tolist())
+    for t, m, b, a, block in zip(*columns, _format_blocks(c.blocks)):
+        if not math.isnan(a):
+            lines.append(f"ROT {t} {a:.17g}")
+        elif not m:
+            lines.append(f"WIRE {t} {block}")
+        elif m == (1 << (n - t)) - 1:
+            lines.append(f"SUFFIX-CTRL {n - t + 1} {position_bitstring(b, n)[t:]} {block}")
+        else:
+            bits = zip(position_bitstring(m, n), position_bitstring(b, n))
+            pattern = "".join(v if w == "1" else "." for w, v in bits)
+            lines.append(f"CTRL {t} {pattern[: t - 1] + pattern[t:]} {block}")
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Inverse of format_circuit; '#' comments and blank lines are skipped."""
+    """Inverse of format_circuit; '#' comments and blank lines are skipped.
+
+    Every other spelling of a gate is read too: CTRL with any pattern, and
+    '-' for the empty pattern at n = 1.
+    """
     n, lines = _parse_header(text, "CIRCUIT", "n", 1)
-    return Circuit(n=n, gates=tuple(parse_gate(ln, n) for ln in lines))
+    k = len(lines)
+    target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
+    blocks = np.empty((k, 2, 2), dtype=np.complex128)
+    angle = np.full(k, math.nan)
+    try:
+        for kind, (index, rows) in _gate_rows(lines, _CIRCUIT_ARITY).items():
+            columns = _READERS[kind](n, rows)
+            for out, column in zip((target, mask, value, blocks, angle), columns):
+                out[index] = column  # OverflowError for a mask past MAX_WIRES
+        return Circuit(n, target, mask, value, blocks, angle)
+    except CircuitParseError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise CircuitParseError(f"bad gate: {exc}") from exc

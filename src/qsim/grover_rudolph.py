@@ -19,13 +19,14 @@ m, which keeps masses, angles, and gate controls aligned.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, WireGate, rotation, apply_vector
+from .gates import Circuit, apply_vector, rotations
 from .qpu import bitstring, decode, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -294,20 +295,20 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     are dropped.
     """
     n = tree.n
-    gates = [WireGate(n, n, rotation(tree.theta), angle=tree.theta)]
-    for stage in range(2, n + 1):
-        # The suffix with label s sits at array position values[s] of the
-        # trailing wires, the low stage - 1 position bits.
-        values = label_permutation(stage - 1).tolist()
-        mask = (1 << (stage - 1)) - 1
-        gates.extend(
-            WireGate(n, n - stage + 1, rotation(angle), mask, value)
-            for angle, value in zip(tree.levels[stage - 2], values)
-        )
+    angles = np.fromiter(itertools.chain((tree.theta,), *tree.levels), np.float64)
+    stage = np.repeat(np.arange(1, n + 1), 1 << np.arange(n))
+    # The suffix with label s sits at array position values[s] of the
+    # trailing wires, the low stage - 1 position bits.
+    values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
+    rot = np.full(len(angles), math.nan)
+    rot[0] = tree.theta
+    columns = [n - stage + 1, (1 << (stage - 1)) - 1, np.concatenate(values),
+               rotations(angles), rot]
     if prune:
-        eye = np.eye(2)
-        gates = [g for g in gates if not np.array_equal(g.v, eye)]
-    return Circuit(n=n, gates=tuple(gates))
+        blocks = columns[3]
+        keep = (blocks[:, 0, 0] != 1.0) | (blocks[:, 1, 0] != 0.0)
+        columns = [column[keep] for column in columns]
+    return Circuit(n, *columns)
 
 
 def target_law(d, n: int) -> np.ndarray:
@@ -400,13 +401,17 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
         if not isinstance(entry, dict) or not entry.keys() >= {"lo", "hi", "coeffs"}:
             raise DensityJsonError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
         lo, hi, coeffs = entry["lo"], entry["hi"], entry["coeffs"]
-        # float() would also take "0.5" and true, and iterate a string of
-        # digits as coefficients.
+        # A string of digits as coeffs would iterate as coefficients.
         numbers = [lo, hi, *coeffs] if isinstance(coeffs, list) else [coeffs]
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers):
+        if not all(map(_is_number, numbers)):
             raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
         segs.append(DensitySegment(lo, hi, tuple(coeffs)))
     return PiecewisePolyDensity(segments=tuple(segs))
+
+
+def _is_number(x) -> bool:
+    """x is a JSON number; float() would also take "0.5", "1_0" and true."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 class DensityJsonError(ValueError):
@@ -446,18 +451,22 @@ def angle_tree_to_json(tree: AngleTree) -> str:
 
 
 def angle_tree_from_json(text: str) -> AngleTree:
-    """Inverse of angle_tree_to_json: "n" is a JSON integer >= 1, and
-    "suffix_angles" holds exactly one entry for each of the 2^n - 2 nodes."""
+    """Inverse of angle_tree_to_json: "n" is a JSON integer >= 1, every
+    angle a JSON number in [0, pi/2], and "suffix_angles" holds exactly one
+    entry for each of the 2^n - 2 nodes."""
     try:
         doc = json.loads(text)
         n = doc["n"]
-        theta = float(doc["theta"])
-        entries = [(e["suffix"], float(e["angle"])) for e in doc["suffix_angles"]]
+        theta = doc["theta"]
+        entries = [(e["suffix"], e["angle"]) for e in doc["suffix_angles"]]
         raw = dict(entries)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DensityJsonError(f"bad angle-tree JSON: {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DensityJsonError(f'"n" must be an integer >= 1, got {n!r}')
+    for angle in (theta, *raw.values()):
+        if not (_is_number(angle) and 0.0 <= angle <= math.pi / 2):
+            raise DensityJsonError(f"angle {angle!r} is not a JSON number in [0, pi/2]")
     levels = []
     for m in range(1, n):
         level = []
@@ -465,7 +474,7 @@ def angle_tree_from_json(text: str) -> AngleTree:
             key = bitstring(s, m)
             if key not in raw:
                 raise DensityJsonError(f"angle for suffix {key!r} missing")
-            level.append(raw[key])
+            level.append(float(raw[key]))
         levels.append(tuple(level))
     # Every node's suffix is present, so any further entry is a duplicate
     # or a suffix that no node has.
@@ -473,4 +482,4 @@ def angle_tree_from_json(text: str) -> AngleTree:
         raise DensityJsonError(
             f"expected one angle per node, {2**n - 2} entries, got {len(entries)}"
         )
-    return AngleTree(n=n, theta=theta, levels=tuple(levels))
+    return AngleTree(n=n, theta=float(theta), levels=tuple(levels))

@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algprob import LAW_SUM_TOL, DensityMatrix, Law, Observable, conjugate
+from .algprob import DensityMatrix, Law, Observable, conjugate
 from .algprob import law_probabilities, pure_state
 from .linalg import as_matrix, as_vector, unitary_from_hamiltonian
-from .rng import cdf, inverse_cdf_counts
+from .rng import inverse_cdf_counts
 
 BitString = Sequence[int]
 
@@ -248,17 +248,14 @@ class ShotResult:
 def sample(law: Law, shots: int, seed: int) -> ShotResult:
     """Draw i.i.d. outcomes from a law; identical seeds give identical counts.
 
-    The law's probabilities must be finite, nonnegative and sum to 1 within
-    LAW_SUM_TOL; otherwise this raises ValueError before drawing.
+    The law's probabilities pass algprob.law_probabilities, which clamps
+    them into [0, 1], or it raises StateValidationError before drawing.
     """
     if len(law.outcomes) == 0:
         raise ValueError("cannot sample from an empty law")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
-    p = np.asarray(law.probabilities(), dtype=np.float64)
-    total = float(cdf(p)[-1])
-    if abs(total - 1.0) > LAW_SUM_TOL:
-        raise ValueError(f"law probabilities sum to {total!r}, not 1")
+    p = law_probabilities(law.probabilities())
     counts = inverse_cdf_counts(p, shots, seed).tolist()
     return ShotResult(counts=dict(enumerate(counts)), shots=shots, seed=seed)
 

@@ -26,13 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (
+    CircuitParseError,
     TwoLevelGate,
+    _blocks,
+    _format_blocks,
+    _gate_rows,
+    _numbers,
+    _pair_columns,
     _parse_header,
-    _parse_two_level,
-    format_gate,
-    gate_pairs,
+    _unchecked,
     mix_pairs,
-    realize_gate,
 )
 from .linalg import as_matrix, as_vector, is_unitary
 
@@ -49,8 +52,12 @@ _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
-    """Identity of size nn with v as the 2x2 block on coordinates i < j."""
-    return realize_gate(TwoLevelGate(dim=nn, i=i, j=j, v=v))
+    """Identity of size nn with v as the 2x2 block on coordinates i < j;
+    the dense oracle that reconstruct is tested against."""
+    g = TwoLevelGate(dim=nn, i=i, j=j, v=v)
+    out = np.eye(nn, dtype=np.complex128)
+    out[np.ix_([i - 1, j - 1], [i - 1, j - 1])] = g.v
+    return out
 
 
 def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -118,26 +125,38 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     return factors, float(np.linalg.norm(psi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Ordered two-level factors of a unitary; factors[0] applies first."""
+    """Two-level factors of a dim x dim unitary as columns, factor 0
+    applying first.
+
+    Factor k is TwoLevelGate(dim, i[k], j[k], blocks[k]). The columns are
+    checked as TwoLevelGate checks one factor and stored read-only.
+    """
 
     dim: int
-    factors: tuple[TwoLevelGate, ...]
+    i: np.ndarray
+    j: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        self.__dict__.update(_pair_columns(self.dim, self.i, self.j, self.blocks))
+
+    @property
+    def factors(self) -> tuple[TwoLevelGate, ...]:
+        """The factors as TwoLevelGate objects, built on each read."""
+        return tuple(
+            _unchecked(TwoLevelGate, dim=self.dim, i=i, j=j, v=v)
+            for i, j, v in zip(self.i.tolist(), self.j.tolist(), self.blocks)
+        )
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Multiply the factors back together in application order."""
-    if d.dim < 2:
-        raise ValueError("ambient dimension must be at least 2")
     out = np.eye(d.dim, dtype=np.complex128)
-    for f in d.factors:
-        if f.dim != d.dim:
-            raise ValueError(
-                f"factor dimension {f.dim} does not match ambient {d.dim}"
-            )
+    for i, j, v in zip(d.i.tolist(), d.j.tolist(), d.blocks):
         # Left multiplication touches only rows i and j.
-        mix_pairs(f.v, out, *gate_pairs(f))
+        mix_pairs(v, out, i - 1, j - 1)
     return out
 
 
@@ -156,10 +175,10 @@ def decompose_unitary(u) -> Decomposition:
     if not is_unitary(u, bound):
         raise ValueError(f"input is not unitary: ||U*U - I|| exceeds {bound:.3g}")
     u = u.copy()
-    # Collected in reverse application order and reversed once at the end:
-    # the adjoints of column c's reduction factors act after the factors
-    # of every later column.
-    factors: list[TwoLevelGate] = []
+    # Column runs of (i, j, blocks), collected in reverse application order
+    # and reversed once at the end: the adjoints of column c's reduction
+    # factors act after the factors of every later column.
+    runs = []
     for c in range(n - 2):
         x = u[c:, c:]
         blocks, coef, r, steps = _column_blocks(x[:, 0])
@@ -190,19 +209,16 @@ def decompose_unitary(u) -> Decomposition:
         adjoints[-1] = adjoints[-1] @ np.array(
             [[phase, 0.0], [0.0, 1.0]], dtype=np.complex128
         )
-        factors.extend(
-            TwoLevelGate(dim=n, i=c + 1, j=c + k + 2, v=v)
-            for k, v in enumerate(adjoints)
-        )
+        runs.append((np.full(n - c - 1, c + 1), np.arange(c + 2, n + 1), adjoints))
     v = np.array(u[n - 2 :, n - 2 :])
     if not is_unitary(v, SNAP_TOL):
         # Input unitarity slack concentrates in the last block; snap it to
         # the nearest unitary so every emitted factor is one.
         w, _, vh = np.linalg.svd(v)
         v = w @ vh
-    factors.append(TwoLevelGate(dim=n, i=n - 1, j=n, v=v))
-    factors.reverse()
-    return Decomposition(dim=n, factors=tuple(factors))
+    runs.append(([n - 1], [n], [v]))
+    i, j, blocks = (np.concatenate(column)[::-1] for column in zip(*runs))
+    return Decomposition(n, i, j, blocks)
 
 
 def reconstruction_residual(d: Decomposition, u) -> float:
@@ -214,15 +230,21 @@ def reconstruction_residual(d: Decomposition, u) -> float:
 # --- serialization ---------------------------------------------------------
 #
 #   QSIM-FACTORS v1 dim=<ASCII digits, at least 2>
-#   TWO-LEVEL <i> <j> <8 floats>        (same line format as circuits)
+#   TWO-LEVEL <i> <j> <8 floats>        (read by the circuit file's reader)
 
 def format_decomposition(d: Decomposition) -> str:
     lines = [f"QSIM-FACTORS v1 dim={d.dim}"]
-    lines.extend(format_gate(f) for f in d.factors)
+    columns = d.i.tolist(), d.j.tolist(), _format_blocks(d.blocks)
+    lines.extend(f"TWO-LEVEL {i} {j} {block}" for i, j, block in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text: str) -> Decomposition:
     dim, lines = _parse_header(text, "FACTORS", "dim", 2)
-    factors = tuple(_parse_two_level(ln, dim) for ln in lines)
-    return Decomposition(dim=dim, factors=factors)
+    _, rows = _gate_rows(lines, {"TWO-LEVEL": 11}).get("TWO-LEVEL", ([], []))
+    i, j = _numbers(rows, 1, 2, np.int64), _numbers(rows, 2, 3, np.int64)
+    blocks = _blocks(rows, 3)
+    try:
+        return Decomposition(dim, i, j, blocks)
+    except ValueError as exc:
+        raise CircuitParseError(f"bad factor: {exc}") from exc

@@ -20,17 +20,15 @@ from qsim.gates import (
     CircuitParseError,
     TwoLevelGate,
     WireGate,
-    _check_block,
-    _format_block,
+    _check_blocks,
+    _format_blocks,
     apply,
     apply_vector,
     circuit_length,
     control_projector,
     controlled_gate,
     format_circuit,
-    format_gate,
     parse_circuit,
-    parse_gate,
     realize,
     realize_gate,
     rotation,
@@ -39,7 +37,13 @@ from qsim.gates import (
 )
 from qsim.linalg import is_unitary
 from qsim.qpu import basis_vector, tensor_index
-from qsim.udecomp import Decomposition, k_embed, reconstruct
+from qsim.udecomp import (
+    Decomposition,
+    format_decomposition,
+    k_embed,
+    parse_decomposition,
+    reconstruct,
+)
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -47,6 +51,41 @@ FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def random_unitary2(rng):
     q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def circuit(n, gates=()):
+    """The Circuit of wire gates on n wires, in sequence order."""
+    gates = list(gates)
+    return Circuit(
+        n,
+        np.array([g.target for g in gates], dtype=np.int64),
+        np.array([g.mask for g in gates], dtype=np.int64),
+        np.array([g.value for g in gates], dtype=np.int64),
+        np.array([g.v for g in gates]).reshape(-1, 2, 2),
+        [math.nan if g.angle is None else g.angle for g in gates],
+    )
+
+
+def parse_line(line, n):
+    """The one gate of an n-wire circuit file holding just this gate line."""
+    (g,) = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{line}\n").gates
+    return g
+
+
+def format_line(g):
+    """The line a circuit file writes for one wire gate."""
+    return format_circuit(circuit(g.n, [g])).splitlines()[1]
+
+
+def decomposition(dim, factors):
+    """The Decomposition holding two-level gates in application order."""
+    factors = list(factors)
+    return Decomposition(
+        dim,
+        np.array([f.i for f in factors], dtype=np.int64),
+        np.array([f.j for f in factors], dtype=np.int64),
+        np.array([f.v for f in factors]).reshape(-1, 2, 2),
+    )
 
 
 # --- rotations -----------------------------------------------------------------
@@ -357,7 +396,7 @@ def test_suffix_gate_validation():
 def test_two_level_gate_realization_pin():
     rng = np.random.default_rng(15)
     v = random_unitary2(rng)
-    got = realize_gate(TwoLevelGate(dim=4, i=2, j=4, v=v))
+    got = k_embed(4, 2, 4, v)
     want = np.eye(4, dtype=complex)
     want[1, 1], want[1, 3] = v[0, 0], v[0, 1]
     want[3, 1], want[3, 3] = v[1, 0], v[1, 1]
@@ -397,27 +436,32 @@ def test_block_check_decides_as_the_dense_unitarity_test():
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
         *(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(50)),
     ]
-    accepted = 0
+    accepted, rejected = [], []
     for v in blocks:
         with np.errstate(invalid="ignore"):  # the dense test on inf and NaN
             dense = is_unitary(v, 1e-10)
+        (accepted if dense else rejected).append(v)
         if dense:
-            accepted += 1
-            assert np.array_equal(_check_block(v), np.asarray(v, dtype=complex))
+            assert np.array_equal(_check_blocks([v])[0], np.asarray(v, dtype=complex))
         else:
             with pytest.raises(ValueError, match="^gate block is not unitary within tolerance$"):
-                _check_block(v)
+                _check_blocks([v])
+    # As one column, the blocks pass together, and fail when one of them does.
+    assert np.array_equal(_check_blocks(accepted), np.array(accepted, dtype=complex))
+    for v in rejected:
+        with pytest.raises(ValueError, match="^gate block is not unitary within tolerance$"):
+            _check_blocks(accepted + [v])
     # Both sides of the boundary are exercised.
-    assert 400 < accepted < len(blocks) - 100
+    assert 400 < len(accepted) < len(blocks) - 100
 
 
 def test_block_check_keeps_a_c_ordered_read_only_copy():
     v = np.ascontiguousarray(random_unitary2(np.random.default_rng(17)).T)
-    got = _check_block(v.T)
+    got = _check_blocks(v.T[None])
     assert got.flags.c_contiguous and not got.flags.writeable
-    assert np.array_equal(got, v.T)
+    assert np.array_equal(got[0], v.T)
     v[0, 0] = 0.0
-    assert got[0, 0] != 0.0
+    assert got[0, 0, 0] != 0.0
 
 
 def test_block_format_is_byte_identical_to_per_float_formatting():
@@ -428,12 +472,12 @@ def test_block_format_is_byte_identical_to_per_float_formatting():
     randoms += list(rng.integers(0, 2**63, size=64, dtype=np.uint64).view(np.float64))
     floats = pins + randoms
     floats += [0.0] * (-len(floats) % 8)
-    for k in range(0, len(floats), 8):
-        chunk = np.array(floats[k : k + 8])
-        # A view, not chunk[0::2] + 1j * chunk[1::2], which can flip the
-        # sign of a zero and turn an infinity into NaN.
-        v = chunk.view(np.complex128).reshape(2, 2)
-        assert _format_block(v) == " ".join(f"{x:.17g}" for x in chunk.tolist())
+    # A view, not floats[0::2] + 1j * floats[1::2], which can flip the sign
+    # of a zero and turn an infinity into NaN.
+    blocks = np.array(floats).view(np.complex128).reshape(-1, 2, 2)
+    want = [" ".join(f"{x:.17g}" for x in floats[k : k + 8]) for k in range(0, len(floats), 8)]
+    assert _format_blocks(blocks) == want
+    assert _format_blocks(blocks[:0]) == []
 
 
 # --- circuits -------------------------------------------------------------------------
@@ -447,14 +491,14 @@ def test_realize_multiplies_in_reverse_order():
         WireGate(n=2, target=2, v=random_unitary2(rng)),
         WireGate(n=2, target=1, v=random_unitary2(rng), mask=1, value=1),
     ]
-    c = Circuit(n=2, gates=tuple(gs))
+    c = circuit(2, gs)
     mats = [realize_gate(g) for g in gs]
     want = mats[2] @ mats[1] @ mats[0]
     assert np.max(np.abs(realize(c) - want)) < 1e-13
 
 
 def test_empty_circuit_is_identity():
-    c = Circuit(n=2)
+    c = circuit(2)
     assert circuit_length(c) == 0
     assert np.array_equal(realize(c), np.eye(4))
 
@@ -464,7 +508,7 @@ def test_apply_agrees_with_realize_then_evolve():
     gs = tuple(
         WireGate(n=2, target=(i % 2) + 1, v=random_unitary2(rng)) for i in range(4)
     )
-    c = Circuit(n=2, gates=gs)
+    c = circuit(2, gs)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
     rho = pure_state(psi)
@@ -486,26 +530,28 @@ def random_gate(kind, n, rng):
     """A wire gate on a random target under a random set of the other wires
     as controls, each with a random bit; one controlled by all other wires
     ("controlled") or by the wires after its target ("suffix", the
-    Grover-Rudolph stage gate); or a random two-level gate."""
+    Grover-Rudolph stage gate)."""
     v = random_unitary2(rng)
-    if kind in ("wire", "controlled", "suffix"):
-        last = n - 1 if kind == "suffix" else n
-        target = int(rng.integers(1, last + 1))
-        others = (1 << n) - 1 - (1 << (n - target))
-        trailing = (1 << (n - target)) - 1
-        if kind == "controlled":
-            mask = others
-        elif kind == "suffix":
-            mask = trailing
-        else:
-            # No controls, the wires after the target and all other wires,
-            # as often as a random subset of the other wires.
-            subset = int(rng.integers(0, 1 << n)) & others
-            mask = (0, trailing, others, subset)[int(rng.integers(4))]
-        value = int(rng.integers(0, 1 << n)) & mask
-        return WireGate(n=n, target=target, v=v, mask=mask, value=value)
-    i, j = sorted(int(k) + 1 for k in rng.choice(2**n, size=2, replace=False))
-    return TwoLevelGate(dim=2**n, i=i, j=j, v=v)
+    last = n - 1 if kind == "suffix" else n
+    target = int(rng.integers(1, last + 1))
+    others = (1 << n) - 1 - (1 << (n - target))
+    trailing = (1 << (n - target)) - 1
+    if kind == "controlled":
+        mask = others
+    elif kind == "suffix":
+        mask = trailing
+    else:
+        # No controls, the wires after the target and all other wires,
+        # as often as a random subset of the other wires.
+        subset = int(rng.integers(0, 1 << n)) & others
+        mask = (0, trailing, others, subset)[int(rng.integers(4))]
+    value = int(rng.integers(0, 1 << n)) & mask
+    return WireGate(n=n, target=target, v=v, mask=mask, value=value)
+
+
+def random_two_level_gate(dim, rng):
+    i, j = sorted(int(k) + 1 for k in rng.choice(dim, size=2, replace=False))
+    return TwoLevelGate(dim=dim, i=i, j=j, v=random_unitary2(rng))
 
 
 def _mask_kind(g):
@@ -533,11 +579,24 @@ def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
     written."""
     rng = np.random.default_rng([19, KINDS.index(kind), n])
     dim = 2**n
+    if kind == "two-level":
+        # Only a Decomposition holds two-level gates, and reconstruct mixes
+        # their pairs: one gate at a time, then a sequence, against k_embed.
+        for count in (1, 1, 1, 1, 6):
+            factors = [random_two_level_gate(dim, rng) for _ in range(count)]
+            d = decomposition(dim, factors)
+            blocks_before = d.blocks.copy()
+            want = np.eye(dim, dtype=complex)
+            for f in factors:
+                want = k_embed(dim, f.i, f.j, f.v) @ want
+            assert np.max(np.abs(reconstruct(d) - want)) < 1e-12
+            assert np.array_equal(d.blocks, blocks_before)
+        return
     drawn = []
     for _ in range(8):
         g = random_gate(kind, n, rng)
         drawn.append(g)
-        c = Circuit(n=n, gates=(g,))
+        c = circuit(n, [g])
         u = realize_gate(g)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi_before = psi.copy()
@@ -548,7 +607,7 @@ def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
         got = apply(c, rho).mat
         assert np.max(np.abs(got - u @ rho.mat @ u.conj().T)) < 1e-12
         assert np.array_equal(rho.mat, rho_before)
-    c = Circuit(n=n, gates=tuple(random_gate(kind, n, rng) for _ in range(6)))
+    c = circuit(n, [random_gate(kind, n, rng) for _ in range(6)])
     u = realize(c)
     rho = random_mixed_state(rng, dim)
     assert np.max(np.abs(apply(c, rho).mat - u @ rho.mat @ u.conj().T)) < 1e-12
@@ -566,14 +625,14 @@ def test_dense_oracle_does_not_read_the_kernel(monkeypatch):
     gs = [random_gate("wire", 4, rng) for _ in range(20)]
     want = [realize_gate(g) for g in gs]
 
-    def broken(g):
+    def broken(*args):
         raise AssertionError("gate_pairs called")
 
     monkeypatch.setattr(gates, "gate_pairs", broken)
     for g, m in zip(gs, want):
         assert np.array_equal(realize_gate(g), m)
     with pytest.raises(AssertionError, match="gate_pairs called"):
-        apply_vector(Circuit(n=4, gates=(gs[0],)), np.ones(16))
+        apply_vector(circuit(4, gs[:1]), np.ones(16))
 
 
 def test_wire_gate_realization_matches_projector_sum():
@@ -595,19 +654,16 @@ def test_wire_gate_realization_matches_projector_sum():
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
 def test_reconstruct_matches_product_of_k_embed_factors(dim):
     rng = np.random.default_rng([21, dim])
-    factors = []
-    for _ in range(3 * dim):
-        i, j = sorted(int(k) + 1 for k in rng.choice(dim, size=2, replace=False))
-        factors.append(TwoLevelGate(dim=dim, i=i, j=j, v=random_unitary2(rng)))
+    factors = [random_two_level_gate(dim, rng) for _ in range(3 * dim)]
     want = np.eye(dim, dtype=complex)
     for f in factors:
         want = k_embed(dim, f.i, f.j, f.v) @ want
-    got = reconstruct(Decomposition(dim=dim, factors=tuple(factors)))
+    got = reconstruct(decomposition(dim, factors))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_apply_rejects_state_of_the_wrong_dimension():
-    c = Circuit(n=2, gates=(WireGate(n=2, target=1, v=FLIP),))
+    c = circuit(2, [WireGate(n=2, target=1, v=FLIP)])
     with pytest.raises(ValueError):
         apply(c, pure_state(basis_vector(0, 3)))
     with pytest.raises(ValueError):
@@ -615,10 +671,58 @@ def test_apply_rejects_state_of_the_wrong_dimension():
 
 
 def test_circuit_rejects_mismatched_gate_dims():
-    with pytest.raises(ValueError):
-        Circuit(n=2, gates=(WireGate(n=3, target=1, v=np.eye(2)),))
-    with pytest.raises(ValueError):
-        Circuit(n=2, gates=(TwoLevelGate(dim=3, i=1, j=2, v=np.eye(2)),))
+    """A circuit holds no gate objects, only columns, and checks them
+    against its own n as WireGate checks one gate; two-level gates have no
+    columns in it (see test_two_level_line_is_not_a_circuit_line)."""
+    with pytest.raises(ValueError, match="^target 3 out of range for n=2$"):
+        circuit(2, [WireGate(n=3, target=3, v=np.eye(2))])
+    with pytest.raises(ValueError, match="^mask 4 out of range for n=2$"):
+        circuit(2, [WireGate(n=3, target=2, v=np.eye(2), mask=4)])
+    eye = np.eye(2)[None]
+    for target, mask, blocks, message in (
+        ([1, 2], [0], eye, "gate columns differ in length"),
+        ([3], [0], eye, "target 3 out of range for n=2"),
+        ([1], [2], eye, "target wire 1 is in mask 2"),
+        ([1], [0], 2 * eye, "gate block is not unitary within tolerance"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(2, target, mask, [0] * len(mask), blocks, [math.nan])
+
+
+def test_sequences_run_without_gate_objects(monkeypatch):
+    """Synthesis, simulation, decomposition and text work on the columns:
+    with both gate constructors broken, every stage still runs."""
+    from qsim import grover_rudolph as gr, udecomp
+
+    def broken(self):
+        raise AssertionError("a gate object was built")
+
+    monkeypatch.setattr(WireGate, "__post_init__", broken)
+    monkeypatch.setattr(TwoLevelGate, "__post_init__", broken)
+    with pytest.raises(AssertionError, match="gate object"):
+        WireGate(n=1, target=1, v=np.eye(2))
+    # All the mass on [0, 1/2): pruning drops the zero-angle rotations.
+    halves = (gr.DensitySegment(0.0, 0.5, (2.0,)), gr.DensitySegment(0.5, 1.0, (0.0,)))
+    tree = gr.angle_tree(gr.PiecewisePolyDensity(halves), 4)
+    assert circuit_length(gr.synthesize(tree, prune=True)) < 15
+    for prune in (False, True):
+        c = gr.synthesize(tree, prune=prune)
+        text = format_circuit(c)
+        assert format_circuit(parse_circuit(text)) == text
+        psi = apply_vector(c, basis_vector(0, 4))
+        assert np.allclose(apply(c, pure_state(basis_vector(0, 4))).mat, np.outer(psi, psi.conj()))
+    u = np.linalg.qr(np.random.default_rng(31).normal(size=(6, 6)))[0]
+    d = udecomp.decompose_unitary(u)
+    text = udecomp.format_decomposition(d)
+    assert udecomp.format_decomposition(udecomp.parse_decomposition(text)) == text
+    assert np.max(np.abs(reconstruct(d) - u)) < 1e-12
+
+
+def test_two_level_line_is_not_a_circuit_line():
+    line = "TWO-LEVEL 1 2 1 0 0 0 0 0 1 0"
+    assert parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n").i.tolist() == [1]
+    with pytest.raises(CircuitParseError, match="unknown kind"):
+        parse_circuit(f"QSIM-CIRCUIT v1 n=1\n{line}\n")
 
 
 # --- serialization -----------------------------------------------------------------------
@@ -631,7 +735,7 @@ def test_wire_gate_rejects_an_angle_its_block_does_not_match():
     with pytest.raises(ValueError):
         WireGate(n=2, target=2, v=rotation(0.5), angle=-0.5)
     g = WireGate(n=1, target=1, v=np.eye(2), angle=0.0)
-    assert parse_gate(format_gate(g), 1).angle == 0.0
+    assert parse_line(format_line(g), 1).angle == 0.0
 
 
 def test_suffix_controlled_gate_takes_no_angle():
@@ -642,12 +746,12 @@ def test_suffix_controlled_gate_takes_no_angle():
             WireGate(n=2, target=mask, v=rotation(0.5), mask=mask, angle=0.5)
     g = WireGate(n=2, target=1, v=rotation(0.5), mask=1)
     assert g.angle is None
-    assert format_gate(g).startswith("SUFFIX-CTRL 2 0 ")
+    assert format_line(g).startswith("SUFFIX-CTRL 2 0 ")
 
 
 def test_format_gate_pins():
     eye = np.eye(2)
-    assert format_gate(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
+    assert format_line(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
     for g, line in (
         (WireGate(n=2, target=2, v=eye), "WIRE 2 1 0 0 0 0 0 1 0"),
         # Controlled by wire 1, the one wire before the target.
@@ -657,11 +761,13 @@ def test_format_gate_pins():
         (WireGate(n=3, target=3, v=eye, mask=4, value=4), "CTRL 3 1. 1 0 0 0 0 0 1 0"),
         (WireGate(n=3, target=1, v=eye, mask=1), "CTRL 1 .0 1 0 0 0 0 0 1 0"),
         (WireGate(n=4, target=2, v=eye, mask=9, value=1), "CTRL 2 0.1 1 0 0 0 0 0 1 0"),
-        (TwoLevelGate(dim=4, i=1, j=3, v=eye), "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0"),
     ):
-        assert format_gate(g) == line
-        back = parse_gate(line, g.n if isinstance(g, WireGate) else 2)
-        assert format_gate(back) == line
+        assert format_line(g) == line
+        assert format_line(parse_line(line, g.n)) == line
+    # Factor files write a two-level gate as a TWO-LEVEL line.
+    text = "QSIM-FACTORS v1 dim=4\nTWO-LEVEL 1 3 1 0 0 0 0 0 1 0\n"
+    assert format_decomposition(decomposition(4, [TwoLevelGate(dim=4, i=1, j=3, v=eye)])) == text
+    assert format_decomposition(parse_decomposition(text)) == text
 
 
 def test_each_gate_has_one_spelling():
@@ -674,10 +780,10 @@ def test_each_gate_has_one_spelling():
         (3, "CTRL 1 01", "SUFFIX-CTRL 3 01"),
         (3, "CTRL 2 ..", "WIRE 2"),
     ):
-        a, b = parse_gate(old + block, n), parse_gate(canonical + block, n)
+        a, b = parse_line(old + block, n), parse_line(canonical + block, n)
         assert (a.target, a.mask, a.value) == (b.target, b.mask, b.value)
         assert np.array_equal(a.v, b.v)
-        assert format_gate(a) == format_gate(b) == canonical + block
+        assert format_line(a) == format_line(b) == canonical + block
 
 
 def test_round_trip_is_bit_exact():
@@ -690,21 +796,19 @@ def test_round_trip_is_bit_exact():
         WireGate(n=3, target=1, v=random_unitary2(rng), mask=3, value=1),
         WireGate(n=3, target=3, v=random_unitary2(rng), mask=2, value=0),
         WireGate(n=3, target=1, v=random_unitary2(rng), mask=2, value=2),
-        TwoLevelGate(dim=8, i=3, j=7, v=random_unitary2(rng)),
     ]
-    c = Circuit(n=3, gates=tuple(gs))
+    c = circuit(3, gs)
     text = format_circuit(c)
     # Both CTRL lines with a free wire are in the text.
     assert "\nCTRL 3 .0 " in text and "\nCTRL 1 1. " in text
     back = parse_circuit(text)
     assert back.n == 3
     assert circuit_length(back) == len(gs)
-    for orig, parsed in zip(gs, back.gates):
-        assert type(orig) is type(parsed)
-        assert np.array_equal(orig.v, parsed.v), type(orig).__name__
-        if isinstance(orig, WireGate):
-            fields = ("target", "mask", "value", "angle")
-            assert [getattr(parsed, f) for f in fields] == [getattr(orig, f) for f in fields]
+    fields = ("target", "mask", "value", "angle")
+    for orig, parsed in zip(gs, back.gates, strict=True):
+        assert type(parsed) is WireGate
+        assert np.array_equal(orig.v, parsed.v)
+        assert [getattr(parsed, f) for f in fields] == [getattr(orig, f) for f in fields]
     assert format_circuit(back) == text
 
 
@@ -736,49 +840,76 @@ def test_parse_errors():
     for count in ("0", "1_0", " 4", "+4", "\u0663"):
         with pytest.raises(CircuitParseError):
             parse_circuit(f"QSIM-CIRCUIT v1 n={count}\n")
-    with pytest.raises(CircuitParseError):
-        parse_gate("SPIN 1 0.5", 2)
-    with pytest.raises(CircuitParseError):
-        parse_gate("ROT 1", 2)
-    with pytest.raises(CircuitParseError):
-        parse_gate("WIRE 1 1 0 0 0", 2)  # wrong float count
-    with pytest.raises(CircuitParseError):
-        parse_gate("CTRL 1 2x 1 0 0 0 0 0 1 0", 2)  # bad bits
-    with pytest.raises(CircuitParseError):
-        parse_gate("WIRE 1 a b c d e f g h", 2)  # bad floats
-    with pytest.raises(CircuitParseError):
-        parse_gate("", 2)
+    # Each bad line raises alone, and after a good line of every kind, from
+    # the one reader that reads each line kind's fields into arrays.
+    good = (
+        "ROT 1 0.5\nWIRE 1 0 0 1 0 1 0 0 0\n"
+        "CTRL 1 . 0 0 1 0 1 0 0 0\nSUFFIX-CTRL 2 1 0 0 1 0 1 0 0 0\n"
+    )
+
+    def rejected(line, n):
+        for before in ("", good):
+            with pytest.raises(CircuitParseError):
+                parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{before}{line}\n")
+
+    for line in (
+        "SPIN 1 0.5",
+        "ROT 1",
+        "WIRE 1 1 0 0 0",  # wrong float count
+        "CTRL 1 2x 1 0 0 0 0 0 1 0",  # bad bits
+        "WIRE 1 a b c d e f g h",  # bad floats
+        "ROT 1 nan",  # not a rotation
+        "ROT 1 inf",
+    ):
+        rejected(line, 2)
+    # Masks are int64, so n is at most 62, whether or not a mask overflows.
+    rejected(f"CTRL 64 {'0' * 63} 1 0 0 0 0 0 1 0", 64)
+    rejected("ROT 1 0.5", 63)
+    # An empty pattern is written "-"; two spaces leave an empty field.
+    rejected("CTRL 1  1 0 0 0 0 0 1 0", 1)
+    assert circuit_length(parse_circuit("QSIM-CIRCUIT v1 n=1\nCTRL 1 - 1 0 0 0 0 0 1 0\n")) == 1
     # Integer fields follow the header's rule: ASCII digits only, single
     # spaces between fields.
     block = "1 0 0 0 0 0 1 0"
-    for field in ("\u0663", "+1", "0_2", " 1", "-1", ""):
+    for field in ("\u0663", "+1", "0_2", " 1", "-1", "", "99999999999999999999"):
         for line in (
             f"ROT {field} 0.5",
             f"WIRE {field} {block}",
             f"CTRL {field} 01 {block}",
             f"SUFFIX-CTRL {field} 01 {block}",
-            f"TWO-LEVEL {field} 2 {block}",
-            f"TWO-LEVEL 1 {field} {block}",
         ):
+            rejected(line, 3)
+        for line in (f"TWO-LEVEL {field} 2 {block}", f"TWO-LEVEL 1 {field} {block}"):
             with pytest.raises(CircuitParseError):
-                parse_gate(line, 3)
+                parse_decomposition(f"QSIM-FACTORS v1 dim=8\n{line}\n")
     for line in (
         f"SUFFIX-CTRL 3 .1 {block}",  # a suffix has no free wire
+        f"SUFFIX-CTRL 1 - {block}",  # stage 1 is the ROT or WIRE line
+        f"SUFFIX-CTRL 4 111 {block}",  # no stage beyond n
         f"CTRL 2 1 {block}",  # pattern too short
         f"CTRL 2 1.1 {block}",  # pattern too long
+        f"CTRL 4 01 {block}",  # target beyond n
         f"CTRL 2  01 {block}",  # two spaces
-        f"ROT 1 0.5 ",  # trailing space
+        f"ROT 1 0.5 0.5",  # one field too many
+        "WIRE 2 1 0 1 0 1 0 1 0",  # the block is not unitary
+        "WIRE 2 1e200 0 0 0 0 0 1 0",  # its square overflows
+        f"TWO-LEVEL 1 2 {block}",  # a factor line
     ):
-        with pytest.raises(CircuitParseError):
-            parse_gate(line, 3)
+        rejected(line, 3)
 
 
 def test_float_fields_reject_non_ascii_digits_and_separators():
-    # float() reads each of these as a number, stripping the tab, vertical
-    # tab, form feed and carriage return; no writer produces them.
-    for angle in ("\u0663", "1_0", "1_0e-1", "\t3", "3\x0b", "\x0c3", "3\r"):
+    # float() reads each of these as a number, stripping the tab; no writer
+    # produces them.
+    for angle in ("\u0663", "1_0", "1_0e-1", "\t3", "3\x01"):
         with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
-            parse_gate(f"ROT 1 {angle}", 1)
+            parse_line(f"ROT 1 {angle}", 1)
+    # A vertical tab, form feed or carriage return ends a line of a file,
+    # as a newline does: "ROT 1 \x0c3" is the two lines "ROT 1" and "3".
+    with pytest.raises(CircuitParseError, match="unknown kind or field count"):
+        parse_line("ROT 1 \x0c3", 1)
+    for angle in ("3\x0b", "3\r"):
+        assert parse_line(f"ROT 1 {angle}", 1).angle == 3.0
     # A tab inside a line survives the per-line strip of a circuit file.
     with pytest.raises(CircuitParseError, match="control character"):
         parse_circuit("QSIM-CIRCUIT v1 n=1\nROT 1 \t3\n")
@@ -786,19 +917,20 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
     for i in range(8):
         for entry in ("\u0661", "1_0e-1", "1\x0c", "\t1"):
             bad = " ".join(block[:i] + [entry] + block[i + 1 :])
-            for kind in ("WIRE 1", "CTRL 1 1", "SUFFIX-CTRL 2 1", "TWO-LEVEL 1 2"):
-                line = f"{kind} {bad}"
-                with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
-                    parse_gate(line, 2)
-                with pytest.raises(CircuitParseError):
-                    parse_circuit(f"QSIM-CIRCUIT v1 n=2\n{line}\n")
+            # A form feed cuts the line short, or leaves a block that is not unitary.
+            match = None if "\x0c" in entry else "non-ASCII text or '_'"
+            for kind in ("WIRE 1", "CTRL 1 1", "SUFFIX-CTRL 2 1"):
+                with pytest.raises(CircuitParseError, match=match):
+                    parse_line(f"{kind} {bad}", 2)
+            with pytest.raises(CircuitParseError, match=match):
+                parse_decomposition(f"QSIM-FACTORS v1 dim=2\nTWO-LEVEL 1 2 {bad}\n")
     # Comments are skipped before any line is read, so they may hold either.
     c = parse_circuit("QSIM-CIRCUIT v1 n=1\n# \u0663 1_0\nROT 1 3\n")
     assert c.gates[0].angle == 3.0
 
 
 def test_rot_line_round_trips_through_the_angle():
-    g = parse_gate("ROT 2 1.0471975511965979", 3)
+    g = parse_line("ROT 2 1.0471975511965979", 3)
     assert isinstance(g, WireGate)
     assert g.angle == 1.0471975511965979
     assert np.array_equal(g.v, rotation(1.0471975511965979))
@@ -811,8 +943,8 @@ def test_rot_line_round_trips_through_the_angle():
 )
 def test_rotation_gates_round_trip_property(alpha, j):
     g = WireGate(n=3, target=j, v=rotation(alpha), angle=alpha)
-    line = format_gate(g)
-    back = parse_gate(line, 3)
+    line = format_line(g)
+    back = parse_line(line, 3)
     assert back.target == j
     assert back.angle == alpha
     assert np.array_equal(back.v, g.v)

@@ -420,6 +420,25 @@ def test_pruning_drops_exact_identity_rotations_only():
     assert np.max(np.abs(circuit_law(full) - circuit_law(pruned))) < 1e-14
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_synthesized_blocks_are_rotation_bit_for_bit(n):
+    """One cos and one sin over all angles give exactly rotation(angle) of
+    each gate, the sign of a zero included, pruned or not."""
+    rng = np.random.default_rng([30, n])
+    for d in (random_poly_density(rng), powers_of_two()):
+        tree = angle_tree(d, n)
+        angles = [tree.theta, *(a for level in tree.levels for a in level)]
+        want = np.array([rotation(a) for a in angles])
+        c = synthesize(tree)
+        assert c.blocks.tobytes() == want.tobytes()
+        kept = [k for k, a in enumerate(angles) if a != 0.0]
+        assert synthesize(tree, prune=True).blocks.tobytes() == want[kept].tobytes()
+    # powers_of_two has nodes with all their mass on the left: angle 0,
+    # whose block holds -sin(0) = -0.0.
+    real = c.blocks.real
+    assert n == 1 or (np.signbit(real) & (real == 0.0)).any()
+
+
 def test_synthesized_state_is_real_and_nonnegative():
     """Plane rotations from |0...0> keep every amplitude real nonnegative:
     the prepared vector encodes square roots of the target masses."""
@@ -757,6 +776,10 @@ def test_angle_tree_json_error_reporting():
     doc = json.loads(angle_tree_to_json(angle_tree(triangular(), 3)))
     first = doc["suffix_angles"][0]
     no_node = {"suffix": "111", "angle": 0.0}
+
+    def first_angle(angle):
+        return {**doc, "suffix_angles": [{**first, "angle": angle}, *doc["suffix_angles"][1:]]}
+
     bad = (
         {**doc, "n": 1.9},
         {**doc, "n": 3.0},
@@ -767,6 +790,14 @@ def test_angle_tree_json_error_reporting():
         {**doc, "suffix_angles": doc["suffix_angles"] + [first]},
         {**doc, "suffix_angles": doc["suffix_angles"] + [no_node]},
         {**doc, "n": 1},
+        # Every angle is a JSON number in [0, pi/2]; float() would read the
+        # first three as 0.5, 1.0 and 10.0.
+        {**doc, "theta": "0.5"},
+        first_angle(True),
+        first_angle("1_0"),
+        first_angle(math.nan),
+        first_angle(-3),
+        {**doc, "theta": math.pi / 2 + 1e-15},
     )
     for case in bad:
         with pytest.raises(DensityJsonError):

@@ -19,6 +19,7 @@ from qsim.algprob import (
     DensityMatrix,
     Observable,
     StateValidationError,
+    law_probabilities,
     pure_state,
     validate_state,
 )
@@ -552,6 +553,14 @@ def test_counts_on_ties_and_past_the_last_cdf_value(monkeypatch):
 def test_sample_rejects_laws_that_are_not_distributions(probabilities, match):
     with pytest.raises(ValueError, match=match):
         sample(law_over_labels(probabilities), 1000, 0)
+
+
+def test_sample_reads_a_law_as_law_probabilities_does():
+    """Rounding noise below zero is clamped, not rejected: the law that
+    law_probabilities makes [1, 0] draws every shot on outcome 0."""
+    p = [1 + 5e-13, -5e-13]
+    assert law_probabilities(p).tolist() == [1.0, 0.0]
+    assert sample(law_over_labels(p), 10, 0).counts == {0: 10, 1: 0}
 
 
 def test_sample_is_deterministic_per_seed():

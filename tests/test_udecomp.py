@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import (
-    Circuit,
-    CircuitParseError,
-    TwoLevelGate,
-    format_circuit,
-    parse_circuit,
-)
+from qsim.gates import CircuitParseError, TwoLevelGate, parse_circuit
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
     RECONSTRUCTION_TOL,
@@ -478,6 +472,7 @@ def test_factor_file_parse_errors():
     # dimension with no two-level gates.
     for line in (
         "TWO-LEVEL 1 2 1 0 1 0 1 0 1 0",  # not unitary
+        "TWO-LEVEL 1 2 1e200 0 0 0 0 0 1 0",  # its square overflows
         "TWO-LEVEL 2 1 1 0 0 0 0 0 1 0",  # i > j
         "TWO-LEVEL 1 3 1 0 0 0 0 0 1 0",  # j > dim
         # i and j are ASCII digits only, as in the header.
@@ -505,17 +500,24 @@ def test_factor_file_block_rejects_non_ascii_digits_and_separators():
 
 
 def test_factor_record_is_shared_with_the_gate_type():
-    """Factors and circuit two-level gates are one type, one line format."""
+    """A factor read from a Decomposition is a TwoLevelGate with the same
+    fields as its columns; TWO-LEVEL lines belong to factor files only."""
     dec = decompose_unitary(random_unitary(np.random.default_rng(5), 4))
     assert all(type(f) is TwoLevelGate for f in dec.factors)
+    assert [(f.i, f.j) for f in dec.factors] == list(zip(dec.i.tolist(), dec.j.tolist()))
+    assert all(np.array_equal(f.v, v) for f, v in zip(dec.factors, dec.blocks, strict=True))
     factor_lines = format_decomposition(dec).splitlines()[1:]
-    gate_lines = format_circuit(Circuit(n=2, gates=dec.factors)).splitlines()[1:]
-    assert factor_lines == gate_lines
+    assert all(line.startswith("TWO-LEVEL ") for line in factor_lines)
+    for line in factor_lines:
+        with pytest.raises(CircuitParseError, match="unknown kind"):
+            parse_circuit(f"QSIM-CIRCUIT v1 n=2\n{line}\n")
 
 
 def test_reconstruct_validates_dimensions():
-    f = TwoLevelGate(dim=3, i=1, j=2, v=np.eye(2))
-    with pytest.raises(ValueError):
-        reconstruct(Decomposition(dim=4, factors=(f,)))
-    with pytest.raises(ValueError):
-        reconstruct(Decomposition(dim=1, factors=()))
+    eye = np.eye(2)[None]
+    with pytest.raises(ValueError, match=r"^coordinates \(1, 5\) invalid for dim 4$"):
+        reconstruct(Decomposition(4, [1], [5], eye))
+    with pytest.raises(ValueError, match="^ambient dimension must be at least 2$"):
+        reconstruct(Decomposition(1, np.array([], int), np.array([], int), eye[:0]))
+    with pytest.raises(ValueError, match="^gate columns differ in length$"):
+        Decomposition(4, [1, 2], [2, 3], eye)

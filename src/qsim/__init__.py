@@ -6,7 +6,7 @@ Layers, lowest first:
 * algprob: density matrices, observables, events, measurement laws.
 * qpu: n-qubit encodings, register observables, evolution, seeded sampling.
 * gates: wire gates (a block on a target wire under a control mask) and
-  two-level gates, circuits, text serialization.
+  two-level gates, circuits and factor lists as columns, their text.
 * udecomp: factoring any unitary into N(N-1)/2 two-level gates.
 * grover_rudolph: circuits loading a probability density into n qubits.
 * cli: the qsim command-line tool wrapping all of the above.

@@ -1,4 +1,4 @@
-"""Elementary gates, circuits, and their text serialization.
+"""Elementary gates, gate sequences, and their text serialization.
 
 A gate is a 2x2 unitary together with an embedding that places it in the
 register unitary group. A WireGate applies its block to a target wire
@@ -12,9 +12,9 @@ control mask and value are ints over those position bits. A circuit
 applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
 
-A Circuit stores its gates as columns, one array per field, as does a
-udecomp.Decomposition its factors; one column check validates a container
-and, on columns of length one, a single gate object.
+A Circuit stores its wire gates as columns, one array per field, as does
+a Decomposition its two-level factors; one column check validates a
+container and, on columns of length one, a single gate object.
 
 Simulation never forms the realized matrix: mix_pairs applies each block
 to the coordinate pairs (p0, p1) that gate_pairs lists, in place. realize
@@ -32,7 +32,7 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL
-from .qpu import position_bitstring, tensor_index
+from .qpu import bitstring, bitstring_positions, decode, position_bitstring
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 
@@ -174,32 +174,74 @@ class TwoLevelGate:
         self.__dict__["v"] = _pair_columns(self.dim, [self.i], [self.j], [self.v])["blocks"][0]
 
 
-def _controls(n: int, target: int, pattern) -> tuple[int, int, int]:
-    """(target, mask, value) of a control pattern over the n - 1 wires other
-    than target, in wire order: a bit for each control wire, None for a
-    free one."""
-    if not 1 <= target <= n:
-        raise ValueError(f"target {target} out of range for n={n}")
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Two-level factors of a dim x dim unitary as columns, factor 0
+    applying first.
+
+    Factor k is TwoLevelGate(dim, i[k], j[k], blocks[k]). The columns are
+    checked as TwoLevelGate checks one factor and stored read-only.
+    """
+
+    dim: int
+    i: np.ndarray
+    j: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        self.__dict__.update(_pair_columns(self.dim, self.i, self.j, self.blocks))
+
+    @property
+    def factors(self) -> tuple[TwoLevelGate, ...]:
+        """The factors as TwoLevelGate objects, built on each read."""
+        return tuple(
+            _unchecked(TwoLevelGate, dim=self.dim, i=i, j=j, v=v)
+            for i, j, v in zip(self.i.tolist(), self.j.tolist(), self.blocks)
+        )
+
+
+def stage_layout(n: int, stage):
+    """(target, mask) of Grover-Rudolph stage `stage` on n wires, ints or
+    int64 columns (arXiv:quant-ph/0208112): stage l rotates wire n - l + 1
+    under the trailing l - 1 wires, the low l - 1 position bits, so stage 1
+    is the rotation of wire n without controls."""
+    return n + 1 - stage, (1 << (stage - 1)) - 1
+
+
+def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
+    """(target, mask, value) columns of CTRL fields: a target wire, and a
+    pattern over the other n - 1 wires in wire order, '0' or '1' for a
+    control wire that must carry that bit and '.' for a free one."""
+    target = np.asarray(target).astype(np.int64, casting="safe")
+    _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
+    length = np.fromiter(map(len, patterns), np.int64, len(patterns))
+    _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
+    # All n wires, the target free; any character but 0, 1 and . is not a bit.
+    wires = "".join(p[: t - 1] + "." + p[t - 1 :] for p, t in zip(patterns, target.tolist()))
+    mask = bitstring_positions(wires.replace("0", "1").replace(".", "0"), n)
+    return target, mask, bitstring_positions(wires.replace(".", "0"), n)
+
+
+def _suffix_columns(n: int, stage, suffixes) -> tuple[np.ndarray, ...]:
+    """(target, mask, value) columns of SUFFIX-CTRL fields: a stage 2..n,
+    and the '0'/'1' bits its stage_layout controls carry, in wire order."""
+    stage = np.asarray(stage).astype(np.int64, casting="safe")
+    _reject((stage < 2) | (stage > n), f"stage {{}} out of range for n={n}", stage)
+    length = np.fromiter(map(len, suffixes), np.int64, len(suffixes))
+    _reject(length != stage - 1, "suffix length {} != stage-1 = {}", length, stage - 1)
+    value = bitstring_positions("".join(s.rjust(n, "0") for s in suffixes), n)
+    return (*stage_layout(n, stage), value)
+
+
+def _controls(n: int, target: int, pattern) -> tuple[int, int]:
+    """(mask, value) of a control pattern over the n - 1 wires other than
+    target, in wire order: a bit for each control wire, None for a free
+    one."""
     pattern = tuple(pattern)
     if any(b not in (0, 1, None) for b in pattern):
         raise ValueError(f"control pattern {pattern} contains non-bits")
-    if len(pattern) != n - 1:
-        raise ValueError(f"pattern length {len(pattern)} != n-1 = {n - 1}")
-    wires = pattern[: target - 1] + (None,) + pattern[target - 1 :]
-    mask = tensor_index([int(b is not None) for b in wires])
-    return target, mask, tensor_index([int(b or 0) for b in wires])
-
-
-def _suffix_controls(n: int, stage: int, suffix) -> tuple[int, int, int]:
-    """(target, mask, value) of synthesis stage `stage`: target wire
-    n - stage + 1, controlled by the trailing stage - 1 wires, which are the
-    low position bits, carrying the bits of suffix in wire order."""
-    if not 2 <= stage <= n:
-        raise ValueError(f"stage {stage} out of range for n={n}")
-    suffix = tuple(suffix)
-    if len(suffix) != stage - 1:
-        raise ValueError(f"suffix length {len(suffix)} != stage-1 = {stage - 1}")
-    return n - stage + 1, (1 << (stage - 1)) - 1, tensor_index(suffix)
+    text = "".join("." if b is None else str(int(b)) for b in pattern)
+    return tuple(c[0].item() for c in _pattern_columns(n, [target], [text])[1:])
 
 
 _EYE = np.eye(2, dtype=np.complex128)
@@ -230,7 +272,7 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
     z lists the bits of wires 1..n skipping ell, in wire order. v may be an
     arbitrary 2x2 block here; no unitarity is required.
     """
-    _, mask, value = _controls(n, ell, z)
+    mask, value = _controls(n, ell, z)
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (2, 2):
         raise ValueError(f"block must be 2x2, got {v.shape}")
@@ -243,15 +285,26 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     A two-level modification of the identity: only the two basis indices
     whose non-target bits match z are mixed by v.
     """
-    _, mask, value = _controls(n, ell, z)
+    mask, value = _controls(n, ell, z)
     return realize_gate(WireGate(n, ell, v, mask, value))
 
 
 def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
     """Identity on the first n-stage wires, then v on the next wire
     controlled by the trailing stage-1 wires matching suffix."""
-    target, mask, value = _suffix_controls(n, stage, suffix)
+    suffix = tuple(suffix)
+    text = bitstring(decode(suffix), len(suffix)) if suffix else ""  # decode checks each bit
+    target, mask, value = (c[0].item() for c in _suffix_columns(n, [stage], [text]))
     return realize_gate(WireGate(n, target, v, mask, value))
+
+
+def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
+    """Identity of size nn with v as the 2x2 block on coordinates i < j;
+    the dense oracle that reconstruct is tested against."""
+    g = TwoLevelGate(dim=nn, i=i, j=j, v=v)
+    out = np.eye(nn, dtype=np.complex128)
+    out[np.ix_([i - 1, j - 1], [i - 1, j - 1])] = g.v
+    return out
 
 
 def realize_gate(g: WireGate) -> np.ndarray:
@@ -368,6 +421,15 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
     return psi
 
 
+def reconstruct(d: Decomposition) -> np.ndarray:
+    """Multiply the factors back together in application order."""
+    out = np.eye(d.dim, dtype=np.complex128)
+    for i, j, v in zip(d.i.tolist(), d.j.tolist(), d.blocks):
+        # Left multiplication touches only rows i and j.
+        mix_pairs(v, out, i - 1, j - 1)
+    return out
+
+
 # --- serialization ---------------------------------------------------------
 #
 # One gate per line, fields separated by single spaces, '#' comments and
@@ -381,15 +443,17 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 #   CTRL <target> <pattern over the other n-1 wires> <8 floats>
 #   SUFFIX-CTRL <stage> <bits of the last stage-1 wires> <8 floats>
 #
+#   QSIM-FACTORS v1 dim=<ASCII digits, at least 2>
+#   TWO-LEVEL <i> <j> <8 floats>
+#
 # A wire gate is written ROT or WIRE without controls, SUFFIX-CTRL when its
 # controls are exactly the wires after the target, and CTRL otherwise.
-# Factor files (udecomp) hold TWO-LEVEL lines. One reader reads the fields
-# of each line kind into arrays; the column check then validates them.
+# Factor files hold TWO-LEVEL lines. One reader reads the fields of each
+# line kind into arrays; the column check then validates them.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
 _CIRCUIT_ARITY = {"ROT": 3, "WIRE": 10, "CTRL": 11, "SUFFIX-CTRL": 11}
-_PATTERN_BITS = {"0": 0, "1": 1, ".": None}
 
 
 def _format_blocks(blocks: np.ndarray) -> list[str]:
@@ -460,29 +524,25 @@ def _blocks(rows: list[list[str]], start: int) -> np.ndarray:
     return _numbers(rows, start, start + 8).view(np.complex128).reshape(-1, 2, 2)
 
 
-def _read_controlled(n: int, rows, controls):
-    """CTRL or SUFFIX-CTRL rows: controls(n, field 1, the bits of field 2)
-    is a line's (target, mask, value), as _controls or _suffix_controls."""
-    first = _numbers(rows, 1, 2, np.int64).tolist()
-    try:
-        bits = [[] if r[2] == "-" else [_PATTERN_BITS[b] for b in r[2]] for r in rows]
-        target, mask, value = zip(*map(controls, [n] * len(rows), first, bits))
-    except (KeyError, ValueError) as exc:
-        raise CircuitParseError(f"bad {rows[0][0]} line for n={n}: {exc}") from exc
-    return target, mask, value, _blocks(rows, 3), math.nan
-
-
 def _read_rot(n: int, rows):
     angle = _numbers(rows, 2, 3)
     return _numbers(rows, 1, 2, np.int64), 0, 0, rotations(angle), angle
+
+
+def _controlled_reader(controls):
+    """The reader of CTRL or SUFFIX-CTRL rows: controls, _pattern_columns or
+    _suffix_columns, reads fields 1 and 2 as columns, '-' as an empty field."""
+    return lambda n, rows: (
+        *controls(n, _numbers(rows, 1, 2, np.int64), ["" if r[2] == "-" else r[2] for r in rows]),
+        _blocks(rows, 3), math.nan)
 
 
 # Each kind's (target, mask, value, blocks, angle) columns or shared scalars.
 _READERS = {
     "ROT": _read_rot,
     "WIRE": lambda n, rows: (_numbers(rows, 1, 2, np.int64), 0, 0, _blocks(rows, 2), math.nan),
-    "CTRL": lambda n, rows: _read_controlled(n, rows, _controls),
-    "SUFFIX-CTRL": lambda n, rows: _read_controlled(n, rows, _suffix_controls),
+    "CTRL": _controlled_reader(_pattern_columns),
+    "SUFFIX-CTRL": _controlled_reader(_suffix_columns),
 }
 
 
@@ -490,14 +550,17 @@ def format_circuit(c: Circuit) -> str:
     """Full text form: header line then one line per gate, in its one spelling."""
     n = c.n
     lines = [f"QSIM-CIRCUIT v1 n={n}"]
-    columns = (c.target.tolist(), c.mask.tolist(), c.value.tolist(), c.angle.tolist())
-    for t, m, b, a, block in zip(*columns, _format_blocks(c.blocks)):
+    # SUFFIX-CTRL when the controls are those of the stage that targets the wire.
+    suffix = c.mask == stage_layout(n, n + 1 - c.target)[1]
+    columns = (c.target.tolist(), c.mask.tolist(), c.value.tolist(), c.angle.tolist(),
+               suffix.tolist())
+    for t, m, b, a, s, block in zip(*columns, _format_blocks(c.blocks)):
         if not math.isnan(a):
             lines.append(f"ROT {t} {a:.17g}")
         elif not m:
             lines.append(f"WIRE {t} {block}")
-        elif m == (1 << (n - t)) - 1:
-            lines.append(f"SUFFIX-CTRL {n - t + 1} {position_bitstring(b, n)[t:]} {block}")
+        elif s:
+            lines.append(f"SUFFIX-CTRL {n + 1 - t} {position_bitstring(b, n)[t:]} {block}")
         else:
             bits = zip(position_bitstring(m, n), position_bitstring(b, n))
             pattern = "".join(v if w == "1" else "." for w, v in bits)
@@ -520,9 +583,27 @@ def parse_circuit(text: str) -> Circuit:
         for kind, (index, rows) in _gate_rows(lines, _CIRCUIT_ARITY).items():
             columns = _READERS[kind](n, rows)
             for out, column in zip((target, mask, value, blocks, angle), columns):
-                out[index] = column  # OverflowError for a mask past MAX_WIRES
+                out[index] = column
         return Circuit(n, target, mask, value, blocks, angle)
     except CircuitParseError:
         raise
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an n no array can index
         raise CircuitParseError(f"bad gate: {exc}") from exc
+
+
+def format_decomposition(d: Decomposition) -> str:
+    lines = [f"QSIM-FACTORS v1 dim={d.dim}"]
+    columns = d.i.tolist(), d.j.tolist(), _format_blocks(d.blocks)
+    lines.extend(f"TWO-LEVEL {i} {j} {block}" for i, j, block in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def parse_decomposition(text: str) -> Decomposition:
+    dim, lines = _parse_header(text, "FACTORS", "dim", 2)
+    _, rows = _gate_rows(lines, {"TWO-LEVEL": 11}).get("TWO-LEVEL", ([], []))
+    i, j = _numbers(rows, 1, 2, np.int64), _numbers(rows, 2, 3, np.int64)
+    blocks = _blocks(rows, 3)
+    try:
+        return Decomposition(dim, i, j, blocks)
+    except ValueError as exc:
+        raise CircuitParseError(f"bad factor: {exc}") from exc

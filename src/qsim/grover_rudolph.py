@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, apply_vector, rotations
+from .gates import Circuit, apply_vector, rotations, stage_layout
 from .qpu import bitstring, decode, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -296,14 +296,13 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     """
     n = tree.n
     angles = np.fromiter(itertools.chain((tree.theta,), *tree.levels), np.float64)
-    stage = np.repeat(np.arange(1, n + 1), 1 << np.arange(n))
+    target, mask = stage_layout(n, np.repeat(np.arange(1, n + 1), 1 << np.arange(n)))
     # The suffix with label s sits at array position values[s] of the
     # trailing wires, the low stage - 1 position bits.
     values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
     rot = np.full(len(angles), math.nan)
     rot[0] = tree.theta
-    columns = [n - stage + 1, (1 << (stage - 1)) - 1, np.concatenate(values),
-               rotations(angles), rot]
+    columns = [target, mask, np.concatenate(values), rotations(angles), rot]
     if prune:
         blocks = columns[3]
         keep = (blocks[:, 0, 0] != 1.0) | (blocks[:, 1, 0] != 0.0)

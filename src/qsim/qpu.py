@@ -11,8 +11,9 @@ conflating them is the classic bug in this construction:
 
 This module owns both maps, and every other module goes through them:
 encode/decode handle labels, bitstring writes a label's bits as text in
-wire order, tensor_index and position_bitstring handle array positions,
-and label_permutation tabulates the composite map.
+wire order, tensor_index, position_bitstring and its column inverse
+bitstring_positions handle array positions, and label_permutation
+tabulates the composite map.
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ def tensor_index(bits: BitString) -> int:
     position bit: index = sum z_j 2^(n-j).
     """
     return decode(bits[::-1])
+
+
+def bitstring_positions(text: str, n: int) -> np.ndarray:
+    """Flat array positions of the wire-order strings of n <= 63 bits that
+    text concatenates, as an int64 column: position_bitstring inverted, so
+    "011100" at n = 3 is [3, 4]."""
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, n) - ord("0")
+    bad = (bits > 1).any(axis=1)
+    if n > 63 or bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{text[k * n : (k + 1) * n]!r} is not a string of {n} <= 63 bits")
+    return bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def position_bitstring(p: int, n: int) -> str:
@@ -201,31 +214,29 @@ def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     return evolve(unitary_from_hamiltonian(h, t), rho0)
 
 
+def _label_law(weights: np.ndarray) -> np.ndarray:
+    """Basis weights indexed by array position, read in label order and
+    checked by law_probabilities; n is read from their count, a power of 2."""
+    n = len(weights).bit_length() - 1
+    if 2**n != len(weights):
+        raise ValueError(f"dimension {len(weights)} is not a power of 2")
+    return law_probabilities(weights[label_permutation(n)])
+
+
 def basis_distribution(rho: DensityMatrix) -> np.ndarray:
     """Probability of each basis outcome k under the state rho.
 
     Entry k is <b(k)| rho |b(k)>, i.e. the diagonal entry at k's tensor
     position. This resolves individual basis states even when observable
-    eigenvalues collide. n is read from rho's dimension, a power of 2, and
-    the diagonal is checked by law_probabilities.
+    eigenvalues collide.
     """
-    dim = rho.dim
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"state dimension {dim} is not a power of 2")
-    diag = np.real(np.diagonal(rho.mat))
-    return law_probabilities(diag[label_permutation(n)])
+    return _label_law(np.real(np.diagonal(rho.mat)))
 
 
 def vector_distribution(psi) -> np.ndarray:
-    """Probability of each basis outcome k for a pure state vector, with the
-    squared magnitudes checked by law_probabilities."""
-    psi = as_vector(psi)
-    n = psi.shape[0].bit_length() - 1
-    if 2**n != psi.shape[0]:
-        raise ValueError(f"vector dimension {psi.shape[0]} is not a power of 2")
-    weights = np.abs(psi) ** 2
-    return law_probabilities(weights[label_permutation(n)])
+    """Probability of each basis outcome k for a pure state vector: the
+    squared magnitude at k's tensor position."""
+    return _label_law(np.abs(as_vector(psi)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -21,21 +21,16 @@ their running sums, not one factor at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# Re-exported: the factor list, its dense oracle and its text live in gates.
 from .gates import (
-    CircuitParseError,
+    Decomposition,
     TwoLevelGate,
-    _blocks,
-    _format_blocks,
-    _gate_rows,
-    _numbers,
-    _pair_columns,
-    _parse_header,
-    _unchecked,
-    mix_pairs,
+    format_decomposition,
+    k_embed,
+    parse_decomposition,
+    reconstruct,
 )
 from .linalg import as_matrix, as_vector, is_unitary
 
@@ -49,15 +44,6 @@ RECONSTRUCTION_TOL = 1e-9
 SNAP_TOL = 1e-12
 
 _IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
-
-
-def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
-    """Identity of size nn with v as the 2x2 block on coordinates i < j;
-    the dense oracle that reconstruct is tested against."""
-    g = TwoLevelGate(dim=nn, i=i, j=j, v=v)
-    out = np.eye(nn, dtype=np.complex128)
-    out[np.ix_([i - 1, j - 1], [i - 1, j - 1])] = g.v
-    return out
 
 
 def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -119,45 +105,9 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     coordinate 1. Components already negligible produce identity factors.
     """
     psi = as_vector(psi)
-    blocks = _column_blocks(psi)[0]
     n = psi.shape[0]
-    factors = [TwoLevelGate(dim=n, i=1, j=k + 2, v=v) for k, v in enumerate(blocks)]
-    return factors, float(np.linalg.norm(psi))
-
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Two-level factors of a dim x dim unitary as columns, factor 0
-    applying first.
-
-    Factor k is TwoLevelGate(dim, i[k], j[k], blocks[k]). The columns are
-    checked as TwoLevelGate checks one factor and stored read-only.
-    """
-
-    dim: int
-    i: np.ndarray
-    j: np.ndarray
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        self.__dict__.update(_pair_columns(self.dim, self.i, self.j, self.blocks))
-
-    @property
-    def factors(self) -> tuple[TwoLevelGate, ...]:
-        """The factors as TwoLevelGate objects, built on each read."""
-        return tuple(
-            _unchecked(TwoLevelGate, dim=self.dim, i=i, j=j, v=v)
-            for i, j, v in zip(self.i.tolist(), self.j.tolist(), self.blocks)
-        )
-
-
-def reconstruct(d: Decomposition) -> np.ndarray:
-    """Multiply the factors back together in application order."""
-    out = np.eye(d.dim, dtype=np.complex128)
-    for i, j, v in zip(d.i.tolist(), d.j.tolist(), d.blocks):
-        # Left multiplication touches only rows i and j.
-        mix_pairs(v, out, i - 1, j - 1)
-    return out
+    factors = Decomposition(n, [1] * (n - 1), range(2, n + 1), _column_blocks(psi)[0]).factors
+    return list(factors), float(np.linalg.norm(psi))
 
 
 def decompose_unitary(u) -> Decomposition:
@@ -225,26 +175,3 @@ def reconstruction_residual(d: Decomposition, u) -> float:
     """Relative Frobenius distance between reconstruct(d) and u."""
     u = as_matrix(u)
     return float(np.linalg.norm(reconstruct(d) - u) / np.linalg.norm(u))
-
-
-# --- serialization ---------------------------------------------------------
-#
-#   QSIM-FACTORS v1 dim=<ASCII digits, at least 2>
-#   TWO-LEVEL <i> <j> <8 floats>        (read by the circuit file's reader)
-
-def format_decomposition(d: Decomposition) -> str:
-    lines = [f"QSIM-FACTORS v1 dim={d.dim}"]
-    columns = d.i.tolist(), d.j.tolist(), _format_blocks(d.blocks)
-    lines.extend(f"TWO-LEVEL {i} {j} {block}" for i, j, block in zip(*columns))
-    return "\n".join(lines) + "\n"
-
-
-def parse_decomposition(text: str) -> Decomposition:
-    dim, lines = _parse_header(text, "FACTORS", "dim", 2)
-    _, rows = _gate_rows(lines, {"TWO-LEVEL": 11}).get("TWO-LEVEL", ([], []))
-    i, j = _numbers(rows, 1, 2, np.int64), _numbers(rows, 2, 3, np.int64)
-    blocks = _blocks(rows, 3)
-    try:
-        return Decomposition(dim, i, j, blocks)
-    except ValueError as exc:
-        raise CircuitParseError(f"bad factor: {exc}") from exc

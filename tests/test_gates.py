@@ -712,10 +712,25 @@ def test_sequences_run_without_gate_objects(monkeypatch):
         psi = apply_vector(c, basis_vector(0, 4))
         assert np.allclose(apply(c, pure_state(basis_vector(0, 4))).mat, np.outer(psi, psi.conj()))
     u = np.linalg.qr(np.random.default_rng(31).normal(size=(6, 6)))[0]
+    factors, norm = udecomp.reduce_vector(u[:, 0])
+    assert [(f.i, f.j) for f in factors] == [(1, j) for j in range(2, 7)]
     d = udecomp.decompose_unitary(u)
     text = udecomp.format_decomposition(d)
     assert udecomp.format_decomposition(udecomp.parse_decomposition(text)) == text
     assert np.max(np.abs(reconstruct(d) - u)) < 1e-12
+
+
+def test_factor_lists_live_with_the_gate_sequences():
+    """udecomp re-exports the factor list, its dense oracle and its text
+    from gates, and binds no private name of gates."""
+    from qsim import udecomp
+
+    for name in ("Decomposition", "k_embed", "reconstruct", "format_decomposition",
+                 "parse_decomposition"):
+        assert getattr(udecomp, name) is getattr(gates, name)
+    private = [k for k, x in vars(udecomp).items()
+               if k.startswith("_") and not k.startswith("__") and getattr(gates, k, None) is x]
+    assert private == []
 
 
 def test_two_level_line_is_not_a_circuit_line():
@@ -768,6 +783,88 @@ def test_format_gate_pins():
     text = "QSIM-FACTORS v1 dim=4\nTWO-LEVEL 1 3 1 0 0 0 0 0 1 0\n"
     assert format_decomposition(decomposition(4, [TwoLevelGate(dim=4, i=1, j=3, v=eye)])) == text
     assert format_decomposition(parse_decomposition(text)) == text
+
+
+def test_stage_layout_pins():
+    # Stage 1 is the free rotation of wire n; stage n rotates wire 1 under
+    # all the others, the low n - 1 position bits.
+    assert gates.stage_layout(3, 1) == (3, 0)
+    assert gates.stage_layout(3, 2) == (2, 1)
+    assert gates.stage_layout(3, 3) == (1, 3)
+    target, mask = gates.stage_layout(4, np.arange(1, 5))
+    assert target.tolist() == [4, 3, 2, 1] and mask.tolist() == [0, 1, 3, 7]
+
+
+def _block_text(v):
+    return " ".join(f"{x:.17g}" for x in np.ascontiguousarray(v).view(np.float64).ravel())
+
+
+def test_control_fields_read_as_the_constructors_build_them():
+    """A file of random CTRL and SUFFIX-CTRL lines reads, one column per
+    field, to the target, mask and value that tensor_index gives wire by
+    wire, and each line's circuit realizes to the matrix of
+    controlled_gate or suffix_controlled_gate."""
+    rng = np.random.default_rng(43)
+    for n in range(1, 6):
+        lines, want = [], []
+        for k in range(40):
+            v = random_unitary2(rng)
+            if n == 1 or k % 2:
+                # Every third CTRL line is the full pattern on wire 1.
+                target = 1 if k % 3 == 0 else int(rng.integers(1, n + 1))
+                free = [None] if k % 3 else []
+                z = tuple([0, 1, *free][b] for b in rng.integers(0, 3 - (k % 3 == 0), n - 1))
+                wires = z[: target - 1] + (None,) + z[target - 1 :]
+                pattern = "".join("." if b is None else str(b) for b in z) or "-"
+                lines.append(f"CTRL {target} {pattern} {_block_text(v)}")
+                dense = controlled_gate(n, target, z, v)
+            else:
+                stage = int(rng.integers(2, n + 1))
+                suffix = tuple(int(b) for b in rng.integers(0, 2, stage - 1))
+                target = n - stage + 1
+                wires = (None,) * target + suffix
+                lines.append(f"SUFFIX-CTRL {stage} {''.join(map(str, suffix))} {_block_text(v)}")
+                dense = suffix_controlled_gate(n, stage, suffix, v)
+            mask = tensor_index([int(b is not None) for b in wires])
+            want.append((target, mask, tensor_index([b or 0 for b in wires]), v))
+            one = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{lines[-1]}\n")
+            assert np.array_equal(realize(one), dense), lines[-1]
+        c = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n" + "\n".join(lines))
+        for k, (target, mask, value, v) in enumerate(want):
+            assert (c.target[k], c.mask[k], c.value[k]) == (target, mask, value), lines[k]
+            assert np.array_equal(c.blocks[k], v)
+
+
+def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
+    """parse_circuit reads every CTRL and SUFFIX-CTRL field of a file as
+    whole columns: no per-line call into qpu or _controls, and one call of
+    bitstring_positions per column, whatever the number of lines."""
+    from qsim import grover_rudolph as gr, qpu
+
+    segments = (gr.DensitySegment(0.0, 1.0, (0.5, 1.0)),)
+    c = gr.synthesize(gr.angle_tree(gr.PiecewisePolyDensity(segments), 12))
+    text = format_circuit(c)
+    ctrl = "".join(f"CTRL {t} 0.1.0.1.0.1 {_block_text(FLIP)}\n" for t in range(1, 13))
+    want = parse_circuit(text + ctrl)
+
+    def boom(*args):
+        raise AssertionError("a per-line call")
+
+    for module, name in ((qpu, "tensor_index"), (qpu, "decode"), (gates, "decode"),
+                         (gates, "bitstring"), (gates, "_controls")):
+        monkeypatch.setattr(module, name, boom)
+    calls = []
+    positions = gates.bitstring_positions
+    monkeypatch.setattr(gates, "bitstring_positions", lambda *a: calls.append(a) or positions(*a))
+    got = parse_circuit(text)
+    assert len(calls) == 1
+    for field in ("target", "mask", "value", "blocks", "angle"):
+        assert np.array_equal(getattr(got, field), getattr(c, field), equal_nan=True), field
+    calls.clear()
+    got = parse_circuit(text + ctrl)
+    assert len(calls) == 3
+    for field in ("target", "mask", "value", "blocks", "angle"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
 
 
 def test_each_gate_has_one_spelling():

@@ -29,6 +29,7 @@ from qsim.qpu import (
     basis_distribution,
     basis_vector,
     bitstring,
+    bitstring_positions,
     decode,
     encode,
     evolve,
@@ -113,6 +114,27 @@ def test_tensor_index_pins():
         tensor_index([])
     with pytest.raises(ValueError):
         tensor_index([0, 2])
+
+
+def test_bitstring_positions_invert_position_bitstring():
+    # Wire order, wire 1 most significant: "011" is position 3, "100" is 4.
+    assert bitstring_positions("011100", 3).tolist() == [3, 4]
+    assert bitstring_positions("", 2).tolist() == []
+    rng = np.random.default_rng(5)
+    for n in (1, 5, 62, 63):
+        p = [int(x) for x in rng.integers(0, 2**n, 50, dtype=np.uint64)]
+        text = "".join(qpu.position_bitstring(x, n) for x in p)
+        assert bitstring_positions(text, n).tolist() == p
+    for text, n, message in (
+        ("0120", 2, "'20' is not a string of 2 <= 63 bits"),
+        ("0.", 2, "'0.' is not a string of 2 <= 63 bits"),
+        ("0" * 64, 64, f"'{'0' * 64}' is not a string of 64 <= 63 bits"),
+    ):
+        with pytest.raises(ValueError) as err:
+            bitstring_positions(text, n)
+        assert str(err.value) == message
+    with pytest.raises(ValueError):
+        bitstring_positions("011", 2)
 
 
 def test_label_permutation_is_bit_reversal():
@@ -304,6 +326,13 @@ def test_distributions_reject_what_is_not_a_law():
         assert err.value.condition == condition
     # Rounding noise within the floor clamps to zero, as in a law.
     assert np.array_equal(basis_distribution(state(1.0, -1e-13)), [1.0, 0.0])
+
+
+def test_distributions_read_a_power_of_two_dimension():
+    for law, arg in ((basis_distribution, DensityMatrix(np.eye(3) / 3)),
+                     (vector_distribution, np.ones(3) / math.sqrt(3))):
+        with pytest.raises(ValueError, match="^dimension 3 is not a power of 2$"):
+            law(arg)
 
 
 def test_distributions_agree_on_pure_states():

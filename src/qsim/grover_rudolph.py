@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, apply_vector, rotations, stage_layout
-from .qpu import bitstring, decode, label_permutation, vector_distribution
+from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
@@ -402,13 +402,13 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
         lo, hi, coeffs = entry["lo"], entry["hi"], entry["coeffs"]
         # A string of digits as coeffs would iterate as coefficients.
         numbers = [lo, hi, *coeffs] if isinstance(coeffs, list) else [coeffs]
-        if not all(map(_is_number, numbers)):
+        if not all(map(is_json_number, numbers)):
             raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
         segs.append(DensitySegment(lo, hi, tuple(coeffs)))
     return PiecewisePolyDensity(segments=tuple(segs))
 
 
-def _is_number(x) -> bool:
+def is_json_number(x) -> bool:
     """x is a JSON number; float() would also take "0.5", "1_0" and true."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -437,16 +437,13 @@ def load_density(path) -> PiecewisePolyDensity:
 
 def angle_tree_to_json(tree: AngleTree) -> str:
     """Angle tree as JSON with human-readable suffix keys (wire order)."""
-    suffix_angles = []
-    for m in range(1, tree.n):
-        for s in range(2**m):
-            suffix_angles.append(
-                {"suffix": bitstring(s, m), "angle": tree.levels[m - 1][s]}
-            )
-    return json.dumps(
-        {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles},
-        indent=2,
-    )
+    suffix_angles = [
+        {"suffix": suffix, "angle": angle}
+        for m, level in enumerate(tree.levels, start=1)
+        for suffix, angle in zip(label_bitstrings(m), level)
+    ]
+    doc = {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles}
+    return json.dumps(doc, indent=2)
 
 
 def angle_tree_from_json(text: str) -> AngleTree:
@@ -464,17 +461,15 @@ def angle_tree_from_json(text: str) -> AngleTree:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DensityJsonError(f'"n" must be an integer >= 1, got {n!r}')
     for angle in (theta, *raw.values()):
-        if not (_is_number(angle) and 0.0 <= angle <= math.pi / 2):
+        if not (is_json_number(angle) and 0.0 <= angle <= math.pi / 2):
             raise DensityJsonError(f"angle {angle!r} is not a JSON number in [0, pi/2]")
     levels = []
     for m in range(1, n):
-        level = []
-        for s in range(2**m):
-            key = bitstring(s, m)
-            if key not in raw:
-                raise DensityJsonError(f"angle for suffix {key!r} missing")
-            level.append(float(raw[key]))
-        levels.append(tuple(level))
+        suffixes = label_bitstrings(m)
+        missing = [key for key in suffixes if key not in raw]
+        if missing:
+            raise DensityJsonError(f"angle for suffix {missing[0]!r} missing")
+        levels.append(tuple(float(raw[key]) for key in suffixes))
     # Every node's suffix is present, so any further entry is a duplicate
     # or a suffix that no node has.
     if len(entries) != 2**n - 2:

@@ -10,10 +10,10 @@ conflating them is the classic bug in this construction:
   Kronecker factor and therefore the most significant block of the array.
 
 This module owns both maps, and every other module goes through them:
-encode/decode handle labels, bitstring writes a label's bits as text in
-wire order, tensor_index, position_bitstring and its column inverse
-bitstring_positions handle array positions, and label_permutation
-tabulates the composite map.
+encode/decode handle labels, bitstring and its column form
+label_bitstrings write a label's bits as text in wire order, tensor_index,
+position_bitstring and its column inverse bitstring_positions handle array
+positions, and label_permutation tabulates the composite map.
 """
 
 from __future__ import annotations
@@ -91,6 +91,14 @@ def bitstring_positions(text: str, n: int) -> np.ndarray:
         k = int(np.argmax(bad))
         raise ValueError(f"{text[k * n : (k + 1) * n]!r} is not a string of {n} <= 63 bits")
     return bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def label_bitstrings(n: int) -> list[str]:
+    """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, from one
+    (2^n, n) array of characters: character i - 1 is bit i - 1 of k."""
+    _check_label(0, n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1
+    return (bits | ord("0")).view(f"S{n}")[:, 0].astype(str).tolist()
 
 
 def position_bitstring(p: int, n: int) -> str:

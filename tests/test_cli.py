@@ -402,7 +402,7 @@ def test_bad_flag_value_exits_via_argparse(triangular_path):
 
 def test_qubit_count_bounds(triangular_path):
     assert main(["law", "--n", "0", "--density", triangular_path]) == 3
-    assert main(["law", "--n", "11", "--density", triangular_path]) == 3
+    assert main(["law", "--n", "21", "--density", triangular_path]) == 3
 
 
 def test_stdout_output_when_no_out_given(capsys, triangular_path):

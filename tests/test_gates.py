@@ -7,6 +7,7 @@ print with 17 significant digits.
 """
 
 import math
+from importlib import resources
 from itertools import product
 
 import numpy as np
@@ -620,19 +621,117 @@ def test_kernel_matches_dense_oracle_and_leaves_inputs_alone(kind, n):
 
 def test_dense_oracle_does_not_read_the_kernel(monkeypatch):
     """realize_gate builds a wire gate from Kronecker chains, so a broken
-    gate_pairs leaves it unchanged while the kernel itself fails."""
+    gate_runs leaves it unchanged while the kernel itself fails."""
     rng = np.random.default_rng(20)
     gs = [random_gate("wire", 4, rng) for _ in range(20)]
     want = [realize_gate(g) for g in gs]
 
     def broken(*args):
-        raise AssertionError("gate_pairs called")
+        raise AssertionError("gate_runs called")
 
-    monkeypatch.setattr(gates, "gate_pairs", broken)
+    monkeypatch.setattr(gates, "gate_runs", broken)
     for g, m in zip(gs, want):
         assert np.array_equal(realize_gate(g), m)
-    with pytest.raises(AssertionError, match="gate_pairs called"):
+    with pytest.raises(AssertionError, match="gate_runs called"):
         apply_vector(circuit(4, gs[:1]), np.ones(16))
+
+
+# --- runs against the gate-by-gate reference ---------------------------------------
+
+
+def gate_by_gate(c, x):
+    """The circuit on the rows of a copy of x, one gate at a time in
+    sequence order: the reference that gate_runs batches."""
+    x = np.array(x, dtype=complex)
+    positions = np.arange(2**c.n)
+    for g in c.gates:
+        stride = 1 << (c.n - g.target)
+        p0 = positions[positions & (g.mask | stride) == g.value]
+        a, b = x[p0], x[p0 + stride]
+        x[p0], x[p0 + stride] = g.v[0, 0] * a + g.v[0, 1] * b, g.v[1, 0] * a + g.v[1, 1] * b
+    return x
+
+
+def check_against_gate_by_gate(c, rng):
+    """apply_vector bit for bit, and apply within 1e-15, of the reference."""
+    dim = 2**c.n
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for x in (basis_vector(0, c.n), psi):
+        assert np.array_equal(apply_vector(c, x), gate_by_gate(c, x))
+    if c.n <= 7:
+        rho = random_mixed_state(rng, dim)
+        # U rho U* = (U (U rho)*)*.
+        want = gate_by_gate(c, gate_by_gate(c, rho.mat).conj().T).conj().T
+        assert np.max(np.abs(apply(c, rho).mat - want)) <= 1e-15
+
+
+def run_lengths(c):
+    return [len(v) for v, _, _ in gates.gate_runs(c)]
+
+
+def layout_circuit(n, layouts, rng):
+    """Random blocks on gates given as (target, mask, values) groups."""
+    target, mask, value = zip(*[(t, m, b) for t, m, values in layouts for b in values])
+    blocks = [random_unitary2(rng) for _ in target]
+    return Circuit(n, target, mask, value, blocks, [math.nan] * len(target))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_runs_match_gate_by_gate_on_synthesized_circuits(n):
+    from qsim import grover_rudolph as gr
+
+    rng = np.random.default_rng([23, n])
+    data = resources.files("qsim.data")
+    shipped = [gr.load_density(data / f"{name}.json") for name in ("triangular", "powers_of_two")]
+    quadratic = gr.PiecewisePolyDensity((gr.DensitySegment(0.0, 1.0, (0.1, 0.0, 2.7)),))
+    for d in [*shipped, quadratic]:
+        tree = gr.angle_tree(d, n)
+        for prune in (False, True):
+            c = gr.synthesize(tree, prune=prune)
+            # Each stage is one run, pruned or not.
+            assert len(run_lengths(c)) == len(set(c.target.tolist()))
+            check_against_gate_by_gate(c, rng)
+
+
+def test_runs_split_where_a_value_repeats():
+    """Two gates on the same pair do not commute, so a repeated value
+    starts a new run: back to back, and after another value."""
+    rng = np.random.default_rng(24)
+    trailing = (2, 0b1, [1, 1])
+    c = layout_circuit(3, [trailing], rng)
+    assert run_lengths(c) == [1, 1]
+    check_against_gate_by_gate(c, rng)
+    c = layout_circuit(3, [(2, 0b1, [0, 1, 0])], rng)
+    assert run_lengths(c) == [2, 1]
+    check_against_gate_by_gate(c, rng)
+    c = layout_circuit(4, [(2, 0b1001, [0, 1, 8, 9, 1, 0, 9]), trailing, (2, 0b1001, [8])], rng)
+    assert run_lengths(c) == [4, 3, 1, 1, 1]
+    check_against_gate_by_gate(c, rng)
+
+
+def test_runs_of_free_wires_wire_gates_and_the_empty_circuit():
+    rng = np.random.default_rng(25)
+    # CTRL groups with free wires: target 2 under wire 1 or wires 1 and 4,
+    # each a run; WIRE gates repeat value 0, so each is a run of one.
+    text = ["QSIM-CIRCUIT v1 n=4"]
+    for pattern in ("0..", "1..", "0.1", "1.1", "0.0", "1.0"):
+        block = " ".join(f"{x:.17g}" for x in random_unitary2(rng).view(float).ravel())
+        text.append(f"CTRL 2 {pattern} {block}")
+    for wire in (1, 1, 3, 4, 4):
+        block = " ".join(f"{x:.17g}" for x in random_unitary2(rng).view(float).ravel())
+        text.append(f"WIRE {wire} {block}")
+    c = parse_circuit("\n".join(text) + "\n")
+    assert run_lengths(c) == [2, 4, 1, 1, 1, 1, 1]
+    check_against_gate_by_gate(c, rng)
+    # Random gates drawn from a few layouts, with values from a small set.
+    layouts = [(1, 0b0110, [0, 2, 4, 6]), (4, 0b1000, [0, 8]), (2, 0, [0])]
+    for _ in range(10):
+        groups = [(t, m, rng.choice(b, size=int(rng.integers(1, 5))).tolist())
+                  for t, m, b in (layouts[int(i)] for i in rng.integers(0, 3, size=6))]
+        check_against_gate_by_gate(layout_circuit(4, groups, rng), rng)
+    empty = circuit(3)
+    assert run_lengths(empty) == []
+    check_against_gate_by_gate(empty, rng)
 
 
 def test_wire_gate_realization_matches_projector_sum():

@@ -700,6 +700,37 @@ def test_target_law_within_1e14_of_exact_masses(d, n):
     assert max(errors) <= Fraction(1, 10**14)
 
 
+def quadratic():
+    """0.1 + 2.7 x^2 on [0, 1]."""
+    return PiecewisePolyDensity((DensitySegment(0.0, 1.0, (0.1, 0.0, 2.7)),))
+
+
+def exact_one_piece_masses(coeffs, n):
+    """The dyadic masses of sum_m coeffs[m] x^m on [0, 1], each the float
+    nearest its exact rational: one integer antiderivative per edge."""
+    scaled = [Fraction(c) / (m + 1) for m, c in enumerate(coeffs)]
+    lcd = math.lcm(*(s.denominator for s in scaled))
+    top = len(coeffs)
+    # 2^(n top) lcd F(k / 2^n), an integer.
+    edges = [
+        sum(int(s * lcd) * k ** (m + 1) << n * (top - m - 1) for m, s in enumerate(scaled))
+        for k in range(2**n + 1)
+    ]
+    return np.array([(b - a) / (lcd << n * top) for a, b in zip(edges, edges[1:])])
+
+
+def test_circuit_law_matches_formula_law_at_n_20():
+    tree = angle_tree(quadratic(), 20)
+    assert np.max(np.abs(circuit_law(synthesize(tree)) - formula_law(tree))) <= 1e-15
+
+
+def test_circuit_law_matches_exact_masses_at_n_16():
+    """Relative bound: the leaf masses F(b) - F(a) cancel, 5e-12 at n = 16."""
+    got = circuit_law(synthesize(angle_tree(quadratic(), 16)))
+    want = exact_one_piece_masses((0.1, 0.0, 2.7), 16)
+    assert np.max(np.abs(got - want) / want) <= 1e-11
+
+
 # --- file formats -----------------------------------------------------------------------
 
 

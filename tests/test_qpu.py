@@ -33,6 +33,7 @@ from qsim.qpu import (
     decode,
     encode,
     evolve,
+    label_bitstrings,
     label_permutation,
     law_over_labels,
     liouville_solve,
@@ -101,6 +102,14 @@ def test_bitstring_is_wire_order_and_decodes_back():
             encode(k, n)
         with pytest.raises(ValueError, match=f"^{want.value}$"):
             bitstring(k, n)
+
+
+def test_label_bitstrings_is_bitstring_of_every_label():
+    assert label_bitstrings(2) == ["00", "10", "01", "11"]
+    for n in range(1, 11):
+        assert label_bitstrings(n) == [bitstring(k, n) for k in range(2**n)]
+    with pytest.raises(ValueError, match="qubit count must be at least 1"):
+        label_bitstrings(0)
 
 
 def test_tensor_index_pins():

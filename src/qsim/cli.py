@@ -107,14 +107,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_law(args: argparse.Namespace) -> int:
     """Exact per-outcome probabilities of the synthesized state."""
     _check_n(args.n)
-    if args.identity and args.density:
-        raise InputFormatError("--identity and --density are mutually exclusive")
-    if args.identity:
-        probs = np.zeros(2**args.n)
-        probs[0] = 1.0
-    else:
-        probs = _density_circuit_law(args)
-    _table(args, {"n": args.n, "law": {"probability": probs}}, "law")
+    _table(args, {"n": args.n, "law": {"probability": _density_circuit_law(args)}}, "law")
     return EXIT_OK
 
 
@@ -237,12 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(cmd_synth, "synthesize a circuit from a density", "--n", "--density")
     p.add_argument("--prune", action="store_true", help="drop exact identity rotations")
 
-    p = command(cmd_law, "exact outcome probabilities", "--n", "--density", "--format")
-    p.add_argument(
-        "--identity",
-        action="store_true",
-        help="law of the untouched all-zeros state instead of a density",
-    )
+    command(cmd_law, "exact outcome probabilities", "--n", "--density", "--format")
 
     p = command(cmd_sample, "seeded shot experiment", "--n", "--density", "--format")
     p.add_argument("--shots", type=int, default=2048, help="number of draws")

@@ -429,9 +429,10 @@ def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_vector(c: Circuit, psi) -> np.ndarray:
-    """The circuit on a copy of psi, run by run: bit for bit the gate-by-gate product."""
+    """The circuit on a copy of the state vector psi, shape (2^n,), run by
+    run: bit for bit the gate-by-gate product."""
     psi = np.array(psi, dtype=np.complex128)
-    if psi.shape[:1] != (2**c.n,):
+    if psi.shape != (2**c.n,):
         raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
     for v, p0, p1 in gate_runs(c):
         mix_pairs(v[:, None], psi, p0, p1)

@@ -184,8 +184,11 @@ class CallableDensity:
 
 
 def _check_edges(edges) -> np.ndarray:
-    """Edges as a float array, nondecreasing within [0, 1], or ValueError."""
+    """Edges as a nonempty 1-D float array, nondecreasing within [0, 1], or
+    ValueError."""
     edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) == 0:
+        raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
     if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
         raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
     return edges
@@ -229,9 +232,6 @@ class AngleTree:
     n: int
     theta: float
     levels: tuple[tuple[float, ...], ...]
-
-    def angle_count(self) -> int:
-        return 1 + sum(len(level) for level in self.levels)
 
     def suffix_angle(self, suffix) -> float:
         """Angle of the node whose fixed trailing bits are `suffix`.
@@ -418,18 +418,6 @@ class DensityJsonError(ValueError):
     failure of a well-formed density)."""
 
 
-def density_to_json(d: PiecewisePolyDensity) -> str:
-    return json.dumps(
-        {
-            "segments": [
-                {"lo": s.lo, "hi": s.hi, "coeffs": list(s.coeffs)}
-                for s in d.segments
-            ]
-        },
-        indent=2,
-    )
-
-
 def load_density(path) -> PiecewisePolyDensity:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_density_json(fh.read())
@@ -444,36 +432,3 @@ def angle_tree_to_json(tree: AngleTree) -> str:
     ]
     doc = {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles}
     return json.dumps(doc, indent=2)
-
-
-def angle_tree_from_json(text: str) -> AngleTree:
-    """Inverse of angle_tree_to_json: "n" is a JSON integer >= 1, every
-    angle a JSON number in [0, pi/2], and "suffix_angles" holds exactly one
-    entry for each of the 2^n - 2 nodes."""
-    try:
-        doc = json.loads(text)
-        n = doc["n"]
-        theta = doc["theta"]
-        entries = [(e["suffix"], e["angle"]) for e in doc["suffix_angles"]]
-        raw = dict(entries)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DensityJsonError(f"bad angle-tree JSON: {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DensityJsonError(f'"n" must be an integer >= 1, got {n!r}')
-    for angle in (theta, *raw.values()):
-        if not (is_json_number(angle) and 0.0 <= angle <= math.pi / 2):
-            raise DensityJsonError(f"angle {angle!r} is not a JSON number in [0, pi/2]")
-    levels = []
-    for m in range(1, n):
-        suffixes = label_bitstrings(m)
-        missing = [key for key in suffixes if key not in raw]
-        if missing:
-            raise DensityJsonError(f"angle for suffix {missing[0]!r} missing")
-        levels.append(tuple(float(raw[key]) for key in suffixes))
-    # Every node's suffix is present, so any further entry is a duplicate
-    # or a suffix that no node has.
-    if len(entries) != 2**n - 2:
-        raise DensityJsonError(
-            f"expected one angle per node, {2**n - 2} entries, got {len(entries)}"
-        )
-    return AngleTree(n=n, theta=float(theta), levels=tuple(levels))

@@ -21,11 +21,8 @@ import qsim
 from qsim import cli
 from qsim.cli import main
 from qsim.gates import format_circuit, parse_circuit, realize
-from qsim.grover_rudolph import (
-    angle_tree_from_json,
-    angle_tree_to_json,
-    parse_density_json,
-)
+from qsim.grover_rudolph import angle_tree, load_density, parse_density_json
+from qsim.qpu import label_bitstrings
 from qsim.udecomp import parse_decomposition, reconstruction_residual
 
 TRIANGULAR = {
@@ -76,6 +73,14 @@ def bundled(name):
     return str(resources.files("qsim.data") / f"{name}.json")
 
 
+def sidecar_angles(doc):
+    """The sidecar's suffix -> angle entries, checked to list every node once,
+    level by level in label_bitstrings order."""
+    suffixes = [e["suffix"] for e in doc["suffix_angles"]]
+    assert suffixes == [s for m in range(1, doc["n"]) for s in label_bitstrings(m)]
+    return {e["suffix"]: e["angle"] for e in doc["suffix_angles"]}
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -91,12 +96,17 @@ def test_synth_writes_circuit_and_sidecar(tmp_path, triangular_path):
     c = parse_circuit(out.read_text())
     assert c.n == 3
     assert len(c.gates) == 7
-    tree = angle_tree_from_json((tmp_path / "tri.circuit.angles.json").read_text())
-    assert abs(tree.theta - math.pi / 4) < 1e-13
-    assert abs(tree.suffix_angle("0") - math.pi / 3) < 1e-13
-    assert abs(tree.suffix_angle("1") - math.pi / 6) < 1e-13
-    assert abs(tree.suffix_angle("10") - math.acos(math.sqrt(15.0) / 6.0)) < 1e-13
-    assert abs(tree.suffix_angle("01") - math.acos(math.sqrt(21.0) / 6.0)) < 1e-13
+    doc = json.loads((tmp_path / "tri.circuit.angles.json").read_text())
+    assert doc["n"] == 3
+    assert abs(doc["theta"] - math.pi / 4) < 1e-13
+    angles = sidecar_angles(doc)
+    assert abs(angles["0"] - math.pi / 3) < 1e-13
+    assert abs(angles["1"] - math.pi / 6) < 1e-13
+    assert abs(angles["10"] - math.acos(math.sqrt(15.0) / 6.0)) < 1e-13
+    assert abs(angles["01"] - math.acos(math.sqrt(21.0) / 6.0)) < 1e-13
+    tree = angle_tree(load_density(triangular_path), 3)
+    assert doc["theta"] == tree.theta
+    assert list(angles.values()) == [a for level in tree.levels for a in level]
 
 
 def test_synth_prune_shortens_powers_of_two_circuit(tmp_path, powers_of_two_path):
@@ -153,20 +163,6 @@ def test_law_powers_of_two_puts_thirds_on_three_labels(tmp_path, powers_of_two_p
         assert float(rows[k]["probability"]) == pytest.approx(1 / 3, abs=1e-10)
     for k in (0, 3, 5, 6, 7):
         assert float(rows[k]["probability"]) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_law_identity_state(tmp_path):
-    out = tmp_path / "law.json"
-    code = main(["law", "--n", "2", "--identity", "--format", "json", "--out", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["n"] == 2
-    probs = [row["probability"] for row in doc["law"]]
-    assert probs == [1.0, 0.0, 0.0, 0.0]
-
-
-def test_law_identity_conflicts_with_density(triangular_path):
-    assert main(["law", "--identity", "--density", triangular_path]) == 2
 
 
 def test_law_without_density_is_a_parse_error():
@@ -261,7 +257,7 @@ def test_decompose_two_by_two(tmp_path):
     assert np.array_equal(d.factors[0].v, u)
 
 
-def test_decompose_input_errors(tmp_path):
+def test_decompose_input_errors(tmp_path, capsys):
     assert main(["decompose"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -269,6 +265,11 @@ def test_decompose_input_errors(tmp_path):
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"dim": 3, "entries": [[1.0, 0.0]]}))
     assert main(["decompose", "--unitary", str(short)]) == 2
+    no_entries = tmp_path / "no_entries.json"
+    no_entries.write_text(json.dumps({"dim": 2}))
+    capsys.readouterr()
+    assert main(["decompose", "--unitary", str(no_entries)]) == 2
+    assert capsys.readouterr().err == 'qsim: parse error: unitary JSON needs "dim" and "entries"\n'
     not_unitary = write_unitary(tmp_path, np.ones((3, 3)), "n.json")
     assert main(["decompose", "--unitary", not_unitary]) == 3
 
@@ -439,12 +440,6 @@ def test_tables_match_golden_files(tmp_path, capsys, command, extra, density, fm
     assert capsys.readouterr().out == (stdout.read_text() if stdout.exists() else "")
 
 
-def test_identity_law_matches_golden_file(tmp_path):
-    out = tmp_path / "law.csv"
-    assert main(["law", "--n", "3", "--identity", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "law_identity.csv").read_bytes()
-
-
 @pytest.mark.parametrize(
     "name,density,extra",
     [
@@ -460,9 +455,11 @@ def test_synth_matches_golden_files(tmp_path, capsys, name, density, extra):
     assert out.read_bytes() == (GOLDEN / f"{name}.circuit").read_bytes()
     sidecar = tmp_path / "c.circuit.angles.json"
     assert sidecar.read_bytes() == (GOLDEN / f"{name}.circuit.angles.json").read_bytes()
-    # The reader accepts exactly what synth writes.
-    text = sidecar.read_text()
-    assert angle_tree_to_json(angle_tree_from_json(text)) + "\n" == text
+    # The sidecar holds the density's angle tree bit for bit.
+    doc = json.loads(sidecar.read_text())
+    tree = angle_tree(load_density(bundled(density)), 3)
+    assert doc["theta"] == tree.theta
+    assert list(sidecar_angles(doc).values()) == [a for level in tree.levels for a in level]
     circuit = out.read_text()
     assert format_circuit(parse_circuit(circuit)) == circuit
     gates = len(parse_circuit(circuit).gates)
@@ -507,7 +504,7 @@ def test_messages_and_exit_codes_match_golden(capsys, case):
 
 OPTIONS = {
     "synth": {"--n", "--density", "--out", "--prune"},
-    "law": {"--n", "--density", "--format", "--out", "--identity"},
+    "law": {"--n", "--density", "--format", "--out"},
     "sample": {"--n", "--density", "--format", "--out", "--shots", "--seed"},
     "decompose": {"--unitary", "--out"},
     "verify": {"--n", "--density", "--format", "--out", "--tol"},
@@ -529,6 +526,7 @@ def test_each_command_lists_exactly_the_options_it_reads(capsys, command):
         "synth --format json",
         "synth --tol 0",
         "law --tol 0",
+        "law --identity",
         "sample --tol 0",
         "decompose --n 3",
         "decompose --format json",

@@ -195,6 +195,8 @@ def test_control_projector_allows_non_unitary_blocks():
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
     p = control_projector(2, 1, (0,), block)
     assert p.shape == (4, 4)
+    with pytest.raises(ValueError, match=r"^block must be 2x2, got \(3, 3\)$"):
+        control_projector(2, 1, (0,), np.eye(3))
 
 
 def test_control_projectors_with_different_patterns_annihilate():
@@ -767,6 +769,14 @@ def test_apply_rejects_state_of_the_wrong_dimension():
         apply(c, pure_state(basis_vector(0, 3)))
     with pytest.raises(ValueError):
         apply_vector(c, np.zeros(8))
+    # A stack of states is no state vector. Two gates on wire 1 controlled
+    # by the last wire mix 2 free offsets each at n = 3, where an (8, 3)
+    # stack would broadcast to a wrong answer, and 4 at n = 4, where a
+    # (16, 3) stack would fail inside numpy.
+    for n in (3, 4):
+        two = circuit(n, [WireGate(n=n, target=1, v=FLIP, mask=1, value=b) for b in (0, 1)])
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: {2**n} vs shape \({2**n}, 3\)$"):
+            apply_vector(two, np.ones((2**n, 3)))
 
 
 def test_circuit_rejects_mismatched_gate_dims():
@@ -786,6 +796,8 @@ def test_circuit_rejects_mismatched_gate_dims():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Circuit(2, target, mask, [0] * len(mask), blocks, [math.nan])
+    with pytest.raises(ValueError, match="^gate columns differ in length$"):
+        Circuit(1, [1], [0], [0], eye, [math.nan, math.nan])
 
 
 def test_sequences_run_without_gate_objects(monkeypatch):

@@ -30,10 +30,8 @@ from qsim.grover_rudolph import (
     DensitySegment,
     PiecewisePolyDensity,
     angle_tree,
-    angle_tree_from_json,
     angle_tree_to_json,
     circuit_law,
-    density_to_json,
     formula_law,
     load_density,
     parse_density_json,
@@ -239,7 +237,11 @@ def test_masses_match_integrate_on_every_interval():
         # Each entry is the interval integrated on its own.
         assert got.tolist() == [d.masses([a, b])[0] for a, b in zip(edges, edges[1:])]
         for bad in ([0.0, 0.6, 0.5], [-0.1, 0.5], [0.5, 1.1], [0.0, math.nan]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^bad integration range"):
+                d.masses(bad)
+        # Edges are a nonempty 1-D array, not an empty list or a column.
+        for bad in ([], [[0.0, 1.0]], [[0.0], [1.0]]):
+            with pytest.raises(ValueError, match="^edges must be a nonempty 1-D array"):
                 d.masses(bad)
 
 
@@ -309,7 +311,7 @@ def test_angle_count_and_range():
     rng = np.random.default_rng(21)
     for n in (1, 2, 3, 5, 7):
         tree = angle_tree(random_poly_density(rng), n)
-        assert tree.angle_count() == 2**n - 1
+        assert [len(level) for level in tree.levels] == [2**m for m in range(1, n)]
         assert 0.0 <= tree.theta <= math.pi / 2
         for level in tree.levels:
             for ang in level:
@@ -736,7 +738,8 @@ def test_circuit_law_matches_exact_masses_at_n_16():
 
 def test_density_json_round_trip():
     d = triangular()
-    back = parse_density_json(density_to_json(d))
+    segments = [{"lo": s.lo, "hi": s.hi, "coeffs": list(s.coeffs)} for s in d.segments]
+    back = parse_density_json(json.dumps({"segments": segments}))
     assert len(back.segments) == len(d.segments)
     for a, b in zip(d.segments, back.segments):
         assert (a.lo, a.hi, a.coeffs) == (b.lo, b.hi, b.coeffs)
@@ -777,17 +780,24 @@ def test_density_json_error_reporting():
 
 def test_load_density_from_file(tmp_path):
     path = tmp_path / "d.json"
-    path.write_text(density_to_json(triangular()))
+    path.write_text((resources.files("qsim.data") / "triangular.json").read_text())
     d = load_density(path)
     assert d.masses([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angle_tree_json_round_trip():
-    tree = angle_tree(triangular(), 3)
-    back = angle_tree_from_json(angle_tree_to_json(tree))
-    assert back.n == tree.n
-    assert back.theta == tree.theta
-    assert back.levels == tree.levels
+    """The JSON numbers read back to every angle bit for bit, one entry per
+    node, level by level in label_bitstrings order."""
+    tree = angle_tree(triangular(), 4)
+    doc = json.loads(angle_tree_to_json(tree))
+    assert (doc["n"], doc["theta"]) == (tree.n, tree.theta)
+    entries = [(e["suffix"], e["angle"]) for e in doc["suffix_angles"]]
+    want = [
+        (suffix, angle)
+        for m, level in enumerate(tree.levels, start=1)
+        for suffix, angle in zip(qpu.label_bitstrings(m), level)
+    ]
+    assert entries == want
 
 
 def test_angle_tree_json_uses_wire_order_suffix_strings():
@@ -796,42 +806,3 @@ def test_angle_tree_json_uses_wire_order_suffix_strings():
     by_suffix = {e["suffix"]: e["angle"] for e in doc["suffix_angles"]}
     assert set(by_suffix) == {"0", "1", "00", "10", "01", "11"}
     assert by_suffix["10"] == tree.suffix_angle((1, 0))
-
-
-def test_angle_tree_json_error_reporting():
-    with pytest.raises(DensityJsonError):
-        angle_tree_from_json("{broken")
-    with pytest.raises(DensityJsonError):
-        angle_tree_from_json('{"n": 2, "theta": 0.5, "suffix_angles": []}')
-    # "n" is a JSON integer >= 1, and each node has exactly one entry.
-    doc = json.loads(angle_tree_to_json(angle_tree(triangular(), 3)))
-    first = doc["suffix_angles"][0]
-    no_node = {"suffix": "111", "angle": 0.0}
-
-    def first_angle(angle):
-        return {**doc, "suffix_angles": [{**first, "angle": angle}, *doc["suffix_angles"][1:]]}
-
-    bad = (
-        {**doc, "n": 1.9},
-        {**doc, "n": 3.0},
-        {**doc, "n": True},
-        {**doc, "n": "3"},
-        {**doc, "n": 0, "suffix_angles": []},
-        {**doc, "n": -2, "suffix_angles": []},
-        {**doc, "suffix_angles": doc["suffix_angles"] + [first]},
-        {**doc, "suffix_angles": doc["suffix_angles"] + [no_node]},
-        {**doc, "n": 1},
-        # Every angle is a JSON number in [0, pi/2]; float() would read the
-        # first three as 0.5, 1.0 and 10.0.
-        {**doc, "theta": "0.5"},
-        first_angle(True),
-        first_angle("1_0"),
-        first_angle(math.nan),
-        first_angle(-3),
-        {**doc, "theta": math.pi / 2 + 1e-15},
-    )
-    for case in bad:
-        with pytest.raises(DensityJsonError):
-            angle_tree_from_json(json.dumps(case))
-    tree = angle_tree_from_json(json.dumps({**doc, "n": 1, "suffix_angles": []}))
-    assert (tree.n, tree.levels) == (1, ())

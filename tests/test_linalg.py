@@ -142,6 +142,24 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_inaccurate_eigenpairs_raise_arithmetic_errors(monkeypatch):
+    """An eigh whose pairs do not rebuild the matrix fails the residual
+    check; one whose vectors are not orthonormal gives an exponential off
+    the unitary group."""
+    h = np.diag([1.0, 2.0])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), np.eye(2)))
+    with pytest.raises(ArithmeticError, match="^eigendecomposition residual"):
+        hermitian_eig(h)
+    with pytest.raises(ArithmeticError, match="^eigendecomposition residual"):
+        unitary_from_hamiltonian(h, 1.0)
+    # Columns of norm 1 + 3e-11 rebuild h within tolerance (residual 1.3e-10
+    # against 2.2e-10), but exp(-itH) from them misses the unitary group by
+    # 1.7e-10.
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0]), (1 + 3e-11) * np.eye(2)))
+    with pytest.raises(ArithmeticError, match="^exponential drifted off the unitary group$"):
+        unitary_from_hamiltonian(h, 1.0)
+
+
 def test_hermiticity_threshold_is_unitary_tol():
     """hermitian_eig and unitary_from_hamiltonian accept an A - A* residual
     below UNITARY_TOL and reject one above it."""

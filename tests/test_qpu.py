@@ -134,6 +134,8 @@ def test_bitstring_positions_invert_position_bitstring():
         p = [int(x) for x in rng.integers(0, 2**n, 50, dtype=np.uint64)]
         text = "".join(qpu.position_bitstring(x, n) for x in p)
         assert bitstring_positions(text, n).tolist() == p
+    with pytest.raises(ValueError, match="^position 8 out of range for 3 qubits$"):
+        qpu.position_bitstring(8, 3)
     for text, n, message in (
         ("0120", 2, "'20' is not a string of 2 <= 63 bits"),
         ("0.", 2, "'0.' is not a string of 2 <= 63 bits"),
@@ -483,6 +485,22 @@ def test_generator_matches_sequential_oracle():
 def test_generator_rejects_negative_count():
     with pytest.raises(ValueError):
         splitmix64_stream(0, -1)
+    with pytest.raises(ValueError, match="^shots must be nonnegative$"):
+        inverse_cdf_counts([0.5, 0.5], -1, 0)
+
+
+@pytest.mark.parametrize(
+    "probabilities,match",
+    [
+        ([], "nonempty 1-D"),
+        ([[0.5, 0.5]], "nonempty 1-D"),
+        ([0.5, math.nan], r"^probability nan at index 1 is negative or not finite$"),
+        ([-0.25, 1.25], r"^probability -0.25 at index 0 is negative or not finite$"),
+    ],
+)
+def test_cdf_rejects_what_is_not_a_probability_vector(probabilities, match):
+    with pytest.raises(ValueError, match=match):
+        qrng.cdf(probabilities)
 
 
 def test_chunk_streams_continue_the_unchunked_stream():

@@ -43,9 +43,8 @@ class CircuitParseError(ValueError):
 
 
 def rotation(alpha: float) -> np.ndarray:
-    """The plane rotation [[cos a, -sin a], [sin a, cos a]]."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    """The plane rotation [[cos a, -sin a], [sin a, cos a]], by the rule of rotations."""
+    return rotations([alpha])[0]
 
 
 def rotations(angles) -> np.ndarray:

@@ -12,14 +12,15 @@ to the density's integral over the k-th dyadic subinterval.
 Outcome labels are little-endian over the wire bits, and the wires are
 consumed from wire n down to wire 1, so the bits fixed after stage l are
 the trailing wires: the control suffixes. A suffix of length m is indexed
-here by its label under qpu.decode, first suffix bit least significant;
+here by its label s under qpu.decode, first suffix bit least significant;
 that integer is also the position of the node's dyadic interval at level
-m, which keeps masses, angles, and gate controls aligned.
+m, which keeps masses, angles, and gate controls aligned. The whole tree
+is one array in heap order: the node with m bits fixed and suffix s is
+entry 2^m - 1 + s, and the children of entry i are 2i + 1 and 2i + 2.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -219,19 +220,34 @@ def _simpson_recurse(fn, a, b, fa, fm, fb, whole, tol, depth) -> float:
     ) + _simpson_recurse(fn, m, b, fm, frm, fb, right, half, depth - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleTree:
     """All rotation angles of the synthesis, one per bisection node.
 
-    theta is the root angle. levels[m-1] holds the 2^m angles of the nodes
-    with m bits fixed, indexed by the suffix integer (first suffix bit
-    least significant), which equals the node interval's position at level
-    m. Total angle count is 2^n - 1, all within [0, pi/2].
+    angles: the 2^n - 1 angles in heap order, entry 2^m - 1 + s the node with
+    m bits fixed and suffix integer s (first suffix bit least significant),
+    which is the node interval's position at level m. n >= 1 and exactly
+    2^n - 1 angles within [0, pi/2], or ValueError; kept as a read-only copy.
     """
 
     n: int
-    theta: float
-    levels: tuple[tuple[float, ...], ...]
+    angles: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(self.angles, dtype=np.float64)  # NaN fails both bounds below
+        if not (isinstance(self.n, int) and self.n >= 1 and a.shape == (2**self.n - 1,)
+                and np.all((a >= 0.0) & (a <= math.pi / 2))):
+            raise ValueError(f"n={self.n!r} >= 1 needs 2^n - 1 angles within [0, pi/2]")
+        a.setflags(write=False)
+        object.__setattr__(self, "angles", a)
+
+    @property
+    def theta(self) -> float:  # the root angle
+        return float(self.angles[0])
+
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:  # levels[m-1]: the 2^m nodes, m bits fixed
+        return tuple(self.angles[2**m - 1 : 2 ** (m + 1) - 1] for m in range(1, self.n))
 
     def suffix_angle(self, suffix) -> float:
         """Angle of the node whose fixed trailing bits are `suffix`.
@@ -242,14 +258,11 @@ class AngleTree:
         bits, raises ValueError.
         """
         bits = tuple(int(b) for b in suffix)
-        if not bits:
-            return self.theta
         if len(bits) >= self.n:
-            raise ValueError(
-                f"suffix of length {len(bits)} names no node; at most "
-                f"{self.n - 1} bits for n={self.n}"
-            )
-        return self.levels[len(bits) - 1][decode(bits)]
+            raise ValueError(f"suffix of length {len(bits)} names no node; "
+                             f"at most {self.n - 1} bits for n={self.n}")
+        # A trailing 1 bit makes the label 2^m + s, one past heap entry 2^m - 1 + s.
+        return float(self.angles[decode((*bits, 1)) - 1])
 
 
 def angle_tree(d, n: int) -> AngleTree:
@@ -266,23 +279,15 @@ def angle_tree(d, n: int) -> AngleTree:
 def _angle_tree(leaves: np.ndarray) -> AngleTree:
     """angle_tree from the 2^n leaf masses that target_law gives."""
     n = len(leaves).bit_length() - 1
-    if n < 1:
-        raise ValueError("qubit count must be at least 1")
-    masses = [leaves]
-    while len(masses[-1]) > 1:
-        m = masses[-1]
-        masses.append(m[0::2] + m[1::2])
-    masses.reverse()  # masses[m][s]: level-m interval s, masses[0] = [total]
-    angles = [_split_angles(masses[m], masses[m + 1][0::2]) for m in range(n)]
-    return AngleTree(n=n, theta=angles[0][0], levels=tuple(map(tuple, angles[1:])))
-
-
-def _split_angles(parent: np.ndarray, child0: np.ndarray) -> list[float]:
-    """arccos sqrt(child0 / parent) per node, the ratio clamped into [0, 1];
-    ZERO_MASS_ANGLE where the parent mass is at most ZERO_MASS_TOL."""
-    live = parent > ZERO_MASS_TOL
-    ratio = np.clip(child0 / np.where(live, parent, 1.0), 0.0, 1.0)
-    return np.where(live, np.arccos(np.sqrt(ratio)), ZERO_MASS_ANGLE).tolist()
+    # Node masses in heap order, the leaves last, each level summed from the one below.
+    mass = np.concatenate([np.empty(len(leaves) - 1), leaves])
+    for m in reversed(range(n)):
+        below = mass[2 ** (m + 1) - 1 : 2 ** (m + 2) - 1]
+        mass[2**m - 1 : 2 ** (m + 1) - 1] = below[0::2] + below[1::2]
+    parent = mass[: 2**n - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero parents are replaced below
+        split = np.arccos(np.sqrt(np.clip(mass[1::2] / parent, 0.0, 1.0)))
+    return AngleTree(n, np.where(parent > ZERO_MASS_TOL, split, ZERO_MASS_ANGLE))
 
 
 def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
@@ -295,14 +300,12 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     are dropped.
     """
     n = tree.n
-    angles = np.fromiter(itertools.chain((tree.theta,), *tree.levels), np.float64)
     target, mask = stage_layout(n, np.repeat(np.arange(1, n + 1), 1 << np.arange(n)))
     # The suffix with label s sits at array position values[s] of the
     # trailing wires, the low stage - 1 position bits.
     values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
-    rot = np.full(len(angles), math.nan)
-    rot[0] = tree.theta
-    columns = [target, mask, np.concatenate(values), rotations(angles), rot]
+    rot = np.where(mask == 0, tree.angles, math.nan)  # the one gate without controls
+    columns = [target, mask, np.concatenate(values), rotations(tree.angles), rot]
     if prune:
         blocks = columns[3]
         keep = (blocks[:, 0, 0] != 1.0) | (blocks[:, 1, 0] != 0.0)
@@ -325,14 +328,11 @@ def formula_law(tree: AngleTree) -> np.ndarray:
     Entry k multiplies, over wires j = 1..n, the squared cosine or sine
     (by bit j of k) of the angle at the node fixed by k's bits above j.
     """
-    n = tree.n
-    angles = ((tree.theta,), *tree.levels)  # angles[m]: nodes with m bits fixed
-    k = np.arange(2**n)
-    out = np.ones(2**n)
-    for j in range(1, n + 1):
-        a = np.asarray(angles[n - j])
+    out = np.ones(2**tree.n)
+    for m in reversed(range(tree.n)):  # wire j = n - m, split by nodes with m bits fixed
+        a = tree.angles[2**m - 1 : 2 ** (m + 1) - 1]
         trig = np.stack([np.cos(a), np.sin(a)]) ** 2
-        out *= trig[(k >> (j - 1)) & 1, k >> j]
+        out.reshape(2**m, 2, -1)[...] *= trig.T[:, :, None]  # axes: k >> j, bit j, bits below
     return out
 
 
@@ -428,7 +428,7 @@ def angle_tree_to_json(tree: AngleTree) -> str:
     suffix_angles = [
         {"suffix": suffix, "angle": angle}
         for m, level in enumerate(tree.levels, start=1)
-        for suffix, angle in zip(label_bitstrings(m), level)
+        for suffix, angle in zip(label_bitstrings(m), level.tolist())
     ]
     doc = {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles}
     return json.dumps(doc, indent=2)

@@ -33,6 +33,7 @@ from qsim.gates import (
     realize,
     realize_gate,
     rotation,
+    rotations,
     suffix_controlled_gate,
     wire_gate,
 )
@@ -99,6 +100,20 @@ def test_rotation_pins():
     assert np.allclose(quarter @ np.array([1.0, 0.0]), [0.0, 1.0], atol=1e-15)
     assert np.allclose(rotation(0.3) @ rotation(0.4), rotation(0.7), atol=1e-15)
     assert is_unitary(rotation(1.234), 1e-12)
+
+
+def test_rotation_is_the_rotations_rule_bit_for_bit():
+    """A ROT gate is checked against rotations, so rotation(a) must be its
+    block exactly, on any libm: the two share one cos and one sin."""
+    rng = np.random.default_rng(41)
+    angles = np.concatenate([rng.uniform(-10.0, 10.0, 2000), rng.uniform(-1e6, 1e6, 2000),
+                             [0.0, -0.0, math.pi / 2, 1e6, -1e6]])
+    together = rotations(angles)
+    for k, a in enumerate(angles.tolist()):
+        assert rotation(a).tobytes() == rotations([a])[0].tobytes(), a
+        assert rotation(a).tobytes() == together[k].tobytes(), a
+    for a in angles[::40].tolist():
+        assert WireGate(n=2, target=1, v=rotation(a), angle=a).angle == a
 
 
 # --- wire gates ------------------------------------------------------------------

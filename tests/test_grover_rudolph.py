@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import qpu
-from qsim.gates import circuit_length, rotation
+from qsim.gates import Circuit, circuit_length, format_circuit, rotation, rotations
 from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
@@ -325,7 +325,7 @@ def test_angle_tree_rejects_bad_n():
 
 def test_suffix_angle_indexing():
     """suffix_angle reads levels by the little-endian suffix integer."""
-    tree = AngleTree(n=3, theta=0.1, levels=((0.2, 0.3), (0.4, 0.5, 0.6, 0.7)))
+    tree = AngleTree(n=3, angles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
     assert tree.suffix_angle(()) == 0.1
     assert tree.suffix_angle((0,)) == 0.2
     assert tree.suffix_angle((1,)) == 0.3
@@ -350,6 +350,38 @@ def test_suffix_angle_rejects_long_suffixes():
     for suffix in ("000", (1, 0, 1), "0101"):
         with pytest.raises(ValueError, match=f"suffix of length {len(suffix)} "):
             tree.suffix_angle(suffix)
+
+
+@pytest.mark.parametrize(
+    "n, angles",
+    [
+        (3, (0.2,)),  # too few angles for n = 3
+        (2, (0.1, 0.2, 0.3, 0.4)),  # too many
+        (2, ((0.1, 0.2, 0.3),)),  # not 1-D
+        (0, ()),
+        (-1, ()),
+        (2.0, (0.1, 0.2, 0.3)),
+        (2, (math.nan, 0.2, 0.3)),
+        (2, (0.1, math.inf, 0.3)),
+        (2, (0.1, 0.2, -1e-300)),
+        (2, (0.1, 0.2, math.pi / 2 + 1e-15)),
+    ],
+)
+def test_angle_tree_rejects_malformed_angles(n, angles):
+    """n >= 1 and 2^n - 1 finite angles within [0, pi/2], or ValueError."""
+    with pytest.raises(ValueError):
+        AngleTree(n=n, angles=angles)
+
+
+def test_angle_tree_keeps_a_read_only_copy():
+    given = np.array([0.0, 0.5, math.pi / 2])
+    tree = AngleTree(n=2, angles=given)
+    given[0] = 1.0
+    assert tree.angles.tolist() == [0.0, 0.5, math.pi / 2]
+    assert tree.angles.dtype == np.float64
+    for view in (tree.angles, *tree.levels):
+        with pytest.raises(ValueError):
+            view[0] = 0.25
 
 
 # --- synthesis ----------------------------------------------------------------------
@@ -516,11 +548,9 @@ def test_formula_law_sums_to_one_for_any_angles():
     """The squared-trig product telescopes to 1 whatever the angles are."""
     rng = np.random.default_rng(25)
     for n in (1, 2, 4, 6):
-        levels = tuple(
-            tuple(rng.uniform(0.0, math.pi / 2, size=2**m))
-            for m in range(1, n)
-        )
-        tree = AngleTree(n=n, theta=float(rng.uniform(0, math.pi / 2)), levels=levels)
+        levels = [rng.uniform(0.0, math.pi / 2, size=2**m) for m in range(1, n)]
+        theta = rng.uniform(0, math.pi / 2)
+        tree = AngleTree(n=n, angles=np.concatenate([[theta], *levels]))
         assert abs(float(np.sum(formula_law(tree))) - 1.0) < 1e-12
 
 
@@ -619,11 +649,11 @@ def test_angles_within_one_ulp_of_scalar_reference():
             masses.append([m[2 * s] + m[2 * s + 1] for s in range(len(m) // 2)])
         masses.reverse()
         tree = angle_tree(d, n)
+        assert tree.angles.dtype == np.float64
         got = ((tree.theta,), *tree.levels)
         for m in range(n):
             assert len(got[m]) == 2**m
             for s, ang in enumerate(got[m]):
-                assert type(ang) is float
                 parent, child0 = masses[m][s], masses[m + 1][2 * s]
                 if parent <= ZERO_MASS_TOL:
                     zero_nodes += 1
@@ -731,6 +761,98 @@ def test_circuit_law_matches_exact_masses_at_n_16():
     got = circuit_law(synthesize(angle_tree(quadratic(), 16)))
     want = exact_one_piece_masses((0.1, 0.0, 2.7), 16)
     assert np.max(np.abs(got - want) / want) <= 1e-11
+
+
+# --- the heap-ordered tree against a per-level construction ----------------------
+
+
+def per_level_tree(leaves):
+    """(theta, levels) from a list of per-level mass arrays, split level by
+    level into tuples of Python floats."""
+    masses = [leaves]
+    while len(masses[-1]) > 1:
+        m = masses[-1]
+        masses.append(m[0::2] + m[1::2])
+    masses.reverse()  # masses[m][s]: level-m interval s
+    angles = []
+    for m in range(len(masses) - 1):
+        parent, child0 = masses[m], masses[m + 1][0::2]
+        live = parent > ZERO_MASS_TOL
+        ratio = np.clip(child0 / np.where(live, parent, 1.0), 0.0, 1.0)
+        angles.append(np.where(live, np.arccos(np.sqrt(ratio)), ZERO_MASS_ANGLE).tolist())
+    return angles[0][0], tuple(map(tuple, angles[1:]))
+
+
+def per_level_formula_law(n, theta, levels):
+    """The angle products through a 2^n index array, one level at a time."""
+    angles = ((theta,), *levels)
+    k = np.arange(2**n)
+    out = np.ones(2**n)
+    for j in range(1, n + 1):
+        a = np.asarray(angles[n - j])
+        trig = np.stack([np.cos(a), np.sin(a)]) ** 2
+        out *= trig[(k >> (j - 1)) & 1, k >> j]
+    return out
+
+
+def per_level_circuit(n, theta, levels, prune=False):
+    """The synthesized circuit's columns built node by node from the levels:
+    node s of level m rotates wire n - m under the trailing m wires, whose
+    array positions hold suffix s with its bits reversed."""
+    flat = np.array([theta, *(a for level in levels for a in level)])
+    m = np.repeat(np.arange(n), 1 << np.arange(n))
+    s = np.concatenate([np.arange(2**k) for k in range(n)])
+    bits = (((s >> i) & 1) << np.maximum(m - 1 - i, 0) for i in range(n - 1))
+    columns = [n - m, (1 << m) - 1, sum(bits, np.zeros_like(s)), rotations(flat),
+               np.where(m == 0, flat, math.nan)]
+    if prune:
+        columns = [c[flat != 0.0] for c in columns]
+    return Circuit(n, *columns)
+
+
+def per_level_json(n, theta, levels):
+    suffix_angles = [
+        {"suffix": suffix, "angle": angle}
+        for m, level in enumerate(levels, start=1)
+        for suffix, angle in zip(qpu.label_bitstrings(m), level)
+    ]
+    return json.dumps({"n": n, "theta": theta, "suffix_angles": suffix_angles}, indent=2)
+
+
+def heap_cases():
+    rng = np.random.default_rng(44)
+    for n in range(1, 15):
+        for d in (powers_of_two(), random_poly_density(rng), random_poly_density(rng)):
+            yield d, n
+
+
+def test_heap_tree_equals_per_level_construction():
+    """Angles, formula law, circuits full and pruned, their law and the
+    sidecar are those of the per-level construction, bit for bit."""
+    for d, n in heap_cases():
+        tree = angle_tree(d, n)
+        theta, levels = per_level_tree(target_law(d, n))
+        flat = np.array([theta, *(a for level in levels for a in level)])
+        assert np.array_equal(tree.angles, flat), n
+        assert np.array_equal(formula_law(tree), per_level_formula_law(n, theta, levels)), n
+        for prune in (False, True):
+            got = synthesize(tree, prune=prune)
+            want = per_level_circuit(n, theta, levels, prune)
+            assert format_circuit(got) == format_circuit(want), (n, prune)
+        assert np.array_equal(circuit_law(got), circuit_law(want)), n
+        assert angle_tree_to_json(tree) == per_level_json(n, theta, levels), n
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_heap_tree_equals_per_level_construction_at_large_n(n):
+    d = random_poly_density(np.random.default_rng([45, n]))
+    tree = angle_tree(d, n)
+    theta, levels = per_level_tree(target_law(d, n))
+    assert np.array_equal(tree.angles, np.array([theta, *(a for lv in levels for a in lv)]))
+    assert np.array_equal(formula_law(tree), per_level_formula_law(n, theta, levels))
+    got, want = synthesize(tree), per_level_circuit(n, theta, levels)
+    for name in ("target", "mask", "value", "blocks", "angle"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 # --- file formats -----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import grover_rudolph as gr
 from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
-from .qpu import label_bitstrings, law_over_labels, sample as draw_shots
+from .qpu import MAX_SHOTS, label_bitstrings, sample as draw_shots
 from .udecomp import (
     RECONSTRUCTION_TOL,
     decompose_unitary,
@@ -116,8 +116,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _check_n(args.n)
     if args.shots < 1:
         raise ValueError(f"--shots must be at least 1, got {args.shots}")
+    if args.shots > MAX_SHOTS:
+        raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
     probs = _density_circuit_law(args)
-    result = draw_shots(law_over_labels(probs), args.shots, args.seed)
+    result = draw_shots(probs, args.shots, args.seed)
     counts = np.array(list(result.counts.values()))
     frequency = counts / args.shots
     table = {"count": counts, "frequency": frequency, "exact": probs,

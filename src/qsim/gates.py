@@ -74,6 +74,27 @@ def _check_blocks(blocks) -> np.ndarray:
     return v
 
 
+def as_count(name: str, x) -> int:
+    """x as an int when it is an integer, Python or numpy, and not a bool;
+    ValueError otherwise. Every n and dim of a constructor passes this rule."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def as_reals(name: str, x) -> np.ndarray:
+    """x as a new float64 array when each entry is a real number, Python or
+    numpy: not a bool, str or complex; ValueError otherwise. Every angle of a
+    constructor passes this rule."""
+    # A list is read as objects: np.array(x) would read True among floats as 1.0.
+    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
+    real = (int, float, np.integer, np.floating)
+    if not all(issubclass(t, real) and not issubclass(t, bool) for t in types):
+        raise ValueError(f"{name} must be real numbers, got {sorted(t.__name__ for t in types)}")
+    return a.astype(np.float64)
+
+
 def _columns(blocks, *ints) -> list[np.ndarray]:
     """The checked blocks, then each of ints as an int64 array (a float is
     a TypeError), all of one length and read-only."""
@@ -97,13 +118,14 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as WireGate documents
     one gate; angle is NaN for a gate without one."""
+    n = as_count("n", n)
+    if n > MAX_WIRES:
+        raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
     blocks, target, mask, value = _columns(blocks, target, mask, value)
-    angle = np.array(angle, dtype=np.float64)
+    angle = as_reals("angle", angle)
     angle.setflags(write=False)
     if len(angle) != len(blocks):
         raise ValueError("gate columns differ in length")
-    if n > MAX_WIRES:
-        raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
     _reject((mask < 0) | (mask >= 1 << n), f"mask {{}} out of range for n={n}", mask)
     stride = np.left_shift(1, n - target)
@@ -114,17 +136,18 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     wrong = np.zeros_like(has)
     wrong[has] = (blocks[has] != rotations(angle[has])).any(axis=(1, 2))
     _reject(wrong, "block is not rotation({!r})", angle)
-    return dict(target=target, mask=mask, value=value, blocks=blocks, angle=angle)
+    return dict(n=n, target=target, mask=mask, value=value, blocks=blocks, angle=angle)
 
 
 def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
     """The checked columns of two-level gates on dim coordinates."""
+    dim = as_count("dim", dim)
     if dim < 2:
         raise ValueError("ambient dimension must be at least 2")
     blocks, i, j = _columns(blocks, i, j)
     bad = (i < 1) | (i >= j) | (j > dim)
     _reject(bad, f"coordinates ({{}}, {{}}) invalid for dim {dim}", i, j)
-    return dict(i=i, j=j, blocks=blocks)
+    return dict(dim=dim, i=i, j=j, blocks=blocks)
 
 
 def _unchecked(cls, **fields):
@@ -157,7 +180,7 @@ class WireGate:
         c = _wire_columns(self.n, [self.target], [self.mask], [self.value], [self.v], [angle])
         for name in ("target", "mask", "value"):
             self.__dict__[name] = c[name][0].item()
-        self.__dict__["v"] = c["blocks"][0]
+        self.__dict__.update(n=c["n"], v=c["blocks"][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +194,8 @@ class TwoLevelGate:
     v: np.ndarray
 
     def __post_init__(self):
-        self.__dict__["v"] = _pair_columns(self.dim, [self.i], [self.j], [self.v])["blocks"][0]
+        c = _pair_columns(self.dim, [self.i], [self.j], [self.v])
+        self.__dict__.update(dim=c["dim"], v=c["blocks"][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,6 +616,8 @@ def parse_circuit(text: str) -> Circuit:
     '-' for the empty pattern at n = 1.
     """
     n, lines = _parse_header(text, "CIRCUIT", "n", 1)
+    if n > MAX_WIRES:  # before any line is padded or indexed to n wires
+        raise CircuitParseError(f"n must be at most {MAX_WIRES}, got {n}")
     k = len(lines)
     target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
     blocks = np.empty((k, 2, 2), dtype=np.complex128)

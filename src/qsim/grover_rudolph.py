@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, apply_vector, rotations, stage_layout
+from .gates import MAX_WIRES, Circuit, apply_vector, as_count, as_reals, rotations, stage_layout
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -226,20 +226,22 @@ class AngleTree:
 
     angles: the 2^n - 1 angles in heap order, entry 2^m - 1 + s the node with
     m bits fixed and suffix integer s (first suffix bit least significant),
-    which is the node interval's position at level m. n >= 1 and exactly
-    2^n - 1 angles within [0, pi/2], or ValueError; kept as a read-only copy.
+    which is the node interval's position at level m. n in 1..MAX_WIRES and
+    exactly 2^n - 1 angles within [0, pi/2], by the rules of gates.as_count and
+    gates.as_reals, or ValueError; kept as a read-only copy.
     """
 
     n: int
     angles: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.angles, dtype=np.float64)  # NaN fails both bounds below
-        if not (isinstance(self.n, int) and self.n >= 1 and a.shape == (2**self.n - 1,)
+        # A NaN angle fails both bounds below.
+        n, a = as_count("n", self.n), as_reals("angles", self.angles)
+        if not (1 <= n <= MAX_WIRES and a.shape == (2**n - 1,)
                 and np.all((a >= 0.0) & (a <= math.pi / 2))):
-            raise ValueError(f"n={self.n!r} >= 1 needs 2^n - 1 angles within [0, pi/2]")
+            raise ValueError(f"n={n} in 1..{MAX_WIRES} needs 2^n - 1 angles within [0, pi/2]")
         a.setflags(write=False)
-        object.__setattr__(self, "angles", a)
+        self.__dict__.update(n=n, angles=a)
 
     @property
     def theta(self) -> float:  # the root angle

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algprob import DensityMatrix, Law, Observable, conjugate
+from .algprob import DensityMatrix, Observable, conjugate
 from .algprob import law_probabilities, pure_state
 from .linalg import as_matrix, as_vector, unitary_from_hamiltonian
 from .rng import inverse_cdf_counts
@@ -251,9 +251,9 @@ def vector_distribution(psi) -> np.ndarray:
 class ShotResult:
     """Counts from repeated seeded measurements.
 
-    counts maps the outcome's index within the sampled law (for laws over
-    basis labels, the label k itself) to the number of shots that produced
-    it; every index appears, including zero counts.
+    counts maps each index of the sampled probabilities (for a law over
+    labels, the label k itself) to the number of shots that produced it;
+    every index appears, including zero counts.
     """
 
     counts: dict[int, int]
@@ -264,22 +264,18 @@ class ShotResult:
         return {k: c / self.shots for k, c in self.counts.items()}
 
 
-def sample(law: Law, shots: int, seed: int) -> ShotResult:
-    """Draw i.i.d. outcomes from a law; identical seeds give identical counts.
-
-    The law's probabilities pass algprob.law_probabilities, which clamps
+def sample(probabilities, shots: int, seed: int) -> ShotResult:
+    """Draw i.i.d. outcome indices from a 1-D array of probabilities, such
+    as a law over labels or law(a, rho).probabilities(); identical seeds
+    give identical counts. They pass algprob.law_probabilities, which clamps
     them into [0, 1], or it raises StateValidationError before drawing.
     """
-    if len(law.outcomes) == 0:
-        raise ValueError("cannot sample from an empty law")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
-    p = law_probabilities(law.probabilities())
-    counts = inverse_cdf_counts(p, shots, seed).tolist()
+    counts = inverse_cdf_counts(law_probabilities(probabilities), shots, seed).tolist()
     return ShotResult(counts=dict(enumerate(counts)), shots=shots, seed=seed)
 
 
-def law_over_labels(probabilities) -> Law:
-    """A law whose values are the outcome labels 0..N-1 themselves."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    return Law(outcomes=tuple((float(k), float(p[k])) for k in range(len(p))))
+def law_over_labels(probabilities) -> np.ndarray:
+    """The law whose values are the labels 0..N-1: its checked probabilities."""
+    return law_probabilities(probabilities)

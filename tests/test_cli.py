@@ -213,10 +213,13 @@ def test_sample_rejects_zero_shots(triangular_path):
 
 
 def test_sample_rejects_more_shots_than_memory_allows(capsys, triangular_path):
-    # Rejected before anything is allocated, so this runs instantly.
-    assert main(["sample", "--density", triangular_path, "--shots", "1000000000000000"]) == 3
-    err = capsys.readouterr().err
-    assert err == "qsim: validation error: shots must be between 1 and 100000000, got 1000000000000000\n"
+    # Rejected before the law is computed, so this runs instantly even at n = 20.
+    for n in ("3", "20"):
+        assert main(["sample", "--n", n, "--density", triangular_path,
+                     "--shots", "1000000000000000"]) == 3
+        err = capsys.readouterr().err
+        want = "--shots must be at most 100000000, got 1000000000000000"
+        assert err == f"qsim: validation error: {want}\n"
 
 
 # --- decompose --------------------------------------------------------------

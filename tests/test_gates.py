@@ -7,6 +7,7 @@ print with 17 significant digits.
 """
 
 import math
+import time
 from importlib import resources
 from itertools import product
 
@@ -179,6 +180,24 @@ def test_wire_gate_validation():
         assert str(info.value) == message
     with pytest.raises(TypeError):
         WireGate(n=3, target=2, v=eye, mask=1.0)
+    # n is an integer, Python or numpy, and not a bool or a float; an angle
+    # is a real number, not a bool, str or complex.
+    for kwargs, message in (
+        (dict(n=2.0, target=1, v=eye), "n must be an integer, got 2.0"),
+        (dict(n=True, target=1, v=eye), "n must be an integer, got True"),
+        (dict(n="2", target=1, v=eye), "n must be an integer, got '2'"),
+        (dict(n=1, target=1, v=rotation(1.0), angle=True),
+         "angle must be real numbers, got ['bool']"),
+        (dict(n=1, target=1, v=rotation(0.5), angle="0.5"),
+         "angle must be real numbers, got ['str']"),
+        (dict(n=1, target=1, v=rotation(0.5), angle=0.5 + 0j),
+         "angle must be real numbers, got ['complex']"),
+    ):
+        with pytest.raises(ValueError) as info:
+            WireGate(**kwargs)
+        assert str(info.value) == message
+    g = WireGate(n=np.int64(2), target=1, v=rotation(0.5), angle=np.float32(0.5).item())
+    assert type(g.n) is int and g.n == 2
 
 
 # --- control projectors -----------------------------------------------------------
@@ -428,6 +447,16 @@ def test_two_level_gate_validation():
         TwoLevelGate(dim=4, i=0, j=2, v=np.eye(2))
     with pytest.raises(ValueError):
         TwoLevelGate(dim=4, i=1, j=5, v=np.eye(2))
+    # dim follows the rule of n: an integer, Python or numpy, not a bool or a float.
+    eye = np.eye(2)
+    for dim in (4.0, True, np.float64(2), "4"):
+        with pytest.raises(ValueError, match="^dim must be an integer, got "):
+            TwoLevelGate(dim=dim, i=1, j=2, v=eye)
+        with pytest.raises(ValueError, match="^dim must be an integer, got "):
+            Decomposition(dim, [1], [2], eye[None])
+    assert type(TwoLevelGate(dim=np.int64(4), i=1, j=2, v=eye).dim) is int
+    d = Decomposition(np.int32(2), [1], [2], eye[None])
+    assert format_decomposition(d) == "QSIM-FACTORS v1 dim=2\nTWO-LEVEL 1 2 1 0 0 0 0 0 1 0\n"
 
 
 def _perturbed(rng, v, size):
@@ -813,6 +842,18 @@ def test_circuit_rejects_mismatched_gate_dims():
             Circuit(2, target, mask, [0] * len(mask), blocks, [math.nan])
     with pytest.raises(ValueError, match="^gate columns differ in length$"):
         Circuit(1, [1], [0], [0], eye, [math.nan, math.nan])
+    for n, angle, message in (
+        (2.0, [math.nan], r"n must be an integer, got 2\.0"),
+        (np.float64(2), [math.nan], r"n must be an integer, got \S*2\.0\S*"),  # numpy's repr
+        (np.bool_(True), [math.nan], r"n must be an integer, got \S*True\S*"),
+        (1, [True], r"angle must be real numbers, got \['bool'\]"),
+        (1, np.array([0.0j]), r"angle must be real numbers, got \['complex128'\]"),
+        (1, np.array(["0"]), r"angle must be real numbers, got \['str_'\]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(n, [1], [0], [0], eye, angle)
+    c = Circuit(np.int64(2), [1], [0], [0], eye, np.array([0.0], dtype=np.float32))
+    assert type(c.n) is int and format_circuit(c) == "QSIM-CIRCUIT v1 n=2\nROT 1 0\n"
 
 
 def test_sequences_run_without_gate_objects(monkeypatch):
@@ -1051,6 +1092,22 @@ def test_parse_circuit_skips_comments_and_blanks():
     assert c.n == 2
     assert circuit_length(c) == 2
     assert np.array_equal(c.gates[1].v, FLIP)
+
+
+def test_header_n_is_checked_before_any_gate_line():
+    """A header n above MAX_WIRES = 62 is rejected before a SUFFIX-CTRL
+    suffix is padded to n characters, so a 60-byte file neither allocates
+    n-sized text nor quotes it back."""
+    line = "SUFFIX-CTRL 2 0 1 0 0 0 0 0 1 0"
+    for n in (63, 10**6, 10**8):
+        start = time.process_time()
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{line}\n")
+        assert time.process_time() - start < 0.05
+        assert str(info.value) == f"n must be at most 62, got {n}"
+        assert len(str(info.value)) < 200
+    c = parse_circuit(f"QSIM-CIRCUIT v1 n=62\n{line}\n")
+    assert (c.n, c.target.tolist(), c.mask.tolist()) == (62, [61], [1])
 
 
 def test_parse_errors():

@@ -365,12 +365,29 @@ def test_suffix_angle_rejects_long_suffixes():
         (2, (0.1, math.inf, 0.3)),
         (2, (0.1, 0.2, -1e-300)),
         (2, (0.1, 0.2, math.pi / 2 + 1e-15)),
+        (True, (0.1,)),  # writes no "n=True" header
+        (np.float64(1), (0.1,)),
+        (63, ()),  # more wires than a circuit has
+        (10**12, ()),  # rejected before 2^n is formed
+        (1, ("0.1",)),  # angles are real numbers, not str, bool or complex
+        (1, (True,)),
+        (2, (0.1, True, 0.2)),
+        (1, (0.1j,)),
+        (1, np.array([0.1 + 0j])),
+        (1, np.array(["0.1"])),
+        (1, np.array([True])),
     ],
 )
 def test_angle_tree_rejects_malformed_angles(n, angles):
     """n >= 1 and 2^n - 1 finite angles within [0, pi/2], or ValueError."""
     with pytest.raises(ValueError):
         AngleTree(n=n, angles=angles)
+
+
+def test_angle_tree_reads_numpy_counts_and_angles():
+    tree = AngleTree(n=np.int64(2), angles=[np.float32(0.5), 1, np.int8(0)])
+    assert type(tree.n) is int and tree.n == 2
+    assert tree.angles.tolist() == [0.5, 1.0, 0.0]
 
 
 def test_angle_tree_keeps_a_read_only_copy():

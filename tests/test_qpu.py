@@ -642,10 +642,8 @@ def test_sample_reports_every_outcome_index():
 
 
 def test_sample_rejects_empty_and_no_shots():
-    from qsim.algprob import Law
-
     with pytest.raises(ValueError):
-        sample(Law(outcomes=()), 5, 0)
+        sample([], 5, 0)
     with pytest.raises(ValueError):
         sample(law_over_labels([1.0]), 0, 0)
     with pytest.raises(ValueError, match="between 1 and 100000000"):
@@ -676,9 +674,47 @@ def test_shot_result_frequencies():
 
 
 def test_law_over_labels_structure():
-    lw = law_over_labels([0.5, 0.5])
-    assert lw.values() == [0.0, 1.0]
-    assert lw.probabilities() == [0.5, 0.5]
+    """A law over labels is its checked probability array: entry k is the
+    probability of label k."""
+    for p in ([0.5, 0.5], [1 + 5e-13, -5e-13], np.array([0.25, 0.0, 0.75])):
+        lw = law_over_labels(p)
+        assert isinstance(lw, np.ndarray) and lw.dtype == np.float64
+        assert np.array_equal(lw, law_probabilities(p))
+    assert law_over_labels([1 + 5e-13, -5e-13]).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="sum to 0.6"):
+        law_over_labels([0.2, 0.2, 0.2])
+
+
+def test_sample_takes_a_list_a_tuple_or_an_array():
+    p = [0.1, 0.2, 0.3, 0.4]
+    want = sample(np.array(p), 4096, 5).counts
+    assert sample(p, 4096, 5).counts == want
+    assert sample(tuple(p), 4096, 5).counts == want
+    assert want == dict(enumerate(inverse_cdf_counts(p, 4096, 5).tolist()))
+
+
+def test_sample_draws_from_an_observable_law():
+    """Counts are keyed by the outcome's index in law.outcomes, not by its
+    value: here the values are the eigenvalues -1 and 3."""
+    from qsim.algprob import Observable, law
+
+    a = Observable(np.diag([3.0, -1.0, 3.0, 3.0]))
+    rho = pure_state(np.array([0.5, 0.5, 0.5, 0.5]))
+    lw = law(a, rho)
+    assert lw.values() == pytest.approx([-1.0, 3.0])
+    result = sample(lw.probabilities(), 40000, 8)
+    assert set(result.counts) == {0, 1} and sum(result.counts.values()) == 40000
+    assert result.counts == dict(enumerate(inverse_cdf_counts([0.25, 0.75], 40000, 8).tolist()))
+    assert abs(result.frequencies()[0] - 0.25) < 0.01
+
+
+@pytest.mark.parametrize(
+    "probabilities", [(), np.zeros(0), [[0.5, 0.5]], np.full((2, 2), 0.25)]
+)
+def test_sample_rejects_empty_and_2d_probabilities(probabilities):
+    """Empty and 2-D inputs; test_sample_rejects_empty_and_no_shots has []."""
+    with pytest.raises(ValueError):
+        sample(probabilities, 5, 0)
 
 
 @settings(deadline=None, max_examples=20)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -24,12 +25,8 @@ from . import grover_rudolph as gr
 from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
 from .qpu import MAX_SHOTS, label_bitstrings, sample as draw_shots
-from .udecomp import (
-    RECONSTRUCTION_TOL,
-    decompose_unitary,
-    format_decomposition,
-    reconstruction_residual,
-)
+from .udecomp import (RECONSTRUCTION_TOL, decompose_unitary, format_decomposition,
+                      reconstruction_residual)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -145,15 +142,20 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputFormatError(f'"dim" must be an integer, got {dim!r}')
-    try:
-        entries = [complex(_number(re), _number(im)) for re, im in doc["entries"]]
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad unitary entries: {exc}") from exc
+    raw = doc["entries"]
+    # Pairs of JSON numbers pass one type test; other input is walked to name its first bad entry.
+    pairs = type(raw) is list and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+    flat = list(itertools.chain.from_iterable(raw)) if pairs else []
+    if pairs and set(map(type, flat)) <= {int, float}:
+        entries = np.array(flat, dtype=np.float64).view(np.complex128)
+    else:
+        try:
+            entries = [complex(_number(re), _number(im)) for re, im in raw]
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"bad unitary entries: {exc}") from exc
     if dim < 2 or len(entries) != dim * dim:
-        raise InputFormatError(
-            f"expected {dim}*{dim} row-major entries, got {len(entries)}"
-        )
-    return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+        raise InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
+    return np.asarray(entries, dtype=np.complex128).reshape(dim, dim)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -166,14 +168,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     residual = reconstruction_residual(dec, u)
     if not residual <= RECONSTRUCTION_TOL:
         raise ArithmeticError(
-            f"reconstruction residual {residual!r} exceeds {RECONSTRUCTION_TOL:g}"
-        )
+            f"reconstruction residual {residual!r} exceeds {RECONSTRUCTION_TOL:g}")
     _emit(args, format_decomposition(dec) + f"# residual {residual!r}\n")
     if args.out:
-        print(
-            f"wrote {len(dec.i)} factors to {args.out} "
-            f"(residual {residual!r})"
-        )
+        print(f"wrote {len(dec.i)} factors to {args.out} (residual {residual!r})")
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ container and, on columns of length one, a single gate object.
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
 disjoint pairs and commute: mix_pairs applies a run, as gate_runs lists
-it, in one step and in place. realize and realize_gate build dense
+it, in one step and in place, and a layer of factors on disjoint row pairs
+as reconstruct sorts them. realize and realize_gate build dense
 matrices only as the tests' reference, and do not read gate_runs.
 """
 
@@ -96,9 +97,10 @@ def as_reals(name: str, x) -> np.ndarray:
 
 
 def _columns(blocks, *ints) -> list[np.ndarray]:
-    """The checked blocks, then each of ints as an int64 array (a float is
-    a TypeError), all of one length and read-only."""
-    ints = [np.asarray(x).astype(np.int64, casting="safe") for x in ints]
+    """The checked blocks, then each of ints as an int64 array (a float or
+    a bool is a TypeError), all of one length and read-only."""
+    ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe")
+            for x in map(np.asarray, ints)]
     columns = [_check_blocks(blocks), *ints]
     if len({len(c) for c in columns}) > 1:
         raise ValueError("gate columns differ in length")
@@ -463,11 +465,19 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
-    """Multiply the factors back together in application order."""
+    """Multiply the factors back together in application order, bit for bit
+    as one factor per step: a factor goes one layer after the last to touch
+    its row i or j (Sameh and Kuck, J. ACM 25, 1978), and a step mixes the
+    disjoint pairs of one layer, at most 2^14 row entries, which stay in cache."""
+    last, layer = [0] * (d.dim + 1), []  # the last layer to touch each row
+    for i, j in zip(d.i.tolist(), d.j.tolist()):
+        last[i] = last[j] = max(last[i], last[j]) + 1
+        layer.append(last[i])
     out = np.eye(d.dim, dtype=np.complex128)
-    for i, j, v in zip(d.i.tolist(), d.j.tolist(), d.blocks):
-        # Left multiplication touches only rows i and j.
-        mix_pairs(v, out, i - 1, j - 1)
+    order, at = np.argsort(layer, kind="stable"), np.sort(layer)
+    rank = np.arange(len(at)) - np.searchsorted(at, at)  # the place within the layer
+    for k in np.split(order, np.flatnonzero(rank % max(1, 2**14 // d.dim) == 0)[1:]):
+        mix_pairs(d.blocks[k][:, None], out, d.i[k] - 1, d.j[k] - 1)
     return out
 
 
@@ -478,13 +488,13 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 # reproduces every bit. Patterns are in wire order, '0'/'1' for a control
 # wire and '.' for a free one, '-' when empty:
 #
-#   QSIM-CIRCUIT v1 n=<ASCII digits, at least 1>
+#   QSIM-CIRCUIT v1 n=<1 to 18 ASCII digits, at least 1>
 #   ROT <wire> <alpha>
 #   WIRE <wire> <8 floats: re im re im re im re im, row-major 2x2>
 #   CTRL <target> <pattern over the other n-1 wires> <8 floats>
 #   SUFFIX-CTRL <stage> <bits of the last stage-1 wires> <8 floats>
 #
-#   QSIM-FACTORS v1 dim=<ASCII digits, at least 2>
+#   QSIM-FACTORS v1 dim=<1 to 18 ASCII digits, at least 2>
 #   TWO-LEVEL <i> <j> <8 floats>
 #
 # A wire gate is written ROT or WIRE without controls, SUFFIX-CTRL when its
@@ -505,16 +515,16 @@ def _format_blocks(blocks: np.ndarray) -> list[str]:
 
 
 def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list[str]]:
-    """The ASCII-digit count, at least `least`, of text's header line
+    """The count of 1 to 18 ASCII digits, at least `least`, of text's header line
     "QSIM-<kind> v1 <key>=<count>", and the stripped lines after it that
     are neither blank nor '#' comments."""
     lines = (ln.strip() for ln in text.splitlines())
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
-    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]+)", lines[0])
+    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
     if not m:
-        raise CircuitParseError(f"bad QSIM-{kind} header {lines[0]!r}")
+        raise CircuitParseError(f"bad QSIM-{kind} header {lines[0][:80]!r}")
     count = int(m.group(1))
     if count < least:
         raise CircuitParseError(f"{key} must be at least {least}, got {count}")

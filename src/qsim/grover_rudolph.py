@@ -425,12 +425,13 @@ def load_density(path) -> PiecewisePolyDensity:
         return parse_density_json(fh.read())
 
 
+_SIDECAR_ENTRY = '    {\n      "suffix": "%s",\n      "angle": %r\n    }'
+
+
 def angle_tree_to_json(tree: AngleTree) -> str:
-    """Angle tree as JSON with human-readable suffix keys (wire order)."""
-    suffix_angles = [
-        {"suffix": suffix, "angle": angle}
-        for m, level in enumerate(tree.levels, start=1)
-        for suffix, angle in zip(label_bitstrings(m), level.tolist())
-    ]
-    doc = {"n": tree.n, "theta": tree.theta, "suffix_angles": suffix_angles}
-    return json.dumps(doc, indent=2)
+    """Angle tree as JSON with human-readable suffix keys (wire order): the bytes of
+    json.dumps(doc, indent=2) from one entry template, where %r is float.__repr__ as in json."""
+    suffixes = [s for m in range(1, tree.n) for s in label_bitstrings(m)]
+    entries = [_SIDECAR_ENTRY % e for e in zip(suffixes, tree.angles[1:].tolist())]
+    body = "[\n%s\n  ]" % ",\n".join(entries) if entries else "[]"
+    return '{\n  "n": %d,\n  "theta": %r,\n  "suffix_angles": %s\n}' % (tree.n, tree.theta, body)

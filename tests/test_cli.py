@@ -300,6 +300,112 @@ def test_decompose_requires_json_number_entries(tmp_path, bad, part):
     assert not out.exists()
 
 
+def entry_by_entry_reader(text):
+    """The unitary reader as it was before its one-array path: one complex()
+    per entry. The reference that cli._parse_unitary_json must match."""
+    def number(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{x!r} is not a JSON number")
+        return x
+
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise cli.InputFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
+        raise cli.InputFormatError('unitary JSON needs "dim" and "entries"')
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise cli.InputFormatError(f'"dim" must be an integer, got {dim!r}')
+    try:
+        entries = [complex(number(re), number(im)) for re, im in doc["entries"]]
+    except (TypeError, ValueError) as exc:
+        raise cli.InputFormatError(f"bad unitary entries: {exc}") from exc
+    if dim < 2 or len(entries) != dim * dim:
+        raise cli.InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
+    return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+
+
+def read_outcome(reader, text):
+    """What reader makes of text: ("ok", dtype, shape, bytes) or ("error",
+    exception type, message)."""
+    try:
+        u = reader(text)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "error", type(exc), str(exc)
+    return "ok", u.dtype, u.shape, u.tobytes()
+
+
+# Entry values: JSON numbers of every float class, numbers float() or
+# complex() would also read, and ints at and past float64's range.
+FUZZ_VALUES = [0, 1, -1, 0.5, -0.0, 1e-310, 1e308, 2**53 + 1, -(2**63), 2**64 + 1,
+               10**400, math.nan, math.inf, -math.inf, True, False, None, "0", "1_0",
+               "1.5", "nan", [1.0], {}, {"re": 1}]
+
+
+def fuzz_entries(rng, dim):
+    """A random "entries" value near a valid dim x dim unitary: mostly
+    [re, im] pairs, with bad values, ragged rows, triples, non-list rows,
+    non-list entries and wrong counts mixed in."""
+    value = lambda: FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+    number = lambda: float(rng.normal()) if rng.random() < 0.98 else value()
+    count = max(dim, 0) ** 2 + int(rng.choice([0, 0, 0, -1, 1]))
+    rows = [[number(), number()] for _ in range(max(count, 0))]
+    for _ in range(rng.integers(0, 3)):
+        if not rows:
+            break
+        k = int(rng.integers(len(rows)))
+        kind = rng.integers(6)
+        if kind == 0:
+            rows[k] = [value(), value()]
+        elif kind == 1:
+            rows[k] = [number()]
+        elif kind == 2:
+            rows[k] = [number(), number(), number()]
+        elif kind == 3:
+            rows[k] = "ab" if rng.random() < 0.5 else 5
+        elif kind == 4:
+            rows[k] = {"ab": 1, "cd": 2}
+        else:
+            rows[k] = []
+    if rng.random() < 0.05:
+        return [{}, "", "abcd", 5, None, {"ab": 1}, True][rng.integers(7)]
+    return rows
+
+
+def test_unitary_reader_matches_the_entry_by_entry_reader():
+    """Accepted input gives the same matrix bit for bit; rejected input the
+    same exception, so the same message and exit code."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    dims = [3, 3, 3, 3, 3, 3, 2, 4, 1, 0, -1, 2.0, True, "3"]
+    for _ in range(3000):
+        dim = dims[rng.integers(len(dims))]
+        text = json.dumps({"dim": dim, "entries": fuzz_entries(rng, int(dim))})
+        want = read_outcome(entry_by_entry_reader, text)
+        assert read_outcome(cli._parse_unitary_json, text) == want, text[:300]
+        seen.add(want[0] if want[0] == "ok" else want[1].__name__)
+    assert seen == {"ok", "InputFormatError", "OverflowError"}
+    for text in ("{not json", "[]", '{"dim": 2}', '{"dim": 2, "entries": [[1, 0], [0, 0], '
+                 '[0, 0], [1, 0]]}', '{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, NaN]]}'):
+        assert read_outcome(cli._parse_unitary_json, text) == read_outcome(
+            entry_by_entry_reader, text), text
+
+
+@pytest.mark.parametrize("entry,code", [
+    (10**400, 3),  # too large for a float: OverflowError, an ArithmeticError
+    (2**64 + 1, 0),  # an int that rounds to a float is a number
+    ("1_0", 2), (True, 2), ("nan", 2),
+])
+def test_unitary_entries_keep_their_exit_codes(tmp_path, entry, code):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[entry, 0], [0, 0], [0, 0], [1, 0]]}))
+    if code == 0:  # diag(2^64 + 1, 1) is read, then rejected as not unitary
+        assert cli._parse_unitary_json(path.read_text())[0, 0] == float(entry)
+        code = 3
+    assert main(["decompose", "--unitary", str(path)]) == code
+
+
 def test_decompose_writes_no_factors_when_the_residual_is_too_large(
     tmp_path, monkeypatch, capsys
 ):

@@ -42,6 +42,7 @@ from qsim.linalg import is_unitary
 from qsim.qpu import basis_vector, tensor_index
 from qsim.udecomp import (
     Decomposition,
+    decompose_unitary,
     format_decomposition,
     k_embed,
     parse_decomposition,
@@ -51,9 +52,13 @@ from qsim.udecomp import (
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def random_unitary2(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_unitary2(rng):
+    return haar_unitary(rng, 2)
 
 
 def circuit(n, gates=()):
@@ -807,6 +812,63 @@ def test_reconstruct_matches_product_of_k_embed_factors(dim):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def pair_by_pair(d):
+    """reconstruct's reference: one factor per step in sequence order, each
+    mixing its two rows as numpy multiplies and adds them."""
+    out = np.eye(d.dim, dtype=complex)
+    for i, j, v in zip(d.i.tolist(), d.j.tolist(), d.blocks):
+        a, b = out[i - 1].copy(), out[j - 1].copy()
+        out[i - 1] = v[0, 0] * a + v[0, 1] * b
+        out[j - 1] = v[1, 0] * a + v[1, 1] * b
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 64, 128])
+def test_reconstruct_is_the_pair_loop_bit_for_bit_on_decompositions(dim):
+    d = decompose_unitary(haar_unitary(np.random.default_rng([22, dim]), dim))
+    assert np.array_equal(reconstruct(d), pair_by_pair(d))
+
+
+def test_reconstruct_is_the_pair_loop_bit_for_bit_on_any_factor_list():
+    rng = np.random.default_rng(23)
+    eye = np.eye(2, dtype=complex)
+    lists = [
+        [TwoLevelGate(3, 1, 3, random_unitary2(rng))],  # a single factor
+        [TwoLevelGate(4, 2, 4, random_unitary2(rng)) for _ in range(5)],  # one pair repeated
+        [TwoLevelGate(4, 1, 2, eye), TwoLevelGate(4, 3, 4, eye), TwoLevelGate(4, 2, 3, eye)],
+    ]
+    for dim in (2, 3, 4, 5, 8, 16):
+        for count in (2, 3 * dim, 20 * dim):  # rows shared between factors
+            factors = [random_two_level_gate(dim, rng) for _ in range(count)]
+            for k in rng.choice(count, size=count // 3, replace=False):
+                factors[k] = TwoLevelGate(dim, factors[k].i, factors[k].j, eye)
+            lists.append(factors)
+    for factors in lists:
+        d = decomposition(factors[0].dim, factors)
+        assert np.array_equal(reconstruct(d), pair_by_pair(d)), [(f.i, f.j) for f in factors]
+    empty = Decomposition(3, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2, 2)))
+    assert np.array_equal(reconstruct(empty), np.eye(3))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64, 128, 256])
+def test_reconstruct_takes_a_step_per_layer_of_disjoint_pairs(monkeypatch, dim):
+    """decompose_unitary's N(N-1)/2 factors fall into 2N - 3 layers. A
+    layer is one step while its rows hold at most 2^14 entries, as every
+    layer does up to N = 128, whose largest has N/2 pairs; above that a
+    layer is split into steps of that size."""
+    d = decompose_unitary(haar_unitary(np.random.default_rng([24, dim]), dim))
+    calls = []
+    mix = gates.mix_pairs
+    monkeypatch.setattr(gates, "mix_pairs", lambda *args: calls.append(args) or mix(*args))
+    assert np.array_equal(reconstruct(d), pair_by_pair(d))
+    if dim <= 128:
+        assert len(calls) <= 2 * dim - 3
+    for v, out, p0, p1 in calls:
+        assert len(p0) * dim <= max(2**14, dim)
+        rows = np.concatenate([p0, p1])  # the pairs of one step are disjoint
+        assert len(set(rows.tolist())) == len(rows)
+
+
 def test_apply_rejects_state_of_the_wrong_dimension():
     c = circuit(2, [WireGate(n=2, target=1, v=FLIP)])
     with pytest.raises(ValueError):
@@ -908,6 +970,35 @@ def test_two_level_line_is_not_a_circuit_line():
 
 
 # --- serialization -----------------------------------------------------------------------
+
+
+def test_integer_fields_reject_bools_as_they_reject_floats():
+    """target, mask, value, i and j are int64 columns: numpy's safe cast
+    turns a float away with TypeError, and a bool is turned away too,
+    on single gates and on the column containers alike."""
+    eye = np.eye(2)
+    for bad in (True, False, 1.0):
+        for make in (
+            lambda: WireGate(n=2, target=bad, v=eye),
+            lambda: WireGate(n=3, target=2, v=eye, mask=bad),
+            lambda: WireGate(n=3, target=2, v=eye, mask=1, value=bad),
+            lambda: TwoLevelGate(4, bad, 2, eye),
+            lambda: TwoLevelGate(4, 1, bad, eye),
+        ):
+            with pytest.raises(TypeError):
+                make()
+    blocks, none = np.array([eye, eye]), [math.nan, math.nan]
+    ints, bools = np.array([1, 2]), np.array([True, True])
+    for columns in ((bools, ints * 0, ints * 0), (ints, bools, ints * 0),
+                    (ints, [4, 4], bools)):
+        with pytest.raises(TypeError):
+            Circuit(3, *columns, blocks, none)
+    for i, j in ((bools, [2, 3]), ([1, 2], bools)):
+        with pytest.raises(TypeError):
+            Decomposition(4, i, j, blocks)
+    # The same columns as ints are gates.
+    assert len(Circuit(3, ints, [0, 0], [0, 0], blocks, none).gates) == 2
+    assert Decomposition(4, [1, 2], [2, 3], blocks).i.tolist() == [1, 2]
 
 
 def test_wire_gate_rejects_an_angle_its_block_does_not_match():
@@ -1176,6 +1267,19 @@ def test_parse_errors():
         f"TWO-LEVEL 1 2 {block}",  # a factor line
     ):
         rejected(line, 3)
+
+
+def test_header_counts_beyond_int64_are_parse_errors():
+    """A count of more digits than int() converts (4,300) is a parse error
+    with a short message, not Python's ValueError; so is any count of 19
+    or more digits, which no int64 column could index."""
+    for digits in ("9" * 5000, "9" * 4301, "1" + "0" * 18):
+        for text in (f"QSIM-CIRCUIT v1 n={digits}\n", f"QSIM-FACTORS v1 dim={digits}\n"):
+            reader = parse_circuit if text.startswith("QSIM-CIRCUIT") else parse_decomposition
+            with pytest.raises(CircuitParseError) as info:
+                reader(text)
+            assert len(str(info.value)) < 200
+    assert parse_decomposition("QSIM-FACTORS v1 dim=" + "9" * 18 + "\n").dim == 10**18 - 1
 
 
 def test_float_fields_reject_non_ascii_digits_and_separators():

@@ -66,8 +66,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _table(args: argparse.Namespace, doc: dict, key: str) -> None:
     """Write doc as JSON, or its table doc[key] as CSV: the k and bitstring
-    columns of the 2^n labels, then the arrays of doc[key] by name. str of a
-    Python float is its repr, so CSV cells round-trip exactly."""
+    columns of the 2^n labels, then the arrays of doc[key] by name. A CSV
+    cell is an int's str or a float's repr, so floats round-trip exactly."""
     columns = {"k": range(2**args.n), "bitstring": label_bitstrings(args.n)}
     columns.update((name, column.tolist()) for name, column in doc[key].items())
     rows = zip(*columns.values())
@@ -75,8 +75,9 @@ def _table(args: argparse.Namespace, doc: dict, key: str) -> None:
         doc = {**doc, key: [dict(zip(columns, row)) for row in rows]}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [",".join(columns), *(",".join(map(str, row)) for row in rows)]
-        _emit(args, "\n".join(lines) + "\n")
+        cells = ["%d", "%s", *("%r" if c.dtype.kind == "f" else "%d" for c in doc[key].values())]
+        body = (",".join(cells) + "\n") * 2**args.n % tuple(itertools.chain.from_iterable(rows))
+        _emit(args, ",".join(columns) + "\n" + body)
 
 
 def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:

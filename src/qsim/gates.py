@@ -98,9 +98,13 @@ def as_reals(name: str, x) -> np.ndarray:
 
 def _columns(blocks, *ints) -> list[np.ndarray]:
     """The checked blocks, then each of ints as an int64 array (a float or
-    a bool is a TypeError), all of one length and read-only."""
-    ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe")
-            for x in map(np.asarray, ints)]
+    a bool, even one bool in a list, is a TypeError), all of one length and
+    read-only."""
+    # np.asarray reads a bool among ints as 1: a list holding one is read as
+    # bools, so it fails as an all-bool column does.
+    ints = [np.asarray(x, bool if not isinstance(x, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in x) else None) for x in ints]
+    ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe") for x in ints]
     columns = [_check_blocks(blocks), *ints]
     if len({len(c) for c in columns}) > 1:
         raise ValueError("gate columns differ in length")

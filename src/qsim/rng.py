@@ -18,11 +18,12 @@ the probabilities sum to slightly less than 1) yields the last index.
 
 Counting draws: outcomes 0..i, for i below the last, receive exactly the
 draws with u < cdf[i], so outcome i gets #{u < cdf[i]} - #{u < cdf[i-1]}
-draws and the last outcome gets the rest. inverse_cdf_counts counts sorted
-uniforms this way, SHOT_CHUNK draws at a time. The chunk starting at draw j
-is the stream seeded with (s + j * 0x9E3779B97F4A7C15) mod 2^64, whose
-outputs are outputs j, j+1, ... of seed s, so chunking never changes which
-output a draw uses.
+draws and the last outcome gets the rest. inverse_cdf_counts counts a
+bucket of draws (by the top 16 bits of u) that holds no cdf value whole and
+sorts only the other draws. The stream chunk starting at draw j is the
+stream seeded with (s + j * 0x9E3779B97F4A7C15) mod 2^64, whose outputs are
+outputs j, j+1, ... of seed s, so chunking never changes which output a
+draw uses.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-# Draws generated and counted at once: 8 MB per array of them.
-SHOT_CHUNK = 2**20
+# Draws made at once (512 KB arrays, kept in cache), kept draws sorted at
+# once (an 8 MB buffer), and buckets by the top 16 bits of a uniform.
+SHOT_CHUNK, SORT_CHUNK, BUCKETS = 2**16, 2**20, 2**16
 
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
@@ -55,11 +57,7 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """`count` doubles in [0, 1) from the splitmix64 stream."""
-    bits = splitmix64_stream(seed, count)
-    bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u *= 2.0**-53
-    return u
+    return (splitmix64_stream(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
 def cdf(probabilities) -> np.ndarray:
@@ -89,18 +87,39 @@ def inverse_cdf_sample(probabilities, shots: int, seed: int) -> np.ndarray:
 def inverse_cdf_counts(probabilities, shots: int, seed: int) -> np.ndarray:
     """How many of inverse_cdf_sample's `shots` draws land on each outcome.
 
-    Counts the same draws without placing each one: per chunk of SHOT_CHUNK
-    sorted uniforms, #{u < cdf[i]} draws land at or below outcome i.
-    Memory is O(SHOT_CHUNK + len(probabilities)) whatever `shots` is.
+    #{u < cdf[i]} draws land at or below outcome i: a bucket that holds no
+    limit is counted whole, and only draws in the others are kept, sorted and
+    searched. Memory is O(SHOT_CHUNK + SORT_CHUNK + len(probabilities)).
     """
     c = cdf(probabilities)
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    below = np.zeros(len(c), dtype=np.int64)
+    # m < limit[i] exactly when u = m * 2^-53 < cdf[i]; every u is below 1.
+    np.minimum(c, 1.0, out=c)
+    c *= 2.0**53
+    limit = np.ceil(c, out=c).astype(np.uint64)
+    edge = (limit >> np.uint64(37)).view(np.intp)  # the bucket holding limit[i], or BUCKETS
+    boundary = np.zeros(BUCKETS + 1, dtype=bool)
+    boundary[edge] = True
+    # Past a quarter of the buckets, bucketing costs more than the sort it saves.
+    bucketed = np.count_nonzero(boundary) <= BUCKETS // 4
+    hist, below = np.zeros(BUCKETS, dtype=np.int64), np.zeros(len(c), dtype=np.int64)
+    kept, held = np.empty(SORT_CHUNK + SHOT_CHUNK, dtype=np.uint64), 0
     for start in range(0, shots, SHOT_CHUNK):
-        u = uniforms(seed + start * GOLDEN_GAMMA, min(SHOT_CHUNK, shots - start))
-        u.sort()
-        below += np.searchsorted(u, c, side="left")
+        x = splitmix64_stream(seed + start * GOLDEN_GAMMA, min(SHOT_CHUNK, shots - start))
+        if bucketed:
+            b = (x >> np.uint64(48)).view(np.int64)
+            hist += np.bincount(b, minlength=BUCKETS)
+            x = x[boundary[b]]
+        np.right_shift(x, np.uint64(11), out=kept[held : held + len(x)])
+        held += len(x)
+        if held >= SORT_CHUNK or start + SHOT_CHUNK >= shots:
+            kept[:held].sort()
+            below += np.searchsorted(kept[:held], limit, side="left")
+            held = 0
+    if bucketed:
+        hist[boundary[:-1]] = 0
+        below += np.concatenate(([0], np.cumsum(hist)))[edge]
     counts = np.diff(below, prepend=0)
     counts[-1] += shots - below[-1]
     return counts

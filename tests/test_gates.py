@@ -989,12 +989,14 @@ def test_integer_fields_reject_bools_as_they_reject_floats():
                 make()
     blocks, none = np.array([eye, eye]), [math.nan, math.nan]
     ints, bools = np.array([1, 2]), np.array([True, True])
+    # A list that mixes ints and bools is turned away too, not read as ints.
     for columns in ((bools, ints * 0, ints * 0), (ints, bools, ints * 0),
-                    (ints, [4, 4], bools)):
-        with pytest.raises(TypeError):
+                    (ints, [4, 4], bools), ([1, True], [0, 0], [0, 0]),
+                    (ints, [0, np.True_], [0, 0]), (ints, [4, 4], (0, False))):
+        with pytest.raises(TypeError, match="from dtype\\('bool'\\)"):
             Circuit(3, *columns, blocks, none)
-    for i, j in ((bools, [2, 3]), ([1, 2], bools)):
-        with pytest.raises(TypeError):
+    for i, j in ((bools, [2, 3]), ([1, 2], bools), ([1, True], [2, 3]), ([1, 2], [2, True])):
+        with pytest.raises(TypeError, match="from dtype\\('bool'\\)"):
             Decomposition(4, i, j, blocks)
     # The same columns as ints are gates.
     assert len(Circuit(3, ints, [0, 0], [0, 0], blocks, none).gates) == 2

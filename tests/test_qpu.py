@@ -9,6 +9,7 @@ most significant, Kronecker factor).
 import bisect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,8 +47,10 @@ from qsim.qpu import (
 )
 from qsim import rng as qrng
 from qsim.rng import (
+    BUCKETS,
     GOLDEN_GAMMA,
     SHOT_CHUNK,
+    SORT_CHUNK,
     inverse_cdf_counts,
     inverse_cdf_sample,
     splitmix64_stream,
@@ -558,20 +561,83 @@ def test_counts_equal_the_per_draw_rule_and_the_reference():
                 assert shots_result.counts == dict(enumerate(got.tolist()))
 
 
-@pytest.mark.parametrize("shots", [SHOT_CHUNK - 1, SHOT_CHUNK, SHOT_CHUNK + 1, 3 * SHOT_CHUNK + 5])
+def _quarter_law():
+    """BUCKETS/4 - 1 outcomes of mass 1/BUCKETS, then the rest: as many
+    boundary buckets as the bucket count allows, holding a quarter of the
+    draws."""
+    return np.array([1.0 / BUCKETS] * (BUCKETS // 4 - 1) + [0.75 + 1.0 / BUCKETS])
+
+
+@pytest.mark.parametrize(
+    "shots",
+    [SORT_CHUNK - 1, SORT_CHUNK, SORT_CHUNK + 1, 3 * SORT_CHUNK + 5, SHOT_CHUNK - 1, SHOT_CHUNK + 1],
+)
 def test_counts_across_chunk_boundaries(shots):
-    p = _random_law(np.random.default_rng(shots), 6, zero_fraction=0.25)
-    got = inverse_cdf_counts(p, shots, 2026)
-    assert got.sum() == shots
-    assert np.array_equal(got, _per_draw_counts(p, shots, 2026))
+    """Bucketed at n = 6; at n = 16 every bucket holds a cdf value and every
+    draw is kept, so the sort chunk's seams are crossed too."""
+    for n in (6, 16):
+        p = _random_law(np.random.default_rng(shots), n, zero_fraction=0.25)
+        got = inverse_cdf_counts(p, shots, 2026)
+        assert got.sum() == shots
+        assert np.array_equal(got, _per_draw_counts(p, shots, 2026)), n
 
 
 def test_counts_with_small_chunks_equal_one_pass(monkeypatch):
-    p = _random_law(np.random.default_rng(3), 4, zero_fraction=0.25)
-    whole = {shots: inverse_cdf_counts(p, shots, 11) for shots in range(1, 40)}
+    """Chunk sizes are read at call time: with 7-draw stream chunks and
+    5 kept draws per sort, every seam is crossed many times."""
+    laws = (_random_law(np.random.default_rng(3), 4, zero_fraction=0.25), _quarter_law(),
+            _random_law(np.random.default_rng(4), 15))
+    shot_counts = [*range(1, 40), 200]
+    whole = [[inverse_cdf_counts(p, shots, 11) for shots in shot_counts] for p in laws]
     monkeypatch.setattr(qrng, "SHOT_CHUNK", 7)
-    for shots, want in whole.items():
-        assert np.array_equal(inverse_cdf_counts(p, shots, 11), want), shots
+    monkeypatch.setattr(qrng, "SORT_CHUNK", 5)
+    for p, want in zip(laws, whole):
+        for shots, one_pass in zip(shot_counts, want):
+            got = inverse_cdf_counts(p, shots, 11)
+            assert np.array_equal(got, one_pass), shots
+            assert np.array_equal(got, _per_draw_counts(p, shots, 11)), shots
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.25, 0.0, 0.25, 0.5],
+        [0.5, 0.5],
+        [2.0**-8] * 2**8,
+        [2.0**-16] * 2**16,  # a cdf value on every bucket edge
+        _quarter_law(),
+        [0.0] * 100 + [0.3, 0.7] + [0.0] * 100,  # leading and trailing zeros
+        [0.2] * 4 + [0.2 - 1e-12],  # the cdf ends just below 1
+        [0.2] * 4 + [0.2 + 1e-9],  # ... and just above 1
+        [0.5, 0.75, 0.0],  # ... and well past 1
+        [3.0, 1e300],
+        [1.0],
+        [1.0] + [0.0] * 9,
+        [0.0] * 9 + [1.0],
+        _random_law(np.random.default_rng(16), 16),  # more than BUCKETS / 4 limits
+        _random_law(np.random.default_rng(17), 17, zero_fraction=0.5),
+    ],
+    ids=lambda p: f"len{len(p)}",
+)
+def test_counts_on_bucket_edges_and_at_the_ends_of_the_cdf(p):
+    for seed in (0, 42, 2**64 - 1):
+        for shots in (1, 7, 2**16 + 1, 300_001):
+            got = inverse_cdf_counts(p, shots, seed)
+            assert np.array_equal(got, _per_draw_counts(p, shots, seed)), (seed, shots)
+
+
+def test_counts_memory_is_bounded_by_the_chunks():
+    """3 * 2^20 + 5 shots at n = 12 hold a stream chunk, the kept draws and
+    the bucket arrays: about 11 MiB, where sorting every draw in 2^20-draw
+    chunks held 24 MiB."""
+    p = _random_law(np.random.default_rng(12), 12, zero_fraction=0.25)
+    tracemalloc.start()
+    try:
+        inverse_cdf_counts(p, 3 * 2**20 + 5, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_counts_with_zero_outcomes_up_to_16_qubits():
@@ -591,10 +657,21 @@ def test_counts_on_ties_and_past_the_last_cdf_value(monkeypatch):
     at or past cdf[-1] go to the last outcome."""
     p = [0.25, 0.0, 0.25, 0.25]  # cdf 0.25, 0.25, 0.5, 0.75: a 0.25 shortfall
     u = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.9, 0.1, 0.74, 0.5 - 2.0**-53])
-    monkeypatch.setattr(qrng, "uniforms", lambda seed, count: u[:count].copy())
+    bits = (u * 2.0**53).astype(np.uint64) << np.uint64(11)  # outputs whose uniforms are u
+    monkeypatch.setattr(qrng, "splitmix64_stream", lambda seed, count: bits[:count].copy())
     want = [2, 0, 3, 4]  # draws 0 0 | 2 2 2 | 3 3 3 3
     assert inverse_cdf_counts(p, len(u), 0).tolist() == want
     assert np.bincount(inverse_cdf_sample(p, len(u), 0), minlength=4).tolist() == want
+
+
+def test_counts_next_to_a_cdf_value_off_the_uniform_grid(monkeypatch):
+    """0.1 * 2^53 is not an integer: the uniforms on either side of 0.1 go
+    to either side of it."""
+    m = math.floor(0.1 * 2.0**53)
+    bits = np.array([m - 1, m, m + 1, m + 2], dtype=np.uint64) << np.uint64(11)
+    monkeypatch.setattr(qrng, "splitmix64_stream", lambda seed, count: bits[:count].copy())
+    assert inverse_cdf_counts([0.1, 0.9], 4, 0).tolist() == [2, 2]
+    assert inverse_cdf_sample([0.1, 0.9], 4, 0).tolist() == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 Layers, lowest first:
 
 * linalg: complex matrices, unitarity checks, Hermitian spectra, exp(-itH).
-* algprob: density matrices, observables, events, measurement laws.
+* algprob: density matrices, observables, measurement laws.
 * qpu: n-qubit encodings, register observables, evolution, seeded sampling.
 * gates: wire gates (a block on a target wire under a control mask) and
   two-level gates, circuits and factor lists as columns, their text.

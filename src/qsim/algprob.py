@@ -1,10 +1,10 @@
-"""States, observables, events, and measurement laws on dense matrices.
+"""States, observables, and measurement laws on dense matrices.
 
 A state is a density matrix: Hermitian, positive semidefinite, trace one.
 An observable (random variable) is a Hermitian matrix; measuring it in a
 state produces its eigenvalues with probabilities Re tr(rho P), where P
-projects onto the eigenspace. Only equality events {A = x} are modeled;
-interval events are future work.
+projects onto the eigenspace. law sums <v|rho|v> over each eigenspace's
+eigenvectors v, so no projector is formed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ STATE_TOL = 1e-10
 # zero; anything more negative indicates an invalid state and is an error.
 NEGATIVE_PROB_TOL = 1e-12
 LAW_SUM_TOL = 1e-9
-# A value selects the eigenvalue cluster within this distance of it.
-EVENT_MATCH_TOL = 1e-9
 
 
 class StateValidationError(ValueError):
@@ -79,17 +77,6 @@ class Observable:
 
 
 @dataclass(frozen=True)
-class EventProjector:
-    """Orthogonal projector for the event {A = value}.
-
-    proj is the zero matrix when value is not an eigenvalue of A.
-    """
-
-    value: float
-    proj: np.ndarray
-
-
-@dataclass(frozen=True)
 class Law:
     """Discrete distribution over an observable's eigenvalues.
 
@@ -141,20 +128,6 @@ def validate_state(rho: DensityMatrix) -> int:
     if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError("trace", f"trace {tr} is not 1")
     return int(np.count_nonzero(eigs > STATE_TOL))
-
-
-def event_projector(a: Observable, x: float) -> EventProjector:
-    """Projector onto the eigenspace of the eigenvalue matching x.
-
-    x matches a clustered eigenvalue when it lies within EVENT_MATCH_TOL of
-    the cluster value; with no match the projector is the zero matrix.
-    """
-    for value, idx in a.eigenvalue_clusters():
-        if abs(x - value) <= EVENT_MATCH_TOL:
-            cols = a.eigenvectors[:, idx]
-            return EventProjector(value=value, proj=cols @ cols.conj().T)
-    n = a.dim
-    return EventProjector(value=float(x), proj=np.zeros((n, n), dtype=np.complex128))
 
 
 def law_probabilities(raw) -> np.ndarray:

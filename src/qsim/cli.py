@@ -143,6 +143,8 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputFormatError(f'"dim" must be an integer, got {dim!r}')
+    if dim < 2:
+        raise InputFormatError(f'"dim" must be at least 2, got {dim}')
     raw = doc["entries"]
     # Pairs of JSON numbers pass one type test; other input is walked to name its first bad entry.
     pairs = type(raw) is list and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
@@ -154,7 +156,7 @@ def _parse_unitary_json(text: str) -> np.ndarray:
             entries = [complex(_number(re), _number(im)) for re, im in raw]
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"bad unitary entries: {exc}") from exc
-    if dim < 2 or len(entries) != dim * dim:
+    if len(entries) != dim * dim:
         raise InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
     return np.asarray(entries, dtype=np.complex128).reshape(dim, dim)
 

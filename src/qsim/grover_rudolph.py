@@ -36,10 +36,6 @@ SEGMENT_JOIN_TOL = 1e-12
 ZERO_MASS_TOL = 1e-14
 # Largest deviation between any two of verify's three laws that passes.
 VERIFY_TOL = 1e-10
-# Adaptive Simpson error target per CallableDensity integral, and the
-# looser normalization check that quadrature error allows.
-QUADRATURE_TOL = 1e-12
-QUADRATURE_NORM_TOL = 1e-8
 # Angle assigned when a node has (numerically) no mass. Any value gives the
 # same outcome probabilities, since the parent angle already routes zero
 # amplitude into such a node; this one keeps deliberately-kept gates
@@ -96,9 +92,9 @@ class DensitySegment:
 class PiecewisePolyDensity:
     """A normalized piecewise-polynomial density on [0, 1].
 
-    Validated at construction: segments must partition [0, 1] in order, be
-    nonnegative everywhere (each segment's exact minimum, within rounding),
-    and integrate to 1 within 1e-10. Integrals are exact antiderivative
+    Validated at construction: every number must be finite, segments must
+    partition [0, 1] in order, be nonnegative everywhere (each segment's
+    exact minimum, within rounding), and integrate to 1 within 1e-10. Integrals are exact antiderivative
     evaluations, so dyadic masses carry no quadrature error.
     """
 
@@ -112,34 +108,43 @@ class PiecewisePolyDensity:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise DensityError("density needs at least one segment")
+        for s in segs:
+            if not all(math.isfinite(c) for c in (s.lo, s.hi, *s.coeffs)):
+                raise DensityError(f"non-finite number in segment {s}")
         if abs(segs[0].lo) > SEGMENT_JOIN_TOL or abs(segs[-1].hi - 1.0) > SEGMENT_JOIN_TOL:
             raise DensityError("segments must start at 0 and end at 1")
         for a, b in zip(segs, segs[1:]):
             if abs(a.hi - b.lo) > SEGMENT_JOIN_TOL:
                 raise DensityError(f"gap between segments at {a.hi} vs {b.lo}")
-        for s in segs:
-            if not s.lo < s.hi:
-                raise DensityError(f"empty segment [{s.lo}, {s.hi}]")
-            if not s.coeffs:
-                raise DensityError("segment without coefficients")
-            if not all(math.isfinite(c) for c in (s.lo, s.hi, *s.coeffs)):
-                raise DensityError(f"non-finite number in segment {s}")
-            low = s.minimum()
-            if low < -DENSITY_NEGATIVE_TOL:
-                raise DensityError(
-                    f"density negative ({low:.3e}) on [{s.lo}, {s.hi}]"
-                )
-        total = float(self.masses([0.0, 1.0])[0])
-        if abs(total - 1.0) > DENSITY_NORM_TOL:
+        # Finite coefficients can still overflow to inf, and inf - inf to NaN,
+        # which the negated comparisons reject; the rejection is the only output.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in segs:
+                if not s.lo < s.hi:
+                    raise DensityError(f"empty segment [{s.lo}, {s.hi}]")
+                if not s.coeffs:
+                    raise DensityError("segment without coefficients")
+                low = s.minimum()
+                if not low >= -DENSITY_NEGATIVE_TOL:
+                    raise DensityError(
+                        f"density negative ({low:.3e}) on [{s.lo}, {s.hi}]"
+                    )
+            total = float(self.masses([0.0, 1.0])[0])
+        if not abs(total - 1.0) <= DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
     def masses(self, edges) -> np.ndarray:
         """Exact integral over each [edges[i], edges[i+1]], edges within [0, 1].
 
         Each segment adds its antiderivative difference to the intervals it
-        overlaps, in segment order.
+        overlaps, in segment order. Edges that are not a nonempty, nondecreasing
+        1-D array within [0, 1] raise ValueError.
         """
-        edges = _check_edges(edges)
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or len(edges) == 0:
+            raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
+        if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
+            raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
         a, b = edges[:-1], edges[1:]
         out = np.zeros(len(a))
         for s in self.segments:
@@ -148,76 +153,6 @@ class PiecewisePolyDensity:
             live = lo < hi
             out[live] += s.mass(lo[live], hi[live])
         return out
-
-
-class CallableDensity:
-    """Black-box density integrated by adaptive Simpson quadrature.
-
-    Approximate: masses carry quadrature error up to roughly QUADRATURE_TOL
-    per integral, unlike the exact piecewise-polynomial path. Normalization
-    is only checked to QUADRATURE_NORM_TOL for the same reason. Every value
-    the quadrature takes must be finite and nonnegative within
-    DENSITY_NEGATIVE_TOL, or DensityError is raised; points between those
-    samples are not checked.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        total = float(self.masses([0.0, 1.0])[0])
-        if abs(total - 1.0) > QUADRATURE_NORM_TOL:
-            raise DensityError(f"density integrates to {total}, not 1")
-
-    def _value(self, x: float) -> float:
-        y = float(self.fn(x))
-        if not math.isfinite(y) or y < -DENSITY_NEGATIVE_TOL:
-            raise DensityError(f"density value {y!r} at x = {x!r} is negative or not finite")
-        return y
-
-    def masses(self, edges) -> np.ndarray:
-        """Quadrature integrals over consecutive edges, one per interval."""
-        edges = _check_edges(edges).tolist()
-        return np.array(
-            [
-                _adaptive_simpson(self._value, a, b, QUADRATURE_TOL) if a < b else 0.0
-                for a, b in zip(edges, edges[1:])
-            ]
-        )
-
-
-def _check_edges(edges) -> np.ndarray:
-    """Edges as a nonempty 1-D float array, nondecreasing within [0, 1], or
-    ValueError."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) == 0:
-        raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
-    if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
-        raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
-    return edges
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(fn, a: float, b: float, tol: float, depth: int = 50) -> float:
-    m = (a + b) / 2.0
-    fa, fm, fb = fn(a), fn(m), fn(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _simpson_recurse(fn, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_recurse(fn, a, b, fa, fm, fb, whole, tol, depth) -> float:
-    m = (a + b) / 2.0
-    lm, rm = (a + m) / 2.0, (m + b) / 2.0
-    flm, frm = fn(lm), fn(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = tol / 2.0
-    return _simpson_recurse(
-        fn, a, m, fa, flm, fm, left, half, depth - 1
-    ) + _simpson_recurse(fn, m, b, fm, frm, fb, right, half, depth - 1)
 
 
 @dataclass(frozen=True, eq=False)

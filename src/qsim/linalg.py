@@ -16,7 +16,7 @@ import numpy as np
 
 UNITARY_TOL = 1e-10
 # Eigenvalues closer than this (relative to the Hilbert-Schmidt norm of the
-# matrix) are treated as one degenerate eigenvalue when building projectors.
+# matrix) are treated as one degenerate eigenvalue of a measurement law.
 EIG_CLUSTER_REL_TOL = 1e-9
 
 

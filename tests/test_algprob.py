@@ -1,4 +1,4 @@
-"""Tests for states, observables, event projectors, and measurement laws.
+"""Tests for states, observables, and measurement laws.
 
 The probability oracle used throughout: diagonalize the state by hand and
 accumulate sum_i w_i |<e_k, psi_i>|^2 over eigenvector overlaps, written as
@@ -12,17 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim.algprob import (
-    EVENT_MATCH_TOL,
     LAW_SUM_TOL,
     NEGATIVE_PROB_TOL,
     STATE_TOL,
     DensityMatrix,
-    EventProjector,
     Law,
     Observable,
     StateValidationError,
     conjugate,
-    event_projector,
     law,
     law_probabilities,
     pure_state,
@@ -132,60 +129,11 @@ def test_eigenvalue_clusters_keep_separated_values_apart():
     assert len(a.eigenvalue_clusters()) == 3
 
 
-# --- event projectors ---------------------------------------------------------
-
-
-def test_event_projector_bit_flip_pin():
-    """{A = +1} for the bit-flip observable projects onto (1,1)/sqrt(2)."""
-    flip = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    p = event_projector(flip, 1.0)
-    assert np.max(np.abs(p.proj - 0.5 * np.ones((2, 2)))) < 1e-12
-    m = event_projector(flip, -1.0)
-    assert np.max(np.abs(m.proj - 0.5 * np.array([[1, -1], [-1, 1]]))) < 1e-12
-
-
-def test_event_projector_degenerate_pin():
-    a = Observable(np.diag([2.0, 2.0, 5.0]))
-    p = event_projector(a, 2.0)
-    assert np.max(np.abs(p.proj - np.diag([1.0, 1.0, 0.0]))) < 1e-12
-
-
-def test_event_projector_unmatched_value_is_zero_matrix():
-    a = Observable(np.diag([2.0, 2.0, 5.0]))
-    p = event_projector(a, 0.37)
-    assert isinstance(p, EventProjector)
-    assert np.array_equal(p.proj, np.zeros((3, 3)))
-
-
-def test_event_projector_matches_within_event_match_tol():
-    a = Observable(np.diag([2.0, 2.0, 5.0]))
-    near = event_projector(a, 5.0 + 0.5 * EVENT_MATCH_TOL)
-    assert near.value == pytest.approx(5.0)
-    assert np.max(np.abs(near.proj - np.diag([0.0, 0.0, 1.0]))) < 1e-12
-    far = event_projector(a, 5.0 + 2.0 * EVENT_MATCH_TOL)
-    assert np.array_equal(far.proj, np.zeros((3, 3)))
-
-
-def test_event_projectors_are_orthogonal_and_complete():
-    rng = np.random.default_rng(55)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    a = Observable((h + h.conj().T) / 2)
-    clusters = a.eigenvalue_clusters()
-    projs = [event_projector(a, v).proj for v, _ in clusters]
-    total = sum(projs)
-    assert np.max(np.abs(total - np.eye(4))) < 1e-10
-    for i, p in enumerate(projs):
-        assert np.max(np.abs(p @ p - p)) < 1e-10
-        assert is_hermitian(p, 1e-10)
-        for q in projs[i + 1 :]:
-            assert np.max(np.abs(p @ q)) < 1e-10
-
-
 # --- laws ---------------------------------------------------------------------
 
 
 def test_bernoulli_law_pin():
-    """Measuring diag(1, 0) in the state cos(t)|0> + sin(t)|1>."""
+    """Measuring diag(1, 0), then the bit flip, in the state cos(t)|0> + sin(t)|1>."""
     t = 0.7
     rho = pure_state(np.array([math.cos(t), math.sin(t)]))
     lw = law(Observable(np.diag([1.0, 0.0])), rho)
@@ -193,6 +141,10 @@ def test_bernoulli_law_pin():
     probs = dict(lw.outcomes)
     assert probs[1.0] == pytest.approx(math.cos(t) ** 2, abs=1e-14)
     assert probs[0.0] == pytest.approx(math.sin(t) ** 2, abs=1e-14)
+    # The flip's +1 eigenspace is spanned by (1, 1)/sqrt(2).
+    flip = law(Observable(np.array([[0.0, 1.0], [1.0, 0.0]])), rho)
+    assert flip.values() == pytest.approx([-1.0, 1.0], abs=1e-14)
+    assert flip.probabilities()[1] == pytest.approx((1 + math.sin(2 * t)) / 2, abs=1e-14)
 
 
 def test_law_against_double_loop_oracle():

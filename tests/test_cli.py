@@ -5,6 +5,8 @@ output files are checked directly. The exit-code contract: 0 success,
 1 verification failure, 2 parse error, 3 validation error, 4 I/O error.
 """
 
+import builtins
+import functools
 import importlib
 import inspect
 import json
@@ -317,11 +319,13 @@ def entry_by_entry_reader(text):
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise cli.InputFormatError(f'"dim" must be an integer, got {dim!r}')
+    if dim < 2:
+        raise cli.InputFormatError(f'"dim" must be at least 2, got {dim}')
     try:
         entries = [complex(number(re), number(im)) for re, im in doc["entries"]]
     except (TypeError, ValueError) as exc:
         raise cli.InputFormatError(f"bad unitary entries: {exc}") from exc
-    if dim < 2 or len(entries) != dim * dim:
+    if len(entries) != dim * dim:
         raise cli.InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
     return np.array(entries, dtype=np.complex128).reshape(dim, dim)
 
@@ -675,3 +679,32 @@ def test_only_four_public_callables_take_a_tol():
         "linalg.cluster_indices",
         "grover_rudolph.verify",
     }
+
+
+# File-format tokens the README spells in backticks that no module defines.
+README_TOKENS = {"ROT", "WIRE", "CTRL", "Fraction"}
+
+
+def test_names_the_readme_spells_exist():
+    """Every backticked module.name of a qsim module resolves, and every
+    backticked CamelCase or UPPER_CASE name (alone, called, or assigned)
+    is defined in some qsim module or is a builtin, so a deleted or renamed
+    name cannot leave the README stale."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    modules = {info.name: importlib.import_module(f"qsim.{info.name}")
+               for info in pkgutil.iter_modules(qsim.__path__)}
+    stale = []
+    for span in spans:
+        for dotted in re.finditer(r"(?<![\w./-])([a-z_]\w*)((?:\.\w+)+)", span):
+            if dotted[1] in modules:
+                try:
+                    functools.reduce(getattr, dotted[2].split(".")[1:], modules[dotted[1]])
+                except AttributeError:
+                    stale.append(dotted[0])
+        bare = re.fullmatch(r"([A-Z](?:[a-z0-9]\w*|[A-Z0-9_]+))(?:\(.*\)|\s*=.*)?", span)
+        name = bare and bare[1]
+        if name and not (name in README_TOKENS or hasattr(builtins, name)
+                         or any(hasattr(m, name) for m in modules.values())):
+            stale.append(name)
+    assert stale == []

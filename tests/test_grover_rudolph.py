@@ -24,7 +24,6 @@ from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
     AngleTree,
-    CallableDensity,
     DensityError,
     DensityJsonError,
     DensitySegment,
@@ -129,6 +128,14 @@ def test_density_rejects_non_finite_numbers():
     for coeffs in ((float("nan"),), (1.0, float("inf"))):
         with pytest.raises(DensityError):
             PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, coeffs),))
+    # Finiteness comes before the partition checks, which a NaN edge passes.
+    with pytest.raises(DensityError, match="^non-finite number in segment"):
+        PiecewisePolyDensity(segments=(DensitySegment(math.nan, 1.0, (1.0,)),))
+    # Finite coefficients whose antiderivative overflows give a NaN total,
+    # rejected without a RuntimeWarning (an error under pytest).
+    huge = DensitySegment(0.9, 1.0, (1.7e308,) * 4)
+    with pytest.raises(DensityError, match="^density integrates to nan, not 1$"):
+        PiecewisePolyDensity(segments=(DensitySegment(0.0, 0.9, (1.0,)), huge))
 
 
 def test_density_accepts_subnormal_leading_coefficient():
@@ -187,62 +194,21 @@ def test_integration_range_validation():
         d.masses([0.5, 1.1])
 
 
-def test_quadrature_density_matches_exact_integrals():
-    """Adaptive quadrature on the triangular shape vs the exact polynomial."""
-    exact = triangular()
-    approx = CallableDensity(lambda x: 4.0 * x if x <= 0.5 else 4.0 - 4.0 * x)
-    for a, b in ((0.0, 1.0), (0.125, 0.375), (0.3, 0.7), (0.5, 0.5)):
-        assert approx.masses([a, b])[0] == pytest.approx(
-            exact.masses([a, b])[0], abs=1e-9
-        )
-
-
-def test_quadrature_density_rejects_unnormalized():
-    with pytest.raises(DensityError):
-        CallableDensity(lambda x: 2.0)
-
-
-def test_quadrature_density_rejects_negative_values():
-    # 4x - 1 integrates to 1 but is negative on [0, 1/4).
-    with pytest.raises(DensityError) as err:
-        CallableDensity(lambda x: 4.0 * x - 1.0)
-    assert "negative" in str(err.value)
-
-
-def test_quadrature_density_rejects_non_finite_values():
-    calls = 0
-
-    def nan_above_half(x):
-        # A NaN once kept every Simpson branch refining to depth 50; stop a
-        # regression after 10^4 evaluations instead of hanging.
-        nonlocal calls
-        calls += 1
-        if calls > 10**4:
-            raise RuntimeError("quadrature kept evaluating a NaN density")
-        return math.nan if x > 0.5 else 2.0
-
-    with pytest.raises(DensityError):
-        CallableDensity(nan_above_half)
-    with pytest.raises(DensityError):
-        CallableDensity(lambda x: math.inf)
-
-
 def test_masses_match_integrate_on_every_interval():
     edges = [0.0, 0.1, 0.1, 0.375, 0.73, 1.0]
-    quadrature = CallableDensity(lambda x: 4.0 * x if x <= 0.5 else 4.0 - 4.0 * x)
-    for d in (triangular(), quadrature):
-        got = d.masses(edges)
-        assert got.shape == (5,)
-        assert got[1] == 0.0
-        # Each entry is the interval integrated on its own.
-        assert got.tolist() == [d.masses([a, b])[0] for a, b in zip(edges, edges[1:])]
-        for bad in ([0.0, 0.6, 0.5], [-0.1, 0.5], [0.5, 1.1], [0.0, math.nan]):
-            with pytest.raises(ValueError, match="^bad integration range"):
-                d.masses(bad)
-        # Edges are a nonempty 1-D array, not an empty list or a column.
-        for bad in ([], [[0.0, 1.0]], [[0.0], [1.0]]):
-            with pytest.raises(ValueError, match="^edges must be a nonempty 1-D array"):
-                d.masses(bad)
+    d = triangular()
+    got = d.masses(edges)
+    assert got.shape == (5,)
+    assert got[1] == 0.0
+    # Each entry is the interval integrated on its own.
+    assert got.tolist() == [d.masses([a, b])[0] for a, b in zip(edges, edges[1:])]
+    for bad in ([0.0, 0.6, 0.5], [-0.1, 0.5], [0.5, 1.1], [0.0, math.nan]):
+        with pytest.raises(ValueError, match="^bad integration range"):
+            d.masses(bad)
+    # Edges are a nonempty 1-D array, not an empty list or a column.
+    for bad in ([], [[0.0, 1.0]], [[0.0], [1.0]]):
+        with pytest.raises(ValueError, match="^edges must be a nonempty 1-D array"):
+            d.masses(bad)
 
 
 def test_dyadic_mass_pins():
@@ -599,19 +565,19 @@ def test_verify_fails_at_impossible_tolerance():
 
 
 def test_verify_computes_the_leaf_masses_once(monkeypatch):
-    for d in (triangular(), CallableDensity(lambda x: 2.0 * x)):
-        calls = []
-        masses = type(d).masses
+    d = triangular()
+    calls = []
+    masses = PiecewisePolyDensity.masses
 
-        def counted(self, edges, masses=masses):
-            calls.append(len(edges))
-            return masses(self, edges)
+    def counted(self, edges):
+        calls.append(len(edges))
+        return masses(self, edges)
 
-        monkeypatch.setattr(type(d), "masses", counted)
-        report = verify(d, 5)
-        assert calls == [33]
-        assert report.passed
-        assert np.array_equal(report.formula, formula_law(angle_tree(d, 5)))
+    monkeypatch.setattr(PiecewisePolyDensity, "masses", counted)
+    report = verify(d, 5)
+    assert calls == [33]
+    assert report.passed
+    assert np.array_equal(report.formula, formula_law(angle_tree(d, 5)))
 
 
 # --- equivalence with scalar references ------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import UNITARY_TOL
+from .linalg import UNITARY_TOL, as_count
 from .qpu import bitstring, bitstring_positions, decode, position_bitstring
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
@@ -73,14 +73,6 @@ def _check_blocks(blocks) -> np.ndarray:
         raise ValueError("gate block is not unitary within tolerance")
     v.setflags(write=False)
     return v
-
-
-def as_count(name: str, x) -> int:
-    """x as an int when it is an integer, Python or numpy, and not a bool;
-    ValueError otherwise. Every n and dim of a constructor passes this rule."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 def as_reals(name: str, x) -> np.ndarray:

@@ -20,6 +20,14 @@ UNITARY_TOL = 1e-10
 EIG_CLUSTER_REL_TOL = 1e-9
 
 
+def as_count(name: str, x) -> int:
+    """x as a Python int when it is an integer, Python or numpy, and not a bool;
+    ValueError otherwise. Every n, dim, seed and shot count passes this rule."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D complex128 array (no copy when already one)."""
     m = np.asarray(a, dtype=np.complex128)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algprob import DensityMatrix, Observable, conjugate
 from .algprob import law_probabilities, pure_state
-from .linalg import as_matrix, as_vector, unitary_from_hamiltonian
+from .linalg import as_count, as_matrix, as_vector, unitary_from_hamiltonian
 from .rng import inverse_cdf_counts
 
 BitString = Sequence[int]
@@ -267,9 +267,11 @@ class ShotResult:
 def sample(probabilities, shots: int, seed: int) -> ShotResult:
     """Draw i.i.d. outcome indices from a 1-D array of probabilities, such
     as a law over labels or law(a, rho).probabilities(); identical seeds
-    give identical counts. They pass algprob.law_probabilities, which clamps
-    them into [0, 1], or it raises StateValidationError before drawing.
+    give identical counts. The probabilities pass algprob.law_probabilities,
+    which clamps them into [0, 1], and shots and seed linalg.as_count, or it
+    raises before drawing.
     """
+    shots, seed = as_count("shots", shots), as_count("seed", seed)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     counts = inverse_cdf_counts(law_probabilities(probabilities), shots, seed).tolist()

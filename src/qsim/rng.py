@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import as_count
+
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
@@ -41,6 +43,7 @@ SHOT_CHUNK, SORT_CHUNK, BUCKETS = 2**16, 2**20, 2**16
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """The first `count` raw 64-bit outputs for the given seed."""
+    seed, count = as_count("seed", seed), as_count("count", count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     with np.errstate(over="ignore"):
@@ -92,6 +95,7 @@ def inverse_cdf_counts(probabilities, shots: int, seed: int) -> np.ndarray:
     searched. Memory is O(SHOT_CHUNK + SORT_CHUNK + len(probabilities)).
     """
     c = cdf(probabilities)
+    seed, shots = as_count("seed", seed), as_count("shots", shots)  # chunk seeds cannot overflow
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     # m < limit[i] exactly when u = m * 2^-53 < cdf[i]; every u is below 1.

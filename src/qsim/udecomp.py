@@ -2,16 +2,20 @@
 
 Any N x N unitary splits into exactly N(N-1)/2 factors, each the identity
 except for a 2x2 unitary block on one coordinate pair. The construction
-reduces the first column to (1, 0, ..., 0) with N-1 factors mixing
-coordinate 1 against coordinates 2..N in turn, then does the same to
-each later column of the remaining block, in one loop over columns with
-no size limit from recursion. Identity factors are kept so the count is
-always exactly N(N-1)/2.
+eliminates U*, not U: it reduces the first column of U* to (1, 0, ..., 0)
+with N-1 factors mixing coordinate 1 against coordinates 2..N in turn,
+then does the same to each later column of the remaining block, all N-1
+columns in one loop with no size limit from recursion. Each column's
+leftover corner phase goes into the top row of its last block, and the
+last row's corner, the determinant's phase, into the bottom row of the
+final block. Then G_m ... G_1 U* = I, so U = G_m ... G_1: the elimination
+steps are the factors, in application order. Identity factors are kept
+so the count is always exactly N(N-1)/2.
 
 One tolerance, RECONSTRUCTION_TOL, bounds the relative Frobenius residual
 and, measured the same way, the input: u is accepted only when
-is_unitary(u, sqrt(N) * RECONSTRUCTION_TOL), and each column's corner must
-lie within that bound of 1.
+is_unitary(u, sqrt(N) * RECONSTRUCTION_TOL); each column's corner must lie
+within that bound of 1, and the last row's corner within it of modulus 1.
 
 Each column is one array pass: its N-1 Givens blocks come from the
 running norms of the column at once (the form of Reck et al., PRL 73, 58
@@ -40,10 +44,6 @@ ZERO_COMPONENT_REL_TOL = 1e-13
 # Largest relative Frobenius residual of a correct factorization, and of
 # the input's unitarity defect (module docstring).
 RECONSTRUCTION_TOL = 1e-9
-# Unitarity defect above which the last 2x2 block is snapped to a unitary.
-SNAP_TOL = 1e-12
-
-_IDENTITY_BLOCK = np.eye(2, dtype=np.complex128)
 
 
 def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -83,7 +83,7 @@ def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
         active[0] = True
     r = np.hypot.accumulate(mag)
     steps = np.flatnonzero(active)
-    blocks = np.tile(_IDENTITY_BLOCK, (n - 1, 1, 1))
+    blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
     if steps.size:
         a = r[steps].astype(np.complex128)
         a[0] = a0
@@ -111,7 +111,8 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
 
 
 def decompose_unitary(u) -> Decomposition:
-    """Split a unitary into exactly N(N-1)/2 ordered two-level factors.
+    """Split a unitary into exactly N(N-1)/2 ordered two-level factors:
+    the steps eliminating U*, in application order (1,2), ..., (1,N), (2,3), ....
 
     u must satisfy ||U*U - I|| / ||I|| <= RECONSTRUCTION_TOL, or ValueError
     is raised before any factoring; the factors then reproduce u within
@@ -124,13 +125,10 @@ def decompose_unitary(u) -> Decomposition:
     bound = np.sqrt(n) * RECONSTRUCTION_TOL
     if not is_unitary(u, bound):
         raise ValueError(f"input is not unitary: ||U*U - I|| exceeds {bound:.3g}")
-    u = u.copy()
-    # Column runs of (i, j, blocks), collected in reverse application order
-    # and reversed once at the end: the adjoints of column c's reduction
-    # factors act after the factors of every later column.
+    w = u.conj().T.copy()
     runs = []
-    for c in range(n - 2):
-        x = u[c:, c:]
+    for c in range(n - 1):
+        x = w[c:, c:]
         blocks, coef, r, steps = _column_blocks(x[:, 0])
         corner = complex(x[0, 0])
         if steps.size:
@@ -148,30 +146,25 @@ def decompose_unitary(u) -> Decomposition:
             # Row 0 itself is never read again; only its corner is checked.
             corner = complex(g[-1, 0, 0] * y[-1, 0] + g[-1, 0, 1] * rows[-1, 0])
         if abs(corner - 1.0) > bound:
-            raise ArithmeticError(
-                f"column reduction left corner {corner}, expected 1"
-            )
-        adjoints = np.ascontiguousarray(blocks.conj().transpose(0, 2, 1))
-        # The reduced corner can carry a tiny residual phase; fold it into
-        # the first adjoint applied, so the reconstruction stays exact
-        # instead of drifting by the phase per column.
-        phase = corner / abs(corner)
-        adjoints[-1] = adjoints[-1] @ np.array(
-            [[phase, 0.0], [0.0, 1.0]], dtype=np.complex128
-        )
-        runs.append((np.full(n - c - 1, c + 1), np.arange(c + 2, n + 1), adjoints))
-    v = np.array(u[n - 2 :, n - 2 :])
-    if not is_unitary(v, SNAP_TOL):
-        # Input unitarity slack concentrates in the last block; snap it to
-        # the nearest unitary so every emitted factor is one.
-        w, _, vh = np.linalg.svd(v)
-        v = w @ vh
-    runs.append(([n - 1], [n], [v]))
-    i, j, blocks = (np.concatenate(column)[::-1] for column in zip(*runs))
+            raise ArithmeticError(f"column reduction left corner {corner}, expected 1")
+        # The last block's top row takes off the corner's tiny residual phase,
+        # so the product stays exact instead of drifting by it per column.
+        blocks[-1, 0] *= corner.conjugate() / abs(corner)
+        runs.append((np.full(n - c - 1, c + 1), np.arange(c + 2, n + 1), blocks))
+    # The last row's corner is the determinant's phase; the final block's
+    # bottom row takes it off the same way.
+    corner = complex(w[-1, -1])
+    if abs(abs(corner) - 1.0) > bound:
+        raise ArithmeticError(f"reduction left last corner {corner}, expected modulus 1")
+    blocks[-1, 1] *= corner.conjugate() / abs(corner)
+    i, j, blocks = (np.concatenate(column) for column in zip(*runs))
     return Decomposition(n, i, j, blocks)
 
 
 def reconstruction_residual(d: Decomposition, u) -> float:
-    """Relative Frobenius distance between reconstruct(d) and u."""
+    """Relative Frobenius distance between reconstruct(d) and u, which must
+    be d.dim x d.dim."""
     u = as_matrix(u)
+    if u.shape != (d.dim, d.dim):
+        raise ValueError(f"expected a {d.dim}x{d.dim} matrix, got {u.shape}")
     return float(np.linalg.norm(reconstruct(d) - u) / np.linalg.norm(u))

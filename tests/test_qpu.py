@@ -727,6 +727,29 @@ def test_sample_rejects_empty_and_no_shots():
         sample(law_over_labels([1.0]), qpu.MAX_SHOTS + 1, 0)
 
 
+def test_seed_and_shots_are_integers_by_one_rule():
+    """A numpy seed draws the counts of the equal Python int at any shot
+    count, past the first 2^16-draw chunk too; a bool or a float is no seed
+    and no shot count."""
+    p = law_over_labels([0.1, 0.2, 0.3, 0.4])
+    seeds = [(5, (np.int64, np.uint64)), (2**63 + 11, (np.uint64,)), (-17, (np.int64,))]
+    for shots in (1000, 100_000):
+        for seed, kinds in seeds:
+            want = sample(p, shots, seed).counts
+            for kind in kinds:
+                got = sample(p, np.int64(shots), kind(seed))
+                assert got.counts == want and type(got.seed) is int, (shots, seed, kind)
+                counts = inverse_cdf_counts(p, shots, kind(seed))
+                assert counts.tolist() == list(want.values())
+    for bad in (True, np.bool_(True), 2048.0, np.float64(5.0), "5", None):
+        with pytest.raises(ValueError, match="^shots must be an integer, got "):
+            sample(p, bad, 0)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            sample(p, 10, bad)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            splitmix64_stream(bad, 4)
+
+
 def test_sample_frequencies_within_binomial_noise():
     """5-sigma band around p for each of 8 outcomes at 80000 shots."""
     probs = np.array([1, 3, 5, 7, 7, 5, 3, 1], dtype=float) / 32.0

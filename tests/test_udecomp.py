@@ -170,6 +170,10 @@ def test_identity_decomposes_into_identity_factors():
     for f in d.factors:
         assert np.array_equal(f.v, np.eye(2))
     assert reconstruction_residual(d, np.eye(4)) == 0.0
+    # A row or a column of the input would broadcast against the product.
+    for bad in (np.eye(4)[:1], np.eye(4)[:, :1], np.eye(3)):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got \("):
+            reconstruction_residual(d, bad)
 
 
 def test_two_dimensional_base_case_is_the_input():
@@ -286,6 +290,21 @@ def test_decomposition_depth_does_not_grow_with_dimension():
     assert reconstruction_residual(d, np.eye(120)) == 0.0
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_factors_are_the_elimination_steps_of_the_adjoint(seed):
+    """The first N-1 factors alone send U*'s first column to e_1, and the
+    factors run column by column: d.i is nondecreasing."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 17))
+    u = random_unitary(rng, n)
+    d = decompose_unitary(u)
+    first = Decomposition(n, d.i[: n - 1], d.j[: n - 1], d.blocks[: n - 1])
+    e1 = np.eye(n)[0]
+    assert np.max(np.abs(reconstruct(first) @ u.conj().T[:, 0] - e1)) <= 1e-13
+    assert np.all(np.diff(d.i) >= 0)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_decomposition_round_trip_property(seed):
@@ -326,23 +345,22 @@ def reference_blocks(psi):
 
 
 def reference_decompose(u):
-    """(i, j, block) of each factor in application order, one mix per factor."""
-    u = np.array(u, dtype=complex)
-    n = u.shape[0]
+    """(i, j, block) of each factor in application order: the steps that
+    eliminate U*, one mix per factor."""
+    w = np.array(u, dtype=complex).conj().T
+    n = w.shape[0]
     factors = []
-    for c in range(n - 2):
-        x = u[c:, c:]
+    for c in range(n - 1):
+        x = w[c:, c:]
         blocks = reference_blocks(x[:, 0])
         for k, v in enumerate(blocks):
             top, row = x[0].copy(), x[k + 1].copy()
             x[0] = v[0, 0] * top + v[0, 1] * row
             x[k + 1] = v[1, 0] * top + v[1, 1] * row
-        phase = x[0, 0] / abs(x[0, 0])
-        adjoints = [v.conj().T for v in blocks]
-        adjoints[-1] = adjoints[-1] @ np.diag([phase, 1.0])
-        factors += [(c + 1, c + k + 2, v) for k, v in enumerate(adjoints)]
-    factors.append((n - 1, n, u[n - 2 :, n - 2 :]))
-    return factors[::-1]
+        blocks[-1][0] *= x[0, 0].conjugate() / abs(x[0, 0])
+        factors += [(c + 1, c + k + 2, v) for k, v in enumerate(blocks)]
+    factors[-1][2][1] *= w[-1, -1].conjugate() / abs(w[-1, -1])
+    return factors
 
 
 def assert_matches_reference(u, tol):

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: synth (write a circuit file plus angle sidecar), law (exact
+Commands: synth (write a circuit file, one ROT line per angle), law (exact
 outcome probabilities), sample (seeded shot counts), decompose (two-level
 factors of a unitary), verify (three-way law agreement). Outcome labels k
 are little-endian over the wire bits; every table carries the bitstring
@@ -87,18 +87,14 @@ def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    """Write the synthesized circuit and its angle-tree JSON sidecar."""
+    """Write the synthesized circuit, each gate a ROT line with its angle."""
     _check_n(args.n)
     if not args.out:
         raise InputFormatError("synth needs --out PATH for the circuit file")
     density = gr.load_density(_density_path(args))
-    tree = gr.angle_tree(density, args.n)
-    circuit = gr.synthesize(tree, prune=args.prune)
+    circuit = gr.synthesize(gr.angle_tree(density, args.n), prune=args.prune)
     _emit(args, format_circuit(circuit))
-    sidecar = args.out + ".angles.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(gr.angle_tree_to_json(tree) + "\n")
-    print(f"wrote {circuit_length(circuit)} gates to {args.out} (angles: {sidecar})")
+    print(f"wrote {circuit_length(circuit)} gates to {args.out}")
     return EXIT_OK
 
 

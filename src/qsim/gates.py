@@ -14,7 +14,9 @@ reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors; one column check validates a
-container and, on columns of length one, a single gate object.
+container and, on columns of length one, a single gate object. In text, a
+wire gate that carries its rotation angle is a ROT line, and any other a
+CTRL line with its block; both spell the controls as one wire pattern.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -129,10 +131,8 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     stride = np.left_shift(1, n - target)
     _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
     _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
-    has = ~np.isnan(angle)
-    _reject(has & (mask != 0), "only a gate without controls carries an angle")
-    wrong = np.zeros_like(has)
-    wrong[has] = (blocks[has] != rotations(angle[has])).any(axis=(1, 2))
+    # NaN marks a gate without an angle; any other angle must give its block.
+    wrong = ~np.isnan(angle) & (blocks != rotations(angle)).any(axis=(1, 2))
     _reject(wrong, "block is not rotation({!r})", angle)
     return dict(n=n, target=target, mask=mask, value=value, blocks=blocks, angle=angle)
 
@@ -231,7 +231,7 @@ def stage_layout(n: int, stage):
 
 
 def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
-    """(target, mask, value) columns of CTRL fields: a target wire, and a
+    """(target, mask, value) columns of ROT and CTRL fields: a target wire, and a
     pattern over the other n - 1 wires in wire order, '0' or '1' for a
     control wire that must carry that bit and '.' for a free one."""
     target = np.asarray(target).astype(np.int64, casting="safe")
@@ -242,17 +242,6 @@ def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
     wires = "".join(p[: t - 1] + "." + p[t - 1 :] for p, t in zip(patterns, target.tolist()))
     mask = bitstring_positions(wires.replace("0", "1").replace(".", "0"), n)
     return target, mask, bitstring_positions(wires.replace(".", "0"), n)
-
-
-def _suffix_columns(n: int, stage, suffixes) -> tuple[np.ndarray, ...]:
-    """(target, mask, value) columns of SUFFIX-CTRL fields: a stage 2..n,
-    and the '0'/'1' bits its stage_layout controls carry, in wire order."""
-    stage = np.asarray(stage).astype(np.int64, casting="safe")
-    _reject((stage < 2) | (stage > n), f"stage {{}} out of range for n={n}", stage)
-    length = np.fromiter(map(len, suffixes), np.int64, len(suffixes))
-    _reject(length != stage - 1, "suffix length {} != stage-1 = {}", length, stage - 1)
-    value = bitstring_positions("".join(s.rjust(n, "0") for s in suffixes), n)
-    return (*stage_layout(n, stage), value)
 
 
 def _controls(n: int, target: int, pattern) -> tuple[int, int]:
@@ -316,8 +305,13 @@ def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
     controlled by the trailing stage-1 wires matching suffix."""
     suffix = tuple(suffix)
     text = bitstring(decode(suffix), len(suffix)) if suffix else ""  # decode checks each bit
-    target, mask, value = (c[0].item() for c in _suffix_columns(n, [stage], [text]))
-    return realize_gate(WireGate(n, target, v, mask, value))
+    if not 2 <= stage <= n:
+        raise ValueError(f"stage {stage} out of range for n={n}")
+    if len(text) != stage - 1:
+        raise ValueError(f"suffix length {len(text)} != stage-1 = {stage - 1}")
+    # The suffix wires are the low stage - 1 position bits, the first one highest.
+    target, mask = stage_layout(n, stage)
+    return realize_gate(WireGate(n, target, v, mask, int(text or "0", 2)))
 
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
@@ -481,26 +475,25 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 #
 # One gate per line, fields separated by single spaces, '#' comments and
 # blank lines ignored; floats print with 17 significant digits, so parsing
-# reproduces every bit. Patterns are in wire order, '0'/'1' for a control
-# wire and '.' for a free one, '-' when empty:
+# reproduces every bit. A pattern lists the n - 1 wires other than the
+# target in wire order, '0'/'1' for a control wire and '.' for a free one,
+# and is '-' at n = 1:
 #
-#   QSIM-CIRCUIT v1 n=<1 to 18 ASCII digits, at least 1>
-#   ROT <wire> <alpha>
-#   WIRE <wire> <8 floats: re im re im re im re im, row-major 2x2>
-#   CTRL <target> <pattern over the other n-1 wires> <8 floats>
-#   SUFFIX-CTRL <stage> <bits of the last stage-1 wires> <8 floats>
+#   QSIM-CIRCUIT v2 n=<1 to 18 ASCII digits, at least 1>
+#   ROT <target> <alpha> <pattern>
+#   CTRL <target> <pattern> <8 floats: re im re im re im re im, row-major 2x2>
 #
 #   QSIM-FACTORS v1 dim=<1 to 18 ASCII digits, at least 2>
 #   TWO-LEVEL <i> <j> <8 floats>
 #
-# A wire gate is written ROT or WIRE without controls, SUFFIX-CTRL when its
-# controls are exactly the wires after the target, and CTRL otherwise.
-# Factor files hold TWO-LEVEL lines. One reader reads the fields of each
-# line kind into arrays; the column check then validates them.
+# A wire gate with an angle is written ROT, its block rotations([alpha])[0];
+# every other wire gate is written CTRL. Factor files hold TWO-LEVEL lines.
+# One reader reads the fields of each line kind into arrays; the column
+# check then validates them.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
-_CIRCUIT_ARITY = {"ROT": 3, "WIRE": 10, "CTRL": 11, "SUFFIX-CTRL": 11}
+_CIRCUIT_ARITY = {"ROT": 4, "CTRL": 11}
 
 
 def _format_blocks(blocks: np.ndarray) -> list[str]:
@@ -510,15 +503,31 @@ def _format_blocks(blocks: np.ndarray) -> list[str]:
     return (text % tuple(blocks.view(np.float64).ravel().tolist())).split("\n")[:-1]
 
 
-def _parse_header(text: str, kind: str, key: str, least: int) -> tuple[int, list[str]]:
+def _patterns(c: Circuit) -> np.ndarray:
+    """The pattern of every gate of c, from one pass over its columns: the
+    bits of mask and value on wires 1..n, then the target's column dropped."""
+    n, k = c.n, len(c.target)
+    if n == 1:
+        return np.full(k, "-")
+
+    def wires(x):  # (k, n) bits, column w - 1 that of wire w, position bit n - w
+        return np.unpackbits(x.astype(">u8").view(np.uint8).reshape(k, 8), axis=1)[:, 64 - n:]
+
+    chars = ord(".") + wires(c.mask) * (2 + wires(c.value))  # '.', '0' or '1'
+    others = np.arange(n) != c.target[:, None] - 1
+    return chars[others].reshape(k, n - 1).view(f"S{n - 1}")[:, 0].astype(str)
+
+
+def _parse_header(text: str, kind: str, version: int, key: str,
+                  least: int) -> tuple[int, list[str]]:
     """The count of 1 to 18 ASCII digits, at least `least`, of text's header line
-    "QSIM-<kind> v1 <key>=<count>", and the stripped lines after it that
-    are neither blank nor '#' comments."""
+    "QSIM-<kind> v<version> <key>=<count>", and the stripped lines after it
+    that are neither blank nor '#' comments."""
     lines = (ln.strip() for ln in text.splitlines())
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
-    m = re.fullmatch(f"QSIM-{kind} v1 {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
+    m = re.fullmatch(f"QSIM-{kind} v{version} {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
     if not m:
         raise CircuitParseError(f"bad QSIM-{kind} header {lines[0][:80]!r}")
     count = int(m.group(1))
@@ -571,57 +580,20 @@ def _blocks(rows: list[list[str]], start: int) -> np.ndarray:
     return _numbers(rows, start, start + 8).view(np.complex128).reshape(-1, 2, 2)
 
 
-def _read_rot(n: int, rows):
-    angle = _numbers(rows, 2, 3)
-    return _numbers(rows, 1, 2, np.int64), 0, 0, rotations(angle), angle
-
-
-def _controlled_reader(controls):
-    """The reader of CTRL or SUFFIX-CTRL rows: controls, _pattern_columns or
-    _suffix_columns, reads fields 1 and 2 as columns, '-' as an empty field."""
-    return lambda n, rows: (
-        *controls(n, _numbers(rows, 1, 2, np.int64), ["" if r[2] == "-" else r[2] for r in rows]),
-        _blocks(rows, 3), math.nan)
-
-
-# Each kind's (target, mask, value, blocks, angle) columns or shared scalars.
-_READERS = {
-    "ROT": _read_rot,
-    "WIRE": lambda n, rows: (_numbers(rows, 1, 2, np.int64), 0, 0, _blocks(rows, 2), math.nan),
-    "CTRL": _controlled_reader(_pattern_columns),
-    "SUFFIX-CTRL": _controlled_reader(_suffix_columns),
-}
-
-
 def format_circuit(c: Circuit) -> str:
-    """Full text form: header line then one line per gate, in its one spelling."""
-    n = c.n
-    lines = [f"QSIM-CIRCUIT v1 n={n}"]
-    # SUFFIX-CTRL when the controls are those of the stage that targets the wire.
-    suffix = c.mask == stage_layout(n, n + 1 - c.target)[1]
-    columns = (c.target.tolist(), c.mask.tolist(), c.value.tolist(), c.angle.tolist(),
-               suffix.tolist())
-    for t, m, b, a, s, block in zip(*columns, _format_blocks(c.blocks)):
-        if not math.isnan(a):
-            lines.append(f"ROT {t} {a:.17g}")
-        elif not m:
-            lines.append(f"WIRE {t} {block}")
-        elif s:
-            lines.append(f"SUFFIX-CTRL {n + 1 - t} {position_bitstring(b, n)[t:]} {block}")
-        else:
-            bits = zip(position_bitstring(m, n), position_bitstring(b, n))
-            pattern = "".join(v if w == "1" else "." for w, v in bits)
-            lines.append(f"CTRL {t} {pattern[: t - 1] + pattern[t:]} {block}")
-    return "\n".join(lines) + "\n"
+    """Full text form: header line then one line per gate, ROT for a gate
+    with an angle and CTRL for any other."""
+    rot = ~np.isnan(c.angle)
+    blocks = iter(_format_blocks(c.blocks[~rot]))
+    columns = c.target.tolist(), c.angle.tolist(), _patterns(c).tolist(), rot.tolist()
+    lines = ["ROT %d %.17g %s" % (t, a, p) if r else "CTRL %d %s %s" % (t, p, next(blocks))
+             for t, a, p, r in zip(*columns)]
+    return "\n".join([f"QSIM-CIRCUIT v2 n={c.n}", *lines]) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Inverse of format_circuit; '#' comments and blank lines are skipped.
-
-    Every other spelling of a gate is read too: CTRL with any pattern, and
-    '-' for the empty pattern at n = 1.
-    """
-    n, lines = _parse_header(text, "CIRCUIT", "n", 1)
+    """Inverse of format_circuit; '#' comments and blank lines are skipped."""
+    n, lines = _parse_header(text, "CIRCUIT", 2, "n", 1)
     if n > MAX_WIRES:  # before any line is padded or indexed to n wires
         raise CircuitParseError(f"n must be at most {MAX_WIRES}, got {n}")
     k = len(lines)
@@ -630,9 +602,15 @@ def parse_circuit(text: str) -> Circuit:
     angle = np.full(k, math.nan)
     try:
         for kind, (index, rows) in _gate_rows(lines, _CIRCUIT_ARITY).items():
-            columns = _READERS[kind](n, rows)
-            for out, column in zip((target, mask, value, blocks, angle), columns):
-                out[index] = column
+            at = 3 if kind == "ROT" else 2  # the pattern field
+            patterns = ["" if r[at] == "-" else r[at] for r in rows]
+            target[index], mask[index], value[index] = _pattern_columns(
+                n, _numbers(rows, 1, 2, np.int64), patterns)
+            if kind == "ROT":
+                angle[index] = _numbers(rows, 2, 3)
+                blocks[index] = rotations(angle[index])
+            else:
+                blocks[index] = _blocks(rows, 3)
         return Circuit(n, target, mask, value, blocks, angle)
     except CircuitParseError:
         raise
@@ -648,7 +626,7 @@ def format_decomposition(d: Decomposition) -> str:
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    dim, lines = _parse_header(text, "FACTORS", "dim", 2)
+    dim, lines = _parse_header(text, "FACTORS", 1, "dim", 2)
     _, rows = _gate_rows(lines, {"TWO-LEVEL": 11}).get("TWO-LEVEL", ([], []))
     i, j = _numbers(rows, 1, 2, np.int64), _numbers(rows, 2, 3, np.int64)
     blocks = _blocks(rows, 3)

@@ -21,11 +21,13 @@ entry 2^m - 1 + s, and the children of entry i are 2i + 1 and 2i + 2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .gates import MAX_WIRES, Circuit, apply_vector, as_count, as_reals, rotations, stage_layout
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
@@ -55,21 +57,18 @@ class DensitySegment:
     hi: float
     coeffs: tuple[float, ...]
 
-    def value(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    @functools.cached_property
+    def antiderivative(self) -> np.ndarray:
+        """Coefficients of the antiderivative that is 0 at x = 0, read-only."""
+        a = P.polyint(self.coeffs)
+        a.setflags(write=False)
+        return a
 
-    def mass(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] via the antiderivative."""
-        return self._antiderivative(b) - self._antiderivative(a)
-
-    def _antiderivative(self, x: float) -> float:
-        acc = 0.0
-        for m in reversed(range(len(self.coeffs))):
-            acc = acc * x + self.coeffs[m] / (m + 1)
-        return acc * x
+    def mass(self, a, b):
+        """Exact integral over [a, b], a and b of one shape, via the
+        antiderivative, evaluated at both ends in one call."""
+        fa, fb = P.polyval(np.array([a, b]), self.antiderivative)
+        return fb - fa
 
     def minimum(self) -> float:
         """Smallest value on [lo, hi]: at an endpoint or a root of the derivative.
@@ -80,12 +79,11 @@ class DensitySegment:
         first: they only add roots far outside [0, 1], and dividing by a
         subnormal one overflows the companion matrix.
         """
-        poly = np.polynomial.polynomial
-        der = poly.polyder(self.coeffs)
-        der = poly.polytrim(der, np.finfo(float).eps * np.max(np.abs(der)))
-        roots = poly.polyroots(der)
-        xs = np.clip(roots.real, self.lo, self.hi)
-        return min(self.value(float(x)) for x in (self.lo, self.hi, *xs))
+        der = P.polyder(self.coeffs)
+        der = P.polytrim(der, np.finfo(float).eps * np.max(np.abs(der)))
+        xs = np.clip(P.polyroots(der).real, self.lo, self.hi)
+        values = P.polyval(np.array([self.lo, self.hi, *xs]), self.coeffs)
+        return min(values.tolist())  # skips a NaN after the first candidate, as np.min would not
 
 
 @dataclass(frozen=True)
@@ -136,22 +134,20 @@ class PiecewisePolyDensity:
     def masses(self, edges) -> np.ndarray:
         """Exact integral over each [edges[i], edges[i+1]], edges within [0, 1].
 
-        Each segment adds its antiderivative difference to the intervals it
-        overlaps, in segment order. Edges that are not a nonempty, nondecreasing
-        1-D array within [0, 1] raise ValueError.
+        Each segment, in segment order, adds its antiderivative difference
+        over the edges clipped to [lo, hi], which is exactly 0 on an interval
+        it does not overlap. Edges that are not a nonempty, nondecreasing 1-D
+        array within [0, 1] raise ValueError.
         """
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or len(edges) == 0:
             raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
         if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
             raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
-        a, b = edges[:-1], edges[1:]
-        out = np.zeros(len(a))
+        out = np.zeros(len(edges) - 1)
         for s in self.segments:
-            lo = np.maximum(a, s.lo)
-            hi = np.minimum(b, s.hi)
-            live = lo < hi
-            out[live] += s.mass(lo[live], hi[live])
+            x = np.clip(edges, s.lo, s.hi)
+            out += s.mass(x[:-1], x[1:])
         return out
 
 
@@ -194,12 +190,15 @@ class AngleTree:
         an empty suffix gives the root. A non-bit, or a suffix of n or more
         bits, raises ValueError.
         """
-        bits = tuple(int(b) for b in suffix)
+        bits = tuple({"0": 0, "1": 1}.get(b, b) if isinstance(b, str) else b for b in suffix)
+        bad = [b for b in bits if b not in (0, 1)]  # qpu.decode's rule, before int() truncates
+        if bad:
+            raise ValueError(f"bit {bad[0]!r} is not 0 or 1")
         if len(bits) >= self.n:
             raise ValueError(f"suffix of length {len(bits)} names no node; "
                              f"at most {self.n - 1} bits for n={self.n}")
         # A trailing 1 bit makes the label 2^m + s, one past heap entry 2^m - 1 + s.
-        return float(self.angles[decode((*bits, 1)) - 1])
+        return float(self.angles[decode((*map(int, bits), 1)) - 1])
 
 
 def angle_tree(d, n: int) -> AngleTree:
@@ -233,20 +232,17 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     Gate order: the free rotation on wire n first, then stages l = 2..n,
     each contributing 2^(l-1) rotations on wire n - l + 1 controlled by the
     trailing l - 1 wires (one per control suffix, in suffix-integer order),
-    for 2^n - 1 gates total. With prune set, exact identity rotations R(0)
-    are dropped.
+    for 2^n - 1 gates total, each carrying its angle. With prune set, exact
+    identity rotations R(0) are dropped.
     """
     n = tree.n
     target, mask = stage_layout(n, np.repeat(np.arange(1, n + 1), 1 << np.arange(n)))
     # The suffix with label s sits at array position values[s] of the
     # trailing wires, the low stage - 1 position bits.
     values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
-    rot = np.where(mask == 0, tree.angles, math.nan)  # the one gate without controls
-    columns = [target, mask, np.concatenate(values), rotations(tree.angles), rot]
-    if prune:
-        blocks = columns[3]
-        keep = (blocks[:, 0, 0] != 1.0) | (blocks[:, 1, 0] != 0.0)
-        columns = [column[keep] for column in columns]
+    columns = [target, mask, np.concatenate(values), rotations(tree.angles), tree.angles]
+    if prune:  # rotation(a) is the identity at a = 0 alone, for a in [0, pi/2]
+        columns = [column[tree.angles != 0.0] for column in columns]
     return Circuit(n, *columns)
 
 
@@ -365,7 +361,11 @@ _SIDECAR_ENTRY = '    {\n      "suffix": "%s",\n      "angle": %r\n    }'
 
 def angle_tree_to_json(tree: AngleTree) -> str:
     """Angle tree as JSON with human-readable suffix keys (wire order): the bytes of
-    json.dumps(doc, indent=2) from one entry template, where %r is float.__repr__ as in json."""
+    json.dumps(doc, indent=2) from one entry template, where %r is float.__repr__ as in json.
+
+    No qsim command writes it: a synth circuit file holds every angle on its
+    ROT line. It stays only because the benchmark's synth check,
+    bench/workloads.py::check_synth, calls it."""
     suffixes = [s for m in range(1, tree.n) for s in label_bitstrings(m)]
     entries = [_SIDECAR_ENTRY % e for e in zip(suffixes, tree.angles[1:].tolist())]
     body = "[\n%s\n  ]" % ",\n".join(entries) if entries else "[]"

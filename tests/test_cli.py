@@ -23,8 +23,8 @@ import qsim
 from qsim import cli
 from qsim.cli import main
 from qsim.gates import format_circuit, parse_circuit, realize
-from qsim.grover_rudolph import angle_tree, load_density, parse_density_json
-from qsim.qpu import label_bitstrings
+from qsim.grover_rudolph import (angle_tree, circuit_law, load_density, parse_density_json,
+                                 synthesize)
 from qsim.udecomp import parse_decomposition, reconstruction_residual
 
 TRIANGULAR = {
@@ -75,12 +75,11 @@ def bundled(name):
     return str(resources.files("qsim.data") / f"{name}.json")
 
 
-def sidecar_angles(doc):
-    """The sidecar's suffix -> angle entries, checked to list every node once,
-    level by level in label_bitstrings order."""
-    suffixes = [e["suffix"] for e in doc["suffix_angles"]]
-    assert suffixes == [s for m in range(1, doc["n"]) for s in label_bitstrings(m)]
-    return {e["suffix"]: e["angle"] for e in doc["suffix_angles"]}
+def rot_angles(text):
+    """The angle field of every gate line of a circuit file, each a ROT line."""
+    lines = text.splitlines()[1:]
+    assert all(line.startswith("ROT ") for line in lines)
+    return np.array([float(line.split(" ")[2]) for line in lines])
 
 
 def read_csv(path):
@@ -92,23 +91,47 @@ def read_csv(path):
 # --- synth -----------------------------------------------------------------
 
 
-def test_synth_writes_circuit_and_sidecar(tmp_path, triangular_path):
+def test_synth_writes_one_circuit_file(tmp_path, triangular_path):
     out = tmp_path / "tri.circuit"
     assert main(["synth", "--n", "3", "--density", triangular_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.circuit", "triangular.json"]
     c = parse_circuit(out.read_text())
     assert c.n == 3
     assert len(c.gates) == 7
-    doc = json.loads((tmp_path / "tri.circuit.angles.json").read_text())
-    assert doc["n"] == 3
-    assert abs(doc["theta"] - math.pi / 4) < 1e-13
-    angles = sidecar_angles(doc)
-    assert abs(angles["0"] - math.pi / 3) < 1e-13
-    assert abs(angles["1"] - math.pi / 6) < 1e-13
-    assert abs(angles["10"] - math.acos(math.sqrt(15.0) / 6.0)) < 1e-13
-    assert abs(angles["01"] - math.acos(math.sqrt(21.0) / 6.0)) < 1e-13
+    # The ROT lines hold the angles in heap order: the root, then suffixes
+    # 0 and 1, then 00, 10, 01 and 11.
+    angles = rot_angles(out.read_text())
+    want = [math.pi / 4, math.pi / 3, math.pi / 6, math.pi / 3,
+            math.acos(math.sqrt(15.0) / 6.0), math.acos(math.sqrt(21.0) / 6.0), math.pi / 6]
+    assert np.max(np.abs(angles - want)) < 1e-13
     tree = angle_tree(load_density(triangular_path), 3)
-    assert doc["theta"] == tree.theta
-    assert list(angles.values()) == [a for level in tree.levels for a in level]
+    assert angles.tobytes() == tree.angles.tobytes()
+
+
+@pytest.mark.parametrize("density", ["triangular", "powers_of_two", "random"])
+def test_synth_rot_lines_carry_every_angle_bit_for_bit(tmp_path, capsys, density):
+    """At n = 1..16 the ROT angles of the synth file are angle_tree's angles
+    bit for bit, in heap order; pruned, those of the kept gates. The file's
+    circuit has the synthesized circuit's law bit for bit."""
+    path = bundled(density) if density != "random" else str(tmp_path / "random.json")
+    if density == "random":  # a quadratic piece and a constant one, normalized
+        segments = [{"lo": 0.0, "hi": 0.3, "coeffs": [0.5, 2.0, -1.0]},
+                    {"lo": 0.3, "hi": 1.0, "coeffs": [1.2, 0.0, 0.0, 0.0]}]
+        total = sum(sum(c / (m + 1) * (s["hi"] ** (m + 1) - s["lo"] ** (m + 1))
+                        for m, c in enumerate(s["coeffs"])) for s in segments)
+        for s in segments:
+            s["coeffs"] = [c / total for c in s["coeffs"]]
+        Path(path).write_text(json.dumps({"segments": segments}))
+    out = tmp_path / "c.circuit"
+    for n in range(1, 17):
+        tree = angle_tree(load_density(path), n)
+        for prune, kept in ((False, np.ones(2**n - 1, bool)), (True, tree.angles != 0.0)):
+            argv = ["synth", "--n", str(n), "--density", path, "--out", str(out)]
+            assert main(argv + ["--prune"] * prune) == 0
+            assert rot_angles(out.read_text()).tobytes() == tree.angles[kept].tobytes(), (n, prune)
+        law = circuit_law(parse_circuit(out.read_text()))
+        assert law.tobytes() == circuit_law(synthesize(tree, prune=True)).tobytes(), n
+    capsys.readouterr()
 
 
 def test_synth_prune_shortens_powers_of_two_circuit(tmp_path, powers_of_two_path):
@@ -566,17 +589,15 @@ def test_synth_matches_golden_files(tmp_path, capsys, name, density, extra):
     argv = ["synth", "--n", "3", "--density", bundled(density), "--out", str(out)]
     assert main(argv + extra) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.circuit").read_bytes()
-    sidecar = tmp_path / "c.circuit.angles.json"
-    assert sidecar.read_bytes() == (GOLDEN / f"{name}.circuit.angles.json").read_bytes()
-    # The sidecar holds the density's angle tree bit for bit.
-    doc = json.loads(sidecar.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.circuit"]
+    # The circuit file holds the density's angle tree bit for bit.
     tree = angle_tree(load_density(bundled(density)), 3)
-    assert doc["theta"] == tree.theta
-    assert list(sidecar_angles(doc).values()) == [a for level in tree.levels for a in level]
+    kept = tree.angles != 0.0 if extra else np.ones(7, bool)
     circuit = out.read_text()
+    assert rot_angles(circuit).tobytes() == tree.angles[kept].tobytes()
     assert format_circuit(parse_circuit(circuit)) == circuit
     gates = len(parse_circuit(circuit).gates)
-    assert capsys.readouterr().out == f"wrote {gates} gates to {out} (angles: {sidecar})\n"
+    assert capsys.readouterr().out == f"wrote {gates} gates to {out}\n"
 
 
 def test_decompose_matches_golden_file(tmp_path, capsys):
@@ -682,7 +703,7 @@ def test_only_four_public_callables_take_a_tol():
 
 
 # File-format tokens the README spells in backticks that no module defines.
-README_TOKENS = {"ROT", "WIRE", "CTRL", "Fraction"}
+README_TOKENS = {"ROT", "CTRL", "Fraction"}
 
 
 def test_names_the_readme_spells_exist():

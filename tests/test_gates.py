@@ -76,7 +76,7 @@ def circuit(n, gates=()):
 
 def parse_line(line, n):
     """The one gate of an n-wire circuit file holding just this gate line."""
-    (g,) = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{line}\n").gates
+    (g,) = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{line}\n").gates
     return g
 
 
@@ -763,14 +763,14 @@ def test_runs_split_where_a_value_repeats():
 def test_runs_of_free_wires_wire_gates_and_the_empty_circuit():
     rng = np.random.default_rng(25)
     # CTRL groups with free wires: target 2 under wire 1 or wires 1 and 4,
-    # each a run; WIRE gates repeat value 0, so each is a run of one.
-    text = ["QSIM-CIRCUIT v1 n=4"]
+    # each a run; gates without controls repeat value 0, so each is a run of one.
+    text = ["QSIM-CIRCUIT v2 n=4"]
     for pattern in ("0..", "1..", "0.1", "1.1", "0.0", "1.0"):
         block = " ".join(f"{x:.17g}" for x in random_unitary2(rng).view(float).ravel())
         text.append(f"CTRL 2 {pattern} {block}")
     for wire in (1, 1, 3, 4, 4):
         block = " ".join(f"{x:.17g}" for x in random_unitary2(rng).view(float).ravel())
-        text.append(f"WIRE {wire} {block}")
+        text.append(f"CTRL {wire} ... {block}")
     c = parse_circuit("\n".join(text) + "\n")
     assert run_lengths(c) == [2, 4, 1, 1, 1, 1, 1]
     check_against_gate_by_gate(c, rng)
@@ -915,7 +915,7 @@ def test_circuit_rejects_mismatched_gate_dims():
         with pytest.raises(ValueError, match=f"^{message}$"):
             Circuit(n, [1], [0], [0], eye, angle)
     c = Circuit(np.int64(2), [1], [0], [0], eye, np.array([0.0], dtype=np.float32))
-    assert type(c.n) is int and format_circuit(c) == "QSIM-CIRCUIT v1 n=2\nROT 1 0\n"
+    assert type(c.n) is int and format_circuit(c) == "QSIM-CIRCUIT v2 n=2\nROT 1 0 .\n"
 
 
 def test_sequences_run_without_gate_objects(monkeypatch):
@@ -966,7 +966,7 @@ def test_two_level_line_is_not_a_circuit_line():
     line = "TWO-LEVEL 1 2 1 0 0 0 0 0 1 0"
     assert parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n").i.tolist() == [1]
     with pytest.raises(CircuitParseError, match="unknown kind"):
-        parse_circuit(f"QSIM-CIRCUIT v1 n=1\n{line}\n")
+        parse_circuit(f"QSIM-CIRCUIT v2 n=1\n{line}\n")
 
 
 # --- serialization -----------------------------------------------------------------------
@@ -1009,30 +1009,40 @@ def test_wire_gate_rejects_an_angle_its_block_does_not_match():
         WireGate(n=1, target=1, v=np.eye(2), angle=0.5)
     with pytest.raises(ValueError):
         WireGate(n=2, target=2, v=rotation(0.5), angle=-0.5)
+    # With controls too: the block, not the angle, is what is simulated.
+    with pytest.raises(ValueError, match=r"^block is not rotation\(0\.5\)$"):
+        WireGate(n=2, target=1, v=rotation(0.25), mask=1, value=1, angle=0.5)
     g = WireGate(n=1, target=1, v=np.eye(2), angle=0.0)
     assert parse_line(format_line(g), 1).angle == 0.0
 
 
-def test_suffix_controlled_gate_takes_no_angle():
-    # Only a ROT line carries an angle, and only a gate without controls is
-    # written as one; the block is all that is simulated and written.
-    for mask in (1, 2):
-        with pytest.raises(ValueError, match="^only a gate without controls carries an angle$"):
-            WireGate(n=2, target=mask, v=rotation(0.5), mask=mask, angle=0.5)
+def test_controlled_gate_carries_its_angle():
+    """Any wire gate whose block is rotation(angle) may carry the angle, and
+    is then a ROT line with its control pattern; without one it is CTRL."""
+    for target, mask, value, pattern in ((1, 1, 0, "0"), (1, 1, 1, "1"), (2, 2, 2, "1")):
+        g = WireGate(n=2, target=target, v=rotation(0.5), mask=mask, value=value, angle=0.5)
+        assert g.angle == 0.5
+        assert format_line(g) == f"ROT {target} 0.5 {pattern}"
+        back = parse_line(format_line(g), 2)
+        assert (back.target, back.mask, back.value, back.angle) == (target, mask, value, 0.5)
+        assert np.array_equal(back.v, g.v)
     g = WireGate(n=2, target=1, v=rotation(0.5), mask=1)
     assert g.angle is None
-    assert format_line(g).startswith("SUFFIX-CTRL 2 0 ")
+    assert format_line(g).startswith("CTRL 1 0 ")
 
 
 def test_format_gate_pins():
     eye = np.eye(2)
-    assert format_line(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5"
+    assert format_line(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5 ."
+    assert format_line(WireGate(n=1, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5 -"
     for g, line in (
-        (WireGate(n=2, target=2, v=eye), "WIRE 2 1 0 0 0 0 0 1 0"),
+        (WireGate(n=2, target=2, v=eye), "CTRL 2 . 1 0 0 0 0 0 1 0"),
+        (WireGate(n=1, target=1, v=eye), "CTRL 1 - 1 0 0 0 0 0 1 0"),
         # Controlled by wire 1, the one wire before the target.
         (WireGate(n=2, target=2, v=eye, mask=2, value=2), "CTRL 2 1 1 0 0 0 0 0 1 0"),
-        (WireGate(n=3, target=2, v=eye, mask=1), "SUFFIX-CTRL 2 0 1 0 0 0 0 0 1 0"),
-        (WireGate(n=3, target=1, v=eye, mask=3, value=2), "SUFFIX-CTRL 3 10 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=2, v=eye, mask=1), "CTRL 2 .0 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=1, v=eye, mask=3, value=2), "CTRL 1 10 1 0 0 0 0 0 1 0"),
+        (WireGate(n=3, target=1, v=rotation(0.5), mask=3, value=2, angle=0.5), "ROT 1 0.5 10"),
         (WireGate(n=3, target=3, v=eye, mask=4, value=4), "CTRL 3 1. 1 0 0 0 0 0 1 0"),
         (WireGate(n=3, target=1, v=eye, mask=1), "CTRL 1 .0 1 0 0 0 0 0 1 0"),
         (WireGate(n=4, target=2, v=eye, mask=9, value=1), "CTRL 2 0.1 1 0 0 0 0 0 1 0"),
@@ -1060,10 +1070,10 @@ def _block_text(v):
 
 
 def test_control_fields_read_as_the_constructors_build_them():
-    """A file of random CTRL and SUFFIX-CTRL lines reads, one column per
-    field, to the target, mask and value that tensor_index gives wire by
-    wire, and each line's circuit realizes to the matrix of
-    controlled_gate or suffix_controlled_gate."""
+    """A file of random CTRL lines, and ROT lines on the layout of a
+    synthesis stage, reads, one column per field, to the target, mask and
+    value that tensor_index gives wire by wire, and each line's circuit
+    realizes to the matrix of controlled_gate or suffix_controlled_gate."""
     rng = np.random.default_rng(43)
     for n in range(1, 6):
         lines, want = [], []
@@ -1083,22 +1093,26 @@ def test_control_fields_read_as_the_constructors_build_them():
                 suffix = tuple(int(b) for b in rng.integers(0, 2, stage - 1))
                 target = n - stage + 1
                 wires = (None,) * target + suffix
-                lines.append(f"SUFFIX-CTRL {stage} {''.join(map(str, suffix))} {_block_text(v)}")
+                angle = float(rng.uniform(0.0, math.pi / 2))
+                v = rotation(angle)
+                pattern = "." * (target - 1) + "".join(map(str, suffix))
+                lines.append(f"ROT {target} {angle!r} {pattern}")
                 dense = suffix_controlled_gate(n, stage, suffix, v)
             mask = tensor_index([int(b is not None) for b in wires])
             want.append((target, mask, tensor_index([b or 0 for b in wires]), v))
-            one = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{lines[-1]}\n")
+            one = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{lines[-1]}\n")
             assert np.array_equal(realize(one), dense), lines[-1]
-        c = parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n" + "\n".join(lines))
+        c = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n" + "\n".join(lines))
         for k, (target, mask, value, v) in enumerate(want):
             assert (c.target[k], c.mask[k], c.value[k]) == (target, mask, value), lines[k]
             assert np.array_equal(c.blocks[k], v)
 
 
 def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
-    """parse_circuit reads every CTRL and SUFFIX-CTRL field of a file as
-    whole columns: no per-line call into qpu or _controls, and one call of
-    bitstring_positions per column, whatever the number of lines."""
+    """parse_circuit reads every ROT and CTRL field of a file as whole
+    columns: no per-line call into qpu or _controls, and one call of
+    bitstring_positions for the mask and one for the value column of each
+    line kind, whatever the number of lines."""
     from qsim import grover_rudolph as gr, qpu
 
     segments = (gr.DensitySegment(0.0, 1.0, (0.5, 1.0)),)
@@ -1117,30 +1131,29 @@ def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
     positions = gates.bitstring_positions
     monkeypatch.setattr(gates, "bitstring_positions", lambda *a: calls.append(a) or positions(*a))
     got = parse_circuit(text)
-    assert len(calls) == 1
+    assert len(calls) == 2
     for field in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, field), getattr(c, field), equal_nan=True), field
     calls.clear()
     got = parse_circuit(text + ctrl)
-    assert len(calls) == 3
+    assert len(calls) == 4
     for field in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
 
 
 def test_each_gate_has_one_spelling():
-    """Two spellings of one gate parse to equal gates, written in the one
-    canonical form: no controls is WIRE, controls on exactly the wires
-    after the target is SUFFIX-CTRL."""
-    block = " 0 0 1 0 1 0 0 0"
-    for n, old, canonical in (
-        (1, "CTRL 1 -", "WIRE 1"),
-        (3, "CTRL 1 01", "SUFFIX-CTRL 3 01"),
-        (3, "CTRL 2 ..", "WIRE 2"),
-    ):
-        a, b = parse_line(old + block, n), parse_line(canonical + block, n)
+    """A ROT line and the CTRL line of its block act alike, and each is
+    written back as read: the angle alone makes a gate a ROT line."""
+    angle = 0.75
+    block = _block_text(rotation(angle))
+    for n, target, pattern in ((1, 1, "-"), (3, 1, "01"), (3, 2, ".."), (3, 3, "1.")):
+        rot = f"ROT {target} {angle} {pattern}"
+        ctrl = f"CTRL {target} {pattern} {block}"
+        a, b = parse_line(rot, n), parse_line(ctrl, n)
         assert (a.target, a.mask, a.value) == (b.target, b.mask, b.value)
         assert np.array_equal(a.v, b.v)
-        assert format_line(a) == format_line(b) == canonical + block
+        assert (a.angle, b.angle) == (angle, None)
+        assert (format_line(a), format_line(b)) == (rot, ctrl)
 
 
 def test_round_trip_is_bit_exact():
@@ -1169,15 +1182,37 @@ def test_round_trip_is_bit_exact():
     assert format_circuit(back) == text
 
 
+def test_hand_built_files_round_trip():
+    """Files that mix ROT lines with and without controls, CTRL lines with
+    free wires and the '-' pattern of n = 1 read back to gates that write
+    them byte for byte, and run as their dense matrix."""
+    rng = np.random.default_rng(47)
+    b = [_block_text(random_unitary2(rng)) for _ in range(4)]
+    for text, want in (
+        ("QSIM-CIRCUIT v2 n=1\nROT 1 0.5 -\nCTRL 1 - " + b[0] + "\nROT 1 -0 -\n",
+         [(1, 0, 0), (1, 0, 0), (1, 0, 0)]),
+        ("QSIM-CIRCUIT v2 n=3\nROT 3 0.25 ..\nROT 2 1.5 .1\nCTRL 1 1. " + b[1]
+         + "\nROT 1 0.125 01\nCTRL 2 0. " + b[2] + "\nCTRL 3 .. " + b[3] + "\n",
+         [(3, 0, 0), (2, 1, 1), (1, 2, 2), (1, 3, 1), (2, 4, 0), (3, 0, 0)]),
+    ):
+        c = parse_circuit(text)
+        assert format_circuit(c) == text
+        assert [(g.target, g.mask, g.value) for g in c.gates] == want
+        for g in c.gates:
+            assert g.angle is None or np.array_equal(g.v, rotation(g.angle))
+        psi = rng.normal(size=2**c.n) + 1j * rng.normal(size=2**c.n)
+        assert np.max(np.abs(apply_vector(c, psi) - realize(c) @ psi)) < 1e-14
+
+
 def test_parse_circuit_skips_comments_and_blanks():
     text = "\n".join(
         [
             "# a comment",
-            "QSIM-CIRCUIT v1 n=2",
+            "QSIM-CIRCUIT v2 n=2",
             "",
-            "ROT 1 0.25",
+            "ROT 1 0.25 .",
             "   # indented comment",
-            "WIRE 2 0 0 1 0 1 0 0 0",
+            "CTRL 2 . 0 0 1 0 1 0 0 0",
             "",
         ]
     )
@@ -1188,18 +1223,18 @@ def test_parse_circuit_skips_comments_and_blanks():
 
 
 def test_header_n_is_checked_before_any_gate_line():
-    """A header n above MAX_WIRES = 62 is rejected before a SUFFIX-CTRL
-    suffix is padded to n characters, so a 60-byte file neither allocates
-    n-sized text nor quotes it back."""
-    line = "SUFFIX-CTRL 2 0 1 0 0 0 0 0 1 0"
+    """A header n above MAX_WIRES = 62 is rejected before any pattern is
+    measured against n or split at its target, so a short file neither
+    allocates n-sized text nor quotes it back."""
+    line = f"CTRL 61 {'.' * 60}0 1 0 0 0 0 0 1 0"
     for n in (63, 10**6, 10**8):
         start = time.process_time()
         with pytest.raises(CircuitParseError) as info:
-            parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{line}\n")
+            parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{line}\n")
         assert time.process_time() - start < 0.05
         assert str(info.value) == f"n must be at most 62, got {n}"
         assert len(str(info.value)) < 200
-    c = parse_circuit(f"QSIM-CIRCUIT v1 n=62\n{line}\n")
+    c = parse_circuit(f"QSIM-CIRCUIT v2 n=62\n{line}\n")
     assert (c.n, c.target.tolist(), c.mask.tolist()) == (62, [61], [1])
 
 
@@ -1207,68 +1242,76 @@ def test_parse_errors():
     with pytest.raises(CircuitParseError):
         parse_circuit("")
     with pytest.raises(CircuitParseError):
-        parse_circuit("WRONG-HEADER n=2\nROT 1 0.5\n")
+        parse_circuit("WRONG-HEADER n=2\nROT 1 0.5 .\n")
     # The count is ASCII digits only: no separators, spaces, signs or
     # other Unicode digits (U+0663 is ARABIC-INDIC DIGIT THREE).
     for count in ("0", "1_0", " 4", "+4", "\u0663"):
         with pytest.raises(CircuitParseError):
-            parse_circuit(f"QSIM-CIRCUIT v1 n={count}\n")
+            parse_circuit(f"QSIM-CIRCUIT v2 n={count}\n")
     # Each bad line raises alone, and after a good line of every kind, from
     # the one reader that reads each line kind's fields into arrays.
-    good = (
-        "ROT 1 0.5\nWIRE 1 0 0 1 0 1 0 0 0\n"
-        "CTRL 1 . 0 0 1 0 1 0 0 0\nSUFFIX-CTRL 2 1 0 0 1 0 1 0 0 0\n"
-    )
+    good = "ROT 1 0.5 .\nROT 2 0.5 1\nCTRL 1 . 0 0 1 0 1 0 0 0\nCTRL 2 0 0 0 1 0 1 0 0 0\n"
+    assert circuit_length(parse_circuit(f"QSIM-CIRCUIT v2 n=2\n{good}")) == 4
 
     def rejected(line, n):
         for before in ("", good):
             with pytest.raises(CircuitParseError):
-                parse_circuit(f"QSIM-CIRCUIT v1 n={n}\n{before}{line}\n")
+                parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{before}{line}\n")
 
     for line in (
-        "SPIN 1 0.5",
+        "SPIN 1 0.5 .",
         "ROT 1",
-        "WIRE 1 1 0 0 0",  # wrong float count
-        "CTRL 1 2x 1 0 0 0 0 0 1 0",  # bad bits
-        "WIRE 1 a b c d e f g h",  # bad floats
-        "ROT 1 nan",  # not a rotation
-        "ROT 1 inf",
+        "ROT 1 0.5",  # the pattern is not optional
+        "CTRL 1 . 1 0 0 0",  # wrong float count
+        "CTRL 1 2 1 0 0 0 0 0 1 0",  # bad bits
+        "CTRL 1 . a b c d e f g h",  # bad floats
+        "ROT 1 0.5 2",
+        "ROT 1 nan .",  # not a rotation
+        "ROT 1 inf .",
     ):
         rejected(line, 2)
     # Masks are int64, so n is at most 62, whether or not a mask overflows.
     rejected(f"CTRL 64 {'0' * 63} 1 0 0 0 0 0 1 0", 64)
-    rejected("ROT 1 0.5", 63)
+    rejected("ROT 1 0.5 " + "." * 62, 63)
     # An empty pattern is written "-"; two spaces leave an empty field.
     rejected("CTRL 1  1 0 0 0 0 0 1 0", 1)
-    assert circuit_length(parse_circuit("QSIM-CIRCUIT v1 n=1\nCTRL 1 - 1 0 0 0 0 0 1 0\n")) == 1
+    rejected("ROT 1  0.5 -", 1)
+    for text in ("CTRL 1 - 1 0 0 0 0 0 1 0", "ROT 1 0.5 -"):
+        assert circuit_length(parse_circuit(f"QSIM-CIRCUIT v2 n=1\n{text}\n")) == 1
     # Integer fields follow the header's rule: ASCII digits only, single
     # spaces between fields.
     block = "1 0 0 0 0 0 1 0"
     for field in ("\u0663", "+1", "0_2", " 1", "-1", "", "99999999999999999999"):
-        for line in (
-            f"ROT {field} 0.5",
-            f"WIRE {field} {block}",
-            f"CTRL {field} 01 {block}",
-            f"SUFFIX-CTRL {field} 01 {block}",
-        ):
+        for line in (f"ROT {field} 0.5 01", f"CTRL {field} 01 {block}"):
             rejected(line, 3)
         for line in (f"TWO-LEVEL {field} 2 {block}", f"TWO-LEVEL 1 {field} {block}"):
             with pytest.raises(CircuitParseError):
                 parse_decomposition(f"QSIM-FACTORS v1 dim=8\n{line}\n")
     for line in (
-        f"SUFFIX-CTRL 3 .1 {block}",  # a suffix has no free wire
-        f"SUFFIX-CTRL 1 - {block}",  # stage 1 is the ROT or WIRE line
-        f"SUFFIX-CTRL 4 111 {block}",  # no stage beyond n
         f"CTRL 2 1 {block}",  # pattern too short
         f"CTRL 2 1.1 {block}",  # pattern too long
+        "ROT 2 0.5 -",  # "-" is the empty pattern, of n = 1 only
         f"CTRL 4 01 {block}",  # target beyond n
         f"CTRL 2  01 {block}",  # two spaces
-        f"ROT 1 0.5 0.5",  # one field too many
-        "WIRE 2 1 0 1 0 1 0 1 0",  # the block is not unitary
-        "WIRE 2 1e200 0 0 0 0 0 1 0",  # its square overflows
+        "ROT 1 0.5 01 0.5",  # one field too many
+        "CTRL 2 .. 1 0 1 0 1 0 1 0",  # the block is not unitary
+        "CTRL 2 .. 1e200 0 0 0 0 0 1 0",  # its square overflows
         f"TWO-LEVEL 1 2 {block}",  # a factor line
     ):
         rejected(line, 3)
+
+
+def test_only_the_two_line_kinds_of_version_2_are_read():
+    """A v1 file is rejected at its header, and its WIRE and SUFFIX-CTRL
+    lines, or its three-field ROT line, are not gate lines of version 2."""
+    block = "1 0 0 0 0 0 1 0"
+    for text in ("QSIM-CIRCUIT v1 n=2\n", "QSIM-CIRCUIT v1 n=2\nROT 1 0.5\n",
+                 "QSIM-CIRCUIT v3 n=2\n", "QSIM-CIRCUIT n=2\n"):
+        with pytest.raises(CircuitParseError, match="^bad QSIM-CIRCUIT header "):
+            parse_circuit(text)
+    for line in ("ROT 1 0.5", f"WIRE 1 {block}", f"SUFFIX-CTRL 2 1 {block}"):
+        with pytest.raises(CircuitParseError, match="unknown kind or field count"):
+            parse_circuit(f"QSIM-CIRCUIT v2 n=2\n{line}\n")
 
 
 def test_header_counts_beyond_int64_are_parse_errors():
@@ -1276,7 +1319,7 @@ def test_header_counts_beyond_int64_are_parse_errors():
     with a short message, not Python's ValueError; so is any count of 19
     or more digits, which no int64 column could index."""
     for digits in ("9" * 5000, "9" * 4301, "1" + "0" * 18):
-        for text in (f"QSIM-CIRCUIT v1 n={digits}\n", f"QSIM-FACTORS v1 dim={digits}\n"):
+        for text in (f"QSIM-CIRCUIT v2 n={digits}\n", f"QSIM-FACTORS v1 dim={digits}\n"):
             reader = parse_circuit if text.startswith("QSIM-CIRCUIT") else parse_decomposition
             with pytest.raises(CircuitParseError) as info:
                 reader(text)
@@ -1289,35 +1332,36 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
     # produces them.
     for angle in ("\u0663", "1_0", "1_0e-1", "\t3", "3\x01"):
         with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
-            parse_line(f"ROT 1 {angle}", 1)
+            parse_line(f"ROT 1 {angle} -", 1)
     # A vertical tab, form feed or carriage return ends a line of a file,
-    # as a newline does: "ROT 1 \x0c3" is the two lines "ROT 1" and "3".
-    with pytest.raises(CircuitParseError, match="unknown kind or field count"):
-        parse_line("ROT 1 \x0c3", 1)
-    for angle in ("3\x0b", "3\r"):
-        assert parse_line(f"ROT 1 {angle}", 1).angle == 3.0
+    # as a newline does: "ROT 1 \x0c3 -" is the two lines "ROT 1" and "3 -".
+    for end in ("\x0c", "\x0b", "\r"):
+        with pytest.raises(CircuitParseError, match="unknown kind or field count"):
+            parse_line(f"ROT 1 {end}3 -", 1)
+        assert parse_line(f"ROT 1 3 -{end}", 1).angle == 3.0
     # A tab inside a line survives the per-line strip of a circuit file.
     with pytest.raises(CircuitParseError, match="control character"):
-        parse_circuit("QSIM-CIRCUIT v1 n=1\nROT 1 \t3\n")
+        parse_circuit("QSIM-CIRCUIT v2 n=1\nROT 1 \t3 -\n")
     block = ["1", "0", "0", "0", "0", "0", "1", "0"]
     for i in range(8):
         for entry in ("\u0661", "1_0e-1", "1\x0c", "\t1"):
             bad = " ".join(block[:i] + [entry] + block[i + 1 :])
             # A form feed cuts the line short, or leaves a block that is not unitary.
             match = None if "\x0c" in entry else "non-ASCII text or '_'"
-            for kind in ("WIRE 1", "CTRL 1 1", "SUFFIX-CTRL 2 1"):
+            for kind in ("CTRL 1 1", "CTRL 2 0"):
                 with pytest.raises(CircuitParseError, match=match):
                     parse_line(f"{kind} {bad}", 2)
             with pytest.raises(CircuitParseError, match=match):
                 parse_decomposition(f"QSIM-FACTORS v1 dim=2\nTWO-LEVEL 1 2 {bad}\n")
     # Comments are skipped before any line is read, so they may hold either.
-    c = parse_circuit("QSIM-CIRCUIT v1 n=1\n# \u0663 1_0\nROT 1 3\n")
+    c = parse_circuit("QSIM-CIRCUIT v2 n=1\n# \u0663 1_0\nROT 1 3 -\n")
     assert c.gates[0].angle == 3.0
 
 
 def test_rot_line_round_trips_through_the_angle():
-    g = parse_line("ROT 2 1.0471975511965979", 3)
+    g = parse_line("ROT 2 1.0471975511965979 0.", 3)
     assert isinstance(g, WireGate)
+    assert (g.target, g.mask, g.value) == (2, 4, 0)
     assert g.angle == 1.0471975511965979
     assert np.array_equal(g.v, rotation(1.0471975511965979))
 
@@ -1326,11 +1370,14 @@ def test_rot_line_round_trips_through_the_angle():
 @given(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
     st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
 )
-def test_rotation_gates_round_trip_property(alpha, j):
-    g = WireGate(n=3, target=j, v=rotation(alpha), angle=alpha)
+def test_rotation_gates_round_trip_property(alpha, j, mask, value):
+    mask &= ~(1 << (3 - j))  # the target is no control
+    g = WireGate(n=3, target=j, v=rotation(alpha), mask=mask, value=value & mask, angle=alpha)
     line = format_line(g)
+    assert line.startswith("ROT ")
     back = parse_line(line, 3)
-    assert back.target == j
-    assert back.angle == alpha
+    assert (back.target, back.mask, back.value, back.angle) == (j, mask, value & mask, alpha)
     assert np.array_equal(back.v, g.v)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import qpu
-from qsim.gates import Circuit, circuit_length, format_circuit, rotation, rotations
+from qsim.gates import (Circuit, circuit_length, format_circuit, parse_circuit, rotation,
+                        rotations)
 from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
@@ -309,6 +310,19 @@ def test_suffix_angle_rejects_non_bits():
             tree.suffix_angle(suffix)
 
 
+def test_suffix_angle_checks_each_bit_before_reading_it_as_an_int():
+    """A fraction is no bit: int() would truncate 0.5 to 0 and 1.9 to 1 and
+    read another node. Entries pass by qpu.decode's rule, so 1.0 and True
+    are the bit 1, and a string's characters are read as bits."""
+    tree = AngleTree(n=3, angles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
+    for suffix, bad in (((0.5,), "0.5"), ((1.9,), "1.9"), ((1, 0.5), "0.5"),
+                        ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ((1, "01"), "'01'")):
+        with pytest.raises(ValueError, match=f"^bit {bad} is not 0 or 1$"):
+            tree.suffix_angle(suffix)
+    assert tree.suffix_angle((1.0, 0)) == tree.suffix_angle((True, 0)) == 0.5
+    assert tree.suffix_angle(np.array([0, 1])) == tree.suffix_angle("01") == 0.6
+
+
 def test_suffix_angle_rejects_long_suffixes():
     """A tree on n wires has nodes with at most n-1 fixed bits."""
     tree = angle_tree(triangular(), 3)
@@ -412,8 +426,8 @@ def test_circuit_gate_layout():
         (1, 3, 3, "11"),
     ]
     for g in c.gates[1:]:
-        assert g.angle is None
-        assert np.array_equal(g.v, rotation(tree.suffix_angle(_suffix(g))))
+        assert g.angle == tree.suffix_angle(_suffix(g))
+        assert np.array_equal(g.v, rotation(g.angle))
 
 
 def test_pruning_drops_exact_identity_rotations_only():
@@ -422,11 +436,9 @@ def test_pruning_drops_exact_identity_rotations_only():
     pruned = synthesize(tree, prune=True)
     assert circuit_length(full) == 7
     assert circuit_length(pruned) == 4
-    kept_angles = [
-        g.angle if g.mask == 0 else tree.suffix_angle(_suffix(g))
-        for g in pruned.gates
-    ]
+    kept_angles = [g.angle for g in pruned.gates]
     for g, angle in zip(pruned.gates, kept_angles):
+        assert angle == tree.suffix_angle(_suffix(g))
         assert np.array_equal(g.v, rotation(angle))
     kept_angles.sort()
     want = sorted(
@@ -786,8 +798,7 @@ def per_level_circuit(n, theta, levels, prune=False):
     m = np.repeat(np.arange(n), 1 << np.arange(n))
     s = np.concatenate([np.arange(2**k) for k in range(n)])
     bits = (((s >> i) & 1) << np.maximum(m - 1 - i, 0) for i in range(n - 1))
-    columns = [n - m, (1 << m) - 1, sum(bits, np.zeros_like(s)), rotations(flat),
-               np.where(m == 0, flat, math.nan)]
+    columns = [n - m, (1 << m) - 1, sum(bits, np.zeros_like(s)), rotations(flat), flat]
     if prune:
         columns = [c[flat != 0.0] for c in columns]
     return Circuit(n, *columns)
@@ -836,6 +847,24 @@ def test_heap_tree_equals_per_level_construction_at_large_n(n):
     got, want = synthesize(tree), per_level_circuit(n, theta, levels)
     for name in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_synthesized_circuit_text_round_trips(n):
+    """A synthesized circuit, full or pruned, writes text that reads back to
+    the same columns and writes the same bytes, and the parsed circuit's law
+    is the synthesized circuit's bit for bit."""
+    rng = np.random.default_rng([46, n])
+    for d in (powers_of_two(), random_poly_density(rng)):
+        tree = angle_tree(d, n)
+        for prune in (False, True):
+            c = synthesize(tree, prune=prune)
+            text = format_circuit(c)
+            back = parse_circuit(text)
+            assert format_circuit(back) == text, (n, prune)
+            for name in ("target", "mask", "value", "blocks", "angle"):
+                assert np.array_equal(getattr(back, name), getattr(c, name)), name
+            assert circuit_law(back).tobytes() == circuit_law(c).tobytes(), (n, prune)
 
 
 # --- file formats -----------------------------------------------------------------------

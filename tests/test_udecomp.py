@@ -501,7 +501,7 @@ def test_factor_file_parse_errors():
         with pytest.raises(CircuitParseError):
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
         with pytest.raises(CircuitParseError):
-            parse_circuit(f"QSIM-CIRCUIT v1 n=1\n{line}\n")
+            parse_circuit(f"QSIM-CIRCUIT v2 n=1\n{line}\n")
     # dim is ASCII digits only, at least 2 (U+0663 is ARABIC-INDIC DIGIT THREE).
     for dim in ("0", "1", "-4", "1_0", " 4", "+4", "\u0663"):
         with pytest.raises(CircuitParseError):
@@ -528,7 +528,7 @@ def test_factor_record_is_shared_with_the_gate_type():
     assert all(line.startswith("TWO-LEVEL ") for line in factor_lines)
     for line in factor_lines:
         with pytest.raises(CircuitParseError, match="unknown kind"):
-            parse_circuit(f"QSIM-CIRCUIT v1 n=2\n{line}\n")
+            parse_circuit(f"QSIM-CIRCUIT v2 n=2\n{line}\n")
 
 
 def test_reconstruct_validates_dimensions():

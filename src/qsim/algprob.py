@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector, cluster_indices
-from .linalg import hermitian_eig, is_hermitian, is_unitary
+from .linalg import checked_eig, hermitian_eig, is_hermitian, is_unitary
 
 STATE_TOL = 1e-10
 # Probabilities in [-NEGATIVE_PROB_TOL, 0) are rounding noise and clamp to
@@ -57,6 +57,14 @@ class Observable:
     def __init__(self, mat):
         self.mat = as_matrix(mat)
         self.eigenvalues, self.eigenvectors = hermitian_eig(self.mat)
+
+    @classmethod
+    def from_eig(cls, mat, w, v) -> Observable:
+        """Observable(mat) from its eigenpairs, w ascending, checked without an eigensolve."""
+        obs = cls.__new__(cls)
+        obs.mat = as_matrix(mat)
+        obs.eigenvalues, obs.eigenvectors = checked_eig(obs.mat, lambda _: (w, v))
+        return obs
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,8 @@ A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors; one column check validates a
 container and, on columns of length one, a single gate object. In text, a
 wire gate that carries its rotation angle is a ROT line, and any other a
-CTRL line with its block; both spell the controls as one wire pattern.
+CTRL line with its block; both spell the controls as one wire pattern. The
+reader takes a file's gate lines in whole-text array passes, not line by line.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -232,16 +234,20 @@ def stage_layout(n: int, stage):
 
 def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
     """(target, mask, value) columns of ROT and CTRL fields: a target wire, and a
-    pattern over the other n - 1 wires in wire order, '0' or '1' for a
-    control wire that must carry that bit and '.' for a free one."""
+    pattern over the other n - 1 wires in wire order ('-' for none), '0' or '1'
+    for a control wire that must carry that bit and '.' for a free one."""
     target = np.asarray(target).astype(np.int64, casting="safe")
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
-    length = np.fromiter(map(len, patterns), np.int64, len(patterns))
+    patterns = np.asarray(patterns, dtype=object)
+    length = np.fromiter(map(len, patterns), np.int64, len(patterns)) - (patterns == "-")
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
-    # All n wires, the target free; any character but 0, 1 and . is not a bit.
-    wires = "".join(p[: t - 1] + "." + p[t - 1 :] for p, t in zip(patterns, target.tolist()))
-    mask = bitstring_positions(wires.replace("0", "1").replace(".", "0"), n)
-    return target, mask, bitstring_positions(wires.replace(".", "0"), n)
+    # All n wires, the target free, as a (k, n) byte matrix; only 0, 1 and . are bits.
+    wires = np.full((len(target), n), ord("."), dtype=np.uint8)
+    others = "".join(patterns).encode() if n > 1 else b""  # each pattern is "-" at n = 1
+    wires[np.arange(n) != target[:, None] - 1] = np.frombuffer(others, np.uint8)
+    text = wires.tobytes().decode()
+    mask = bitstring_positions(text.replace("0", "1").replace(".", "0"), n)
+    return target, mask, bitstring_positions(text.replace(".", "0"), n)
 
 
 def _controls(n: int, target: int, pattern) -> tuple[int, int]:
@@ -488,8 +494,9 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 #
 # A wire gate with an angle is written ROT, its block rotations([alpha])[0];
 # every other wire gate is written CTRL. Factor files hold TWO-LEVEL lines.
-# One reader reads the fields of each line kind into arrays; the column
-# check then validates them.
+# One reader splits all gate lines at once into a (k, fields) array of
+# strings per line kind, then converts each numeric field with one np.array
+# call and each pattern column as a byte matrix, for the column check.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
@@ -523,8 +530,7 @@ def _parse_header(text: str, kind: str, version: int, key: str,
     """The count of 1 to 18 ASCII digits, at least `least`, of text's header line
     "QSIM-<kind> v<version> <key>=<count>", and the stripped lines after it
     that are neither blank nor '#' comments."""
-    lines = (ln.strip() for ln in text.splitlines())
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
     m = re.fullmatch(f"QSIM-{kind} v{version} {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
@@ -543,41 +549,42 @@ def _written(line: str) -> bool:
     return line.isascii() and line.isprintable() and "_" not in line and "  " not in line
 
 
-def _gate_rows(lines: list[str], arity: dict[str, int]) -> dict:
-    """The space-separated fields of each gate line grouped by line kind,
-    kind -> (line indices, field lists). A line of an unknown kind or field
-    count is rejected, and so is one that no writer produces."""
-    if not _written("".join(lines)):  # the lines are stripped
+def _gate_fields(lines: list[str], arity: dict[str, int]) -> dict:
+    """The space-separated fields of every gate line from one split of their
+    text, grouped by line kind in the order of each kind's first line: kind ->
+    (line indices, (k, arity) array of field strings). A line of an unknown
+    kind or field count is rejected, and so is one that no writer produces."""
+    text = " ".join(lines)  # one space between stripped lines adds no empty field
+    if not _written(text):
         bad = next(ln for ln in lines if not _written(ln))
         raise CircuitParseError(
             f"bad gate line {bad!r}: empty field, control character, non-ASCII text or '_'"
         )
-    groups: dict[str, tuple[list[int], list[list[str]]]] = {}
-    for k, line in enumerate(lines):
-        fields = line.split(" ")
-        if arity.get(fields[0]) != len(fields):
-            raise CircuitParseError(f"bad gate line {line!r}: unknown kind or field count")
-        index, rows = groups.setdefault(fields[0], ([], []))
-        index.append(k)
-        rows.append(fields)
+    tokens = np.array(text.split(" "), dtype=object)
+    count = np.fromiter(map(str.count, lines, repeat(" ")), np.int64, len(lines)) + 1
+    first = np.cumsum(count) - count  # each line's kind field
+    kind = tokens[first]
+    bad = np.fromiter(map(arity.get, kind, repeat(0)), np.int64, len(lines)) != count
+    if bad.any():
+        line = lines[np.argmax(bad)]
+        raise CircuitParseError(f"bad gate line {line!r}: unknown kind or field count")
+    groups = {}
+    for name in dict.fromkeys(kind.tolist()):
+        index = np.flatnonzero(kind == name)
+        groups[name] = index, tokens[first[index, None] + np.arange(arity[name])]
     return groups
 
 
-def _numbers(rows: list[list[str]], start: int, stop: int, dtype=np.float64) -> np.ndarray:
-    """Fields start..stop-1 of every row as one flat array; an integer
+def _numbers(fields: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """An array of field strings as one flat array of numbers; an integer
     field is ASCII digits only, like the header's count."""
-    tokens = [t for r in rows for t in r[start:stop]]
+    tokens = fields.ravel().tolist()
     try:
         if dtype is np.int64 and not all(map(str.isdigit, tokens)):  # the lines are ASCII
             raise ValueError("an integer field is not ASCII digits")
         return np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError) as exc:
         raise CircuitParseError(f"bad number in a gate line: {exc}") from exc
-
-
-def _blocks(rows: list[list[str]], start: int) -> np.ndarray:
-    """The (k, 2, 2) blocks of the 8 float fields from start on."""
-    return _numbers(rows, start, start + 8).view(np.complex128).reshape(-1, 2, 2)
 
 
 def format_circuit(c: Circuit) -> str:
@@ -601,16 +608,15 @@ def parse_circuit(text: str) -> Circuit:
     blocks = np.empty((k, 2, 2), dtype=np.complex128)
     angle = np.full(k, math.nan)
     try:
-        for kind, (index, rows) in _gate_rows(lines, _CIRCUIT_ARITY).items():
+        for kind, (index, fields) in _gate_fields(lines, _CIRCUIT_ARITY).items():
             at = 3 if kind == "ROT" else 2  # the pattern field
-            patterns = ["" if r[at] == "-" else r[at] for r in rows]
             target[index], mask[index], value[index] = _pattern_columns(
-                n, _numbers(rows, 1, 2, np.int64), patterns)
+                n, _numbers(fields[:, 1], np.int64), fields[:, at])
             if kind == "ROT":
-                angle[index] = _numbers(rows, 2, 3)
+                angle[index] = _numbers(fields[:, 2])
                 blocks[index] = rotations(angle[index])
             else:
-                blocks[index] = _blocks(rows, 3)
+                blocks[index] = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
         return Circuit(n, target, mask, value, blocks, angle)
     except CircuitParseError:
         raise
@@ -627,9 +633,10 @@ def format_decomposition(d: Decomposition) -> str:
 
 def parse_decomposition(text: str) -> Decomposition:
     dim, lines = _parse_header(text, "FACTORS", 1, "dim", 2)
-    _, rows = _gate_rows(lines, {"TWO-LEVEL": 11}).get("TWO-LEVEL", ([], []))
-    i, j = _numbers(rows, 1, 2, np.int64), _numbers(rows, 2, 3, np.int64)
-    blocks = _blocks(rows, 3)
+    _, fields = _gate_fields(lines, {"TWO-LEVEL": 11}).get(
+        "TWO-LEVEL", ([], np.empty((0, 11), dtype=object)))
+    i, j = _numbers(fields[:, 1], np.int64), _numbers(fields[:, 2], np.int64)
+    blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
     try:
         return Decomposition(dim, i, j, blocks)
     except ValueError as exc:

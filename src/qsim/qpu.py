@@ -156,20 +156,14 @@ def qpu_observable(factors) -> QpuObservable:
         obs_factors.append(f)
     if not obs_factors:
         raise ValueError("at least one factor is required")
-    realized_mat = reduce(np.kron, [f.mat for f in obs_factors])
-    # Wire j's eigenvalue bit is label bit j - 1, so each later wire's
-    # factor goes on the left, above the bits of earlier wires.
-    labels = reduce(
-        lambda acc, e: np.kron(e, acc),
-        [f.eigenvalues for f in obs_factors],
-        np.ones(1),
-    )
-    return QpuObservable(
-        n=len(obs_factors),
-        factors=tuple(obs_factors),
-        realized=Observable(realized_mat),
-        eigen_labels=labels,
-    )
+    # The product's eigenpairs are the Kronecker products of the factors'. w
+    # is in array-position order, so label k's value sits at k's position.
+    mat, v = (reduce(np.kron, [getattr(f, k) for f in obs_factors])
+              for k in ("mat", "eigenvectors"))
+    w = reduce(np.multiply.outer, [f.eigenvalues for f in obs_factors]).ravel()
+    order, n = np.argsort(w, kind="stable"), len(obs_factors)
+    realized = Observable.from_eig(mat, w[order], v[:, order])
+    return QpuObservable(n, tuple(obs_factors), realized, w[label_permutation(n)])
 
 
 def standard_observable(n: int) -> QpuObservable:
@@ -194,7 +188,7 @@ class Udqc:
 
     @property
     def observable(self) -> QpuObservable:
-        """standard_observable(n), a dense 2^n x 2^n matrix built on each read."""
+        """standard_observable(n) on each read: eigenpairs from its factors, no dense eigh."""
         return standard_observable(self.n)
 
 

@@ -6,10 +6,12 @@ vector chasing. Serialization round trips must be bit-exact because floats
 print with 17 significant digits.
 """
 
+import json
 import math
 import time
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1356,6 +1358,83 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
     # Comments are skipped before any line is read, so they may hold either.
     c = parse_circuit("QSIM-CIRCUIT v2 n=1\n# \u0663 1_0\nROT 1 3 -\n")
     assert c.gates[0].angle == 3.0
+
+
+def test_parse_error_messages_are_pinned():
+    """Every input that test_parse_errors and
+    test_float_fields_reject_non_ascii_digits_and_separators reject, and files
+    that mix line kinds, raises CircuitParseError with the exact message of
+    golden/parse_errors.json, which the per-line reader wrote before the
+    whole-text tokenizer replaced it."""
+    cases = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text())
+    assert len(cases) == 210
+    readers = {"circuit": parse_circuit, "factors": parse_decomposition}
+    for case in cases:
+        with pytest.raises(CircuitParseError) as info:
+            readers[case["reader"]](case["text"])
+        assert str(info.value) == case["message"], case["text"]
+    # Line kinds are read in the order of each kind's first line, so a bad
+    # CTRL line before a bad ROT line is the one reported only when the
+    # file's first gate line is a CTRL line.
+    bad_ctrl, bad_rot = "CTRL 1 2 1 0 0 0 0 0 1 0", "ROT 2 0.5 3"
+    for lines, bits in (((bad_ctrl, bad_rot), "02"), (("ROT 1 0.5 .", bad_ctrl, bad_rot), "30")):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit("QSIM-CIRCUIT v2 n=2\n" + "\n".join(lines) + "\n")
+        assert str(info.value) == f"bad gate: '{bits}' is not a string of 2 <= 63 bits"
+
+
+@st.composite
+def circuit_files(draw):
+    """(text, decorated): a circuit of ROT lines with and without controls,
+    CTRL lines with free wires, and '-' patterns at n = 1, as format_circuit
+    writes it; and the same file with comments, blank lines and indentation."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    gates = draw(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=n), st.text("01.", min_size=n - 1, max_size=n - 1),
+        st.one_of(st.none(), st.floats(min_value=-10.0, max_value=10.0)),
+    ), max_size=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    columns = [[], [], [], [], []]
+    for target, pattern, angle in gates:
+        wires = pattern[: target - 1] + "." + pattern[target - 1 :]
+        columns[0].append(target)
+        columns[1].append(int(wires.replace("0", "1").replace(".", "0"), 2))
+        columns[2].append(int(wires.replace(".", "0"), 2))
+        columns[3].append(random_unitary2(rng) if angle is None else rotation(angle))
+        columns[4].append(math.nan if angle is None else angle)
+    target, mask, value, blocks, angle = columns
+    ints = (np.array(c, dtype=np.int64) for c in (target, mask, value))
+    text = format_circuit(Circuit(n, *ints, np.reshape(blocks, (-1, 2, 2)), angle))
+    noise = st.sampled_from(["", "", "# a comment", "   # indented comment", "\t", "#"])
+    pads = st.sampled_from(["", "", " ", "  ", "\t"])
+    decorated = []
+    for line in text.splitlines():
+        decorated += [draw(noise), draw(pads) + line + draw(pads)]
+    return text, "\n".join(decorated + [draw(noise)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(circuit_files())
+def test_circuit_text_round_trip_property(files):
+    """Comments, blank lines and indentation leave the parsed columns as the
+    bare text's, and the bare text reads back to gates that write it byte for
+    byte."""
+    text, decorated = files
+    bare, noisy = parse_circuit(text), parse_circuit(decorated)
+    assert bare.n == noisy.n
+    for field in ("target", "mask", "value", "blocks", "angle"):
+        assert np.array_equal(getattr(noisy, field), getattr(bare, field), equal_nan=True), field
+    assert format_circuit(bare) == text
+
+
+def test_factor_text_round_trip():
+    """A factor file reads back to factors that write it byte for byte, at
+    N = 2, 16 and 128."""
+    rng = np.random.default_rng(53)
+    for dim in (2, 16, 128):
+        text = format_decomposition(decompose_unitary(haar_unitary(rng, dim)))
+        assert text.count("\nTWO-LEVEL ") == dim * (dim - 1) // 2
+        assert format_decomposition(parse_decomposition(text)) == text
 
 
 def test_rot_line_round_trips_through_the_angle():

@@ -221,6 +221,34 @@ def test_qpu_observable_labels_are_per_label_products():
         assert np.array_equal(obs.eigen_labels, want)
 
 
+def test_qpu_observable_law_equals_the_dense_eigensolve():
+    """realized takes its eigenpairs from the factors' Kronecker products; its
+    law equals that of Observable(kron(...)), which runs eigh on the dense
+    product, within 1e-12, also when diag(1, 1) factors make eigenvalues
+    collide."""
+    from functools import reduce
+
+    from qsim.algprob import law
+
+    rng = np.random.default_rng(82)
+    for n in range(1, 7):
+        for trial in range(3):
+            factors = [random_hermitian(rng, 2) for _ in range(n)]
+            for j in rng.choice(n, size=trial, replace=True):
+                factors[j] = np.diag([1.0, 1.0])
+            obs = qpu_observable(factors)
+            dense = Observable(reduce(np.kron, factors))
+            assert np.max(np.abs(obs.realized.mat - dense.mat)) == 0.0
+            assert np.max(np.abs(obs.realized.eigenvalues - dense.eigenvalues)) < 1e-12
+            a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = a @ a.conj().T
+            rho = DensityMatrix((rho + rho.conj().T) / (2.0 * np.trace(rho).real))
+            got, want = law(obs.realized, rho), law(dense, rho)
+            assert len(got.outcomes) == len(want.outcomes)
+            assert np.max(np.abs(np.subtract(got.values(), want.values()))) < 1e-12
+            assert np.max(np.abs(np.subtract(got.probabilities(), want.probabilities()))) < 1e-12
+
+
 def test_qpu_observable_rejects_bad_factors():
     with pytest.raises(ValueError):
         qpu_observable([np.eye(3)])

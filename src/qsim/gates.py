@@ -117,15 +117,27 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
         raise ValueError(message.format(*(c[k].item() for c in columns)))
 
 
-def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
+def _wire_columns(n: int, target, mask, value, blocks, angle,
+                  rotate=None) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as WireGate documents
-    one gate; angle is NaN for a gate without one."""
+    one gate; angle is NaN for a gate without one, and a gate with one has
+    the block rotation(angle). Without rotate, blocks holds every gate's
+    block, each compared with that. rotate marks the gates (True: all) whose
+    block is built here from the angle instead, each cos and sin computed
+    once; blocks then holds only the other gates' blocks, in order, or None."""
     n = as_count("n", n)
     if n > MAX_WIRES:
         raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
-    blocks, target, mask, value = _columns(blocks, target, mask, value)
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
+    if rotate is not None:
+        rotate = np.broadcast_to(rotate, angle.shape[:1])
+        given = np.empty((0, 2, 2)) if blocks is None else np.asarray(blocks, np.complex128)
+        if len(given) != len(angle) - np.count_nonzero(rotate):
+            raise ValueError("gate columns differ in length")
+        blocks = rotations(angle)
+        blocks[~rotate] = given
+    blocks, target, mask, value = _columns(blocks, target, mask, value)
     if len(angle) != len(blocks):
         raise ValueError("gate columns differ in length")
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
@@ -133,9 +145,9 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     stride = np.left_shift(1, n - target)
     _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
     _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
-    # NaN marks a gate without an angle; any other angle must give its block.
-    wrong = ~np.isnan(angle) & (blocks != rotations(angle)).any(axis=(1, 2))
-    _reject(wrong, "block is not rotation({!r})", angle)
+    if rotate is None:
+        wrong = ~np.isnan(angle) & (blocks != rotations(angle)).any(axis=(1, 2))
+        _reject(wrong, "block is not rotation({!r})", angle)
     return dict(n=n, target=target, mask=mask, value=value, blocks=blocks, angle=angle)
 
 
@@ -164,8 +176,7 @@ class WireGate:
     mask and value are ints over array-position bits, bit n - w for wire w:
     wire w is a control iff its mask bit is set, and must then carry its
     value bit; mask = 0 is a gate without controls. angle records that v is
-    exactly rotation(angle), for the ROT line, so only a gate without
-    controls carries one.
+    exactly rotation(angle), for the ROT line.
     """
 
     n: int
@@ -394,6 +405,8 @@ class Circuit:
     Gate k is WireGate(n, target[k], blocks[k], mask[k], value[k],
     angle[k]), with angle[k] NaN for a gate without a ROT angle. The
     columns are checked as WireGate checks one gate and stored read-only.
+    With blocks None, every gate carries an angle and its block is built
+    from it, once.
     """
 
     n: int
@@ -405,7 +418,8 @@ class Circuit:
 
     def __post_init__(self):
         columns = self.target, self.mask, self.value, self.blocks, self.angle
-        self.__dict__.update(_wire_columns(self.n, *columns))
+        rotate = True if self.blocks is None else None  # every block from its angle
+        self.__dict__.update(_wire_columns(self.n, *columns, rotate))
 
     @property
     def gates(self) -> tuple[WireGate, ...]:
@@ -605,19 +619,17 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError(f"n must be at most {MAX_WIRES}, got {n}")
     k = len(lines)
     target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
-    blocks = np.empty((k, 2, 2), dtype=np.complex128)
-    angle = np.full(k, math.nan)
+    angle, rot, blocks = np.full(k, math.nan), np.zeros(k, dtype=bool), None
     try:
         for kind, (index, fields) in _gate_fields(lines, _CIRCUIT_ARITY).items():
             at = 3 if kind == "ROT" else 2  # the pattern field
             target[index], mask[index], value[index] = _pattern_columns(
                 n, _numbers(fields[:, 1], np.int64), fields[:, at])
-            if kind == "ROT":
-                angle[index] = _numbers(fields[:, 2])
-                blocks[index] = rotations(angle[index])
-            else:
-                blocks[index] = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
-        return Circuit(n, target, mask, value, blocks, angle)
+            if kind == "ROT":  # its block is built from the angle
+                angle[index], rot[index] = _numbers(fields[:, 2]), True
+            else:  # the blocks of the CTRL lines, in file order
+                blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
+        return _unchecked(Circuit, **_wire_columns(n, target, mask, value, blocks, angle, rot))
     except CircuitParseError:
         raise
     except (ValueError, OverflowError) as exc:  # OverflowError: an n no array can index

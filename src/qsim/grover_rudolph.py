@@ -21,15 +21,13 @@ entry 2^m - 1 + s, and the children of entry i are 2i + 1 and 2i + 2.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .gates import MAX_WIRES, Circuit, apply_vector, as_count, as_reals, rotations, stage_layout
+from .gates import MAX_WIRES, Circuit, apply_vector, as_count, as_reals, stage_layout
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -57,33 +55,55 @@ class DensitySegment:
     hi: float
     coeffs: tuple[float, ...]
 
-    @functools.cached_property
-    def antiderivative(self) -> np.ndarray:
-        """Coefficients of the antiderivative that is 0 at x = 0, read-only."""
-        a = P.polyint(self.coeffs)
-        a.setflags(write=False)
-        return a
-
     def mass(self, a, b):
-        """Exact integral over [a, b], a and b of one shape, via the
-        antiderivative, evaluated at both ends in one call."""
-        fa, fb = P.polyval(np.array([a, b]), self.antiderivative)
+        """Integral over [a, b], a and b of one shape, by the rule of masses."""
+        fa, fb = _horner(_antiderivatives(np.array([self.coeffs], float))[0], np.array([a, b]))
         return fb - fa
 
-    def minimum(self) -> float:
-        """Smallest value on [lo, hi]: at an endpoint or a root of the derivative.
 
-        Every root's real part, clipped into the segment, is a candidate, so
-        a root computed with a tiny imaginary part is still examined. Leading
-        derivative coefficients below rounding of the largest one are dropped
-        first: they only add roots far outside [0, 1], and dividing by a
-        subnormal one overflows the companion matrix.
-        """
-        der = P.polyder(self.coeffs)
-        der = P.polytrim(der, np.finfo(float).eps * np.max(np.abs(der)))
-        xs = np.clip(P.polyroots(der).real, self.lo, self.hi)
-        values = P.polyval(np.array([self.lo, self.hi, *xs]), self.coeffs)
-        return min(values.tolist())  # skips a NaN after the first candidate, as np.min would not
+def _antiderivatives(c: np.ndarray) -> np.ndarray:
+    """Each row's antiderivative that is 0 at x = 0, bit for bit numpy's polyint."""
+    return np.concatenate([np.zeros((len(c), 1)), c / np.arange(1, c.shape[1] + 1)], axis=1)
+
+
+def _horner(c, x):
+    """sum_m c[m] x^m in numpy's polyval order, each c[m] broadcast against
+    x; leading zero padding changes no bit for finite or NaN x."""
+    v = c[-1] + x * 0
+    for cm in c[-2::-1]:
+        v = cm + v * x
+    return v
+
+
+def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smallest value of each row of c on [lo, hi], bit for bit numpy's
+    polyder, polytrim, polyroots and polyval on the row alone and Python's
+    min over lo, hi and the roots' real parts clipped to [lo, hi]: a NaN at
+    lo wins, a later NaN is skipped. Derivative coefficients within rounding
+    of the largest are trimmed (a subnormal leading one would overflow the
+    companion matrix); one eigvals call takes each degree's matrices."""
+    k, w = c.shape
+    der = c[:, 1:] * np.arange(1, w)
+    size = np.abs(der)
+    tol = np.finfo(float).eps * size.max(axis=1, initial=0.0)
+    kept = np.max(np.where(size > tol[:, None], np.arange(1, w), 0), axis=1, initial=0)
+    x = np.column_stack([lo, hi, np.full((k, max(w - 2, 0)), np.nan)])  # then the roots
+    for m in sorted(set(kept.tolist()) - {0, 1}):  # m derivative coefficients, m - 1 roots
+        rows = np.flatnonzero(kept == m)
+        d = der[rows, :m]
+        if m == 2:
+            roots = -d[:, :1] / d[:, 1:]
+        else:
+            companion = np.zeros((len(rows), m - 1, m - 1))
+            companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+            companion[:, :, -1] -= d[:, :-1] / d[:, -1:]
+            roots = np.sort(np.linalg.eigvals(companion), axis=1).real
+        x[rows, 2 : m + 1] = np.clip(roots, lo[rows, None], hi[rows, None])
+    values = _horner(c.T[:, :, None], x)
+    low = values[:, 0]
+    for v in values.T[1:]:
+        low = np.where(v < low, v, low)
+    return low
 
 
 @dataclass(frozen=True)
@@ -92,62 +112,71 @@ class PiecewisePolyDensity:
 
     Validated at construction: every number must be finite, segments must
     partition [0, 1] in order, be nonnegative everywhere (each segment's
-    exact minimum, within rounding), and integrate to 1 within 1e-10. Integrals are exact antiderivative
-    evaluations, so dyadic masses carry no quadrature error.
+    minimum, within rounding), and integrate to 1 within 1e-10; a rejection
+    names the first offending segment. The segments are held as lo, hi and
+    one zero-padded coefficient matrix's antiderivative rows, built once.
     """
 
     segments: tuple[DensitySegment, ...]
 
     def __post_init__(self):
-        segs = tuple(
-            DensitySegment(float(s.lo), float(s.hi), tuple(float(c) for c in s.coeffs))
-            for s in self.segments
-        )
+        segs = tuple(DensitySegment(float(s.lo), float(s.hi), tuple(map(float, s.coeffs)))
+                     for s in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise DensityError("density needs at least one segment")
-        for s in segs:
-            if not all(math.isfinite(c) for c in (s.lo, s.hi, *s.coeffs)):
-                raise DensityError(f"non-finite number in segment {s}")
+        lo, hi = np.array([[s.lo, s.hi] for s in segs]).T
+        width = np.array([len(s.coeffs) for s in segs])
+        c = np.zeros((len(segs), max(1, width.max())))
+        c[np.arange(c.shape[1]) < width[:, None]] = [x for s in segs for x in s.coeffs]
+        finite = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(c).all(axis=1)
+        if not finite.all():
+            raise DensityError(f"non-finite number in segment {segs[np.argmin(finite)]}")
         if abs(segs[0].lo) > SEGMENT_JOIN_TOL or abs(segs[-1].hi - 1.0) > SEGMENT_JOIN_TOL:
             raise DensityError("segments must start at 0 and end at 1")
-        for a, b in zip(segs, segs[1:]):
-            if abs(a.hi - b.lo) > SEGMENT_JOIN_TOL:
-                raise DensityError(f"gap between segments at {a.hi} vs {b.lo}")
+        joined = np.abs(hi[:-1] - lo[1:]) <= SEGMENT_JOIN_TOL
+        if not joined.all():
+            a, b = segs[np.argmin(joined) :][:2]
+            raise DensityError(f"gap between segments at {a.hi} vs {b.lo}")
         # Finite coefficients can still overflow to inf, and inf - inf to NaN,
         # which the negated comparisons reject; the rejection is the only output.
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in segs:
-                if not s.lo < s.hi:
-                    raise DensityError(f"empty segment [{s.lo}, {s.hi}]")
-                if not s.coeffs:
-                    raise DensityError("segment without coefficients")
-                low = s.minimum()
-                if not low >= -DENSITY_NEGATIVE_TOL:
-                    raise DensityError(
-                        f"density negative ({low:.3e}) on [{s.lo}, {s.hi}]"
-                    )
+            low = _minima(lo, hi, c)
+            ok = np.stack([lo < hi, width > 0, low >= -DENSITY_NEGATIVE_TOL])
+            if not ok.all():  # the first bad segment, by its first failed check
+                i = np.argmin(ok.all(axis=0))
+                s = segs[i]
+                raise DensityError([
+                    f"empty segment [{s.lo}, {s.hi}]",
+                    "segment without coefficients",
+                    f"density negative ({float(low[i]):.3e}) on [{s.lo}, {s.hi}]",
+                ][np.argmin(ok[:, i])])
+            anti = _antiderivatives(c)
+            lo.flags.writeable = hi.flags.writeable = anti.flags.writeable = False
+            self.__dict__.update(lo=lo, hi=hi, antiderivatives=anti)
             total = float(self.masses([0.0, 1.0])[0])
         if not abs(total - 1.0) <= DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
     def masses(self, edges) -> np.ndarray:
-        """Exact integral over each [edges[i], edges[i+1]], edges within [0, 1].
-
-        Each segment, in segment order, adds its antiderivative difference
-        over the edges clipped to [lo, hi], which is exactly 0 on an interval
-        it does not overlap. Edges that are not a nonempty, nondecreasing 1-D
-        array within [0, 1] raise ValueError.
-        """
+        """Integral over each [edges[i], edges[i+1]], edges within [0, 1], as
+        F(b) - F(a) in floats. Each segment in turn adds its differences over
+        the edges clipped to [lo, hi], on the intervals it touches; it would
+        add exactly 0 to any other. Edges that are not a nonempty,
+        nondecreasing 1-D array within [0, 1] raise ValueError."""
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or len(edges) == 0:
             raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
         if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
             raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
         out = np.zeros(len(edges) - 1)
-        for s in self.segments:
-            x = np.clip(edges, s.lo, s.hi)
-            out += s.mass(x[:-1], x[1:])
+        # Segment i touches the intervals first[i] to last[i] - 1.
+        first = np.maximum(np.searchsorted(edges, self.lo, "right") - 1, 0).tolist()
+        last = np.minimum(np.searchsorted(edges, self.hi, "left"), len(out)).tolist()
+        for a, b, lo, hi, anti in zip(first, last, self.lo.tolist(), self.hi.tolist(),
+                                      self.antiderivatives):
+            f = _horner(anti, np.clip(edges[a : b + 1], lo, hi))
+            out[a:b] += f[1:] - f[:-1]
         return out
 
 
@@ -240,10 +269,10 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     # The suffix with label s sits at array position values[s] of the
     # trailing wires, the low stage - 1 position bits.
     values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
-    columns = [target, mask, np.concatenate(values), rotations(tree.angles), tree.angles]
+    columns = [target, mask, np.concatenate(values), tree.angles]
     if prune:  # rotation(a) is the identity at a = 0 alone, for a in [0, pi/2]
         columns = [column[tree.angles != 0.0] for column in columns]
-    return Circuit(n, *columns)
+    return Circuit(n, *columns[:3], None, columns[3])
 
 
 def target_law(d, n: int) -> np.ndarray:

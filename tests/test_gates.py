@@ -1033,6 +1033,24 @@ def test_controlled_gate_carries_its_angle():
     assert format_line(g).startswith("CTRL 1 0 ")
 
 
+def test_circuit_builds_blocks_from_angles():
+    """With blocks None, every block is built from its angle: the columns a
+    caller passing rotations(angle) gets, read-only. A NaN angle gives a
+    NaN block, rejected as not unitary, and columns still agree in length."""
+    angle = np.array([0.0, 0.3, math.pi / 2, 1e-300, 2.5])
+    target, zeros = [1, 2, 1, 2, 1], [0] * 5
+    built = Circuit(2, target, zeros, zeros, None, angle)
+    given = Circuit(2, target, zeros, zeros, rotations(angle), angle)
+    for name in ("target", "mask", "value", "blocks", "angle"):
+        assert getattr(built, name).tobytes() == getattr(given, name).tobytes(), name
+        assert not getattr(built, name).flags.writeable, name
+    assert format_circuit(built) == format_circuit(given)
+    with pytest.raises(ValueError, match="^gate block is not unitary within tolerance$"):
+        Circuit(1, [1], [0], [0], None, [math.nan])
+    with pytest.raises(ValueError, match="^gate columns differ in length$"):
+        Circuit(1, [1, 1], [0, 0], [0, 0], None, [0.5])
+
+
 def test_format_gate_pins():
     eye = np.eye(2)
     assert format_line(WireGate(n=2, target=1, v=rotation(0.5), angle=0.5)) == "ROT 1 0.5 ."

@@ -13,10 +13,12 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from qsim import qpu
 from qsim.gates import (Circuit, circuit_length, format_circuit, parse_circuit, rotation,
@@ -29,6 +31,7 @@ from qsim.grover_rudolph import (
     DensityJsonError,
     DensitySegment,
     PiecewisePolyDensity,
+    _minima,
     angle_tree,
     angle_tree_to_json,
     circuit_law,
@@ -166,6 +169,19 @@ def test_density_rejects_degenerate_segments():
         PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, ()),))
 
 
+def test_density_rejection_messages_are_pinned():
+    """Every case of golden/density_errors.json raises DensityError with its
+    exact message, which the segment-by-segment validator wrote before the
+    density became one coefficient matrix: one case or more per rule, and
+    cases with two offenders, where the first in file order is named."""
+    cases = json.loads((Path(__file__).parent / "golden" / "density_errors.json").read_text())
+    assert len(cases) == 34
+    for case in cases:
+        with pytest.raises(DensityError) as info:
+            parse_density_json(case["text"])
+        assert str(info.value) == case["message"], case["case"]
+
+
 # --- integration ---------------------------------------------------------------
 
 
@@ -225,6 +241,97 @@ def test_dyadic_masses_partition_unity():
     d = random_poly_density(rng)
     for level in range(5):
         assert float(np.sum(target_law(d, level))) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- the coefficient matrix against numpy.polynomial, per segment -----------------
+
+
+def polynomial_masses(segments, edges):
+    """The per-segment rule: P.polyint, then P.polyval at the edges clipped
+    to [lo, hi], each segment's differences added in segment order."""
+    edges = np.asarray(edges, dtype=float)
+    out = np.zeros(len(edges) - 1)
+    for s in segments:
+        x = np.clip(edges, s.lo, s.hi)
+        fa, fb = P.polyval(np.array([x[:-1], x[1:]]), P.polyint(s.coeffs))
+        out += fb - fa
+    return out
+
+
+def polynomial_minimum(s) -> float:
+    """Smallest of P.polyval at lo, hi and each clipped real part of
+    P.polyroots of the derivative, its leading coefficients within rounding
+    of the largest trimmed, by Python's min."""
+    der = P.polyder(s.coeffs)
+    der = P.polytrim(der, np.finfo(float).eps * np.max(np.abs(der)))
+    xs = np.clip(P.polyroots(der).real, s.lo, s.hi)
+    return min(P.polyval(np.array([s.lo, s.hi, *xs]), s.coeffs).tolist())
+
+
+def coefficient_matrix(segments):
+    """lo, hi and the zero-padded coefficient matrix of segments."""
+    width = max(len(s.coeffs) for s in segments)
+    c = np.array([[*s.coeffs, *[0.0] * (width - len(s.coeffs))] for s in segments])
+    return np.array([s.lo for s in segments]), np.array([s.hi for s in segments]), c
+
+
+@st.composite
+def matrix_cases(draw):
+    """(density, raw segments) for 1-8 segments of degree 0-6.
+
+    Breakpoints are dyadic or not; each join and each end is off by up to
+    1e-12; a segment may be zero or end in a subnormal coefficient. Every
+    segment is lifted to a drawn floor in [0.1, 1] on [0, 1] and the whole
+    scaled to the per-segment total; the raw segments keep the unlifted
+    constant term, so some of their minima are negative.
+    """
+    k = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(1, 255), min_size=k - 1, max_size=k - 1,
+                                unique=True)))
+    jitter = st.floats(-1.0 / 1024, 1.0 / 1024)
+    edges = [0.0, *(c / 256 + draw(st.sampled_from([0.0, draw(jitter)])) for c in cuts), 1.0]
+    offset = st.floats(-1e-12, 1e-12)
+    ends = [draw(offset), *(e + draw(offset) for e in edges[1:-1]), 1.0 + draw(offset)]
+    ends = [e if abs(e - x) <= 1e-12 else x for e, x in zip(ends, edges)]
+    lifted, raw = [], []
+    for i in range(k):
+        lo, hi = ends[i] if i == 0 else edges[i], ends[i + 1]
+        deg = draw(st.integers(0, 6))
+        c = draw(st.lists(st.floats(-1.0, 1.0), min_size=deg + 1, max_size=deg + 1))
+        if draw(st.integers(0, 5)) == 0:
+            c = [0.0] * (deg + 1)
+        if draw(st.integers(0, 5)) == 0:
+            c.append(draw(st.sampled_from([1e-310, 5e-324, 2.2e-308])))
+        floor = 0.0 if not any(c) else draw(st.floats(0.1, 1.0))
+        raw.append(DensitySegment(lo, hi, tuple(c)))
+        lifted.append(DensitySegment(lo, hi, (floor - sum(min(x, 0.0) for x in c[1:]), *c[1:])))
+    if not any(any(s.coeffs) for s in lifted):
+        lifted[0] = DensitySegment(lifted[0].lo, lifted[0].hi, (1.0,))
+    total = float(polynomial_masses(lifted, [0.0, 1.0])[0])
+    d = PiecewisePolyDensity(tuple(
+        DensitySegment(s.lo, s.hi, tuple(x / total for x in s.coeffs)) for s in lifted))
+    return d, raw
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrix_cases(), st.integers(0, 12),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(0, 4))
+def test_coefficient_matrix_equals_the_per_segment_rule(case, n, points, repeats):
+    """masses, target_law and each segment's minimum equal numpy.polynomial's
+    per-segment rule byte for byte, on dyadic edges and on arbitrary sorted
+    edges with repeats."""
+    d, raw = case
+    dyadic = np.arange(2**n + 1) / 2.0**n
+    assert target_law(d, n).tobytes() == polynomial_masses(d.segments, dyadic).tobytes()
+    edges = np.sort(np.concatenate([points, points[:repeats]]))
+    assert d.masses(edges).tobytes() == polynomial_masses(d.segments, edges).tobytes()
+    for segments in (d.segments, raw):
+        want = np.array([polynomial_minimum(s) for s in segments])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _minima(*coefficient_matrix(segments)).tobytes() == want.tobytes()
+    for s in d.segments:
+        a, b = np.clip(edges[[0, -1]], s.lo, s.hi)
+        assert s.mass(a, b).tobytes() == polynomial_masses([s], [a, b]).tobytes()
 
 
 # --- angles ------------------------------------------------------------------------

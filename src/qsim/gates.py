@@ -14,10 +14,11 @@ reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors; one column check validates a
-container and, on columns of length one, a single gate object. In text, a
-wire gate that carries its rotation angle is a ROT line, and any other a
-CTRL line with its block; both spell the controls as one wire pattern. The
-reader takes a file's gate lines in whole-text array passes, not line by line.
+container and, on columns of length one, a single gate object. A wire gate
+with an angle has the block rotation(angle), built from it; only the other
+gates' blocks are given, and only given blocks are tested for unitarity. In
+text, a wire gate with an angle is a ROT line, and any other a CTRL line
+with its block; both spell the controls as one wire pattern.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -41,6 +42,7 @@ from .linalg import UNITARY_TOL, as_count
 from .qpu import bitstring, bitstring_positions, decode, position_bitstring
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
+_NOT_UNITARY = "gate block is not unitary within tolerance"
 
 
 class CircuitParseError(ValueError):
@@ -73,8 +75,7 @@ def _check_blocks(blocks) -> np.ndarray:
         g11 = abs(b) ** 2 + abs(d) ** 2 - 1.0
         g01 = a.conj() * b + c.conj() * d
         unitary = np.sqrt(g00 * g00 + g11 * g11 + 2.0 * abs(g01) ** 2) <= UNITARY_TOL
-    if not unitary.all():
-        raise ValueError("gate block is not unitary within tolerance")
+    _reject(~unitary, _NOT_UNITARY)
     v.setflags(write=False)
     return v
 
@@ -92,21 +93,22 @@ def as_reals(name: str, x) -> np.ndarray:
     return a.astype(np.float64)
 
 
-def _columns(blocks, *ints) -> list[np.ndarray]:
-    """The checked blocks, then each of ints as an int64 array (a float or
-    a bool, even one bool in a list, is a TypeError), all of one length and
-    read-only."""
+def _columns(*ints) -> list[np.ndarray]:
+    """Each of ints as a read-only int64 array; a float or a bool, even one
+    bool in a list, is a TypeError."""
     # np.asarray reads a bool among ints as 1: a list holding one is read as
     # bools, so it fails as an all-bool column does.
     ints = [np.asarray(x, bool if not isinstance(x, np.ndarray) and any(
         isinstance(v, (bool, np.bool_)) for v in x) else None) for x in ints]
     ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe") for x in ints]
-    columns = [_check_blocks(blocks), *ints]
+    for c in ints:
+        c.setflags(write=False)
+    return ints
+
+
+def _same_length(*columns) -> None:
     if len({len(c) for c in columns}) > 1:
         raise ValueError("gate columns differ in length")
-    for c in columns:
-        c.setflags(write=False)
-    return columns
 
 
 def _reject(bad: np.ndarray, message: str, *columns) -> None:
@@ -117,37 +119,31 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
         raise ValueError(message.format(*(c[k].item() for c in columns)))
 
 
-def _wire_columns(n: int, target, mask, value, blocks, angle,
-                  rotate=None) -> dict[str, np.ndarray]:
+def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as WireGate documents
-    one gate; angle is NaN for a gate without one, and a gate with one has
-    the block rotation(angle). Without rotate, blocks holds every gate's
-    block, each compared with that. rotate marks the gates (True: all) whose
-    block is built here from the angle instead, each cos and sin computed
-    once; blocks then holds only the other gates' blocks, in order, or None."""
+    one gate. A gate whose angle is not NaN has the block rotation(angle),
+    built here in one cos and sin pass, and unitary exactly when the angle
+    is finite. blocks lists the NaN-angle gates' blocks, in order, or is
+    None when there are none; only these given blocks are Gram-tested."""
     n = as_count("n", n)
     if n > MAX_WIRES:
         raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
-    if rotate is not None:
-        rotate = np.broadcast_to(rotate, angle.shape[:1])
-        given = np.empty((0, 2, 2)) if blocks is None else np.asarray(blocks, np.complex128)
-        if len(given) != len(angle) - np.count_nonzero(rotate):
-            raise ValueError("gate columns differ in length")
-        blocks = rotations(angle)
-        blocks[~rotate] = given
-    blocks, target, mask, value = _columns(blocks, target, mask, value)
-    if len(angle) != len(blocks):
-        raise ValueError("gate columns differ in length")
+    target, mask, value = _columns(target, mask, value)
+    given = _check_blocks(np.empty((0, 2, 2)) if blocks is None else blocks)
+    _reject(np.isinf(angle), _NOT_UNITARY)
+    at = np.isnan(angle)  # the gates whose blocks are given
+    _same_length(target, mask, value, angle)
+    _same_length(given, angle[at])
+    blocks = rotations(angle)
+    blocks[at] = given
+    blocks.setflags(write=False)
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
     _reject((mask < 0) | (mask >= 1 << n), f"mask {{}} out of range for n={n}", mask)
     stride = np.left_shift(1, n - target)
     _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
     _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
-    if rotate is None:
-        wrong = ~np.isnan(angle) & (blocks != rotations(angle)).any(axis=(1, 2))
-        _reject(wrong, "block is not rotation({!r})", angle)
     return dict(n=n, target=target, mask=mask, value=value, blocks=blocks, angle=angle)
 
 
@@ -156,7 +152,8 @@ def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
     dim = as_count("dim", dim)
     if dim < 2:
         raise ValueError("ambient dimension must be at least 2")
-    blocks, i, j = _columns(blocks, i, j)
+    (i, j), blocks = _columns(i, j), _check_blocks(blocks)
+    _same_length(blocks, i, j)
     bad = (i < 1) | (i >= j) | (j > dim)
     _reject(bad, f"coordinates ({{}}, {{}}) invalid for dim {dim}", i, j)
     return dict(dim=dim, i=i, j=j, blocks=blocks)
@@ -175,8 +172,8 @@ class WireGate:
 
     mask and value are ints over array-position bits, bit n - w for wire w:
     wire w is a control iff its mask bit is set, and must then carry its
-    value bit; mask = 0 is a gate without controls. angle records that v is
-    exactly rotation(angle), for the ROT line.
+    value bit; mask = 0 is a gate without controls. With an angle, the block
+    is rotation(angle), built from it, and a different v is rejected.
     """
 
     n: int
@@ -188,7 +185,10 @@ class WireGate:
 
     def __post_init__(self):
         angle = math.nan if self.angle is None else self.angle
-        c = _wire_columns(self.n, [self.target], [self.mask], [self.value], [self.v], [angle])
+        given = None if angle == angle else [self.v]  # NaN != NaN: no angle
+        c = _wire_columns(self.n, [self.target], [self.mask], [self.value], given, [angle])
+        if given is None and not np.array_equal(self.v, c["blocks"][0]):
+            raise ValueError(f"block is not rotation({c['angle'][0].item()!r})")
         for name in ("target", "mask", "value"):
             self.__dict__[name] = c[name][0].item()
         self.__dict__.update(n=c["n"], v=c["blocks"][0])
@@ -402,11 +402,11 @@ def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
 class Circuit:
     """Wire gates on n wires as columns, gate 0 acting first.
 
-    Gate k is WireGate(n, target[k], blocks[k], mask[k], value[k],
-    angle[k]), with angle[k] NaN for a gate without a ROT angle. The
-    columns are checked as WireGate checks one gate and stored read-only.
-    With blocks None, every gate carries an angle and its block is built
-    from it, once.
+    Gate k is WireGate(n, target[k], blocks[k], mask[k], value[k], angle[k]),
+    angle[k] NaN for a gate without a ROT angle. Passed in, blocks lists only
+    the NaN-angle gates' blocks, in order, or is None; the others are built
+    from their angles. The columns are checked as WireGate checks one gate
+    and stored read-only.
     """
 
     n: int
@@ -418,8 +418,7 @@ class Circuit:
 
     def __post_init__(self):
         columns = self.target, self.mask, self.value, self.blocks, self.angle
-        rotate = True if self.blocks is None else None  # every block from its angle
-        self.__dict__.update(_wire_columns(self.n, *columns, rotate))
+        self.__dict__.update(_wire_columns(self.n, *columns))
 
     @property
     def gates(self) -> tuple[WireGate, ...]:
@@ -619,17 +618,18 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError(f"n must be at most {MAX_WIRES}, got {n}")
     k = len(lines)
     target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
-    angle, rot, blocks = np.full(k, math.nan), np.zeros(k, dtype=bool), None
+    angle, rot, blocks = np.full(k, math.nan), [], None
     try:
         for kind, (index, fields) in _gate_fields(lines, _CIRCUIT_ARITY).items():
             at = 3 if kind == "ROT" else 2  # the pattern field
             target[index], mask[index], value[index] = _pattern_columns(
                 n, _numbers(fields[:, 1], np.int64), fields[:, at])
             if kind == "ROT":  # its block is built from the angle
-                angle[index], rot[index] = _numbers(fields[:, 2]), True
+                rot, angle[index] = index, _numbers(fields[:, 2])
             else:  # the blocks of the CTRL lines, in file order
                 blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
-        return _unchecked(Circuit, **_wire_columns(n, target, mask, value, blocks, angle, rot))
+        _reject(np.isnan(angle[rot]), _NOT_UNITARY)  # a ROT line's NaN angle: a NaN block
+        return _unchecked(Circuit, **_wire_columns(n, target, mask, value, blocks, angle))
     except CircuitParseError:
         raise
     except (ValueError, OverflowError) as exc:  # OverflowError: an n no array can index

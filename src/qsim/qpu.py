@@ -158,10 +158,14 @@ def qpu_observable(factors) -> QpuObservable:
         raise ValueError("at least one factor is required")
     # The product's eigenpairs are the Kronecker products of the factors'. w
     # is in array-position order, so label k's value sits at k's position.
-    mat, v = (reduce(np.kron, [getattr(f, k) for f in obs_factors])
-              for k in ("mat", "eigenvectors"))
+    # An outer product chain has axes (i1, j1, ..., in, jn) and multiplies in
+    # factor order, as np.kron does; with the i axes first it is their product.
+    n = len(obs_factors)
+    rows_first = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    mat, v = (reduce(np.multiply.outer, [getattr(f, k) for f in obs_factors])
+              .transpose(rows_first).reshape(2**n, 2**n) for k in ("mat", "eigenvectors"))
     w = reduce(np.multiply.outer, [f.eigenvalues for f in obs_factors]).ravel()
-    order, n = np.argsort(w, kind="stable"), len(obs_factors)
+    order = np.argsort(w, kind="stable")
     realized = Observable.from_eig(mat, w[order], v[:, order])
     return QpuObservable(n, tuple(obs_factors), realized, w[label_permutation(n)])
 

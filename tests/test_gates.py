@@ -64,14 +64,15 @@ def random_unitary2(rng):
 
 
 def circuit(n, gates=()):
-    """The Circuit of wire gates on n wires, in sequence order."""
+    """The Circuit of wire gates on n wires, in sequence order: a gate with
+    an angle passes only the angle, and its block is built from it."""
     gates = list(gates)
     return Circuit(
         n,
         np.array([g.target for g in gates], dtype=np.int64),
         np.array([g.mask for g in gates], dtype=np.int64),
         np.array([g.value for g in gates], dtype=np.int64),
-        np.array([g.v for g in gates]).reshape(-1, 2, 2),
+        np.array([g.v for g in gates if g.angle is None]).reshape(-1, 2, 2),
         [math.nan if g.angle is None else g.angle for g in gates],
     )
 
@@ -916,7 +917,7 @@ def test_circuit_rejects_mismatched_gate_dims():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Circuit(n, [1], [0], [0], eye, angle)
-    c = Circuit(np.int64(2), [1], [0], [0], eye, np.array([0.0], dtype=np.float32))
+    c = Circuit(np.int64(2), [1], [0], [0], None, np.array([0.0], dtype=np.float32))
     assert type(c.n) is int and format_circuit(c) == "QSIM-CIRCUIT v2 n=2\nROT 1 0 .\n"
 
 
@@ -1034,21 +1035,66 @@ def test_controlled_gate_carries_its_angle():
 
 
 def test_circuit_builds_blocks_from_angles():
-    """With blocks None, every block is built from its angle: the columns a
-    caller passing rotations(angle) gets, read-only. A NaN angle gives a
-    NaN block, rejected as not unitary, and columns still agree in length."""
+    """With blocks None, every block is built from its angle: byte for byte
+    rotations(angle), read-only. A NaN angle is a gate whose block must be
+    given, and columns still agree in length."""
     angle = np.array([0.0, 0.3, math.pi / 2, 1e-300, 2.5])
     target, zeros = [1, 2, 1, 2, 1], [0] * 5
     built = Circuit(2, target, zeros, zeros, None, angle)
-    given = Circuit(2, target, zeros, zeros, rotations(angle), angle)
+    assert built.blocks.tobytes() == rotations(angle).tobytes()
+    assert built.angle.tobytes() == angle.tobytes()
     for name in ("target", "mask", "value", "blocks", "angle"):
-        assert getattr(built, name).tobytes() == getattr(given, name).tobytes(), name
         assert not getattr(built, name).flags.writeable, name
-    assert format_circuit(built) == format_circuit(given)
-    with pytest.raises(ValueError, match="^gate block is not unitary within tolerance$"):
+    with pytest.raises(ValueError, match="^gate columns differ in length$"):
         Circuit(1, [1], [0], [0], None, [math.nan])
     with pytest.raises(ValueError, match="^gate columns differ in length$"):
         Circuit(1, [1, 1], [0, 0], [0, 0], None, [0.5])
+
+
+def test_only_given_blocks_are_gram_tested(monkeypatch):
+    """A block built from a finite angle is a rotation, unitary by
+    construction: synthesis hands no block to the Gram test, and a parsed
+    file or a Circuit only the blocks of its CTRL gates."""
+    from qsim import grover_rudolph as gr
+
+    rows, check = [], gates._check_blocks
+    monkeypatch.setattr(gates, "_check_blocks", lambda b: rows.append(len(b)) or check(b))
+    density = gr.load_density(resources.files("qsim.data") / "triangular.json")
+    assert circuit_length(gr.synthesize(gr.angle_tree(density, 8))) == 255
+    assert sum(rows) == 0
+    flip, eye = " 0 0 1 0 1 0 0 0", " 1 0 0 0 0 0 1 0"
+    lines = ["ROT 1 0.5 .", "CTRL 2 ." + eye, "ROT 2 0.25 0", "CTRL 1 1" + flip,
+             "ROT 2 -1 1", "CTRL 2 0" + flip, "ROT 1 3 ."]
+    rows.clear()
+    c = parse_circuit("QSIM-CIRCUIT v2 n=2\n" + "\n".join(lines) + "\n")
+    assert (circuit_length(c), sum(rows)) == (7, 3)
+    ctrl_blocks = [np.eye(2), FLIP]
+    rows.clear()
+    angle = [0.5, math.nan, 1.0, math.nan]
+    Circuit(2, [1, 2, 1, 2], [0, 0, 0, 2], [0, 0, 0, 2], ctrl_blocks, angle)
+    assert sum(rows) == len(ctrl_blocks)
+
+
+def test_a_built_block_needs_a_finite_angle():
+    """rotation(angle) is unitary exactly when angle is finite: an infinite
+    angle is rejected as the Gram test rejects a block, and a huge finite
+    one builds, writes and reads back byte for byte."""
+    message = "gate block is not unitary within tolerance"
+    for angle in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(1, [1], [0], [0], None, [angle])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WireGate(n=1, target=1, v=rotation(0.5), angle=angle)
+    with pytest.raises(CircuitParseError) as info:
+        parse_circuit("QSIM-CIRCUIT v2 n=2\nROT 1 -inf .\n")
+    assert str(info.value) == f"bad gate: {message}"
+    c = Circuit(2, [1], [0], [0], None, [1e300])
+    text = format_circuit(c)
+    assert text == "QSIM-CIRCUIT v2 n=2\nROT 1 1.0000000000000001e+300 .\n"
+    back = parse_circuit(text)
+    for name in ("target", "mask", "value", "blocks", "angle"):
+        assert getattr(back, name).tobytes() == getattr(c, name).tobytes(), name
+    assert format_circuit(back) == text
 
 
 def test_format_gate_pins():
@@ -1418,7 +1464,8 @@ def circuit_files(draw):
         columns[0].append(target)
         columns[1].append(int(wires.replace("0", "1").replace(".", "0"), 2))
         columns[2].append(int(wires.replace(".", "0"), 2))
-        columns[3].append(random_unitary2(rng) if angle is None else rotation(angle))
+        if angle is None:  # only a gate without an angle passes its block
+            columns[3].append(random_unitary2(rng))
         columns[4].append(math.nan if angle is None else angle)
     target, mask, value, blocks, angle = columns
     ints = (np.array(c, dtype=np.int64) for c in (target, mask, value))

@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from qsim import qpu
-from qsim.gates import (Circuit, circuit_length, format_circuit, parse_circuit, rotation,
-                        rotations)
+from qsim.gates import Circuit, circuit_length, format_circuit, parse_circuit, rotation
 from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
@@ -905,10 +904,10 @@ def per_level_circuit(n, theta, levels, prune=False):
     m = np.repeat(np.arange(n), 1 << np.arange(n))
     s = np.concatenate([np.arange(2**k) for k in range(n)])
     bits = (((s >> i) & 1) << np.maximum(m - 1 - i, 0) for i in range(n - 1))
-    columns = [n - m, (1 << m) - 1, sum(bits, np.zeros_like(s)), rotations(flat), flat]
+    columns = [n - m, (1 << m) - 1, sum(bits, np.zeros_like(s)), flat]
     if prune:
         columns = [c[flat != 0.0] for c in columns]
-    return Circuit(n, *columns)
+    return Circuit(n, *columns[:3], None, columns[3])
 
 
 def per_level_json(n, theta, levels):

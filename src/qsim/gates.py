@@ -1,20 +1,20 @@
 """Elementary gates, gate sequences, and their text serialization.
 
 A gate is a 2x2 unitary together with an embedding that places it in the
-register unitary group. A WireGate applies its block to a target wire
+register unitary group. A wire gate applies its block to a target wire
 wherever a set of control wires, possibly empty, carries a bit pattern;
 the other wires are free. A TwoLevelGate mixes two basis coordinates of
 the ambient space directly.
 
 Wires are numbered 1..n with wire 1 the leftmost Kronecker factor, which
-is array-position bit n - w for wire w (qpu.tensor_index); a WireGate's
+is array-position bit n - w for wire w (qpu.tensor_index); a wire gate's
 control mask and value are ints over those position bits. A circuit
 applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does
-a Decomposition its two-level factors; one column check validates a
-container and, on columns of length one, a single gate object. A wire gate
+a Decomposition its two-level factors. A single wire gate is a Circuit of
+length one, so one column check validates every gate sequence. A wire gate
 with an angle has the block rotation(angle), built from it; only the other
 gates' blocks are given, and only given blocks are tested for unitarity. In
 text, a wire gate with an angle is a ROT line, and any other a CTRL line
@@ -65,6 +65,8 @@ def _check_blocks(blocks) -> np.ndarray:
     """blocks as a read-only C-ordered complex array of shape (k, 2, 2),
     each block unitary by the closed-form 2x2 Gram test."""
     v = np.array(blocks, dtype=np.complex128, order="C")
+    if v.shape == (0,):  # an empty list holds no blocks
+        v = v.reshape(0, 2, 2)
     if v.shape[1:] != (2, 2):
         raise ValueError(f"gate block must be 2x2, got {v.shape[1:]}")
     # The Frobenius norm of g = v*v - I that linalg.is_unitary measures,
@@ -95,11 +97,13 @@ def as_reals(name: str, x) -> np.ndarray:
 
 def _columns(*ints) -> list[np.ndarray]:
     """Each of ints as a read-only int64 array; a float or a bool, even one
-    bool in a list, is a TypeError."""
+    bool in a list, is a TypeError; an empty list is an empty column."""
     # np.asarray reads a bool among ints as 1: a list holding one is read as
-    # bools, so it fails as an all-bool column does.
-    ints = [np.asarray(x, bool if not isinstance(x, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in x) else None) for x in ints]
+    # bools, so it fails as an all-bool column does. It reads an empty list
+    # as float64, which the safe cast would refuse.
+    ints = [x if isinstance(x, np.ndarray)
+            else np.asarray(x, bool) if any(isinstance(v, (bool, np.bool_)) for v in x)
+            else np.asarray(x, None if len(x) else np.int64) for x in ints]
     ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe") for x in ints]
     for c in ints:
         c.setflags(write=False)
@@ -120,8 +124,8 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
 
 
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
-    """The checked columns of wire gates on n wires, as WireGate documents
-    one gate. A gate whose angle is not NaN has the block rotation(angle),
+    """The checked columns of wire gates on n wires, as Circuit documents
+    them. A gate whose angle is not NaN has the block rotation(angle),
     built here in one cos and sin pass, and unitary exactly when the angle
     is finite. blocks lists the NaN-angle gates' blocks, in order, or is
     None when there are none; only these given blocks are Gram-tested."""
@@ -131,7 +135,7 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
     target, mask, value = _columns(target, mask, value)
-    given = _check_blocks(np.empty((0, 2, 2)) if blocks is None else blocks)
+    given = _check_blocks([] if blocks is None else blocks)
     _reject(np.isinf(angle), _NOT_UNITARY)
     at = np.isnan(angle)  # the gates whose blocks are given
     _same_length(target, mask, value, angle)
@@ -160,38 +164,10 @@ def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
 
 
 def _unchecked(cls, **fields):
-    """A gate object from entries of columns that were checked already."""
+    """A gate or circuit object from parts of columns that were checked already."""
     g = object.__new__(cls)
     g.__dict__.update(fields)
     return g
-
-
-@dataclass(frozen=True, eq=False)
-class WireGate:
-    """v on wire target wherever every control wire carries its bit.
-
-    mask and value are ints over array-position bits, bit n - w for wire w:
-    wire w is a control iff its mask bit is set, and must then carry its
-    value bit; mask = 0 is a gate without controls. With an angle, the block
-    is rotation(angle), built from it, and a different v is rejected.
-    """
-
-    n: int
-    target: int
-    v: np.ndarray
-    mask: int = 0
-    value: int = 0
-    angle: float | None = None
-
-    def __post_init__(self):
-        angle = math.nan if self.angle is None else self.angle
-        given = None if angle == angle else [self.v]  # NaN != NaN: no angle
-        c = _wire_columns(self.n, [self.target], [self.mask], [self.value], given, [angle])
-        if given is None and not np.array_equal(self.v, c["blocks"][0]):
-            raise ValueError(f"block is not rotation({c['angle'][0].item()!r})")
-        for name in ("target", "mask", "value"):
-            self.__dict__[name] = c[name][0].item()
-        self.__dict__.update(n=c["n"], v=c["blocks"][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +266,7 @@ def _chain(n: int, target: int, mask: int, value: int, block) -> np.ndarray:
 
 def wire_gate(n: int, j: int, v) -> np.ndarray:
     """Realize v on wire j of an n-wire register."""
-    return realize_gate(WireGate(n, j, v))
+    return realize_gate(Circuit(n, [j], [0], [0], [v], [math.nan]))
 
 
 def control_projector(n: int, ell: int, z, v) -> np.ndarray:
@@ -314,7 +290,7 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     whose non-target bits match z are mixed by v.
     """
     mask, value = _controls(n, ell, z)
-    return realize_gate(WireGate(n, ell, v, mask, value))
+    return realize_gate(Circuit(n, [ell], [mask], [value], [v], [math.nan]))
 
 
 def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
@@ -328,7 +304,7 @@ def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
         raise ValueError(f"suffix length {len(text)} != stage-1 = {stage - 1}")
     # The suffix wires are the low stage - 1 position bits, the first one highest.
     target, mask = stage_layout(n, stage)
-    return realize_gate(WireGate(n, target, v, mask, int(text or "0", 2)))
+    return realize_gate(Circuit(n, [target], [mask], [int(text or "0", 2)], [v], [math.nan]))
 
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
@@ -340,12 +316,15 @@ def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
     return out
 
 
-def realize_gate(g: WireGate) -> np.ndarray:
-    """Dense matrix of a single wire gate, built without gate_runs: v where
-    the controls match and the identity elsewhere. The two chains share
-    their support, so every entry is exactly one entry of v or of I."""
-    rest = np.eye(2**g.n, dtype=np.complex128) - _chain(g.n, g.target, g.mask, g.value, _EYE)
-    return _chain(g.n, g.target, g.mask, g.value, g.v) + rest
+def realize_gate(g: Circuit) -> np.ndarray:
+    """Dense matrix of a one-gate circuit, built without gate_runs: its block
+    where the controls match and the identity elsewhere. The two chains share
+    their support, so every entry is exactly one entry of the block or of I."""
+    if len(g.target) != 1:
+        raise ValueError(f"realize_gate takes a one-gate circuit, got {len(g.target)} gates")
+    wires = g.n, g.target[0].item(), g.mask[0].item(), g.value[0].item()
+    rest = np.eye(2**g.n, dtype=np.complex128) - _chain(*wires, _EYE)
+    return _chain(*wires, g.blocks[0]) + rest
 
 
 def gate_runs(c: Circuit):
@@ -400,13 +379,17 @@ def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Wire gates on n wires as columns, gate 0 acting first.
+    """Wire gates on n wires as columns, gate 0 acting first; a single gate
+    is a Circuit of length one.
 
-    Gate k is WireGate(n, target[k], blocks[k], mask[k], value[k], angle[k]),
-    angle[k] NaN for a gate without a ROT angle. Passed in, blocks lists only
-    the NaN-angle gates' blocks, in order, or is None; the others are built
-    from their angles. The columns are checked as WireGate checks one gate
-    and stored read-only.
+    Gate k applies blocks[k] on wire target[k] wherever every control wire
+    carries its bit. mask[k] and value[k] are ints over array-position bits,
+    bit n - w for wire w: wire w is a control iff its mask bit is set, and
+    must then carry its value bit; mask 0 is a gate without controls.
+    angle[k] is NaN for a gate without a ROT angle, and any other gate has
+    the block rotation(angle[k]), built from it. Passed in, blocks lists only
+    the NaN-angle gates' blocks, in order, or is None. The columns are
+    checked and stored read-only.
     """
 
     n: int
@@ -421,14 +404,13 @@ class Circuit:
         self.__dict__.update(_wire_columns(self.n, *columns))
 
     @property
-    def gates(self) -> tuple[WireGate, ...]:
-        """The gates as WireGate objects, built on each read."""
-        columns = (self.target.tolist(), self.mask.tolist(), self.value.tolist(),
-                   self.blocks, self.angle.tolist())
+    def gates(self) -> tuple[Circuit, ...]:
+        """Each gate as a one-gate Circuit of row slices of the checked
+        columns, built on each read and not checked again."""
+        columns = self.target, self.mask, self.value, self.blocks, self.angle
         return tuple(
-            _unchecked(WireGate, n=self.n, target=t, v=v, mask=m, value=b,
-                       angle=None if math.isnan(a) else a)
-            for t, m, b, v, a in zip(*columns)
+            _unchecked(Circuit, n=self.n, target=t, mask=m, value=b, blocks=v, angle=a)
+            for t, m, b, v, a in zip(*(c[:, None] for c in columns))  # rows of length one
         )
 
 
@@ -629,7 +611,7 @@ def parse_circuit(text: str) -> Circuit:
             else:  # the blocks of the CTRL lines, in file order
                 blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
         _reject(np.isnan(angle[rot]), _NOT_UNITARY)  # a ROT line's NaN angle: a NaN block
-        return _unchecked(Circuit, **_wire_columns(n, target, mask, value, blocks, angle))
+        return Circuit(n, target, mask, value, blocks, angle)
     except CircuitParseError:
         raise
     except (ValueError, OverflowError) as exc:  # OverflowError: an n no array can index

@@ -69,16 +69,10 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     within UNITARY_TOL and guarantees the reconstruction residual
     ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
     """
-    return checked_eig(a, np.linalg.eigh)
-
-
-def checked_eig(a, eig) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) = eig(a) under hermitian_eig's checks, whatever eig is: ValueError
-    before eig when a is not Hermitian, ArithmeticError when V diag(w) V* misses a."""
     a = as_matrix(a)
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = eig(a)
+    w, v = np.linalg.eigh(a)
     residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
     if residual > UNITARY_TOL * max(float(np.linalg.norm(a)), 1.0):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} exceeds tolerance")

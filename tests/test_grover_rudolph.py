@@ -495,9 +495,8 @@ def test_single_qubit_circuit_is_one_rotation():
     tree = angle_tree(d, 1)
     c = synthesize(tree)
     assert circuit_length(c) == 1
-    g = c.gates[0]
-    assert (g.target, g.mask, g.value) == (1, 0, 0)
-    assert g.angle == tree.theta
+    assert (c.target.tolist(), c.mask.tolist(), c.value.tolist()) == ([1], [0], [0])
+    assert c.angle.tolist() == [tree.theta]
 
 
 def test_unpruned_circuit_length_is_full():
@@ -508,9 +507,9 @@ def test_unpruned_circuit_length_is_full():
 
 
 def _suffix(g):
-    """The control bits of a synthesized gate, the wires after its target,
-    in wire order."""
-    return qpu.position_bitstring(g.value, g.n)[g.target :]
+    """The control bits of a synthesized gate, a one-gate circuit: the wires
+    after its target, in wire order."""
+    return qpu.position_bitstring(g.value[0].item(), g.n)[g.target[0].item() :]
 
 
 def test_circuit_gate_layout():
@@ -518,11 +517,10 @@ def test_circuit_gate_layout():
     controlled by the trailing l - 1 wires, one gate per suffix."""
     tree = angle_tree(triangular(), 3)
     c = synthesize(tree)
-    g = c.gates[0]
-    assert (g.target, g.mask, g.angle) == (3, 0, tree.theta)
+    assert (c.target[0], c.mask[0], c.angle[0]) == (3, 0, tree.theta)
     # Stage 2 is controlled by wire 3 (position bit 0), stage 3 by wires 2
     # and 3 (position bits 1 and 0); suffix (1, 0) is wire 2 = 1, position 2.
-    layout = [(g.target, g.mask, g.value, _suffix(g)) for g in c.gates[1:]]
+    layout = [(g.target[0], g.mask[0], g.value[0], _suffix(g)) for g in c.gates[1:]]
     assert layout == [
         (2, 1, 0, "0"),
         (2, 1, 1, "1"),
@@ -532,8 +530,8 @@ def test_circuit_gate_layout():
         (1, 3, 3, "11"),
     ]
     for g in c.gates[1:]:
-        assert g.angle == tree.suffix_angle(_suffix(g))
-        assert np.array_equal(g.v, rotation(g.angle))
+        assert g.angle[0] == tree.suffix_angle(_suffix(g))
+        assert np.array_equal(g.blocks[0], rotation(g.angle[0]))
 
 
 def test_pruning_drops_exact_identity_rotations_only():
@@ -542,10 +540,10 @@ def test_pruning_drops_exact_identity_rotations_only():
     pruned = synthesize(tree, prune=True)
     assert circuit_length(full) == 7
     assert circuit_length(pruned) == 4
-    kept_angles = [g.angle for g in pruned.gates]
+    kept_angles = pruned.angle.tolist()
     for g, angle in zip(pruned.gates, kept_angles):
         assert angle == tree.suffix_angle(_suffix(g))
-        assert np.array_equal(g.v, rotation(angle))
+        assert np.array_equal(g.blocks[0], rotation(angle))
     kept_angles.sort()
     want = sorted(
         [math.acos(math.sqrt(2.0 / 3.0)), math.pi / 4, math.pi / 2, math.pi / 2]

@@ -266,6 +266,29 @@ def test_qpu_observable_law_equals_the_dense_eigensolve():
             assert np.max(np.abs(np.subtract(got.probabilities(), want.probabilities()))) < 1e-12
 
 
+def test_qpu_observable_checks_no_register_sized_matrix(monkeypatch):
+    """The factors are checked one 2x2 at a time, and realized keeps the
+    Kronecker products of their eigenpairs as they are: no hermiticity
+    test, eigensolve or norm runs on a 2^n x 2^n matrix."""
+    from qsim import linalg
+
+    shapes = []
+
+    def counted(f):
+        return lambda a, *args, **kwargs: shapes.append(np.shape(a)) or f(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_hermitian", counted(linalg.is_hermitian))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm))
+    rng = np.random.default_rng(84)
+    for n in (3, 7):
+        for factors in ([random_hermitian(rng, 2) for _ in range(n)], None):
+            shapes.clear()
+            obs = standard_observable(n) if factors is None else qpu_observable(factors)
+            assert obs.realized.mat.shape == obs.realized.eigenvectors.shape == (2**n, 2**n)
+            assert shapes and set(shapes) <= {(2, 2)}, set(shapes)
+
+
 def test_qpu_observable_rejects_bad_factors():
     with pytest.raises(ValueError):
         qpu_observable([np.eye(3)])

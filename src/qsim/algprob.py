@@ -1,6 +1,9 @@
 """States, observables, and measurement laws on dense matrices.
 
 A state is a density matrix: Hermitian, positive semidefinite, trace one.
+Positivity is certified by a Cholesky factorization of rho + STATE_TOL * I,
+which exists exactly when every eigenvalue exceeds -STATE_TOL; the spectrum
+is computed only for validate_state's rank and for a failure's message.
 An observable (random variable) is a Hermitian matrix; measuring it in a
 state produces its eigenvalues with probabilities Re tr(rho P), where P
 projects onto the eigenspace. law sums <v|rho|v> over each eigenspace's
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector, cluster_indices
-from .linalg import hermitian_eig, is_hermitian, is_unitary
+from .linalg import UNITARY_TOL, hermitian_eig, is_hermitian, is_unitary
 
 STATE_TOL = 1e-10
 # Probabilities in [-NEGATIVE_PROB_TOL, 0) are rounding noise and clamp to
@@ -116,32 +119,55 @@ def pure_state(psi) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-def validate_state(rho: DensityMatrix) -> int:
-    """Check the three density-matrix conditions and return the rank.
+def _check_state(mat: np.ndarray) -> np.ndarray:
+    """validate_state's three checks, in its order, on a complex matrix;
+    returns the hermitized matrix (A + A*) / 2.
 
-    Raises StateValidationError naming the violated condition: "hermitian"
-    (A = A*), "eigenvalues" (all >= -STATE_TOL), or "trace" (tr = 1). The
-    rank is the number of eigenvalues exceeding STATE_TOL.
+    Positivity holds when the Cholesky factorization of the hermitized
+    matrix plus STATE_TOL on its diagonal exists. Only when it does not is
+    the smallest eigenvalue computed, which decides within rounding of
+    -STATE_TOL and is named in the message.
     """
-    mat = as_matrix(rho.mat)
     if mat.shape[0] != mat.shape[1]:
         raise StateValidationError("hermitian", "state matrix is not square")
     if not is_hermitian(mat, STATE_TOL):
         raise StateValidationError(
             "hermitian", "state is not Hermitian within tolerance"
         )
-    # Hermitize before the eigensolve so roundoff in the input cannot leak
-    # imaginary parts into the eigenvalues.
-    sym = (mat + mat.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    if float(eigs[0]) < -STATE_TOL:
-        raise StateValidationError(
-            "eigenvalues", f"negative eigenvalue {float(eigs[0]):.3e}"
-        )
+    # Hermitize before factorizing so roundoff in the input cannot leak
+    # imaginary parts into the factor or the eigenvalues.
+    sym = mat + mat.conj().T
+    sym /= 2.0
+    # Shift the diagonal in place, not on a copy, and restore it exactly:
+    # eigvalsh and validate_state's rank read the unshifted matrix.
+    diag = sym.diagonal().copy()
+    np.fill_diagonal(sym, diag + STATE_TOL)
+    try:
+        np.linalg.cholesky(sym)
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    np.fill_diagonal(sym, diag)
+    if not certified:
+        low = float(np.linalg.eigvalsh(sym)[0])
+        if low < -STATE_TOL:
+            raise StateValidationError("eigenvalues", f"negative eigenvalue {low:.3e}")
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError("trace", f"trace {tr} is not 1")
-    return int(np.count_nonzero(eigs > STATE_TOL))
+    return sym
+
+
+def validate_state(rho: DensityMatrix) -> int:
+    """Check the three density-matrix conditions and return the rank.
+
+    Raises StateValidationError naming the violated condition: "hermitian"
+    (A = A*), "eigenvalues" (all >= -STATE_TOL, certified by a Cholesky
+    factorization of A + STATE_TOL * I), or "trace" (tr = 1). The rank is
+    the number of eigenvalues exceeding STATE_TOL.
+    """
+    sym = _check_state(as_matrix(rho.mat))
+    return int(np.count_nonzero(np.linalg.eigvalsh(sym) > STATE_TOL))
 
 
 def law_probabilities(raw) -> np.ndarray:
@@ -169,9 +195,10 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
     """Measurement distribution of observable a in state rho.
 
     One outcome per clustered eigenvalue, with probability Re tr(rho P) for
-    the projector P onto its eigenspace, checked by law_probabilities.
+    the projector P onto its eigenspace, checked by law_probabilities. The
+    state passes validate_state's checks, with no eigensolve when it is valid.
     """
-    validate_state(rho)
+    _check_state(as_matrix(rho.mat))
     if a.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rho.dim}")
     v = a.eigenvectors
@@ -186,6 +213,6 @@ def conjugate(m, v) -> np.ndarray:
     """V M V* for a unitary V; preserves laws of states and observables."""
     m = as_matrix(m)
     v = as_matrix(v)
-    if not is_unitary(v, STATE_TOL):
+    if not is_unitary(v, UNITARY_TOL):
         raise ValueError("conjugating matrix is not unitary within tolerance")
     return v @ m @ v.conj().T

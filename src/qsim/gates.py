@@ -39,7 +39,7 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL, as_count
-from .qpu import bitstring, bitstring_positions, decode, position_bitstring
+from .qpu import bitstring, bitstring_positions, decode, is_bit, position_bitstring
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -242,7 +242,7 @@ def _controls(n: int, target: int, pattern) -> tuple[int, int]:
     target, in wire order: a bit for each control wire, None for a free
     one."""
     pattern = tuple(pattern)
-    if any(b not in (0, 1, None) for b in pattern):
+    if not all(b is None or is_bit(b) for b in pattern):
         raise ValueError(f"control pattern {pattern} contains non-bits")
     text = "".join("." if b is None else str(int(b)) for b in pattern)
     return tuple(c[0].item() for c in _pattern_columns(n, [target], [text])[1:])

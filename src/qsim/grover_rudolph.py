@@ -220,7 +220,7 @@ class AngleTree:
         bits, raises ValueError.
         """
         bits = tuple({"0": 0, "1": 1}.get(b, b) if isinstance(b, str) else b for b in suffix)
-        bad = [b for b in bits if b not in (0, 1)]  # qpu.decode's rule, before int() truncates
+        bad = [b for b in bits if b not in (0, 1)]  # by value, before int() truncates
         if bad:
             raise ValueError(f"bit {bad[0]!r} is not 0 or 1")
         if len(bits) >= self.n:

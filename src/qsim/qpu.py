@@ -54,13 +54,19 @@ def encode(k: int, n: int) -> list[int]:
     return [(k >> i) & 1 for i in range(n)]
 
 
+def is_bit(b) -> bool:
+    """True when b is 0 or 1 as an integer, Python or numpy, and not a bool:
+    linalg.as_count's integer rule, so True and 1.0 are not bits."""
+    return not isinstance(b, bool) and isinstance(b, (int, np.integer)) and b in (0, 1)
+
+
 def decode(bits: BitString) -> int:
     """Label k of a bit sequence; inverse of encode."""
     if len(bits) < 1:
         raise ValueError("empty bit string")
     k = 0
     for i, b in enumerate(bits):
-        if b not in (0, 1):
+        if not is_bit(b):
             raise ValueError(f"bit {b!r} is not 0 or 1")
         k += b << i
     return k
@@ -215,9 +221,13 @@ def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """State at time t of d rho/dt = -i[H, rho] from rho0.
 
     The solution conjugates rho0 by exp(-itH); rank, trace, and hermiticity
-    are preserved for every t.
+    are preserved for every t. exp(-itH) is checked to be unitary once, by
+    unitary_from_hamiltonian, and then conjugates rho0 as evolve would.
     """
-    return evolve(unitary_from_hamiltonian(h, t), rho0)
+    u = unitary_from_hamiltonian(h, t)
+    if u.shape[0] != rho0.dim:
+        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {rho0.dim}")
+    return DensityMatrix(u @ as_matrix(rho0.mat) @ u.conj().T)
 
 
 def _label_law(weights: np.ndarray) -> np.ndarray:

@@ -106,6 +106,58 @@ def test_validate_state_tolerance_is_respected():
     assert err.value.condition == "eigenvalues"
 
 
+def test_cholesky_certificate_decides_as_the_smallest_eigenvalue():
+    """Haar-rotated states whose smallest eigenvalue is -f * STATE_TOL, on
+    both sides of the tolerance: law and validate_state accept or reject
+    exactly as eigvalsh's smallest eigenvalue does, with its message."""
+    rng = np.random.default_rng(29)
+    cases = 0
+    for dim in (2, 3, 8, 64, 128):
+        a = Observable(np.diag(np.arange(dim, dtype=float)))
+        for f in (0.5, 0.99, 1.01, 2.0):
+            for _ in range(12):
+                w = rng.random(dim) + 0.1
+                w[0] = -f * STATE_TOL
+                w[1:] *= (1.0 - w[0]) / w[1:].sum()
+                u = random_unitary(rng, dim)
+                rho = DensityMatrix((u * w) @ u.conj().T)
+                low = float(np.linalg.eigvalsh((rho.mat + rho.mat.conj().T) / 2.0)[0])
+                for check in (validate_state, lambda r: law(a, r)):
+                    if low < -STATE_TOL:
+                        with pytest.raises(StateValidationError) as err:
+                            check(rho)
+                        assert err.value.condition == "eigenvalues"
+                        assert str(err.value) == f"negative eigenvalue {low:.3e}"
+                    else:
+                        check(rho)
+                assert (low < -STATE_TOL) == (f > 1.0), (dim, f, low)
+                cases += 1
+    assert cases == 240
+
+
+def test_law_runs_no_eigensolve_on_a_valid_state(monkeypatch):
+    """A valid state is certified by its Cholesky factor alone: law calls
+    neither eigvalsh nor eigh on the 2^n x 2^n state; validate_state still
+    computes the spectrum for its rank."""
+    from qsim.qpu import standard_observable
+
+    n = 7
+    rng = np.random.default_rng(7)
+    rho = random_density(rng, 2**n, rank=5)
+    a = standard_observable(n).realized
+    shapes = []
+
+    def counted(f):
+        return lambda m, *args, **kwargs: shapes.append(np.shape(m)) or f(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    law(a, rho)
+    assert (2**n, 2**n) not in shapes, shapes
+    assert validate_state(rho) == 5
+    assert shapes == [(2**n, 2**n)]
+
+
 # --- observables -------------------------------------------------------------
 
 

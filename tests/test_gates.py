@@ -382,6 +382,31 @@ def test_controlled_gate_rejects_what_the_gate_class_rejects():
         assert str(info.value) == message
 
 
+def test_control_bits_follow_the_integer_rule():
+    """A control bit is 0 or 1 as an integer and not a bool, as every count
+    is: True, 1.0 and 0.0 are rejected with a ValueError naming the bit,
+    in patterns and in qpu.decode alike."""
+    from qsim.qpu import decode
+
+    eye = np.eye(2)
+    for call, message in (
+        (lambda: controlled_gate(3, 1, (True, 0), eye), "control pattern (True, 0) contains non-bits"),
+        (lambda: controlled_gate(3, 1, (1.0, 0), eye), "control pattern (1.0, 0) contains non-bits"),
+        (lambda: control_projector(3, 1, (0.0, 1), eye), "control pattern (0.0, 1) contains non-bits"),
+        (lambda: suffix_controlled_gate(3, 3, (True, 0), eye), "bit True is not 0 or 1"),
+        (lambda: decode([1.0, 0]), "bit 1.0 is not 0 or 1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"^control pattern \(\S*True\S*, 0\) contains non-bits$"):
+        controlled_gate(3, 1, (np.bool_(True), 0), eye)
+    # numpy integers are bits by the same rule.
+    ints = (np.int64(1), np.uint8(0))
+    assert np.array_equal(controlled_gate(3, 1, ints, eye), controlled_gate(3, 1, (1, 0), eye))
+    assert decode(ints) == 1
+
+
 # --- suffix-controlled gates -------------------------------------------------------
 
 

@@ -523,6 +523,29 @@ def test_time_evolution_matches_direct_conjugation():
     assert np.max(np.abs(liouville_solve(h, rho0, t).mat - want)) < 1e-12
 
 
+def test_liouville_solve_checks_the_unitary_once(monkeypatch):
+    """exp(-itH) passes is_unitary once, in unitary_from_hamiltonian, and
+    conjugates the state bit for bit as conjugate would."""
+    from qsim import algprob, linalg
+
+    rng = np.random.default_rng(105)
+    for dim in (2, 16, 128):
+        h = random_hermitian(rng, dim)
+        rho0 = _random_low_rank_state(rng, dim, 2)
+        want = algprob.conjugate(rho0.mat, unitary_from_hamiltonian(h, 0.61))
+        calls = []
+        for module in (linalg, algprob):
+            f = module.is_unitary
+            monkeypatch.setattr(module, "is_unitary",
+                                lambda u, *args, f=f: calls.append(np.shape(u)) or f(u, *args))
+        got = liouville_solve(h, rho0, 0.61)
+        monkeypatch.undo()
+        assert calls == [(dim, dim)]
+        assert got.mat.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 4 vs 2$"):
+        liouville_solve(random_hermitian(rng, 4), DensityMatrix(np.eye(2) / 2.0), 0.3)
+
+
 # --- the raw generator ---------------------------------------------------------
 
 

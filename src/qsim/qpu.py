@@ -36,8 +36,8 @@ BitString = Sequence[int]
 # all 2^n basis states.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # Sampling memory is bounded by rng.SHOT_CHUNK + rng.SORT_CHUNK draws, about
-# 11 MB, whatever the shot count, so this caps time: 10^8 shots take about
-# 1.3-1.7 s of CPU at n = 12 (one core of an Intel Xeon, numpy 2.4).
+# 12 MB, whatever the shot count, so this caps time: 10^8 shots take about
+# 0.8-1.1 s of CPU at n = 12 (one core of an Intel Xeon, numpy 2.4).
 MAX_SHOTS = 10**8
 
 

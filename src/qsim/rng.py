@@ -20,7 +20,9 @@ Counting draws: outcomes 0..i, for i below the last, receive exactly the
 draws with u < cdf[i], so outcome i gets #{u < cdf[i]} - #{u < cdf[i-1]}
 draws and the last outcome gets the rest. inverse_cdf_counts counts a
 bucket of draws (by the top 16 bits of u) that holds no cdf value whole and
-sorts only the other draws. The stream chunk starting at draw j is the
+sorts only the other draws. It reads a draw's bucket before mix64's last
+step, x ^= x >> 31, which leaves the top 31 bits as they are, and finishes
+only the draws it keeps. The stream chunk starting at draw j is the
 stream seeded with (s + j * 0x9E3779B97F4A7C15) mod 2^64, whose outputs are
 outputs j, j+1, ... of seed s, so chunking never changes which output a
 draw uses.
@@ -41,21 +43,42 @@ _MASK64 = (1 << 64) - 1
 SHOT_CHUNK, SORT_CHUNK, BUCKETS = 2**16, 2**20, 2**16
 
 
+def splitmix64_premix(seed: int, steps: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """out[i] = mix64((seed + steps[i]) mod 2^64) before its last step,
+    x ^= x >> 31, computed in place: `spare` is scratch of out's length and
+    `out` may be `steps`."""
+    with np.errstate(over="ignore"):
+        np.add(steps, np.uint64(seed & _MASK64), out=out)
+        for shift, mult in ((30, MIX_MULT_1), (27, MIX_MULT_2)):
+            np.right_shift(out, np.uint64(shift), out=spare)
+            out ^= spare
+            out *= np.uint64(mult)
+
+
+def _last_step(x: np.ndarray, spare: np.ndarray) -> None:
+    """splitmix64's last step, x ^= x >> 31, in place. It leaves the top 31
+    bits of x unchanged."""
+    np.right_shift(x, np.uint64(31), out=spare)
+    x ^= spare
+
+
+def _steps(count: int) -> np.ndarray:
+    """(i + 1) * GOLDEN_GAMMA mod 2^64 for i < count."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(GOLDEN_GAMMA)
+    return z
+
+
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """The first `count` raw 64-bit outputs for the given seed."""
     seed, count = as_count("seed", seed), as_count("count", count)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    with np.errstate(over="ignore"):
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(GOLDEN_GAMMA)
-        z += np.uint64(seed & _MASK64)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(MIX_MULT_1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(MIX_MULT_2)
-        z ^= z >> np.uint64(31)
-        return z
+    z, spare = _steps(count), np.empty(count, dtype=np.uint64)
+    splitmix64_premix(seed, z, z, spare)
+    _last_step(z, spare)
+    return z
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -108,16 +131,31 @@ def inverse_cdf_counts(probabilities, shots: int, seed: int) -> np.ndarray:
     # Past a quarter of the buckets, bucketing costs more than the sort it saves.
     bucketed = np.count_nonzero(boundary) <= BUCKETS // 4
     hist, below = np.zeros(BUCKETS, dtype=np.int64), np.zeros(len(c), dtype=np.int64)
-    kept, held = np.empty(SORT_CHUNK + SHOT_CHUNK, dtype=np.uint64), 0
-    for start in range(0, shots, SHOT_CHUNK):
-        x = splitmix64_stream(seed + start * GOLDEN_GAMMA, min(SHOT_CHUNK, shots - start))
+    # Buffers made once: the step table, a chunk's draws and their scratch,
+    # the kept draws (at most SORT_CHUNK - 1 before a chunk adds to them).
+    chunk = max(1, min(SHOT_CHUNK, shots))
+    steps, spare = _steps(chunk), np.empty(chunk, dtype=np.uint64)
+    x, keep = np.empty(chunk, dtype=np.uint64), np.empty(chunk, dtype=bool)
+    kept, held = np.empty(min(SORT_CHUNK - 1 + chunk, shots), dtype=np.uint64), 0
+    for start in range(0, shots, chunk):
+        k = min(chunk, shots - start)
+        offset = seed + start * GOLDEN_GAMMA
         if bucketed:
-            b = (x >> np.uint64(48)).view(np.int64)
-            hist += np.bincount(b, minlength=BUCKETS)
-            x = x[boundary[b]]
-        np.right_shift(x, np.uint64(11), out=kept[held : held + len(x)])
-        held += len(x)
-        if held >= SORT_CHUNK or start + SHOT_CHUNK >= shots:
+            # The bucket is the top 16 bits, which the last step leaves as
+            # they are: only the draws kept in marked buckets are finished.
+            splitmix64_premix(offset, steps[:k], x[:k], spare[:k])
+            b = np.right_shift(x[:k], np.uint64(48), out=spare[:k]).view(np.intp)
+            np.add.at(hist, b, 1)
+            np.take(boundary, b, out=keep[:k], mode="clip")
+            marked = np.count_nonzero(keep[:k])
+            new = np.compress(keep[:k], x[:k], out=kept[held : held + marked])
+        else:
+            new = kept[held : held + k]
+            splitmix64_premix(offset, steps[:k], new, spare[:k])
+        _last_step(new, spare[: len(new)])
+        new >>= np.uint64(11)
+        held += len(new)
+        if held >= SORT_CHUNK or start + chunk >= shots:
             kept[:held].sort()
             below += np.searchsorted(kept[:held], limit, side="left")
             held = 0

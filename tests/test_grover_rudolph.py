@@ -418,8 +418,9 @@ def test_suffix_angle_rejects_non_bits():
 
 def test_suffix_angle_checks_each_bit_before_reading_it_as_an_int():
     """A fraction is no bit: int() would truncate 0.5 to 0 and 1.9 to 1 and
-    read another node. Entries pass by qpu.decode's rule, so 1.0 and True
-    are the bit 1, and a string's characters are read as bits."""
+    read another node. Each entry is compared by value with 0 and 1 before
+    int() reads it, so 1.0 and True are the bit 1, and a string's
+    characters are read as bits."""
     tree = AngleTree(n=3, angles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
     for suffix, bad in (((0.5,), "0.5"), ((1.9,), "1.9"), ((1, 0.5), "0.5"),
                         ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ((1, "01"), "'01'")):

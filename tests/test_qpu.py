@@ -605,6 +605,31 @@ def test_chunk_streams_continue_the_unchunked_stream():
             assert np.array_equal(splitmix64_stream(seed + j * GOLDEN_GAMMA, 96 - j), whole[j:])
 
 
+def test_the_last_step_keeps_the_bucket_bits():
+    """x ^= x >> 31 leaves the top 31 bits, so the top 16 (the bucket) can
+    be read before it; the value before it is y ^ (y >> 31) ^ (y >> 62)."""
+    g = np.random.default_rng(30)
+    edges = np.array([0, 2**64 - 1, 2**63, 2**33 - 1], dtype=np.uint64)
+    for x in (g.integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False), edges):
+        last = x ^ (x >> np.uint64(31))
+        assert np.array_equal(last >> np.uint64(33), x >> np.uint64(33))
+        assert np.array_equal(_before_last_step(last), x)
+
+
+def test_premix_and_the_last_step_are_the_stream():
+    """The mixer, seeded at a chunk's start, then finished, gives that
+    chunk of splitmix64_stream."""
+    count = 40
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    for seed in (0, -17, 2**64 - 1):
+        whole = splitmix64_stream(seed, 2**16 - 1 + count)
+        for start in (0, 1, 2**16 - 1):
+            out, spare = np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64)
+            qrng.splitmix64_premix(seed + start * GOLDEN_GAMMA, steps, out, spare)
+            out ^= out >> np.uint64(31)
+            assert np.array_equal(out, whole[start : start + count]), (seed, start)
+
+
 def test_uniforms_range_and_top_bits_rule():
     u = uniforms(12345, 10000)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -650,6 +675,16 @@ def test_counts_equal_the_per_draw_rule_and_the_reference():
                     assert np.array_equal(got, ref), (n, seed)
                 shots_result = sample(law_over_labels(p), shots, seed)
                 assert shots_result.counts == dict(enumerate(got.tolist()))
+
+
+def test_counts_at_the_benchmark_shape():
+    """10^6 shots at n = 10 and 12, as one synth_sample op draws."""
+    g = np.random.default_rng(51)
+    for n in (10, 12):
+        p = _random_law(g, n, zero_fraction=0.15)
+        for seed in (51, 2**63 + 5):
+            got = inverse_cdf_counts(p, 10**6, seed)
+            assert np.array_equal(got, _per_draw_counts(p, 10**6, seed)), (n, seed)
 
 
 def _quarter_law():
@@ -719,7 +754,7 @@ def test_counts_on_bucket_edges_and_at_the_ends_of_the_cdf(p):
 
 def test_counts_memory_is_bounded_by_the_chunks():
     """3 * 2^20 + 5 shots at n = 12 hold a stream chunk, the kept draws and
-    the bucket arrays: about 11 MiB, where sorting every draw in 2^20-draw
+    the bucket arrays: about 12 MiB, where sorting every draw in 2^20-draw
     chunks held 24 MiB."""
     p = _random_law(np.random.default_rng(12), 12, zero_fraction=0.25)
     tracemalloc.start()
@@ -743,13 +778,26 @@ def test_counts_with_zero_outcomes_up_to_16_qubits():
     assert sample(law_over_labels(point), 1000, 1).counts[12345] == 1000
 
 
+def _before_last_step(y):
+    """The value whose last splitmix64 step, x ^= x >> 31, gives y."""
+    return y ^ (y >> np.uint64(31)) ^ (y >> np.uint64(62))
+
+
+def _inject_outputs(monkeypatch, bits):
+    """Make every stream's outputs `bits`, through the mixer that both
+    inverse_cdf_counts and splitmix64_stream call."""
+    pre = _before_last_step(bits)
+    monkeypatch.setattr(qrng, "splitmix64_premix",
+                        lambda seed, steps, out, spare: np.copyto(out, pre[: len(out)]))
+
+
 def test_counts_on_ties_and_past_the_last_cdf_value(monkeypatch):
     """Uniforms on a dyadic law's cdf go to the next outcome with mass; those
     at or past cdf[-1] go to the last outcome."""
     p = [0.25, 0.0, 0.25, 0.25]  # cdf 0.25, 0.25, 0.5, 0.75: a 0.25 shortfall
     u = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.9, 0.1, 0.74, 0.5 - 2.0**-53])
     bits = (u * 2.0**53).astype(np.uint64) << np.uint64(11)  # outputs whose uniforms are u
-    monkeypatch.setattr(qrng, "splitmix64_stream", lambda seed, count: bits[:count].copy())
+    _inject_outputs(monkeypatch, bits)
     want = [2, 0, 3, 4]  # draws 0 0 | 2 2 2 | 3 3 3 3
     assert inverse_cdf_counts(p, len(u), 0).tolist() == want
     assert np.bincount(inverse_cdf_sample(p, len(u), 0), minlength=4).tolist() == want
@@ -760,7 +808,7 @@ def test_counts_next_to_a_cdf_value_off_the_uniform_grid(monkeypatch):
     to either side of it."""
     m = math.floor(0.1 * 2.0**53)
     bits = np.array([m - 1, m, m + 1, m + 2], dtype=np.uint64) << np.uint64(11)
-    monkeypatch.setattr(qrng, "splitmix64_stream", lambda seed, count: bits[:count].copy())
+    _inject_outputs(monkeypatch, bits)
     assert inverse_cdf_counts([0.1, 0.9], 4, 0).tolist() == [2, 2]
     assert inverse_cdf_sample([0.1, 0.9], 4, 0).tolist() == [0, 0, 1, 1]
 

@@ -459,7 +459,8 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     """Multiply the factors back together in application order, bit for bit
     as one factor per step: a factor goes one layer after the last to touch
     its row i or j (Sameh and Kuck, J. ACM 25, 1978), and a step mixes the
-    disjoint pairs of one layer, at most 2^14 row entries, which stay in cache."""
+    disjoint pairs of one layer, at most 2^14 row entries, which stay in cache,
+    from one slice of the blocks and pairs gathered once in layer order."""
     last, layer = [0] * (d.dim + 1), []  # the last layer to touch each row
     for i, j in zip(d.i.tolist(), d.j.tolist()):
         last[i] = last[j] = max(last[i], last[j]) + 1
@@ -467,8 +468,10 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     out = np.eye(d.dim, dtype=np.complex128)
     order, at = np.argsort(layer, kind="stable"), np.sort(layer)
     rank = np.arange(len(at)) - np.searchsorted(at, at)  # the place within the layer
-    for k in np.split(order, np.flatnonzero(rank % max(1, 2**14 // d.dim) == 0)[1:]):
-        mix_pairs(d.blocks[k][:, None], out, d.i[k] - 1, d.j[k] - 1)
+    bounds = [*np.flatnonzero(rank % max(1, 2**14 // d.dim) == 0).tolist(), len(at)]
+    v, p0, p1 = d.blocks[order][:, None], d.i[order] - 1, d.j[order] - 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        mix_pairs(v[lo:hi], out, p0[lo:hi], p1[lo:hi])
     return out
 
 

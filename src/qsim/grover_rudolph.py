@@ -216,18 +216,16 @@ class AngleTree:
 
         The suffix lists wire bits in wire order (first element belongs to
         the earliest controlled wire), as ints or as a string such as "01";
-        an empty suffix gives the root. A non-bit, or a suffix of n or more
-        bits, raises ValueError.
+        an empty suffix gives the root. A suffix of n or more bits, or an
+        entry that is no bit by qpu.is_bit (True and 1.0 are none), raises
+        ValueError.
         """
         bits = tuple({"0": 0, "1": 1}.get(b, b) if isinstance(b, str) else b for b in suffix)
-        bad = [b for b in bits if b not in (0, 1)]  # by value, before int() truncates
-        if bad:
-            raise ValueError(f"bit {bad[0]!r} is not 0 or 1")
         if len(bits) >= self.n:
             raise ValueError(f"suffix of length {len(bits)} names no node; "
                              f"at most {self.n - 1} bits for n={self.n}")
         # A trailing 1 bit makes the label 2^m + s, one past heap entry 2^m - 1 + s.
-        return float(self.angles[decode((*map(int, bits), 1)) - 1])
+        return float(self.angles[decode((*bits, 1)) - 1])
 
 
 def angle_tree(d, n: int) -> AngleTree:

@@ -119,15 +119,12 @@ def label_permutation(n: int) -> np.ndarray:
     """Array whose k-th entry is the flat tensor position of label k.
 
     The position is k with its n bits reversed: bit i-1 of the label is
-    wire i, which is position bit n-i.
+    wire i, which is position bit n-i. Reversing the axes of the positions
+    laid out as an n-bit array reverses every index's bits.
     """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
-    labels = np.arange(2**n)
-    positions = np.zeros_like(labels)
-    for i in range(n):
-        positions |= ((labels >> i) & 1) << (n - 1 - i)
-    return positions
+    return np.arange(2**n).reshape((2,) * n).transpose().ravel()
 
 
 def basis_vector(k: int, n: int) -> np.ndarray:

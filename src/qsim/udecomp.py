@@ -17,10 +17,10 @@ and, measured the same way, the input: u is accepted only when
 is_unitary(u, sqrt(N) * RECONSTRUCTION_TOL); each column's corner must lie
 within that bound of 1, and the last row's corner within it of modulus 1.
 
-Each column is one array pass: its N-1 Givens blocks come from the
-running norms of the column at once (the form of Reck et al., PRL 73, 58
-(1994)), and the rows of the remaining block are mixed in one step from
-their running sums, not one factor at a time.
+Each column is one array pass over its slice of one table of identity
+blocks: its Givens blocks come from the running norms of the column at
+once (the form of Reck et al., PRL 73, 58 (1994)), and every row of the
+remaining block is mixed in one step from the running sums of the rows.
 """
 
 from __future__ import annotations
@@ -46,24 +46,20 @@ ZERO_COMPONENT_REL_TOL = 1e-13
 RECONSTRUCTION_TOL = 1e-9
 
 
-def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """reduce_vector's N-1 blocks in one array pass, and what mixing needs.
+def _column_blocks(psi: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Write reduce_vector's N-1 blocks into blocks, identities on entry:
+    blocks[k] is the block of the factor mixing coordinates 1 and k+2.
 
-    Returns (blocks, coef, r, steps). blocks[k], of shape (N-1, 2, 2), is
-    the block of the factor mixing coordinates 1 and k+2. coef is psi with
-    the components of psi[1:] at most ZERO_COMPONENT_REL_TOL * norm set to
-    zero, and r[k] = ||coef[:k+1]|| the running norm, so factor k leaves
-    r[k+1] in coordinate 1. steps lists the factors that are not the
-    identity: each nonzero coef[k+1] is eliminated by the Givens block
-    [[conj(a), conj(b)], [-b, a]] / r[k+1], with b = coef[k+1] and a =
-    r[k] once an earlier step has acted, psi[0] before. A phase on psi[0]
-    with nothing to eliminate at factor 0 is rotated away by the same
-    block with b = 0, diag(conj(phase), phase), so that coordinate 1 ends
-    as the norm itself. Every other block is the identity.
+    Returns (coef, r, active, first). coef is psi with the components of
+    psi[1:] at most ZERO_COMPONENT_REL_TOL * norm set to zero, r[k] =
+    ||coef[:k+1]|| the running norm, so factor k leaves r[k+1] in coordinate
+    1, active marks the factors that are not the identity, and first is the
+    first of them, or 0. Each nonzero coef[k+1] is eliminated by the Givens
+    block [[conj(a), conj(b)], [-b, a]] / r[k+1], with b = coef[k+1] and
+    a = r[k], psi[0] at factor first. A phase on psi[0] with nothing to
+    eliminate at factor 0 is rotated away by the same block with b = 0,
+    diag(conj(phase), phase), so that coordinate 1 ends as the norm itself.
     """
-    n = psi.shape[0]
-    if n < 2:
-        raise ValueError("vector dimension must be at least 2")
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ValueError("cannot reduce the zero vector")
@@ -82,19 +78,21 @@ def _column_blocks(psi: np.ndarray) -> tuple[np.ndarray, ...]:
     if not active[0] and abs(a0 - abs(a0)) > zero_tol:
         active[0] = True
     r = np.hypot.accumulate(mag)
-    steps = np.flatnonzero(active)
-    blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
-    if steps.size:
-        a = r[steps].astype(np.complex128)
-        a[0] = a0
-        b = coef[steps + 1]
-        givens = np.stack([a.conj(), b.conj(), -b, a], axis=1)
-        # Real and imaginary parts divided apart: numpy's complex division
-        # by a real multiplies by its reciprocal instead.
-        parts = givens.view(np.float64)
-        parts /= r[steps + 1, None]
-        blocks[steps] = givens.reshape(-1, 2, 2)
-    return blocks, coef, r, steps
+    # From factor first on every r[k+1] is positive, so the blocks are built
+    # there alone, and written where a factor acts: the others keep the
+    # identity's signed zeros.
+    first = int(active.argmax())
+    a = r[first:-1].astype(np.complex128)
+    a[0] = a0
+    b = coef[first + 1:]
+    givens = np.empty((len(b), 2, 2), dtype=np.complex128)
+    givens[:, 0, 0], givens[:, 0, 1], givens[:, 1, 0], givens[:, 1, 1] = a.conj(), b.conj(), -b, a
+    # Real and imaginary parts divided apart: numpy's complex division
+    # by a real multiplies by its reciprocal instead.
+    parts = givens.view(np.float64)
+    parts /= r[first + 1:, None, None]
+    np.copyto(blocks[first:], givens, where=active[first:, None, None])
+    return coef, r, active, first
 
 
 def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
@@ -106,7 +104,11 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     """
     psi = as_vector(psi)
     n = psi.shape[0]
-    factors = Decomposition(n, [1] * (n - 1), range(2, n + 1), _column_blocks(psi)[0]).factors
+    if n < 2:
+        raise ValueError("vector dimension must be at least 2")
+    blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
+    _column_blocks(psi, blocks)
+    factors = Decomposition(n, [1] * (n - 1), range(2, n + 1), blocks).factors
     return list(factors), float(np.linalg.norm(psi))
 
 
@@ -126,39 +128,39 @@ def decompose_unitary(u) -> Decomposition:
     if not is_unitary(u, bound):
         raise ValueError(f"input is not unitary: ||U*U - I|| exceeds {bound:.3g}")
     w = u.conj().T.copy()
-    runs = []
+    # Column c's factors are the slice [start, end) of one table, in order.
+    i, j = np.triu_indices(n, 1)
+    blocks = np.tile(np.eye(2, dtype=np.complex128), (len(i), 1, 1))
+    end = 0
     for c in range(n - 1):
         x = w[c:, c:]
-        blocks, coef, r, steps = _column_blocks(x[:, 0])
-        corner = complex(x[0, 0])
-        if steps.size:
-            # Row 0 after step k is s[k+1] / r[k+1], with s the running
-            # sum of conj(coef[l]) * row l, so every step reads its row 0
-            # from s at once. The first step reads row 0 itself: s holds
-            # conj(psi[0]) * row 0 before it, which is 0 when psi[0] is.
-            s = np.cumsum(coef.conj()[:, None] * x, axis=0)
-            y = np.empty((steps.size, x.shape[1]), dtype=np.complex128)
-            y[0] = x[0]
-            y[1:] = s[steps[1:]] / r[steps[1:], None]
-            g = blocks[steps]
-            rows = x[steps + 1]
-            x[steps + 1] = g[:, 1, 0, None] * y + g[:, 1, 1, None] * rows
-            # Row 0 itself is never read again; only its corner is checked.
-            corner = complex(g[-1, 0, 0] * y[-1, 0] + g[-1, 0, 1] * rows[-1, 0])
+        start, end = end, end + n - c - 1
+        coef, r, active, first = _column_blocks(x[:, 0], blocks[start:end])
+        g, rows, acts = blocks[start + first:end], x[first + 1:], active[first:]
+        # Row 0 after factor k is s[k+1] / r[k+1], with s the running sum of
+        # conj(coef[l]) * row l, so every factor reads its row 0 from s at
+        # once. Factor first reads row 0 itself, which no factor has touched.
+        s = np.cumsum(coef.conj()[:, None] * x, axis=0)
+        y = np.empty_like(rows)
+        y[0] = x[0]
+        np.divide(s[first + 1:-1], r[first + 1:-1, None], out=y[1:])
+        # Row 0 is never written; only its corner after the last factor is checked.
+        last = len(acts) - 1 - int(acts[::-1].argmax())
+        corner = complex(g[last, 0, 0] * y[last, 0] + g[last, 0, 1] * rows[last, 0]
+                         if acts[last] else x[0, 0])
+        np.copyto(rows, g[:, 1, 0, None] * y + g[:, 1, 1, None] * rows, where=acts[:, None])
         if abs(corner - 1.0) > bound:
             raise ArithmeticError(f"column reduction left corner {corner}, expected 1")
         # The last block's top row takes off the corner's tiny residual phase,
         # so the product stays exact instead of drifting by it per column.
-        blocks[-1, 0] *= corner.conjugate() / abs(corner)
-        runs.append((np.full(n - c - 1, c + 1), np.arange(c + 2, n + 1), blocks))
+        blocks[end - 1, 0] *= corner.conjugate() / abs(corner)
     # The last row's corner is the determinant's phase; the final block's
     # bottom row takes it off the same way.
     corner = complex(w[-1, -1])
     if abs(abs(corner) - 1.0) > bound:
         raise ArithmeticError(f"reduction left last corner {corner}, expected modulus 1")
     blocks[-1, 1] *= corner.conjugate() / abs(corner)
-    i, j, blocks = (np.concatenate(column) for column in zip(*runs))
-    return Decomposition(n, i, j, blocks)
+    return Decomposition(n, i + 1, j + 1, blocks)
 
 
 def reconstruction_residual(d: Decomposition, u) -> float:

@@ -418,15 +418,17 @@ def test_suffix_angle_rejects_non_bits():
 
 def test_suffix_angle_checks_each_bit_before_reading_it_as_an_int():
     """A fraction is no bit: int() would truncate 0.5 to 0 and 1.9 to 1 and
-    read another node. Each entry is compared by value with 0 and 1 before
-    int() reads it, so 1.0 and True are the bit 1, and a string's
-    characters are read as bits."""
+    read another node. Each entry is checked by qpu.is_bit, the rule of
+    qpu.decode and of control patterns, so 1.0 and True are no bits either;
+    a string's characters are read as bits."""
     tree = AngleTree(n=3, angles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
     for suffix, bad in (((0.5,), "0.5"), ((1.9,), "1.9"), ((1, 0.5), "0.5"),
-                        ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ((1, "01"), "'01'")):
+                        ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ((1, "01"), "'01'"),
+                        ((1.0, 0), r"1\.0"), ((True, 0), "True"),
+                        ((0, np.float64(1.0)), r"\S*1\.0\S*")):
         with pytest.raises(ValueError, match=f"^bit {bad} is not 0 or 1$"):
             tree.suffix_angle(suffix)
-    assert tree.suffix_angle((1.0, 0)) == tree.suffix_angle((True, 0)) == 0.5
+    assert tree.suffix_angle((1, 0)) == tree.suffix_angle((np.int64(1), 0)) == 0.5
     assert tree.suffix_angle(np.array([0, 1])) == tree.suffix_angle("01") == 0.6
 
 

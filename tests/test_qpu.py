@@ -166,6 +166,22 @@ def test_label_permutation_matches_per_label_positions():
         label_permutation(0)
 
 
+def bit_loop_permutation(n):
+    """label_permutation's reference: each label bit shifted into its
+    reversed place, one bit at a time."""
+    labels = np.arange(2**n)
+    positions = np.zeros_like(labels)
+    for i in range(n):
+        positions |= ((labels >> i) & 1) << (n - 1 - i)
+    return positions
+
+
+def test_label_permutation_equals_the_bit_loop_up_to_n_20():
+    for n in range(1, 21):
+        got, want = label_permutation(n), bit_loop_permutation(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
 def test_basis_vector_matches_kron_of_unit_vectors():
     """Brute-force oracle: build |z_1> (x) |z_2> (x) |z_3> by hand."""
     e = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -459,6 +459,121 @@ def test_reduce_vector_rejects_non_finite_components():
             reduce_vector([1.0, bad, 0.0])
 
 
+
+# --- the block table against the column-by-column arrays it replaced ---------------
+#
+# The reference builds each column's blocks in an array of their own,
+# gathers and scatters the rows of its non-identity factors by index and
+# concatenates the columns at the end. The block table and the masked row
+# step must give the same bytes, signed zeros included.
+
+
+def column_run_blocks(psi):
+    """(blocks, coef, r, steps) of one column, in arrays of its own."""
+    n = psi.shape[0]
+    norm = float(np.linalg.norm(psi))
+    zero_tol = ZERO_COMPONENT_REL_TOL * norm
+    mag = np.hypot(psi.real, psi.imag)
+    active = mag[1:] > zero_tol
+    coef = psi.copy()
+    coef[1:][~active] = 0.0
+    mag[1:][~active] = 0.0
+    a0 = complex(psi[0])
+    if not active[0] and abs(a0 - abs(a0)) > zero_tol:
+        active[0] = True
+    r = np.hypot.accumulate(mag)
+    steps = np.flatnonzero(active)
+    blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
+    if steps.size:
+        a = r[steps].astype(np.complex128)
+        a[0] = a0
+        b = coef[steps + 1]
+        givens = np.stack([a.conj(), b.conj(), -b, a], axis=1)
+        parts = givens.view(np.float64)
+        parts /= r[steps + 1, None]
+        blocks[steps] = givens.reshape(-1, 2, 2)
+    return blocks, coef, r, steps
+
+
+def column_run_decompose(u):
+    """(i, j, blocks) of decompose_unitary, one run of arrays per column."""
+    w = np.array(u, dtype=np.complex128).conj().T.copy()
+    n = w.shape[0]
+    runs = []
+    for c in range(n - 1):
+        x = w[c:, c:]
+        blocks, coef, r, steps = column_run_blocks(x[:, 0])
+        corner = complex(x[0, 0])
+        if steps.size:
+            s = np.cumsum(coef.conj()[:, None] * x, axis=0)
+            y = np.empty((steps.size, x.shape[1]), dtype=np.complex128)
+            y[0] = x[0]
+            y[1:] = s[steps[1:]] / r[steps[1:], None]
+            g = blocks[steps]
+            rows = x[steps + 1]
+            x[steps + 1] = g[:, 1, 0, None] * y + g[:, 1, 1, None] * rows
+            corner = complex(g[-1, 0, 0] * y[-1, 0] + g[-1, 0, 1] * rows[-1, 0])
+        blocks[-1, 0] *= corner.conjugate() / abs(corner)
+        runs.append((np.full(n - c - 1, c + 1), np.arange(c + 2, n + 1), blocks))
+    corner = complex(w[-1, -1])
+    blocks[-1, 1] *= corner.conjugate() / abs(corner)
+    return tuple(np.concatenate(column) for column in zip(*runs))
+
+
+def assert_same_bytes_as_the_column_runs(u):
+    d = decompose_unitary(u)
+    i, j, blocks = column_run_decompose(u)
+    assert np.array_equal(d.i, i) and np.array_equal(d.j, j)
+    assert d.blocks.tobytes() == blocks.tobytes()
+
+
+def embedded_block(rng, n):
+    """A Haar block on a few coordinates of a permuted identity."""
+    k = int(rng.integers(2, n + 1))
+    u = np.eye(n, dtype=complex)
+    at = rng.choice(n, size=k, replace=False)
+    u[np.ix_(at, at)] = random_unitary(rng, k)
+    return u[rng.permutation(n)]
+
+
+def test_block_table_gives_the_bytes_of_the_column_runs_on_haar_unitaries():
+    rng = np.random.default_rng(31)
+    for n in [*range(2, 65), 128]:
+        assert_same_bytes_as_the_column_runs(random_unitary(rng, n))
+
+
+def test_block_table_gives_the_bytes_of_the_column_runs_on_structured_unitaries():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 4, 5, 8, 13, 32):
+        phases = np.exp(2j * np.pi * rng.random(n))
+        for u in (np.eye(n)[rng.permutation(n)] * phases,  # a permutation with phases
+                  np.diag(phases), np.diag(np.sign(rng.normal(size=n))),  # diagonals
+                  embedded_block(rng, n), embedded_block(rng, n)):
+            assert_same_bytes_as_the_column_runs(u)
+
+
+def test_block_table_gives_the_bytes_of_the_column_runs_near_the_zero_threshold():
+    """reduce_vector on the vectors of test_zero_component_branch_matches_the_reference,
+    and decompose_unitary on unitaries with such a first column."""
+    edge = ZERO_COMPONENT_REL_TOL * math.sqrt(1.25)
+    tiny = ZERO_COMPONENT_REL_TOL
+    vectors = [
+        [1.0, 0.999 * edge, 0.5j], [1.0, 1.001 * edge, 0.5j],
+        [0.5j, 1.0, 0.999 * edge], [0.5j, 1.0, 1.001 * edge],
+        [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.6, 0.8j], [0.0, 1e-300, 1j],
+        [0.0, 0.5 * tiny, 3.0 * tiny, 1.0], [1j, 0.0, 0.0], [-1.0, 0.0, -0.0],
+    ]
+    for psi in vectors:
+        psi = np.asarray(psi, dtype=complex)
+        factors, _ = reduce_vector(psi)
+        got = np.array([f.v for f in factors])
+        assert got.tobytes() == column_run_blocks(psi)[0].tobytes(), psi
+        # The unitary whose adjoint has psi / ||psi|| as its first column.
+        q = np.linalg.qr(np.column_stack([psi / np.linalg.norm(psi), np.eye(len(psi))[:, 1:]]))[0]
+        q[:, 0] = psi / np.linalg.norm(psi)
+        assert_same_bytes_as_the_column_runs(q.conj().T)
+
+
 # --- serialization --------------------------------------------------------------------
 
 

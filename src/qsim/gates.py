@@ -24,8 +24,8 @@ Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
 disjoint pairs and commute: mix_pairs applies a run, as gate_runs lists
 it, in one step and in place, and a layer of factors on disjoint row pairs
-as reconstruct sorts them. realize and realize_gate build dense
-matrices only as the tests' reference, and do not read gate_runs.
+as reconstruct sorts them. realize_gate, and controlled_gate built through
+it, form dense matrices without gate_runs, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL, as_count
-from .qpu import bitstring, bitstring_positions, decode, is_bit, position_bitstring
+from .qpu import bitstring_positions, is_bit
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -130,8 +130,9 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     is finite. blocks lists the NaN-angle gates' blocks, in order, or is
     None when there are none; only these given blocks are Gram-tested."""
     n = as_count("n", n)
-    if n > MAX_WIRES:
-        raise ValueError(f"n must be at most {MAX_WIRES}, got {n}")
+    if not 1 <= n <= MAX_WIRES:
+        bound = "least 1" if n < 1 else f"most {MAX_WIRES}"
+        raise ValueError(f"n must be at {bound}, got {n}")
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
     target, mask, value = _columns(target, mask, value)
@@ -249,24 +250,18 @@ def _controls(n: int, target: int, pattern) -> tuple[int, int]:
 
 
 _EYE = np.eye(2, dtype=np.complex128)
-_PROJECTORS = {"0": np.diag([1.0, 0.0]).astype(np.complex128),
-               "1": np.diag([0.0, 1.0]).astype(np.complex128)}
+_PROJECTORS = [np.diag(e) for e in _EYE]  # |0><0| and |1><1|
 
 
 def _chain(n: int, target: int, mask: int, value: int, block) -> np.ndarray:
-    """Kronecker product over wires 1..n: block on the target, |b><b| on a
-    control wire that must carry b, and I on a free wire."""
+    """Kronecker product over wires 1..n, wire w at position bit n - w of mask
+    and value: block on the target, |b><b| on a control wire that must carry
+    b, and I on a free wire."""
     out = np.ones((1, 1), dtype=np.complex128)
-    bits = zip(position_bitstring(mask, n), position_bitstring(value, n))
-    for wire, (control, b) in enumerate(bits, start=1):
-        factor = block if wire == target else _PROJECTORS[b] if control == "1" else _EYE
-        out = np.kron(out, factor)
+    for bit in range(n - 1, -1, -1):  # wires 1..n in order
+        out = np.kron(out, block if bit == n - target else
+                      _PROJECTORS[value >> bit & 1] if mask >> bit & 1 else _EYE)
     return out
-
-
-def wire_gate(n: int, j: int, v) -> np.ndarray:
-    """Realize v on wire j of an n-wire register."""
-    return realize_gate(Circuit(n, [j], [0], [0], [v], [math.nan]))
 
 
 def control_projector(n: int, ell: int, z, v) -> np.ndarray:
@@ -286,25 +281,11 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
 def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     """Unitary applying v on wire ell iff the other n-1 wires match z.
 
-    A two-level modification of the identity: only the two basis indices
-    whose non-target bits match z are mixed by v.
+    z lists the other wires' bits in wire order, None for a free wire;
+    with none free, v mixes only the two basis indices that match z.
     """
     mask, value = _controls(n, ell, z)
     return realize_gate(Circuit(n, [ell], [mask], [value], [v], [math.nan]))
-
-
-def suffix_controlled_gate(n: int, stage: int, suffix, v) -> np.ndarray:
-    """Identity on the first n-stage wires, then v on the next wire
-    controlled by the trailing stage-1 wires matching suffix."""
-    suffix = tuple(suffix)
-    text = bitstring(decode(suffix), len(suffix)) if suffix else ""  # decode checks each bit
-    if not 2 <= stage <= n:
-        raise ValueError(f"stage {stage} out of range for n={n}")
-    if len(text) != stage - 1:
-        raise ValueError(f"suffix length {len(text)} != stage-1 = {stage - 1}")
-    # The suffix wires are the low stage - 1 position bits, the first one highest.
-    target, mask = stage_layout(n, stage)
-    return realize_gate(Circuit(n, [target], [mask], [int(text or "0", 2)], [v], [math.nan]))
 
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
@@ -417,14 +398,6 @@ class Circuit:
 def circuit_length(c: Circuit) -> int:
     """Number of elementary gates; the identity (empty) circuit has 0."""
     return len(c.target)
-
-
-def realize(c: Circuit) -> np.ndarray:
-    """Dense matrix of the whole circuit: last gate leftmost."""
-    out = np.eye(2**c.n, dtype=np.complex128)
-    for g in c.gates:
-        out = realize_gate(g) @ out
-    return out
 
 
 def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:

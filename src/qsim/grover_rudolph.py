@@ -279,6 +279,7 @@ def target_law(d, n: int) -> np.ndarray:
     The little-endian outcome label k equals the dyadic position of its
     interval, so no index reshuffling is needed here.
     """
+    n = as_count("n", n)
     return d.masses(np.arange(2**n + 1) / 2.0**n)
 
 

@@ -99,9 +99,12 @@ def cluster_indices(values, tol: float) -> list[list[int]]:
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H.
 
-    Computed through the eigendecomposition of H, which checks that H is
-    Hermitian; the result is checked to be unitary within UNITARY_TOL.
+    Computed, once t is checked finite, through the eigendecomposition of H,
+    which checks that H is Hermitian; the result is checked to be unitary
+    within UNITARY_TOL.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     w, v = hermitian_eig(h)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     if not is_unitary(u):

@@ -10,10 +10,10 @@ conflating them is the classic bug in this construction:
   Kronecker factor and therefore the most significant block of the array.
 
 This module owns both maps, and every other module goes through them:
-encode/decode handle labels, bitstring and its column form
-label_bitstrings write a label's bits as text in wire order, tensor_index,
-position_bitstring and its column inverse bitstring_positions handle array
-positions, and label_permutation tabulates the composite map.
+encode/decode handle labels; bitstring and label_bitstrings write them as
+text in wire order; tensor_index and bitstring_positions handle array
+positions; label_permutation tabulates the composite map. Labels and qubit
+counts follow linalg.as_count's integer rule.
 """
 
 from __future__ import annotations
@@ -41,16 +41,18 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 MAX_SHOTS = 10**8
 
 
-def _check_label(k: int, n: int) -> None:
+def _check_label(k: int, n: int) -> tuple[int, int]:
+    k, n = as_count("label", k), as_count("n", n)
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     if not 0 <= k < 2**n:
         raise ValueError(f"label {k} out of range for {n} qubits")
+    return k, n
 
 
 def encode(k: int, n: int) -> list[int]:
     """Bits (z_1, ..., z_n) of the label k = sum z_i 2^(i-1)."""
-    _check_label(k, n)
+    k, n = _check_label(k, n)
     return [(k >> i) & 1 for i in range(n)]
 
 
@@ -74,7 +76,7 @@ def decode(bits: BitString) -> int:
 
 def bitstring(k: int, n: int) -> str:
     """The bits z_1 ... z_n of label k as a string in wire order: "100" is k=1."""
-    _check_label(k, n)
+    k, n = _check_label(k, n)
     return format(k, f"0{n}b")[::-1]
 
 
@@ -89,8 +91,8 @@ def tensor_index(bits: BitString) -> int:
 
 def bitstring_positions(text: str, n: int) -> np.ndarray:
     """Flat array positions of the wire-order strings of n <= 63 bits that
-    text concatenates, as an int64 column: position_bitstring inverted, so
-    "011100" at n = 3 is [3, 4]."""
+    text concatenates, as an int64 column: wire 1 is the most significant
+    bit, as in tensor_index, so "011100" at n = 3 is [3, 4]."""
     bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, n) - ord("0")
     bad = (bits > 1).any(axis=1)
     if n > 63 or bad.any():
@@ -102,17 +104,9 @@ def bitstring_positions(text: str, n: int) -> np.ndarray:
 def label_bitstrings(n: int) -> list[str]:
     """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, from one
     (2^n, n) array of characters: character i - 1 is bit i - 1 of k."""
-    _check_label(0, n)
+    n = _check_label(0, n)[1]
     bits = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1
     return (bits | ord("0")).view(f"S{n}")[:, 0].astype(str).tolist()
-
-
-def position_bitstring(p: int, n: int) -> str:
-    """The bits z_1 ... z_n of flat array position p as a string in wire
-    order: the inverse of tensor_index, so "011" is position 3."""
-    if not 0 <= p < 2**n:
-        raise ValueError(f"position {p} out of range for {n} qubits")
-    return format(p, f"0{n}b")
 
 
 def label_permutation(n: int) -> np.ndarray:
@@ -122,15 +116,15 @@ def label_permutation(n: int) -> np.ndarray:
     wire i, which is position bit n-i. Reversing the axes of the positions
     laid out as an n-bit array reverses every index's bits.
     """
-    if n < 1:
-        raise ValueError("qubit count must be at least 1")
+    n = _check_label(0, n)[1]
     return np.arange(2**n).reshape((2,) * n).transpose().ravel()
 
 
 def basis_vector(k: int, n: int) -> np.ndarray:
     """Unit vector of the basis state labeled k."""
+    position = tensor_index(encode(k, n))  # encode checks k and n first
     v = np.zeros(2**n, dtype=np.complex128)
-    v[tensor_index(encode(k, n))] = 1.0
+    v[position] = 1.0
     return v
 
 
@@ -179,6 +173,7 @@ def standard_observable(n: int) -> QpuObservable:
     Wire j carries diag(1, p_j) with p_j the j-th prime, so the label of
     outcome k is the square-free product encoding k's bits uniquely.
     """
+    n = as_count("n", n)
     if not 1 <= n <= len(_PRIMES):
         raise ValueError(f"qubit count must be between 1 and {len(_PRIMES)}")
     return qpu_observable(
@@ -201,6 +196,7 @@ class Udqc:
 
 def udqc(n: int) -> Udqc:
     """Digital quantum computer model on 1 to 16 qubits; builds rho0 only."""
+    n = as_count("n", n)
     if not 1 <= n <= len(_PRIMES):
         raise ValueError(f"qubit count must be between 1 and {len(_PRIMES)}")
     return Udqc(n=n, rho0=pure_state(basis_vector(0, n)))

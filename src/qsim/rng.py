@@ -81,11 +81,6 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return z
 
 
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """`count` doubles in [0, 1) from the splitmix64 stream."""
-    return (splitmix64_stream(seed, count) >> np.uint64(11)) * 2.0**-53
-
-
 def cdf(probabilities) -> np.ndarray:
     """Cumulative sums of a nonempty 1-D array of finite, nonnegative
     probabilities: nondecreasing, as both draw readings need."""
@@ -102,11 +97,13 @@ def cdf(probabilities) -> np.ndarray:
 def inverse_cdf_sample(probabilities, shots: int, seed: int) -> np.ndarray:
     """Outcome indices for `shots` i.i.d. draws from a finite distribution.
 
-    The draw for uniform u is the first index i with u < cdf[i]; indices are
-    clipped to the last outcome to absorb cumulative rounding shortfall.
+    The draw for the uniform u = (x >> 11) * 2^-53 of stream output x is the
+    first index i with u < cdf[i]; indices are clipped to the last outcome
+    to absorb cumulative rounding shortfall.
     """
     c = cdf(probabilities)
-    idx = np.searchsorted(c, uniforms(seed, shots), side="right")
+    u = (splitmix64_stream(seed, shots) >> np.uint64(11)) * 2.0**-53
+    idx = np.searchsorted(c, u, side="right")
     return np.minimum(idx, len(c) - 1)
 
 

@@ -32,12 +32,9 @@ from qsim.gates import (
     controlled_gate,
     format_circuit,
     parse_circuit,
-    realize,
     realize_gate,
     rotation,
     rotations,
-    suffix_controlled_gate,
-    wire_gate,
 )
 from qsim.linalg import is_unitary
 from qsim.qpu import basis_vector, tensor_index
@@ -81,6 +78,15 @@ def circuit(n, rows=()):
                                   for f in ("target", "mask", "value", "angle"))
     blocks = [g.blocks[0] for g in rows if math.isnan(g.angle[0])]
     return Circuit(n, target, mask, value, blocks, angle)
+
+
+def realize(c):
+    """Dense matrix of the whole circuit, last gate leftmost: the product of
+    each gate's realize_gate, the dense oracle the kernel is tested against."""
+    out = np.eye(2**c.n, dtype=complex)
+    for g in c.gates:
+        out = realize_gate(g) @ out
+    return out
 
 
 def parse_line(line, n):
@@ -128,35 +134,39 @@ def test_rotation_is_the_rotations_rule_bit_for_bit():
 
 
 # --- wire gates ------------------------------------------------------------------
+#
+# A gate on one wire is controlled_gate with every other wire free (None).
 
 
 def test_wire_gate_single_wire_is_the_block_itself():
     rng = np.random.default_rng(1)
     v = random_unitary2(rng)
-    assert np.array_equal(wire_gate(1, 1, v), v)
+    assert np.array_equal(controlled_gate(1, 1, (), v), v)
 
 
 def test_wire_gate_identity_block_is_identity():
     for n in (1, 2, 3):
         for j in range(1, n + 1):
-            assert np.array_equal(wire_gate(n, j, np.eye(2)), np.eye(2**n))
+            eye = controlled_gate(n, j, (None,) * (n - 1), np.eye(2))
+            assert np.array_equal(eye, np.eye(2**n))
 
 
 def test_wire_gate_matches_explicit_kron():
     rng = np.random.default_rng(2)
     v = random_unitary2(rng)
-    assert np.array_equal(wire_gate(3, 1, v), np.kron(v, np.eye(4)))
+    free = (None, None)
+    assert np.array_equal(controlled_gate(3, 1, free, v), np.kron(v, np.eye(4)))
     assert np.array_equal(
-        wire_gate(3, 2, v), np.kron(np.kron(np.eye(2), v), np.eye(2))
+        controlled_gate(3, 2, free, v), np.kron(np.kron(np.eye(2), v), np.eye(2))
     )
-    assert np.array_equal(wire_gate(3, 3, v), np.kron(np.eye(4), v))
+    assert np.array_equal(controlled_gate(3, 3, free, v), np.kron(np.eye(4), v))
 
 
 def test_wire_gates_on_distinct_wires_commute():
     rng = np.random.default_rng(3)
     u, v = random_unitary2(rng), random_unitary2(rng)
-    a = wire_gate(2, 1, u) @ wire_gate(2, 2, v)
-    b = wire_gate(2, 2, v) @ wire_gate(2, 1, u)
+    a = controlled_gate(2, 1, (None,), u) @ controlled_gate(2, 2, (None,), v)
+    b = controlled_gate(2, 2, (None,), v) @ controlled_gate(2, 1, (None,), u)
     assert np.max(np.abs(a - b)) < 1e-14
     assert np.max(np.abs(a - np.kron(u, v))) < 1e-14
 
@@ -166,7 +176,7 @@ def test_wire_gate_moves_probability_on_its_wire_only():
     rho = pure_state(basis_vector(0, 3))
     from qsim.qpu import basis_distribution, evolve
 
-    moved = evolve(wire_gate(3, 2, FLIP), rho)
+    moved = evolve(controlled_gate(3, 2, (None, None), FLIP), rho)
     dist = basis_distribution(moved)
     assert dist[2] == pytest.approx(1.0)
 
@@ -192,9 +202,13 @@ def test_wire_gate_validation():
     for kwargs in (dict(mask=1.0), dict(mask=1, value=1.0), dict(mask=True)):
         with pytest.raises(TypeError):
             gate(3, 2, eye, **kwargs)
-    # n is an integer, Python or numpy, and not a bool or a float; an angle
-    # is a real number, not a bool, str or complex.
+    # n is an integer from 1 to 62, Python or numpy, and not a bool or a
+    # float, as an n=0 header is rejected; an angle is a real number, not a
+    # bool, str or complex.
     for kwargs, message in (
+        (dict(n=0, target=1, v=eye), "n must be at least 1, got 0"),
+        (dict(n=-1, target=1, v=eye), "n must be at least 1, got -1"),
+        (dict(n=63, target=1, v=eye), "n must be at most 62, got 63"),
         (dict(n=2.0, target=1, v=eye), "n must be an integer, got 2.0"),
         (dict(n=True, target=1, v=eye), "n must be an integer, got True"),
         (dict(n="2", target=1, v=eye), "n must be an integer, got '2'"),
@@ -393,7 +407,7 @@ def test_control_bits_follow_the_integer_rule():
         (lambda: controlled_gate(3, 1, (True, 0), eye), "control pattern (True, 0) contains non-bits"),
         (lambda: controlled_gate(3, 1, (1.0, 0), eye), "control pattern (1.0, 0) contains non-bits"),
         (lambda: control_projector(3, 1, (0.0, 1), eye), "control pattern (0.0, 1) contains non-bits"),
-        (lambda: suffix_controlled_gate(3, 3, (True, 0), eye), "bit True is not 0 or 1"),
+        (lambda: controlled_gate(3, 1, (None, True), eye), "control pattern (None, True) contains non-bits"),
         (lambda: decode([1.0, 0]), "bit 1.0 is not 0 or 1"),
     ):
         with pytest.raises(ValueError) as info:
@@ -408,21 +422,27 @@ def test_control_bits_follow_the_integer_rule():
 
 
 # --- suffix-controlled gates -------------------------------------------------------
+#
+# Grover-Rudolph stage l on n wires rotates wire n - l + 1 under a suffix of
+# the trailing l - 1 wires: controlled_gate with the leading n - l wires free.
 
 
 def test_suffix_gate_at_final_stage_is_fully_controlled():
+    """The last stage's layout controls every other wire: its one-gate
+    circuit is controlled_gate of the full pattern."""
     rng = np.random.default_rng(12)
     v = random_unitary2(rng)
     suffix = (1, 0)
-    got = suffix_controlled_gate(3, 3, suffix, v)
-    assert np.max(np.abs(got - controlled_gate(3, 1, suffix, v))) < 1e-14
+    target, mask = gates.stage_layout(3, 3)
+    got = realize_gate(gate(3, target, v, mask=mask, value=tensor_index((0, *suffix))))
+    assert np.array_equal(got, controlled_gate(3, 1, suffix, v))
 
 
 def test_suffix_gate_matches_explicit_kron():
     """Leading wires untouched: the matrix is I (x) (controlled block)."""
     rng = np.random.default_rng(13)
     v = random_unitary2(rng)
-    got = suffix_controlled_gate(4, 2, (1,), v)
+    got = controlled_gate(4, 3, (None, None, 1), v)  # stage 2, suffix (1,)
     block = controlled_gate(2, 1, (1,), v)
     assert np.max(np.abs(got - np.kron(np.eye(4), block))) < 1e-14
 
@@ -432,8 +452,8 @@ def test_suffix_gate_basis_action():
     rng = np.random.default_rng(14)
     v = random_unitary2(rng)
     n, stage, suffix = 3, 2, (1,)
-    g = suffix_controlled_gate(n, stage, suffix, v)
     target = n - stage + 1  # wire 2
+    g = controlled_gate(n, target, (None,) * (n - stage) + suffix, v)
     # Matching state: bits (0, 0, 1); wire 3 carries the suffix bit.
     vec = np.zeros(8, dtype=complex)
     vec[tensor_index([0, 0, 1])] = 1.0
@@ -446,19 +466,6 @@ def test_suffix_gate_basis_action():
     vec = np.zeros(8, dtype=complex)
     vec[tensor_index([0, 1, 0])] = 1.0
     assert np.max(np.abs(g @ vec - vec)) < 1e-14
-
-
-def test_suffix_gate_validation():
-    for args, message in (
-        ((3, 1, ()), "stage 1 out of range for n=3"),
-        ((3, 4, (1, 1, 1)), "stage 4 out of range for n=3"),
-        ((3, 2, (1, 0)), "suffix length 2 != stage-1 = 1"),
-        ((3, 3, (1, None)), "bit None is not 0 or 1"),
-        ((3, 3, (1, 2)), "bit 2 is not 0 or 1"),
-    ):
-        with pytest.raises(ValueError) as info:
-            suffix_controlled_gate(*args, np.eye(2))
-        assert str(info.value) == message
 
 
 # --- two-level gates -----------------------------------------------------------------
@@ -642,7 +649,7 @@ def test_realize_gate_takes_a_one_gate_circuit():
             realize_gate(c)
         assert str(info.value) == (
             f"realize_gate takes a one-gate circuit, got {circuit_length(c)} gates")
-    assert np.array_equal(realize_gate(two.gates[1]), wire_gate(2, 2, rotation(0.5)))
+    assert np.array_equal(realize_gate(two.gates[1]), controlled_gate(2, 2, (None,), rotation(0.5)))
 
 
 def test_empty_columns_given_as_lists():
@@ -662,7 +669,10 @@ def test_empty_columns_given_as_lists():
     same(Decomposition(3, [], [], []), parse_decomposition("QSIM-FACTORS v1 dim=3\n"),
          ("i", "j", "blocks"))
     same(Circuit(1, [1], [0], [0], [], [0.5]), Circuit(1, [1], [0], [0], None, [0.5]), wire)
-    assert format_circuit(Circuit(3, [], [], [], None, [])) == "QSIM-CIRCUIT v2 n=3\n"
+    for n in (1, 3):  # the smallest register reads back too
+        text = f"QSIM-CIRCUIT v2 n={n}\n"
+        assert format_circuit(Circuit(n, [], [], [], None, [])) == text
+        assert format_circuit(parse_circuit(text)) == text
     for bad in ([True], [1.0]):
         with pytest.raises(TypeError):
             Circuit(2, bad, [0], [0], None, [0.5])
@@ -1225,7 +1235,7 @@ def test_control_fields_read_as_the_constructors_build_them():
     """A file of random CTRL lines, and ROT lines on the layout of a
     synthesis stage, reads, one column per field, to the target, mask and
     value that tensor_index gives wire by wire, and each line's circuit
-    realizes to the matrix of controlled_gate or suffix_controlled_gate."""
+    realizes to the matrix of controlled_gate, a stage's leading wires free."""
     rng = np.random.default_rng(43)
     for n in range(1, 6):
         lines, want = [], []
@@ -1249,7 +1259,7 @@ def test_control_fields_read_as_the_constructors_build_them():
                 v = rotation(angle)
                 pattern = "." * (target - 1) + "".join(map(str, suffix))
                 lines.append(f"ROT {target} {angle!r} {pattern}")
-                dense = suffix_controlled_gate(n, stage, suffix, v)
+                dense = controlled_gate(n, target, (None,) * (target - 1) + suffix, v)
             mask = tensor_index([int(b is not None) for b in wires])
             want.append((target, mask, tensor_index([b or 0 for b in wires]), v))
             one = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{lines[-1]}\n")
@@ -1276,8 +1286,7 @@ def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
     def boom(*args):
         raise AssertionError("a per-line call")
 
-    for module, name in ((qpu, "tensor_index"), (qpu, "decode"), (gates, "decode"),
-                         (gates, "bitstring"), (gates, "_controls")):
+    for module, name in ((qpu, "tensor_index"), (qpu, "decode"), (gates, "_controls")):
         monkeypatch.setattr(module, name, boom)
     calls = []
     positions = gates.bitstring_positions

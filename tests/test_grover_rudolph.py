@@ -512,7 +512,7 @@ def test_unpruned_circuit_length_is_full():
 def _suffix(g):
     """The control bits of a synthesized gate, a one-gate circuit: the wires
     after its target, in wire order."""
-    return qpu.position_bitstring(g.value[0].item(), g.n)[g.target[0].item() :]
+    return format(g.value[0].item(), f"0{g.n}b")[g.target[0].item() :]
 
 
 def test_circuit_gate_layout():
@@ -735,6 +735,18 @@ def equivalence_cases():
     for n in range(1, 13):
         for d in (triangular(), powers_of_two(), random_poly_density(rng)):
             yield d, n
+
+
+def test_qubit_count_follows_the_integer_rule():
+    """n is an integer, Python or numpy, and not a bool or a float, for the
+    target law and everything built on it: 2.0 does not give four masses."""
+    d = triangular()
+    for n in (2.0, True, np.float64(3.0)):
+        for call in (target_law, angle_tree, verify):
+            with pytest.raises(ValueError) as info:
+                call(d, n)
+            assert str(info.value) == f"n must be an integer, got {n!r}", call
+    assert target_law(d, np.int64(3)).tobytes() == target_law(d, 3).tobytes()
 
 
 def test_target_law_equals_scalar_reference():

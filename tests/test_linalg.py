@@ -190,6 +190,18 @@ def test_cluster_indices_pins():
 # --- the unitary group from Hermitian generators -----------------------------
 
 
+def test_a_time_that_is_not_finite_is_rejected_before_the_eigensolve(monkeypatch):
+    """exp(-itH) needs a finite t: NaN and the infinities are a ValueError
+    naming t, raised before H is decomposed, so a non-Hermitian H gets the
+    same message and eigh is never called."""
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh was called"))
+    for h in (np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
+        for t in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ValueError) as info:
+                unitary_from_hamiltonian(h, t)
+            assert str(info.value) == f"t must be finite, got {t!r}"
+
+
 def test_generator_zero_gives_identity():
     assert np.array_equal(
         unitary_from_hamiltonian(np.zeros((3, 3)), 1.7), np.eye(3)

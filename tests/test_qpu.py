@@ -54,7 +54,6 @@ from qsim.rng import (
     inverse_cdf_counts,
     inverse_cdf_sample,
     splitmix64_stream,
-    uniforms,
 )
 
 
@@ -115,6 +114,42 @@ def test_label_bitstrings_is_bitstring_of_every_label():
         label_bitstrings(0)
 
 
+def test_labels_and_qubit_counts_follow_the_integer_rule():
+    """A label or a qubit count is an integer, Python or numpy, and not a
+    bool or a float: linalg.as_count's rule, checked before any array is
+    made. The range messages are unchanged."""
+    for call, message in (
+        (lambda: encode(True, 3), "label must be an integer, got True"),
+        (lambda: bitstring(True, 3), "label must be an integer, got True"),
+        (lambda: basis_vector(True, 2), "label must be an integer, got True"),
+        (lambda: encode(1, True), "n must be an integer, got True"),
+        (lambda: bitstring(1.5, 3), "label must be an integer, got 1.5"),
+        (lambda: encode(1.0, 3), "label must be an integer, got 1.0"),
+        (lambda: basis_vector(0, 2.5), "n must be an integer, got 2.5"),
+        (lambda: label_bitstrings(True), "n must be an integer, got True"),
+        (lambda: label_permutation(True), "n must be an integer, got True"),
+        (lambda: label_permutation(2.0), "n must be an integer, got 2.0"),
+        (lambda: standard_observable(True), "n must be an integer, got True"),
+        (lambda: udqc(True), "n must be an integer, got True"),
+        (lambda: udqc(2.0), "n must be an integer, got 2.0"),
+        (lambda: label_permutation(0), "qubit count must be at least 1"),
+        (lambda: encode(8, np.int64(3)), "label 8 out of range for 3 qubits"),
+        (lambda: udqc(17), "qubit count must be between 1 and 16"),
+        (lambda: standard_observable(0), "qubit count must be between 1 and 16"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # numpy integers are read as Python ints.
+    bits = encode(np.int64(6), np.uint8(3))
+    assert bits == [0, 1, 1] and {type(b) for b in bits} == {int}
+    assert bitstring(np.int64(1), np.int64(3)) == "100"
+    assert label_bitstrings(np.int64(2)) == label_bitstrings(2)
+    assert label_permutation(np.int64(3)).tobytes() == label_permutation(3).tobytes()
+    assert np.array_equal(basis_vector(np.int64(1), np.int64(2)), basis_vector(1, 2))
+    assert type(udqc(np.int64(2)).n) is int
+
+
 def test_tensor_index_pins():
     # Wire 1 is the leftmost Kronecker factor = most significant position
     # bit, so bits [1, 0, 0] sit at flat position 4, not 1.
@@ -128,17 +163,16 @@ def test_tensor_index_pins():
         tensor_index([0, 2])
 
 
-def test_bitstring_positions_invert_position_bitstring():
+def test_bitstring_positions_read_wire_order_bits():
     # Wire order, wire 1 most significant: "011" is position 3, "100" is 4.
     assert bitstring_positions("011100", 3).tolist() == [3, 4]
     assert bitstring_positions("", 2).tolist() == []
     rng = np.random.default_rng(5)
     for n in (1, 5, 62, 63):
         p = [int(x) for x in rng.integers(0, 2**n, 50, dtype=np.uint64)]
-        text = "".join(qpu.position_bitstring(x, n) for x in p)
+        text = "".join(format(x, f"0{n}b") for x in p)
         assert bitstring_positions(text, n).tolist() == p
-    with pytest.raises(ValueError, match="^position 8 out of range for 3 qubits$"):
-        qpu.position_bitstring(8, 3)
+        assert [tensor_index([int(b) for b in format(x, f"0{n}b")]) for x in p[:5]] == p[:5]
     for text, n, message in (
         ("0120", 2, "'20' is not a string of 2 <= 63 bits"),
         ("0.", 2, "'0.' is not a string of 2 <= 63 bits"),
@@ -340,6 +374,15 @@ def _law_pairs(observable, rho):
 
     lw = law(observable, rho)
     return lw.values(), lw.probabilities()
+
+
+def test_liouville_solve_rejects_a_time_that_is_not_finite():
+    """A NaN or infinite t is bad input, a ValueError, not a numerical fault."""
+    rho = udqc(2).rho0
+    h = np.diag([1.0, 2.0, 3.0, 4.0])
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t!r}$"):
+            liouville_solve(h, rho, t)
 
 
 def test_udqc_initial_state_is_all_zeros():
@@ -647,11 +690,14 @@ def test_premix_and_the_last_step_are_the_stream():
 
 
 def test_uniforms_range_and_top_bits_rule():
-    u = uniforms(12345, 10000)
-    assert np.all(u >= 0.0) and np.all(u < 1.0)
-    raw = splitmix64_stream(12345, 4)
-    want = [(int(x) >> 11) * 2.0**-53 for x in raw]
-    assert np.allclose(uniforms(12345, 4), want, atol=0.0)
+    """A draw reads the uniform u = (x >> 11) * 2^-53 of stream output x, in
+    [0, 1): over 2^k equal masses, whose cdf is exact, it is the top k bits
+    of x, and no draw is clipped."""
+    raw = splitmix64_stream(12345, 10000)
+    for k in (1, 8, 16):
+        p = np.full(2**k, 2.0**-k)
+        want = raw >> np.uint64(64 - k)
+        assert np.array_equal(inverse_cdf_sample(p, 10000, 12345), want), k
 
 
 # --- sampling -------------------------------------------------------------------

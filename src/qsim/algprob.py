@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector, cluster_indices
+from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector
 from .linalg import UNITARY_TOL, hermitian_eig, is_hermitian, is_unitary
 
 STATE_TOL = 1e-10
@@ -78,19 +78,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def eigenvalue_clusters(self) -> list[tuple[float, list[int]]]:
-        """Distinct eigenvalues after clustering, with eigenvector indices.
-
-        Eigenvalues within EIG_CLUSTER_REL_TOL * max(||A||, 1) of each other
-        count as one degenerate eigenvalue; the reported value is the cluster
-        mean. Returned in ascending order.
-        """
-        scale = max(float(np.linalg.norm(self.mat)), 1.0)
-        groups = cluster_indices(self.eigenvalues, EIG_CLUSTER_REL_TOL * scale)
-        # Clusters of ascending values are contiguous runs of indices.
-        sums = np.add.reduceat(self.eigenvalues, [g[0] for g in groups])
-        return list(zip((sums / [len(g) for g in groups]).tolist(), groups))
 
 
 @dataclass(frozen=True)
@@ -194,19 +181,21 @@ def law_probabilities(raw) -> np.ndarray:
 def law(a: Observable, rho: DensityMatrix) -> Law:
     """Measurement distribution of observable a in state rho.
 
-    One outcome per clustered eigenvalue, with probability Re tr(rho P) for
-    the projector P onto its eigenspace, checked by law_probabilities. The
-    state passes validate_state's checks, with no eigensolve when it is valid.
+    One outcome per run of eigenvalues within EIG_CLUSTER_REL_TOL * max(||A||, 1)
+    of the next, valued at its mean, with probability Re tr(rho P) for the projector
+    P onto its eigenspace, by law_probabilities; rho passes validate_state's checks.
     """
     _check_state(as_matrix(rho.mat))
     if a.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rho.dim}")
-    v = a.eigenvectors
+    v, w = a.eigenvectors, a.eigenvalues
     # <v_j| rho |v_j> for every eigenvector column j, from one product.
     expectations = np.einsum("ij,ij->j", v.conj(), as_matrix(rho.mat) @ v).real
-    values, groups = zip(*a.eigenvalue_clusters())
-    probs = law_probabilities(np.add.reduceat(expectations, [g[0] for g in groups]))
-    return Law(outcomes=tuple(zip(values, probs.tolist())))
+    tol = EIG_CLUSTER_REL_TOL * max(float(np.linalg.norm(a.mat)), 1.0)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)  # after each gap above tol
+    values = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
+    probs = law_probabilities(np.add.reduceat(expectations, starts))
+    return Law(outcomes=tuple(zip(values.tolist(), probs.tolist())))
 
 
 def conjugate(m, v) -> np.ndarray:

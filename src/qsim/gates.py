@@ -8,7 +8,8 @@ the ambient space directly.
 
 Wires are numbered 1..n with wire 1 the leftmost Kronecker factor, which
 is array-position bit n - w for wire w (qpu.tensor_index); a wire gate's
-control mask and value are ints over those position bits. A circuit
+control mask and value are ints over those position bits, read from a
+pattern column's (k, n) byte matrix by the weights 2^(n - w). A circuit
 applies its gates in sequence order, so the realized matrix is the
 reversed product: gates[k-1] @ ... @ gates[0].
 
@@ -38,8 +39,8 @@ from itertools import repeat
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import UNITARY_TOL, as_count
-from .qpu import bitstring_positions, is_bit
+from .linalg import UNITARY_TOL, as_count, as_reals
+from .qpu import is_bit
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -82,19 +83,6 @@ def _check_blocks(blocks) -> np.ndarray:
     return v
 
 
-def as_reals(name: str, x) -> np.ndarray:
-    """x as a new float64 array when each entry is a real number, Python or
-    numpy: not a bool, str or complex; ValueError otherwise. Every angle of a
-    constructor passes this rule."""
-    # A list is read as objects: np.array(x) would read True among floats as 1.0.
-    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
-    real = (int, float, np.integer, np.floating)
-    if not all(issubclass(t, real) and not issubclass(t, bool) for t in types):
-        raise ValueError(f"{name} must be real numbers, got {sorted(t.__name__ for t in types)}")
-    return a.astype(np.float64)
-
-
 def _columns(*ints) -> list[np.ndarray]:
     """Each of ints as a read-only int64 array; a float or a bool, even one
     bool in a list, is a TypeError; an empty list is an empty column."""
@@ -120,7 +108,16 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
     that gate's entry of each column."""
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(message.format(*(c[k].item() for c in columns)))
+        raise ValueError(message.format(*(c[k] for c in columns)))
+
+
+def wire_count(n) -> int:
+    """n as a count of wires: an integer by as_count's rule, within 1..MAX_WIRES."""
+    n = as_count("n", n)
+    if not 1 <= n <= MAX_WIRES:
+        bound = "least 1" if n < 1 else f"most {MAX_WIRES}"
+        raise ValueError(f"n must be at {bound}, got {n}")
+    return n
 
 
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
@@ -129,10 +126,7 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     built here in one cos and sin pass, and unitary exactly when the angle
     is finite. blocks lists the NaN-angle gates' blocks, in order, or is
     None when there are none; only these given blocks are Gram-tested."""
-    n = as_count("n", n)
-    if not 1 <= n <= MAX_WIRES:
-        bound = "least 1" if n < 1 else f"most {MAX_WIRES}"
-        raise ValueError(f"n must be at {bound}, got {n}")
+    n = wire_count(n)
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
     target, mask, value = _columns(target, mask, value)
@@ -224,18 +218,21 @@ def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
     """(target, mask, value) columns of ROT and CTRL fields: a target wire, and a
     pattern over the other n - 1 wires in wire order ('-' for none), '0' or '1'
     for a control wire that must carry that bit and '.' for a free one."""
+    n = wire_count(n)
     target = np.asarray(target).astype(np.int64, casting="safe")
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
     patterns = np.asarray(patterns, dtype=object)
     length = np.fromiter(map(len, patterns), np.int64, len(patterns)) - (patterns == "-")
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
-    # All n wires, the target free, as a (k, n) byte matrix; only 0, 1 and . are bits.
+    # All n wires, the target free, as a (k, n) byte matrix.
     wires = np.full((len(target), n), ord("."), dtype=np.uint8)
     others = "".join(patterns).encode() if n > 1 else b""  # each pattern is "-" at n = 1
     wires[np.arange(n) != target[:, None] - 1] = np.frombuffer(others, np.uint8)
-    text = wires.tobytes().decode()
-    mask = bitstring_positions(text.replace("0", "1").replace(".", "0"), n)
-    return target, mask, bitstring_positions(text.replace(".", "0"), n)
+    ctrl, one = wires != ord("."), wires == ord("1")
+    bad = (ctrl & ~one & (wires != ord("0"))).any(axis=1)
+    _reject(bad, "pattern {!r} holds a character other than 0, 1 and .", patterns)
+    weights = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))  # wire w: bit n - w
+    return target, ctrl.astype(np.int64) @ weights, one.astype(np.int64) @ weights
 
 
 def _controls(n: int, target: int, pattern) -> tuple[int, int]:

@@ -24,10 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .gates import MAX_WIRES, Circuit, apply_vector, as_count, as_reals, stage_layout
+from .gates import Circuit, apply_vector, stage_layout, wire_count
+from .linalg import as_reals
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -110,18 +112,28 @@ def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
 class PiecewisePolyDensity:
     """A normalized piecewise-polynomial density on [0, 1].
 
-    Validated at construction: every number must be finite, segments must
-    partition [0, 1] in order, be nonnegative everywhere (each segment's
-    minimum, within rounding), and integrate to 1 within 1e-10; a rejection
-    names the first offending segment. The segments are held as lo, hi and
-    one zero-padded coefficient matrix's antiderivative rows, built once.
+    Validated at construction: every number must be real (linalg.as_reals) and
+    finite, segments must partition [0, 1] in order, be nonnegative everywhere
+    (each segment's minimum, within rounding), and integrate to 1 within 1e-10;
+    a rejection names the first offending segment. The segments are held as lo,
+    hi and one zero-padded coefficient matrix's antiderivative rows, built once.
     """
 
     segments: tuple[DensitySegment, ...]
 
     def __post_init__(self):
-        segs = tuple(DensitySegment(float(s.lo), float(s.hi), tuple(map(float, s.coeffs)))
-                     for s in self.segments)
+        rows = [(s.lo, s.hi, *s.coeffs) for s in self.segments]
+        try:  # one as_reals call reads every number; a failure is named by its segment
+            flat = iter(as_reals("lo, hi and coeffs", np.fromiter(chain(*rows), object)).tolist())
+        except ValueError:
+            for s, row in zip(self.segments, rows):
+                try:
+                    as_reals("lo, hi and coeffs", np.fromiter(row, object))
+                except ValueError as exc:
+                    raise DensityError(f"{exc} in segment {s}") from None
+            raise
+        segs = tuple(DensitySegment(next(flat), next(flat), tuple(islice(flat, len(r) - 2)))
+                     for r in rows)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise DensityError("density needs at least one segment")
@@ -186,9 +198,9 @@ class AngleTree:
 
     angles: the 2^n - 1 angles in heap order, entry 2^m - 1 + s the node with
     m bits fixed and suffix integer s (first suffix bit least significant),
-    which is the node interval's position at level m. n in 1..MAX_WIRES and
-    exactly 2^n - 1 angles within [0, pi/2], by the rules of gates.as_count and
-    gates.as_reals, or ValueError; kept as a read-only copy.
+    which is the node interval's position at level m. n by gates.wire_count and
+    exactly 2^n - 1 angles within [0, pi/2] by linalg.as_reals, or ValueError;
+    kept as a read-only copy.
     """
 
     n: int
@@ -196,10 +208,9 @@ class AngleTree:
 
     def __post_init__(self):
         # A NaN angle fails both bounds below.
-        n, a = as_count("n", self.n), as_reals("angles", self.angles)
-        if not (1 <= n <= MAX_WIRES and a.shape == (2**n - 1,)
-                and np.all((a >= 0.0) & (a <= math.pi / 2))):
-            raise ValueError(f"n={n} in 1..{MAX_WIRES} needs 2^n - 1 angles within [0, pi/2]")
+        n, a = wire_count(self.n), as_reals("angles", self.angles)
+        if not (a.shape == (2**n - 1,) and np.all((a >= 0.0) & (a <= math.pi / 2))):
+            raise ValueError(f"n={n} needs 2^n - 1 angles within [0, pi/2]")
         a.setflags(write=False)
         self.__dict__.update(n=n, angles=a)
 
@@ -277,9 +288,9 @@ def target_law(d, n: int) -> np.ndarray:
     """Exact outcome probabilities: entry k is the mass of [k/2^n, (k+1)/2^n].
 
     The little-endian outcome label k equals the dyadic position of its
-    interval, so no index reshuffling is needed here.
+    interval, so no index reshuffling is needed here. n passes gates.wire_count.
     """
-    n = as_count("n", n)
+    n = wire_count(n)
     return d.masses(np.arange(2**n + 1) / 2.0**n)
 
 

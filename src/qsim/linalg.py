@@ -6,8 +6,7 @@ pure and never mutate their inputs.
 
 Tolerances are named module constants: UNITARY_TOL (1e-10) for
 unitarity and hermiticity, EIG_CLUSTER_REL_TOL (1e-9, relative) for
-eigenvalue clustering. Only the predicates and cluster_indices take a
-tolerance argument, because their callers need different thresholds.
+eigenvalue clustering. Only the predicates take a tolerance argument.
 """
 
 from __future__ import annotations
@@ -26,6 +25,19 @@ def as_count(name: str, x) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return int(x)
+
+
+def as_reals(name: str, x) -> np.ndarray:
+    """x as a new float64 array when each entry is a real number, Python or
+    numpy: not a bool, str or complex; ValueError otherwise. Every angle, time
+    and density number passes this rule."""
+    # A list is read as objects: np.array(x) would read True among floats as 1.0.
+    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
+    real = (int, float, np.integer, np.floating)
+    if not all(issubclass(t, real) and not issubclass(t, bool) for t in types):
+        raise ValueError(f"{name} must be real numbers, got {sorted(t.__name__ for t in types)}")
+    return a.astype(np.float64)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,31 +91,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def cluster_indices(values, tol: float) -> list[list[int]]:
-    """Group ascending real values into clusters of gap at most tol.
-
-    Returns index groups; consecutive values join one cluster when they are
-    within tol of each other.
-    """
-    groups: list[list[int]] = []
-    prev = None
-    for i, x in enumerate(np.asarray(values, dtype=np.float64)):
-        if prev is not None and abs(x - prev) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-        prev = x
-    return groups
-
-
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H.
 
-    Computed, once t is checked finite, through the eigendecomposition of H,
-    which checks that H is Hermitian; the result is checked to be unitary
-    within UNITARY_TOL.
+    Computed, once t is checked to be a finite real number by as_reals's rule,
+    through the eigendecomposition of H, which checks that H is Hermitian;
+    the result is checked to be unitary within UNITARY_TOL.
     """
-    if not np.isfinite(t):
+    if not np.isfinite(as_reals("t", t)):
         raise ValueError(f"t must be finite, got {t!r}")
     w, v = hermitian_eig(h)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T

@@ -11,9 +11,8 @@ conflating them is the classic bug in this construction:
 
 This module owns both maps, and every other module goes through them:
 encode/decode handle labels; bitstring and label_bitstrings write them as
-text in wire order; tensor_index and bitstring_positions handle array
-positions; label_permutation tabulates the composite map. Labels and qubit
-counts follow linalg.as_count's integer rule.
+text in wire order; tensor_index handles array positions; label_permutation
+tabulates the composite map. Labels and qubit counts follow linalg.as_count.
 """
 
 from __future__ import annotations
@@ -87,18 +86,6 @@ def tensor_index(bits: BitString) -> int:
     position bit: index = sum z_j 2^(n-j).
     """
     return decode(bits[::-1])
-
-
-def bitstring_positions(text: str, n: int) -> np.ndarray:
-    """Flat array positions of the wire-order strings of n <= 63 bits that
-    text concatenates, as an int64 column: wire 1 is the most significant
-    bit, as in tensor_index, so "011100" at n = 3 is [3, 4]."""
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, n) - ord("0")
-    bad = (bits > 1).any(axis=1)
-    if n > 63 or bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{text[k * n : (k + 1) * n]!r} is not a string of {n} <= 63 bits")
-    return bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def label_bitstrings(n: int) -> list[str]:

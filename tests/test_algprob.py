@@ -25,7 +25,7 @@ from qsim.algprob import (
     pure_state,
     validate_state,
 )
-from qsim.linalg import EIG_CLUSTER_REL_TOL, cluster_indices, is_hermitian
+from qsim.linalg import EIG_CLUSTER_REL_TOL, is_hermitian
 
 
 def random_unitary(rng, n):
@@ -167,18 +167,26 @@ def test_observable_requires_hermitian():
 
 
 def test_eigenvalue_clusters_merge_degeneracies():
-    a = Observable(np.diag([2.0, 2.0, 5.0]))
-    clusters = a.eigenvalue_clusters()
-    assert len(clusters) == 2
-    assert clusters[0][0] == pytest.approx(2.0)
-    assert clusters[0][1] == [0, 1]
-    assert clusters[1][0] == pytest.approx(5.0)
-    assert clusters[1][1] == [2]
+    """Equal eigenvalues, and ascending ones within the cluster tolerance of
+    the next, however long the run, are one outcome valued at their mean."""
+    rho = pure_state(np.array([0.6, 0.0, 0.8]))
+    lw = law(Observable(np.diag([2.0, 2.0, 5.0])), rho)
+    assert lw.values() == [2.0, 5.0]
+    assert lw.probabilities() == pytest.approx([0.36, 0.64], abs=1e-15)
+    # 1e-12 apart merges; a run of steps within tol merges end to end.
+    assert law(Observable(np.diag([1.0, 1.0 + 1e-12, 2.0])), rho).values() == [
+        (1.0 + (1.0 + 1e-12)) / 2, 2.0]
+    assert len(law(Observable(np.diag([1.0, 1.0 + 9e-10, 1.0 + 1.8e-9])), rho).outcomes) == 1
+    assert law(Observable(np.array([[5.0]])), pure_state(np.array([1.0]))).outcomes == ((5.0, 1.0),)
 
 
 def test_eigenvalue_clusters_keep_separated_values_apart():
-    a = Observable(np.diag([1.0, 1.0 + 1e-3, 4.0]))
-    assert len(a.eigenvalue_clusters()) == 3
+    """A gap above the tolerance starts a new outcome, the first one
+    included: diag(1, 1 + 1e-3, 4) has three, and 1, 2, 3 has three."""
+    rho = pure_state(np.array([0.6, 0.0, 0.8]))
+    assert len(law(Observable(np.diag([1.0, 1.0 + 1e-3, 4.0])), rho).outcomes) == 3
+    assert law(Observable(np.diag([1.0, 2.0, 3.0])), rho).values() == [1.0, 2.0, 3.0]
+    assert len(law(Observable(np.diag([1.0, 1.0 + 2e-9, 1.0 + 4e-9])), rho).outcomes) == 3
 
 
 # --- laws ---------------------------------------------------------------------
@@ -206,7 +214,7 @@ def test_law_against_double_loop_oracle():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = Observable((h + h.conj().T) / 2)
     lw = law(a, rho)
-    for (value, idx), (lv, lp) in zip(a.eigenvalue_clusters(), lw.outcomes):
+    for (value, idx), (lv, lp) in zip(eigenvalue_clusters(a), lw.outcomes):
         assert value == pytest.approx(lv)
         want = 0.0
         for col in idx:
@@ -219,15 +227,30 @@ def test_law_against_double_loop_oracle():
         assert lp == pytest.approx(want, abs=1e-12)
 
 
-def per_cluster_law(a, rho):
-    """The law with one einsum per eigenvalue cluster, clamped into [0, 1]."""
+def eigenvalue_clusters(a):
+    """(mean, eigenvector indices) of each cluster, by one loop step per
+    ascending eigenvalue: a value within the tolerance of the one before
+    joins its cluster."""
     tol = EIG_CLUSTER_REL_TOL * max(float(np.linalg.norm(a.mat)), 1.0)
-    outcomes = []
-    for g in cluster_indices(a.eigenvalues, tol):
-        cols = a.eigenvectors[:, g]
-        p = float(np.real(np.einsum("ij,ik,kj->", cols.conj(), rho.mat, cols)))
-        outcomes.append((float(np.mean(a.eigenvalues[g])), min(max(p, 0.0), 1.0)))
-    return outcomes
+    groups, prev = [], None
+    for i, x in enumerate(a.eigenvalues.tolist()):
+        if prev is not None and abs(x - prev) <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+        prev = x
+    sums = np.add.reduceat(a.eigenvalues, [g[0] for g in groups])
+    return list(zip((sums / [len(g) for g in groups]).tolist(), groups))
+
+
+def per_cluster_law(a, rho):
+    """The law as it was built from eigenvalue_clusters' index lists: one
+    expectation per eigenvector, summed from each cluster's first index."""
+    v = a.eigenvectors
+    expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
+    values, groups = zip(*eigenvalue_clusters(a))
+    probs = law_probabilities(np.add.reduceat(expectations, [g[0] for g in groups]))
+    return tuple(zip(values, probs.tolist()))
 
 
 def test_law_matches_the_per_cluster_reference():
@@ -245,13 +268,15 @@ def test_law_matches_the_per_cluster_reference():
             a = Observable((u * w) @ u.conj().T)
             g = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
             rho = DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
-            want = per_cluster_law(a, rho)
             got = law(a, rho).outcomes
-            assert len(got) == len(want)
+            assert got == per_cluster_law(a, rho)
             if colliding:
                 assert len(got) <= 5
-            for (v, p), (wv, wp) in zip(got, want):
-                assert abs(v - wv) <= 1e-12 and abs(p - wp) <= 1e-12
+            # Each probability within 1e-12 of one einsum over its cluster.
+            for (_, p), (_, g) in zip(got, eigenvalue_clusters(a)):
+                cols = a.eigenvectors[:, g]
+                want = float(np.real(np.einsum("ij,ik,kj->", cols.conj(), rho.mat, cols)))
+                assert abs(p - min(max(want, 0.0), 1.0)) <= 1e-12
 
 
 def test_law_probabilities_is_the_one_readout_check():

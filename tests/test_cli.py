@@ -674,7 +674,7 @@ def test_options_a_command_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
-def test_only_four_public_callables_take_a_tol():
+def test_only_three_public_callables_take_a_tol():
     """Every public function and method of every qsim module, walked, so a
     new tolerance option cannot creep in unnoticed. A record's tol field
     (VerifyReport.tol) stores a value and sets nothing, so constructors are
@@ -698,7 +698,6 @@ def test_only_four_public_callables_take_a_tol():
     assert with_tol == {
         "linalg.is_hermitian",
         "linalg.is_unitary",
-        "linalg.cluster_indices",
         "grover_rudolph.verify",
     }
 

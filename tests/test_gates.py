@@ -1272,9 +1272,8 @@ def test_control_fields_read_as_the_constructors_build_them():
 
 def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
     """parse_circuit reads every ROT and CTRL field of a file as whole
-    columns: no per-line call into qpu or _controls, and one call of
-    bitstring_positions for the mask and one for the value column of each
-    line kind, whatever the number of lines."""
+    columns: no per-line call into qpu or _controls, whatever the number of
+    lines."""
     from qsim import grover_rudolph as gr, qpu
 
     segments = (gr.DensitySegment(0.0, 1.0, (0.5, 1.0)),)
@@ -1288,18 +1287,71 @@ def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
 
     for module, name in ((qpu, "tensor_index"), (qpu, "decode"), (gates, "_controls")):
         monkeypatch.setattr(module, name, boom)
-    calls = []
-    positions = gates.bitstring_positions
-    monkeypatch.setattr(gates, "bitstring_positions", lambda *a: calls.append(a) or positions(*a))
     got = parse_circuit(text)
-    assert len(calls) == 2
     for field in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, field), getattr(c, field), equal_nan=True), field
-    calls.clear()
     got = parse_circuit(text + ctrl)
-    assert len(calls) == 4
     for field in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+
+def test_pattern_columns_read_wire_order_bits():
+    """Wire 1 is the most significant position bit, as in tensor_index: at
+    n = 3, "11" on target 1 is mask and value 3 and "10" on target 3 is mask
+    6 and value 4; random patterns up to n = 62 read as tensor_index reads
+    their wires one by one."""
+    c = parse_circuit("QSIM-CIRCUIT v2 n=3\nROT 1 0.5 11\nROT 3 0.5 10\nROT 2 0.5 .1\n")
+    assert (c.mask.tolist(), c.value.tolist()) == ([3, 6, 1], [3, 4, 1])
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 61, 62):
+        lines, want = [], []
+        for _ in range(50):
+            target = int(rng.integers(1, n + 1))
+            wires = ["01."[i] for i in rng.integers(0, 3, n)]
+            wires[target - 1] = "."
+            lines.append(f"ROT {target} 0.5 {''.join(wires[: target - 1] + wires[target:])}")
+            want.append((tensor_index([int(w != ".") for w in wires]),
+                         tensor_index([int(w == "1") for w in wires])))
+        c = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n" + "\n".join(lines) + "\n")
+        assert list(zip(c.mask.tolist(), c.value.tolist())) == want, n
+
+
+def test_a_62_wire_ctrl_line_on_position_bit_61_reads_back():
+    """Wire 1 of a 62-wire register is position bit 61, the highest bit a
+    mask can hold; the line reads to that bit and writes back byte for byte."""
+    text = f"QSIM-CIRCUIT v2 n=62\nCTRL 62 1{'.' * 59}0 {_block_text(FLIP)}\n"
+    c = parse_circuit(text)
+    assert (c.mask.tolist(), c.value.tolist()) == ([2**61 + 2], [2**61])
+    assert format_circuit(c) == text
+
+
+def test_a_bad_pattern_character_is_named_as_written():
+    """A character other than 0, 1 and . is reported in the pattern the line
+    holds, not in the target-padded wire string the reader builds from it."""
+    block = _block_text(FLIP)
+    for n, line, pattern in ((2, "ROT 1 0.5 2", "2"), (2, f"CTRL 1 2 {block}", "2"),
+                             (4, "ROT 2 0.5 0x1", "0x1"), (3, f"CTRL 3 -1 {block}", "-1")):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{line}\n")
+        assert str(info.value) == (
+            f"bad gate: pattern {pattern!r} holds a character other than 0, 1 and .")
+
+
+def test_a_register_beyond_62_wires_is_rejected_before_any_matrix(monkeypatch):
+    """control_projector and controlled_gate read n by Circuit's rule before
+    any Kronecker chain starts, so n = 63 and 64 are a ValueError, not a
+    2^n-dimensional allocation, and n = 0 is one too."""
+
+    def chain(*args):
+        raise AssertionError("a Kronecker chain was started")
+
+    monkeypatch.setattr(gates, "_chain", chain)
+    for n, message in ((63, "at most 62, got 63"), (64, "at most 62, got 64"),
+                       (0, "at least 1, got 0")):
+        for build in (control_projector, controlled_gate):
+            with pytest.raises(ValueError) as info:
+                build(n, 1, (0,) * max(n - 1, 0), np.eye(2))
+            assert str(info.value) == f"n must be {message}"
 
 
 def test_each_gate_has_one_spelling():
@@ -1535,10 +1587,11 @@ def test_parse_error_messages_are_pinned():
     # CTRL line before a bad ROT line is the one reported only when the
     # file's first gate line is a CTRL line.
     bad_ctrl, bad_rot = "CTRL 1 2 1 0 0 0 0 0 1 0", "ROT 2 0.5 3"
-    for lines, bits in (((bad_ctrl, bad_rot), "02"), (("ROT 1 0.5 .", bad_ctrl, bad_rot), "30")):
+    for lines, bits in (((bad_ctrl, bad_rot), "2"), (("ROT 1 0.5 .", bad_ctrl, bad_rot), "3")):
         with pytest.raises(CircuitParseError) as info:
             parse_circuit("QSIM-CIRCUIT v2 n=2\n" + "\n".join(lines) + "\n")
-        assert str(info.value) == f"bad gate: '{bits}' is not a string of 2 <= 63 bits"
+        assert str(info.value) == (
+            f"bad gate: pattern '{bits}' holds a character other than 0, 1 and .")
 
 
 @st.composite

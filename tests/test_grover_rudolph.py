@@ -141,6 +141,23 @@ def test_density_rejects_non_finite_numbers():
         PiecewisePolyDensity(segments=(DensitySegment(0.0, 0.9, (1.0,)), huge))
 
 
+def test_density_numbers_follow_the_real_number_rule():
+    """lo, hi and every coefficient are real numbers by linalg.as_reals's
+    rule, read in one pass: a string or a bool, which float() would read, is
+    a DensityError naming its segment, and numpy numbers are read as floats."""
+    good = DensitySegment(0.0, 0.5, (1.0,))
+    for bad in (DensitySegment(0.5, 1.0, "1"), DensitySegment(False, True, (True,)),
+                DensitySegment("0", "1", ("1",)), DensitySegment(0.5, 1.0, (1.0, 0.5j))):
+        segments = (good, bad) if bad.lo == 0.5 else (bad,)
+        with pytest.raises(DensityError) as info:
+            PiecewisePolyDensity(segments=segments)
+        assert str(info.value).endswith(f" in segment {bad}"), info.value
+        assert "must be real numbers, got" in str(info.value)
+    d = PiecewisePolyDensity(segments=(DensitySegment(np.int64(0), np.float32(1.0), (1,)),))
+    assert d.segments == (DensitySegment(0.0, 1.0, (1.0,)),)
+    assert all(type(x) is float for x in (d.segments[0].lo, d.segments[0].hi, *d.segments[0].coeffs))
+
+
 def test_density_accepts_subnormal_leading_coefficient():
     # Dividing by the 1e-310 cubic term once overflowed the root finder.
     k = 1.0 + 0.25 - 1.0 / 6.0
@@ -229,7 +246,7 @@ def test_masses_match_integrate_on_every_interval():
 
 def test_dyadic_mass_pins():
     d = triangular()
-    assert target_law(d, 0)[0] == pytest.approx(1.0, abs=1e-15)
+    assert d.masses([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-15)  # no n = 0 law
     assert target_law(d, 1)[0] == pytest.approx(0.5, abs=1e-15)
     assert target_law(d, 3)[3] == pytest.approx(7.0 / 32.0, abs=1e-15)
     assert target_law(d, 3)[4] == pytest.approx(7.0 / 32.0, abs=1e-15)
@@ -238,7 +255,7 @@ def test_dyadic_mass_pins():
 def test_dyadic_masses_partition_unity():
     rng = np.random.default_rng(20)
     d = random_poly_density(rng)
-    for level in range(5):
+    for level in range(1, 5):
         assert float(np.sum(target_law(d, level))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -313,7 +330,7 @@ def matrix_cases(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(matrix_cases(), st.integers(0, 12),
+@given(matrix_cases(), st.integers(1, 12),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(0, 4))
 def test_coefficient_matrix_equals_the_per_segment_rule(case, n, points, repeats):
     """masses, target_law and each segment's minimum equal numpy.polynomial's
@@ -747,6 +764,18 @@ def test_qubit_count_follows_the_integer_rule():
                 call(d, n)
             assert str(info.value) == f"n must be an integer, got {n!r}", call
     assert target_law(d, np.int64(3)).tobytes() == target_law(d, 3).tobytes()
+
+
+def test_qubit_count_is_a_wire_count():
+    """n is within 1..MAX_WIRES, with Circuit's messages, for the target law
+    and everything built on it; 63 is rejected before any edge is built."""
+    d = triangular()
+    for n, message in ((0, "at least 1, got 0"), (-1, "at least 1, got -1"),
+                       (63, "at most 62, got 63")):
+        for call in (target_law, angle_tree, verify):
+            with pytest.raises(ValueError) as info:
+                call(d, n)
+            assert str(info.value) == f"n must be {message}", call
 
 
 def test_target_law_equals_scalar_reference():

@@ -15,7 +15,6 @@ from qsim.linalg import (
     UNITARY_TOL,
     as_matrix,
     as_vector,
-    cluster_indices,
     hermitian_eig,
     is_hermitian,
     is_unitary,
@@ -176,17 +175,6 @@ def test_hermiticity_threshold_is_unitary_tol():
                 unitary_from_hamiltonian(h, 0.5)
 
 
-# --- clustering --------------------------------------------------------------
-
-
-def test_cluster_indices_pins():
-    assert cluster_indices([1.0, 1.0 + 1e-12, 2.0], 1e-9) == [[0, 1], [2]]
-    assert cluster_indices([1.0, 2.0, 3.0], 0.5) == [[0], [1], [2]]
-    assert cluster_indices([1.0, 1.4, 1.8], 0.5) == [[0, 1, 2]]
-    assert cluster_indices([], 1e-9) == []
-    assert cluster_indices([5.0], 1e-9) == [[0]]
-
-
 # --- the unitary group from Hermitian generators -----------------------------
 
 
@@ -200,6 +188,18 @@ def test_a_time_that_is_not_finite_is_rejected_before_the_eigensolve(monkeypatch
             with pytest.raises(ValueError) as info:
                 unitary_from_hamiltonian(h, t)
             assert str(info.value) == f"t must be finite, got {t!r}"
+
+
+def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
+    """t is read by as_reals's rule, so a complex, string or bool t is a
+    ValueError naming t, raised before H is decomposed, and never the
+    ArithmeticError that marks a numerical fault."""
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh was called"))
+    for t, kind in ((1 + 1j, "complex"), (np.complex128(0.5), "complex128"), ("1", "str"),
+                    (True, "bool")):
+        with pytest.raises(ValueError) as info:
+            unitary_from_hamiltonian(np.eye(2), t)
+        assert str(info.value) == f"t must be real numbers, got ['{kind}']"
 
 
 def test_generator_zero_gives_identity():

@@ -30,7 +30,6 @@ from qsim.qpu import (
     basis_distribution,
     basis_vector,
     bitstring,
-    bitstring_positions,
     decode,
     encode,
     evolve,
@@ -161,28 +160,6 @@ def test_tensor_index_pins():
         tensor_index([])
     with pytest.raises(ValueError):
         tensor_index([0, 2])
-
-
-def test_bitstring_positions_read_wire_order_bits():
-    # Wire order, wire 1 most significant: "011" is position 3, "100" is 4.
-    assert bitstring_positions("011100", 3).tolist() == [3, 4]
-    assert bitstring_positions("", 2).tolist() == []
-    rng = np.random.default_rng(5)
-    for n in (1, 5, 62, 63):
-        p = [int(x) for x in rng.integers(0, 2**n, 50, dtype=np.uint64)]
-        text = "".join(format(x, f"0{n}b") for x in p)
-        assert bitstring_positions(text, n).tolist() == p
-        assert [tensor_index([int(b) for b in format(x, f"0{n}b")]) for x in p[:5]] == p[:5]
-    for text, n, message in (
-        ("0120", 2, "'20' is not a string of 2 <= 63 bits"),
-        ("0.", 2, "'0.' is not a string of 2 <= 63 bits"),
-        ("0" * 64, 64, f"'{'0' * 64}' is not a string of 64 <= 63 bits"),
-    ):
-        with pytest.raises(ValueError) as err:
-            bitstring_positions(text, n)
-        assert str(err.value) == message
-    with pytest.raises(ValueError):
-        bitstring_positions("011", 2)
 
 
 def test_label_permutation_is_bit_reversal():
@@ -382,6 +359,11 @@ def test_liouville_solve_rejects_a_time_that_is_not_finite():
     h = np.diag([1.0, 2.0, 3.0, 4.0])
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^t must be finite, got {t!r}$"):
+            liouville_solve(h, rho, t)
+    # A complex or string t is no time either: the same ValueError family,
+    # not the internal-fault ArithmeticError.
+    for t, kind in ((1 + 1j, "complex"), ("1", "str"), (True, "bool")):
+        with pytest.raises(ValueError, match=rf"^t must be real numbers, got \['{kind}'\]$"):
             liouville_solve(h, rho, t)
 
 

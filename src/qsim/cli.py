@@ -34,9 +34,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-# Memory sets the limit: verify --n 20 peaks at 700 MB of RSS, 670 bytes per
-# amplitude, nearly all the 2^n-row table as Python objects. Its 9-10 s of
-# CPU are 6.4 s of CSV text (one core of an Intel Xeon); each qubit doubles both.
+# Memory sets the limit: verify --n 20 peaks at 612 MB of RSS, 610 bytes per
+# amplitude, nearly all the 2^n-row table as Python objects. Its 5-7 s of CPU
+# are three quarters CSV text (one core of an Intel Xeon); each qubit doubles both.
 MAX_QUBITS = 20
 
 

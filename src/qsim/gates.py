@@ -9,9 +9,9 @@ the ambient space directly.
 Wires are numbered 1..n with wire 1 the leftmost Kronecker factor, which
 is array-position bit n - w for wire w (qpu.tensor_index); a wire gate's
 control mask and value are ints over those position bits, read from a
-pattern column's (k, n) byte matrix by the weights 2^(n - w). A circuit
-applies its gates in sequence order, so the realized matrix is the
-reversed product: gates[k-1] @ ... @ gates[0].
+pattern column's (k, n - 1) byte matrix with a zero bit put in at the
+target's. A circuit applies its gates in sequence order, so the realized
+matrix is the reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors. A single wire gate is a Circuit of
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -214,25 +213,32 @@ def stage_layout(n: int, stage):
     return n + 1 - stage, (1 << (stage - 1)) - 1
 
 
-def _pattern_columns(n: int, target, patterns) -> tuple[np.ndarray, ...]:
-    """(target, mask, value) columns of ROT and CTRL fields: a target wire, and a
-    pattern over the other n - 1 wires in wire order ('-' for none), '0' or '1'
-    for a control wire that must carry that bit and '.' for a free one."""
+def _wires(n: int, target, length) -> tuple[int, np.ndarray]:
+    """n as a wire count and target as an int64 column of wires, checked with
+    length, the length of each gate's control pattern over the other n - 1
+    wires."""
     n = wire_count(n)
     target = np.asarray(target).astype(np.int64, casting="safe")
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
-    patterns = np.asarray(patterns, dtype=object)
-    length = np.fromiter(map(len, patterns), np.int64, len(patterns)) - (patterns == "-")
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
-    # All n wires, the target free, as a (k, n) byte matrix.
-    wires = np.full((len(target), n), ord("."), dtype=np.uint8)
-    others = "".join(patterns).encode() if n > 1 else b""  # each pattern is "-" at n = 1
-    wires[np.arange(n) != target[:, None] - 1] = np.frombuffer(others, np.uint8)
-    ctrl, one = wires != ord("."), wires == ord("1")
-    bad = (ctrl & ~one & (wires != ord("0"))).any(axis=1)
-    _reject(bad, "pattern {!r} holds a character other than 0, 1 and .", patterns)
-    weights = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))  # wire w: bit n - w
-    return target, ctrl.astype(np.int64) @ weights, one.astype(np.int64) @ weights
+    return n, target
+
+
+def _pattern_columns(n: int, target: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(mask, value) columns of a (k, n - 1) byte matrix of control patterns,
+    each over the wires other than its target in wire order: '0' or '1' for
+    a control wire that must carry that bit and '.' for a free one."""
+    ctrl, one = pattern != ord("."), pattern == ord("1")
+    bad = (ctrl & ~one & (pattern != ord("0"))).any(axis=1)
+    if bad.any():
+        text = pattern[np.argmax(bad)].tobytes().decode()
+        raise ValueError(f"pattern {text!r} holds a character other than 0, 1 and .")
+    # Byte j read as bit n - 2 - j, then a zero bit put in at the target's
+    # position bit n - target: wire w is bit n - w.
+    weights = np.left_shift(1, np.arange(n - 2, -1, -1, dtype=np.int64))
+    low = np.left_shift(1, n - target) - 1
+    mask, value = (bits.astype(np.int64) @ weights for bits in (ctrl, one))
+    return (mask & ~low) << 1 | mask & low, (value & ~low) << 1 | value & low
 
 
 def _controls(n: int, target: int, pattern) -> tuple[int, int]:
@@ -242,8 +248,10 @@ def _controls(n: int, target: int, pattern) -> tuple[int, int]:
     pattern = tuple(pattern)
     if not all(b is None or is_bit(b) for b in pattern):
         raise ValueError(f"control pattern {pattern} contains non-bits")
-    text = "".join("." if b is None else str(int(b)) for b in pattern)
-    return tuple(c[0].item() for c in _pattern_columns(n, [target], [text])[1:])
+    n, target = _wires(n, [target], np.array([len(pattern)]))
+    text = "".join("." if b is None else str(int(b)) for b in pattern).encode()
+    columns = _pattern_columns(n, target, np.frombuffer(text, np.uint8).reshape(1, -1))
+    return tuple(c[0].item() for c in columns)
 
 
 _EYE = np.eye(2, dtype=np.complex128)
@@ -462,13 +470,19 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 #
 # A wire gate with an angle is written ROT, its block rotations([alpha])[0];
 # every other wire gate is written CTRL. Factor files hold TWO-LEVEL lines.
-# One reader splits all gate lines at once into a (k, fields) array of
-# strings per line kind, then converts each numeric field with one np.array
-# call and each pattern column as a byte matrix, for the column check.
+# The writer fills one (k, 3) table of format arguments, picks each line's
+# format by its kind and applies % once. The reader joins the stripped gate
+# lines into bytes: one translate checks them, and one scan for spaces and
+# line ends bounds every field. Each kind's numeric fields are picked out
+# and split once and converted by one np.array call per column; its pattern
+# column is gathered from the bytes as a byte matrix, for the column check.
 
 # A block's eight floats: re and im of each entry, in row-major order.
 _BLOCK_FORMAT = " ".join(["%.17g"] * 8)
 _CIRCUIT_ARITY = {"ROT": 4, "CTRL": 11}
+_LINE_FORMATS = np.array(["ROT %d %.17g %s\n", "CTRL %d %s %s\n"], dtype=object)
+# Gate lines and their '\n': printable ASCII but '_', which float() reads in '1_0'.
+_GATE_BYTES = bytes(range(0x20, 0x7F)).replace(b"_", b"") + b"\n"
 
 
 def _format_blocks(blocks: np.ndarray) -> list[str]:
@@ -478,19 +492,21 @@ def _format_blocks(blocks: np.ndarray) -> list[str]:
     return (text % tuple(blocks.view(np.float64).ravel().tolist())).split("\n")[:-1]
 
 
-def _patterns(c: Circuit) -> np.ndarray:
+def _patterns(c: Circuit) -> list[str]:
     """The pattern of every gate of c, from one pass over its columns: the
-    bits of mask and value on wires 1..n, then the target's column dropped."""
+    bits of mask and value on wires 1..n, the target's column dropped, as
+    the lines of one decoded byte matrix."""
     n, k = c.n, len(c.target)
     if n == 1:
-        return np.full(k, "-")
+        return ["-"] * k
 
     def wires(x):  # (k, n) bits, column w - 1 that of wire w, position bit n - w
         return np.unpackbits(x.astype(">u8").view(np.uint8).reshape(k, 8), axis=1)[:, 64 - n:]
 
-    chars = ord(".") + wires(c.mask) * (2 + wires(c.value))  # '.', '0' or '1'
+    lines = np.full((k, n), ord("\n"), dtype=np.uint8)  # n - 1 pattern bytes and a '\n'
     others = np.arange(n) != c.target[:, None] - 1
-    return chars[others].reshape(k, n - 1).view(f"S{n - 1}")[:, 0].astype(str)
+    lines[:, :-1] = (ord(".") + wires(c.mask) * (2 + wires(c.value)))[others].reshape(k, n - 1)
+    return lines.tobytes().decode().split("\n")[:-1]
 
 
 def _parse_header(text: str, kind: str, version: int, key: str,
@@ -498,7 +514,7 @@ def _parse_header(text: str, kind: str, version: int, key: str,
     """The count of 1 to 18 ASCII digits, at least `least`, of text's header line
     "QSIM-<kind> v<version> <key>=<count>", and the stripped lines after it
     that are neither blank nor '#' comments."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = [ln for ln in filter(None, map(str.strip, text.splitlines())) if ln[0] != "#"]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
     m = re.fullmatch(f"QSIM-{kind} v{version} {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
@@ -510,45 +526,56 @@ def _parse_header(text: str, kind: str, version: int, key: str,
     return count, lines[1:]
 
 
-def _written(line: str) -> bool:
-    """Whether line holds only what a writer produces: no empty field, and
-    none of what float() would also read, non-ASCII digits, '_' or a
-    control character."""
-    return line.isascii() and line.isprintable() and "_" not in line and "  " not in line
-
-
-def _gate_fields(lines: list[str], arity: dict[str, int]) -> dict:
-    """The space-separated fields of every gate line from one split of their
-    text, grouped by line kind in the order of each kind's first line: kind ->
-    (line indices, (k, arity) array of field strings). A line of an unknown
-    kind or field count is rejected, and so is one that no writer produces."""
-    text = " ".join(lines)  # one space between stripped lines adds no empty field
-    if not _written(text):
-        bad = next(ln for ln in lines if not _written(ln))
+def _gate_fields(lines: list[str], arity: dict[str, int]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The gate lines as bytes, each ended by '\\n'; the offset of each of their
+    space-separated fields, then of the end; and the fields grouped by kind in
+    the order of each kind's first line: kind -> (line indices, (k, arity)
+    field numbers). A line of an unknown kind or field count is rejected, and
+    so is one that no writer produces: with an empty field, or what float()
+    would also read, non-ASCII digits, '_' or a control character."""
+    raw = "\n".join([*lines, ""]).encode("utf-8", "surrogatepass")
+    chars = np.frombuffer(raw, np.uint8)
+    start = np.append(0, np.flatnonzero(chars <= ord(" ")) + 1)  # after each ' ' or '\n'
+    if raw.translate(None, _GATE_BYTES) or (np.diff(start) == 1).any():
+        bad = next(ln for ln in lines if "  " in ln
+                   or ln.encode("utf-8", "surrogatepass").translate(None, _GATE_BYTES))
         raise CircuitParseError(
-            f"bad gate line {bad!r}: empty field, control character, non-ASCII text or '_'"
-        )
-    tokens = np.array(text.split(" "), dtype=object)
-    count = np.fromiter(map(str.count, lines, repeat(" ")), np.int64, len(lines)) + 1
-    first = np.cumsum(count) - count  # each line's kind field
-    kind = tokens[first]
-    bad = np.fromiter(map(arity.get, kind, repeat(0)), np.int64, len(lines)) != count
+            f"bad gate line {bad!r}: empty field, control character, non-ASCII text or '_'")
+    last = np.flatnonzero(chars[start[1:] - 1] == ord("\n"))  # each line's last field
+    first = np.append(0, last + 1)[:-1]  # and its kind field
+    size = start[first + 1] - start[first] - 1  # each kind field's length
+    code = np.full(len(lines), len(arity))
+    for i, name in enumerate(arity):  # a kind field of name's length, then its bytes
+        index = np.flatnonzero(size == len(name))
+        word = chars[start[first[index], None] + np.arange(len(name))]
+        code[index[(word == np.frombuffer(name.encode(), np.uint8)).all(axis=1)]] = i
+    count = np.array([*arity.values(), 0])
+    bad = count[code] != last - first + 1
     if bad.any():
         line = lines[np.argmax(bad)]
         raise CircuitParseError(f"bad gate line {line!r}: unknown kind or field count")
-    groups = {}
-    for name in dict.fromkeys(kind.tolist()):
-        index = np.flatnonzero(kind == name)
-        groups[name] = index, tokens[first[index, None] + np.arange(arity[name])]
-    return groups
+    names, groups = list(arity), {}
+    for i in code[np.sort(np.unique(code, return_index=True)[1])].tolist():
+        index = np.flatnonzero(code == i)
+        groups[names[i]] = index, first[index, None] + np.arange(count[i])
+    return chars, start, groups
 
 
-def _numbers(fields: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """An array of field strings as one flat array of numbers; an integer
-    field is ASCII digits only, like the header's count."""
-    tokens = fields.ravel().tolist()
+def _strings(chars: np.ndarray, start: np.ndarray, field) -> list[str]:
+    """The fields numbered field, ascending, as strings, from one pick of
+    their bytes, each with its separator, and one split."""
+    keep = np.zeros(len(start) - 1, dtype=bool)
+    keep[field] = True
+    return chars[np.repeat(keep, np.diff(start))].tobytes().decode().split()
+
+
+def _numbers(tokens: list[str], dtype=np.float64) -> np.ndarray:
+    """Field strings as one array of numbers; an integer field is ASCII
+    digits only, like the header's count."""
     try:
-        if dtype is np.int64 and not all(map(str.isdigit, tokens)):  # the lines are ASCII
+        # The lines are ASCII and no field is empty, so one test of the
+        # joined fields tests each.
+        if dtype is np.int64 and tokens and not "".join(tokens).isdigit():
             raise ValueError("an integer field is not ASCII digits")
         return np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError) as exc:
@@ -557,13 +584,15 @@ def _numbers(fields: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 def format_circuit(c: Circuit) -> str:
     """Full text form: header line then one line per gate, ROT for a gate
-    with an angle and CTRL for any other."""
-    rot = ~np.isnan(c.angle)
-    blocks = iter(_format_blocks(c.blocks[~rot]))
-    columns = c.target.tolist(), c.angle.tolist(), _patterns(c).tolist(), rot.tolist()
-    lines = ["ROT %d %.17g %s" % (t, a, p) if r else "CTRL %d %s %s" % (t, p, next(blocks))
-             for t, a, p, r in zip(*columns)]
-    return "\n".join([f"QSIM-CIRCUIT v2 n={c.n}", *lines]) + "\n"
+    with an angle and CTRL for any other, from one % format of a table of
+    target, angle and pattern, or target, pattern and block, per line."""
+    ctrl = np.isnan(c.angle)
+    table = np.empty((len(ctrl), 3), dtype=object)
+    table[:, 0], table[:, 1], table[:, 2] = c.target.tolist(), c.angle.tolist(), _patterns(c)
+    table[ctrl, 1] = table[ctrl, 2]
+    table[ctrl, 2] = _format_blocks(c.blocks[ctrl])
+    lines = "".join(_LINE_FORMATS[ctrl.view(np.int8)].tolist())
+    return f"QSIM-CIRCUIT v2 n={c.n}\n{lines}" % tuple(table.ravel().tolist())
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -575,14 +604,22 @@ def parse_circuit(text: str) -> Circuit:
     target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
     angle, rot, blocks = np.full(k, math.nan), [], None
     try:
-        for kind, (index, fields) in _gate_fields(lines, _CIRCUIT_ARITY).items():
+        chars, start, groups = _gate_fields(lines, _CIRCUIT_ARITY)
+        for kind, (index, field) in groups.items():
             at = 3 if kind == "ROT" else 2  # the pattern field
-            target[index], mask[index], value[index] = _pattern_columns(
-                n, _numbers(fields[:, 1], np.int64), fields[:, at])
+            # Each line's target, then its angle or its block's eight floats.
+            tokens = _strings(chars, start, np.delete(field, [0, at], axis=1))
+            width, pattern = field.shape[1] - 2, start[field[:, at]]
+            length = start[field[:, at] + 1] - pattern - 1
+            length -= (length == 1) & (chars[pattern] == ord("-"))  # '-': no other wires
+            n, target[index] = _wires(n, _numbers(tokens[::width], np.int64), length)
+            mask[index], value[index] = _pattern_columns(
+                n, target[index], chars[pattern[:, None] + np.arange(n - 1)])
+            del tokens[::width]
             if kind == "ROT":  # its block is built from the angle
-                rot, angle[index] = index, _numbers(fields[:, 2])
+                rot, angle[index] = index, _numbers(tokens)
             else:  # the blocks of the CTRL lines, in file order
-                blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
+                blocks = _numbers(tokens).view(np.complex128).reshape(-1, 2, 2)
         _reject(np.isnan(angle[rot]), _NOT_UNITARY)  # a ROT line's NaN angle: a NaN block
         return Circuit(n, target, mask, value, blocks, angle)
     except CircuitParseError:
@@ -600,10 +637,11 @@ def format_decomposition(d: Decomposition) -> str:
 
 def parse_decomposition(text: str) -> Decomposition:
     dim, lines = _parse_header(text, "FACTORS", 1, "dim", 2)
-    _, fields = _gate_fields(lines, {"TWO-LEVEL": 11}).get(
-        "TWO-LEVEL", ([], np.empty((0, 11), dtype=object)))
-    i, j = _numbers(fields[:, 1], np.int64), _numbers(fields[:, 2], np.int64)
-    blocks = _numbers(fields[:, 3:]).view(np.complex128).reshape(-1, 2, 2)
+    chars, start, groups = _gate_fields(lines, {"TWO-LEVEL": 11})
+    field = groups["TWO-LEVEL"][1] if groups else np.empty((0, 11), dtype=np.int64)
+    ij = _strings(chars, start, field[:, 1:3])
+    i, j = _numbers(ij[::2], np.int64), _numbers(ij[1::2], np.int64)
+    blocks = _numbers(_strings(chars, start, field[:, 3:])).view(np.complex128).reshape(-1, 2, 2)
     try:
         return Decomposition(dim, i, j, blocks)
     except ValueError as exc:

@@ -1511,6 +1511,24 @@ def test_parse_errors():
         f"TWO-LEVEL 1 2 {block}",  # a factor line
     ):
         rejected(line, 3)
+    # Every ASCII character, a no-break space and a non-ASCII digit inside a
+    # gate line's angle. The line is rejected by the character rule exactly
+    # where the per-line rule of str.isprintable rejects it, with its
+    # message; a line boundary splits it into two lines the rule passes.
+    suffix = ": empty field, control character, non-ASCII text or '_'"
+    for char in [*map(chr, range(128)), "\u00a0", "\u0663"]:
+        text = f"QSIM-CIRCUIT v2 n=2\nROT 1 0.5 .\nROT 1 0.{char}5 .\n"
+        lines = [ln.strip() for ln in text.splitlines()[2:]]
+        printable = all(ln.isascii() and ln.isprintable() and "_" not in ln and "  " not in ln
+                        for ln in lines)
+        try:
+            c = parse_circuit(text)
+        except CircuitParseError as exc:
+            assert (str(exc) == f"bad gate line {lines[0]!r}{suffix}") is not printable, char
+        else:
+            assert printable and c.angle.tolist() == [0.5, float(f"0.{char}5")], char
+        assert printable is (char.isascii() and (char.isprintable() or char in LINE_ENDS)
+                             and char != "_"), char
 
 
 def test_only_the_two_line_kinds_of_version_2_are_read():
@@ -1594,18 +1612,25 @@ def test_parse_error_messages_are_pinned():
             f"bad gate: pattern '{bits}' holds a character other than 0, 1 and .")
 
 
+# Every line boundary of str.splitlines, which circuit files are split at.
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 @st.composite
 def circuit_files(draw):
-    """(text, decorated): a circuit of ROT lines with and without controls,
-    CTRL lines with free wires, and '-' patterns at n = 1, as format_circuit
-    writes it; and the same file with comments, blank lines and indentation."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    """(circuit, text, decorated): a circuit of ROT lines with and without
+    controls, CTRL lines with free wires, and '-' patterns at n = 1, or of
+    no gates; its text, written gate by gate by the per-line rule, not by
+    format_circuit; and the same file with comments, blank lines and
+    indentation, its lines ended by any line boundary but the last, which
+    has no line end."""
+    n = draw(st.integers(min_value=1, max_value=8))
     gates = draw(st.lists(st.tuples(
         st.integers(min_value=1, max_value=n), st.text("01.", min_size=n - 1, max_size=n - 1),
         st.one_of(st.none(), st.floats(min_value=-10.0, max_value=10.0)),
     ), max_size=12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    columns = [[], [], [], [], []]
+    columns, lines = [[], [], [], [], []], [f"QSIM-CIRCUIT v2 n={n}"]
     for target, pattern, angle in gates:
         wires = pattern[: target - 1] + "." + pattern[target - 1 :]
         columns[0].append(target)
@@ -1613,29 +1638,41 @@ def circuit_files(draw):
         columns[2].append(int(wires.replace(".", "0"), 2))
         if angle is None:  # only a gate without an angle passes its block
             columns[3].append(random_unitary2(rng))
+            lines.append("CTRL %d %s %s" % (target, pattern or "-", _block_text(columns[3][-1])))
+        else:
+            lines.append("ROT %d %.17g %s" % (target, angle, pattern or "-"))
         columns[4].append(math.nan if angle is None else angle)
     target, mask, value, blocks, angle = columns
     ints = (np.array(c, dtype=np.int64) for c in (target, mask, value))
-    text = format_circuit(Circuit(n, *ints, np.reshape(blocks, (-1, 2, 2)), angle))
+    circuit = Circuit(n, *ints, np.reshape(blocks, (-1, 2, 2)), angle)
     noise = st.sampled_from(["", "", "# a comment", "   # indented comment", "\t", "#"])
     pads = st.sampled_from(["", "", " ", "  ", "\t"])
     decorated = []
-    for line in text.splitlines():
+    for line in lines:
         decorated += [draw(noise), draw(pads) + line + draw(pads)]
-    return text, "\n".join(decorated + [draw(noise)])
+    ends = st.sampled_from(LINE_ENDS)
+    ended = [ln + draw(ends) for ln in decorated]
+    tail = draw(noise)  # a last line with no line end
+    if not tail and draw(st.booleans()):  # or the last gate or header line has none
+        ended[-1] = decorated[-1]
+    return circuit, "\n".join(lines) + "\n", "".join(ended) + tail
 
 
 @settings(deadline=None, max_examples=60)
 @given(circuit_files())
 def test_circuit_text_round_trip_property(files):
-    """Comments, blank lines and indentation leave the parsed columns as the
-    bare text's, and the bare text reads back to gates that write it byte for
-    byte."""
-    text, decorated = files
+    """format_circuit writes what the per-line rule writes; comments, blank
+    lines, indentation and any line boundary leave the parsed columns as the
+    bare text's, and the bare text reads back to the gates that write it byte
+    for byte."""
+    circuit, text, decorated = files
+    assert format_circuit(circuit) == text
     bare, noisy = parse_circuit(text), parse_circuit(decorated)
-    assert bare.n == noisy.n
+    assert bare.n == noisy.n == circuit.n
     for field in ("target", "mask", "value", "blocks", "angle"):
-        assert np.array_equal(getattr(noisy, field), getattr(bare, field), equal_nan=True), field
+        want = getattr(circuit, field)
+        assert np.array_equal(getattr(bare, field), want, equal_nan=True), field
+        assert np.array_equal(getattr(noisy, field), want, equal_nan=True), field
     assert format_circuit(bare) == text
 
 

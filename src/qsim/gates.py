@@ -43,6 +43,8 @@ from .qpu import is_bit
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
+_NO_BLOCKS = np.empty((0, 2, 2), dtype=np.complex128)
+_NO_BLOCKS.setflags(write=False)
 
 
 class CircuitParseError(ValueError):
@@ -129,7 +131,7 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
     target, mask, value = _columns(target, mask, value)
-    given = _check_blocks([] if blocks is None else blocks)
+    given = _NO_BLOCKS if blocks is None else _check_blocks(blocks)
     _reject(np.isinf(angle), _NOT_UNITARY)
     at = np.isnan(angle)  # the gates whose blocks are given
     _same_length(target, mask, value, angle)
@@ -317,24 +319,25 @@ def gate_runs(c: Circuit):
     """(v, p0, p1) of each run of c in sequence order: its k blocks and the
     (k, F) coordinates they mix, block i taking the pairs (p0[i], p1[i]).
 
-    p0[i] is value i plus each combination of the free bits, those that are
-    neither the target nor a control (an outer sum of one arange per run of
-    free bits, ascending), and p1 = p0 + 2^(n - target).
+    Stretches of one target and mask end where a neighbouring target or
+    mask differs. p0[i] is value i plus each combination of the free bits,
+    those that are neither the target nor a control: the highest run of
+    free bits' arange, then each lower run's arange added to every entry so
+    far, ascending. p1 = p0 + 2^(n - target). An empty circuit has no runs.
     """
-    n = c.n
-    # Stretches of one target and mask; target >= 1 and mask >= 0.
-    ends = (np.diff(c.target, prepend=0, append=0) != 0) | (
-        np.diff(c.mask, prepend=-1, append=-1) != 0)
-    edges = np.flatnonzero(ends).tolist()
+    n, k = c.n, len(c.target)
+    cut = (c.target[1:] != c.target[:-1]) | (c.mask[1:] != c.mask[:-1])
+    edges = [0, *(np.flatnonzero(cut) + 1).tolist(), k] if k else []
     for start, stop in zip(edges, edges[1:]):
         stride = 1 << (n - c.target[start].item())
         free = (1 << n) - 1 - c.mask[start].item() - stride
-        offsets = np.zeros(1, dtype=np.int64)
+        offsets = None if free else np.zeros(1, dtype=np.int64)
         while free:
             # The highest run of free bits, [lo, hi).
             hi = free.bit_length()
             lo = (~free & ((1 << hi) - 1)).bit_length()
-            offsets = np.add.outer(offsets, np.arange(0, 1 << hi, 1 << lo)).ravel()
+            step = np.arange(0, 1 << hi, 1 << lo)
+            offsets = step if offsets is None else (offsets[:, None] + step).ravel()
             free &= (1 << lo) - 1
         values, split, seen = c.value[start:stop], [start], set()
         if not np.diff(np.sort(values)).all():  # a repeat mixes a pair again

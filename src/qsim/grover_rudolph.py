@@ -38,6 +38,8 @@ SEGMENT_JOIN_TOL = 1e-12
 ZERO_MASS_TOL = 1e-14
 # Largest deviation between any two of verify's three laws that passes.
 VERIFY_TOL = 1e-10
+# Largest n of a dyadic law: its 2^30 + 1 float64 edges alone take 8 GiB.
+MAX_LAW_WIRES = 30
 # Angle assigned when a node has (numerically) no mass. Any value gives the
 # same outcome probabilities, since the parent angle already routes zero
 # amplitude into such a node; this one keeps deliberately-kept gates
@@ -166,7 +168,13 @@ class PiecewisePolyDensity:
             anti = _antiderivatives(c)
             lo.flags.writeable = hi.flags.writeable = anti.flags.writeable = False
             self.__dict__.update(lo=lo, hi=hi, antiderivatives=anti)
-            total = float(self.masses([0.0, 1.0])[0])
+            # masses([0.0, 1.0])[0] from one Horner pass: F at each segment's
+            # clipped 0 and 1, the differences of the segments that touch
+            # [0, 1] added in segment order.
+            f = _horner(anti.T, np.clip([[0.0], [1.0]], lo, hi))
+            total = 0.0
+            for mass in (f[1] - f[0])[(lo < 1.0) & (hi > 0.0)].tolist():
+                total += mass
         if not abs(total - 1.0) <= DENSITY_NORM_TOL:
             raise DensityError(f"density integrates to {total}, not 1")
 
@@ -288,9 +296,12 @@ def target_law(d, n: int) -> np.ndarray:
     """Exact outcome probabilities: entry k is the mass of [k/2^n, (k+1)/2^n].
 
     The little-endian outcome label k equals the dyadic position of its
-    interval, so no index reshuffling is needed here. n passes gates.wire_count.
+    interval, so no index reshuffling is needed here. n passes gates.wire_count
+    and is at most MAX_LAW_WIRES, checked before any array is built.
     """
     n = wire_count(n)
+    if n > MAX_LAW_WIRES:
+        raise ValueError(f"n must be at most {MAX_LAW_WIRES} for a dyadic law, got {n}")
     return d.masses(np.arange(2**n + 1) / 2.0**n)
 
 

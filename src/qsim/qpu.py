@@ -89,11 +89,13 @@ def tensor_index(bits: BitString) -> int:
 
 
 def label_bitstrings(n: int) -> list[str]:
-    """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, from one
-    (2^n, n) array of characters: character i - 1 is bit i - 1 of k."""
+    """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, as the
+    lines of one decoded (2^n, n + 1) byte matrix: byte i - 1 of row k is
+    bit i - 1 of k, and the last byte a '\\n'."""
     n = _check_label(0, n)[1]
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1
-    return (bits | ord("0")).view(f"S{n}")[:, 0].astype(str).tolist()
+    lines = np.full((2**n, n + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1 | ord("0")
+    return lines.tobytes().decode().split("\n")[:-1]
 
 
 def label_permutation(n: int) -> np.ndarray:

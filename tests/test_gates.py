@@ -1151,15 +1151,17 @@ def test_circuit_builds_blocks_from_angles():
 
 def test_only_given_blocks_are_gram_tested(monkeypatch):
     """A block built from a finite angle is a rotation, unitary by
-    construction: synthesis hands no block to the Gram test, and a parsed
-    file or a Circuit only the blocks of its CTRL gates."""
+    construction: synthesis and a ROT-only file make no Gram test call, and
+    a parsed file or a Circuit hands it only the blocks of its CTRL gates."""
     from qsim import grover_rudolph as gr
 
     rows, check = [], gates._check_blocks
     monkeypatch.setattr(gates, "_check_blocks", lambda b: rows.append(len(b)) or check(b))
     density = gr.load_density(resources.files("qsim.data") / "triangular.json")
     assert circuit_length(gr.synthesize(gr.angle_tree(density, 8))) == 255
-    assert sum(rows) == 0
+    assert rows == []
+    parse_circuit("QSIM-CIRCUIT v2 n=2\nROT 1 0.5 .\nROT 2 0.25 0\n")
+    assert rows == []
     flip, eye = " 0 0 1 0 1 0 0 0", " 1 0 0 0 0 0 1 0"
     lines = ["ROT 1 0.5 .", "CTRL 2 ." + eye, "ROT 2 0.25 0", "CTRL 1 1" + flip,
              "ROT 2 -1 1", "CTRL 2 0" + flip, "ROT 1 3 ."]

@@ -333,9 +333,9 @@ def matrix_cases(draw):
 @given(matrix_cases(), st.integers(1, 12),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(0, 4))
 def test_coefficient_matrix_equals_the_per_segment_rule(case, n, points, repeats):
-    """masses, target_law and each segment's minimum equal numpy.polynomial's
-    per-segment rule byte for byte, on dyadic edges and on arbitrary sorted
-    edges with repeats."""
+    """masses, target_law, each segment's minimum and the construction's
+    total equal numpy.polynomial's per-segment rule byte for byte, on dyadic
+    edges and on arbitrary sorted edges with repeats."""
     d, raw = case
     dyadic = np.arange(2**n + 1) / 2.0**n
     assert target_law(d, n).tobytes() == polynomial_masses(d.segments, dyadic).tobytes()
@@ -348,6 +348,20 @@ def test_coefficient_matrix_equals_the_per_segment_rule(case, n, points, repeats
     for s in d.segments:
         a, b = np.clip(edges[[0, -1]], s.lo, s.hi)
         assert s.mass(a, b).tobytes() == polynomial_masses([s], [a, b]).tobytes()
+    doubled = tuple(DensitySegment(s.lo, s.hi, tuple(2 * x for x in s.coeffs)) for s in d.segments)
+    with pytest.raises(DensityError) as info:
+        PiecewisePolyDensity(doubled)
+    total = float(polynomial_masses(doubled, [0.0, 1.0])[0])
+    assert str(info.value) == f"density integrates to {total!r}, not 1"
+
+
+def test_a_segment_past_1_adds_nothing_to_the_total():
+    """A last segment within the join tolerance past 1 touches no interval
+    of [0, 1], so the total, as masses, takes nothing from it, even where
+    its antiderivative overflows."""
+    sliver = DensitySegment(1.0, 1.0 + 5e-13, (1.7e308, 1.7e308))
+    d = PiecewisePolyDensity((DensitySegment(0.0, 1.0, (1.0,)), sliver))
+    assert d.segments[1] == sliver
 
 
 # --- angles ------------------------------------------------------------------------
@@ -776,6 +790,22 @@ def test_qubit_count_is_a_wire_count():
             with pytest.raises(ValueError) as info:
                 call(d, n)
             assert str(info.value) == f"n must be {message}", call
+
+
+def test_a_law_has_at_most_30_wires(monkeypatch):
+    """n past MAX_LAW_WIRES is rejected, for the target law and everything
+    built on it, before any array is built: 2^30 + 1 float64 edges are 8 GiB."""
+    d = triangular()
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "arange", no_array)
+    for n in (31, 62):
+        for call in (target_law, angle_tree, verify):
+            with pytest.raises(ValueError) as info:
+                call(d, n)
+            assert str(info.value) == f"n must be at most 30 for a dyadic law, got {n}", call
 
 
 def test_target_law_equals_scalar_reference():

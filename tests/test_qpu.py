@@ -107,8 +107,12 @@ def test_bitstring_is_wire_order_and_decodes_back():
 
 def test_label_bitstrings_is_bitstring_of_every_label():
     assert label_bitstrings(2) == ["00", "10", "01", "11"]
-    for n in range(1, 11):
+    for n in range(1, 17):
         assert label_bitstrings(n) == [bitstring(k, n) for k in range(2**n)]
+    labels = label_bitstrings(20)  # the CLI's cap
+    assert len(labels) == 2**20
+    for k in (0, 1, 2**19, 2**20 - 1):
+        assert labels[k] == bitstring(k, 20)
     with pytest.raises(ValueError, match="qubit count must be at least 1"):
         label_bitstrings(0)
 

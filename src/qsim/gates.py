@@ -216,11 +216,10 @@ def stage_layout(n: int, stage):
 
 
 def _wires(n: int, target, length) -> tuple[int, np.ndarray]:
-    """n as a wire count and target as an int64 column of wires, checked with
-    length, the length of each gate's control pattern over the other n - 1
-    wires."""
-    n = wire_count(n)
-    target = np.asarray(target).astype(np.int64, casting="safe")
+    """n as a wire count and target as an int64 column of wires by _columns,
+    Circuit's rule, checked with length, the length of each gate's control
+    pattern over the other n - 1 wires."""
+    n, (target,) = wire_count(n), _columns(target)
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
     return n, target

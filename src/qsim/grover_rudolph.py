@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .gates import Circuit, apply_vector, stage_layout, wire_count
 from .linalg import as_reals
@@ -61,22 +62,14 @@ class DensitySegment:
 
     def mass(self, a, b):
         """Integral over [a, b], a and b of one shape, by the rule of masses."""
-        fa, fb = _horner(_antiderivatives(np.array([self.coeffs], float))[0], np.array([a, b]))
+        anti = _antiderivatives(np.array([self.coeffs], float))[0]
+        fa, fb = polyval(np.array([a, b]), anti, tensor=False)
         return fb - fa
 
 
 def _antiderivatives(c: np.ndarray) -> np.ndarray:
     """Each row's antiderivative that is 0 at x = 0, bit for bit numpy's polyint."""
     return np.concatenate([np.zeros((len(c), 1)), c / np.arange(1, c.shape[1] + 1)], axis=1)
-
-
-def _horner(c, x):
-    """sum_m c[m] x^m in numpy's polyval order, each c[m] broadcast against
-    x; leading zero padding changes no bit for finite or NaN x."""
-    v = c[-1] + x * 0
-    for cm in c[-2::-1]:
-        v = cm + v * x
-    return v
 
 
 def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -103,7 +96,7 @@ def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
             companion[:, :, -1] -= d[:, :-1] / d[:, -1:]
             roots = np.sort(np.linalg.eigvals(companion), axis=1).real
         x[rows, 2 : m + 1] = np.clip(roots, lo[rows, None], hi[rows, None])
-    values = _horner(c.T[:, :, None], x)
+    values = polyval(x, c.T[:, :, None], tensor=False)
     low = values[:, 0]
     for v in values.T[1:]:
         low = np.where(v < low, v, low)
@@ -168,10 +161,10 @@ class PiecewisePolyDensity:
             anti = _antiderivatives(c)
             lo.flags.writeable = hi.flags.writeable = anti.flags.writeable = False
             self.__dict__.update(lo=lo, hi=hi, antiderivatives=anti)
-            # masses([0.0, 1.0])[0] from one Horner pass: F at each segment's
+            # masses([0.0, 1.0])[0] from one polyval pass: F at each segment's
             # clipped 0 and 1, the differences of the segments that touch
             # [0, 1] added in segment order.
-            f = _horner(anti.T, np.clip([[0.0], [1.0]], lo, hi))
+            f = polyval(np.clip([[0.0], [1.0]], lo, hi), anti.T, tensor=False)
             total = 0.0
             for mass in (f[1] - f[0])[(lo < 1.0) & (hi > 0.0)].tolist():
                 total += mass
@@ -195,8 +188,9 @@ class PiecewisePolyDensity:
         last = np.minimum(np.searchsorted(edges, self.hi, "left"), len(out)).tolist()
         for a, b, lo, hi, anti in zip(first, last, self.lo.tolist(), self.hi.tolist(),
                                       self.antiderivatives):
-            f = _horner(anti, np.clip(edges[a : b + 1], lo, hi))
-            out[a:b] += f[1:] - f[:-1]
+            if a < b:  # a segment that touches no interval would add nothing
+                f = polyval(np.clip(edges[a : b + 1], lo, hi), anti, tensor=False)
+                out[a:b] += f[1:] - f[:-1]
         return out
 
 

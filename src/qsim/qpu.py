@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algprob import DensityMatrix, Observable, conjugate
-from .algprob import law_probabilities, pure_state
+from .algprob import DensityMatrix, Observable, law_probabilities, pure_state
 from .linalg import as_count, as_matrix, as_vector, unitary_from_hamiltonian
 from .rng import inverse_cdf_counts
 
@@ -191,20 +190,12 @@ def udqc(n: int) -> Udqc:
     return Udqc(n=n, rho0=pure_state(basis_vector(0, n)))
 
 
-def evolve(u, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate the state by a unitary: rho -> U rho U*."""
-    u = as_matrix(u)
-    if u.shape[0] != rho.dim:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {rho.dim}")
-    return DensityMatrix(conjugate(rho.mat, u))
-
-
 def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """State at time t of d rho/dt = -i[H, rho] from rho0.
 
     The solution conjugates rho0 by exp(-itH); rank, trace, and hermiticity
     are preserved for every t. exp(-itH) is checked to be unitary once, by
-    unitary_from_hamiltonian, and then conjugates rho0 as evolve would.
+    unitary_from_hamiltonian, and then conjugates rho0.
     """
     u = unitary_from_hamiltonian(h, t)
     if u.shape[0] != rho0.dim:

@@ -348,6 +348,31 @@ def test_conjugation_requires_unitary():
         conjugate(np.eye(2), np.eye(2) * 2.0)
 
 
+def test_conjugation_requires_unitary_and_matching_dim():
+    rho = np.eye(2) / 2.0
+    with pytest.raises(ValueError):
+        conjugate(rho, np.eye(2) * 2.0)
+    with pytest.raises(ValueError):
+        conjugate(rho, np.eye(4))
+
+
+def test_conjugation_by_identity_fixes_state():
+    rng = np.random.default_rng(90)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho = pure_state(psi)
+    assert np.array_equal(conjugate(rho.mat, np.eye(4)), rho.mat)
+
+
+def test_conjugation_preserves_rank_and_undoes_with_adjoint():
+    u = random_unitary(np.random.default_rng(91), 4)
+    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    moved = DensityMatrix(conjugate(rho.mat, u))
+    assert validate_state(moved) == 2
+    back = conjugate(moved.mat, u.conj().T)
+    assert np.max(np.abs(back - rho.mat)) < 1e-12
+
+
 def test_conjugation_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(70)
     rho = random_density(rng, 4)

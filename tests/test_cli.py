@@ -5,6 +5,7 @@ output files are checked directly. The exit-code contract: 0 success,
 1 verification failure, 2 parse error, 3 validation error, 4 I/O error.
 """
 
+import ast
 import builtins
 import functools
 import importlib
@@ -729,3 +730,24 @@ def test_names_the_readme_spells_exist():
                          or any(hasattr(m, name) for m in modules.values())):
             stale.append(name)
     assert stale == []
+
+
+def test_the_readme_quick_tour_runs():
+    """The "Library quick tour" block runs with tri.json bound to the bundled
+    triangular density, and each line whose comment is a Python literal
+    gives that value within 1e-15."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S)[1]
+    scope = {}
+    exec(block.replace('"tri.json"', repr(bundled("triangular"))), scope)
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        try:
+            want = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        got = eval(code, scope)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15), (code, got)
+        checked.append(want)
+    assert checked == [((0.0, 0.64), (1.0, 0.36)), 0.0]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import gates
-from qsim.algprob import DensityMatrix, pure_state
+from qsim.algprob import DensityMatrix, conjugate, pure_state
 from qsim.gates import (
     Circuit,
     CircuitParseError,
@@ -174,9 +174,9 @@ def test_wire_gates_on_distinct_wires_commute():
 def test_wire_gate_moves_probability_on_its_wire_only():
     """Flipping wire 2 of |000> gives |010>: label 2, flat position 2."""
     rho = pure_state(basis_vector(0, 3))
-    from qsim.qpu import basis_distribution, evolve
+    from qsim.qpu import basis_distribution
 
-    moved = evolve(controlled_gate(3, 2, (None, None), FLIP), rho)
+    moved = DensityMatrix(conjugate(rho.mat, controlled_gate(3, 2, (None, None), FLIP)))
     dist = basis_distribution(moved)
     assert dist[2] == pytest.approx(1.0)
 
@@ -419,6 +419,24 @@ def test_control_bits_follow_the_integer_rule():
     ints = (np.int64(1), np.uint8(0))
     assert np.array_equal(controlled_gate(3, 1, ints, eye), controlled_gate(3, 1, (1, 0), eye))
     assert decode(ints) == 1
+
+
+@pytest.mark.parametrize("ell", [True, 1.0, "1", 0, 3])
+def test_every_entry_point_reads_a_wire_by_one_rule(ell):
+    """A target wire is read by Circuit's integer rule wherever it is given:
+    a bool, a float or a string is a TypeError and a wire outside 1..n a
+    ValueError, with one message for control_projector, controlled_gate and
+    Circuit alike."""
+    v = np.eye(2)
+    raised = []
+    for call in (lambda: control_projector(2, ell, (None,), v),
+                 lambda: controlled_gate(2, ell, (None,), v),
+                 lambda: Circuit(2, [ell], [0], [0], [v], [math.nan])):
+        with pytest.raises((TypeError, ValueError)) as info:
+            call()
+        raised.append((info.type, str(info.value)))
+    assert raised == [raised[0]] * 3
+    assert raised[0][0] is (ValueError if ell in (0, 3) else TypeError)
 
 
 # --- suffix-controlled gates -------------------------------------------------------

@@ -244,6 +244,17 @@ def test_masses_match_integrate_on_every_interval():
             d.masses(bad)
 
 
+def test_a_segment_that_touches_no_interval_is_not_evaluated():
+    """A segment past the last edge adds nothing to any mass, so its
+    antiderivative is not evaluated: coefficients whose antiderivative
+    overflows beyond x = 1 raise no RuntimeWarning, and the masses are
+    those of the density without that segment."""
+    d = PiecewisePolyDensity(segments=(DensitySegment(0, 1, (1.0,)),
+                                       DensitySegment(1.0, 1.0 + 5e-13, (1.7e308, 1.7e308))))
+    uniform = PiecewisePolyDensity(segments=(DensitySegment(0.0, 1.0, (1.0,)),))
+    assert target_law(d, 3).tobytes() == target_law(uniform, 3).tobytes()
+
+
 def test_dyadic_mass_pins():
     d = triangular()
     assert d.masses([0.0, 1.0])[0] == pytest.approx(1.0, abs=1e-15)  # no n = 0 law

@@ -32,7 +32,6 @@ from qsim.qpu import (
     bitstring,
     decode,
     encode,
-    evolve,
     label_bitstrings,
     label_permutation,
     law_over_labels,
@@ -469,36 +468,6 @@ def test_distributions_agree_on_pure_states():
     a = vector_distribution(psi)
     b = basis_distribution(pure_state(psi))
     assert np.max(np.abs(a - b)) < 1e-12
-
-
-# --- evolution -----------------------------------------------------------------
-
-
-def test_evolve_identity_fixes_state():
-    rng = np.random.default_rng(90)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    psi /= np.linalg.norm(psi)
-    rho = pure_state(psi)
-    assert np.array_equal(evolve(np.eye(4), rho).mat, rho.mat)
-
-
-def test_evolve_requires_unitary_and_matching_dim():
-    rho = DensityMatrix(np.eye(2) / 2.0)
-    with pytest.raises(ValueError):
-        evolve(np.eye(2) * 2.0, rho)
-    with pytest.raises(ValueError):
-        evolve(np.eye(4), rho)
-
-
-def test_evolve_preserves_rank_and_undoes_with_adjoint():
-    rng = np.random.default_rng(91)
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
-    moved = evolve(u, rho)
-    assert validate_state(moved) == 2
-    back = evolve(u.conj().T, moved)
-    assert np.max(np.abs(back.mat - rho.mat)) < 1e-12
 
 
 # --- time evolution ---------------------------------------------------------

@@ -199,9 +199,13 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
 
 
 def conjugate(m, v) -> np.ndarray:
-    """V M V* for a unitary V; preserves laws of states and observables."""
+    """V M V* for a unitary V and a square M of V's dimension; preserves laws
+    of states and observables."""
     m = as_matrix(m)
     v = as_matrix(v)
     if not is_unitary(v, UNITARY_TOL):
         raise ValueError("conjugating matrix is not unitary within tolerance")
+    if m.shape != v.shape:
+        dim = m.shape[0] if m.shape[0] == m.shape[1] else f"shape {m.shape}"
+        raise ValueError(f"dimension mismatch: {len(v)} vs {dim}")
     return v @ m @ v.conj().T

@@ -24,6 +24,7 @@ import numpy as np
 from . import grover_rudolph as gr
 from .algprob import StateValidationError
 from .gates import CircuitParseError, circuit_length, format_circuit
+from .linalg import as_count
 from .qpu import MAX_SHOTS, label_bitstrings, sample as draw_shots
 from .udecomp import (RECONSTRUCTION_TOL, decompose_unitary, format_decomposition,
                       reconstruction_residual)
@@ -42,12 +43,6 @@ MAX_QUBITS = 20
 
 class InputFormatError(ValueError):
     """Malformed input file (structure, not semantics)."""
-
-
-def _check_n(n: int) -> int:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"--n must be between 1 and {MAX_QUBITS}, got {n}")
-    return n
 
 
 def _density_path(args: argparse.Namespace) -> str:
@@ -88,7 +83,7 @@ def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Write the synthesized circuit, each gate a ROT line with its angle."""
-    _check_n(args.n)
+    as_count("--n", args.n, 1, MAX_QUBITS)
     if not args.out:
         raise InputFormatError("synth needs --out PATH for the circuit file")
     density = gr.load_density(_density_path(args))
@@ -100,18 +95,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_law(args: argparse.Namespace) -> int:
     """Exact per-outcome probabilities of the synthesized state."""
-    _check_n(args.n)
+    as_count("--n", args.n, 1, MAX_QUBITS)
     _table(args, {"n": args.n, "law": {"probability": _density_circuit_law(args)}}, "law")
     return EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     """Seeded shot counts with empirical frequencies and exact deviations."""
-    _check_n(args.n)
-    if args.shots < 1:
-        raise ValueError(f"--shots must be at least 1, got {args.shots}")
-    if args.shots > MAX_SHOTS:
-        raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
+    as_count("--n", args.n, 1, MAX_QUBITS)
+    as_count("--shots", args.shots, 1, MAX_SHOTS)
     probs = _density_circuit_law(args)
     result = draw_shots(probs, args.shots, args.seed)
     counts = np.array(list(result.counts.values()))
@@ -136,11 +128,10 @@ def _parse_unitary_json(text: str) -> np.ndarray:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise InputFormatError('unitary JSON needs "dim" and "entries"')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InputFormatError(f'"dim" must be an integer, got {dim!r}')
-    if dim < 2:
-        raise InputFormatError(f'"dim" must be at least 2, got {dim}')
+    try:
+        dim = as_count('"dim"', doc["dim"], 2)
+    except ValueError as exc:
+        raise InputFormatError(*exc.args) from None
     raw = doc["entries"]
     # Pairs of JSON numbers pass one type test; other input is walked to name its first bad entry.
     pairs = type(raw) is list and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
@@ -176,7 +167,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
-    _check_n(args.n)
+    as_count("--n", args.n, 1, MAX_QUBITS)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     density = gr.load_density(_density_path(args))

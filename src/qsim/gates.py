@@ -39,7 +39,6 @@ import numpy as np
 
 from .algprob import DensityMatrix
 from .linalg import UNITARY_TOL, as_count, as_reals
-from .qpu import is_bit
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -112,22 +111,13 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
         raise ValueError(message.format(*(c[k] for c in columns)))
 
 
-def wire_count(n) -> int:
-    """n as a count of wires: an integer by as_count's rule, within 1..MAX_WIRES."""
-    n = as_count("n", n)
-    if not 1 <= n <= MAX_WIRES:
-        bound = "least 1" if n < 1 else f"most {MAX_WIRES}"
-        raise ValueError(f"n must be at {bound}, got {n}")
-    return n
-
-
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as Circuit documents
     them. A gate whose angle is not NaN has the block rotation(angle),
     built here in one cos and sin pass, and unitary exactly when the angle
     is finite. blocks lists the NaN-angle gates' blocks, in order, or is
     None when there are none; only these given blocks are Gram-tested."""
-    n = wire_count(n)
+    n = as_count("n", n, 1, MAX_WIRES)
     angle = as_reals("angle", angle)
     angle.setflags(write=False)
     target, mask, value = _columns(target, mask, value)
@@ -149,9 +139,7 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
 
 def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
     """The checked columns of two-level gates on dim coordinates."""
-    dim = as_count("dim", dim)
-    if dim < 2:
-        raise ValueError("ambient dimension must be at least 2")
+    dim = as_count("dim", dim, 2)
     (i, j), blocks = _columns(i, j), _check_blocks(blocks)
     _same_length(blocks, i, j)
     bad = (i < 1) | (i >= j) | (j > dim)
@@ -219,7 +207,7 @@ def _wires(n: int, target, length) -> tuple[int, np.ndarray]:
     """n as a wire count and target as an int64 column of wires by _columns,
     Circuit's rule, checked with length, the length of each gate's control
     pattern over the other n - 1 wires."""
-    n, (target,) = wire_count(n), _columns(target)
+    n, (target,) = as_count("n", n, 1, MAX_WIRES), _columns(target)
     _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
     return n, target
@@ -247,11 +235,12 @@ def _controls(n: int, target: int, pattern) -> tuple[int, int]:
     target, in wire order: a bit for each control wire, None for a free
     one."""
     pattern = tuple(pattern)
-    if not all(b is None or is_bit(b) for b in pattern):
-        raise ValueError(f"control pattern {pattern} contains non-bits")
+    try:
+        text = "".join("." if b is None else str(as_count("bit", b, 0, 1)) for b in pattern)
+    except ValueError:
+        raise ValueError(f"control pattern {pattern} contains non-bits") from None
     n, target = _wires(n, [target], np.array([len(pattern)]))
-    text = "".join("." if b is None else str(int(b)) for b in pattern).encode()
-    columns = _pattern_columns(n, target, np.frombuffer(text, np.uint8).reshape(1, -1))
+    columns = _pattern_columns(n, target, np.frombuffer(text.encode(), np.uint8).reshape(1, -1))
     return tuple(c[0].item() for c in columns)
 
 
@@ -512,20 +501,20 @@ def _patterns(c: Circuit) -> list[str]:
 
 
 def _parse_header(text: str, kind: str, version: int, key: str,
-                  least: int) -> tuple[int, list[str]]:
-    """The count of 1 to 18 ASCII digits, at least `least`, of text's header line
-    "QSIM-<kind> v<version> <key>=<count>", and the stripped lines after it
-    that are neither blank nor '#' comments."""
+                  least: int, most: int | None = None) -> tuple[int, list[str]]:
+    """The count of 1 to 18 ASCII digits, within least..most by linalg.as_count,
+    of text's header line "QSIM-<kind> v<version> <key>=<count>", and the
+    stripped lines after it that are neither blank nor '#' comments."""
     lines = [ln for ln in filter(None, map(str.strip, text.splitlines())) if ln[0] != "#"]
     if not lines:
         raise CircuitParseError(f"missing QSIM-{kind} header")
     m = re.fullmatch(f"QSIM-{kind} v{version} {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
     if not m:
         raise CircuitParseError(f"bad QSIM-{kind} header {lines[0][:80]!r}")
-    count = int(m.group(1))
-    if count < least:
-        raise CircuitParseError(f"{key} must be at least {least}, got {count}")
-    return count, lines[1:]
+    try:
+        return as_count(key, int(m.group(1)), least, most), lines[1:]
+    except ValueError as exc:
+        raise CircuitParseError(*exc.args) from None
 
 
 def _gate_fields(lines: list[str], arity: dict[str, int]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -599,9 +588,8 @@ def format_circuit(c: Circuit) -> str:
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of format_circuit; '#' comments and blank lines are skipped."""
-    n, lines = _parse_header(text, "CIRCUIT", 2, "n", 1)
-    if n > MAX_WIRES:  # before any line is padded or indexed to n wires
-        raise CircuitParseError(f"n must be at most {MAX_WIRES}, got {n}")
+    # n is at most MAX_WIRES before any line is padded or indexed to n wires.
+    n, lines = _parse_header(text, "CIRCUIT", 2, "n", 1, MAX_WIRES)
     k = len(lines)
     target, mask, value = (np.zeros(k, dtype=np.int64) for _ in range(3))
     angle, rot, blocks = np.full(k, math.nan), [], None

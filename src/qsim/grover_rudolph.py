@@ -29,8 +29,8 @@ from itertools import chain, islice
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .gates import Circuit, apply_vector, stage_layout, wire_count
-from .linalg import as_reals
+from .gates import MAX_WIRES, Circuit, apply_vector, stage_layout
+from .linalg import as_count, as_reals
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -200,9 +200,9 @@ class AngleTree:
 
     angles: the 2^n - 1 angles in heap order, entry 2^m - 1 + s the node with
     m bits fixed and suffix integer s (first suffix bit least significant),
-    which is the node interval's position at level m. n by gates.wire_count and
-    exactly 2^n - 1 angles within [0, pi/2] by linalg.as_reals, or ValueError;
-    kept as a read-only copy.
+    which is the node interval's position at level m. n from 1 to
+    gates.MAX_WIRES by linalg.as_count and exactly 2^n - 1 angles within
+    [0, pi/2] by linalg.as_reals, or ValueError; kept as a read-only copy.
     """
 
     n: int
@@ -210,7 +210,7 @@ class AngleTree:
 
     def __post_init__(self):
         # A NaN angle fails both bounds below.
-        n, a = wire_count(self.n), as_reals("angles", self.angles)
+        n, a = as_count("n", self.n, 1, MAX_WIRES), as_reals("angles", self.angles)
         if not (a.shape == (2**n - 1,) and np.all((a >= 0.0) & (a <= math.pi / 2))):
             raise ValueError(f"n={n} needs 2^n - 1 angles within [0, pi/2]")
         a.setflags(write=False)
@@ -230,8 +230,8 @@ class AngleTree:
         The suffix lists wire bits in wire order (first element belongs to
         the earliest controlled wire), as ints or as a string such as "01";
         an empty suffix gives the root. A suffix of n or more bits, or an
-        entry that is no bit by qpu.is_bit (True and 1.0 are none), raises
-        ValueError.
+        entry that is not 0 or 1 by linalg.as_count (True and 1.0 are not),
+        raises ValueError.
         """
         bits = tuple({"0": 0, "1": 1}.get(b, b) if isinstance(b, str) else b for b in suffix)
         if len(bits) >= self.n:
@@ -290,12 +290,10 @@ def target_law(d, n: int) -> np.ndarray:
     """Exact outcome probabilities: entry k is the mass of [k/2^n, (k+1)/2^n].
 
     The little-endian outcome label k equals the dyadic position of its
-    interval, so no index reshuffling is needed here. n passes gates.wire_count
-    and is at most MAX_LAW_WIRES, checked before any array is built.
+    interval, so no index reshuffling is needed here. n is an integer from 1
+    to MAX_LAW_WIRES by linalg.as_count, checked before any array is built.
     """
-    n = wire_count(n)
-    if n > MAX_LAW_WIRES:
-        raise ValueError(f"n must be at most {MAX_LAW_WIRES} for a dyadic law, got {n}")
+    n = as_count("n", n, 1, MAX_LAW_WIRES)
     return d.masses(np.arange(2**n + 1) / 2.0**n)
 
 

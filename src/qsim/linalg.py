@@ -19,12 +19,18 @@ UNITARY_TOL = 1e-10
 EIG_CLUSTER_REL_TOL = 1e-9
 
 
-def as_count(name: str, x) -> int:
-    """x as a Python int when it is an integer, Python or numpy, and not a bool;
-    ValueError otherwise. Every n, dim, seed and shot count passes this rule."""
+def as_count(name: str, x, least: int | None = None, most: int | None = None) -> int:
+    """x as a Python int when it is an integer, Python or numpy, and not a bool,
+    within least..most where they are given; ValueError otherwise. Every n,
+    dim, label, bit, seed and shot count passes this rule."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be at least {least}, got {x}")
+    if most is not None and x > most:
+        raise ValueError(f"{name} must be at most {most}, got {x}")
+    return x
 
 
 def as_reals(name: str, x) -> np.ndarray:

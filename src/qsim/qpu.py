@@ -12,7 +12,8 @@ conflating them is the classic bug in this construction:
 This module owns both maps, and every other module goes through them:
 encode/decode handle labels; bitstring and label_bitstrings write them as
 text in wire order; tensor_index handles array positions; label_permutation
-tabulates the composite map. Labels and qubit counts follow linalg.as_count.
+tabulates the composite map. Labels, bits and qubit counts follow
+linalg.as_count, with its range messages.
 """
 
 from __future__ import annotations
@@ -40,12 +41,8 @@ MAX_SHOTS = 10**8
 
 
 def _check_label(k: int, n: int) -> tuple[int, int]:
-    k, n = as_count("label", k), as_count("n", n)
-    if n < 1:
-        raise ValueError("qubit count must be at least 1")
-    if not 0 <= k < 2**n:
-        raise ValueError(f"label {k} out of range for {n} qubits")
-    return k, n
+    n = as_count("n", n, 1)
+    return as_count("label", k, 0, 2**n - 1), n
 
 
 def encode(k: int, n: int) -> list[int]:
@@ -54,22 +51,12 @@ def encode(k: int, n: int) -> list[int]:
     return [(k >> i) & 1 for i in range(n)]
 
 
-def is_bit(b) -> bool:
-    """True when b is 0 or 1 as an integer, Python or numpy, and not a bool:
-    linalg.as_count's integer rule, so True and 1.0 are not bits."""
-    return not isinstance(b, bool) and isinstance(b, (int, np.integer)) and b in (0, 1)
-
-
 def decode(bits: BitString) -> int:
-    """Label k of a bit sequence; inverse of encode."""
+    """Label k of a bit sequence, each bit 0 or 1 by linalg.as_count; inverse
+    of encode."""
     if len(bits) < 1:
         raise ValueError("empty bit string")
-    k = 0
-    for i, b in enumerate(bits):
-        if not is_bit(b):
-            raise ValueError(f"bit {b!r} is not 0 or 1")
-        k += b << i
-    return k
+    return sum(as_count("bit", b, 0, 1) << i for i, b in enumerate(bits))
 
 
 def bitstring(k: int, n: int) -> str:
@@ -91,7 +78,7 @@ def label_bitstrings(n: int) -> list[str]:
     """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, as the
     lines of one decoded (2^n, n + 1) byte matrix: byte i - 1 of row k is
     bit i - 1 of k, and the last byte a '\\n'."""
-    n = _check_label(0, n)[1]
+    n = as_count("n", n, 1)
     lines = np.full((2**n, n + 1), ord("\n"), dtype=np.uint8)
     lines[:, :-1] = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1 | ord("0")
     return lines.tobytes().decode().split("\n")[:-1]
@@ -104,7 +91,7 @@ def label_permutation(n: int) -> np.ndarray:
     wire i, which is position bit n-i. Reversing the axes of the positions
     laid out as an n-bit array reverses every index's bits.
     """
-    n = _check_label(0, n)[1]
+    n = as_count("n", n, 1)
     return np.arange(2**n).reshape((2,) * n).transpose().ravel()
 
 
@@ -161,9 +148,7 @@ def standard_observable(n: int) -> QpuObservable:
     Wire j carries diag(1, p_j) with p_j the j-th prime, so the label of
     outcome k is the square-free product encoding k's bits uniquely.
     """
-    n = as_count("n", n)
-    if not 1 <= n <= len(_PRIMES):
-        raise ValueError(f"qubit count must be between 1 and {len(_PRIMES)}")
+    n = as_count("n", n, 1, len(_PRIMES))
     return qpu_observable(
         [np.diag([1.0, float(p)]) for p in _PRIMES[:n]]
     )
@@ -184,9 +169,7 @@ class Udqc:
 
 def udqc(n: int) -> Udqc:
     """Digital quantum computer model on 1 to 16 qubits; builds rho0 only."""
-    n = as_count("n", n)
-    if not 1 <= n <= len(_PRIMES):
-        raise ValueError(f"qubit count must be between 1 and {len(_PRIMES)}")
+    n = as_count("n", n, 1, len(_PRIMES))
     return Udqc(n=n, rho0=pure_state(basis_vector(0, n)))
 
 
@@ -249,12 +232,10 @@ def sample(probabilities, shots: int, seed: int) -> ShotResult:
     """Draw i.i.d. outcome indices from a 1-D array of probabilities, such
     as a law over labels or law(a, rho).probabilities(); identical seeds
     give identical counts. The probabilities pass algprob.law_probabilities,
-    which clamps them into [0, 1], and shots and seed linalg.as_count, or it
-    raises before drawing.
+    which clamps them into [0, 1], and shots (1 to MAX_SHOTS) and seed
+    linalg.as_count, or it raises before drawing.
     """
-    shots, seed = as_count("shots", shots), as_count("seed", seed)
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
+    shots, seed = as_count("shots", shots, 1, MAX_SHOTS), as_count("seed", seed)
     counts = inverse_cdf_counts(law_probabilities(probabilities), shots, seed).tolist()
     return ShotResult(counts=dict(enumerate(counts)), shots=shots, seed=seed)
 

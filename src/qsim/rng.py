@@ -72,9 +72,7 @@ def _steps(count: int) -> np.ndarray:
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """The first `count` raw 64-bit outputs for the given seed."""
-    seed, count = as_count("seed", seed), as_count("count", count)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    seed, count = as_count("seed", seed), as_count("count", count, 0)
     z, spare = _steps(count), np.empty(count, dtype=np.uint64)
     splitmix64_premix(seed, z, z, spare)
     _last_step(z, spare)
@@ -115,9 +113,7 @@ def inverse_cdf_counts(probabilities, shots: int, seed: int) -> np.ndarray:
     searched. Memory is O(SHOT_CHUNK + SORT_CHUNK + len(probabilities)).
     """
     c = cdf(probabilities)
-    seed, shots = as_count("seed", seed), as_count("shots", shots)  # chunk seeds cannot overflow
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    seed, shots = as_count("seed", seed), as_count("shots", shots, 0)  # chunk seeds cannot overflow
     # m < limit[i] exactly when u = m * 2^-53 < cdf[i]; every u is below 1.
     np.minimum(c, 1.0, out=c)
     c *= 2.0**53

@@ -36,7 +36,7 @@ from .gates import (
     parse_decomposition,
     reconstruct,
 )
-from .linalg import as_matrix, as_vector, is_unitary
+from .linalg import as_count, as_matrix, as_vector, is_unitary
 
 # A component counts as zero for branch selection below this fraction of
 # the vector norm; identity factors are emitted instead of dividing by it.
@@ -103,9 +103,7 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     coordinate 1. Components already negligible produce identity factors.
     """
     psi = as_vector(psi)
-    n = psi.shape[0]
-    if n < 2:
-        raise ValueError("vector dimension must be at least 2")
+    n = as_count("vector dimension", psi.shape[0], 2)
     blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
     _column_blocks(psi, blocks)
     factors = Decomposition(n, [1] * (n - 1), range(2, n + 1), blocks).factors

@@ -349,11 +349,17 @@ def test_conjugation_requires_unitary():
 
 
 def test_conjugation_requires_unitary_and_matching_dim():
+    """M must be square, of V's dimension, as in liouville_solve and
+    gates.apply; numpy's matmul message would name neither."""
     rho = np.eye(2) / 2.0
     with pytest.raises(ValueError):
         conjugate(rho, np.eye(2) * 2.0)
-    with pytest.raises(ValueError):
-        conjugate(rho, np.eye(4))
+    for m, v, message in ((rho, np.eye(4), "dimension mismatch: 4 vs 2"),
+                          (np.eye(4) / 4.0, np.eye(2), "dimension mismatch: 2 vs 4"),
+                          (np.ones((2, 3)), np.eye(2), "dimension mismatch: 2 vs shape (2, 3)")):
+        with pytest.raises(ValueError) as info:
+            conjugate(m, v)
+        assert str(info.value) == message
 
 
 def test_conjugation_by_identity_fixes_state():

@@ -408,7 +408,8 @@ def test_control_bits_follow_the_integer_rule():
         (lambda: controlled_gate(3, 1, (1.0, 0), eye), "control pattern (1.0, 0) contains non-bits"),
         (lambda: control_projector(3, 1, (0.0, 1), eye), "control pattern (0.0, 1) contains non-bits"),
         (lambda: controlled_gate(3, 1, (None, True), eye), "control pattern (None, True) contains non-bits"),
-        (lambda: decode([1.0, 0]), "bit 1.0 is not 0 or 1"),
+        (lambda: decode([1.0, 0]), "bit must be an integer, got 1.0"),
+        (lambda: decode([0, 2]), "bit must be at most 1, got 2"),
     ):
         with pytest.raises(ValueError) as info:
             call()

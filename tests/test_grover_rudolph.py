@@ -460,15 +460,18 @@ def test_suffix_angle_rejects_non_bits():
 
 def test_suffix_angle_checks_each_bit_before_reading_it_as_an_int():
     """A fraction is no bit: int() would truncate 0.5 to 0 and 1.9 to 1 and
-    read another node. Each entry is checked by qpu.is_bit, the rule of
-    qpu.decode and of control patterns, so 1.0 and True are no bits either;
-    a string's characters are read as bits."""
+    read another node. Each entry is checked by linalg.as_count with the
+    range 0..1, the rule of qpu.decode and of control patterns, so 1.0 and
+    True are no bits either; a string's characters are read as bits."""
     tree = AngleTree(n=3, angles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
     for suffix, bad in (((0.5,), "0.5"), ((1.9,), "1.9"), ((1, 0.5), "0.5"),
-                        ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ((1, "01"), "'01'"),
+                        ((np.float64(0.5),), r"\S*0\.5\S*"), ("0x", "'x'"), ("12", "'2'"), ((1, "01"), "'01'"),
                         ((1.0, 0), r"1\.0"), ((True, 0), "True"),
                         ((0, np.float64(1.0)), r"\S*1\.0\S*")):
-        with pytest.raises(ValueError, match=f"^bit {bad} is not 0 or 1$"):
+        with pytest.raises(ValueError, match=f"^bit must be an integer, got {bad}$"):
+            tree.suffix_angle(suffix)
+    for suffix, bound in (((0, 2), "most 1, got 2"), ((1, -1), "least 0, got -1")):
+        with pytest.raises(ValueError, match=f"^bit must be at {bound}$"):
             tree.suffix_angle(suffix)
     assert tree.suffix_angle((1, 0)) == tree.suffix_angle((np.int64(1), 0)) == 0.5
     assert tree.suffix_angle(np.array([0, 1])) == tree.suffix_angle("01") == 0.6
@@ -792,11 +795,12 @@ def test_qubit_count_follows_the_integer_rule():
 
 
 def test_qubit_count_is_a_wire_count():
-    """n is within 1..MAX_WIRES, with Circuit's messages, for the target law
-    and everything built on it; 63 is rejected before any edge is built."""
+    """n is at least 1, with Circuit's messages, for the target law and
+    everything built on it; 63, past MAX_WIRES, is rejected by the law's own
+    bound before any edge is built."""
     d = triangular()
     for n, message in ((0, "at least 1, got 0"), (-1, "at least 1, got -1"),
-                       (63, "at most 62, got 63")):
+                       (63, "at most 30, got 63")):
         for call in (target_law, angle_tree, verify):
             with pytest.raises(ValueError) as info:
                 call(d, n)
@@ -816,7 +820,7 @@ def test_a_law_has_at_most_30_wires(monkeypatch):
         for call in (target_law, angle_tree, verify):
             with pytest.raises(ValueError) as info:
                 call(d, n)
-            assert str(info.value) == f"n must be at most 30 for a dyadic law, got {n}", call
+            assert str(info.value) == f"n must be at most 30, got {n}", call
 
 
 def test_target_law_equals_scalar_reference():

@@ -92,6 +92,15 @@ def test_decode_round_trip():
         decode([0, 2])
 
 
+def test_numpy_bits_decode_as_python_ints():
+    """Each bit is read as a Python int, so a 64-bit label does not wrap as
+    an int64 shift would: 64 numpy ones are 2^64 - 1, and wire 1 alone set
+    among 64 wires is position 2^63."""
+    assert decode(list(np.ones(64, np.int64))) == 2**64 - 1
+    assert tensor_index(np.array([1] + [0] * 63)) == 2**63
+    assert type(decode(np.ones(3, np.uint8))) is int
+
+
 def test_bitstring_is_wire_order_and_decodes_back():
     assert bitstring(1, 3) == "100"
     assert bitstring(6, 3) == "011"
@@ -112,14 +121,14 @@ def test_label_bitstrings_is_bitstring_of_every_label():
     assert len(labels) == 2**20
     for k in (0, 1, 2**19, 2**20 - 1):
         assert labels[k] == bitstring(k, 20)
-    with pytest.raises(ValueError, match="qubit count must be at least 1"):
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
         label_bitstrings(0)
 
 
 def test_labels_and_qubit_counts_follow_the_integer_rule():
     """A label or a qubit count is an integer, Python or numpy, and not a
     bool or a float: linalg.as_count's rule, checked before any array is
-    made. The range messages are unchanged."""
+    made, and within its range, by its range messages."""
     for call, message in (
         (lambda: encode(True, 3), "label must be an integer, got True"),
         (lambda: bitstring(True, 3), "label must be an integer, got True"),
@@ -134,10 +143,11 @@ def test_labels_and_qubit_counts_follow_the_integer_rule():
         (lambda: standard_observable(True), "n must be an integer, got True"),
         (lambda: udqc(True), "n must be an integer, got True"),
         (lambda: udqc(2.0), "n must be an integer, got 2.0"),
-        (lambda: label_permutation(0), "qubit count must be at least 1"),
-        (lambda: encode(8, np.int64(3)), "label 8 out of range for 3 qubits"),
-        (lambda: udqc(17), "qubit count must be between 1 and 16"),
-        (lambda: standard_observable(0), "qubit count must be between 1 and 16"),
+        (lambda: label_permutation(0), "n must be at least 1, got 0"),
+        (lambda: encode(8, np.int64(3)), "label must be at most 7, got 8"),
+        (lambda: bitstring(-1, 3), "label must be at least 0, got -1"),
+        (lambda: udqc(17), "n must be at most 16, got 17"),
+        (lambda: standard_observable(0), "n must be at least 1, got 0"),
     ):
         with pytest.raises(ValueError) as info:
             call()
@@ -591,9 +601,9 @@ def test_generator_matches_sequential_oracle():
 
 
 def test_generator_rejects_negative_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^count must be at least 0, got -1$"):
         splitmix64_stream(0, -1)
-    with pytest.raises(ValueError, match="^shots must be nonnegative$"):
+    with pytest.raises(ValueError, match="^shots must be at least 0, got -1$"):
         inverse_cdf_counts([0.5, 0.5], -1, 0)
 
 
@@ -877,9 +887,9 @@ def test_sample_reports_every_outcome_index():
 def test_sample_rejects_empty_and_no_shots():
     with pytest.raises(ValueError):
         sample([], 5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shots must be at least 1, got 0$"):
         sample(law_over_labels([1.0]), 0, 0)
-    with pytest.raises(ValueError, match="between 1 and 100000000"):
+    with pytest.raises(ValueError, match="^shots must be at most 100000000, got 100000001$"):
         sample(law_over_labels([1.0]), qpu.MAX_SHOTS + 1, 0)
 
 

@@ -144,7 +144,7 @@ def test_reduce_vector_count_and_tail_random():
 def test_reduce_vector_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         reduce_vector(np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vector dimension must be at least 2, got 1$"):
         reduce_vector(np.array([1.0]))
 
 
@@ -650,7 +650,7 @@ def test_reconstruct_validates_dimensions():
     eye = np.eye(2)[None]
     with pytest.raises(ValueError, match=r"^coordinates \(1, 5\) invalid for dim 4$"):
         reconstruct(Decomposition(4, [1], [5], eye))
-    with pytest.raises(ValueError, match="^ambient dimension must be at least 2$"):
+    with pytest.raises(ValueError, match="^dim must be at least 2, got 1$"):
         reconstruct(Decomposition(1, np.array([], int), np.array([], int), eye[:0]))
     with pytest.raises(ValueError, match="^gate columns differ in length$"):
         Decomposition(4, [1, 2], [2, 3], eye)

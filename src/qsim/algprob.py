@@ -160,13 +160,15 @@ def validate_state(rho: DensityMatrix) -> int:
 def law_probabilities(raw) -> np.ndarray:
     """Raw outcome probabilities, checked and clamped into a law's.
 
-    An entry that is not finite or lies below -NEGATIVE_PROB_TOL raises
-    StateValidationError("eigenvalues"); a total off 1 by more than
-    LAW_SUM_TOL raises StateValidationError("trace"). The entries are then
-    clamped into [0, 1]. Every law and basis distribution returns through
-    this check.
+    An empty or not 1-D input raises ValueError; an entry that is not finite
+    or lies below -NEGATIVE_PROB_TOL raises StateValidationError("eigenvalues");
+    a total off 1 by more than LAW_SUM_TOL raises StateValidationError("trace").
+    The entries are then clamped into [0, 1]. Every law and basis distribution
+    returns through this check.
     """
     p = np.asarray(raw, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("probabilities must be a nonempty 1-D array")
     ok = np.isfinite(p) & (p >= -NEGATIVE_PROB_TOL)
     if not ok.all():
         raise StateValidationError(

@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import grover_rudolph as gr
-from .algprob import StateValidationError
-from .gates import CircuitParseError, circuit_length, format_circuit
+from .gates import circuit_length, format_circuit
 from .linalg import as_count
 from .qpu import MAX_SHOTS, label_bitstrings, sample as draw_shots
 from .udecomp import (RECONSTRUCTION_TOL, decompose_unitary, format_decomposition,
@@ -242,13 +241,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitParseError, gr.DensityJsonError, InputFormatError) as exc:
+    except (gr.DensityJsonError, InputFormatError) as exc:
         print(f"qsim: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"qsim: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (gr.DensityError, StateValidationError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"qsim: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

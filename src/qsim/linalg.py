@@ -98,13 +98,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
-    """The unitary exp(-i t H) of a Hermitian generator H.
-
-    Computed, once t is checked to be a finite real number by as_reals's rule,
-    through the eigendecomposition of H, which checks that H is Hermitian;
-    the result is checked to be unitary within UNITARY_TOL.
+    """The unitary exp(-i t H) of a Hermitian generator H, for one finite real
+    t (as_reals's rule, checked first), through the eigendecomposition of H,
+    which checks that H is Hermitian; the result is checked to be unitary.
     """
-    if not np.isfinite(as_reals("t", t)):
+    s = as_reals("t", t)
+    if s.ndim != 0:
+        raise ValueError(f"t must be a single number, got shape {s.shape}")
+    if not np.isfinite(s):
         raise ValueError(f"t must be finite, got {t!r}")
     w, v = hermitian_eig(h)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T

@@ -301,7 +301,9 @@ def test_decompose_input_errors(tmp_path, capsys):
     assert main(["decompose", "--unitary", str(no_entries)]) == 2
     assert capsys.readouterr().err == 'qsim: parse error: unitary JSON needs "dim" and "entries"\n'
     not_unitary = write_unitary(tmp_path, np.ones((3, 3)), "n.json")
-    assert main(["decompose", "--unitary", not_unitary]) == 3
+    out = tmp_path / "factors.txt"
+    assert main(["decompose", "--unitary", not_unitary, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
@@ -463,14 +465,21 @@ def test_verify_passes_for_shipped_shapes(capsys, triangular_path, powers_of_two
     assert "PASS" in capsys.readouterr().out
 
 
-def test_verify_csv_table(tmp_path, triangular_path):
+def test_verify_csv_table(tmp_path, capsys, triangular_path):
+    """A header and 2^n rows, also at n = 16, with the label column's k and
+    bitstring cells in the first two rows and the last."""
     out = tmp_path / "verify.csv"
-    assert main(["verify", "--n", "3", "--density", triangular_path, "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert len(rows) == 8
-    for row in rows:
-        assert float(row["exact"]) == pytest.approx(float(row["formula"]), abs=1e-12)
-        assert float(row["exact"]) == pytest.approx(float(row["circuit"]), abs=1e-12)
+    for n in (3, 16):
+        assert main(["verify", "--n", str(n), "--density", triangular_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("PASS: ")
+        rows = read_csv(out)
+        assert len(rows) == 2**n
+        labels = [(r["k"], r["bitstring"]) for r in (rows[0], rows[1], rows[-1])]
+        assert labels == [("0", "0" * n), ("1", "1" + "0" * (n - 1)), (str(2**n - 1), "1" * n)]
+        exact, formula, circuit = (np.array([float(r[c]) for r in rows])
+                                   for c in ("exact", "formula", "circuit"))
+        assert np.max(np.abs(exact - formula)) <= 1e-12
+        assert np.max(np.abs(exact - circuit)) <= 1e-12
 
 
 def test_verify_json_summary(tmp_path, triangular_path):

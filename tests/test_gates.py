@@ -39,12 +39,14 @@ from qsim.gates import (
 from qsim.linalg import is_unitary
 from qsim.qpu import basis_vector, tensor_index
 from qsim.udecomp import (
+    RECONSTRUCTION_TOL,
     Decomposition,
     decompose_unitary,
     format_decomposition,
     k_embed,
     parse_decomposition,
     reconstruct,
+    reconstruction_residual,
 )
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -987,8 +989,10 @@ def test_reconstruct_takes_a_step_per_layer_of_disjoint_pairs(monkeypatch, dim):
     """decompose_unitary's N(N-1)/2 factors fall into 2N - 3 layers. A
     layer is one step while its rows hold at most 2^14 entries, as every
     layer does up to N = 128, whose largest has N/2 pairs; above that a
-    layer is split into steps of that size."""
-    d = decompose_unitary(haar_unitary(np.random.default_rng([24, dim]), dim))
+    layer is split into steps of that size. The product rebuilds U within
+    RECONSTRUCTION_TOL."""
+    u = haar_unitary(np.random.default_rng([24, dim]), dim)
+    d = decompose_unitary(u)
     calls = []
     mix = gates.mix_pairs
     monkeypatch.setattr(gates, "mix_pairs", lambda *args: calls.append(args) or mix(*args))
@@ -999,6 +1003,7 @@ def test_reconstruct_takes_a_step_per_layer_of_disjoint_pairs(monkeypatch, dim):
         assert len(p0) * dim <= max(2**14, dim)
         rows = np.concatenate([p0, p1])  # the pairs of one step are disjoint
         assert len(set(rows.tolist())) == len(rows)
+    assert reconstruction_residual(d, u) <= RECONSTRUCTION_TOL
 
 
 def test_apply_rejects_state_of_the_wrong_dimension():

@@ -1032,14 +1032,20 @@ def test_heap_tree_equals_per_level_construction():
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_heap_tree_equals_per_level_construction_at_large_n(n):
+    """The heap tree, its formula law and its circuit are the per-level
+    construction's at n = 16 and 20, and the circuit's text reads back to
+    columns of the same bytes, so it writes that text byte for byte."""
     d = random_poly_density(np.random.default_rng([45, n]))
     tree = angle_tree(d, n)
     theta, levels = per_level_tree(target_law(d, n))
     assert np.array_equal(tree.angles, np.array([theta, *(a for lv in levels for a in lv)]))
     assert np.array_equal(formula_law(tree), per_level_formula_law(n, theta, levels))
     got, want = synthesize(tree), per_level_circuit(n, theta, levels)
+    back = parse_circuit(format_circuit(got))
+    assert back.n == n
     for name in ("target", "mask", "value", "blocks", "angle"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert getattr(back, name).tobytes() == getattr(got, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -193,13 +193,18 @@ def test_a_time_that_is_not_finite_is_rejected_before_the_eigensolve(monkeypatch
 def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
     """t is read by as_reals's rule, so a complex, string or bool t is a
     ValueError naming t, raised before H is decomposed, and never the
-    ArithmeticError that marks a numerical fault."""
+    ArithmeticError that marks a numerical fault; so is a list or an array
+    of times, even of one."""
     monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh was called"))
     for t, kind in ((1 + 1j, "complex"), (np.complex128(0.5), "complex128"), ("1", "str"),
                     (True, "bool")):
         with pytest.raises(ValueError) as info:
             unitary_from_hamiltonian(np.eye(2), t)
         assert str(info.value) == f"t must be real numbers, got ['{kind}']"
+    for t, shape in (([0.5], (1,)), (np.array([0.5, 0.7]), (2,)), (np.array([0.5]), (1,))):
+        with pytest.raises(ValueError) as info:
+            unitary_from_hamiltonian(np.diag([1.0, 2.0]), t)
+        assert str(info.value) == f"t must be a single number, got shape {shape}"
 
 
 def test_generator_zero_gives_identity():

@@ -350,13 +350,20 @@ def test_standard_observable_separates_all_outcomes():
 
 
 def test_standard_observable_measures_basis_states_deterministically():
-    """In basis state k the register observable shows label(k) with prob 1."""
+    """In basis state k the register observable shows label(k) with prob 1;
+    in a mixed state after Liouville evolution, with basis_distribution[k]."""
     for n in (1, 2, 3, 4):
         obs = standard_observable(n)
         for k in range(2**n):
             rho = pure_state(basis_vector(k, n))
             lw = {v: p for v, p in zip(*_law_pairs(obs.realized, rho))}
             assert lw[obs.eigen_labels[k]] == pytest.approx(1.0, abs=1e-9)
+    register = standard_observable(3)
+    rng = np.random.default_rng(29)
+    rho = liouville_solve(random_hermitian(rng, 8), _random_low_rank_state(rng, 8, 3), 0.7)
+    lw = {round(v): p for v, p in zip(*_law_pairs(register.realized, rho))}
+    got = [lw[round(label)] for label in register.eigen_labels]
+    assert np.max(np.abs(np.subtract(got, basis_distribution(rho)))) <= 1e-12
 
 
 def _law_pairs(observable, rho):
@@ -949,6 +956,9 @@ def test_law_over_labels_structure():
     assert law_over_labels([1 + 5e-13, -5e-13]).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="sum to 0.6"):
         law_over_labels([0.2, 0.2, 0.2])
+    for bad in ([], np.ones((2, 2)) / 4, [[0.5, 0.5]], 1.0):
+        with pytest.raises(ValueError, match="^probabilities must be a nonempty 1-D array$"):
+            law_over_labels(bad)
 
 
 def test_sample_takes_a_list_a_tuple_or_an_array():

@@ -442,8 +442,9 @@ def test_phase_branch_matches_the_reference():
         np.eye(6)[[3, 0, 5, 1, 2, 4]],
         np.eye(5)[[4, 2, 0, 1, 3]] * np.exp(1j * np.arange(5)),
         np.diag(np.exp(1j * np.array([0.3, -1.2, 2.7, 0.0, 1.0]))),
+        np.diag([1, 1j, -1, np.exp(0.3j)]),  # the last block takes off the determinant
     ],
-    ids=["identity", "permutation", "phased-permutation", "diagonal-phase"],
+    ids=["identity", "permutation", "phased-permutation", "diagonal-phase", "unit-phases"],
 )
 def test_structured_inputs_keep_exact_identity_factors(u):
     n = u.shape[0]

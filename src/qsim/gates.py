@@ -15,11 +15,13 @@ matrix is the reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does
 a Decomposition its two-level factors. A single wire gate is a Circuit of
-length one, so one column check validates every gate sequence. A wire gate
-with an angle has the block rotation(angle), built from it; only the other
-gates' blocks are given, and only given blocks are tested for unitarity. In
-text, a wire gate with an angle is a ROT line, and any other a CTRL line
-with its block; both spell the controls as one wire pattern.
+length one, so one column check validates every gate sequence: integer
+columns by linalg.as_counts, target from 1 to n, mask and value from 0 to
+2^n - 1, i and j from 1 to dim. A wire gate with an angle has the block
+rotation(angle), built from it; only the other gates' blocks are given and
+tested for unitarity. In text, a wire gate with an angle is a ROT line, and
+any other a CTRL line with its block; both spell the controls as one wire
+pattern. The reader checks what text can get wrong, and Circuit the rest.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import UNITARY_TOL, as_count, as_reals
+from .linalg import UNITARY_TOL, as_count, as_counts, as_reals
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -56,7 +58,8 @@ def rotation(alpha: float) -> np.ndarray:
 
 
 def rotations(angles) -> np.ndarray:
-    """rotation(a) for every a in angles, shape (k, 2, 2), from one cos and one sin."""
+    """rotation(a) for each a in angles (linalg.as_reals), shape (k, 2, 2), from one cos and sin."""
+    angles = as_reals("angle", angles)
     with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN block
         c, s = np.cos(angles), np.sin(angles)
     return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(np.complex128)
@@ -83,21 +86,6 @@ def _check_blocks(blocks) -> np.ndarray:
     return v
 
 
-def _columns(*ints) -> list[np.ndarray]:
-    """Each of ints as a read-only int64 array; a float or a bool, even one
-    bool in a list, is a TypeError; an empty list is an empty column."""
-    # np.asarray reads a bool among ints as 1: a list holding one is read as
-    # bools, so it fails as an all-bool column does. It reads an empty list
-    # as float64, which the safe cast would refuse.
-    ints = [x if isinstance(x, np.ndarray)
-            else np.asarray(x, bool) if any(isinstance(v, (bool, np.bool_)) for v in x)
-            else np.asarray(x, None if len(x) else np.int64) for x in ints]
-    ints = [x.astype(np.int64, casting="no" if x.dtype == bool else "safe") for x in ints]
-    for c in ints:
-        c.setflags(write=False)
-    return ints
-
-
 def _same_length(*columns) -> None:
     if len({len(c) for c in columns}) > 1:
         raise ValueError("gate columns differ in length")
@@ -113,14 +101,14 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
 
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as Circuit documents
-    them. A gate whose angle is not NaN has the block rotation(angle),
-    built here in one cos and sin pass, and unitary exactly when the angle
-    is finite. blocks lists the NaN-angle gates' blocks, in order, or is
-    None when there are none; only these given blocks are Gram-tested."""
+    them. The block of a gate whose angle is not NaN is built here in one
+    cos and sin pass, unitary exactly when the angle is finite; only the
+    given blocks, of the NaN-angle gates, are Gram-tested."""
     n = as_count("n", n, 1, MAX_WIRES)
-    angle = as_reals("angle", angle)
+    top = (1 << n) - 1  # the largest mask or value
+    angle, target = as_reals("angle", angle), as_counts("target", target, 1, n)
+    mask, value = as_counts("mask", mask, 0, top), as_counts("value", value, 0, top)
     angle.setflags(write=False)
-    target, mask, value = _columns(target, mask, value)
     given = _NO_BLOCKS if blocks is None else _check_blocks(blocks)
     _reject(np.isinf(angle), _NOT_UNITARY)
     at = np.isnan(angle)  # the gates whose blocks are given
@@ -129,8 +117,6 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     blocks = rotations(angle)
     blocks[at] = given
     blocks.setflags(write=False)
-    _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
-    _reject((mask < 0) | (mask >= 1 << n), f"mask {{}} out of range for n={n}", mask)
     stride = np.left_shift(1, n - target)
     _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
     _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
@@ -140,10 +126,9 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
 def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
     """The checked columns of two-level gates on dim coordinates."""
     dim = as_count("dim", dim, 2)
-    (i, j), blocks = _columns(i, j), _check_blocks(blocks)
+    i, j, blocks = as_counts("i", i, 1, dim), as_counts("j", j, 1, dim), _check_blocks(blocks)
     _same_length(blocks, i, j)
-    bad = (i < 1) | (i >= j) | (j > dim)
-    _reject(bad, f"coordinates ({{}}, {{}}) invalid for dim {dim}", i, j)
+    _reject(i >= j, "coordinates ({}, {}) must have i < j", i, j)
     return dict(dim=dim, i=i, j=j, blocks=blocks)
 
 
@@ -203,20 +188,12 @@ def stage_layout(n: int, stage):
     return n + 1 - stage, (1 << (stage - 1)) - 1
 
 
-def _wires(n: int, target, length) -> tuple[int, np.ndarray]:
-    """n as a wire count and target as an int64 column of wires by _columns,
-    Circuit's rule, checked with length, the length of each gate's control
-    pattern over the other n - 1 wires."""
-    n, (target,) = as_count("n", n, 1, MAX_WIRES), _columns(target)
-    _reject((target < 1) | (target > n), f"target {{}} out of range for n={n}", target)
+def _pattern_columns(n: int, target, chars: np.ndarray, at, length) -> tuple[np.ndarray, ...]:
+    """(mask, value) columns of control patterns, pattern k the length[k] bytes
+    of chars from at[k], each n - 1 over the wires other than its target in wire
+    order: '0' or '1' for a control wire that must carry that bit, '.' if free."""
     _reject(length != n - 1, f"pattern length {{}} != n-1 = {n - 1}", length)
-    return n, target
-
-
-def _pattern_columns(n: int, target: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(mask, value) columns of a (k, n - 1) byte matrix of control patterns,
-    each over the wires other than its target in wire order: '0' or '1' for
-    a control wire that must carry that bit and '.' for a free one."""
+    pattern = chars[at[:, None] + np.arange(n - 1)]
     ctrl, one = pattern != ord("."), pattern == ord("1")
     bad = (ctrl & ~one & (pattern != ord("0"))).any(axis=1)
     if bad.any():
@@ -233,15 +210,16 @@ def _pattern_columns(n: int, target: np.ndarray, pattern: np.ndarray) -> tuple[n
 def _controls(n: int, target: int, pattern) -> tuple[int, int]:
     """(mask, value) of a control pattern over the n - 1 wires other than
     target, in wire order: a bit for each control wire, None for a free
-    one."""
+    one. n and target are read by Circuit's rule."""
     pattern = tuple(pattern)
     try:
         text = "".join("." if b is None else str(as_count("bit", b, 0, 1)) for b in pattern)
     except ValueError:
         raise ValueError(f"control pattern {pattern} contains non-bits") from None
-    n, target = _wires(n, [target], np.array([len(pattern)]))
-    columns = _pattern_columns(n, target, np.frombuffer(text.encode(), np.uint8).reshape(1, -1))
-    return tuple(c[0].item() for c in columns)
+    n = as_count("n", n, 1, MAX_WIRES)
+    field = np.frombuffer(text.encode(), np.uint8), np.zeros(1, int), np.array([len(text)])
+    mask, value = _pattern_columns(n, as_count("target", target, 1, n), *field)
+    return mask.item(), value.item()
 
 
 _EYE = np.eye(2, dtype=np.complex128)
@@ -602,9 +580,8 @@ def parse_circuit(text: str) -> Circuit:
             width, pattern = field.shape[1] - 2, start[field[:, at]]
             length = start[field[:, at] + 1] - pattern - 1
             length -= (length == 1) & (chars[pattern] == ord("-"))  # '-': no other wires
-            n, target[index] = _wires(n, _numbers(tokens[::width], np.int64), length)
-            mask[index], value[index] = _pattern_columns(
-                n, target[index], chars[pattern[:, None] + np.arange(n - 1)])
+            target[index] = _numbers(tokens[::width], np.int64)  # Circuit checks its range
+            mask[index], value[index] = _pattern_columns(n, target[index], chars, pattern, length)
             del tokens[::width]
             if kind == "ROT":  # its block is built from the angle
                 rot, angle[index] = index, _numbers(tokens)

@@ -234,9 +234,7 @@ class AngleTree:
         raises ValueError.
         """
         bits = tuple({"0": 0, "1": 1}.get(b, b) if isinstance(b, str) else b for b in suffix)
-        if len(bits) >= self.n:
-            raise ValueError(f"suffix of length {len(bits)} names no node; "
-                             f"at most {self.n - 1} bits for n={self.n}")
+        as_count("suffix length", len(bits), 0, self.n - 1)
         # A trailing 1 bit makes the label 2^m + s, one past heap entry 2^m - 1 + s.
         return float(self.angles[decode((*bits, 1)) - 1])
 

@@ -7,6 +7,9 @@ pure and never mutate their inputs.
 Tolerances are named module constants: UNITARY_TOL (1e-10) for
 unitarity and hermiticity, EIG_CLUSTER_REL_TOL (1e-9, relative) for
 eigenvalue clustering. Only the predicates take a tolerance argument.
+
+Arguments are read by as_count (an integer), as_counts (a column of them)
+and as_reals (real numbers), each raising a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -33,17 +36,34 @@ def as_count(name: str, x, least: int | None = None, most: int | None = None) ->
     return x
 
 
+def as_counts(name: str, x, least: int | None = None, most: int | None = None) -> np.ndarray:
+    """x as a new read-only int64 column when every entry passes as_count(name,
+    entry, least, most); otherwise as_count's ValueError for the first that fails."""
+    a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
+    if not (all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
+            and (least is None or (a >= least).all()) and (most is None or (a <= most).all())):
+        for entry in a.ravel():  # only to name the first failure
+            as_count(name, entry, least, most)
+    column = a.astype(np.int64)
+    column.setflags(write=False)
+    return column
+
+
 def as_reals(name: str, x) -> np.ndarray:
     """x as a new float64 array when each entry is a real number, Python or
-    numpy: not a bool, str or complex; ValueError otherwise. Every angle, time
-    and density number passes this rule."""
+    numpy, not a bool, str or complex, and within float range; ValueError
+    otherwise. Every angle, time and density number passes this rule."""
     # A list is read as objects: np.array(x) would read True among floats as 1.0.
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
     real = (int, float, np.integer, np.floating)
     if not all(issubclass(t, real) and not issubclass(t, bool) for t in types):
         raise ValueError(f"{name} must be real numbers, got {sorted(t.__name__ for t in types)}")
-    return a.astype(np.float64)
+    try:
+        return a.astype(np.float64)
+    except OverflowError:  # a Python int beyond the largest float
+        raise ValueError(f"{name} must be real numbers within float range") from None
 
 
 def as_matrix(a) -> np.ndarray:

@@ -162,9 +162,10 @@ def decompose_unitary(u) -> Decomposition:
 
 
 def reconstruction_residual(d: Decomposition, u) -> float:
-    """Relative Frobenius distance between reconstruct(d) and u, which must
-    be d.dim x d.dim."""
+    """Relative Frobenius distance between reconstruct(d) and u, a nonzero d.dim x d.dim matrix."""
     u = as_matrix(u)
     if u.shape != (d.dim, d.dim):
         raise ValueError(f"expected a {d.dim}x{d.dim} matrix, got {u.shape}")
-    return float(np.linalg.norm(reconstruct(d) - u) / np.linalg.norm(u))
+    if not (norm := np.linalg.norm(u)):
+        raise ValueError("expected a nonzero matrix, got the zero matrix")
+    return float(np.linalg.norm(reconstruct(d) - u) / norm)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import qsim
-from qsim import cli
+from qsim import cli, udecomp
 from qsim.cli import main
 from qsim.gates import format_circuit, parse_circuit, realize_gate
 from qsim.grover_rudolph import (angle_tree, circuit_law, load_density, parse_density_json,
@@ -440,14 +440,35 @@ def test_unitary_entries_keep_their_exit_codes(tmp_path, entry, code):
 def test_decompose_writes_no_factors_when_the_residual_is_too_large(
     tmp_path, monkeypatch, capsys
 ):
-    # The residual gate is a fault detector: no accepted input reaches it,
-    # so a faulty residual is injected.
-    monkeypatch.setattr(cli, "reconstruction_residual", lambda d, u: 2e-9)
-    path = write_unitary(tmp_path, np.eye(2, dtype=complex))
+    # The residual gate and decompose_unitary's two corner checks are fault
+    # detectors: no accepted input reaches them, so each fault is injected,
+    # a faulty residual or a column's last block with one row doubled.
+    column_blocks = udecomp._column_blocks
+
+    def doubled(row):
+        def faulty(psi, blocks):
+            found = column_blocks(psi, blocks)
+            blocks[-1, row] *= 2.0
+            return found
+        return faulty
+
+    # The identity's blocks act on nothing, so the corner faults take a rotation.
+    eye, turn = np.eye(2, dtype=complex), np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
     out = tmp_path / "factors.txt"
-    assert main(["decompose", "--unitary", path, "--out", str(out)]) == 3
-    assert "reconstruction residual 2e-09 exceeds 1e-09" in capsys.readouterr().err
-    assert not out.exists()
+    for u, module, name, fault, message in (
+        (eye, cli, "reconstruction_residual", lambda d, u: 2e-9,
+         "reconstruction residual 2e-09 exceeds 1e-09"),
+        (turn, udecomp, "_column_blocks", doubled(0),
+         "column reduction left corner (2+0j), expected 1"),
+        (turn, udecomp, "_column_blocks", doubled(1),
+         "reduction left last corner (2+0j), expected modulus 1"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            path = write_unitary(tmp_path, u)
+            assert main(["decompose", "--unitary", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"qsim: validation error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-300"])

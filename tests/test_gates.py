@@ -133,6 +133,13 @@ def test_rotation_is_the_rotations_rule_bit_for_bit():
         assert rotation(a).tobytes() == together[k].tobytes(), a
     for a in angles[::40].tolist():
         assert gate(2, 1, angle=a).blocks[0].tobytes() == rotation(a).tobytes()
+    # Angles are read by linalg.as_reals, as Circuit reads them: not numpy's
+    # float16 cos of a bool, a complex block or numpy's TypeError of a string.
+    for bad, kind in ((True, "bool"), (0.5j, "complex"), ("0.5", "str")):
+        for call in (rotation, lambda a: rotations([a])):
+            with pytest.raises(ValueError) as info:
+                call(bad)
+            assert str(info.value) == f"angle must be real numbers, got ['{kind}']"
 
 
 # --- wire gates ------------------------------------------------------------------
@@ -184,26 +191,28 @@ def test_wire_gate_moves_probability_on_its_wire_only():
 
 
 def test_wire_gate_validation():
-    """A single wire gate is checked as a Circuit of length one."""
+    """A single wire gate is checked as a Circuit of length one; target is
+    an integer from 1 to n, and mask and value from 0 to 2^n - 1, by
+    linalg.as_count's rule and messages."""
     eye = np.eye(2)
     for kwargs, message in (
-        (dict(n=2, target=3, v=eye), "target 3 out of range for n=2"),
-        (dict(n=2, target=0, v=eye), "target 0 out of range for n=2"),
+        (dict(n=2, target=3, v=eye), "target must be at most 2, got 3"),
+        (dict(n=2, target=0, v=eye), "target must be at least 1, got 0"),
         (dict(n=2, target=1, v=eye * 2.0), "gate block is not unitary within tolerance"),
         (dict(n=2, target=1, v=np.eye(3)), "gate block must be 2x2, got (3, 3)"),
-        (dict(n=2, target=1, v=eye, mask=4), "mask 4 out of range for n=2"),
-        (dict(n=2, target=1, v=eye, mask=-1), "mask -1 out of range for n=2"),
+        (dict(n=2, target=1, v=eye, mask=4), "mask must be at most 3, got 4"),
+        (dict(n=2, target=1, v=eye, mask=-1), "mask must be at least 0, got -1"),
         # Wire 1 is position bit n - 1 = 1.
         (dict(n=2, target=1, v=eye, mask=2), "target wire 1 is in mask 2"),
         (dict(n=3, target=2, v=eye, mask=1, value=2), "value 2 has bits outside mask 1"),
-        (dict(n=3, target=2, v=eye, mask=1, value=-1), "value -1 has bits outside mask 1"),
+        (dict(n=3, target=2, v=eye, mask=1, value=-1), "value must be at least 0, got -1"),
+        (dict(n=3, target=2, v=eye, mask=1.0), "mask must be an integer, got 1.0"),
+        (dict(n=3, target=2, v=eye, mask=1, value=1.0), "value must be an integer, got 1.0"),
+        (dict(n=3, target=2, v=eye, mask=True), "mask must be an integer, got True"),
     ):
         with pytest.raises(ValueError) as info:
             gate(**kwargs)
         assert str(info.value) == message
-    for kwargs in (dict(mask=1.0), dict(mask=1, value=1.0), dict(mask=True)):
-        with pytest.raises(TypeError):
-            gate(3, 2, eye, **kwargs)
     # n is an integer from 1 to 62, Python or numpy, and not a bool or a
     # float, as an n=0 header is rejected; an angle is a real number, not a
     # bool, str or complex.
@@ -387,7 +396,7 @@ def test_controlled_gate_acts_only_on_matching_pair():
 def test_controlled_gate_rejects_what_the_gate_class_rejects():
     u = np.eye(2)
     for args, message in (
-        ((3, 4, (0, 0), u), "target 4 out of range for n=3"),
+        ((3, 4, (0, 0), u), "target must be at most 3, got 4"),
         ((3, 1, (0, 2), u), "control pattern (0, 2) contains non-bits"),
         ((3, 1, (0,), u), "pattern length 1 != n-1 = 2"),
         ((3, 1, (0, 0), 2 * u), "gate block is not unitary within tolerance"),
@@ -426,20 +435,21 @@ def test_control_bits_follow_the_integer_rule():
 
 @pytest.mark.parametrize("ell", [True, 1.0, "1", 0, 3])
 def test_every_entry_point_reads_a_wire_by_one_rule(ell):
-    """A target wire is read by Circuit's integer rule wherever it is given:
-    a bool, a float or a string is a TypeError and a wire outside 1..n a
-    ValueError, with one message for control_projector, controlled_gate and
-    Circuit alike."""
+    """A target wire is read by linalg.as_count's rule wherever it is given:
+    a bool, a float, a string or a wire outside 1..n is a ValueError, with
+    one message for control_projector, controlled_gate and Circuit alike."""
     v = np.eye(2)
     raised = []
     for call in (lambda: control_projector(2, ell, (None,), v),
                  lambda: controlled_gate(2, ell, (None,), v),
                  lambda: Circuit(2, [ell], [0], [0], [v], [math.nan])):
-        with pytest.raises((TypeError, ValueError)) as info:
+        with pytest.raises(ValueError) as info:
             call()
-        raised.append((info.type, str(info.value)))
+        raised.append(str(info.value))
     assert raised == [raised[0]] * 3
-    assert raised[0][0] is (ValueError if ell in (0, 3) else TypeError)
+    assert raised[0] == {0: "target must be at least 1, got 0",
+                         3: "target must be at most 2, got 3"}.get(
+        ell, f"target must be an integer, got {ell!r}")
 
 
 # --- suffix-controlled gates -------------------------------------------------------
@@ -674,9 +684,9 @@ def test_realize_gate_takes_a_one_gate_circuit():
 
 
 def test_empty_columns_given_as_lists():
-    """numpy reads [] as float64, which the safe cast to int64 refuses; an
-    empty list is still an empty column, and an empty block list holds no
-    blocks, as a header-only file reads. A bool or a float is still refused."""
+    """numpy reads [] as float64, but an empty list is an empty int64 column,
+    and an empty block list holds no blocks, as a header-only file reads. A
+    bool or a float is still refused, by linalg.as_count's message."""
 
     def same(a, b, names):
         for name in names:
@@ -695,10 +705,12 @@ def test_empty_columns_given_as_lists():
         assert format_circuit(Circuit(n, [], [], [], None, [])) == text
         assert format_circuit(parse_circuit(text)) == text
     for bad in ([True], [1.0]):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError) as info:
             Circuit(2, bad, [0], [0], None, [0.5])
-        with pytest.raises(TypeError):
+        assert str(info.value) == f"target must be an integer, got {bad[0]!r}"
+        with pytest.raises(ValueError) as info:
             Decomposition(3, bad, [2], [np.eye(2)])
+        assert str(info.value) == f"i must be an integer, got {bad[0]!r}"
 
 
 # --- the pair kernel against the dense oracle ----------------------------------------
@@ -1026,14 +1038,14 @@ def test_circuit_rejects_mismatched_gate_dims():
     """A circuit holds no gate objects, only columns, and checks them
     against its own n as it checks a one-gate circuit; two-level gates have
     no columns in it (see test_two_level_line_is_not_a_circuit_line)."""
-    with pytest.raises(ValueError, match="^target 3 out of range for n=2$"):
+    with pytest.raises(ValueError, match="^target must be at most 2, got 3$"):
         circuit(2, [gate(3, 3, np.eye(2))])
-    with pytest.raises(ValueError, match="^mask 4 out of range for n=2$"):
+    with pytest.raises(ValueError, match="^mask must be at most 3, got 4$"):
         circuit(2, [gate(3, 2, np.eye(2), mask=4)])
     eye = np.eye(2)[None]
     for target, mask, blocks, message in (
         ([1, 2], [0], eye, "gate columns differ in length"),
-        ([3], [0], eye, "target 3 out of range for n=2"),
+        ([3], [0], eye, "target must be at most 2, got 3"),
         ([1], [2], eye, "target wire 1 is in mask 2"),
         ([1], [0], 2 * eye, "gate block is not unitary within tolerance"),
     ):
@@ -1111,30 +1123,40 @@ def test_two_level_line_is_not_a_circuit_line():
 
 
 def test_integer_fields_reject_bools_as_they_reject_floats():
-    """target, mask, value, i and j are int64 columns: numpy's safe cast
-    turns a float away with TypeError, and a bool is turned away too,
-    on single gates and on the column containers alike."""
+    """target, mask, value, i and j are int64 columns read by linalg.as_count's
+    rule: a float or a bool is turned away with its ValueError, naming the
+    column and the first bad entry, on single gates and on the column
+    containers alike."""
     eye = np.eye(2)
     for bad in (True, False, 1.0):
-        for make in (
-            lambda: gate(2, bad, eye),
-            lambda: gate(3, 2, eye, mask=bad),
-            lambda: gate(3, 2, eye, mask=1, value=bad),
-            lambda: TwoLevelGate(4, bad, 2, eye),
-            lambda: TwoLevelGate(4, 1, bad, eye),
+        for make, name in (
+            (lambda: gate(2, bad, eye), "target"),
+            (lambda: gate(3, 2, eye, mask=bad), "mask"),
+            (lambda: gate(3, 2, eye, mask=1, value=bad), "value"),
+            (lambda: TwoLevelGate(4, bad, 2, eye), "i"),
+            (lambda: TwoLevelGate(4, 1, bad, eye), "j"),
         ):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError) as info:
                 make()
+            assert str(info.value) == f"{name} must be an integer, got {bad!r}"
     blocks, none = np.array([eye, eye]), [math.nan, math.nan]
     ints, bools = np.array([1, 2]), np.array([True, True])
-    # A list that mixes ints and bools is turned away too, not read as ints.
-    for columns in ((bools, ints * 0, ints * 0), (ints, bools, ints * 0),
-                    (ints, [4, 4], bools), ([1, True], [0, 0], [0, 0]),
-                    (ints, [0, np.True_], [0, 0]), (ints, [4, 4], (0, False))):
-        with pytest.raises(TypeError, match="from dtype\\('bool'\\)"):
+    # A list that mixes ints and bools is turned away too, not read as ints;
+    # numpy's bool prints as True or np.True_, by its version.
+    got, np_true = "must be an integer, got", r"\S*True\S*"
+    for columns, message in (((bools, ints * 0, ints * 0), f"target {got} {np_true}"),
+                             ((ints, bools, ints * 0), f"mask {got} {np_true}"),
+                             ((ints, [4, 4], bools), f"value {got} {np_true}"),
+                             (([1, True], [0, 0], [0, 0]), f"target {got} True"),
+                             ((ints, [0, np.True_], [0, 0]), f"mask {got} {np_true}"),
+                             ((ints, [4, 4], (0, False)), f"value {got} False")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Circuit(3, *columns, blocks, none)
-    for i, j in ((bools, [2, 3]), ([1, 2], bools), ([1, True], [2, 3]), ([1, 2], [2, True])):
-        with pytest.raises(TypeError, match="from dtype\\('bool'\\)"):
+    for i, j, message in ((bools, [2, 3], f"i {got} {np_true}"),
+                          ([1, 2], bools, f"j {got} {np_true}"),
+                          ([1, True], [2, 3], f"i {got} True"),
+                          ([1, 2], [2, True], f"j {got} True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Decomposition(4, i, j, blocks)
     # The same columns as ints are gates.
     assert len(Circuit(3, ints, [0, 0], [0, 0], blocks, none).gates) == 2
@@ -1627,9 +1649,10 @@ def test_parse_error_messages_are_pinned():
         with pytest.raises(CircuitParseError) as info:
             readers[case["reader"]](case["text"])
         assert str(info.value) == case["message"], case["text"]
-    # Line kinds are read in the order of each kind's first line, so a bad
-    # CTRL line before a bad ROT line is the one reported only when the
-    # file's first gate line is a CTRL line.
+    # Every reader check runs before Circuit's, which check the columns in
+    # file order; line kinds are read in the order of each kind's first line,
+    # so a bad CTRL line before a bad ROT line is the one reported only when
+    # the file's first gate line is a CTRL line.
     bad_ctrl, bad_rot = "CTRL 1 2 1 0 0 0 0 0 1 0", "ROT 2 0.5 3"
     for lines, bits in (((bad_ctrl, bad_rot), "2"), (("ROT 1 0.5 .", bad_ctrl, bad_rot), "3")):
         with pytest.raises(CircuitParseError) as info:

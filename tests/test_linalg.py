@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from qsim.linalg import (
     UNITARY_TOL,
+    as_counts,
     as_matrix,
+    as_reals,
     as_vector,
     hermitian_eig,
     is_hermitian,
@@ -190,17 +192,48 @@ def test_a_time_that_is_not_finite_is_rejected_before_the_eigensolve(monkeypatch
             assert str(info.value) == f"t must be finite, got {t!r}"
 
 
+def test_as_counts_reads_each_entry_by_as_count():
+    """A new int64 column when every entry is an integer within the bounds,
+    from a list, a tuple or an array; otherwise as_count's ValueError for the
+    first entry that fails, whichever rule it breaks."""
+    ints = np.array([3, 1, 2])
+    for x in ([3, np.int64(1), np.uint8(2)], (3, 1, 2), ints, ints.astype(np.uint8)):
+        got = as_counts("k", x, 1, 3)
+        assert got.dtype == np.int64 and got.tolist() == [3, 1, 2]
+        assert not np.shares_memory(got, x)
+    for x in ([], np.array([]), np.array([], dtype=bool)):  # no entry fails
+        assert as_counts("k", x).dtype == np.int64 and len(as_counts("k", x)) == 0
+    for x, least, most, message in (
+        ([1, True, 2.0], None, None, "k must be an integer, got True"),
+        ([1, 2.0], None, None, "k must be an integer, got 2.0"),
+        ((0, "1"), None, None, "k must be an integer, got '1'"),
+        (np.array([1.0]), None, None, r"k must be an integer, got \S*1\.0\S*"),
+        (np.array([1, 0]) > 0, None, None, r"k must be an integer, got \S*True\S*"),
+        ([1, 5, 0], 1, 3, r"k must be at most 3, got 5"),
+        (np.array([1, 5, 0]), 1, 3, r"k must be at most 3, got 5"),
+        ([1, 0, 5], 1, 3, r"k must be at least 1, got 0"),
+        (np.array([2**62, -1]), 0, None, r"k must be at least 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_counts("k", x, least, most)
+
+
 def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
-    """t is read by as_reals's rule, so a complex, string or bool t is a
-    ValueError naming t, raised before H is decomposed, and never the
-    ArithmeticError that marks a numerical fault; so is a list or an array
-    of times, even of one."""
+    """t is read by as_reals's rule, so a complex, string or bool t, or an int
+    beyond float range, is a ValueError naming t, raised before H is
+    decomposed, and never the ArithmeticError that marks a numerical fault;
+    so is a list or an array of times, even of one."""
     monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh was called"))
     for t, kind in ((1 + 1j, "complex"), (np.complex128(0.5), "complex128"), ("1", "str"),
                     (True, "bool")):
         with pytest.raises(ValueError) as info:
             unitary_from_hamiltonian(np.eye(2), t)
         assert str(info.value) == f"t must be real numbers, got ['{kind}']"
+    for call in (lambda: unitary_from_hamiltonian(np.eye(2), 10**400),
+                 lambda: as_reals("t", 10**400)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "t must be real numbers within float range"
     for t, shape in (([0.5], (1,)), (np.array([0.5, 0.7]), (2,)), (np.array([0.5]), (1,))):
         with pytest.raises(ValueError) as info:
             unitary_from_hamiltonian(np.diag([1.0, 2.0]), t)

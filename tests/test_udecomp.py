@@ -170,9 +170,13 @@ def test_identity_decomposes_into_identity_factors():
     for f in d.factors:
         assert np.array_equal(f.v, np.eye(2))
     assert reconstruction_residual(d, np.eye(4)) == 0.0
-    # A row or a column of the input would broadcast against the product.
-    for bad in (np.eye(4)[:1], np.eye(4)[:, :1], np.eye(3)):
-        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got \("):
+    # A row or a column of the input would broadcast against the product,
+    # and the zero matrix has no relative distance.
+    for bad, message in ((np.eye(4)[:1], r"expected a 4x4 matrix, got \(1, 4\)"),
+                         (np.eye(4)[:, :1], r"expected a 4x4 matrix, got \(4, 1\)"),
+                         (np.eye(3), r"expected a 4x4 matrix, got \(3, 3\)"),
+                         (np.zeros((4, 4)), "expected a nonzero matrix, got the zero matrix")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             reconstruction_residual(d, bad)
 
 
@@ -649,7 +653,7 @@ def test_factor_record_is_shared_with_the_gate_type():
 
 def test_reconstruct_validates_dimensions():
     eye = np.eye(2)[None]
-    with pytest.raises(ValueError, match=r"^coordinates \(1, 5\) invalid for dim 4$"):
+    with pytest.raises(ValueError, match=r"^j must be at most 4, got 5$"):
         reconstruct(Decomposition(4, [1], [5], eye))
     with pytest.raises(ValueError, match="^dim must be at least 2, got 1$"):
         reconstruct(Decomposition(1, np.array([], int), np.array([], int), eye[:0]))

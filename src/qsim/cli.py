@@ -34,9 +34,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-# Memory sets the limit: verify --n 20 peaks at 612 MB of RSS, 610 bytes per
-# amplitude, nearly all the 2^n-row table as Python objects. Its 5-7 s of CPU
-# are three quarters CSV text (one core of an Intel Xeon); each qubit doubles both.
+# Memory sets the limit: verify --n 20 peaks at 606 MB of RSS, 606 bytes per
+# amplitude, nearly all the 2^n-row table as Python objects. Of its 4.2-5.4 s
+# of CPU, the library's verify takes 0.6 s and nearly all the rest is the table
+# and its CSV text (one core of an Intel Xeon); each qubit doubles both.
 MAX_QUBITS = 20
 
 

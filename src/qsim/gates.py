@@ -18,17 +18,20 @@ a Decomposition its two-level factors. A single wire gate is a Circuit of
 length one, so one column check validates every gate sequence: integer
 columns by linalg.as_counts, target from 1 to n, mask and value from 0 to
 2^n - 1, i and j from 1 to dim. A wire gate with an angle has the block
-rotation(angle), built from it; only the other gates' blocks are given and
-tested for unitarity. In text, a wire gate with an angle is a ROT line, and
-any other a CTRL line with its block; both spell the controls as one wire
-pattern. The reader checks what text can get wrong, and Circuit the rest.
+rotation(angle), which gate_blocks builds from it on each use; only the
+other gates' blocks are given, stored and tested for unitarity. In text, a
+wire gate with an angle is a ROT line, and any other a CTRL line with its
+block; both spell the controls as one wire pattern. The reader checks what
+text can get wrong, and Circuit the rest.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
 disjoint pairs and commute: mix_pairs applies a run, as gate_runs lists
 it, in one step and in place, and a layer of factors on disjoint row pairs
-as reconstruct sorts them. realize_gate, and controlled_gate built through
-it, form dense matrices without gate_runs, as the tests' reference.
+as reconstruct sorts them. A circuit with no given block runs on a real
+state in float64, any other in complex128. realize_gate, and controlled_gate
+built through it, form dense matrices without gate_runs, as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -59,10 +62,20 @@ def rotation(alpha: float) -> np.ndarray:
 
 def rotations(angles) -> np.ndarray:
     """rotation(a) for each a in angles (linalg.as_reals), shape (k, 2, 2), from one cos and sin."""
-    angles = as_reals("angle", angles)
+    return gate_blocks(as_reals("angle", angles)).astype(np.complex128)
+
+
+def gate_blocks(angle: np.ndarray, given: np.ndarray = _NO_BLOCKS) -> np.ndarray:
+    """The block of each gate of a float64 angle column, shape (k, 2, 2), by
+    the one rule: rotation(angle[k]) unless angle[k] is NaN, else the next
+    given block. float64 with none given, and complex with them scattered in."""
     with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN block
-        c, s = np.cos(angles), np.sin(angles)
-    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(np.complex128)
+        c, s = np.cos(angle), np.sin(angle)
+    v = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    if len(given):
+        v = v.astype(np.complex128)
+        v[np.isnan(angle)] = given
+    return v
 
 
 def _check_blocks(blocks) -> np.ndarray:
@@ -101,9 +114,9 @@ def _reject(bad: np.ndarray, message: str, *columns) -> None:
 
 def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.ndarray]:
     """The checked columns of wire gates on n wires, as Circuit documents
-    them. The block of a gate whose angle is not NaN is built here in one
-    cos and sin pass, unitary exactly when the angle is finite; only the
-    given blocks, of the NaN-angle gates, are Gram-tested."""
+    them. A gate whose angle is not NaN has the block rotation(angle),
+    unitary exactly when the angle is finite, and no block is built for it;
+    only the given blocks, of the NaN-angle gates, are Gram-tested."""
     n = as_count("n", n, 1, MAX_WIRES)
     top = (1 << n) - 1  # the largest mask or value
     angle, target = as_reals("angle", angle), as_counts("target", target, 1, n)
@@ -114,13 +127,10 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     at = np.isnan(angle)  # the gates whose blocks are given
     _same_length(target, mask, value, angle)
     _same_length(given, angle[at])
-    blocks = rotations(angle)
-    blocks[at] = given
-    blocks.setflags(write=False)
     stride = np.left_shift(1, n - target)
     _reject(mask & stride != 0, "target wire {} is in mask {}", target, mask)
     _reject(value & ~mask != 0, "value {} has bits outside mask {}", value, mask)
-    return dict(n=n, target=target, mask=mask, value=value, blocks=blocks, angle=angle)
+    return dict(n=n, target=target, mask=mask, value=value, blocks=given, angle=angle)
 
 
 def _pair_columns(dim: int, i, j, blocks) -> dict[str, np.ndarray]:
@@ -278,12 +288,13 @@ def realize_gate(g: Circuit) -> np.ndarray:
         raise ValueError(f"realize_gate takes a one-gate circuit, got {len(g.target)} gates")
     wires = g.n, g.target[0].item(), g.mask[0].item(), g.value[0].item()
     rest = np.eye(2**g.n, dtype=np.complex128) - _chain(*wires, _EYE)
-    return _chain(*wires, g.blocks[0]) + rest
+    return _chain(*wires, gate_blocks(g.angle, g.blocks).astype(np.complex128)[0]) + rest
 
 
 def gate_runs(c: Circuit):
-    """(v, p0, p1) of each run of c in sequence order: its k blocks and the
-    (k, F) coordinates they mix, block i taking the pairs (p0[i], p1[i]).
+    """(v, p0, p1) of each run of c in sequence order: its k blocks, by
+    gate_blocks, and the (k, F) coordinates they mix, block i taking the
+    pairs (p0[i], p1[i]).
 
     Stretches of one target and mask end where a neighbouring target or
     mask differs. p0[i] is value i plus each combination of the free bits,
@@ -294,6 +305,7 @@ def gate_runs(c: Circuit):
     n, k = c.n, len(c.target)
     cut = (c.target[1:] != c.target[:-1]) | (c.mask[1:] != c.mask[:-1])
     edges = [0, *(np.flatnonzero(cut) + 1).tolist(), k] if k else []
+    blocks = gate_blocks(c.angle, c.blocks)
     for start, stop in zip(edges, edges[1:]):
         stride = 1 << (n - c.target[start].item())
         free = (1 << n) - 1 - c.mask[start].item() - stride
@@ -314,7 +326,7 @@ def gate_runs(c: Circuit):
                 seen.add(value)
         for a, b in zip(split, split[1:] + [stop]):
             p0 = c.value[a:b, None] + offsets
-            yield c.blocks[a:b], p0, p0 + stride
+            yield blocks[a:b], p0, p0 + stride
 
 
 def mix_pairs(v: np.ndarray, x: np.ndarray, p0, p1) -> None:
@@ -342,9 +354,10 @@ class Circuit:
     bit n - w for wire w: wire w is a control iff its mask bit is set, and
     must then carry its value bit; mask 0 is a gate without controls.
     angle[k] is NaN for a gate without a ROT angle, and any other gate has
-    the block rotation(angle[k]), built from it. Passed in, blocks lists only
-    the NaN-angle gates' blocks, in order, or is None. The columns are
-    checked and stored read-only.
+    the block rotation(angle[k]), which is never stored. blocks lists only
+    the NaN-angle gates' blocks, in order; passed in, it may be None for
+    none. gate_blocks(angle, blocks) gives every gate's block. The columns
+    are checked and stored read-only.
     """
 
     n: int
@@ -361,11 +374,12 @@ class Circuit:
     @property
     def gates(self) -> tuple[Circuit, ...]:
         """Each gate as a one-gate Circuit of row slices of the checked
-        columns, built on each read and not checked again."""
-        columns = self.target, self.mask, self.value, self.blocks, self.angle
+        columns and its given block, if any, built on each read, unchecked."""
+        columns = self.target, self.mask, self.value, self.angle
+        given = np.split(self.blocks, np.cumsum(np.isnan(self.angle)))  # and an empty tail
         return tuple(
-            _unchecked(Circuit, n=self.n, target=t, mask=m, value=b, blocks=v, angle=a)
-            for t, m, b, v, a in zip(*(c[:, None] for c in columns))  # rows of length one
+            _unchecked(Circuit, n=self.n, target=t, mask=m, value=b, angle=a, blocks=v)
+            for t, m, b, a, v in zip(*(c[:, None] for c in columns), given)  # rows of length one
         )
 
 
@@ -376,25 +390,31 @@ def circuit_length(c: Circuit) -> int:
 
 def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
     """Evolve a copy of rho through the circuit, rho -> G rho G*, within
-    1e-15 of the gate-by-gate product. Left and right multiplication
-    commute, so every run mixes the rows, and then the rows of one
-    contiguous conjugate transpose: G rho G* = (G (G rho)*)*.
+    1e-15 of the gate-by-gate product, as a complex matrix. Left and right
+    multiplication commute, so every run mixes the rows, and then the rows of
+    one contiguous conjugate transpose: G rho G* = (G (G rho)*)*. A circuit
+    with no given block runs in float64 when rho's imaginary part is all
+    zero, which leaves the real parts as the complex run has them.
     """
     if rho.dim != 2**c.n:
         raise ValueError(f"dimension mismatch: {2**c.n} vs {rho.dim}")
-    mat = np.array(rho.mat, dtype=np.complex128)
+    real = not len(c.blocks) and not np.imag(rho.mat).any()
+    mat = np.array(np.real(rho.mat) if real else rho.mat,
+                   dtype=np.float64 if real else np.complex128)
     runs = list(gate_runs(c))
     for _ in range(2):
         for v, p0, p1 in runs:
             mix_pairs(v[:, None, None], mat, p0, p1)
         mat = np.conj(mat.T, order="C")
-    return DensityMatrix(mat)
+    return DensityMatrix(mat.astype(np.complex128, copy=False))
 
 
 def apply_vector(c: Circuit, psi) -> np.ndarray:
     """The circuit on a copy of the state vector psi, shape (2^n,), run by
-    run: bit for bit the gate-by-gate product."""
-    psi = np.array(psi, dtype=np.complex128)
+    run: bit for bit the gate-by-gate product. The copy is float64 when psi
+    is and c has no given block, and complex otherwise."""
+    real = not len(c.blocks) and np.asarray(psi).dtype == np.float64
+    psi = np.array(psi, dtype=np.float64 if real else np.complex128)
     if psi.shape != (2**c.n,):
         raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
     for v, p0, p1 in gate_runs(c):
@@ -559,7 +579,7 @@ def format_circuit(c: Circuit) -> str:
     table = np.empty((len(ctrl), 3), dtype=object)
     table[:, 0], table[:, 1], table[:, 2] = c.target.tolist(), c.angle.tolist(), _patterns(c)
     table[ctrl, 1] = table[ctrl, 2]
-    table[ctrl, 2] = _format_blocks(c.blocks[ctrl])
+    table[ctrl, 2] = _format_blocks(c.blocks)
     lines = "".join(_LINE_FORMATS[ctrl.view(np.int8)].tolist())
     return f"QSIM-CIRCUIT v2 n={c.n}\n{lines}" % tuple(table.ravel().tolist())
 

@@ -38,11 +38,14 @@ def as_count(name: str, x, least: int | None = None, most: int | None = None) ->
 
 def as_counts(name: str, x, least: int | None = None, most: int | None = None) -> np.ndarray:
     """x as a new read-only int64 column when every entry passes as_count(name,
-    entry, least, most); otherwise as_count's ValueError for the first that fails."""
+    entry, least, most), the bounds clamped to int64's range; otherwise
+    as_count's ValueError for the first that fails."""
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    least, most = max(lo if least is None else least, lo), min(hi if most is None else most, hi)
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
     if not (all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
-            and (least is None or (a >= least).all()) and (most is None or (a <= most).all())):
+            and (a >= least).all() and (a <= most).all()):
         for entry in a.ravel():  # only to name the first failure
             as_count(name, entry, least, most)
     column = a.astype(np.int64)

@@ -100,6 +100,7 @@ def inverse_cdf_sample(probabilities, shots: int, seed: int) -> np.ndarray:
     to absorb cumulative rounding shortfall.
     """
     c = cdf(probabilities)
+    seed, shots = as_count("seed", seed), as_count("shots", shots, 0)
     u = (splitmix64_stream(seed, shots) >> np.uint64(11)) * 2.0**-53
     idx = np.searchsorted(c, u, side="right")
     return np.minimum(idx, len(c) - 1)

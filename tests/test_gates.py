@@ -31,6 +31,7 @@ from qsim.gates import (
     control_projector,
     controlled_gate,
     format_circuit,
+    gate_blocks,
     parse_circuit,
     realize_gate,
     rotation,
@@ -80,6 +81,16 @@ def circuit(n, rows=()):
                                   for f in ("target", "mask", "value", "angle"))
     blocks = [g.blocks[0] for g in rows if math.isnan(g.angle[0])]
     return Circuit(n, target, mask, value, blocks, angle)
+
+
+def every_block(c):
+    """The block of each gate of c, by gate_blocks's rule."""
+    return gate_blocks(c.angle, c.blocks)
+
+
+def block(g):
+    """The block of a one-gate circuit, as complex."""
+    return every_block(g).astype(complex)[0]
 
 
 def realize(c):
@@ -132,7 +143,7 @@ def test_rotation_is_the_rotations_rule_bit_for_bit():
         assert rotation(a).tobytes() == rotations([a])[0].tobytes(), a
         assert rotation(a).tobytes() == together[k].tobytes(), a
     for a in angles[::40].tolist():
-        assert gate(2, 1, angle=a).blocks[0].tobytes() == rotation(a).tobytes()
+        assert block(gate(2, 1, angle=a)).tobytes() == rotation(a).tobytes()
     # Angles are read by linalg.as_reals, as Circuit reads them: not numpy's
     # float16 cos of a bool, a complex block or numpy's TypeError of a string.
     for bad, kind in ((True, "bool"), (0.5j, "complex"), ("0.5", "str")):
@@ -637,8 +648,9 @@ def test_apply_agrees_with_realize_then_evolve():
 
 def test_circuit_rows_are_one_gate_circuits(monkeypatch):
     """Circuit.gates slices each row of the checked columns into a one-gate
-    Circuit, NaN angles kept, and checks nothing again: each row writes the
-    whole circuit's line for its gate, and its columns are read-only."""
+    Circuit, NaN angles kept, and checks nothing again: each row carries its
+    given block or none, has the whole circuit's block by gate_blocks, writes
+    the whole circuit's line for its gate, and its columns are read-only."""
     from qsim import grover_rudolph as gr
 
     rng = np.random.default_rng(29)
@@ -660,16 +672,20 @@ def test_circuit_rows_are_one_gate_circuits(monkeypatch):
     calls, check = [], gates._wire_columns
     monkeypatch.setattr(gates, "_wire_columns", lambda *a: calls.append(a) or check(*a))
     for c in circuits:
-        lines = format_circuit(c).splitlines()
+        lines, every = format_circuit(c).splitlines(), every_block(c).astype(complex)
         rows = c.gates
         assert calls == [] and len(rows) == circuit_length(c)
         for k, g in enumerate(rows):
             assert type(g) is Circuit and g.n == c.n and circuit_length(g) == 1
             assert format_circuit(g).splitlines() == [lines[0], lines[k + 1]]
-            for field in ("target", "mask", "value", "blocks", "angle"):
+            for field in ("target", "mask", "value", "angle"):
                 column = getattr(g, field)
                 assert not column.flags.writeable, field
                 assert column.tobytes() == getattr(c, field)[k : k + 1].tobytes(), field
+            assert not g.blocks.flags.writeable and len(g.blocks) == math.isnan(g.angle[0])
+            assert block(g).tobytes() == every[k].tobytes()
+        given = np.concatenate([c.blocks[:0], *(g.blocks for g in rows)])
+        assert given.tobytes() == c.blocks.tobytes()
     assert calls == []
 
 
@@ -840,7 +856,7 @@ def gate_by_gate(c, x):
     x = np.array(x, dtype=complex)
     positions = np.arange(2**c.n)
     for target, mask, value, v in zip(c.target.tolist(), c.mask.tolist(), c.value.tolist(),
-                                      c.blocks):
+                                      every_block(c).astype(complex), strict=True):
         stride = 1 << (c.n - target)
         p0 = positions[positions & (mask | stride) == value]
         a, b = x[p0], x[p0 + stride]
@@ -849,11 +865,15 @@ def gate_by_gate(c, x):
 
 
 def check_against_gate_by_gate(c, rng):
-    """apply_vector bit for bit, and apply within 1e-15, of the reference."""
+    """apply_vector bit for bit, and apply within 1e-15, of the reference; a
+    real vector runs in float64 when c has no given block, to the reference's
+    real parts."""
     dim = 2**c.n
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    for x in (basis_vector(0, c.n), psi):
-        assert np.array_equal(apply_vector(c, x), gate_by_gate(c, x))
+    for x in (basis_vector(0, c.n), psi, psi.real):
+        out = apply_vector(c, x)
+        assert out.dtype == (float if x.dtype == float and not len(c.blocks) else complex)
+        assert np.array_equal(out, gate_by_gate(c, x))
     if c.n <= 7:
         rho = random_mixed_state(rng, dim)
         # U rho U* = (U (U rho)*)*.
@@ -887,6 +907,65 @@ def test_runs_match_gate_by_gate_on_synthesized_circuits(n):
             # Each stage is one run, pruned or not.
             assert len(run_lengths(c)) == len(set(c.target.tolist()))
             check_against_gate_by_gate(c, rng)
+
+
+def all_given(c):
+    """c with every block given, each gate a CTRL gate: the same blocks on a
+    circuit that always runs in complex128."""
+    return Circuit(c.n, c.target, c.mask, c.value, every_block(c).astype(complex),
+                   np.full(circuit_length(c), math.nan))
+
+
+def test_the_kernel_runs_in_float64_only_for_real_circuits_on_real_states(monkeypatch):
+    """A circuit with no given block runs in float64 on a real state: on
+    udqc(n).rho0, apply gives the complex run's real parts bit for bit and an
+    imaginary part of zeros. A state with a nonzero imaginary part, or a
+    circuit with one given block (a CTRL line among ROT lines, from text),
+    runs in complex128, bit for bit as the same circuit with every block given."""
+    from qsim import grover_rudolph as gr
+    from qsim.qpu import udqc
+
+    mix, kinds = gates.mix_pairs, []  # the dtype of each state the kernel mixes
+    monkeypatch.setattr(gates, "mix_pairs", lambda v, x, *p: kinds.append(x.dtype) or mix(v, x, *p))
+    rng = np.random.default_rng(37)
+    triangular = gr.load_density(resources.files("qsim.data") / "triangular.json")
+    for n in range(1, 9):
+        c = gr.synthesize(gr.angle_tree(triangular, n))
+        lines = format_circuit(c).splitlines()
+        target, _, pattern = lines[-1].split()[1:]  # the last ROT line becomes a CTRL line
+        lines[-1] = f"CTRL {target} {pattern} 0.6 0 0 0.8 0 0.8 0.6 0"
+        mixed = parse_circuit("\n".join(lines))
+        assert len(mixed.blocks) == 1 and len(c.blocks) == 0
+        rho0, dim = udqc(n).rho0, 2**n
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+        kinds.clear()
+        fast, slow = apply(c, rho0).mat, apply(all_given(c), rho0).mat
+        assert kinds == [np.dtype(float)] * (2 * n) + [np.dtype(complex)] * (2 * n)
+        assert fast.dtype == complex and not fast.imag.any()
+        assert fast.real.tobytes() == slow.real.tobytes()
+        kinds.clear()
+        zero = basis_vector(0, n).real
+        fast, slow = apply_vector(c, zero), apply_vector(all_given(c), zero)
+        assert kinds == [np.dtype(float)] * n + [np.dtype(complex)] * n and fast.dtype == float
+        assert fast.tobytes() == slow.real.tobytes() and not slow.imag.any()
+        # The complex path, bit for bit as with every block given.
+        for circuit_, state in ((c, rho), (mixed, rho0), (mixed, rho)):
+            kinds.clear()
+            got = apply(circuit_, state).mat
+            assert set(kinds) == {np.dtype(complex)}
+            assert got.tobytes() == apply(all_given(circuit_), state).mat.tobytes()
+        for circuit_, x in ((c, psi), (mixed, psi), (mixed, psi.real)):
+            kinds.clear()
+            got = apply_vector(circuit_, x)
+            assert set(kinds) == {np.dtype(complex)} and got.dtype == complex
+            assert got.tobytes() == apply_vector(all_given(circuit_), x).tobytes()
+        # Each row of the mixed circuit realizes as the same row with its block given.
+        if n <= 5:
+            for g, h in zip(mixed.gates, all_given(mixed).gates, strict=True):
+                assert realize_gate(g).tobytes() == realize_gate(h).tobytes()
 
 
 def test_runs_split_where_a_value_repeats():
@@ -1172,20 +1251,23 @@ def test_controlled_gate_carries_its_angle():
         assert format_line(g) == f"ROT {target} 0.5 {pattern}"
         back = parse_line(format_line(g), 2)
         assert (*fields(back), back.angle[0]) == (target, mask, value, 0.5)
-        assert np.array_equal(back.blocks, g.blocks)
+        assert every_block(back).tobytes() == every_block(g).tobytes()
     g = gate(2, 1, rotation(0.5), mask=1)
     assert math.isnan(g.angle[0])
     assert format_line(g).startswith("CTRL 1 0 ")
 
 
 def test_circuit_builds_blocks_from_angles():
-    """With blocks None, every block is built from its angle: byte for byte
-    rotations(angle), read-only. A NaN angle is a gate whose block must be
-    given, and columns still agree in length."""
+    """With blocks None, no block is stored and gate_blocks builds every block
+    from its angle: byte for byte rotations(angle), as float64. The columns
+    are read-only. A NaN angle is a gate whose block must be given, and
+    columns still agree in length."""
     angle = np.array([0.0, 0.3, math.pi / 2, 1e-300, 2.5])
     target, zeros = [1, 2, 1, 2, 1], [0] * 5
     built = Circuit(2, target, zeros, zeros, None, angle)
-    assert built.blocks.tobytes() == rotations(angle).tobytes()
+    assert built.blocks.shape == (0, 2, 2)
+    assert every_block(built).dtype == float
+    assert every_block(built).astype(complex).tobytes() == rotations(angle).tobytes()
     assert built.angle.tobytes() == angle.tobytes()
     for name in ("target", "mask", "value", "blocks", "angle"):
         assert not getattr(built, name).flags.writeable, name
@@ -1315,7 +1397,7 @@ def test_control_fields_read_as_the_constructors_build_them():
         c = parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n" + "\n".join(lines))
         for k, (target, mask, value, v) in enumerate(want):
             assert (c.target[k], c.mask[k], c.value[k]) == (target, mask, value), lines[k]
-            assert np.array_equal(c.blocks[k], v)
+            assert np.array_equal(every_block(c)[k], v)
 
 
 def test_control_fields_are_read_without_a_call_per_line(monkeypatch):
@@ -1412,7 +1494,7 @@ def test_each_gate_has_one_spelling():
         ctrl = f"CTRL {target} {pattern} {block}"
         a, b = parse_line(rot, n), parse_line(ctrl, n)
         assert fields(a) == fields(b)
-        assert np.array_equal(a.blocks, b.blocks)
+        assert np.array_equal(every_block(a), every_block(b))
         assert a.angle[0] == angle and math.isnan(b.angle[0])
         assert (format_line(a), format_line(b)) == (rot, ctrl)
 
@@ -1459,7 +1541,7 @@ def test_hand_built_files_round_trip():
         assert format_circuit(c) == text
         assert list(zip(c.target.tolist(), c.mask.tolist(), c.value.tolist())) == want
         for g in c.gates:
-            assert math.isnan(g.angle[0]) or np.array_equal(g.blocks[0], rotation(g.angle[0]))
+            assert math.isnan(g.angle[0]) or np.array_equal(block(g), rotation(g.angle[0]))
         psi = rng.normal(size=2**c.n) + 1j * rng.normal(size=2**c.n)
         assert np.max(np.abs(apply_vector(c, psi) - realize(c) @ psi)) < 1e-14
 
@@ -1740,7 +1822,7 @@ def test_rot_line_round_trips_through_the_angle():
     assert isinstance(g, Circuit) and circuit_length(g) == 1
     assert fields(g) == (2, 4, 0)
     assert g.angle[0] == 1.0471975511965979
-    assert np.array_equal(g.blocks[0], rotation(1.0471975511965979))
+    assert np.array_equal(block(g), rotation(1.0471975511965979))
 
 
 @settings(deadline=None, max_examples=40)
@@ -1757,4 +1839,4 @@ def test_rotation_gates_round_trip_property(alpha, j, mask, value):
     assert line.startswith("ROT ")
     back = parse_line(line, 3)
     assert (*fields(back), back.angle[0]) == (j, mask, value & mask, alpha)
-    assert np.array_equal(back.blocks, g.blocks)
+    assert every_block(back).tobytes() == every_block(g).tobytes()

@@ -21,7 +21,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from qsim import qpu
-from qsim.gates import Circuit, circuit_length, format_circuit, parse_circuit, rotation
+from qsim.gates import (
+    Circuit,
+    circuit_length,
+    format_circuit,
+    gate_blocks,
+    parse_circuit,
+    rotation,
+)
 from qsim.grover_rudolph import (
     ZERO_MASS_ANGLE,
     ZERO_MASS_TOL,
@@ -586,7 +593,7 @@ def test_circuit_gate_layout():
     ]
     for g in c.gates[1:]:
         assert g.angle[0] == tree.suffix_angle(_suffix(g))
-        assert np.array_equal(g.blocks[0], rotation(g.angle[0]))
+        assert np.array_equal(gate_blocks(g.angle, g.blocks)[0], rotation(g.angle[0]))
 
 
 def test_pruning_drops_exact_identity_rotations_only():
@@ -598,7 +605,7 @@ def test_pruning_drops_exact_identity_rotations_only():
     kept_angles = pruned.angle.tolist()
     for g, angle in zip(pruned.gates, kept_angles):
         assert angle == tree.suffix_angle(_suffix(g))
-        assert np.array_equal(g.blocks[0], rotation(angle))
+        assert np.array_equal(gate_blocks(g.angle, g.blocks)[0], rotation(angle))
     kept_angles.sort()
     want = sorted(
         [math.acos(math.sqrt(2.0 / 3.0)), math.pi / 4, math.pi / 2, math.pi / 2]
@@ -611,19 +618,22 @@ def test_pruning_drops_exact_identity_rotations_only():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_synthesized_blocks_are_rotation_bit_for_bit(n):
     """One cos and one sin over all angles give exactly rotation(angle) of
-    each gate, the sign of a zero included, pruned or not."""
+    each gate, the sign of a zero included, pruned or not: a synthesized
+    circuit stores no block, and gate_blocks builds them as float64."""
     rng = np.random.default_rng([30, n])
     for d in (random_poly_density(rng), powers_of_two()):
         tree = angle_tree(d, n)
         angles = [tree.theta, *(a for level in tree.levels for a in level)]
         want = np.array([rotation(a) for a in angles])
-        c = synthesize(tree)
-        assert c.blocks.tobytes() == want.tobytes()
+        c, pruned = synthesize(tree), synthesize(tree, prune=True)
+        assert len(c.blocks) == len(pruned.blocks) == 0
+        assert gate_blocks(c.angle).astype(complex).tobytes() == want.tobytes()
         kept = [k for k, a in enumerate(angles) if a != 0.0]
-        assert synthesize(tree, prune=True).blocks.tobytes() == want[kept].tobytes()
+        assert gate_blocks(pruned.angle).astype(complex).tobytes() == want[kept].tobytes()
     # powers_of_two has nodes with all their mass on the left: angle 0,
     # whose block holds -sin(0) = -0.0.
-    real = c.blocks.real
+    real = gate_blocks(c.angle)
+    assert real.dtype == np.float64
     assert n == 1 or (np.signbit(real) & (real == 0.0)).any()
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsim.gates import Decomposition
 from qsim.linalg import (
     UNITARY_TOL,
     as_counts,
@@ -213,9 +214,18 @@ def test_as_counts_reads_each_entry_by_as_count():
         (np.array([1, 5, 0]), 1, 3, r"k must be at most 3, got 5"),
         ([1, 0, 5], 1, 3, r"k must be at least 1, got 0"),
         (np.array([2**62, -1]), 0, None, r"k must be at least 0, got -1"),
+        # Bounds are clamped to int64's range, so no entry wraps or overflows.
+        ([1, 2**65], 1, 2**70, rf"k must be at most {2**63 - 1}, got {2**65}"),
+        (np.array([1, 2**63], np.uint64), 1, 2**64, rf"k must be at most {2**63 - 1}, got {2**63}"),
+        ([-(2**64)], None, None, rf"k must be at least {-(2**63)}, got {-(2**64)}"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             as_counts("k", x, least, most)
+    # A dim of 2^63 or more leaves no coordinate column beyond int64's rule.
+    for dim, i, j, big in ((2**70, [1], [2**65], 2**65),
+                           (2**64, np.array([1], np.uint64), np.array([2**63], np.uint64), 2**63)):
+        with pytest.raises(ValueError, match=rf"^j must be at most {2**63 - 1}, got {big}$"):
+            Decomposition(dim, i, j, [np.eye(2)])
 
 
 def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):

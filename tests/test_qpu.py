@@ -610,8 +610,9 @@ def test_generator_matches_sequential_oracle():
 def test_generator_rejects_negative_count():
     with pytest.raises(ValueError, match="^count must be at least 0, got -1$"):
         splitmix64_stream(0, -1)
-    with pytest.raises(ValueError, match="^shots must be at least 0, got -1$"):
-        inverse_cdf_counts([0.5, 0.5], -1, 0)
+    for draw in (inverse_cdf_counts, inverse_cdf_sample):  # each names its own argument
+        with pytest.raises(ValueError, match="^shots must be at least 0, got -1$"):
+            draw([0.5, 0.5], -1, 0)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Layers, lowest first:
 
-* linalg: complex matrices, unitarity checks, Hermitian spectra, exp(-itH).
+* linalg: integer and number rules, unitarity, Hermitian spectra, exp(-itH).
 * algprob: density matrices, observables, measurement laws.
 * qpu: n-qubit encodings, register observables, evolution, seeded sampling.
 * gates: wire gates (a block on a target wire under a control mask) and

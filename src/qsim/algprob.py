@@ -7,7 +7,8 @@ is computed only for validate_state's rank and for a failure's message.
 An observable (random variable) is a Hermitian matrix; measuring it in a
 state produces its eigenvalues with probabilities Re tr(rho P), where P
 projects onto the eigenspace. law sums <v|rho|v> over each eigenspace's
-eigenvectors v, so no projector is formed.
+eigenvectors v, so no projector is formed. Matrices, vectors and
+probabilities are read by linalg.as_numbers: a str or a bool is no number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EIG_CLUSTER_REL_TOL, as_matrix, as_vector
+from .linalg import EIG_CLUSTER_REL_TOL, as_numbers
 from .linalg import UNITARY_TOL, hermitian_eig, is_hermitian, is_unitary
 
 STATE_TOL = 1e-10
@@ -40,9 +41,12 @@ class StateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A quantum state. Validity is enforced by validate_state."""
+    """A quantum state: mat, read by linalg.as_numbers when built; validate_state checks it."""
 
     mat: np.ndarray
+
+    def __post_init__(self):
+        self.__dict__["mat"] = as_numbers("mat", self.mat, np.complex128, 2)
 
     @property
     def dim(self) -> int:
@@ -58,7 +62,7 @@ class Observable:
     """
 
     def __init__(self, mat):
-        self.mat = as_matrix(mat)
+        self.mat = as_numbers("mat", mat, np.complex128, 2)
         self.eigenvalues, self.eigenvectors = hermitian_eig(self.mat)
 
     @classmethod
@@ -72,7 +76,7 @@ class Observable:
         n * UNITARY_TOL * prod(max(||A_j||, 1)), times (1 + UNITARY_TOL)^(n-1).
         """
         obs = cls.__new__(cls)
-        obs.mat, obs.eigenvalues, obs.eigenvectors = as_matrix(mat), w, v
+        obs.mat, obs.eigenvalues, obs.eigenvectors = as_numbers("mat", mat, np.complex128, 2), w, v
         return obs
 
     @property
@@ -99,7 +103,7 @@ class Law:
 
 def pure_state(psi) -> DensityMatrix:
     """The rank-one state |psi><psi| of a unit vector."""
-    psi = as_vector(psi)
+    psi = as_numbers("psi", psi, np.complex128, 1)
     norm = float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= STATE_TOL:
         raise ValueError(f"state vector norm {norm} is not 1 within {STATE_TOL}")
@@ -153,20 +157,20 @@ def validate_state(rho: DensityMatrix) -> int:
     factorization of A + STATE_TOL * I), or "trace" (tr = 1). The rank is
     the number of eigenvalues exceeding STATE_TOL.
     """
-    sym = _check_state(as_matrix(rho.mat))
+    sym = _check_state(rho.mat)
     return int(np.count_nonzero(np.linalg.eigvalsh(sym) > STATE_TOL))
 
 
 def law_probabilities(raw) -> np.ndarray:
     """Raw outcome probabilities, checked and clamped into a law's.
 
-    An empty or not 1-D input raises ValueError; an entry that is not finite
-    or lies below -NEGATIVE_PROB_TOL raises StateValidationError("eigenvalues");
-    a total off 1 by more than LAW_SUM_TOL raises StateValidationError("trace").
-    The entries are then clamped into [0, 1]. Every law and basis distribution
-    returns through this check.
+    Entries that are not real numbers (linalg.as_numbers) or not a nonempty
+    1-D array raise ValueError; one not finite or below -NEGATIVE_PROB_TOL
+    raises StateValidationError("eigenvalues"), a total off 1 by more than
+    LAW_SUM_TOL StateValidationError("trace"). The entries are then clamped
+    into [0, 1]; every law and basis distribution returns through this check.
     """
-    p = np.asarray(raw, dtype=np.float64)
+    p = as_numbers("probabilities", raw)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("probabilities must be a nonempty 1-D array")
     ok = np.isfinite(p) & (p >= -NEGATIVE_PROB_TOL)
@@ -187,12 +191,12 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
     of the next, valued at its mean, with probability Re tr(rho P) for the projector
     P onto its eigenspace, by law_probabilities; rho passes validate_state's checks.
     """
-    _check_state(as_matrix(rho.mat))
+    _check_state(rho.mat)
     if a.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rho.dim}")
     v, w = a.eigenvectors, a.eigenvalues
     # <v_j| rho |v_j> for every eigenvector column j, from one product.
-    expectations = np.einsum("ij,ij->j", v.conj(), as_matrix(rho.mat) @ v).real
+    expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
     tol = EIG_CLUSTER_REL_TOL * max(float(np.linalg.norm(a.mat)), 1.0)
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)  # after each gap above tol
     values = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
@@ -203,8 +207,7 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
 def conjugate(m, v) -> np.ndarray:
     """V M V* for a unitary V and a square M of V's dimension; preserves laws
     of states and observables."""
-    m = as_matrix(m)
-    v = as_matrix(v)
+    m, v = as_numbers("m", m, np.complex128, 2), as_numbers("v", v, np.complex128, 2)
     if not is_unitary(v, UNITARY_TOL):
         raise ValueError("conjugating matrix is not unitary within tolerance")
     if m.shape != v.shape:

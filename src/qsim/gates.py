@@ -13,16 +13,16 @@ pattern column's (k, n - 1) byte matrix with a zero bit put in at the
 target's. A circuit applies its gates in sequence order, so the realized
 matrix is the reversed product: gates[k-1] @ ... @ gates[0].
 
-A Circuit stores its wire gates as columns, one array per field, as does
-a Decomposition its two-level factors. A single wire gate is a Circuit of
-length one, so one column check validates every gate sequence: integer
-columns by linalg.as_counts, target from 1 to n, mask and value from 0 to
-2^n - 1, i and j from 1 to dim. A wire gate with an angle has the block
-rotation(angle), which gate_blocks builds from it on each use; only the
-other gates' blocks are given, stored and tested for unitarity. In text, a
-wire gate with an angle is a ROT line, and any other a CTRL line with its
-block; both spell the controls as one wire pattern. The reader checks what
-text can get wrong, and Circuit the rest.
+A Circuit stores its wire gates as columns, one array per field, as does a
+Decomposition its two-level factors. A single wire gate is a Circuit of length
+one, so one column check validates every gate sequence: integer columns by
+linalg.as_counts, target from 1 to n, mask and value from 0 to 2^n - 1, i and
+j from 1 to dim, and angles and blocks by linalg.as_numbers. A wire gate with
+an angle has the block rotation(angle), which gate_blocks builds from it on
+each use; only the other gates' blocks are given, stored and tested for
+unitarity. In text, a wire gate with an angle is a ROT line, and any other a
+CTRL line with its block; both spell the controls as one wire pattern. The
+reader checks what text can get wrong, and Circuit the rest.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import UNITARY_TOL, as_count, as_counts, as_reals
+from .linalg import UNITARY_TOL, as_count, as_counts, as_numbers
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -61,8 +61,8 @@ def rotation(alpha: float) -> np.ndarray:
 
 
 def rotations(angles) -> np.ndarray:
-    """rotation(a) for each a in angles (linalg.as_reals), shape (k, 2, 2), from one cos and sin."""
-    return gate_blocks(as_reals("angle", angles)).astype(np.complex128)
+    """rotation(a) for each a in angles (linalg.as_numbers), shape (k, 2, 2), from one cos, sin."""
+    return gate_blocks(as_numbers("angle", angles)).astype(np.complex128)
 
 
 def gate_blocks(angle: np.ndarray, given: np.ndarray = _NO_BLOCKS) -> np.ndarray:
@@ -79,9 +79,10 @@ def gate_blocks(angle: np.ndarray, given: np.ndarray = _NO_BLOCKS) -> np.ndarray
 
 
 def _check_blocks(blocks) -> np.ndarray:
-    """blocks as a read-only C-ordered complex array of shape (k, 2, 2),
-    each block unitary by the closed-form 2x2 Gram test."""
-    v = np.array(blocks, dtype=np.complex128, order="C")
+    """blocks as a read-only C-ordered complex copy of shape (k, 2, 2), read
+    by linalg.as_numbers, each block unitary by the closed-form 2x2 Gram test."""
+    v = as_numbers("gate block", blocks, np.complex128)
+    v = v.copy(order="C") if v is blocks else np.ascontiguousarray(v)
     if v.shape == (0,):  # an empty list holds no blocks
         v = v.reshape(0, 2, 2)
     if v.shape[1:] != (2, 2):
@@ -119,7 +120,8 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     only the given blocks, of the NaN-angle gates, are Gram-tested."""
     n = as_count("n", n, 1, MAX_WIRES)
     top = (1 << n) - 1  # the largest mask or value
-    angle, target = as_reals("angle", angle), as_counts("target", target, 1, n)
+    a, target = as_numbers("angle", angle), as_counts("target", target, 1, n)
+    angle = a.copy() if a is angle else a  # frozen below, never the caller's array
     mask, value = as_counts("mask", mask, 0, top), as_counts("value", value, 0, top)
     angle.setflags(write=False)
     given = _NO_BLOCKS if blocks is None else _check_blocks(blocks)
@@ -255,7 +257,7 @@ def control_projector(n: int, ell: int, z, v) -> np.ndarray:
     arbitrary 2x2 block here; no unitarity is required.
     """
     mask, value = _controls(n, ell, z)
-    v = np.asarray(v, dtype=np.complex128)
+    v = as_numbers("block", v, np.complex128)
     if v.shape != (2, 2):
         raise ValueError(f"block must be 2x2, got {v.shape}")
     return _chain(n, ell, mask, value, v)
@@ -318,7 +320,7 @@ def gate_runs(c: Circuit):
             offsets = step if offsets is None else (offsets[:, None] + step).ravel()
             free &= (1 << lo) - 1
         values, split, seen = c.value[start:stop], [start], set()
-        if not np.diff(np.sort(values)).all():  # a repeat mixes a pair again
+        if ((s := np.sort(values))[1:] == s[:-1]).any():  # a repeat mixes a pair again
             for i, value in enumerate(values.tolist(), start):
                 if value in seen:
                     split.append(i)
@@ -399,14 +401,13 @@ def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != 2**c.n:
         raise ValueError(f"dimension mismatch: {2**c.n} vs {rho.dim}")
     real = not len(c.blocks) and not np.imag(rho.mat).any()
-    mat = np.array(np.real(rho.mat) if real else rho.mat,
-                   dtype=np.float64 if real else np.complex128)
+    mat = np.array(np.real(rho.mat) if real else rho.mat)  # rho.mat is complex128
     runs = list(gate_runs(c))
     for _ in range(2):
         for v, p0, p1 in runs:
             mix_pairs(v[:, None, None], mat, p0, p1)
         mat = np.conj(mat.T, order="C")
-    return DensityMatrix(mat.astype(np.complex128, copy=False))
+    return DensityMatrix(mat)
 
 
 def apply_vector(c: Circuit, psi) -> np.ndarray:
@@ -414,7 +415,8 @@ def apply_vector(c: Circuit, psi) -> np.ndarray:
     run: bit for bit the gate-by-gate product. The copy is float64 when psi
     is and c has no given block, and complex otherwise."""
     real = not len(c.blocks) and np.asarray(psi).dtype == np.float64
-    psi = np.array(psi, dtype=np.float64 if real else np.complex128)
+    x = as_numbers("psi", psi, np.float64 if real else np.complex128)
+    psi = x.copy() if x is psi else x
     if psi.shape != (2**c.n,):
         raise ValueError(f"dimension mismatch: {2**c.n} vs shape {psi.shape}")
     for v, p0, p1 in gate_runs(c):

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .gates import MAX_WIRES, Circuit, apply_vector, stage_layout
-from .linalg import as_count, as_reals
+from .linalg import as_count, as_numbers
 from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -61,9 +61,10 @@ class DensitySegment:
     coeffs: tuple[float, ...]
 
     def mass(self, a, b):
-        """Integral over [a, b], a and b of one shape, by the rule of masses."""
-        anti = _antiderivatives(np.array([self.coeffs], float))[0]
-        fa, fb = polyval(np.array([a, b]), anti, tensor=False)
+        """Integral over [a, b], a and b of one shape, by the rule of masses;
+        a, b and the coefficients are real numbers by linalg.as_numbers."""
+        anti = _antiderivatives(as_numbers("coeffs", [self.coeffs]))[0]
+        fa, fb = polyval(np.array([as_numbers("a", a), as_numbers("b", b)]), anti, tensor=False)
         return fb - fa
 
 
@@ -107,7 +108,7 @@ def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
 class PiecewisePolyDensity:
     """A normalized piecewise-polynomial density on [0, 1].
 
-    Validated at construction: every number must be real (linalg.as_reals) and
+    Validated at construction: every number must be real (linalg.as_numbers) and
     finite, segments must partition [0, 1] in order, be nonnegative everywhere
     (each segment's minimum, within rounding), and integrate to 1 within 1e-10;
     a rejection names the first offending segment. The segments are held as lo,
@@ -118,12 +119,12 @@ class PiecewisePolyDensity:
 
     def __post_init__(self):
         rows = [(s.lo, s.hi, *s.coeffs) for s in self.segments]
-        try:  # one as_reals call reads every number; a failure is named by its segment
-            flat = iter(as_reals("lo, hi and coeffs", np.fromiter(chain(*rows), object)).tolist())
+        try:  # one as_numbers call reads every number; a failure is named by its segment
+            flat = iter(as_numbers("lo, hi and coeffs", np.fromiter(chain(*rows), object)).tolist())
         except ValueError:
             for s, row in zip(self.segments, rows):
                 try:
-                    as_reals("lo, hi and coeffs", np.fromiter(row, object))
+                    as_numbers("lo, hi and coeffs", np.fromiter(row, object))
                 except ValueError as exc:
                     raise DensityError(f"{exc} in segment {s}") from None
             raise
@@ -177,7 +178,7 @@ class PiecewisePolyDensity:
         the edges clipped to [lo, hi], on the intervals it touches; it would
         add exactly 0 to any other. Edges that are not a nonempty,
         nondecreasing 1-D array within [0, 1] raise ValueError."""
-        edges = np.asarray(edges, dtype=float)
+        edges = as_numbers("edges", edges)
         if edges.ndim != 1 or len(edges) == 0:
             raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
         if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
@@ -202,7 +203,7 @@ class AngleTree:
     m bits fixed and suffix integer s (first suffix bit least significant),
     which is the node interval's position at level m. n from 1 to
     gates.MAX_WIRES by linalg.as_count and exactly 2^n - 1 angles within
-    [0, pi/2] by linalg.as_reals, or ValueError; kept as a read-only copy.
+    [0, pi/2] by linalg.as_numbers, or ValueError; kept as a read-only copy.
     """
 
     n: int
@@ -210,7 +211,8 @@ class AngleTree:
 
     def __post_init__(self):
         # A NaN angle fails both bounds below.
-        n, a = as_count("n", self.n, 1, MAX_WIRES), as_reals("angles", self.angles)
+        n, a = as_count("n", self.n, 1, MAX_WIRES), as_numbers("angles", self.angles)
+        a = a.copy() if a is self.angles else a  # frozen below, never the caller's array
         if not (a.shape == (2**n - 1,) and np.all((a >= 0.0) & (a <= math.pi / 2))):
             raise ValueError(f"n={n} needs 2^n - 1 angles within [0, pi/2]")
         a.setflags(write=False)

@@ -9,7 +9,8 @@ unitarity and hermiticity, EIG_CLUSTER_REL_TOL (1e-9, relative) for
 eigenvalue clustering. Only the predicates take a tolerance argument.
 
 Arguments are read by as_count (an integer), as_counts (a column of them)
-and as_reals (real numbers), each raising a ValueError naming the argument.
+and as_numbers (an array of real or complex numbers), each raising a
+ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -53,41 +54,34 @@ def as_counts(name: str, x, least: int | None = None, most: int | None = None) -
     return column
 
 
-def as_reals(name: str, x) -> np.ndarray:
-    """x as a new float64 array when each entry is a real number, Python or
-    numpy, not a bool, str or complex, and within float range; ValueError
-    otherwise. Every angle, time and density number passes this rule."""
+def as_numbers(name: str, x, dtype=np.float64, ndim: int | None = None) -> np.ndarray:
+    """x as an array of dtype, float64 or complex128, when each entry is a
+    Python or numpy number, not a bool or a str, real unless dtype is
+    complex128, and within float range, with ndim axes where ndim is given;
+    ValueError naming x otherwise. An ndarray of dtype is returned itself,
+    anything else as a new array. Every state, matrix, vector, block,
+    probability, angle, time and density number passes this rule."""
     # A list is read as objects: np.array(x) would read True among floats as 1.0.
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
-    real = (int, float, np.integer, np.floating)
-    if not all(issubclass(t, real) and not issubclass(t, bool) for t in types):
-        raise ValueError(f"{name} must be real numbers, got {sorted(t.__name__ for t in types)}")
-    try:
-        return a.astype(np.float64)
-    except OverflowError:  # a Python int beyond the largest float
-        raise ValueError(f"{name} must be real numbers within float range") from None
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array (no copy when already one)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got a {m.ndim}-D input")
-    return m
-
-
-def as_vector(psi) -> np.ndarray:
-    """Coerce input to a 1-D complex128 array."""
-    v = np.asarray(psi, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got a {v.ndim}-D input")
-    return v
+    if a.dtype.type is not dtype:
+        types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
+        real = dtype is np.float64
+        kind = (int, float, np.integer, np.floating) if real else (int, float, complex, np.number)
+        what = "real numbers" if real else "numbers"
+        if not all(issubclass(t, kind) and not issubclass(t, bool) for t in types):
+            raise ValueError(f"{name} must be {what}, got {sorted(t.__name__ for t in types)}")
+        try:
+            a = a.astype(dtype)
+        except OverflowError:  # a Python int beyond the largest float
+            raise ValueError(f"{name} must be {what} within float range") from None
+    if ndim is not None and a.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got a {a.ndim}-D input")
+    return a
 
 
 def is_hermitian(a, tol: float = UNITARY_TOL) -> bool:
     """True when the Frobenius residual of A - A* is at most tol."""
-    a = as_matrix(a)
+    a = as_numbers("a", a, np.complex128, 2)
     if a.shape[0] != a.shape[1]:
         return False
     return float(np.linalg.norm(a - a.conj().T)) <= tol
@@ -95,7 +89,7 @@ def is_hermitian(a, tol: float = UNITARY_TOL) -> bool:
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """True when the Frobenius residual of U*U - I is at most tol."""
-    u = as_matrix(u)
+    u = as_numbers("u", u, np.complex128, 2)
     if u.shape[0] != u.shape[1]:
         return False
     n = u.shape[0]
@@ -110,7 +104,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     within UNITARY_TOL and guarantees the reconstruction residual
     ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
     """
-    a = as_matrix(a)
+    a = as_numbers("a", a, np.complex128, 2)
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
@@ -122,15 +116,15 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H, for one finite real
-    t (as_reals's rule, checked first), through the eigendecomposition of H,
+    t (as_numbers's rule, checked first), through the eigendecomposition of H,
     which checks that H is Hermitian; the result is checked to be unitary.
     """
-    s = as_reals("t", t)
+    s = as_numbers("t", t)
     if s.ndim != 0:
         raise ValueError(f"t must be a single number, got shape {s.shape}")
     if not np.isfinite(s):
         raise ValueError(f"t must be finite, got {t!r}")
-    w, v = hermitian_eig(h)
+    w, v = hermitian_eig(as_numbers("h", h, np.complex128, 2))
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
     if not is_unitary(u):
         raise ArithmeticError("exponential drifted off the unitary group")

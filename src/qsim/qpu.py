@@ -10,10 +10,10 @@ conflating them is the classic bug in this construction:
   Kronecker factor and therefore the most significant block of the array.
 
 This module owns both maps, and every other module goes through them:
-encode/decode handle labels; bitstring and label_bitstrings write them as
-text in wire order; tensor_index handles array positions; label_permutation
-tabulates the composite map. Labels, bits and qubit counts follow
-linalg.as_count, with its range messages.
+encode/decode handle labels; label_bitstrings writes them as text in wire
+order; tensor_index handles array positions; label_permutation tabulates
+the composite map. Labels, bits and qubit counts follow linalg.as_count,
+with its range messages, and vectors and probabilities linalg.as_numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .algprob import DensityMatrix, Observable, law_probabilities, pure_state
-from .linalg import as_count, as_matrix, as_vector, unitary_from_hamiltonian
+from .linalg import as_count, as_numbers, unitary_from_hamiltonian
 from .rng import inverse_cdf_counts
 
 BitString = Sequence[int]
@@ -40,14 +40,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 MAX_SHOTS = 10**8
 
 
-def _check_label(k: int, n: int) -> tuple[int, int]:
-    n = as_count("n", n, 1)
-    return as_count("label", k, 0, 2**n - 1), n
-
-
 def encode(k: int, n: int) -> list[int]:
     """Bits (z_1, ..., z_n) of the label k = sum z_i 2^(i-1)."""
-    k, n = _check_label(k, n)
+    n = as_count("n", n, 1)
+    k = as_count("label", k, 0, 2**n - 1)
     return [(k >> i) & 1 for i in range(n)]
 
 
@@ -57,12 +53,6 @@ def decode(bits: BitString) -> int:
     if len(bits) < 1:
         raise ValueError("empty bit string")
     return sum(as_count("bit", b, 0, 1) << i for i, b in enumerate(bits))
-
-
-def bitstring(k: int, n: int) -> str:
-    """The bits z_1 ... z_n of label k as a string in wire order: "100" is k=1."""
-    k, n = _check_label(k, n)
-    return format(k, f"0{n}b")[::-1]
 
 
 def tensor_index(bits: BitString) -> int:
@@ -75,9 +65,9 @@ def tensor_index(bits: BitString) -> int:
 
 
 def label_bitstrings(n: int) -> list[str]:
-    """bitstring(k, n) of every label k = 0 .. 2^n - 1, in order, as the
-    lines of one decoded (2^n, n + 1) byte matrix: byte i - 1 of row k is
-    bit i - 1 of k, and the last byte a '\\n'."""
+    """The bits z_1 ... z_n of each label k = 0 .. 2^n - 1 in wire order ("100"
+    is k = 1 at n = 3), as the lines of one decoded (2^n, n + 1) byte matrix:
+    byte i - 1 of row k is bit i - 1 of k, and the last byte a '\\n'."""
     n = as_count("n", n, 1)
     lines = np.full((2**n, n + 1), ord("\n"), dtype=np.uint8)
     lines[:, :-1] = (np.arange(2**n)[:, None] >> np.arange(n)).astype(np.uint8) & 1 | ord("0")
@@ -183,7 +173,7 @@ def liouville_solve(h, rho0: DensityMatrix, t: float) -> DensityMatrix:
     u = unitary_from_hamiltonian(h, t)
     if u.shape[0] != rho0.dim:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {rho0.dim}")
-    return DensityMatrix(u @ as_matrix(rho0.mat) @ u.conj().T)
+    return DensityMatrix(u @ rho0.mat @ u.conj().T)
 
 
 def _label_law(weights: np.ndarray) -> np.ndarray:
@@ -208,7 +198,7 @@ def basis_distribution(rho: DensityMatrix) -> np.ndarray:
 def vector_distribution(psi) -> np.ndarray:
     """Probability of each basis outcome k for a pure state vector: the
     squared magnitude at k's tensor position."""
-    return _label_law(np.abs(as_vector(psi)) ** 2)
+    return _label_law(np.abs(as_numbers("psi", psi, np.complex128, 1)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_count
+from .linalg import as_count, as_numbers
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX_MULT_1 = 0xBF58476D1CE4E5B9
@@ -80,9 +80,9 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 
 def cdf(probabilities) -> np.ndarray:
-    """Cumulative sums of a nonempty 1-D array of finite, nonnegative
-    probabilities: nondecreasing, as both draw readings need."""
-    p = np.asarray(probabilities, dtype=np.float64)
+    """Cumulative sums of a nonempty 1-D array of finite, nonnegative real
+    numbers (linalg.as_numbers): nondecreasing, as both draw readings need."""
+    p = as_numbers("probabilities", probabilities)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("probabilities must be a nonempty 1-D array")
     bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))

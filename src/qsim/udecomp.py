@@ -36,7 +36,7 @@ from .gates import (
     parse_decomposition,
     reconstruct,
 )
-from .linalg import as_count, as_matrix, as_vector, is_unitary
+from .linalg import as_count, as_numbers, is_unitary
 
 # A component counts as zero for branch selection below this fraction of
 # the vector norm; identity factors are emitted instead of dividing by it.
@@ -102,7 +102,7 @@ def reduce_vector(psi) -> tuple[list[TwoLevelGate], float]:
     order zeroes coordinates 2..N and leaves the real nonnegative norm in
     coordinate 1. Components already negligible produce identity factors.
     """
-    psi = as_vector(psi)
+    psi = as_numbers("psi", psi, np.complex128, 1)
     n = as_count("vector dimension", psi.shape[0], 2)
     blocks = np.tile(np.eye(2, dtype=np.complex128), (n - 1, 1, 1))
     _column_blocks(psi, blocks)
@@ -118,7 +118,7 @@ def decompose_unitary(u) -> Decomposition:
     is raised before any factoring; the factors then reproduce u within
     RECONSTRUCTION_TOL relative Frobenius error.
     """
-    u = as_matrix(u)
+    u = as_numbers("u", u, np.complex128, 2)
     n = u.shape[0]
     if u.shape[0] != u.shape[1] or n < 2:
         raise ValueError(f"expected a square matrix of dim >= 2, got {u.shape}")
@@ -163,7 +163,7 @@ def decompose_unitary(u) -> Decomposition:
 
 def reconstruction_residual(d: Decomposition, u) -> float:
     """Relative Frobenius distance between reconstruct(d) and u, a nonzero d.dim x d.dim matrix."""
-    u = as_matrix(u)
+    u = as_numbers("u", u, np.complex128, 2)
     if u.shape != (d.dim, d.dim):
         raise ValueError(f"expected a {d.dim}x{d.dim} matrix, got {u.shape}")
     if not (norm := np.linalg.norm(u)):

@@ -1271,6 +1271,9 @@ def test_circuit_builds_blocks_from_angles():
     assert built.angle.tobytes() == angle.tobytes()
     for name in ("target", "mask", "value", "blocks", "angle"):
         assert not getattr(built, name).flags.writeable, name
+    # The angle column is a copy: the caller's array stays writeable and apart.
+    angle[0] = 0.1
+    assert built.angle[0] == 0.0
     with pytest.raises(ValueError, match="^gate columns differ in length$"):
         Circuit(1, [1], [0], [0], None, [math.nan])
     with pytest.raises(ValueError, match="^gate columns differ in length$"):

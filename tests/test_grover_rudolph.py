@@ -541,6 +541,7 @@ def test_angle_tree_reads_numpy_counts_and_angles():
 def test_angle_tree_keeps_a_read_only_copy():
     given = np.array([0.0, 0.5, math.pi / 2])
     tree = AngleTree(n=2, angles=given)
+    assert given.flags.writeable  # the caller's array is never frozen
     given[0] = 1.0
     assert tree.angles.tolist() == [0.0, 0.5, math.pi / 2]
     assert tree.angles.dtype == np.float64

@@ -2,7 +2,8 @@
 
 Oracle style: spectra and exponentials are checked against independent
 reference computations (eigenpair pins, Taylor series), not against the
-same numpy call the implementation uses.
+same numpy call the implementation uses. The number rule, as_numbers, is
+checked at every entry point of the library that reads an array.
 """
 
 import math
@@ -11,18 +12,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import Decomposition
+from qsim import rng as qrng
+from qsim.algprob import DensityMatrix, Observable, conjugate, law_probabilities, pure_state
+from qsim.gates import (
+    Circuit,
+    Decomposition,
+    TwoLevelGate,
+    apply_vector,
+    control_projector,
+    controlled_gate,
+    k_embed,
+)
+from qsim.grover_rudolph import DensitySegment, PiecewisePolyDensity
 from qsim.linalg import (
     UNITARY_TOL,
     as_counts,
-    as_matrix,
-    as_reals,
-    as_vector,
+    as_numbers,
     hermitian_eig,
     is_hermitian,
     is_unitary,
     unitary_from_hamiltonian,
 )
+from qsim.qpu import sample, vector_distribution
+from qsim.udecomp import decompose_unitary, reconstruction_residual, reduce_vector
 
 
 def random_complex(rng, *shape):
@@ -43,22 +55,114 @@ def random_hermitian(rng, n):
 # --- coercion ----------------------------------------------------------------
 
 
-def test_as_matrix_accepts_lists_and_rejects_other_ranks():
-    m = as_matrix([[1, 2], [3, 4]])
+def test_as_numbers_reads_lists_as_matrices_and_rejects_other_ranks():
+    m = as_numbers("m", [[1, 2], [3, 4]], np.complex128, 2)
     assert m.dtype == np.complex128
     assert m.shape == (2, 2)
-    with pytest.raises(ValueError):
-        as_matrix([1, 2, 3])
-    with pytest.raises(ValueError):
-        as_matrix(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="^m must be a 2-D array, got a 1-D input$"):
+        as_numbers("m", [1, 2, 3], np.complex128, 2)
+    with pytest.raises(ValueError, match="^m must be a 2-D array, got a 3-D input$"):
+        as_numbers("m", np.zeros((2, 2, 2)), np.complex128, 2)
 
 
-def test_as_vector_accepts_lists_and_rejects_matrices():
-    v = as_vector([1, 2j])
+def test_as_numbers_reads_lists_as_vectors_and_rejects_matrices():
+    v = as_numbers("psi", [1, 2j], np.complex128, 1)
     assert v.dtype == np.complex128
     assert v.shape == (2,)
-    with pytest.raises(ValueError):
-        as_vector([[1, 2]])
+    with pytest.raises(ValueError, match="^psi must be a 1-D array, got a 2-D input$"):
+        as_numbers("psi", [[1, 2]], np.complex128, 1)
+
+
+def test_as_numbers_returns_an_ndarray_of_its_dtype_itself():
+    """No copy for an ndarray already of dtype, whatever its layout; a new
+    array for anything else, so a caller that writes or freezes its result
+    copies only the first kind."""
+    m = random_complex(np.random.default_rng(1), 3, 3)
+    assert as_numbers("m", m, np.complex128, 2) is m
+    assert as_numbers("m", m.T, np.complex128, 2).base is m
+    x = np.linspace(0.0, 1.0, 5)
+    assert as_numbers("x", x) is x
+    for other in (x.astype(np.float32), x.tolist(), x.astype(np.int64)):
+        assert not np.shares_memory(as_numbers("x", other, np.complex128), other)
+    assert as_numbers("x", x, np.complex128).dtype == np.complex128
+
+
+def _bad(x, kind):
+    """x, as nested lists or an array, with every entry turned to kind."""
+    a = np.array(x, dtype=np.float64)
+    return {"str": a.astype(str).tolist(), "bool": a.astype(bool).tolist(),
+            "numpy str": a.astype(str), "numpy bool": a.astype(bool),
+            "complex": (a + 0j).tolist()}[kind]
+
+
+def _got(kind, wrapped) -> str:
+    """The type names as_numbers reports for _bad(x, kind): a call that wraps
+    its block in a list hands numpy's entries on as Python scalars."""
+    numpy = {"numpy str": np.str_, "numpy bool": np.bool_}
+    name = numpy[kind].__name__ if kind in numpy and not wrapped else kind.split()[-1]
+    return f"['{name}']"
+
+
+_DENSITY = PiecewisePolyDensity((DensitySegment(0.0, 1.0, (1.0,)),))
+_ROT = Circuit(1, [1], [0], [0], None, [0.3])
+_EYE = np.eye(2)
+_WRAPPED = {"TwoLevelGate", "k_embed", "controlled_gate"}
+
+
+def _mass(a=0.0, b=1.0, coeffs=(1.0,)):
+    return DensitySegment(0.0, 1.0, tuple(coeffs)).mass(a, b)
+
+
+# (entry point, its call on a good argument x, the argument's name, real, x)
+_ENTRY_POINTS = [
+    ("Observable", Observable, "mat", False, _EYE),
+    ("conjugate m", lambda x: conjugate(x, _EYE), "m", False, _EYE),
+    ("conjugate v", lambda x: conjugate(_EYE, x), "v", False, _EYE),
+    ("is_hermitian", is_hermitian, "a", False, _EYE),
+    ("is_unitary", is_unitary, "u", False, _EYE),
+    ("hermitian_eig", hermitian_eig, "a", False, _EYE),
+    ("unitary_from_hamiltonian", lambda x: unitary_from_hamiltonian(x, 0.5), "h", False, _EYE),
+    ("decompose_unitary", decompose_unitary, "u", False, _EYE),
+    ("reconstruction_residual",
+     lambda x: reconstruction_residual(decompose_unitary(_EYE), x), "u", False, _EYE),
+    ("pure_state", pure_state, "psi", False, [1.0, 0.0]),
+    ("reduce_vector", reduce_vector, "psi", False, [1.0, 1.0]),
+    ("vector_distribution", vector_distribution, "psi", False, [1.0, 0.0]),
+    ("apply_vector", lambda x: apply_vector(_ROT, x), "psi", False, [1.0, 0.0]),
+    ("law_probabilities", law_probabilities, "probabilities", True, [0.5, 0.5]),
+    ("rng.cdf", qrng.cdf, "probabilities", True, [0.5, 0.5]),
+    ("rng.inverse_cdf_counts", lambda x: qrng.inverse_cdf_counts(x, 3, 0),
+     "probabilities", True, [0.5, 0.5]),
+    ("qpu.sample", lambda x: sample(x, 10, 0), "probabilities", True, [0.5, 0.5]),
+    ("masses", _DENSITY.masses, "edges", True, [0.0, 0.5, 1.0]),
+    ("DensitySegment.mass a", lambda x: _mass(a=x), "a", True, 0.0),
+    ("DensitySegment.mass b", lambda x: _mass(b=x), "b", True, 1.0),
+    ("DensitySegment.mass coeffs", lambda x: _mass(coeffs=x), "coeffs", True, [1.0]),
+    ("Circuit", lambda x: Circuit(1, [1], [0], [0], x, [math.nan]), "gate block", False, [_EYE]),
+    ("Decomposition", lambda x: Decomposition(2, [1], [2], x), "gate block", False, [_EYE]),
+    ("TwoLevelGate", lambda x: TwoLevelGate(2, 1, 2, x), "gate block", False, _EYE),
+    ("k_embed", lambda x: k_embed(2, 1, 2, x), "gate block", False, _EYE),
+    ("controlled_gate", lambda x: controlled_gate(1, 1, (), x), "gate block", False, _EYE),
+    ("control_projector", lambda x: control_projector(1, 1, (), x), "block", False, _EYE),
+    ("DensityMatrix", DensityMatrix, "mat", False, np.diag([1.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("entry, call, name, real, x", _ENTRY_POINTS,
+                         ids=[e[0] for e in _ENTRY_POINTS])
+def test_every_array_the_library_reads_passes_the_number_rule(entry, call, name, real, x):
+    """A str or a bool, in a list or as a numpy array, is no number for any
+    state, matrix, vector, block, probability or density number, and a
+    complex number is none where reals are read: each is a ValueError
+    naming the argument, raised before anything is computed from it. The
+    good argument passes."""
+    call(x)
+    what = "real numbers" if real else "numbers"
+    for kind in ("str", "bool", "numpy str", "numpy bool", *["complex"] * real):
+        with pytest.raises(ValueError) as info:
+            call(_bad(x, kind))
+        got = _got(kind, entry in _WRAPPED)
+        assert str(info.value) == f"{name} must be {what}, got {got}"
 
 
 # --- Kronecker product ---------------------------------------------------
@@ -229,7 +333,7 @@ def test_as_counts_reads_each_entry_by_as_count():
 
 
 def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
-    """t is read by as_reals's rule, so a complex, string or bool t, or an int
+    """t is read by as_numbers's rule, so a complex, string or bool t, or an int
     beyond float range, is a ValueError naming t, raised before H is
     decomposed, and never the ArithmeticError that marks a numerical fault;
     so is a list or an array of times, even of one."""
@@ -240,7 +344,7 @@ def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
             unitary_from_hamiltonian(np.eye(2), t)
         assert str(info.value) == f"t must be real numbers, got ['{kind}']"
     for call in (lambda: unitary_from_hamiltonian(np.eye(2), 10**400),
-                 lambda: as_reals("t", 10**400)):
+                 lambda: as_numbers("t", 10**400)):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "t must be real numbers within float range"

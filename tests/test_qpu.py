@@ -29,7 +29,6 @@ from qsim.qpu import (
     ShotResult,
     basis_distribution,
     basis_vector,
-    bitstring,
     decode,
     encode,
     label_bitstrings,
@@ -102,25 +101,26 @@ def test_numpy_bits_decode_as_python_ints():
 
 
 def test_bitstring_is_wire_order_and_decodes_back():
-    assert bitstring(1, 3) == "100"
-    assert bitstring(6, 3) == "011"
-    for k in range(2**5):
-        assert decode([int(ch) for ch in bitstring(k, 5)]) == k
-    for k, n in ((8, 3), (-1, 3), (0, 0)):
-        with pytest.raises(ValueError) as want:
+    assert label_bitstrings(3)[1] == "100"
+    assert label_bitstrings(3)[6] == "011"
+    for k, bits in enumerate(label_bitstrings(5)):
+        assert decode([int(ch) for ch in bits]) == k
+        assert [int(ch) for ch in bits] == encode(k, 5)
+    for k, n, message in ((8, 3, "label must be at most 7, got 8"),
+                          (-1, 3, "label must be at least 0, got -1"),
+                          (0, 0, "n must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             encode(k, n)
-        with pytest.raises(ValueError, match=f"^{want.value}$"):
-            bitstring(k, n)
 
 
 def test_label_bitstrings_is_bitstring_of_every_label():
     assert label_bitstrings(2) == ["00", "10", "01", "11"]
     for n in range(1, 17):
-        assert label_bitstrings(n) == [bitstring(k, n) for k in range(2**n)]
+        assert label_bitstrings(n) == ["".join(map(str, encode(k, n))) for k in range(2**n)]
     labels = label_bitstrings(20)  # the CLI's cap
     assert len(labels) == 2**20
     for k in (0, 1, 2**19, 2**20 - 1):
-        assert labels[k] == bitstring(k, 20)
+        assert labels[k] == "".join(map(str, encode(k, 20)))
     with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
         label_bitstrings(0)
 
@@ -131,10 +131,9 @@ def test_labels_and_qubit_counts_follow_the_integer_rule():
     made, and within its range, by its range messages."""
     for call, message in (
         (lambda: encode(True, 3), "label must be an integer, got True"),
-        (lambda: bitstring(True, 3), "label must be an integer, got True"),
         (lambda: basis_vector(True, 2), "label must be an integer, got True"),
         (lambda: encode(1, True), "n must be an integer, got True"),
-        (lambda: bitstring(1.5, 3), "label must be an integer, got 1.5"),
+        (lambda: encode(1.5, 3), "label must be an integer, got 1.5"),
         (lambda: encode(1.0, 3), "label must be an integer, got 1.0"),
         (lambda: basis_vector(0, 2.5), "n must be an integer, got 2.5"),
         (lambda: label_bitstrings(True), "n must be an integer, got True"),
@@ -145,7 +144,7 @@ def test_labels_and_qubit_counts_follow_the_integer_rule():
         (lambda: udqc(2.0), "n must be an integer, got 2.0"),
         (lambda: label_permutation(0), "n must be at least 1, got 0"),
         (lambda: encode(8, np.int64(3)), "label must be at most 7, got 8"),
-        (lambda: bitstring(-1, 3), "label must be at least 0, got -1"),
+        (lambda: encode(-1, 3), "label must be at least 0, got -1"),
         (lambda: udqc(17), "n must be at most 16, got 17"),
         (lambda: standard_observable(0), "n must be at least 1, got 0"),
     ):
@@ -155,7 +154,7 @@ def test_labels_and_qubit_counts_follow_the_integer_rule():
     # numpy integers are read as Python ints.
     bits = encode(np.int64(6), np.uint8(3))
     assert bits == [0, 1, 1] and {type(b) for b in bits} == {int}
-    assert bitstring(np.int64(1), np.int64(3)) == "100"
+    assert label_bitstrings(np.int64(3))[np.int64(1)] == "100"
     assert label_bitstrings(np.int64(2)) == label_bitstrings(2)
     assert label_permutation(np.int64(3)).tobytes() == label_permutation(3).tobytes()
     assert np.array_equal(basis_vector(np.int64(1), np.int64(2)), basis_vector(1, 2))
@@ -575,6 +574,28 @@ def test_liouville_solve_checks_the_unitary_once(monkeypatch):
         assert got.mat.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match=r"^dimension mismatch: 4 vs 2$"):
         liouville_solve(random_hermitian(rng, 4), DensityMatrix(np.eye(2) / 2.0), 0.3)
+
+
+def test_a_state_built_from_a_nested_list_is_the_array_it_spells():
+    """DensityMatrix reads its matrix once, when it is built, so a nested
+    list gives the same law, circuit and Liouville evolution as its array,
+    bit for bit, and its mat is that complex array."""
+    from qsim.algprob import law
+    from qsim.gates import Circuit, apply
+
+    rng = np.random.default_rng(106)
+    rho = _random_low_rank_state(rng, 4, 2)
+    listed = DensityMatrix(rho.mat.tolist())
+    assert listed.mat.dtype == np.complex128 and listed.mat.tobytes() == rho.mat.tobytes()
+    pure = DensityMatrix([[1.0, 0.0], [0.0, 0.0]])
+    assert pure.mat.tobytes() == DensityMatrix(np.diag([1.0, 0.0])).mat.tobytes()
+    obs, h = standard_observable(2).realized, random_hermitian(rng, 4)
+    circuit = Circuit(2, [1, 2], [0, 0], [0, 0], None, [0.3, 1.1])
+    for state in (listed, rho):
+        assert law(obs, state) == law(obs, rho)
+        assert apply(circuit, state).mat.tobytes() == apply(circuit, rho).mat.tobytes()
+        assert (liouville_solve(h, state, 0.7).mat.tobytes()
+                == liouville_solve(h, rho, 0.7).mat.tobytes())
 
 
 # --- the raw generator ---------------------------------------------------------

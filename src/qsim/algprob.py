@@ -4,11 +4,12 @@ A state is a density matrix: Hermitian, positive semidefinite, trace one.
 Positivity is certified by a Cholesky factorization of rho + STATE_TOL * I,
 which exists exactly when every eigenvalue exceeds -STATE_TOL; the spectrum
 is computed only for validate_state's rank and for a failure's message.
-An observable (random variable) is a Hermitian matrix; measuring it in a
-state produces its eigenvalues with probabilities Re tr(rho P), where P
-projects onto the eigenspace. law sums <v|rho|v> over each eigenspace's
-eigenvectors v, so no projector is formed. Matrices, vectors and
-probabilities are read by linalg.as_numbers: a str or a bool is no number.
+An observable (random variable) is a Hermitian matrix, kept read-only with
+its eigenpairs so that one can be shared; measuring it in a state produces
+its eigenvalues with probabilities Re tr(rho P), where P projects onto the
+eigenspace. law sums <v|rho|v> over each eigenspace's eigenvectors v, so no
+projector is formed. Matrices, vectors and probabilities are read by
+linalg.as_numbers: a str or a bool is no number.
 """
 
 from __future__ import annotations
@@ -53,31 +54,44 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Observable:
-    """A Hermitian matrix with its ascending eigenvalues and eigenvectors.
+    """A Hermitian matrix with its ascending eigenvalues and eigenvectors,
+    all three read-only.
 
-    The eigendecomposition is computed once at construction, so instances
-    are safe to share across threads; hermitian_eig rejects a matrix that is
-    not Hermitian within UNITARY_TOL with ValueError.
+    The eigendecomposition is computed once at construction, from a copy of
+    the caller's matrix, so instances are values, safe to share across
+    threads; hermitian_eig rejects a matrix that is not Hermitian within
+    UNITARY_TOL with ValueError.
     """
 
+    mat: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
     def __init__(self, mat):
-        self.mat = as_numbers("mat", mat, np.complex128, 2)
-        self.eigenvalues, self.eigenvectors = hermitian_eig(self.mat)
+        m = as_numbers("mat", mat, np.complex128, 2)
+        m = m.copy() if m is mat else m  # frozen below, never the caller's array
+        self._freeze(m, *hermitian_eig(m))
 
     @classmethod
     def from_eig(cls, mat, w, v) -> Observable:
-        """Observable(mat) from eigenpairs (w ascending) stored as given, with
-        no eigensolve and no check on mat.
+        """Observable(mat) from eigenpairs (w ascending) stored as given,
+        frozen in place, with no copy, no eigensolve and no check on mat.
 
-        qpu_observable passes the Kronecker products of factors A_j whose
+        qpu_observable passes fresh Kronecker products of factors A_j whose
         pairs passed hermitian_eig's checks. Telescoping the product one
         factor at a time bounds ||A - V diag(w) V*|| by
         n * UNITARY_TOL * prod(max(||A_j||, 1)), times (1 + UNITARY_TOL)^(n-1).
         """
         obs = cls.__new__(cls)
-        obs.mat, obs.eigenvalues, obs.eigenvectors = as_numbers("mat", mat, np.complex128, 2), w, v
+        obs._freeze(as_numbers("mat", mat, np.complex128, 2), w, v)
         return obs
+
+    def _freeze(self, mat, w, v) -> None:
+        for a in (mat, w, v):
+            a.setflags(write=False)
+        self.__dict__.update(mat=mat, eigenvalues=w, eigenvectors=v)
 
     @property
     def dim(self) -> int:

@@ -71,7 +71,9 @@ def gate_blocks(angle: np.ndarray, given: np.ndarray = _NO_BLOCKS) -> np.ndarray
     given block. float64 with none given, and complex with them scattered in."""
     with np.errstate(invalid="ignore"):  # an infinite angle gives a NaN block
         c, s = np.cos(angle), np.sin(angle)
-    v = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    v = np.empty((*np.shape(angle), 2, 2))
+    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = c, -s, s, c
+    v = v.reshape(-1, 2, 2)
     if len(given):
         v = v.astype(np.complex128)
         v[np.isnan(angle)] = given
@@ -98,6 +100,12 @@ def _check_blocks(blocks) -> np.ndarray:
     _reject(~unitary, _NOT_UNITARY)
     v.setflags(write=False)
     return v
+
+
+def _one_block(v):
+    """A column of the one block v: an ndarray keeps numpy's entry types, so
+    the number rule reads and names them as in a column of blocks."""
+    return np.asarray(v)[None] if isinstance(v, np.ndarray) else [v]
 
 
 def _same_length(*columns) -> None:
@@ -162,7 +170,7 @@ class TwoLevelGate:
     v: np.ndarray
 
     def __post_init__(self):
-        c = _pair_columns(self.dim, [self.i], [self.j], [self.v])
+        c = _pair_columns(self.dim, [self.i], [self.j], _one_block(self.v))
         self.__dict__.update(dim=c["dim"], v=c["blocks"][0])
 
 
@@ -270,7 +278,7 @@ def controlled_gate(n: int, ell: int, z, v) -> np.ndarray:
     with none free, v mixes only the two basis indices that match z.
     """
     mask, value = _controls(n, ell, z)
-    return realize_gate(Circuit(n, [ell], [mask], [value], [v], [math.nan]))
+    return realize_gate(Circuit(n, [ell], [mask], [value], _one_block(v), [math.nan]))
 
 
 def k_embed(nn: int, i: int, j: int, v) -> np.ndarray:
@@ -410,11 +418,24 @@ def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
+def _entry_dtype(a: np.ndarray):
+    """The dtype np.asarray gives a's entries: an object array's by promoting
+    their types, None when they have none."""
+    if a.dtype != object:
+        return a.dtype
+    try:
+        return np.result_type(*set(map(type, a.ravel())))
+    except (TypeError, ValueError):  # str, None or a list entry, or no entry
+        return None
+
+
 def apply_vector(c: Circuit, psi) -> np.ndarray:
     """The circuit on a copy of the state vector psi, shape (2^n,), run by
     run: bit for bit the gate-by-gate product. The copy is float64 when psi
     is and c has no given block, and complex otherwise."""
-    real = not len(c.blocks) and np.asarray(psi).dtype == np.float64
+    if not isinstance(psi, np.ndarray):  # one read of a list, the one as_numbers makes
+        psi = np.array(psi, dtype=object)
+    real = not len(c.blocks) and _entry_dtype(psi) == np.float64
     x = as_numbers("psi", psi, np.float64 if real else np.complex128)
     psi = x.copy() if x is psi else x
     if psi.shape != (2**c.n,):

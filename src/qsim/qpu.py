@@ -19,7 +19,7 @@ with its range messages, and vectors and probabilities linalg.as_numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -132,16 +132,22 @@ def qpu_observable(factors) -> QpuObservable:
     return QpuObservable(n, tuple(obs_factors), realized, w[label_permutation(n)])
 
 
+@cache
+def _wire_factor(p: int) -> Observable:
+    """Observable(diag(1, p)), built and checked once per prime and shared:
+    an Observable is read-only."""
+    return Observable(np.diag([1.0, float(p)]))
+
+
 def standard_observable(n: int) -> QpuObservable:
     """Diagonal register observable whose 2^n eigenvalues are all distinct.
 
     Wire j carries diag(1, p_j) with p_j the j-th prime, so the label of
-    outcome k is the square-free product encoding k's bits uniquely.
+    outcome k is the square-free product encoding k's bits uniquely. The
+    wire factors are shared; the register arrays are built on each call.
     """
     n = as_count("n", n, 1, len(_PRIMES))
-    return qpu_observable(
-        [np.diag([1.0, float(p)]) for p in _PRIMES[:n]]
-    )
+    return qpu_observable([_wire_factor(p) for p in _PRIMES[:n]])
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,8 @@ class Udqc:
 
     @property
     def observable(self) -> QpuObservable:
-        """standard_observable(n) on each read: eigenpairs from its factors, no dense eigh."""
+        """standard_observable(n), built on each read from the shared wire
+        factors: eigenpairs from theirs, no eigensolve."""
         return standard_observable(self.n)
 
 

@@ -166,6 +166,27 @@ def test_observable_requires_hermitian():
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_observable_is_a_read_only_value():
+    """Observable keeps a read-only copy of the caller's matrix, so a later
+    write to it changes neither the matrix nor the eigenpairs, and its fields
+    cannot be rebound; from_eig freezes the arrays it is handed in place,
+    without a copy."""
+    m = np.diag([1.0, 2.0]).astype(complex)
+    o = Observable(m)
+    m[1, 1] = 7.0
+    assert o.mat[1, 1] == 2.0 and o.eigenvalues.tolist() == [1.0, 2.0]
+    for a in (o.mat, o.eigenvalues, o.eigenvectors):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    with pytest.raises(AttributeError):
+        o.mat = m
+    w, v = np.array([1.0, 2.0]), np.eye(2, dtype=complex)
+    fresh = Observable.from_eig(m, w, v)
+    assert fresh.mat is m and fresh.eigenvalues is w and fresh.eigenvectors is v
+    assert not (m.flags.writeable or w.flags.writeable or v.flags.writeable)
+
+
 def test_eigenvalue_clusters_merge_degeneracies():
     """Equal eigenvalues, and ascending ones within the cluster tolerance of
     the next, however long the run, are one outcome valued at their mean."""

@@ -1280,6 +1280,28 @@ def test_circuit_builds_blocks_from_angles():
         Circuit(1, [1, 1], [0, 0], [0, 0], None, [0.5])
 
 
+def test_gate_blocks_are_the_stacked_rotation_entries():
+    """gate_blocks fills each block in place: byte for byte the stack of
+    (cos, -sin, sin, cos) of its angle, for NaN and infinite angles and an
+    empty column too, and with given blocks, when there are any, scattered in
+    at the NaN angles."""
+    rng = np.random.default_rng(85)
+    for k in (0, 1, 2, 7, 64):
+        angle = rng.uniform(-10.0, 10.0, k)
+        angle[rng.random(k) < 0.3] = rng.choice([math.nan, math.inf, -math.inf])
+        with np.errstate(invalid="ignore"):
+            c, s = np.cos(angle), np.sin(angle)
+        want = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        got = gate_blocks(angle)
+        assert got.dtype == float and got.shape == (k, 2, 2)
+        assert got.tobytes() == want.tobytes()
+        given = rotations(rng.uniform(-1.0, 1.0, int(np.isnan(angle).sum())))
+        want = want.astype(complex)
+        want[np.isnan(angle)] = given
+        assert gate_blocks(angle, given).astype(complex).tobytes() == want.tobytes()
+    assert rotations(0.3).tobytes() == rotations([0.3]).tobytes()
+
+
 def test_only_given_blocks_are_gram_tested(monkeypatch):
     """A block built from a finite angle is a rotation, unitary by
     construction: synthesis and a ROT-only file make no Gram test call, and

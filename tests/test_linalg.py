@@ -95,18 +95,22 @@ def _bad(x, kind):
             "complex": (a + 0j).tolist()}[kind]
 
 
-def _got(kind, wrapped) -> str:
-    """The type names as_numbers reports for _bad(x, kind): a call that wraps
-    its block in a list hands numpy's entries on as Python scalars."""
+def _got(kind) -> str:
+    """The type names as_numbers reports for _bad(x, kind): numpy's entry
+    types for an array, Python's for lists."""
     numpy = {"numpy str": np.str_, "numpy bool": np.bool_}
-    name = numpy[kind].__name__ if kind in numpy and not wrapped else kind.split()[-1]
+    name = numpy[kind].__name__ if kind in numpy else kind.split()[-1]
     return f"['{name}']"
+
+
+def _stacked(x):
+    """A column of the one block x: an array with a new first axis, a list in a list."""
+    return x[None] if isinstance(x, np.ndarray) else [x]
 
 
 _DENSITY = PiecewisePolyDensity((DensitySegment(0.0, 1.0, (1.0,)),))
 _ROT = Circuit(1, [1], [0], [0], None, [0.3])
 _EYE = np.eye(2)
-_WRAPPED = {"TwoLevelGate", "k_embed", "controlled_gate"}
 
 
 def _mass(a=0.0, b=1.0, coeffs=(1.0,)):
@@ -140,6 +144,10 @@ _ENTRY_POINTS = [
     ("DensitySegment.mass coeffs", lambda x: _mass(coeffs=x), "coeffs", True, [1.0]),
     ("Circuit", lambda x: Circuit(1, [1], [0], [0], x, [math.nan]), "gate block", False, [_EYE]),
     ("Decomposition", lambda x: Decomposition(2, [1], [2], x), "gate block", False, [_EYE]),
+    ("Circuit, one block",
+     lambda x: Circuit(1, [1], [0], [0], _stacked(x), [math.nan]), "gate block", False, _EYE),
+    ("Decomposition, one block",
+     lambda x: Decomposition(2, [1], [2], _stacked(x)), "gate block", False, _EYE),
     ("TwoLevelGate", lambda x: TwoLevelGate(2, 1, 2, x), "gate block", False, _EYE),
     ("k_embed", lambda x: k_embed(2, 1, 2, x), "gate block", False, _EYE),
     ("controlled_gate", lambda x: controlled_gate(1, 1, (), x), "gate block", False, _EYE),
@@ -148,9 +156,9 @@ _ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("entry, call, name, real, x", _ENTRY_POINTS,
+@pytest.mark.parametrize("call, name, real, x", [e[1:] for e in _ENTRY_POINTS],
                          ids=[e[0] for e in _ENTRY_POINTS])
-def test_every_array_the_library_reads_passes_the_number_rule(entry, call, name, real, x):
+def test_every_array_the_library_reads_passes_the_number_rule(call, name, real, x):
     """A str or a bool, in a list or as a numpy array, is no number for any
     state, matrix, vector, block, probability or density number, and a
     complex number is none where reals are read: each is a ValueError
@@ -161,8 +169,7 @@ def test_every_array_the_library_reads_passes_the_number_rule(entry, call, name,
     for kind in ("str", "bool", "numpy str", "numpy bool", *["complex"] * real):
         with pytest.raises(ValueError) as info:
             call(_bad(x, kind))
-        got = _got(kind, entry in _WRAPPED)
-        assert str(info.value) == f"{name} must be {what}, got {got}"
+        assert str(info.value) == f"{name} must be {what}, got {_got(kind)}"
 
 
 # --- Kronecker product ---------------------------------------------------

@@ -308,7 +308,9 @@ def test_qpu_observable_law_equals_the_dense_eigensolve():
 def test_qpu_observable_checks_no_register_sized_matrix(monkeypatch):
     """The factors are checked one 2x2 at a time, and realized keeps the
     Kronecker products of their eigenpairs as they are: no hermiticity
-    test, eigensolve or norm runs on a 2^n x 2^n matrix."""
+    test, eigensolve or norm runs on a 2^n x 2^n matrix. standard_observable
+    checks a prime's factor on its first build only, and a repeat build
+    checks nothing."""
     from qsim import linalg
 
     shapes = []
@@ -320,12 +322,16 @@ def test_qpu_observable_checks_no_register_sized_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm))
     rng = np.random.default_rng(84)
-    for n in (3, 7):
+    qpu._wire_factor.cache_clear()
+    for n in (3, 7):  # n = 7 builds four primes' factors that n = 3 did not
         for factors in ([random_hermitian(rng, 2) for _ in range(n)], None):
             shapes.clear()
             obs = standard_observable(n) if factors is None else qpu_observable(factors)
             assert obs.realized.mat.shape == obs.realized.eigenvectors.shape == (2**n, 2**n)
             assert shapes and set(shapes) <= {(2, 2)}, set(shapes)
+        shapes.clear()
+        assert standard_observable(n).realized.mat.shape == (2**n, 2**n)
+        assert shapes == []
 
 
 def test_qpu_observable_rejects_bad_factors():
@@ -338,10 +344,22 @@ def test_qpu_observable_rejects_bad_factors():
 
 
 def test_standard_observable_separates_all_outcomes():
-    for n in (1, 2, 3, 4):
+    """Its labels are distinct, it equals the register observable built
+    afresh from its factors array for array, and its wire factors are
+    read-only Observables shared between registers."""
+    for n in range(1, 9):
         obs = standard_observable(n)
         labels = obs.eigen_labels
         assert len(set(labels.tolist())) == 2**n
+        fresh = qpu_observable([np.diag([1.0, float(p)]) for p in qpu._PRIMES[:n]])
+        assert np.array_equal(obs.eigen_labels, fresh.eigen_labels)
+        for got, want in zip([obs.realized, *obs.factors], [fresh.realized, *fresh.factors]):
+            for k in ("mat", "eigenvalues", "eigenvectors"):
+                a, b = getattr(got, k), getattr(want, k)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+    three, eight = standard_observable(3).factors, standard_observable(8).factors
+    assert all(f is g for f, g in zip(three, eight))
     with pytest.raises(ValueError):
         standard_observable(0)
     with pytest.raises(ValueError):

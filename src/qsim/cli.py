@@ -83,7 +83,6 @@ def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Write the synthesized circuit, each gate a ROT line with its angle."""
-    as_count("--n", args.n, 1, MAX_QUBITS)
     if not args.out:
         raise InputFormatError("synth needs --out PATH for the circuit file")
     density = gr.load_density(_density_path(args))
@@ -95,14 +94,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_law(args: argparse.Namespace) -> int:
     """Exact per-outcome probabilities of the synthesized state."""
-    as_count("--n", args.n, 1, MAX_QUBITS)
     _table(args, {"n": args.n, "law": {"probability": _density_circuit_law(args)}}, "law")
     return EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     """Seeded shot counts with empirical frequencies and exact deviations."""
-    as_count("--n", args.n, 1, MAX_QUBITS)
     as_count("--shots", args.shots, 1, MAX_SHOTS)
     probs = _density_circuit_law(args)
     result = draw_shots(probs, args.shots, args.seed)
@@ -167,7 +164,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
-    as_count("--n", args.n, 1, MAX_QUBITS)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     density = gr.load_density(_density_path(args))
@@ -241,6 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "n" in args:  # every command with --n, before it runs
+            as_count("--n", args.n, 1, MAX_QUBITS)
         return args.func(args)
     except (gr.DensityJsonError, InputFormatError) as exc:
         print(f"qsim: parse error: {exc}", file=sys.stderr)

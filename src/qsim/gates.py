@@ -15,12 +15,12 @@ matrix is the reversed product: gates[k-1] @ ... @ gates[0].
 
 A Circuit stores its wire gates as columns, one array per field, as does a
 Decomposition its two-level factors. A single wire gate is a Circuit of length
-one, so one column check validates every gate sequence: integer columns by
-linalg.as_counts, target from 1 to n, mask and value from 0 to 2^n - 1, i and
-j from 1 to dim, and angles and blocks by linalg.as_numbers. A wire gate with
-an angle has the block rotation(angle), which gate_blocks builds from it on
-each use; only the other gates' blocks are given, stored and tested for
-unitarity. In text, a wire gate with an angle is a ROT line, and any other a
+one, so one column check validates every gate sequence: 1-D integer columns
+by linalg.as_counts, target from 1 to n, mask and value from 0 to 2^n - 1, i
+and j from 1 to dim, and a 1-D angle column and blocks by linalg.as_numbers. A
+wire gate with an angle has the block rotation(angle), which gate_blocks builds
+from it on each use; only the other gates' blocks are given, stored and tested
+for unitarity. In text, a wire gate with an angle is a ROT line, and any other a
 CTRL line with its block; both spell the controls as one wire pattern. The
 reader checks what text can get wrong, and Circuit the rest.
 
@@ -28,10 +28,10 @@ Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
 disjoint pairs and commute: mix_pairs applies a run, as gate_runs lists
 it, in one step and in place, and a layer of factors on disjoint row pairs
-as reconstruct sorts them. A circuit with no given block runs on a real
-state in float64, any other in complex128. realize_gate, and controlled_gate
-built through it, form dense matrices without gate_runs, as the tests'
-reference.
+as reconstruct sorts them. A circuit with no given block runs in float64 on
+a float64 vector or a real matrix, any other run in complex128. realize_gate,
+and controlled_gate built through it, form dense matrices without gate_runs,
+as the tests' reference.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _wire_columns(n: int, target, mask, value, blocks, angle) -> dict[str, np.nd
     only the given blocks, of the NaN-angle gates, are Gram-tested."""
     n = as_count("n", n, 1, MAX_WIRES)
     top = (1 << n) - 1  # the largest mask or value
-    a, target = as_numbers("angle", angle), as_counts("target", target, 1, n)
+    a, target = as_numbers("angle", angle, ndim=1), as_counts("target", target, 1, n)
     angle = a.copy() if a is angle else a  # frozen below, never the caller's array
     mask, value = as_counts("mask", mask, 0, top), as_counts("value", value, 0, top)
     angle.setflags(write=False)
@@ -418,24 +418,12 @@ def apply(c: Circuit, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def _entry_dtype(a: np.ndarray):
-    """The dtype np.asarray gives a's entries: an object array's by promoting
-    their types, None when they have none."""
-    if a.dtype != object:
-        return a.dtype
-    try:
-        return np.result_type(*set(map(type, a.ravel())))
-    except (TypeError, ValueError):  # str, None or a list entry, or no entry
-        return None
-
-
 def apply_vector(c: Circuit, psi) -> np.ndarray:
     """The circuit on a copy of the state vector psi, shape (2^n,), run by
     run: bit for bit the gate-by-gate product. The copy is float64 when psi
-    is and c has no given block, and complex otherwise."""
-    if not isinstance(psi, np.ndarray):  # one read of a list, the one as_numbers makes
-        psi = np.array(psi, dtype=object)
-    real = not len(c.blocks) and _entry_dtype(psi) == np.float64
+    is a float64 ndarray and c has no given block, and complex128 otherwise,
+    a list included; either way psi is read once, by linalg.as_numbers."""
+    real = not len(c.blocks) and isinstance(psi, np.ndarray) and psi.dtype == np.float64
     x = as_numbers("psi", psi, np.float64 if real else np.complex128)
     psi = x.copy() if x is psi else x
     if psi.shape != (2**c.n,):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -54,16 +53,26 @@ class DensityError(ValueError):
 
 @dataclass(frozen=True)
 class DensitySegment:
-    """One polynomial piece: coeffs[m] multiplies x^m on [lo, hi)."""
+    """One polynomial piece: coeffs[m] multiplies x^m on [lo, hi). lo, hi and
+    the coefficients are read once, when built, by linalg.as_numbers and kept
+    as Python floats; a failure is a DensityError naming the segment given."""
 
     lo: float
     hi: float
     coeffs: tuple[float, ...]
 
+    def __post_init__(self):
+        try:
+            lo, hi, *coeffs = as_numbers(
+                "lo, hi and coeffs", np.fromiter((self.lo, self.hi, *self.coeffs), object)).tolist()
+        except ValueError as exc:
+            raise DensityError(f"{exc} in segment {self}") from None
+        self.__dict__.update(lo=lo, hi=hi, coeffs=tuple(coeffs))
+
     def mass(self, a, b):
         """Integral over [a, b], a and b of one shape, by the rule of masses;
-        a, b and the coefficients are real numbers by linalg.as_numbers."""
-        anti = _antiderivatives(as_numbers("coeffs", [self.coeffs]))[0]
+        a and b are real numbers by linalg.as_numbers."""
+        anti = _antiderivatives(np.array([self.coeffs]))[0]
         fa, fb = polyval(np.array([as_numbers("a", a), as_numbers("b", b)]), anti, tensor=False)
         return fb - fa
 
@@ -108,29 +117,17 @@ def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
 class PiecewisePolyDensity:
     """A normalized piecewise-polynomial density on [0, 1].
 
-    Validated at construction: every number must be real (linalg.as_numbers) and
-    finite, segments must partition [0, 1] in order, be nonnegative everywhere
-    (each segment's minimum, within rounding), and integrate to 1 within 1e-10;
-    a rejection names the first offending segment. The segments are held as lo,
-    hi and one zero-padded coefficient matrix's antiderivative rows, built once.
+    Validated at construction: every number (a float, read by DensitySegment)
+    must be finite, segments must partition [0, 1] in order, be nonnegative
+    everywhere (each segment's minimum, within rounding), and integrate to 1
+    within 1e-10; a rejection names the first offending segment. Held as lo, hi
+    and one zero-padded coefficient matrix's antiderivative rows, built once.
     """
 
     segments: tuple[DensitySegment, ...]
 
     def __post_init__(self):
-        rows = [(s.lo, s.hi, *s.coeffs) for s in self.segments]
-        try:  # one as_numbers call reads every number; a failure is named by its segment
-            flat = iter(as_numbers("lo, hi and coeffs", np.fromiter(chain(*rows), object)).tolist())
-        except ValueError:
-            for s, row in zip(self.segments, rows):
-                try:
-                    as_numbers("lo, hi and coeffs", np.fromiter(row, object))
-                except ValueError as exc:
-                    raise DensityError(f"{exc} in segment {s}") from None
-            raise
-        segs = tuple(DensitySegment(next(flat), next(flat), tuple(islice(flat, len(r) - 2)))
-                     for r in rows)
-        object.__setattr__(self, "segments", segs)
+        segs = tuple(self.segments)
         if not segs:
             raise DensityError("density needs at least one segment")
         lo, hi = np.array([[s.lo, s.hi] for s in segs]).T
@@ -161,7 +158,7 @@ class PiecewisePolyDensity:
                 ][np.argmin(ok[:, i])])
             anti = _antiderivatives(c)
             lo.flags.writeable = hi.flags.writeable = anti.flags.writeable = False
-            self.__dict__.update(lo=lo, hi=hi, antiderivatives=anti)
+            self.__dict__.update(segments=segs, lo=lo, hi=hi, antiderivatives=anti)
             # masses([0.0, 1.0])[0] from one polyval pass: F at each segment's
             # clipped 0 and 1, the differences of the segments that touch
             # [0, 1] added in segment order.
@@ -371,16 +368,15 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
     raw = doc["segments"]
     if not isinstance(raw, list):
         raise DensityJsonError('"segments" must be an array')
-    segs = []
     for entry in raw:
         if not isinstance(entry, dict) or not entry.keys() >= {"lo", "hi", "coeffs"}:
             raise DensityJsonError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
-        lo, hi, coeffs = entry["lo"], entry["hi"], entry["coeffs"]
-        # A string of digits as coeffs would iterate as coefficients.
-        numbers = [lo, hi, *coeffs] if isinstance(coeffs, list) else [coeffs]
-        if not all(map(is_json_number, numbers)):
+        coeffs = entry["coeffs"]
+        if not (isinstance(coeffs, list)  # a string of digits would iterate as coefficients
+                and all(map(is_json_number, [entry["lo"], entry["hi"], *coeffs]))):
             raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
-        segs.append(DensitySegment(lo, hi, tuple(coeffs)))
+    # Built once every entry passed: a structure error (exit 2) beats 10**400 (exit 3).
+    segs = [DensitySegment(e["lo"], e["hi"], tuple(e["coeffs"])) for e in raw]
     return PiecewisePolyDensity(segments=tuple(segs))
 
 

@@ -39,8 +39,8 @@ def as_count(name: str, x, least: int | None = None, most: int | None = None) ->
 
 def as_counts(name: str, x, least: int | None = None, most: int | None = None) -> np.ndarray:
     """x as a new read-only int64 column when every entry passes as_count(name,
-    entry, least, most), the bounds clamped to int64's range; otherwise
-    as_count's ValueError for the first that fails."""
+    entry, least, most), the bounds clamped to int64's range, and x is 1-D;
+    otherwise as_count's ValueError for the first that fails, or as_numbers's."""
     lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     least, most = max(lo if least is None else least, lo), min(hi if most is None else most, hi)
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
@@ -49,6 +49,8 @@ def as_counts(name: str, x, least: int | None = None, most: int | None = None) -
             and (a >= least).all() and (a <= most).all()):
         for entry in a.ravel():  # only to name the first failure
             as_count(name, entry, least, most)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got a {a.ndim}-D input")
     column = a.astype(np.int64)
     column.setflags(write=False)
     return column

@@ -665,6 +665,17 @@ def test_messages_and_exit_codes_match_golden(capsys, case):
     assert captured.err == case["stderr"]
 
 
+@pytest.mark.parametrize("command", ["synth", "law", "sample", "verify"])
+@pytest.mark.parametrize("n", ["0", "21"])
+def test_every_command_with_n_checks_it_first(capsys, command, n):
+    """--n runs from 1 to MAX_QUBITS for every command that has it, checked
+    before any other option or file, with golden/messages.json's text."""
+    at_most = next(c["stderr"] for c in MESSAGES if c["argv"][:3] == ["law", "--n", "21"])
+    assert main([command, "--n", n]) == 3
+    assert capsys.readouterr() == ("", {"21": at_most}.get(
+        n, "qsim: validation error: --n must be at least 1, got 0\n"))
+
+
 # --- options per command ----------------------------------------------------------
 
 

@@ -968,6 +968,24 @@ def test_the_kernel_runs_in_float64_only_for_real_circuits_on_real_states(monkey
                 assert realize_gate(g).tobytes() == realize_gate(h).tobytes()
 
 
+def test_apply_vector_runs_in_float64_only_for_a_float64_array():
+    """The float64 path is picked from psi's dtype alone: a float64 ndarray
+    gives float64, and a list of floats or a float32 array is read once as
+    complex128, whose real parts are the float64 run's bit for bit and whose
+    imaginary parts are zero."""
+    from qsim import grover_rudolph as gr
+
+    rng = np.random.default_rng(44)
+    n = 8
+    c = gr.synthesize(gr.AngleTree(n, rng.uniform(0.0, math.pi / 2, 2**n - 1)))
+    psi = rng.normal(size=2**n)
+    assert apply_vector(c, psi).dtype == np.float64
+    for x in (psi.tolist(), psi.astype(np.float32)):
+        got = apply_vector(c, x)
+        assert got.dtype == np.complex128 and not got.imag.any()
+        assert got.real.tobytes() == apply_vector(c, np.asarray(x, np.float64)).tobytes()
+
+
 def test_runs_split_where_a_value_repeats():
     """Two gates on the same pair do not commute, so a repeated value
     starts a new run: back to back, and after another value."""
@@ -1202,10 +1220,11 @@ def test_two_level_line_is_not_a_circuit_line():
 
 
 def test_integer_fields_reject_bools_as_they_reject_floats():
-    """target, mask, value, i and j are int64 columns read by linalg.as_count's
-    rule: a float or a bool is turned away with its ValueError, naming the
-    column and the first bad entry, on single gates and on the column
-    containers alike."""
+    """target, mask, value, i and j are 1-D int64 columns read by
+    linalg.as_count's rule: a float or a bool is turned away with its
+    ValueError, naming the column and the first bad entry, on single gates and
+    on the column containers alike, and a column of other than one axis,
+    angles too, naming the column."""
     eye = np.eye(2)
     for bad in (True, False, 1.0):
         for make, name in (
@@ -1237,6 +1256,23 @@ def test_integer_fields_reject_bools_as_they_reject_floats():
                           ([1, 2], [2, True], f"j {got} True")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Decomposition(4, i, j, blocks)
+    # Every column is 1-D: a nested or a scalar column is a ValueError by the
+    # axes rule of linalg.as_numbers, before any length or bit is compared.
+    eyes = np.eye(2)[None]
+    for make, name, ndim in (
+        (lambda: Circuit(2, [[1, 2]], [[0, 0]], [[0, 0]], None, [[0.3, 0.4]]), "angle", 2),
+        (lambda: Circuit(1, [[1]], [[0]], [[0]], None, [[0.3]]), "angle", 2),
+        (lambda: Circuit(1, 1, 0, 0, None, 0.3), "angle", 0),
+        (lambda: Circuit(1, [[1]], [0], [0], None, [0.3]), "target", 2),
+        (lambda: Circuit(2, [1], [[0]], [0], None, [0.3]), "mask", 2),
+        (lambda: Circuit(2, [1], [0], 0, None, [0.3]), "value", 0),
+        (lambda: Decomposition(3, [[1]], [[2]], eyes), "i", 2),
+        (lambda: Decomposition(2, 1, 2, eyes), "i", 0),
+        (lambda: Decomposition(3, [1], [[2]], eyes), "j", 2),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == f"{name} must be a 1-D array, got a {ndim}-D input"
     # The same columns as ints are gates.
     assert len(Circuit(3, ints, [0, 0], [0, 0], blocks, none).gates) == 2
     assert Decomposition(4, [1, 2], [2, 3], blocks).i.tolist() == [1, 2]

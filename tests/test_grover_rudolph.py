@@ -149,24 +149,48 @@ def test_density_rejects_non_finite_numbers():
 
 
 def test_density_numbers_follow_the_real_number_rule():
-    """lo, hi and every coefficient are real numbers by linalg.as_reals's
-    rule, read in one pass: a string or a bool, which float() would read, or
-    an int beyond float range is a DensityError naming its segment, and numpy
-    numbers are read as floats."""
-    good = DensitySegment(0.0, 0.5, (1.0,))
-    for bad, problem in ((DensitySegment(0.5, 1.0, "1"), ", got ['float', 'str']"),
-                         (DensitySegment(False, True, (True,)), ", got ['bool']"),
-                         (DensitySegment("0", "1", ("1",)), ", got ['str']"),
-                         (DensitySegment(0.5, 1.0, (1.0, 0.5j)), ", got ['complex', 'float']"),
-                         (DensitySegment(0.5, 1.0, (10**400,)), " within float range"),
-                         (DensitySegment(0, 1, (10**400,)), " within float range")):
-        segments = (good, bad) if bad.lo == 0.5 else (bad,)
+    """lo, hi and every coefficient are real numbers by linalg.as_numbers's
+    rule, read once, when the segment is built: a string or a bool, which
+    float() would read, a complex number, or an int beyond float range is a
+    DensityError naming the segment as given, and numpy numbers are read as
+    Python floats. The last five coefficients are the five kinds of bad entry
+    that test_linalg's number-rule test tries on every other array."""
+    numpy_str, numpy_bool = np.str_.__name__, np.bool_.__name__
+    for args, problem in (((0.5, 1.0, "1"), ", got ['float', 'str']"),
+                          ((False, True, (True,)), ", got ['bool']"),
+                          (("0", "1", ("1",)), ", got ['str']"),
+                          ((0.5, 1.0, (1.0, 0.5j)), ", got ['complex', 'float']"),
+                          ((0.5, 1.0, (10**400,)), " within float range"),
+                          ((0, 1, (10**400,)), " within float range"),
+                          ((0.0, 1.0, ("1.0",)), ", got ['float', 'str']"),
+                          ((0.0, 1.0, (True,)), ", got ['bool', 'float']"),
+                          ((0.0, 1.0, tuple(np.array(["1.0"]))), f", got ['float', '{numpy_str}']"),
+                          ((0.0, 1.0, tuple(np.array([True]))), f", got ['{numpy_bool}', 'float']"),
+                          ((0.0, 1.0, (1.0 + 0j,)), ", got ['complex', 'float']")):
         with pytest.raises(DensityError) as info:
-            PiecewisePolyDensity(segments=segments)
-        assert str(info.value) == f"lo, hi and coeffs must be real numbers{problem} in segment {bad}"
-    d = PiecewisePolyDensity(segments=(DensitySegment(np.int64(0), np.float32(1.0), (1,)),))
-    assert d.segments == (DensitySegment(0.0, 1.0, (1.0,)),)
-    assert all(type(x) is float for x in (d.segments[0].lo, d.segments[0].hi, *d.segments[0].coeffs))
+            DensitySegment(*args)
+        given = "DensitySegment(lo=%r, hi=%r, coeffs=%r)" % args
+        assert str(info.value) == (
+            f"lo, hi and coeffs must be real numbers{problem} in segment {given}")
+
+
+def test_a_segment_keeps_its_numbers_as_python_floats():
+    s = DensitySegment(np.int64(0), np.float32(1.0), (1, np.float16(0.0)))
+    assert s == DensitySegment(0.0, 1.0, (1.0, 0.0))
+    assert all(type(x) is float for x in (s.lo, s.hi, *s.coeffs))
+    assert type(s.coeffs) is tuple
+    d = PiecewisePolyDensity(segments=[s])
+    assert d.segments == (s,)
+
+
+def test_density_json_structure_errors_come_before_range_errors():
+    """A missing key in a later entry is a DensityJsonError (exit 2), though
+    an earlier entry holds 10**400, which alone is a DensityError (exit 3)."""
+    first = '{"lo": 0.0, "hi": 0.5, "coeffs": [%s]}' % (10**400)
+    with pytest.raises(DensityError, match="within float range in segment"):
+        parse_density_json('{"segments": [%s]}' % first)
+    with pytest.raises(DensityJsonError, match='needs "lo", "hi" and "coeffs": {\'lo\': 0.5'):
+        parse_density_json('{"segments": [%s, {"lo": 0.5, "hi": 1.0}]}' % first)
 
 
 def test_density_accepts_subnormal_leading_coefficient():
@@ -1108,9 +1132,11 @@ def test_density_json_error_reporting():
     with pytest.raises(DensityJsonError):
         parse_density_json('{"segments": [{"lo": 0.0, "hi": 1.0}]}')
     # JSON numbers only, and "coeffs" an array: a string of digits would
-    # load as the coefficients 0 and 2, that is the density 2x.
+    # load as the coefficients 0 and 2, that is the density 2x, and a number
+    # is no array either.
     for segment in (
         '{"lo": 0, "hi": 1, "coeffs": "02"}',
+        '{"lo": 0, "hi": 1, "coeffs": 2.0}',
         '{"lo": 0, "hi": true, "coeffs": [2.0]}',
         '{"lo": "0.5", "hi": 1, "coeffs": [2.0]}',
         '{"lo": 0, "hi": 1, "coeffs": [0, false]}',

@@ -113,8 +113,8 @@ _ROT = Circuit(1, [1], [0], [0], None, [0.3])
 _EYE = np.eye(2)
 
 
-def _mass(a=0.0, b=1.0, coeffs=(1.0,)):
-    return DensitySegment(0.0, 1.0, tuple(coeffs)).mass(a, b)
+def _mass(a=0.0, b=1.0):
+    return DensitySegment(0.0, 1.0, (1.0,)).mass(a, b)
 
 
 # (entry point, its call on a good argument x, the argument's name, real, x)
@@ -141,7 +141,7 @@ _ENTRY_POINTS = [
     ("masses", _DENSITY.masses, "edges", True, [0.0, 0.5, 1.0]),
     ("DensitySegment.mass a", lambda x: _mass(a=x), "a", True, 0.0),
     ("DensitySegment.mass b", lambda x: _mass(b=x), "b", True, 1.0),
-    ("DensitySegment.mass coeffs", lambda x: _mass(coeffs=x), "coeffs", True, [1.0]),
+    # A segment's own numbers: test_grover_rudolph's density number-rule test.
     ("Circuit", lambda x: Circuit(1, [1], [0], [0], x, [math.nan]), "gate block", False, [_EYE]),
     ("Decomposition", lambda x: Decomposition(2, [1], [2], x), "gate block", False, [_EYE]),
     ("Circuit, one block",
@@ -305,9 +305,10 @@ def test_a_time_that_is_not_finite_is_rejected_before_the_eigensolve(monkeypatch
 
 
 def test_as_counts_reads_each_entry_by_as_count():
-    """A new int64 column when every entry is an integer within the bounds,
-    from a list, a tuple or an array; otherwise as_count's ValueError for the
-    first entry that fails, whichever rule it breaks."""
+    """A new int64 column when every entry is an integer within the bounds and
+    there is one axis, from a list, a tuple or an array; otherwise as_count's
+    ValueError for the first entry that fails, whichever rule it breaks, or
+    as_numbers's for the axes."""
     ints = np.array([3, 1, 2])
     for x in ([3, np.int64(1), np.uint8(2)], (3, 1, 2), ints, ints.astype(np.uint8)):
         got = as_counts("k", x, 1, 3)
@@ -329,6 +330,11 @@ def test_as_counts_reads_each_entry_by_as_count():
         ([1, 2**65], 1, 2**70, rf"k must be at most {2**63 - 1}, got {2**65}"),
         (np.array([1, 2**63], np.uint64), 1, 2**64, rf"k must be at most {2**63 - 1}, got {2**63}"),
         ([-(2**64)], None, None, rf"k must be at least {-(2**63)}, got {-(2**64)}"),
+        # A column has one axis; an entry is still read first.
+        (1, None, None, r"k must be a 1-D array, got a 0-D input"),
+        ([[1, 2]], None, None, r"k must be a 1-D array, got a 2-D input"),
+        (np.ones((0, 2), np.int64), None, None, r"k must be a 1-D array, got a 2-D input"),
+        ([[1, 2.0]], None, None, r"k must be an integer, got 2.0"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             as_counts("k", x, least, most)

@@ -42,12 +42,16 @@ class StateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A quantum state: mat, read by linalg.as_numbers when built; validate_state checks it."""
+    """A quantum state: mat, read by linalg.as_numbers and checked square when
+    built (StateValidationError "hermitian"); validate_state checks the rest."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        self.__dict__["mat"] = as_numbers("mat", self.mat, np.complex128, 2)
+        mat = as_numbers("mat", self.mat, np.complex128, 2)
+        if mat.shape[0] != mat.shape[1]:
+            raise StateValidationError("hermitian", "state matrix is not square")
+        self.__dict__["mat"] = mat
 
     @property
     def dim(self) -> int:
@@ -118,14 +122,15 @@ class Law:
 def pure_state(psi) -> DensityMatrix:
     """The rank-one state |psi><psi| of a unit vector."""
     psi = as_numbers("psi", psi, np.complex128, 1)
-    norm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore"):  # an overflowing norm is not 1
+        norm = float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= STATE_TOL:
         raise ValueError(f"state vector norm {norm} is not 1 within {STATE_TOL}")
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def _check_state(mat: np.ndarray) -> np.ndarray:
-    """validate_state's three checks, in its order, on a complex matrix;
+    """validate_state's three checks, in its order, on a square complex matrix;
     returns the hermitized matrix (A + A*) / 2.
 
     Positivity holds when the Cholesky factorization of the hermitized
@@ -133,32 +138,33 @@ def _check_state(mat: np.ndarray) -> np.ndarray:
     the smallest eigenvalue computed, which decides within rounding of
     -STATE_TOL and is named in the message.
     """
-    if mat.shape[0] != mat.shape[1]:
-        raise StateValidationError("hermitian", "state matrix is not square")
     if not is_hermitian(mat, STATE_TOL):
         raise StateValidationError(
             "hermitian", "state is not Hermitian within tolerance"
         )
     # Hermitize before factorizing so roundoff in the input cannot leak
-    # imaginary parts into the factor or the eigenvalues.
-    sym = mat + mat.conj().T
-    sym /= 2.0
-    # Shift the diagonal in place, not on a copy, and restore it exactly:
-    # eigvalsh and validate_state's rank read the unshifted matrix.
-    diag = sym.diagonal().copy()
-    np.fill_diagonal(sym, diag + STATE_TOL)
-    try:
-        np.linalg.cholesky(sym)
-        certified = True
-    except np.linalg.LinAlgError:
-        certified = False
-    np.fill_diagonal(sym, diag)
-    if not certified:
-        low = float(np.linalg.eigvalsh(sym)[0])
-        if low < -STATE_TOL:
-            raise StateValidationError("eigenvalues", f"negative eigenvalue {low:.3e}")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > STATE_TOL:
+    # imaginary parts into the factor or the eigenvalues. An entry near the
+    # float limit overflows here; a factor that is not finite certifies
+    # nothing, and the negated comparisons reject the NaN eigenvalue and trace.
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym = mat + mat.conj().T
+        sym /= 2.0
+        # Shift the diagonal in place, not on a copy, and restore it exactly:
+        # eigvalsh and validate_state's rank read the unshifted matrix.
+        diag = sym.diagonal().copy()
+        np.fill_diagonal(sym, diag + STATE_TOL)
+        try:
+            certified = bool(np.isfinite(np.linalg.cholesky(sym)).all())
+        except np.linalg.LinAlgError:
+            certified = False
+        np.fill_diagonal(sym, diag)
+        if not certified:
+            low = float(np.linalg.eigvalsh(sym)[0])
+            if not low >= -STATE_TOL:
+                raise StateValidationError("eigenvalues", "eigenvalues beyond float range"
+                                           if np.isnan(low) else f"negative eigenvalue {low:.3e}")
+        tr = complex(np.trace(mat))
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise StateValidationError("trace", f"trace {tr} is not 1")
     return sym
 

@@ -111,13 +111,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _number(x) -> float:
-    """x when gr.is_json_number(x), the rule of every JSON reader."""
-    if not gr.is_json_number(x):
-        raise TypeError(f"{x!r} is not a JSON number")
-    return x
-
-
 def _parse_unitary_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
@@ -130,19 +123,16 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     except ValueError as exc:
         raise InputFormatError(*exc.args) from None
     raw = doc["entries"]
-    # Pairs of JSON numbers pass one type test; other input is walked to name its first bad entry.
     pairs = type(raw) is list and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
     flat = list(itertools.chain.from_iterable(raw)) if pairs else []
-    if pairs and set(map(type, flat)) <= {int, float}:
-        entries = np.array(flat, dtype=np.float64).view(np.complex128)
-    else:
-        try:
-            entries = [complex(_number(re), _number(im)) for re, im in raw]
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad unitary entries: {exc}") from exc
-    if len(entries) != dim * dim:
-        raise InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
-    return np.asarray(entries, dtype=np.complex128).reshape(dim, dim)
+    if not (pairs and gr.are_json_numbers(flat)):  # name the first entry that fails, or raw
+        bad = raw if type(raw) is not list else next(
+            e for e in raw if type(e) is not list or len(e) != 2 or not gr.are_json_numbers(e))
+        raise InputFormatError(
+            f"unitary entries must be [re, im] pairs of JSON numbers, got {bad!r}")
+    if len(raw) != dim * dim:  # before any number's range: 10**400 is an OverflowError
+        raise InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(raw)}")
+    return np.array(flat, dtype=np.float64).view(np.complex128).reshape(dim, dim)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

@@ -373,16 +373,17 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
             raise DensityJsonError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
         coeffs = entry["coeffs"]
         if not (isinstance(coeffs, list)  # a string of digits would iterate as coefficients
-                and all(map(is_json_number, [entry["lo"], entry["hi"], *coeffs]))):
+                and are_json_numbers([entry["lo"], entry["hi"], *coeffs])):
             raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
     # Built once every entry passed: a structure error (exit 2) beats 10**400 (exit 3).
     segs = [DensitySegment(e["lo"], e["hi"], tuple(e["coeffs"])) for e in raw]
     return PiecewisePolyDensity(segments=tuple(segs))
 
 
-def is_json_number(x) -> bool:
-    """x is a JSON number; float() would also take "0.5", "1_0" and true."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def are_json_numbers(values) -> bool:
+    """Every value is an int or a float, the JSON numbers json.loads returns; float()
+    would also take "0.5", "1_0" and true. Both JSON readers' one number rule."""
+    return set(map(type, values)) <= {int, float}
 
 
 class DensityJsonError(ValueError):

@@ -7,6 +7,10 @@ pure and never mutate their inputs.
 Tolerances are named module constants: UNITARY_TOL (1e-10) for
 unitarity and hermiticity, EIG_CLUSTER_REL_TOL (1e-9, relative) for
 eigenvalue clustering. Only the predicates take a tolerance argument.
+A residual is compared as residual <= tol, computed with numpy's
+overflow and invalid-value warnings off, so an infinite or NaN entry, or
+one whose products overflow, gives False or the documented error, never a
+numpy warning; an eigenvalue beyond float range is a ValueError.
 
 Arguments are read by as_count (an integer), as_counts (a column of them)
 and as_numbers (an array of real or complex numbers), each raising a
@@ -86,7 +90,8 @@ def is_hermitian(a, tol: float = UNITARY_TOL) -> bool:
     a = as_numbers("a", a, np.complex128, 2)
     if a.shape[0] != a.shape[1]:
         return False
-    return float(np.linalg.norm(a - a.conj().T)) <= tol
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite residual is not <= tol
+        return float(np.linalg.norm(a - a.conj().T)) <= tol
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
@@ -94,8 +99,8 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     u = as_numbers("u", u, np.complex128, 2)
     if u.shape[0] != u.shape[1]:
         return False
-    n = u.shape[0]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n))) <= tol
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite residual is not <= tol
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -103,15 +108,20 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     w is real and ascending; column i of V is a unit eigenvector for w[i],
     and the columns are orthonormal. Requires the input to be Hermitian
-    within UNITARY_TOL and guarantees the reconstruction residual
-    ||A - V diag(w) V*|| <= UNITARY_TOL * max(||A||, 1).
+    within UNITARY_TOL, with finite eigenvalues (ValueError otherwise), and
+    guarantees the reconstruction residual ||A - V diag(w) V*|| <= UNITARY_TOL
+    * max(||A||, 1), or raises ArithmeticError.
     """
     a = as_numbers("a", a, np.complex128, 2)
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
-    if residual > UNITARY_TOL * max(float(np.linalg.norm(a)), 1.0):
+    if not np.isfinite(w).all():  # finite entries whose eigenvalue overflows
+        raise ValueError("matrix has an eigenvalue beyond float range")
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
+        scale = max(float(np.linalg.norm(a)), 1.0)
+    if not residual <= UNITARY_TOL * scale:
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} exceeds tolerance")
     return w, v
 
@@ -119,7 +129,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """The unitary exp(-i t H) of a Hermitian generator H, for one finite real
     t (as_numbers's rule, checked first), through the eigendecomposition of H,
-    which checks that H is Hermitian; the result is checked to be unitary.
+    which checks that H is Hermitian, with every t * eigenvalue finite; the
+    result is checked to be unitary.
     """
     s = as_numbers("t", t)
     if s.ndim != 0:
@@ -127,7 +138,11 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     if not np.isfinite(s):
         raise ValueError(f"t must be finite, got {t!r}")
     w, v = hermitian_eig(as_numbers("h", h, np.complex128, 2))
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    with np.errstate(over="ignore"):
+        phase = t * w
+    if not np.isfinite(phase).all():
+        raise ValueError(f"t * H has an eigenvalue beyond float range at t = {t!r}")
+    u = (v * np.exp(-1j * phase)) @ v.conj().T
     if not is_unitary(u):
         raise ArithmeticError("exponential drifted off the unitary group")
     return u

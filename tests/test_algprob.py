@@ -94,6 +94,11 @@ def test_validate_state_three_distinguished_failures():
         validate_state(DensityMatrix(np.zeros((2, 3), dtype=complex)))
     assert err.value.condition == "hermitian"
 
+    # The hermitized matrix overflows: no factor certifies it, and no rank is returned.
+    with pytest.raises(StateValidationError, match="^eigenvalues beyond float range$") as err:
+        validate_state(DensityMatrix([[0.5, 1e308], [1e308, 0.5]]))
+    assert err.value.condition == "eigenvalues"
+
 
 def test_validate_state_tolerance_is_respected():
     """A negative eigenvalue above -STATE_TOL passes; one below it raises."""

@@ -14,6 +14,7 @@ import json
 import math
 import pkgutil
 import re
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -331,7 +332,7 @@ def test_decompose_requires_json_number_entries(tmp_path, bad, part):
 
 def entry_by_entry_reader(text):
     """The unitary reader as it was before its one-array path: one complex()
-    per entry. The reference that cli._parse_unitary_json must match."""
+    per entry. The reference that cli._parse_unitary_json is checked against."""
     def number(x):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise TypeError(f"{x!r} is not a JSON number")
@@ -404,23 +405,68 @@ def fuzz_entries(rng, dim):
     return rows
 
 
+BAD_ENTRY = "unitary entries must be [re, im] pairs of JSON numbers, got "
+
+
 def test_unitary_reader_matches_the_entry_by_entry_reader():
     """Accepted input gives the same matrix bit for bit; rejected input the
-    same exception, so the same message and exit code."""
+    same exception type, so the same exit code, but for one rule: a structural
+    error anywhere (exit 2) beats an int beyond float range (exit 3), which the
+    old reader met first when it came first. Every message but the new reader's
+    one bad-entry message is the old reader's."""
     rng = np.random.default_rng(31)
-    seen = set()
+    seen, structure_first = set(), 0
     dims = [3, 3, 3, 3, 3, 3, 2, 4, 1, 0, -1, 2.0, True, "3"]
     for _ in range(3000):
         dim = dims[rng.integers(len(dims))]
         text = json.dumps({"dim": dim, "entries": fuzz_entries(rng, int(dim))})
         want = read_outcome(entry_by_entry_reader, text)
-        assert read_outcome(cli._parse_unitary_json, text) == want, text[:300]
+        got = read_outcome(cli._parse_unitary_json, text)
+        if want[:2] == ("error", OverflowError):  # the same text with 0 for 10**400
+            in_range = read_outcome(entry_by_entry_reader, text.replace(str(10**400), "0"))
+            if in_range[:2] == ("error", cli.InputFormatError):
+                want, structure_first = in_range, structure_first + 1
+        assert got[:2] == want[:2], text[:300]
+        if got[0] == "ok" or not got[2].startswith(BAD_ENTRY):
+            assert got == want, text[:300]
         seen.add(want[0] if want[0] == "ok" else want[1].__name__)
     assert seen == {"ok", "InputFormatError", "OverflowError"}
+    assert structure_first > 0
     for text in ("{not json", "[]", '{"dim": 2}', '{"dim": 2, "entries": [[1, 0], [0, 0], '
                  '[0, 0], [1, 0]]}', '{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, NaN]]}'):
         assert read_outcome(cli._parse_unitary_json, text) == read_outcome(
             entry_by_entry_reader, text), text
+
+
+@pytest.mark.parametrize("entries,bad", [
+    ([["0", 0]], "['0', 0]"),
+    ([[1, 0], [True, 0]], "[True, 0]"),
+    ([[1, 0], [0, None]], "[0, None]"),
+    ([[1, 0], [0]], "[0]"),
+    ([[1, 0], [0, 0, 0]], "[0, 0, 0]"),
+    ([[1, 0], {"re": 0, "im": 0}], "{'re': 0, 'im': 0}"),
+    ({"re": 1}, "{'re': 1}"),
+    ("abcd", "'abcd'"),
+])
+def test_a_bad_unitary_entry_is_named_in_one_message(tmp_path, capsys, entries, bad):
+    """The first entry that is not a pair of JSON numbers, or "entries" itself
+    when it is not a list, in one parse error: no unpack error leaks."""
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    assert main(["decompose", "--unitary", str(path)]) == 2
+    assert capsys.readouterr().err == f"qsim: parse error: {BAD_ENTRY}{bad}\n"
+
+
+def test_unitary_structure_errors_come_before_range_errors(tmp_path):
+    """A string in a later entry is a parse error (exit 2), though an earlier
+    entry holds 10**400, which alone is an OverflowError (exit 3); so is a
+    wrong entry count."""
+    path = tmp_path / "u.json"
+    for entries, code in (([[10**400, 0], [0, 0], [0, 0], [1, 0]], 3),
+                          ([[10**400, 0], [0, 0], [0, 0], ["0", 0]], 2),
+                          ([[10**400, 0], [0, 0], [0, 0]], 2)):
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        assert main(["decompose", "--unitary", str(path)]) == code
 
 
 @pytest.mark.parametrize("entry,code", [
@@ -435,6 +481,19 @@ def test_unitary_entries_keep_their_exit_codes(tmp_path, entry, code):
         assert cli._parse_unitary_json(path.read_text())[0, 0] == float(entry)
         code = 3
     assert main(["decompose", "--unitary", str(path)]) == code
+
+
+@pytest.mark.parametrize("entry", ["1e308", "Infinity", "NaN"])
+def test_a_non_finite_unitary_is_one_validation_error(tmp_path, capsys, entry):
+    """U*U of an entry near the float limit overflows, and inf or NaN makes
+    it NaN: exit 3 with its one message line, and no numpy warning."""
+    path = tmp_path / "u.json"
+    path.write_text('{"dim": 2, "entries": [[%s, 0], [1e308, 0], [0, 0], [1, 0]]}' % entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", "--unitary", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "qsim: validation error: input is not unitary: ||U*U - I|| exceeds 1.41e-09\n")
 
 
 def test_decompose_writes_no_factors_when_the_residual_is_too_large(

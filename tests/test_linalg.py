@@ -7,13 +7,15 @@ checked at every entry point of the library that reads an array.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import rng as qrng
-from qsim.algprob import DensityMatrix, Observable, conjugate, law_probabilities, pure_state
+from qsim.algprob import (DensityMatrix, Observable, StateValidationError, conjugate, law,
+                          law_probabilities, pure_state, validate_state)
 from qsim.gates import (
     Circuit,
     Decomposition,
@@ -33,7 +35,7 @@ from qsim.linalg import (
     is_unitary,
     unitary_from_hamiltonian,
 )
-from qsim.qpu import sample, vector_distribution
+from qsim.qpu import liouville_solve, sample, udqc, vector_distribution
 from qsim.udecomp import decompose_unitary, reconstruction_residual, reduce_vector
 
 
@@ -271,6 +273,63 @@ def test_inaccurate_eigenpairs_raise_arithmetic_errors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0]), (1 + 3e-11) * np.eye(2)))
     with pytest.raises(ArithmeticError, match="^exponential drifted off the unitary group$"):
         unitary_from_hamiltonian(h, 1.0)
+    # Finite eigenvalues with NaN vectors: a NaN residual is no small residual.
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0]), np.full((2, 2), np.nan)))
+    with pytest.raises(ArithmeticError, match="^eigendecomposition residual nan exceeds"):
+        hermitian_eig(h)
+
+
+def test_an_eigenvalue_beyond_float_range_is_bad_input():
+    """Finite entries whose eigenvalue, or whose eigenvalue times t, overflows
+    are a ValueError, not a matrix with an infinite eigenvalue nor the
+    ArithmeticError that marks a numerical fault."""
+    big = np.full((2, 2), 1e308)
+    for call in (lambda: hermitian_eig(big), lambda: Observable(big),
+                 lambda: unitary_from_hamiltonian(big, 1.0),
+                 lambda: liouville_solve(big, udqc(1).rho0, 1.0)):
+        with pytest.raises(ValueError, match="^matrix has an eigenvalue beyond float range"):
+            call()
+    with pytest.raises(ValueError, match="^t [*] H has an eigenvalue beyond float range at t = 10"):
+        unitary_from_hamiltonian(np.diag([1e308, 0.0]), 10.0)
+    w, _ = hermitian_eig(np.diag([1e308, -1e308]))  # large, but in range
+    assert w.tolist() == [-1e308, 1e308]
+
+
+_INF = [[np.inf, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, want", [
+    pytest.param(lambda: is_unitary(_INF), False, id="is_unitary inf"),
+    pytest.param(lambda: is_hermitian(_INF), False, id="is_hermitian inf"),
+    pytest.param(lambda: is_unitary([[1e308, 0.0], [1e308, 0.0]]), False, id="is_unitary 1e308"),
+    pytest.param(lambda: Observable(_INF), ValueError, id="Observable inf"),
+    pytest.param(lambda: liouville_solve(_INF, udqc(1).rho0, 1.0), ValueError,
+                 id="liouville_solve inf"),
+    pytest.param(lambda: validate_state(DensityMatrix(_INF)), StateValidationError,
+                 id="validate_state inf"),
+    pytest.param(lambda: validate_state(DensityMatrix(np.full((2, 2), 1e308))),
+                 StateValidationError, id="validate_state 1e308"),
+    pytest.param(lambda: validate_state(DensityMatrix([[0.5, 1e308], [1e308, 0.5]])),
+                 StateValidationError, id="validate_state off-diagonal 1e308"),
+    pytest.param(lambda: law(Observable(np.eye(2)), DensityMatrix(_INF)), StateValidationError,
+                 id="law inf"),
+    pytest.param(lambda: law(Observable(np.eye(2)), DensityMatrix([[0.5, 1e308], [1e308, 0.5]])),
+                 StateValidationError, id="law off-diagonal 1e308"),
+    pytest.param(lambda: pure_state([1e308, 1e308]), ValueError, id="pure_state 1e308"),
+    pytest.param(lambda: decompose_unitary(_INF), ValueError, id="decompose_unitary inf"),
+    pytest.param(lambda: decompose_unitary([[1e308, 0.0], [1e308, 0.0]]), ValueError,
+                 id="decompose_unitary 1e308"),
+])
+def test_non_finite_or_overflowing_entries_give_the_documented_result(call, want):
+    """An entry that is not finite, or whose products overflow, fails a dense
+    check with its documented result and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, bool):
+            assert call() is want
+        else:
+            with pytest.raises(want):
+                call()
 
 
 def test_hermiticity_threshold_is_unitary_tol():

@@ -24,6 +24,7 @@ from qsim.algprob import (
     pure_state,
     validate_state,
 )
+from qsim.gates import Circuit, apply
 from qsim.linalg import is_hermitian, unitary_from_hamiltonian
 from qsim.qpu import (
     ShotResult,
@@ -388,6 +389,23 @@ def _law_pairs(observable, rho):
 
     lw = law(observable, rho)
     return lw.values(), lw.probabilities()
+
+
+_ROT = Circuit(1, [1], [0], [0], None, [0.3])
+
+
+@pytest.mark.parametrize("mat, use", [
+    ([[0.5, 0, 0], [0, 0.5, 0]], basis_distribution),
+    ([[0.5, 0, 0], [0, 0.5, 0]], lambda rho: apply(_ROT, rho)),
+    ([[0.5, 0, 0], [0, 0.5, 0]], lambda rho: liouville_solve(np.eye(2), rho, 1.0)),
+    (np.ones((2, 1)), lambda rho: apply(_ROT, rho)),
+], ids=["basis_distribution", "apply", "liouville_solve", "apply 2x1"])
+def test_a_state_is_square_where_it_is_built(mat, use):
+    """No law, circuit or evolution meets a state that is not square: the
+    state itself is the "hermitian" failure that validate_state named."""
+    with pytest.raises(StateValidationError, match="^state matrix is not square$") as err:
+        use(DensityMatrix(mat))
+    assert err.value.condition == "hermitian"
 
 
 def test_liouville_solve_rejects_a_time_that_is_not_finite():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EIG_CLUSTER_REL_TOL, as_numbers
-from .linalg import UNITARY_TOL, hermitian_eig, is_hermitian, is_unitary
+from .linalg import UNITARY_TOL, hermitian_eig, is_hermitian, is_unitary, scaled_norm
 
 STATE_TOL = 1e-10
 # Probabilities in [-NEGATIVE_PROB_TOL, 0) are rounding noise and clamp to
@@ -208,8 +208,9 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
     """Measurement distribution of observable a in state rho.
 
     One outcome per run of eigenvalues within EIG_CLUSTER_REL_TOL * max(||A||, 1)
-    of the next, valued at its mean, with probability Re tr(rho P) for the projector
-    P onto its eigenspace, by law_probabilities; rho passes validate_state's checks.
+    of the next (by linalg.scaled_norm), valued at its mean, with probability
+    Re tr(rho P) for the projector P onto its eigenspace, by law_probabilities;
+    rho passes validate_state's checks.
     """
     _check_state(rho.mat)
     if a.dim != rho.dim:
@@ -217,7 +218,8 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
     v, w = a.eigenvectors, a.eigenvalues
     # <v_j| rho |v_j> for every eigenvector column j, from one product.
     expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
-    tol = EIG_CLUSTER_REL_TOL * max(float(np.linalg.norm(a.mat)), 1.0)
+    norm, s = scaled_norm(a.mat)  # s = 1 unless ||A|| overflows, then 2^-e: exact
+    tol = EIG_CLUSTER_REL_TOL * max(norm, s) / s
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)  # after each gap above tol
     values = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
     probs = law_probabilities(np.add.reduceat(expectations, starts))

@@ -307,18 +307,21 @@ def gate_runs(c: Circuit):
     pairs (p0[i], p1[i]).
 
     Stretches of one target and mask end where a neighbouring target or
-    mask differs. p0[i] is value i plus each combination of the free bits,
+    mask differs, and one index of their first gates reads every target and
+    mask. p0[i] is value i plus each combination of the free bits,
     those that are neither the target nor a control: the highest run of
     free bits' arange, then each lower run's arange added to every entry so
-    far, ascending. p1 = p0 + 2^(n - target). An empty circuit has no runs.
+    far, ascending. p1 = p0 + 2^(n - target). One sort of a stretch's values
+    finds a repeat, and only then is it split at each. An empty circuit has no runs.
     """
     n, k = c.n, len(c.target)
     cut = (c.target[1:] != c.target[:-1]) | (c.mask[1:] != c.mask[:-1])
     edges = [0, *(np.flatnonzero(cut) + 1).tolist(), k] if k else []
     blocks = gate_blocks(c.angle, c.blocks)
-    for start, stop in zip(edges, edges[1:]):
-        stride = 1 << (n - c.target[start].item())
-        free = (1 << n) - 1 - c.mask[start].item() - stride
+    for start, stop, target, mask in zip(edges, edges[1:], c.target[edges[:-1]].tolist(),
+                                         c.mask[edges[:-1]].tolist()):
+        stride = 1 << (n - target)
+        free = (1 << n) - 1 - mask - stride
         offsets = None if free else np.zeros(1, dtype=np.int64)
         while free:
             # The highest run of free bits, [lo, hi).

@@ -26,16 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .gates import MAX_WIRES, Circuit, apply_vector, stage_layout
 from .linalg import as_count, as_numbers
-from .qpu import decode, label_bitstrings, label_permutation, vector_distribution
+from .qpu import decode, label_bitstrings, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
 DENSITY_NORM_TOL = 1e-10
 SEGMENT_JOIN_TOL = 1e-12
 ZERO_MASS_TOL = 1e-14
+_EPS = np.finfo(float).eps
 # Largest deviation between any two of verify's three laws that passes.
 VERIFY_TOL = 1e-10
 # Largest n of a dyadic law: its 2^30 + 1 float64 edges alone take 8 GiB.
@@ -73,7 +73,7 @@ class DensitySegment:
         """Integral over [a, b], a and b of one shape, by the rule of masses;
         a and b are real numbers by linalg.as_numbers."""
         anti = _antiderivatives(np.array([self.coeffs]))[0]
-        fa, fb = polyval(np.array([as_numbers("a", a), as_numbers("b", b)]), anti, tensor=False)
+        fa, fb = _polyval(np.array([as_numbers("a", a), as_numbers("b", b)]), anti.tolist())
         return fb - fa
 
 
@@ -82,31 +82,44 @@ def _antiderivatives(c: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((len(c), 1)), c / np.arange(1, c.shape[1] + 1)], axis=1)
 
 
+def _polyval(x: np.ndarray, c) -> np.ndarray:
+    """numpy.polynomial.polyval(x, c, tensor=False) bit for bit, by its rule in
+    place: c[-1] + x*0, then c[-i] + v*x, each c[-i] broadcasting against x."""
+    v = x * 0
+    v += c[-1]
+    for ci in c[-2::-1]:
+        v *= x
+        v += ci
+    return v
+
+
 def _minima(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Smallest value of each row of c on [lo, hi], bit for bit numpy's
     polyder, polytrim, polyroots and polyval on the row alone and Python's
     min over lo, hi and the roots' real parts clipped to [lo, hi]: a NaN at
     lo wins, a later NaN is skipped. Derivative coefficients within rounding
     of the largest are trimmed (a subnormal leading one would overflow the
-    companion matrix); one eigvals call takes each degree's matrices."""
+    companion matrix); one eigvals call takes each degree's matrices, and one
+    _polyval call every row's points."""
     k, w = c.shape
     der = c[:, 1:] * np.arange(1, w)
     size = np.abs(der)
-    tol = np.finfo(float).eps * size.max(axis=1, initial=0.0)
-    kept = np.max(np.where(size > tol[:, None], np.arange(1, w), 0), axis=1, initial=0)
-    x = np.column_stack([lo, hi, np.full((k, max(w - 2, 0)), np.nan)])  # then the roots
+    tol = _EPS * size.max(axis=1, initial=0.0)
+    kept = ((size > tol[:, None]) * np.arange(1, w)).max(axis=1, initial=0)
+    x = np.empty((k, max(w, 2)))  # lo, hi, then the roots
+    x[:, 0], x[:, 1], x[:, 2:] = lo, hi, np.nan
     for m in sorted(set(kept.tolist()) - {0, 1}):  # m derivative coefficients, m - 1 roots
-        rows = np.flatnonzero(kept == m)
+        rows = (kept == m).nonzero()[0]
         d = der[rows, :m]
         if m == 2:
             roots = -d[:, :1] / d[:, 1:]
-        else:
+        else:  # each companion matrix: ones below the diagonal, -d / d[-1] in the last column
             companion = np.zeros((len(rows), m - 1, m - 1))
-            companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+            companion.reshape(len(rows), -1)[:, m - 1 :: m] = 1.0
             companion[:, :, -1] -= d[:, :-1] / d[:, -1:]
             roots = np.sort(np.linalg.eigvals(companion), axis=1).real
-        x[rows, 2 : m + 1] = np.clip(roots, lo[rows, None], hi[rows, None])
-    values = polyval(x, c.T[:, :, None], tensor=False)
+        x[rows, 2 : m + 1] = roots.clip(lo[rows, None], hi[rows, None])
+    values = _polyval(x, c.T[:, :, None])
     low = values[:, 0]
     for v in values.T[1:]:
         low = np.where(v < low, v, low)
@@ -121,7 +134,8 @@ class PiecewisePolyDensity:
     must be finite, segments must partition [0, 1] in order, be nonnegative
     everywhere (each segment's minimum, within rounding), and integrate to 1
     within 1e-10; a rejection names the first offending segment. Held as lo, hi
-    and one zero-padded coefficient matrix's antiderivative rows, built once.
+    and one zero-padded coefficient matrix's antiderivative rows, built once
+    from one flat list of every segment's lo, hi and padded coefficients.
     """
 
     segments: tuple[DensitySegment, ...]
@@ -130,11 +144,11 @@ class PiecewisePolyDensity:
         segs = tuple(self.segments)
         if not segs:
             raise DensityError("density needs at least one segment")
-        lo, hi = np.array([[s.lo, s.hi] for s in segs]).T
-        width = np.array([len(s.coeffs) for s in segs])
-        c = np.zeros((len(segs), max(1, width.max())))
-        c[np.arange(c.shape[1]) < width[:, None]] = [x for s in segs for x in s.coeffs]
-        finite = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(c).all(axis=1)
+        w = max(1, *(width := [len(s.coeffs) for s in segs]))
+        pad = [x for s in segs for x in (s.lo, s.hi, *s.coeffs, *[0.0] * (w - len(s.coeffs)))]
+        rows = np.array(pad).reshape(len(segs), w + 2)  # lo, hi, then the coefficients
+        lo, hi, c = rows[:, 0], rows[:, 1], rows[:, 2:]
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise DensityError(f"non-finite number in segment {segs[np.argmin(finite)]}")
         if abs(segs[0].lo) > SEGMENT_JOIN_TOL or abs(segs[-1].hi - 1.0) > SEGMENT_JOIN_TOL:
@@ -147,7 +161,7 @@ class PiecewisePolyDensity:
         # which the negated comparisons reject; the rejection is the only output.
         with np.errstate(over="ignore", invalid="ignore"):
             low = _minima(lo, hi, c)
-            ok = np.stack([lo < hi, width > 0, low >= -DENSITY_NEGATIVE_TOL])
+            ok = np.array([lo < hi, [x > 0 for x in width], low >= -DENSITY_NEGATIVE_TOL])
             if not ok.all():  # the first bad segment, by its first failed check
                 i = np.argmin(ok.all(axis=0))
                 s = segs[i]
@@ -159,10 +173,10 @@ class PiecewisePolyDensity:
             anti = _antiderivatives(c)
             lo.flags.writeable = hi.flags.writeable = anti.flags.writeable = False
             self.__dict__.update(segments=segs, lo=lo, hi=hi, antiderivatives=anti)
-            # masses([0.0, 1.0])[0] from one polyval pass: F at each segment's
+            # masses([0.0, 1.0])[0] from one _polyval pass: F at each segment's
             # clipped 0 and 1, the differences of the segments that touch
             # [0, 1] added in segment order.
-            f = polyval(np.clip([[0.0], [1.0]], lo, hi), anti.T, tensor=False)
+            f = _polyval(np.array([[0.0], [1.0]]).clip(lo, hi), anti.T)
             total = 0.0
             for mass in (f[1] - f[0])[(lo < 1.0) & (hi > 0.0)].tolist():
                 total += mass
@@ -172,22 +186,22 @@ class PiecewisePolyDensity:
     def masses(self, edges) -> np.ndarray:
         """Integral over each [edges[i], edges[i+1]], edges within [0, 1], as
         F(b) - F(a) in floats. Each segment in turn adds its differences over
-        the edges clipped to [lo, hi], on the intervals it touches; it would
-        add exactly 0 to any other. Edges that are not a nonempty,
+        the edges clipped to [lo, hi], on the intervals it touches, by
+        _polyval; it would add exactly 0 to any other. Edges that are not a nonempty,
         nondecreasing 1-D array within [0, 1] raise ValueError."""
         edges = as_numbers("edges", edges)
         if edges.ndim != 1 or len(edges) == 0:
             raise ValueError(f"edges must be a nonempty 1-D array, got shape {edges.shape}")
-        if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and np.all(edges[:-1] <= edges[1:])):
+        if not (edges[0] >= 0.0 and edges[-1] <= 1.0 and (edges[:-1] <= edges[1:]).all()):
             raise ValueError(f"bad integration range [{edges[0]}, {edges[-1]}]")
         out = np.zeros(len(edges) - 1)
         # Segment i touches the intervals first[i] to last[i] - 1.
         first = np.maximum(np.searchsorted(edges, self.lo, "right") - 1, 0).tolist()
         last = np.minimum(np.searchsorted(edges, self.hi, "left"), len(out)).tolist()
         for a, b, lo, hi, anti in zip(first, last, self.lo.tolist(), self.hi.tolist(),
-                                      self.antiderivatives):
+                                      self.antiderivatives.tolist()):
             if a < b:  # a segment that touches no interval would add nothing
-                f = polyval(np.clip(edges[a : b + 1], lo, hi), anti, tensor=False)
+                f = _polyval(edges[a : b + 1].clip(lo, hi), anti)
                 out[a:b] += f[1:] - f[:-1]
         return out
 
@@ -270,14 +284,19 @@ def synthesize(tree: AngleTree, prune: bool = False) -> Circuit:
     each contributing 2^(l-1) rotations on wire n - l + 1 controlled by the
     trailing l - 1 wires (one per control suffix, in suffix-integer order),
     for 2^n - 1 gates total, each carrying its angle. With prune set, exact
-    identity rotations R(0) are dropped.
+    identity rotations R(0) are dropped. Stage l's values, the integers of
+    qpu.label_permutation(l - 1), are stage l - 1's doubled, then plus one.
     """
     n = tree.n
     target, mask = stage_layout(n, np.repeat(np.arange(1, n + 1), 1 << np.arange(n)))
-    # The suffix with label s sits at array position values[s] of the
-    # trailing wires, the low stage - 1 position bits.
-    values = [np.zeros(1, dtype=np.int64), *map(label_permutation, range(1, n))]
-    columns = [target, mask, np.concatenate(values), tree.angles]
+    # The suffix with label s sits at array position value[s] of the trailing
+    # wires, the low stage - 1 position bits: s with those bits reversed.
+    value = np.zeros(2**n - 1, dtype=np.int64)
+    for m in range(1, n):  # m-bit reversals: the (m - 1)-bit ones shifted, under bit s >> m - 1
+        prev, level = value[2 ** (m - 1) - 1 : 2**m - 1], value[2**m - 1 : 2 ** (m + 1) - 1]
+        np.left_shift(prev, 1, out=level[: 2 ** (m - 1)])
+        np.add(level[: 2 ** (m - 1)], 1, out=level[2 ** (m - 1) :])
+    columns = [target, mask, value, tree.angles]
     if prune:  # rotation(a) is the identity at a = 0 alone, for a in [0, pi/2]
         columns = [column[tree.angles != 0.0] for column in columns]
     return Circuit(n, *columns[:3], None, columns[3])
@@ -298,13 +317,18 @@ def formula_law(tree: AngleTree) -> np.ndarray:
     """Outcome probabilities predicted by the closed-form angle products.
 
     Entry k multiplies, over wires j = 1..n, the squared cosine or sine
-    (by bit j of k) of the angle at the node fixed by k's bits above j.
+    (by bit j of k) of the angle at the node fixed by k's bits above j. Every
+    node's squares are taken once, and each level multiplies the law in place
+    by its rows: the factors and order of per-level stacked squares, bit for bit.
     """
+    trig = np.empty((len(tree.angles), 2))  # (node, bit)
+    np.cos(tree.angles, out=trig[:, 0])
+    np.sin(tree.angles, out=trig[:, 1])
+    trig *= trig  # x * x, the square that x ** 2 takes
     out = np.ones(2**tree.n)
     for m in reversed(range(tree.n)):  # wire j = n - m, split by nodes with m bits fixed
-        a = tree.angles[2**m - 1 : 2 ** (m + 1) - 1]
-        trig = np.stack([np.cos(a), np.sin(a)]) ** 2
-        out.reshape(2**m, 2, -1)[...] *= trig.T[:, :, None]  # axes: k >> j, bit j, bits below
+        law = out.reshape(2**m, 2, -1)  # axes: k >> j, bit j, bits below
+        law *= trig[2**m - 1 : 2 ** (m + 1) - 1, :, None]
     return out
 
 

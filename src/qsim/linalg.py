@@ -19,6 +19,8 @@ ValueError naming the argument.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 UNITARY_TOL = 1e-10
@@ -85,6 +87,17 @@ def as_numbers(name: str, x, dtype=np.float64, ndim: int | None = None) -> np.nd
     return a
 
 
+def scaled_norm(a: np.ndarray) -> tuple[float, float]:
+    """(||s A||, s): the Frobenius norm of A, s = 1, unless it overflows; then of
+    A times s = 2^-e, e from np.frexp of the largest |entry| of a finite A."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isfinite(norm) or not np.isfinite(a).all():
+        return norm, 1.0
+    s = 2.0 ** -int(np.frexp(np.abs(a).max())[1])
+    return float(np.linalg.norm(a * s)), s
+
+
 def is_hermitian(a, tol: float = UNITARY_TOL) -> bool:
     """True when the Frobenius residual of A - A* is at most tol."""
     a = as_numbers("a", a, np.complex128, 2)
@@ -110,7 +123,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     and the columns are orthonormal. Requires the input to be Hermitian
     within UNITARY_TOL, with finite eigenvalues (ValueError otherwise), and
     guarantees the reconstruction residual ||A - V diag(w) V*|| <= UNITARY_TOL
-    * max(||A||, 1), or raises ArithmeticError.
+    * max(||A||, 1), or raises ArithmeticError; where ||A|| overflows, both
+    sides are measured on A and w scaled by scaled_norm's power of two.
     """
     a = as_numbers("a", a, np.complex128, 2)
     if not is_hermitian(a):
@@ -118,10 +132,11 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(a)
     if not np.isfinite(w).all():  # finite entries whose eigenvalue overflows
         raise ValueError("matrix has an eigenvalue beyond float range")
+    norm, s = scaled_norm(a)  # the residual and bound of s A and s w, the bound's 1 as s
+    sa, sw = (a, w) if s == 1.0 else (a * s, w * s)
     with np.errstate(invalid="ignore", over="ignore"):
-        residual = float(np.linalg.norm((v * w) @ v.conj().T - a))
-        scale = max(float(np.linalg.norm(a)), 1.0)
-    if not residual <= UNITARY_TOL * scale:
+        residual = float(np.linalg.norm((v * sw) @ v.conj().T - sa))
+    if not residual <= UNITARY_TOL * max(norm, s):
         raise ArithmeticError(f"eigendecomposition residual {residual:.3e} exceeds tolerance")
     return w, v
 

@@ -305,6 +305,16 @@ def test_law_matches_the_per_cluster_reference():
                 assert abs(p - min(max(want, 0.0), 1.0)) <= 1e-12
 
 
+def test_law_of_an_observable_whose_norm_overflows():
+    """||diag(1e200, 2e200)|| overflows; the clustering tolerance is taken on
+    the matrix scaled by a power of two, so the two eigenvalues stay two
+    outcomes, where an infinite tolerance would merge them into none."""
+    from qsim.qpu import udqc
+
+    got = law(Observable(np.diag([1e200, 2e200])), udqc(1).rho0).outcomes
+    assert got == ((1e200, 1.0), (2e200, 0.0))
+
+
 def test_law_probabilities_is_the_one_readout_check():
     """Noise within the floor clamps; anything else that is not a law raises."""
     tiny = 0.5 * NEGATIVE_PROB_TOL

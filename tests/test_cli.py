@@ -667,6 +667,17 @@ def test_tables_match_golden_files(tmp_path, capsys, command, extra, density, fm
     assert capsys.readouterr().out == (stdout.read_text() if stdout.exists() else "")
 
 
+def test_verify_of_a_generated_density_matches_golden_files(tmp_path, capsys):
+    """An 8-segment density of the benchmark's generator: one zero segment,
+    the other seven of degree 0 to 4, dyadic and non-dyadic breakpoints.
+    Its qsim verify --n 7 table and report, byte for byte."""
+    out = tmp_path / "v.csv"
+    argv = ["verify", "--n", "7", "--density", str(GOLDEN / "density_generated.json")]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_generated.csv").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / "verify_generated.stdout").read_text()
+
+
 @pytest.mark.parametrize(
     "name,density,extra",
     [

@@ -410,6 +410,68 @@ def test_a_segment_past_1_adds_nothing_to_the_total():
     assert d.segments[1] == sliver
 
 
+# --- the loading chain against its numpy references, byte for byte ---------------
+
+
+def reference_masses(d, edges):
+    """masses by numpy.polynomial: each segment's P.polyint evaluated by
+    P.polyval at the edges of the intervals it touches, clipped by np.clip."""
+    out = np.zeros(len(edges) - 1)
+    first = np.maximum(np.searchsorted(edges, d.lo, "right") - 1, 0)
+    last = np.minimum(np.searchsorted(edges, d.hi, "left"), len(out))
+    for a, b, s in zip(first, last, d.segments):
+        if a < b:
+            f = P.polyval(np.clip(edges[a : b + 1], s.lo, s.hi), P.polyint(s.coeffs))
+            out[a:b] += f[1:] - f[:-1]
+    return out
+
+
+def reference_total(segments) -> float:
+    """The construction's total: F at each segment's clipped 0 and 1 by
+    P.polyval, the differences of the segments that touch [0, 1] added in
+    segment order."""
+    total = 0.0
+    for s in segments:
+        if s.lo < 1.0 and s.hi > 0.0:
+            f0, f1 = P.polyval(np.clip([0.0, 1.0], s.lo, s.hi), P.polyint(s.coeffs))
+            total += float(f1 - f0)
+    return total
+
+
+def reference_formula_law(tree):
+    """The angle products one level at a time, cos^2 and sin^2 stacked."""
+    out = np.ones(2**tree.n)
+    for m in reversed(range(tree.n)):
+        a = tree.angles[2**m - 1 : 2 ** (m + 1) - 1]
+        trig = np.stack([np.cos(a), np.sin(a)]) ** 2
+        out.reshape(2**m, 2, -1)[...] *= trig.T[:, :, None]
+    return out
+
+
+def reference_values(n):
+    """The synthesized value column: stage l's suffix positions, one
+    qpu.label_permutation(l - 1) per stage."""
+    return np.concatenate([np.zeros(1, dtype=np.int64), *map(qpu.label_permutation, range(1, n))])
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrix_cases(), st.integers(1, 12))
+def test_loading_chain_equals_its_numpy_references(case, n):
+    """target_law, the construction's total, formula_law and the synthesized
+    value column equal their numpy references byte for byte, as do the
+    minima, against polynomial_minimum, in the test above."""
+    d, _ = case
+    dyadic = np.arange(2**n + 1) / 2.0**n
+    assert target_law(d, n).tobytes() == reference_masses(d, dyadic).tobytes()
+    tree = angle_tree(d, n)
+    assert formula_law(tree).tobytes() == reference_formula_law(tree).tobytes()
+    assert synthesize(tree).value.tobytes() == reference_values(n).tobytes()
+    doubled = tuple(DensitySegment(s.lo, s.hi, tuple(2 * x for x in s.coeffs)) for s in d.segments)
+    with pytest.raises(DensityError) as info:
+        PiecewisePolyDensity(doubled)
+    assert str(info.value) == f"density integrates to {reference_total(doubled)!r}, not 1"
+
+
 # --- angles ------------------------------------------------------------------------
 
 

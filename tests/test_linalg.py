@@ -33,6 +33,7 @@ from qsim.linalg import (
     hermitian_eig,
     is_hermitian,
     is_unitary,
+    scaled_norm,
     unitary_from_hamiltonian,
 )
 from qsim.qpu import liouville_solve, sample, udqc, vector_distribution
@@ -277,6 +278,31 @@ def test_inaccurate_eigenpairs_raise_arithmetic_errors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0]), np.full((2, 2), np.nan)))
     with pytest.raises(ArithmeticError, match="^eigendecomposition residual nan exceeds"):
         hermitian_eig(h)
+
+
+def test_an_overflowing_norm_keeps_the_residual_check(monkeypatch):
+    """Where ||A|| overflows (entries of about 1e154 and up), the residual and
+    its bound are measured on A and w scaled by a power of two: correct pairs
+    pass with w unscaled, and pairs that do not rebuild A still fail, where a
+    bound of UNITARY_TOL * inf would pass any pair."""
+    big = np.diag([1e200, 2e200])
+    assert hermitian_eig(big)[0].tolist() == [1e200, 2e200]
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1e200, 5e200]), np.eye(2)))
+    with pytest.raises(ArithmeticError, match="^eigendecomposition residual"):
+        hermitian_eig(big)
+
+
+def test_scaled_norm_scales_only_an_overflowing_norm():
+    """A finite norm comes back as np.linalg.norm's, with s = 1; an
+    overflowing one as the norm of A times 2^-e, its largest |entry| in [0.5, 1)."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    assert scaled_norm(a) == (float(np.linalg.norm(a)), 1.0)
+    assert scaled_norm(a * 1e150) == (float(np.linalg.norm(a * 1e150)), 1.0)
+    norm, s = scaled_norm(np.diag([1e200, 2e200]))
+    assert s == 2.0**-666 and 0.5 <= 2e200 * s < 1.0
+    assert norm == float(np.linalg.norm(np.diag([1e200, 2e200]) * s))
+    assert scaled_norm(np.array([[np.inf, 1.0]]))[1] == 1.0
 
 
 def test_an_eigenvalue_beyond_float_range_is_bad_input():

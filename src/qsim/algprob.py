@@ -8,13 +8,16 @@ An observable (random variable) is a Hermitian matrix, kept read-only with
 its eigenpairs so that one can be shared; measuring it in a state produces
 its eigenvalues with probabilities Re tr(rho P), where P projects onto the
 eigenspace. law sums <v|rho|v> over each eigenspace's eigenvectors v, so no
-projector is formed. Matrices, vectors and probabilities are read by
-linalg.as_numbers: a str or a bool is no number.
+projector is formed; for a ProductObservable, a Kronecker product of 2x2
+observables, it reads them from the diagonal of rho turned wire by wire.
+Matrices, vectors and probabilities are read by linalg.as_numbers: a str or
+a bool is no number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -66,7 +69,7 @@ class Observable:
     The eigendecomposition is computed once at construction, from a copy of
     the caller's matrix, so instances are values, safe to share across
     threads; hermitian_eig rejects a matrix that is not Hermitian within
-    UNITARY_TOL with ValueError.
+    UNITARY_TOL with ValueError. ProductObservable is the lazy product form.
     """
 
     mat: np.ndarray
@@ -76,30 +79,87 @@ class Observable:
     def __init__(self, mat):
         m = as_numbers("mat", mat, np.complex128, 2)
         m = m.copy() if m is mat else m  # frozen below, never the caller's array
-        self._freeze(m, *hermitian_eig(m))
-
-    @classmethod
-    def from_eig(cls, mat, w, v) -> Observable:
-        """Observable(mat) from eigenpairs (w ascending) stored as given,
-        frozen in place, with no copy, no eigensolve and no check on mat.
-
-        qpu_observable passes fresh Kronecker products of factors A_j whose
-        pairs passed hermitian_eig's checks. Telescoping the product one
-        factor at a time bounds ||A - V diag(w) V*|| by
-        n * UNITARY_TOL * prod(max(||A_j||, 1)), times (1 + UNITARY_TOL)^(n-1).
-        """
-        obs = cls.__new__(cls)
-        obs._freeze(as_numbers("mat", mat, np.complex128, 2), w, v)
-        return obs
-
-    def _freeze(self, mat, w, v) -> None:
-        for a in (mat, w, v):
+        w, v = hermitian_eig(m)
+        for a in (m, w, v):
             a.setflags(write=False)
-        self.__dict__.update(mat=mat, eigenvalues=w, eigenvectors=v)
+        self.__dict__.update(mat=m, eigenvalues=w, eigenvectors=v)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self.eigenvalues)
+
+
+_IDENTITY = np.eye(2, dtype=np.complex128).tobytes()  # a wire that needs no turn
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class ProductObservable(Observable):
+    """A_1 (x) ... (x) A_n of 2x2 Observables (a matrix factor is made one),
+    A_1 the leftmost: it keeps the factors, the ascending eigenvalues (the
+    products of the factors', in array-position order, sorted stably) and
+    that order, read-only. mat and eigenvectors (the columns in eigenvalue
+    order) are built read-only on each read and not kept; no check runs on a
+    2^n x 2^n matrix. Telescoping the product one factor at a time bounds
+    ||A - V diag(w) V*|| by n * UNITARY_TOL * prod(max(||A_j||, 1)), times
+    (1 + UNITARY_TOL)^(n-1).
+    """
+
+    factors: tuple[Observable, ...]
+    order: np.ndarray
+
+    def __init__(self, factors):
+        fs = tuple(f if isinstance(f, Observable) else Observable(f) for f in factors)
+        for f in fs:
+            if f.dim != 2:
+                raise ValueError(f"factor dimension {f.dim} is not 2")
+        if not fs:
+            raise ValueError("at least one factor is required")
+        w = reduce(np.multiply.outer, [f.eigenvalues for f in fs]).ravel()
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        for a in (w, order):
+            a.setflags(write=False)
+        self.__dict__.update(factors=fs, eigenvalues=w, order=order)
+
+    def __repr__(self) -> str:
+        return f"ProductObservable(factors={self.factors!r})"
+
+    def _kron(self, name: str, columns=slice(None)) -> np.ndarray:
+        """The Kronecker product of the factors' name arrays, read-only. An outer
+        product chain has axes (i1, j1, ..., in, jn) and multiplies in factor
+        order, as np.kron does; with the i axes first it is their product."""
+        n = len(self.factors)
+        rows_first = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+        a = (reduce(np.multiply.outer, [getattr(f, name) for f in self.factors])
+             .transpose(rows_first).reshape(2**n, 2**n)[:, columns])
+        a.setflags(write=False)
+        return a
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self._kron("mat")
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._kron("eigenvectors", self.order)
+
+    def _expectations(self, rho: np.ndarray) -> np.ndarray:
+        """<v_j| rho |v_j> for each eigenvector column v_j, in eigenvalue
+        order: the diagonal of V* rho V. Wire by wire, its row and column
+        indices k, l contract into one index a through conj(V_j[k, a]) V_j[l, a],
+        halving the array, O(4^n) in all; an identity V_j takes the diagonal
+        as a view, and when every V_j is one, rho's diagonal is read as it is."""
+        n, t = len(self.factors), rho.diagonal()
+        vs = [f.eigenvectors for f in self.factors]
+        if any(v.tobytes() != _IDENTITY for v in vs):
+            t = rho
+            for j, v in enumerate(vs):
+                m = 2 ** (n - j - 1)
+                t = t.reshape(t.shape[:j] + (2, m, 2, m))  # wire j's k and l split off
+                t = (np.einsum("...kxky->...kxy", t) if v.tobytes() == _IDENTITY else
+                     np.einsum("kla,...kxly->...axy", v.conj()[:, None] * v, t))
+            t = t.reshape(2**n)
+        return t.real[self.order] + 0.0  # -0.0 to 0.0, as a sum from 0.0 gives
 
 
 @dataclass(frozen=True)
@@ -210,15 +270,23 @@ def law(a: Observable, rho: DensityMatrix) -> Law:
     One outcome per run of eigenvalues within EIG_CLUSTER_REL_TOL * max(||A||, 1)
     of the next (by linalg.scaled_norm), valued at its mean, with probability
     Re tr(rho P) for the projector P onto its eigenspace, by law_probabilities;
-    rho passes validate_state's checks.
+    rho passes validate_state's checks. A dense Observable's expectations
+    come from one product rho V, O(8^n) at dimension 2^n; a ProductObservable's
+    from rho's diagonal, turned wire by wire (O(4^n), none for a diagonal one),
+    with ||A|| = ||eigenvalues||, so the Cholesky check of rho is most of it.
     """
     _check_state(rho.mat)
     if a.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {rho.dim}")
-    v, w = a.eigenvectors, a.eigenvalues
-    # <v_j| rho |v_j> for every eigenvector column j, from one product.
-    expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
-    norm, s = scaled_norm(a.mat)  # s = 1 unless ||A|| overflows, then 2^-e: exact
+    w = a.eigenvalues
+    if isinstance(a, ProductObservable):
+        expectations = a._expectations(rho.mat)
+        norm, s = scaled_norm(w)  # ||A||_F = ||w||_2
+    else:
+        v = a.eigenvectors
+        # <v_j| rho |v_j> for every eigenvector column j, from one product.
+        expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
+        norm, s = scaled_norm(a.mat)  # s = 1 unless ||A|| overflows, then 2^-e: exact
     tol = EIG_CLUSTER_REL_TOL * max(norm, s) / s
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)  # after each gap above tol
     values = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))

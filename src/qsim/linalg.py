@@ -27,6 +27,8 @@ UNITARY_TOL = 1e-10
 # Eigenvalues closer than this (relative to the Hilbert-Schmidt norm of the
 # matrix) are treated as one degenerate eigenvalue of a measurement law.
 EIG_CLUSTER_REL_TOL = 1e-9
+# as_counts clamps its bounds into int64's range.
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def as_count(name: str, x, least: int | None = None, most: int | None = None) -> int:
@@ -47,8 +49,8 @@ def as_counts(name: str, x, least: int | None = None, most: int | None = None) -
     """x as a new read-only int64 column when every entry passes as_count(name,
     entry, least, most), the bounds clamped to int64's range, and x is 1-D;
     otherwise as_count's ValueError for the first that fails, or as_numbers's."""
-    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-    least, most = max(lo if least is None else least, lo), min(hi if most is None else most, hi)
+    least = _INT64_MIN if least is None else max(least, _INT64_MIN)
+    most = _INT64_MAX if most is None else min(most, _INT64_MAX)
     a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
     types = set(map(type, a.ravel())) if a.dtype == object else {a.dtype.type}
     if not (all(issubclass(t, (int, np.integer)) and t is not bool for t in types)

@@ -19,12 +19,12 @@ with its range messages, and vectors and probabilities linalg.as_numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .algprob import DensityMatrix, Observable, law_probabilities, pure_state
+from .algprob import DensityMatrix, Observable, ProductObservable, law_probabilities, pure_state
 from .linalg import as_count, as_numbers, unitary_from_hamiltonian
 from .rng import inverse_cdf_counts
 
@@ -98,38 +98,28 @@ class QpuObservable:
     """Register observable given as a Kronecker product of 2x2 factors.
 
     eigen_labels[k] is the product of each factor's ascending eigenvalues
-    selected by the bits of k, i.e. the measured value of basis state k.
+    selected by the bits of k, i.e. the measured value of basis state k;
+    it is read-only, as realized's arrays are.
     """
 
     n: int
     factors: tuple[Observable, ...]
-    realized: Observable
+    realized: ProductObservable
     eigen_labels: np.ndarray
 
 
 def qpu_observable(factors) -> QpuObservable:
-    """Build the register observable from per-wire 2x2 Hermitian factors."""
-    obs_factors = []
-    for f in factors:
-        if not isinstance(f, Observable):
-            f = Observable(f)
-        if f.dim != 2:
-            raise ValueError(f"factor dimension {f.dim} is not 2")
-        obs_factors.append(f)
-    if not obs_factors:
-        raise ValueError("at least one factor is required")
-    # The product's eigenpairs are the Kronecker products of the factors'. w
-    # is in array-position order, so label k's value sits at k's position.
-    # An outer product chain has axes (i1, j1, ..., in, jn) and multiplies in
-    # factor order, as np.kron does; with the i axes first it is their product.
-    n = len(obs_factors)
-    rows_first = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    mat, v = (reduce(np.multiply.outer, [getattr(f, k) for f in obs_factors])
-              .transpose(rows_first).reshape(2**n, 2**n) for k in ("mat", "eigenvectors"))
-    w = reduce(np.multiply.outer, [f.eigenvalues for f in obs_factors]).ravel()
-    order = np.argsort(w, kind="stable")
-    realized = Observable.from_eig(mat, w[order], v[:, order])
-    return QpuObservable(n, tuple(obs_factors), realized, w[label_permutation(n)])
+    """Build the register observable from per-wire 2x2 Hermitian factors,
+    each checked on its own: realized is their ProductObservable, O(n 2^n),
+    whose 2^n x 2^n matrix and eigenvectors are built only when read."""
+    realized = ProductObservable(factors)
+    n = len(realized.factors)
+    # Undo the sort into array-position order, then read each label's position.
+    w = np.empty(2**n)
+    w[realized.order] = realized.eigenvalues
+    labels = w[label_permutation(n)]
+    labels.setflags(write=False)
+    return QpuObservable(n, realized.factors, realized, labels)
 
 
 @cache
@@ -144,7 +134,8 @@ def standard_observable(n: int) -> QpuObservable:
 
     Wire j carries diag(1, p_j) with p_j the j-th prime, so the label of
     outcome k is the square-free product encoding k's bits uniquely. The
-    wire factors are shared; the register arrays are built on each call.
+    wire factors are shared; each call builds no 2^n x 2^n array, and law
+    reads rho's diagonal, the factors' eigenvectors being the identity.
     """
     n = as_count("n", n, 1, len(_PRIMES))
     return qpu_observable([_wire_factor(p) for p in _PRIMES[:n]])
@@ -160,7 +151,8 @@ class Udqc:
     @property
     def observable(self) -> QpuObservable:
         """standard_observable(n), built on each read from the shared wire
-        factors: eigenpairs from theirs, no eigensolve."""
+        factors: eigenvalues from theirs, no eigensolve and no 2^n x 2^n
+        array."""
         return standard_observable(self.n)
 
 

@@ -18,6 +18,7 @@ from qsim.algprob import (
     DensityMatrix,
     Law,
     Observable,
+    ProductObservable,
     StateValidationError,
     conjugate,
     law,
@@ -174,8 +175,9 @@ def test_observable_requires_hermitian():
 def test_observable_is_a_read_only_value():
     """Observable keeps a read-only copy of the caller's matrix, so a later
     write to it changes neither the matrix nor the eigenpairs, and its fields
-    cannot be rebound; from_eig freezes the arrays it is handed in place,
-    without a copy."""
+    cannot be rebound. A ProductObservable keeps read-only factors,
+    eigenvalues and order, and builds its matrix and eigenvectors read-only
+    on each read, without keeping them."""
     m = np.diag([1.0, 2.0]).astype(complex)
     o = Observable(m)
     m[1, 1] = 7.0
@@ -186,10 +188,18 @@ def test_observable_is_a_read_only_value():
             a[0] = 0.0
     with pytest.raises(AttributeError):
         o.mat = m
-    w, v = np.array([1.0, 2.0]), np.eye(2, dtype=complex)
-    fresh = Observable.from_eig(m, w, v)
-    assert fresh.mat is m and fresh.eigenvalues is w and fresh.eigenvectors is v
-    assert not (m.flags.writeable or w.flags.writeable or v.flags.writeable)
+    p = ProductObservable([o, m])
+    m[0, 0] = 5.0
+    assert p.eigenvalues.tolist() == [1.0, 2.0, 7.0, 14.0] and p.order.tolist() == [0, 2, 1, 3]
+    assert p.mat is not p.mat and p.eigenvectors is not p.eigenvectors
+    assert not {"mat", "eigenvectors"} & set(vars(p)), set(vars(p))
+    for a in (p.mat, p.eigenvalues, p.eigenvectors, p.order, p.factors[1].mat):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    for field in ("factors", "eigenvalues", "order"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(p, field))
 
 
 def test_eigenvalue_clusters_merge_degeneracies():
@@ -308,11 +318,17 @@ def test_law_matches_the_per_cluster_reference():
 def test_law_of_an_observable_whose_norm_overflows():
     """||diag(1e200, 2e200)|| overflows; the clustering tolerance is taken on
     the matrix scaled by a power of two, so the two eigenvalues stay two
-    outcomes, where an infinite tolerance would merge them into none."""
+    outcomes, where an infinite tolerance would merge them into none. A
+    ProductObservable with that factor takes it on its eigenvalues, the
+    same way, and keeps its four products apart."""
     from qsim.qpu import udqc
 
     got = law(Observable(np.diag([1e200, 2e200])), udqc(1).rho0).outcomes
     assert got == ((1e200, 1.0), (2e200, 0.0))
+    product = ProductObservable([np.diag([1e200, 2e200]), np.diag([1.0, 3.0])])
+    rho = DensityMatrix(np.diag([0.25, 0.0, 0.0, 0.75]))
+    assert law(product, rho).outcomes == (
+        (1e200, 0.25), (2e200, 0.0), (3e200, 0.0), (6e200, 0.75))
 
 
 def test_law_probabilities_is_the_one_readout_check():

@@ -247,7 +247,7 @@ def test_qpu_observable_realizes_kron_product():
 
 def test_qpu_observable_labels_are_per_label_products():
     """eigen_labels[k] multiplies wire j's eigenvalue selected by bit j of k,
-    in wire order, exactly."""
+    in wire order, exactly; it is read-only."""
     rng = np.random.default_rng(81)
     for n in range(1, 6):
         obs = qpu_observable([random_hermitian(rng, 2) for _ in range(n)])
@@ -259,6 +259,8 @@ def test_qpu_observable_labels_are_per_label_products():
                 value *= float(eigs[j][b])
             want.append(value)
         assert np.array_equal(obs.eigen_labels, want)
+        with pytest.raises(ValueError):
+            obs.eigen_labels[0] = 0.0
 
 
 def test_qpu_observable_products_equal_np_kron():
@@ -307,8 +309,8 @@ def test_qpu_observable_law_equals_the_dense_eigensolve():
 
 
 def test_qpu_observable_checks_no_register_sized_matrix(monkeypatch):
-    """The factors are checked one 2x2 at a time, and realized keeps the
-    Kronecker products of their eigenpairs as they are: no hermiticity
+    """The factors are checked one 2x2 at a time, and realized builds the
+    Kronecker products of their eigenpairs when read: no hermiticity
     test, eigensolve or norm runs on a 2^n x 2^n matrix. standard_observable
     checks a prime's factor on its first build only, and a repeat build
     checks nothing."""
@@ -333,6 +335,80 @@ def test_qpu_observable_checks_no_register_sized_matrix(monkeypatch):
         shapes.clear()
         assert standard_observable(n).realized.mat.shape == (2**n, 2**n)
         assert shapes == []
+
+
+def _dense_formula_law(a, rho):
+    """law's dense formula: expectations from the product rho V with
+    a.eigenvectors, the clustering norm from a.mat."""
+    from qsim.linalg import EIG_CLUSTER_REL_TOL, scaled_norm
+
+    v, w = a.eigenvectors, a.eigenvalues
+    expectations = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
+    norm, s = scaled_norm(a.mat)
+    tol = EIG_CLUSTER_REL_TOL * max(norm, s) / s
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
+    values = np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
+    probs = law_probabilities(np.add.reduceat(expectations, starts))
+    return tuple(zip(values.tolist(), probs.tolist()))
+
+
+def test_standard_observable_law_is_the_dense_formula_bit_for_bit():
+    """law(standard_observable(n).realized, rho) reads rho's diagonal; it is
+    the dense formula on realized.mat and realized.eigenvectors by float.hex
+    at n = 1-7: on basis states, on states with exact zeros on the diagonal
+    (0.0 and -0.0, off-diagonal -0.0 too) and on random mixed states."""
+    from qsim.algprob import law
+
+    def hexed(outcomes):
+        return [(v.hex(), p.hex()) for v, p in outcomes]
+
+    rng = np.random.default_rng(85)
+    cases = 0
+    for n in range(1, 8):
+        a, dim = standard_observable(n).realized, 2**n
+        states = [pure_state(basis_vector(int(k), n)) for k in rng.choice(dim, min(dim, 4), False)]
+        for _ in range(4):
+            g = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            g[rng.permutation(dim)[: dim // 2]] = 0.0  # zero rows: zero diagonal entries
+            m = g @ g.conj().T
+            m /= np.trace(m).real
+            signed = m.copy()
+            signed[m == 0.0] = complex(-0.0, -0.0)
+            full = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            full = full @ full.conj().T
+            states += [DensityMatrix(m), DensityMatrix(signed),
+                       DensityMatrix(full / np.trace(full).real)]
+        for rho in states:
+            got = law(a, rho).outcomes
+            assert hexed(got) == hexed(_dense_formula_law(a, rho)), n
+            cases += 1
+    assert cases == 110
+
+
+def test_standard_observable_and_law_build_no_register_matrix(monkeypatch):
+    """standard_observable(10) allocates its eigenvalues, order and labels,
+    a traced peak of about 42 KiB, where one 2^10 x 2^10 complex array is
+    16 MiB; law reads neither realized.mat nor realized.eigenvectors."""
+    from qsim.algprob import ProductObservable, law
+
+    n = 10
+    rho = udqc(n).rho0
+    standard_observable(n)  # the wire factors, built once per process
+    tracemalloc.start()
+    try:
+        obs = standard_observable(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+    def refuse(self, name, *columns):
+        raise AssertionError(f"built the register's {name}")
+
+    monkeypatch.setattr(ProductObservable, "_kron", refuse)
+    assert law(obs.realized, rho).probabilities()[0] == 1.0
+    with pytest.raises(AssertionError):
+        obs.realized.mat
 
 
 def test_qpu_observable_rejects_bad_factors():

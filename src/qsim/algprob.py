@@ -9,9 +9,10 @@ its eigenpairs so that one can be shared; measuring it in a state produces
 its eigenvalues with probabilities Re tr(rho P), where P projects onto the
 eigenspace. law sums <v|rho|v> over each eigenspace's eigenvectors v, so no
 projector is formed; for a ProductObservable, a Kronecker product of 2x2
-observables, it reads them from the diagonal of rho turned wire by wire.
-Matrices, vectors and probabilities are read by linalg.as_numbers: a str or
-a bool is no number.
+observables, it reads them from the diagonal of rho turned wire by wire,
+and its mat and eigenvectors are reduce(np.kron, ...) of the factors' on
+each read. Matrices, vectors and probabilities are read by linalg.as_numbers:
+a str or a bool is no number.
 """
 
 from __future__ import annotations
@@ -125,13 +126,10 @@ class ProductObservable(Observable):
         return f"ProductObservable(factors={self.factors!r})"
 
     def _kron(self, name: str, columns=slice(None)) -> np.ndarray:
-        """The Kronecker product of the factors' name arrays, read-only. An outer
-        product chain has axes (i1, j1, ..., in, jn) and multiplies in factor
-        order, as np.kron does; with the i axes first it is their product."""
-        n = len(self.factors)
-        rows_first = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-        a = (reduce(np.multiply.outer, [getattr(f, name) for f in self.factors])
-             .transpose(rows_first).reshape(2**n, 2**n)[:, columns])
+        """The Kronecker product of the factors' name arrays, read-only, from a copy of
+        the first: a 1x1 start of ones would turn zeros' signs (1 * (-0 - 1j) is 0 - 1j)."""
+        first, *rest = [getattr(f, name) for f in self.factors]
+        a = reduce(np.kron, rest, first.copy())[:, columns]
         a.setflags(write=False)
         return a
 

@@ -16,14 +16,13 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import grover_rudolph as gr
 from .gates import circuit_length, format_circuit
-from .linalg import as_count
+from .linalg import ParseError, are_json_numbers, as_count
 from .qpu import MAX_SHOTS, label_bitstrings, sample as draw_shots
 from .udecomp import (RECONSTRUCTION_TOL, decompose_unitary, format_decomposition,
                       reconstruction_residual)
@@ -41,14 +40,10 @@ EXIT_IO = 4
 MAX_QUBITS = 20
 
 
-class InputFormatError(ValueError):
-    """Malformed input file (structure, not semantics)."""
-
-
-def _density_path(args: argparse.Namespace) -> str:
+def _density(args: argparse.Namespace) -> gr.PiecewisePolyDensity:
     if not args.density:
-        raise InputFormatError("this command needs --density PATH")
-    return args.density
+        raise ParseError("this command needs --density PATH")
+    return gr.load_density(args.density)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -76,17 +71,14 @@ def _table(args: argparse.Namespace, doc: dict, key: str) -> None:
 
 
 def _density_circuit_law(args: argparse.Namespace) -> np.ndarray:
-    density = gr.load_density(_density_path(args))
-    tree = gr.angle_tree(density, args.n)
-    return gr.circuit_law(gr.synthesize(tree))
+    return gr.circuit_law(gr.synthesize(gr.angle_tree(_density(args), args.n)))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Write the synthesized circuit, each gate a ROT line with its angle."""
     if not args.out:
-        raise InputFormatError("synth needs --out PATH for the circuit file")
-    density = gr.load_density(_density_path(args))
-    circuit = gr.synthesize(gr.angle_tree(density, args.n), prune=args.prune)
+        raise ParseError("synth needs --out PATH for the circuit file")
+    circuit = gr.synthesize(gr.angle_tree(_density(args), args.n), prune=args.prune)
     _emit(args, format_circuit(circuit))
     print(f"wrote {circuit_length(circuit)} gates to {args.out}")
     return EXIT_OK
@@ -115,30 +107,30 @@ def _parse_unitary_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise InputFormatError('unitary JSON needs "dim" and "entries"')
+        raise ParseError('unitary JSON needs "dim" and "entries"')
     try:
         dim = as_count('"dim"', doc["dim"], 2)
     except ValueError as exc:
-        raise InputFormatError(*exc.args) from None
+        raise ParseError(*exc.args) from None
     raw = doc["entries"]
     pairs = type(raw) is list and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
     flat = list(itertools.chain.from_iterable(raw)) if pairs else []
-    if not (pairs and gr.are_json_numbers(flat)):  # name the first entry that fails, or raw
+    if not (pairs and are_json_numbers(flat)):  # name the first entry that fails, or raw
         bad = raw if type(raw) is not list else next(
-            e for e in raw if type(e) is not list or len(e) != 2 or not gr.are_json_numbers(e))
-        raise InputFormatError(
+            e for e in raw if type(e) is not list or len(e) != 2 or not are_json_numbers(e))
+        raise ParseError(
             f"unitary entries must be [re, im] pairs of JSON numbers, got {bad!r}")
     if len(raw) != dim * dim:  # before any number's range: 10**400 is an OverflowError
-        raise InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(raw)}")
+        raise ParseError(f"expected {dim}*{dim} row-major entries, got {len(raw)}")
     return np.array(flat, dtype=np.float64).view(np.complex128).reshape(dim, dim)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     """Factor a unitary into two-level gates and report the residual."""
     if not args.unitary:
-        raise InputFormatError("decompose needs --unitary PATH")
+        raise ParseError("decompose needs --unitary PATH")
     with open(args.unitary, "r", encoding="utf-8") as fh:
         u = _parse_unitary_json(fh.read())
     dec = decompose_unitary(u)
@@ -154,17 +146,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Compare exact, formula, and circuit laws; exit 1 when any disagree."""
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    density = gr.load_density(_density_path(args))
-    report = gr.verify(density, args.n, args.tol)
+    report = gr.verify(_density(args), args.n, args.tol)
     doc = {
         "n": args.n,
         "rows": {"exact": report.target, "formula": report.formula, "circuit": report.circuit},
         "max_dev_formula_target": report.max_dev_formula_target,
         "max_dev_circuit_target": report.max_dev_circuit_target,
         "max_dev_circuit_formula": report.max_dev_circuit_formula,
-        "tol": args.tol,
+        "tol": report.tol,
         "passed": report.passed,
     }
     _table(args, doc, "rows")
@@ -173,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{verdict}: max deviations formula-target "
         f"{report.max_dev_formula_target:.3e}, circuit-target "
         f"{report.max_dev_circuit_target:.3e}, circuit-formula "
-        f"{report.max_dev_circuit_formula:.3e} (tol {args.tol:g})"
+        f"{report.max_dev_circuit_formula:.3e} (tol {report.tol:g})"
     )
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -230,7 +219,7 @@ def main(argv=None) -> int:
         if "n" in args:  # every command with --n, before it runs
             as_count("--n", args.n, 1, MAX_QUBITS)
         return args.func(args)
-    except (gr.DensityJsonError, InputFormatError) as exc:
+    except ParseError as exc:
         print(f"qsim: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

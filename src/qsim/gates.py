@@ -18,11 +18,11 @@ Decomposition its two-level factors. A single wire gate is a Circuit of length
 one, so one column check validates every gate sequence: 1-D integer columns
 by linalg.as_counts, target from 1 to n, mask and value from 0 to 2^n - 1, i
 and j from 1 to dim, and a 1-D angle column and blocks by linalg.as_numbers. A
-wire gate with an angle has the block rotation(angle), which gate_blocks builds
-from it on each use; only the other gates' blocks are given, stored and tested
-for unitarity. In text, a wire gate with an angle is a ROT line, and any other a
-CTRL line with its block; both spell the controls as one wire pattern. The
-reader checks what text can get wrong, and Circuit the rest.
+wire gate with an angle has the block rotation(angle), gate_blocks' rule on each
+use; only the other gates' blocks are given, stored and tested for unitarity.
+In text, a wire gate with an angle is a ROT line, and any other a CTRL line with
+its block; both spell the controls as one wire pattern. The reader raises
+linalg.ParseError for what text can get wrong, and Circuit checks the rest.
 
 Simulation never forms the realized matrix. A run is a maximal stretch of
 gates that share target and mask and repeat no value, so its gates mix
@@ -31,7 +31,7 @@ it, in one step and in place, and a layer of factors on disjoint row pairs
 as reconstruct sorts them. A circuit with no given block runs in float64 on
 a float64 vector or a real matrix, any other run in complex128. realize_gate,
 and controlled_gate built through it, form dense matrices without gate_runs,
-as the tests' reference.
+as the tests' reference: reduce(np.kron, ...) of one 2x2 array per wire.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .algprob import DensityMatrix
-from .linalg import UNITARY_TOL, as_count, as_counts, as_numbers
+from .linalg import UNITARY_TOL, ParseError, as_count, as_counts, as_numbers
 
 MAX_WIRES = 62  # masks and values are int64 columns over the position bits
 _NOT_UNITARY = "gate block is not unitary within tolerance"
@@ -51,18 +52,9 @@ _NO_BLOCKS = np.empty((0, 2, 2), dtype=np.complex128)
 _NO_BLOCKS.setflags(write=False)
 
 
-class CircuitParseError(ValueError):
-    """Raised when circuit or factor text cannot be parsed."""
-
-
 def rotation(alpha: float) -> np.ndarray:
-    """The plane rotation [[cos a, -sin a], [sin a, cos a]], by the rule of rotations."""
-    return rotations([alpha])[0]
-
-
-def rotations(angles) -> np.ndarray:
-    """rotation(a) for each a in angles (linalg.as_numbers), shape (k, 2, 2), from one cos, sin."""
-    return gate_blocks(as_numbers("angle", angles)).astype(np.complex128)
+    """[[cos a, -sin a], [sin a, cos a]], complex, of one angle a, by gate_blocks' rule."""
+    return gate_blocks(as_numbers("angle", alpha, ndim=0)).astype(np.complex128)[0]
 
 
 def gate_blocks(angle: np.ndarray, given: np.ndarray = _NO_BLOCKS) -> np.ndarray:
@@ -249,12 +241,10 @@ _PROJECTORS = [np.diag(e) for e in _EYE]  # |0><0| and |1><1|
 def _chain(n: int, target: int, mask: int, value: int, block) -> np.ndarray:
     """Kronecker product over wires 1..n, wire w at position bit n - w of mask
     and value: block on the target, |b><b| on a control wire that must carry
-    b, and I on a free wire."""
-    out = np.ones((1, 1), dtype=np.complex128)
-    for bit in range(n - 1, -1, -1):  # wires 1..n in order
-        out = np.kron(out, block if bit == n - target else
-                      _PROJECTORS[value >> bit & 1] if mask >> bit & 1 else _EYE)
-    return out
+    b, and I on a free wire. The 1x1 start makes it a new array at n = 1."""
+    wires = (block if bit == n - target else _PROJECTORS[value >> bit & 1] if mask >> bit & 1
+             else _EYE for bit in range(n - 1, -1, -1))  # wires 1..n in order
+    return reduce(np.kron, wires, np.ones((1, 1)))
 
 
 def control_projector(n: int, ell: int, z, v) -> np.ndarray:
@@ -471,7 +461,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 #   QSIM-FACTORS v1 dim=<1 to 18 ASCII digits, at least 2>
 #   TWO-LEVEL <i> <j> <8 floats>
 #
-# A wire gate with an angle is written ROT, its block rotations([alpha])[0];
+# A wire gate with an angle is written ROT, its block rotation(alpha);
 # every other wire gate is written CTRL. Factor files hold TWO-LEVEL lines.
 # The writer fills one (k, 3) table of format arguments, picks each line's
 # format by its kind and applies % once. The reader joins the stripped gate
@@ -519,14 +509,14 @@ def _parse_header(text: str, kind: str, version: int, key: str,
     stripped lines after it that are neither blank nor '#' comments."""
     lines = [ln for ln in filter(None, map(str.strip, text.splitlines())) if ln[0] != "#"]
     if not lines:
-        raise CircuitParseError(f"missing QSIM-{kind} header")
+        raise ParseError(f"missing QSIM-{kind} header")
     m = re.fullmatch(f"QSIM-{kind} v{version} {key}=([0-9]{{1,18}})", lines[0])  # an int64 count
     if not m:
-        raise CircuitParseError(f"bad QSIM-{kind} header {lines[0][:80]!r}")
+        raise ParseError(f"bad QSIM-{kind} header {lines[0][:80]!r}")
     try:
         return as_count(key, int(m.group(1)), least, most), lines[1:]
     except ValueError as exc:
-        raise CircuitParseError(*exc.args) from None
+        raise ParseError(*exc.args) from None
 
 
 def _gate_fields(lines: list[str], arity: dict[str, int]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -542,7 +532,7 @@ def _gate_fields(lines: list[str], arity: dict[str, int]) -> tuple[np.ndarray, n
     if raw.translate(None, _GATE_BYTES) or (np.diff(start) == 1).any():
         bad = next(ln for ln in lines if "  " in ln
                    or ln.encode("utf-8", "surrogatepass").translate(None, _GATE_BYTES))
-        raise CircuitParseError(
+        raise ParseError(
             f"bad gate line {bad!r}: empty field, control character, non-ASCII text or '_'")
     last = np.flatnonzero(chars[start[1:] - 1] == ord("\n"))  # each line's last field
     first = np.append(0, last + 1)[:-1]  # and its kind field
@@ -556,7 +546,7 @@ def _gate_fields(lines: list[str], arity: dict[str, int]) -> tuple[np.ndarray, n
     bad = count[code] != last - first + 1
     if bad.any():
         line = lines[np.argmax(bad)]
-        raise CircuitParseError(f"bad gate line {line!r}: unknown kind or field count")
+        raise ParseError(f"bad gate line {line!r}: unknown kind or field count")
     names, groups = list(arity), {}
     for i in code[np.sort(np.unique(code, return_index=True)[1])].tolist():
         index = np.flatnonzero(code == i)
@@ -582,7 +572,7 @@ def _numbers(tokens: list[str], dtype=np.float64) -> np.ndarray:
             raise ValueError("an integer field is not ASCII digits")
         return np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError) as exc:
-        raise CircuitParseError(f"bad number in a gate line: {exc}") from exc
+        raise ParseError(f"bad number in a gate line: {exc}") from exc
 
 
 def format_circuit(c: Circuit) -> str:
@@ -623,10 +613,10 @@ def parse_circuit(text: str) -> Circuit:
                 blocks = _numbers(tokens).view(np.complex128).reshape(-1, 2, 2)
         _reject(np.isnan(angle[rot]), _NOT_UNITARY)  # a ROT line's NaN angle: a NaN block
         return Circuit(n, target, mask, value, blocks, angle)
-    except CircuitParseError:
+    except ParseError:
         raise
     except (ValueError, OverflowError) as exc:  # OverflowError: an n no array can index
-        raise CircuitParseError(f"bad gate: {exc}") from exc
+        raise ParseError(f"bad gate: {exc}") from exc
 
 
 def format_decomposition(d: Decomposition) -> str:
@@ -646,4 +636,4 @@ def parse_decomposition(text: str) -> Decomposition:
     try:
         return Decomposition(dim, i, j, blocks)
     except ValueError as exc:
-        raise CircuitParseError(f"bad factor: {exc}") from exc
+        raise ParseError(f"bad factor: {exc}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import MAX_WIRES, Circuit, apply_vector, stage_layout
-from .linalg import as_count, as_numbers
+from .linalg import ParseError, are_json_numbers, as_count, as_numbers
 from .qpu import decode, label_bitstrings, vector_distribution
 
 DENSITY_NEGATIVE_TOL = 1e-12
@@ -356,7 +356,12 @@ class VerifyReport:
 
 
 def verify(d, n: int, tol: float = VERIFY_TOL) -> VerifyReport:
-    """Check that formula and circuit reproduce the density's dyadic masses."""
+    """Check that formula and circuit reproduce the density's dyadic masses
+    within tol, one finite real >= 0 by linalg.as_numbers, read first."""
+    t = as_numbers("tol", tol, ndim=0)
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    tol = float(t)
     target = target_law(d, n)
     tree = _angle_tree(target)
     formula = formula_law(tree)
@@ -386,33 +391,22 @@ def parse_density_json(text: str) -> PiecewisePolyDensity:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DensityJsonError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "segments" not in doc:
-        raise DensityJsonError('density JSON needs a "segments" array')
+        raise ParseError('density JSON needs a "segments" array')
     raw = doc["segments"]
     if not isinstance(raw, list):
-        raise DensityJsonError('"segments" must be an array')
+        raise ParseError('"segments" must be an array')
     for entry in raw:
         if not isinstance(entry, dict) or not entry.keys() >= {"lo", "hi", "coeffs"}:
-            raise DensityJsonError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
+            raise ParseError(f'each segment needs "lo", "hi" and "coeffs": {entry!r}')
         coeffs = entry["coeffs"]
         if not (isinstance(coeffs, list)  # a string of digits would iterate as coefficients
                 and are_json_numbers([entry["lo"], entry["hi"], *coeffs])):
-            raise DensityJsonError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
+            raise ParseError(f"lo, hi and coeffs must be JSON numbers: {entry!r}")
     # Built once every entry passed: a structure error (exit 2) beats 10**400 (exit 3).
     segs = [DensitySegment(e["lo"], e["hi"], tuple(e["coeffs"])) for e in raw]
     return PiecewisePolyDensity(segments=tuple(segs))
-
-
-def are_json_numbers(values) -> bool:
-    """Every value is an int or a float, the JSON numbers json.loads returns; float()
-    would also take "0.5", "1_0" and true. Both JSON readers' one number rule."""
-    return set(map(type, values)) <= {int, float}
-
-
-class DensityJsonError(ValueError):
-    """Raised when density JSON is structurally malformed (not a validation
-    failure of a well-formed density)."""
 
 
 def load_density(path) -> PiecewisePolyDensity:

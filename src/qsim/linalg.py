@@ -14,7 +14,8 @@ numpy warning; an eigenvalue beyond float range is a ValueError.
 
 Arguments are read by as_count (an integer), as_counts (a column of them)
 and as_numbers (an array of real or complex numbers), each raising a
-ValueError naming the argument.
+ValueError naming the argument. Every reader of circuit, factor, density and
+unitary input raises ParseError for bad structure; JSON numbers pass are_json_numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ UNITARY_TOL = 1e-10
 EIG_CLUSTER_REL_TOL = 1e-9
 # as_counts clamps its bounds into int64's range.
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+class ParseError(ValueError):
+    """Malformed input text or JSON: its structure, not what it describes."""
+
+
+def are_json_numbers(values) -> bool:
+    """Every value is an int or a float, as json.loads returns JSON numbers; not "0.5" or true."""
+    return set(map(type, values)) <= {int, float}
 
 
 def as_count(name: str, x, least: int | None = None, most: int | None = None) -> int:
@@ -149,9 +159,7 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     which checks that H is Hermitian, with every t * eigenvalue finite; the
     result is checked to be unitary.
     """
-    s = as_numbers("t", t)
-    if s.ndim != 0:
-        raise ValueError(f"t must be a single number, got shape {s.shape}")
+    s = as_numbers("t", t, ndim=0)
     if not np.isfinite(s):
         raise ValueError(f"t must be finite, got {t!r}")
     w, v = hermitian_eig(as_numbers("h", h, np.complex128, 2))

@@ -31,8 +31,8 @@ from .rng import inverse_cdf_counts
 BitString = Sequence[int]
 
 # One diagonal factor per wire with eigenvalues (1, prime) makes every
-# outcome label a distinct product, so the register observable separates
-# all 2^n basis states.
+# outcome label a distinct product, and the law separates all 2^n basis
+# states for n <= 9 (standard_observable).
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # Sampling memory is bounded by rng.SHOT_CHUNK + rng.SORT_CHUNK draws, about
 # 12 MB, whatever the shot count, so this caps time: 10^8 shots take about
@@ -133,7 +133,9 @@ def standard_observable(n: int) -> QpuObservable:
     """Diagonal register observable whose 2^n eigenvalues are all distinct.
 
     Wire j carries diag(1, p_j) with p_j the j-th prime, so the label of
-    outcome k is the square-free product encoding k's bits uniquely. The
+    outcome k is the square-free product encoding k's bits uniquely. law
+    separates them for n <= 9 only: from n = 10 its cluster tolerance merges
+    small products (921 of 1,024 outcomes at n = 10). The
     wire factors are shared; each call builds no 2^n x 2^n array, and law
     reads rho's diagonal, the factors' eigenvectors being the identity.
     """

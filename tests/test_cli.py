@@ -27,6 +27,7 @@ from qsim.cli import main
 from qsim.gates import format_circuit, parse_circuit, realize_gate
 from qsim.grover_rudolph import (angle_tree, circuit_law, load_density, parse_density_json,
                                  synthesize)
+from qsim.linalg import ParseError
 from qsim.udecomp import parse_decomposition, reconstruction_residual
 
 TRIANGULAR = {
@@ -341,20 +342,20 @@ def entry_by_entry_reader(text):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise cli.InputFormatError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise cli.InputFormatError('unitary JSON needs "dim" and "entries"')
+        raise ParseError('unitary JSON needs "dim" and "entries"')
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise cli.InputFormatError(f'"dim" must be an integer, got {dim!r}')
+        raise ParseError(f'"dim" must be an integer, got {dim!r}')
     if dim < 2:
-        raise cli.InputFormatError(f'"dim" must be at least 2, got {dim}')
+        raise ParseError(f'"dim" must be at least 2, got {dim}')
     try:
         entries = [complex(number(re), number(im)) for re, im in doc["entries"]]
     except (TypeError, ValueError) as exc:
-        raise cli.InputFormatError(f"bad unitary entries: {exc}") from exc
+        raise ParseError(f"bad unitary entries: {exc}") from exc
     if len(entries) != dim * dim:
-        raise cli.InputFormatError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
+        raise ParseError(f"expected {dim}*{dim} row-major entries, got {len(entries)}")
     return np.array(entries, dtype=np.complex128).reshape(dim, dim)
 
 
@@ -424,18 +425,49 @@ def test_unitary_reader_matches_the_entry_by_entry_reader():
         got = read_outcome(cli._parse_unitary_json, text)
         if want[:2] == ("error", OverflowError):  # the same text with 0 for 10**400
             in_range = read_outcome(entry_by_entry_reader, text.replace(str(10**400), "0"))
-            if in_range[:2] == ("error", cli.InputFormatError):
+            if in_range[:2] == ("error", ParseError):
                 want, structure_first = in_range, structure_first + 1
         assert got[:2] == want[:2], text[:300]
         if got[0] == "ok" or not got[2].startswith(BAD_ENTRY):
             assert got == want, text[:300]
         seen.add(want[0] if want[0] == "ok" else want[1].__name__)
-    assert seen == {"ok", "InputFormatError", "OverflowError"}
+    assert seen == {"ok", "ParseError", "OverflowError"}
     assert structure_first > 0
     for text in ("{not json", "[]", '{"dim": 2}', '{"dim": 2, "entries": [[1, 0], [0, 0], '
                  '[0, 0], [1, 0]]}', '{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, NaN]]}'):
         assert read_outcome(cli._parse_unitary_json, text) == read_outcome(
             entry_by_entry_reader, text), text
+
+
+# A structure fault for each reader, and for a JSON reader the command that reads it.
+READER_FAULTS = {
+    "circuit": (parse_circuit, "QSIM-CIRCUIT v2 n=1\nROT 1 0.5\n", None),
+    "factors": (parse_decomposition, "QSIM-FACTORS v1 dim=2\nTWO-LEVEL 1 2\n", None),
+    "density": (parse_density_json, '{"segments": 1}', ["verify", "--density"]),
+    "unitary": (cli._parse_unitary_json, '{"dim": 2}', ["decompose", "--unitary"]),
+}
+
+
+@pytest.mark.parametrize("reader", READER_FAULTS)
+def test_every_reader_raises_the_one_parse_error(tmp_path, capsys, reader):
+    """Each of the four readers raises linalg.ParseError for bad structure,
+    and cli.main maps that one type to exit 2; the only error types qsim
+    defines are ParseError and the two validation errors, so no reader keeps
+    a type of its own."""
+    read, text, command = READER_FAULTS[reader]
+    with pytest.raises(ParseError):
+        read(text)
+    if command:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([*command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err[:19]) == ("", 1, "qsim: parse error: ")
+    defined = {name for info in pkgutil.iter_modules(qsim.__path__)
+               for name, obj in vars(importlib.import_module(f"qsim.{info.name}")).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == f"qsim.{info.name}"}
+    assert defined == {"ParseError", "DensityError", "StateValidationError"}
 
 
 @pytest.mark.parametrize("entries,bad", [

@@ -21,7 +21,6 @@ from qsim import gates
 from qsim.algprob import DensityMatrix, conjugate, pure_state
 from qsim.gates import (
     Circuit,
-    CircuitParseError,
     TwoLevelGate,
     _check_blocks,
     _format_blocks,
@@ -35,9 +34,8 @@ from qsim.gates import (
     parse_circuit,
     realize_gate,
     rotation,
-    rotations,
 )
-from qsim.linalg import is_unitary
+from qsim.linalg import ParseError, is_unitary
 from qsim.qpu import basis_vector, tensor_index
 from qsim.udecomp import (
     RECONSTRUCTION_TOL,
@@ -120,7 +118,7 @@ def decomposition(dim, factors):
                          [f.v for f in factors])
 
 
-# --- rotations -----------------------------------------------------------------
+# --- rotation ------------------------------------------------------------------
 
 
 def test_rotation_pins():
@@ -132,25 +130,27 @@ def test_rotation_pins():
     assert is_unitary(rotation(1.234), 1e-12)
 
 
-def test_rotation_is_the_rotations_rule_bit_for_bit():
-    """A ROT gate is checked against rotations, so rotation(a) must be its
-    block exactly, on any libm: the two share one cos and one sin."""
+def test_rotation_is_the_gate_blocks_rule_bit_for_bit():
+    """A ROT gate's block is gate_blocks' rule, so rotation(a) must be it
+    exactly, on any libm: the two share one cos and one sin."""
     rng = np.random.default_rng(41)
     angles = np.concatenate([rng.uniform(-10.0, 10.0, 2000), rng.uniform(-1e6, 1e6, 2000),
                              [0.0, -0.0, math.pi / 2, 1e6, -1e6]])
-    together = rotations(angles)
+    together = gate_blocks(angles).astype(complex)
     for k, a in enumerate(angles.tolist()):
-        assert rotation(a).tobytes() == rotations([a])[0].tobytes(), a
         assert rotation(a).tobytes() == together[k].tobytes(), a
+        assert rotation(np.float64(a)).tobytes() == together[k].tobytes(), a
     for a in angles[::40].tolist():
         assert block(gate(2, 1, angle=a)).tobytes() == rotation(a).tobytes()
-    # Angles are read by linalg.as_reals, as Circuit reads them: not numpy's
-    # float16 cos of a bool, a complex block or numpy's TypeError of a string.
+    # Angles are read by linalg.as_numbers, as Circuit reads them: not numpy's
+    # float16 cos of a bool, a complex block or numpy's TypeError of a string,
+    # and one angle, not the first of a list.
     for bad, kind in ((True, "bool"), (0.5j, "complex"), ("0.5", "str")):
-        for call in (rotation, lambda a: rotations([a])):
-            with pytest.raises(ValueError) as info:
-                call(bad)
-            assert str(info.value) == f"angle must be real numbers, got ['{kind}']"
+        with pytest.raises(ValueError) as info:
+            rotation(bad)
+        assert str(info.value) == f"angle must be real numbers, got ['{kind}']"
+    with pytest.raises(ValueError, match="^angle must be a 0-D array, got a 1-D input$"):
+        rotation([0.3, 0.4])
 
 
 # --- wire gates ------------------------------------------------------------------
@@ -1212,7 +1212,7 @@ def test_factor_lists_live_with_the_gate_sequences():
 def test_two_level_line_is_not_a_circuit_line():
     line = "TWO-LEVEL 1 2 1 0 0 0 0 0 1 0"
     assert parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n").i.tolist() == [1]
-    with pytest.raises(CircuitParseError, match="unknown kind"):
+    with pytest.raises(ParseError, match="unknown kind"):
         parse_circuit(f"QSIM-CIRCUIT v2 n=1\n{line}\n")
 
 
@@ -1295,7 +1295,7 @@ def test_controlled_gate_carries_its_angle():
 
 def test_circuit_builds_blocks_from_angles():
     """With blocks None, no block is stored and gate_blocks builds every block
-    from its angle: byte for byte rotations(angle), as float64. The columns
+    from its angle: byte for byte rotation(angle), as float64. The columns
     are read-only. A NaN angle is a gate whose block must be given, and
     columns still agree in length."""
     angle = np.array([0.0, 0.3, math.pi / 2, 1e-300, 2.5])
@@ -1303,7 +1303,8 @@ def test_circuit_builds_blocks_from_angles():
     built = Circuit(2, target, zeros, zeros, None, angle)
     assert built.blocks.shape == (0, 2, 2)
     assert every_block(built).dtype == float
-    assert every_block(built).astype(complex).tobytes() == rotations(angle).tobytes()
+    assert every_block(built).astype(complex).tobytes() == b"".join(
+        rotation(a).tobytes() for a in angle.tolist())
     assert built.angle.tobytes() == angle.tobytes()
     for name in ("target", "mask", "value", "blocks", "angle"):
         assert not getattr(built, name).flags.writeable, name
@@ -1331,11 +1332,11 @@ def test_gate_blocks_are_the_stacked_rotation_entries():
         got = gate_blocks(angle)
         assert got.dtype == float and got.shape == (k, 2, 2)
         assert got.tobytes() == want.tobytes()
-        given = rotations(rng.uniform(-1.0, 1.0, int(np.isnan(angle).sum())))
+        given = np.reshape([rotation(a) for a in rng.uniform(-1.0, 1.0, np.isnan(angle).sum())],
+                           (-1, 2, 2))
         want = want.astype(complex)
         want[np.isnan(angle)] = given
         assert gate_blocks(angle, given).astype(complex).tobytes() == want.tobytes()
-    assert rotations(0.3).tobytes() == rotations([0.3]).tobytes()
 
 
 def test_only_given_blocks_are_gram_tested(monkeypatch):
@@ -1372,7 +1373,7 @@ def test_a_built_block_needs_a_finite_angle():
     for angle in (math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Circuit(1, [1], [0], [0], None, [angle])
-    with pytest.raises(CircuitParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_circuit("QSIM-CIRCUIT v2 n=2\nROT 1 -inf .\n")
     assert str(info.value) == f"bad gate: {message}"
     c = Circuit(2, [1], [0], [0], None, [1e300])
@@ -1522,7 +1523,7 @@ def test_a_bad_pattern_character_is_named_as_written():
     block = _block_text(FLIP)
     for n, line, pattern in ((2, "ROT 1 0.5 2", "2"), (2, f"CTRL 1 2 {block}", "2"),
                              (4, "ROT 2 0.5 0x1", "0x1"), (3, f"CTRL 3 -1 {block}", "-1")):
-        with pytest.raises(CircuitParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{line}\n")
         assert str(info.value) == (
             f"bad gate: pattern {pattern!r} holds a character other than 0, 1 and .")
@@ -1543,6 +1544,26 @@ def test_a_register_beyond_62_wires_is_rejected_before_any_matrix(monkeypatch):
             with pytest.raises(ValueError) as info:
                 build(n, 1, (0,) * max(n - 1, 0), np.eye(2))
             assert str(info.value) == f"n must be {message}"
+
+
+def test_a_one_wire_chain_is_a_new_array():
+    """At n = 1 a Kronecker chain has one factor, and its start, a 1x1 array
+    or a copy of the factor, makes the product a new array: control_projector,
+    realize_gate and a one-factor ProductObservable's mat and eigenvectors
+    share no memory with the caller's block or the factor's arrays. The
+    copy keeps the signs of Y's zeros, which 1 * (-0 - 1j) would turn."""
+    from qsim.algprob import ProductObservable
+
+    v = np.array([[0.0, -1j], [1j, 0.0]])  # Pauli Y, Hermitian and unitary
+    g = Circuit(1, [1], [0], [0], [v], [math.nan])
+    obs = ProductObservable([v])
+    made = [control_projector(1, 1, (), v), realize_gate(g), obs.mat, obs.eigenvectors]
+    given = [v, g.blocks, *(getattr(f, k) for f in obs.factors for k in ("mat", "eigenvectors"))]
+    for a in made:
+        for b in given:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(control_projector(1, 1, (), v), v)
+    assert obs.mat.tobytes() == obs.factors[0].mat.tobytes()
 
 
 def test_each_gate_has_one_spelling():
@@ -1632,7 +1653,7 @@ def test_header_n_is_checked_before_any_gate_line():
     line = f"CTRL 61 {'.' * 60}0 1 0 0 0 0 0 1 0"
     for n in (63, 10**6, 10**8):
         start = time.process_time()
-        with pytest.raises(CircuitParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{line}\n")
         assert time.process_time() - start < 0.05
         assert str(info.value) == f"n must be at most 62, got {n}"
@@ -1642,14 +1663,14 @@ def test_header_n_is_checked_before_any_gate_line():
 
 
 def test_parse_errors():
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_circuit("")
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_circuit("WRONG-HEADER n=2\nROT 1 0.5 .\n")
     # The count is ASCII digits only: no separators, spaces, signs or
     # other Unicode digits (U+0663 is ARABIC-INDIC DIGIT THREE).
     for count in ("0", "1_0", " 4", "+4", "\u0663"):
-        with pytest.raises(CircuitParseError):
+        with pytest.raises(ParseError):
             parse_circuit(f"QSIM-CIRCUIT v2 n={count}\n")
     # Each bad line raises alone, and after a good line of every kind, from
     # the one reader that reads each line kind's fields into arrays.
@@ -1658,7 +1679,7 @@ def test_parse_errors():
 
     def rejected(line, n):
         for before in ("", good):
-            with pytest.raises(CircuitParseError):
+            with pytest.raises(ParseError):
                 parse_circuit(f"QSIM-CIRCUIT v2 n={n}\n{before}{line}\n")
 
     for line in (
@@ -1688,7 +1709,7 @@ def test_parse_errors():
         for line in (f"ROT {field} 0.5 01", f"CTRL {field} 01 {block}"):
             rejected(line, 3)
         for line in (f"TWO-LEVEL {field} 2 {block}", f"TWO-LEVEL 1 {field} {block}"):
-            with pytest.raises(CircuitParseError):
+            with pytest.raises(ParseError):
                 parse_decomposition(f"QSIM-FACTORS v1 dim=8\n{line}\n")
     for line in (
         f"CTRL 2 1 {block}",  # pattern too short
@@ -1714,7 +1735,7 @@ def test_parse_errors():
                         for ln in lines)
         try:
             c = parse_circuit(text)
-        except CircuitParseError as exc:
+        except ParseError as exc:
             assert (str(exc) == f"bad gate line {lines[0]!r}{suffix}") is not printable, char
         else:
             assert printable and c.angle.tolist() == [0.5, float(f"0.{char}5")], char
@@ -1728,10 +1749,10 @@ def test_only_the_two_line_kinds_of_version_2_are_read():
     block = "1 0 0 0 0 0 1 0"
     for text in ("QSIM-CIRCUIT v1 n=2\n", "QSIM-CIRCUIT v1 n=2\nROT 1 0.5\n",
                  "QSIM-CIRCUIT v3 n=2\n", "QSIM-CIRCUIT n=2\n"):
-        with pytest.raises(CircuitParseError, match="^bad QSIM-CIRCUIT header "):
+        with pytest.raises(ParseError, match="^bad QSIM-CIRCUIT header "):
             parse_circuit(text)
     for line in ("ROT 1 0.5", f"WIRE 1 {block}", f"SUFFIX-CTRL 2 1 {block}"):
-        with pytest.raises(CircuitParseError, match="unknown kind or field count"):
+        with pytest.raises(ParseError, match="unknown kind or field count"):
             parse_circuit(f"QSIM-CIRCUIT v2 n=2\n{line}\n")
 
 
@@ -1742,7 +1763,7 @@ def test_header_counts_beyond_int64_are_parse_errors():
     for digits in ("9" * 5000, "9" * 4301, "1" + "0" * 18):
         for text in (f"QSIM-CIRCUIT v2 n={digits}\n", f"QSIM-FACTORS v1 dim={digits}\n"):
             reader = parse_circuit if text.startswith("QSIM-CIRCUIT") else parse_decomposition
-            with pytest.raises(CircuitParseError) as info:
+            with pytest.raises(ParseError) as info:
                 reader(text)
             assert len(str(info.value)) < 200
     assert parse_decomposition("QSIM-FACTORS v1 dim=" + "9" * 18 + "\n").dim == 10**18 - 1
@@ -1752,16 +1773,16 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
     # float() reads each of these as a number, stripping the tab; no writer
     # produces them.
     for angle in ("\u0663", "1_0", "1_0e-1", "\t3", "3\x01"):
-        with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
+        with pytest.raises(ParseError, match="non-ASCII text or '_'"):
             parse_line(f"ROT 1 {angle} -", 1)
     # A vertical tab, form feed or carriage return ends a line of a file,
     # as a newline does: "ROT 1 \x0c3 -" is the two lines "ROT 1" and "3 -".
     for end in ("\x0c", "\x0b", "\r"):
-        with pytest.raises(CircuitParseError, match="unknown kind or field count"):
+        with pytest.raises(ParseError, match="unknown kind or field count"):
             parse_line(f"ROT 1 {end}3 -", 1)
         assert parse_line(f"ROT 1 3 -{end}", 1).angle[0] == 3.0
     # A tab inside a line survives the per-line strip of a circuit file.
-    with pytest.raises(CircuitParseError, match="control character"):
+    with pytest.raises(ParseError, match="control character"):
         parse_circuit("QSIM-CIRCUIT v2 n=1\nROT 1 \t3 -\n")
     block = ["1", "0", "0", "0", "0", "0", "1", "0"]
     for i in range(8):
@@ -1770,9 +1791,9 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
             # A form feed cuts the line short, or leaves a block that is not unitary.
             match = None if "\x0c" in entry else "non-ASCII text or '_'"
             for kind in ("CTRL 1 1", "CTRL 2 0"):
-                with pytest.raises(CircuitParseError, match=match):
+                with pytest.raises(ParseError, match=match):
                     parse_line(f"{kind} {bad}", 2)
-            with pytest.raises(CircuitParseError, match=match):
+            with pytest.raises(ParseError, match=match):
                 parse_decomposition(f"QSIM-FACTORS v1 dim=2\nTWO-LEVEL 1 2 {bad}\n")
     # Comments are skipped before any line is read, so they may hold either.
     c = parse_circuit("QSIM-CIRCUIT v2 n=1\n# \u0663 1_0\nROT 1 3 -\n")
@@ -1782,14 +1803,14 @@ def test_float_fields_reject_non_ascii_digits_and_separators():
 def test_parse_error_messages_are_pinned():
     """Every input that test_parse_errors and
     test_float_fields_reject_non_ascii_digits_and_separators reject, and files
-    that mix line kinds, raises CircuitParseError with the exact message of
+    that mix line kinds, raises ParseError with the exact message of
     golden/parse_errors.json, which the per-line reader wrote before the
     whole-text tokenizer replaced it."""
     cases = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text())
     assert len(cases) == 210
     readers = {"circuit": parse_circuit, "factors": parse_decomposition}
     for case in cases:
-        with pytest.raises(CircuitParseError) as info:
+        with pytest.raises(ParseError) as info:
             readers[case["reader"]](case["text"])
         assert str(info.value) == case["message"], case["text"]
     # Every reader check runs before Circuit's, which check the columns in
@@ -1798,7 +1819,7 @@ def test_parse_error_messages_are_pinned():
     # the file's first gate line is a CTRL line.
     bad_ctrl, bad_rot = "CTRL 1 2 1 0 0 0 0 0 1 0", "ROT 2 0.5 3"
     for lines, bits in (((bad_ctrl, bad_rot), "2"), (("ROT 1 0.5 .", bad_ctrl, bad_rot), "3")):
-        with pytest.raises(CircuitParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_circuit("QSIM-CIRCUIT v2 n=2\n" + "\n".join(lines) + "\n")
         assert str(info.value) == (
             f"bad gate: pattern '{bits}' holds a character other than 0, 1 and .")

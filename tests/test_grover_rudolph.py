@@ -34,7 +34,6 @@ from qsim.grover_rudolph import (
     ZERO_MASS_TOL,
     AngleTree,
     DensityError,
-    DensityJsonError,
     DensitySegment,
     PiecewisePolyDensity,
     _minima,
@@ -48,6 +47,7 @@ from qsim.grover_rudolph import (
     target_law,
     verify,
 )
+from qsim.linalg import ParseError
 
 
 def shipped_density(name):
@@ -184,12 +184,12 @@ def test_a_segment_keeps_its_numbers_as_python_floats():
 
 
 def test_density_json_structure_errors_come_before_range_errors():
-    """A missing key in a later entry is a DensityJsonError (exit 2), though
+    """A missing key in a later entry is a ParseError (exit 2), though
     an earlier entry holds 10**400, which alone is a DensityError (exit 3)."""
     first = '{"lo": 0.0, "hi": 0.5, "coeffs": [%s]}' % (10**400)
     with pytest.raises(DensityError, match="within float range in segment"):
         parse_density_json('{"segments": [%s]}' % first)
-    with pytest.raises(DensityJsonError, match='needs "lo", "hi" and "coeffs": {\'lo\': 0.5'):
+    with pytest.raises(ParseError, match='needs "lo", "hi" and "coeffs": {\'lo\': 0.5'):
         parse_density_json('{"segments": [%s, {"lo": 0.5, "hi": 1.0}]}' % first)
 
 
@@ -832,6 +832,36 @@ def test_verify_fails_at_impossible_tolerance():
     assert not report.passed
 
 
+@pytest.mark.parametrize("tol, message", [
+    (math.nan, "tol must be a finite number >= 0, got nan"),
+    (-1.0, "tol must be a finite number >= 0, got -1.0"),
+    (math.inf, "tol must be a finite number >= 0, got inf"),
+    (True, "tol must be real numbers, got ['bool']"),
+    ("1e-3", "tol must be real numbers, got ['str']"),
+    ([1e-3], "tol must be a 0-D array, got a 1-D input"),
+])
+def test_verify_reads_tol_before_any_mass(monkeypatch, tol, message):
+    """verify reads tol itself, by linalg.as_numbers, before it computes a
+    mass: a NaN, negative or infinite tol is no silent FAIL or PASS, a bool
+    is no number, and a string or a list is a ValueError, not a TypeError."""
+    def refuse(self, edges):
+        raise AssertionError("a mass was computed before tol was read")
+
+    d = triangular()
+    monkeypatch.setattr(PiecewisePolyDensity, "masses", refuse)
+    with pytest.raises(ValueError) as info:
+        verify(d, 3, tol=tol)
+    assert str(info.value) == message
+
+
+def test_verify_takes_zero_and_a_numpy_tol():
+    """0.0 and np.float64(1e-3) are tolerances; the report keeps a float."""
+    for tol, passed in ((0.0, False), (np.float64(1e-3), True)):
+        report = verify(triangular(), 3, tol=tol)
+        assert report.passed is passed
+        assert type(report.tol) is float and report.tol == tol
+
+
 def test_verify_computes_the_leaf_masses_once(monkeypatch):
     d = triangular()
     calls = []
@@ -1183,15 +1213,15 @@ def test_density_json_round_trip():
 
 
 def test_density_json_error_reporting():
-    with pytest.raises(DensityJsonError):
+    with pytest.raises(ParseError):
         parse_density_json("{not json")
-    with pytest.raises(DensityJsonError):
+    with pytest.raises(ParseError):
         parse_density_json("[1, 2, 3]")
-    with pytest.raises(DensityJsonError):
+    with pytest.raises(ParseError):
         parse_density_json('{"segments": 5}')
-    with pytest.raises(DensityJsonError):
+    with pytest.raises(ParseError):
         parse_density_json('{"segments": [42]}')
-    with pytest.raises(DensityJsonError):
+    with pytest.raises(ParseError):
         parse_density_json('{"segments": [{"lo": 0.0, "hi": 1.0}]}')
     # JSON numbers only, and "coeffs" an array: a string of digits would
     # load as the coefficients 0 and 2, that is the density 2x, and a number
@@ -1205,7 +1235,7 @@ def test_density_json_error_reporting():
         '{"lo": 0, "hi": 1, "coeffs": [null]}',
         '{"lo": 0, "hi": 1, "coeffs": {"1": 2.0}}',
     ):
-        with pytest.raises(DensityJsonError):
+        with pytest.raises(ParseError):
             parse_density_json(f'{{"segments": [{segment}]}}')
     # JSON integers are numbers.
     d = parse_density_json('{"segments": [{"lo": 0, "hi": 1, "coeffs": [0, 2]}]}')

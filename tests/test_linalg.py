@@ -446,10 +446,10 @@ def test_a_time_that_is_not_real_is_rejected_before_the_eigensolve(monkeypatch):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "t must be real numbers within float range"
-    for t, shape in (([0.5], (1,)), (np.array([0.5, 0.7]), (2,)), (np.array([0.5]), (1,))):
+    for t, ndim in (([0.5], 1), (np.array([0.5, 0.7]), 1), (np.array([[0.5]]), 2)):
         with pytest.raises(ValueError) as info:
             unitary_from_hamiltonian(np.diag([1.0, 2.0]), t)
-        assert str(info.value) == f"t must be a single number, got shape {shape}"
+        assert str(info.value) == f"t must be a 0-D array, got a {ndim}-D input"
 
 
 def test_generator_zero_gives_identity():

@@ -443,6 +443,19 @@ def test_standard_observable_separates_all_outcomes():
         standard_observable(17)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_standard_observable_law_counts_its_outcomes(n):
+    """On the maximally mixed state, law separates all 2^n labels up to
+    n = 9 and merges some at n = 10, where its cluster tolerance,
+    EIG_CLUSTER_REL_TOL * ||A|| = 7.95, exceeds the gap of 1 between small
+    products such as 2 and 3: 921 of 1,024 outcomes."""
+    from qsim.algprob import law
+
+    mixed = DensityMatrix(np.eye(2**n) / 2**n)
+    outcomes = law(standard_observable(n).realized, mixed).outcomes
+    assert len(outcomes) == (2**n if n <= 9 else 921)
+
+
 def test_standard_observable_measures_basis_states_deterministically():
     """In basis state k the register observable shows label(k) with prob 1;
     in a mixed state after Liouville evolution, with basis_distribution[k]."""

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.gates import CircuitParseError, TwoLevelGate, parse_circuit
+from qsim.gates import TwoLevelGate, parse_circuit
+from qsim.linalg import ParseError
 from qsim.linalg import is_unitary
 from qsim.udecomp import (
     RECONSTRUCTION_TOL,
@@ -598,15 +599,15 @@ def test_factor_file_round_trip():
 
 
 def test_factor_file_parse_errors():
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_decomposition("")
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_decomposition("QSIM-FACTORS v1 dim=x\n")
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_decomposition("QSIM-FACTORS v1 dim=4\nWIRE 1 1 0 0 0 0 0 1 0\n")
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(ParseError):
         parse_decomposition("QSIM-FACTORS v1 dim=4\nTWO-LEVEL 1 2 1 0\n")
-    # Every line parse_circuit rejects with CircuitParseError, and a
+    # Every line parse_circuit rejects with ParseError, and a
     # dimension with no two-level gates.
     for line in (
         "TWO-LEVEL 1 2 1 0 1 0 1 0 1 0",  # not unitary
@@ -618,13 +619,13 @@ def test_factor_file_parse_errors():
         "TWO-LEVEL 1 0_2 1 0 0 0 0 0 1 0",
         "TWO-LEVEL \u0661 2 1 0 0 0 0 0 1 0",
     ):
-        with pytest.raises(CircuitParseError):
+        with pytest.raises(ParseError):
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
-        with pytest.raises(CircuitParseError):
+        with pytest.raises(ParseError):
             parse_circuit(f"QSIM-CIRCUIT v2 n=1\n{line}\n")
     # dim is ASCII digits only, at least 2 (U+0663 is ARABIC-INDIC DIGIT THREE).
     for dim in ("0", "1", "-4", "1_0", " 4", "+4", "\u0663"):
-        with pytest.raises(CircuitParseError):
+        with pytest.raises(ParseError):
             parse_decomposition(f"QSIM-FACTORS v1 dim={dim}\n")
 
 
@@ -633,7 +634,7 @@ def test_factor_file_block_rejects_non_ascii_digits_and_separators():
     # "1\t"; none of them is written.
     for entry in ("1_0e-1", "\u0661", "1\t", "\t1"):
         line = f"TWO-LEVEL 1 2 {entry} 0 0 0 0 0 1 0"
-        with pytest.raises(CircuitParseError, match="non-ASCII text or '_'"):
+        with pytest.raises(ParseError, match="non-ASCII text or '_'"):
             parse_decomposition(f"QSIM-FACTORS v1 dim=2\n{line}\n")
 
 
@@ -647,7 +648,7 @@ def test_factor_record_is_shared_with_the_gate_type():
     factor_lines = format_decomposition(dec).splitlines()[1:]
     assert all(line.startswith("TWO-LEVEL ") for line in factor_lines)
     for line in factor_lines:
-        with pytest.raises(CircuitParseError, match="unknown kind"):
+        with pytest.raises(ParseError, match="unknown kind"):
             parse_circuit(f"QSIM-CIRCUIT v2 n=2\n{line}\n")
 
 
